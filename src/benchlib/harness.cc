@@ -1,7 +1,6 @@
 #include "benchlib/harness.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "benchlib/telemetry.h"
 
@@ -42,13 +41,6 @@ uint64_t ResultChecksum(const QueryResult& result) {
 PaperBench::PaperBench(Options options) : options_(options) {
   DatabaseOptions db_options;
   db_options.buffer_pool_pages = options_.buffer_pool_pages;
-  // ELEPHANT_NO_BATCH=1 pins every bench to the row-at-a-time Volcano
-  // engine — the "before" leg of batch-vs-Volcano A/B measurements
-  // (EXPERIMENTS.md). Result rows and checksums must not change.
-  const char* no_batch = std::getenv("ELEPHANT_NO_BATCH");
-  if (no_batch != nullptr && no_batch[0] != '\0' && no_batch[0] != '0') {
-    db_options.batch_execution = false;
-  }
   db_ = std::make_unique<Database>(db_options);
   views_ = std::make_unique<mv::ViewManager>(db_.get());
 }

@@ -305,7 +305,9 @@ Result<Value> Value::CastTo(TypeId target) const {
       break;
     case TypeId::kDecimal:
       if (type_ == TypeId::kInt32 || type_ == TypeId::kInt64) {
-        return Value::Decimal(ival_ * decimal::kScale);
+        ELE_ASSIGN_OR_RETURN(int64_t scaled,
+                             CheckedMul64(ival_, decimal::kScale, "CAST to DECIMAL"));
+        return Value::Decimal(scaled);
       }
       if (type_ == TypeId::kDouble) {
         return Value::Decimal(static_cast<int64_t>(std::llround(real_ * decimal::kScale)));

@@ -41,6 +41,29 @@ QueryResult PlanTextResult(const std::string& text) {
   return qr;
 }
 
+/// Converts one INSERT ... VALUES row to the table's column types. Every
+/// value must be a literal (a negative number is one: the parser folds unary
+/// minus). A value that does not convert to its column's type, such as
+/// -2147483649 into an INT column, is an InvalidArgument rather than a
+/// wrapped or mistyped store.
+Result<Row> LiteralRow(const std::vector<SqlExprPtr>& exprs,
+                       const Schema& schema) {
+  if (exprs.size() != schema.NumColumns()) {
+    return Status::BindError("INSERT arity mismatch");
+  }
+  Row row;
+  row.reserve(exprs.size());
+  for (size_t c = 0; c < exprs.size(); c++) {
+    if (exprs[c]->kind != SqlExprKind::kLiteral) {
+      return Status::BindError("INSERT values must be literals");
+    }
+    ELE_ASSIGN_OR_RETURN(Value v,
+                         exprs[c]->literal.CastTo(schema.ColumnAt(c).type));
+    row.push_back(std::move(v));
+  }
+  return row;
+}
+
 }  // namespace
 
 std::string QueryResult::ToString(size_t max_rows) const {
@@ -750,7 +773,6 @@ Result<std::string> Database::Explain(const std::string& sql,
   ELE_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bound, binder.Bind(*stmt));
   bound->hints = bound->hints.Merge(extra_hints);
   ExecContext ctx(pool_.get());
-  ctx.set_batch_enabled(options_.batch_execution);
   // EXPLAIN must show the same plan Execute() would run, so a PARALLEL hint
   // attaches the scheduler here too (the query is not executed).
   if (bound->hints.parallel_workers >= 2) ctx.set_scheduler(workers());
@@ -826,7 +848,6 @@ Result<QueryResult> Database::ExecuteSelect(const std::string& sql,
   // stat queries would recurse forever in spirit).
   const bool reads_virtual = bound->uses_virtual;
   ExecContext ctx(pool_.get());
-  ctx.set_batch_enabled(options_.batch_execution);
   // Attach the worker pool only when this query asked for parallelism, so
   // serial-only workloads never spin up threads.
   if (bound->hints.parallel_workers >= 2) ctx.set_scheduler(workers());
@@ -1088,7 +1109,6 @@ Result<QueryResult> Database::ExecuteStatement(const std::string& sql,
                              binder.Bind(*stmt.select));
         bound->hints = bound->hints.Merge(extra_hints);
         ExecContext ctx(pool_.get());
-        ctx.set_batch_enabled(options_.batch_execution);
         if (bound->hints.parallel_workers >= 2) ctx.set_scheduler(workers());
         Planner planner(&ctx);
         ELE_ASSIGN_OR_RETURN(PlannedQuery plan, planner.Plan(std::move(bound)));
@@ -1335,21 +1355,7 @@ Result<QueryResult> Database::ExecuteDml(const Statement& stmt,
     const InsertStmt& ins = *stmt.insert;
     const Schema& schema = table->schema();
     for (const auto& row_exprs : ins.rows) {
-      if (row_exprs.size() != schema.NumColumns()) {
-        return Status::BindError("INSERT arity mismatch");
-      }
-      Row row;
-      for (size_t c = 0; c < row_exprs.size(); c++) {
-        if (row_exprs[c]->kind != SqlExprKind::kLiteral) {
-          return Status::BindError("INSERT values must be literals");
-        }
-        Value v = row_exprs[c]->literal;
-        if (v.type() != schema.ColumnAt(c).type && !v.is_null()) {
-          auto cast = v.CastTo(schema.ColumnAt(c).type);
-          if (cast.ok()) v = std::move(cast).value();
-        }
-        row.push_back(std::move(v));
-      }
+      ELE_ASSIGN_OR_RETURN(Row row, LiteralRow(row_exprs, schema));
       ELE_RETURN_NOT_OK(table->Insert(row));
     }
     catalog_->MarkDependentsStale(table->name());
@@ -1417,21 +1423,7 @@ Result<uint64_t> Database::RunInsert(const InsertStmt& ins, Table* table,
   const Schema& schema = table->schema();
   TxnWriteContext ctx{log_.get(), t->id(), &t->last_lsn, &t->undo};
   for (const auto& row_exprs : ins.rows) {
-    if (row_exprs.size() != schema.NumColumns()) {
-      return Status::BindError("INSERT arity mismatch");
-    }
-    Row row;
-    for (size_t c = 0; c < row_exprs.size(); c++) {
-      if (row_exprs[c]->kind != SqlExprKind::kLiteral) {
-        return Status::BindError("INSERT values must be literals");
-      }
-      Value v = row_exprs[c]->literal;
-      if (v.type() != schema.ColumnAt(c).type && !v.is_null()) {
-        auto cast = v.CastTo(schema.ColumnAt(c).type);
-        if (cast.ok()) v = std::move(cast).value();
-      }
-      row.push_back(std::move(v));
-    }
+    ELE_ASSIGN_OR_RETURN(Row row, LiteralRow(row_exprs, schema));
     ELE_RETURN_NOT_OK(table->InsertTxn(row, ctx));
   }
   return static_cast<uint64_t>(ins.rows.size());

@@ -89,12 +89,6 @@ struct DatabaseOptions {
   /// Intra-query worker threads backing PARALLEL plans. 0 = size the pool
   /// from the hardware on first use (sched::ThreadPool::DefaultThreads).
   int worker_threads = 0;
-  /// Vectorized batch execution: eligible (sub)plans run over fixed-size
-  /// column-vector batches instead of row-at-a-time Volcano iteration. The
-  /// engines are semantically identical (results byte-for-byte equal); this
-  /// switch and the per-query NO_BATCH hint exist for A/B measurement and
-  /// differential testing. On by default.
-  bool batch_execution = true;
   /// When true, every SELECT verifies at query end that its executors
   /// released all buffer-pool pins (BufferPool::CheckNoPinsHeld) and fails
   /// the statement with an Internal error on a leak. The check reads the

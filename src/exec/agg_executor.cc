@@ -189,103 +189,4 @@ Schema MakePartialAggSchema(const std::vector<ExprPtr>& groups,
   return Schema(std::move(cols));
 }
 
-PartialAggregateExecutor::PartialAggregateExecutor(ExecContext* ctx,
-                                                   ExecutorPtr child,
-                                                   std::vector<ExprPtr> group_exprs,
-                                                   std::vector<AggSpec> aggs)
-    : ctx_(ctx),
-      child_(std::move(child)),
-      group_exprs_(std::move(group_exprs)),
-      aggs_(std::move(aggs)) {
-  schema_ = MakePartialAggSchema(group_exprs_, aggs_);
-}
-
-Status PartialAggregateExecutor::Init() {
-  ELE_RETURN_NOT_OK(child_->Init());
-  groups_.clear();
-  Row row, group_values;
-  while (true) {
-    ELE_ASSIGN_OR_RETURN(bool has, child_->Next(&row));
-    if (!has) break;
-    ELE_ASSIGN_OR_RETURN(std::string key,
-                         EncodeGroupKey(group_exprs_, row, &group_values));
-    auto it = groups_.find(key);
-    if (it == groups_.end()) {
-      it = groups_.emplace(std::move(key), Group{group_values, FreshAggStates(aggs_)})
-               .first;
-    }
-    ELE_RETURN_NOT_OK(AccumulateAggs(aggs_, &it->second.states, row));
-  }
-  // A scalar partial aggregate always contributes one transfer row, even
-  // over an empty morsel, so the final merge sees COUNT() = 0 etc.
-  if (group_exprs_.empty() && groups_.empty()) {
-    groups_.emplace(std::string(), Group{Row{}, FreshAggStates(aggs_)});
-  }
-  emit_it_ = groups_.begin();
-  inited_ = true;
-  return Status::OK();
-}
-
-Result<bool> PartialAggregateExecutor::Next(Row* out) {
-  if (!inited_ || emit_it_ == groups_.end()) return false;
-  out->clear();
-  for (const Value& v : emit_it_->second.group_values) out->push_back(v);
-  for (const AggState& s : emit_it_->second.states) s.AppendPartial(out);
-  ++emit_it_;
-  return true;
-}
-
-FinalAggregateExecutor::FinalAggregateExecutor(ExecContext* ctx, ExecutorPtr child,
-                                               size_t num_groups,
-                                               std::vector<AggSpec> aggs,
-                                               Schema output_schema)
-    : ctx_(ctx),
-      child_(std::move(child)),
-      num_groups_(num_groups),
-      aggs_(std::move(aggs)),
-      schema_(std::move(output_schema)) {}
-
-Status FinalAggregateExecutor::Init() {
-  ELE_RETURN_NOT_OK(child_->Init());
-  groups_.clear();
-  Row row;
-  while (true) {
-    ELE_ASSIGN_OR_RETURN(bool has, child_->Next(&row));
-    if (!has) break;
-    std::string key;
-    for (size_t i = 0; i < num_groups_; i++) keycodec::Encode(row[i], &key);
-    auto it = groups_.find(key);
-    if (it == groups_.end()) {
-      Row group_values(row.begin(), row.begin() + static_cast<long>(num_groups_));
-      it = groups_
-               .emplace(std::move(key),
-                        Group{std::move(group_values), FreshAggStates(aggs_)})
-               .first;
-    }
-    size_t pos = num_groups_;
-    for (size_t i = 0; i < aggs_.size(); i++) {
-      ELE_RETURN_NOT_OK(it->second.states[i].MergePartial(row, pos));
-      pos += AggState::PartialWidth(aggs_[i].fn);
-    }
-  }
-  // Scalar aggregation over zero partial rows (e.g. an empty key range
-  // produced no morsels) still yields one output row, like the serial plan.
-  if (num_groups_ == 0 && groups_.empty()) {
-    groups_.emplace(std::string(), Group{Row{}, FreshAggStates(aggs_)});
-  }
-  emit_it_ = groups_.begin();
-  inited_ = true;
-  return Status::OK();
-}
-
-Result<bool> FinalAggregateExecutor::Next(Row* out) {
-  if (!inited_ || emit_it_ == groups_.end()) return false;
-  out->clear();
-  out->reserve(num_groups_ + aggs_.size());
-  for (const Value& v : emit_it_->second.group_values) out->push_back(v);
-  for (const AggState& s : emit_it_->second.states) out->push_back(s.Finalize());
-  ++emit_it_;
-  return true;
-}
-
 }  // namespace elephant

@@ -79,78 +79,9 @@ Schema MakeAggOutputSchema(const Schema& input, const std::vector<ExprPtr>& grou
 /// aggregate executors so both fold inputs through identical AggState logic.
 std::vector<AggState> FreshAggStates(const std::vector<AggSpec>& aggs);
 
-/// Output schema of a PartialAggregateExecutor: group columns followed by
+/// Output schema of a BatchPartialAggregateExecutor: group columns followed by
 /// each aggregate's partial (transfer) columns — see AggState::AppendPartial.
 Schema MakePartialAggSchema(const std::vector<ExprPtr>& groups,
                             const std::vector<AggSpec>& aggs);
-
-/// Worker-side half of a parallel aggregation: groups its input like
-/// HashAggregateExecutor but emits partial states instead of finalized
-/// values (COUNT -> count, SUM -> running sum, AVG -> (sum, count), ...).
-/// One instance runs per morsel; a FinalAggregateExecutor above the
-/// exchange merges the partial rows exactly.
-///
-/// A scalar (no GROUP BY) partial aggregate over an empty morsel still
-/// emits one all-empty partial row, mirroring serial scalar aggregation.
-/// batch: twin BatchPartialAggregateExecutor (batch_executors.h).
-class PartialAggregateExecutor final : public Executor {
- public:
-  PartialAggregateExecutor(ExecContext* ctx, ExecutorPtr child,
-                           std::vector<ExprPtr> group_exprs,
-                           std::vector<AggSpec> aggs);
-
-  Status Init() override;
-  Result<bool> Next(Row* out) override;
-  const Schema& OutputSchema() const override { return schema_; }
-
- private:
-  ExecContext* ctx_;
-  ExecutorPtr child_;
-  std::vector<ExprPtr> group_exprs_;
-  std::vector<AggSpec> aggs_;
-  Schema schema_;
-
-  struct Group {
-    Row group_values;
-    std::vector<AggState> states;
-  };
-  std::map<std::string, Group> groups_;
-  std::map<std::string, Group>::iterator emit_it_;
-  bool inited_ = false;
-};
-
-/// Session-side half of a parallel aggregation: consumes partial rows
-/// (group values ++ partial states) and merges them into final groups,
-/// emitting in encoded-group-key order exactly like HashAggregateExecutor.
-/// Merging is exact for integer and decimal aggregates; the input arrives
-/// in deterministic morsel order, so even floating-point sums are
-/// reproducible run to run.
-/// batch: twin BatchFinalAggregateExecutor (batch_executors.h).
-class FinalAggregateExecutor final : public Executor {
- public:
-  /// `aggs` describe the aggregates whose partial states the child carries;
-  /// `output_schema` is the serial aggregate's output schema.
-  FinalAggregateExecutor(ExecContext* ctx, ExecutorPtr child, size_t num_groups,
-                         std::vector<AggSpec> aggs, Schema output_schema);
-
-  Status Init() override;
-  Result<bool> Next(Row* out) override;
-  const Schema& OutputSchema() const override { return schema_; }
-
- private:
-  ExecContext* ctx_;
-  ExecutorPtr child_;
-  size_t num_groups_;
-  std::vector<AggSpec> aggs_;
-  Schema schema_;
-
-  struct Group {
-    Row group_values;
-    std::vector<AggState> states;
-  };
-  std::map<std::string, Group> groups_;
-  std::map<std::string, Group>::iterator emit_it_;
-  bool inited_ = false;
-};
 
 }  // namespace elephant

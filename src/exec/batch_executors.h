@@ -167,9 +167,13 @@ class BatchStreamAggregateExecutor final : public BatchExecutor {
   Batch in_;
 };
 
-/// Batch twin of PartialAggregateExecutor (worker-side half of a parallel
-/// aggregation): emits partial transfer rows instead of finalized values.
-/// A scalar partial aggregate over an empty morsel still emits one row.
+/// Worker-side half of a parallel aggregation: groups its input like
+/// BatchHashAggregateExecutor but emits partial transfer rows instead of
+/// finalized values (COUNT -> count, SUM -> running sum, AVG -> (sum, count),
+/// ...). One instance runs per morsel; a BatchFinalAggregateExecutor above
+/// the exchange merges the partial rows exactly. A scalar partial aggregate
+/// over an empty morsel still emits one row, mirroring serial scalar
+/// aggregation.
 class BatchPartialAggregateExecutor final : public BatchExecutor {
  public:
   BatchPartialAggregateExecutor(ExecContext* ctx, BatchExecutorPtr child,
@@ -196,9 +200,13 @@ class BatchPartialAggregateExecutor final : public BatchExecutor {
   bool inited_ = false;
 };
 
-/// Batch twin of FinalAggregateExecutor (session-side half): merges partial
-/// transfer rows — usually via a BatchFromRowAdapter over the Gather
-/// exchange — through AggState::MergePartial, identically to the row path.
+/// Session-side half of a parallel aggregation: merges partial transfer rows
+/// (group values ++ partial states), usually via a BatchFromRowAdapter over
+/// the Gather exchange, through AggState::MergePartial, emitting in
+/// encoded-group-key order exactly like HashAggregateExecutor. Merging is
+/// exact for integer and decimal aggregates; the input arrives in
+/// deterministic morsel order, so even floating-point sums are reproducible
+/// run to run.
 class BatchFinalAggregateExecutor final : public BatchExecutor {
  public:
   BatchFinalAggregateExecutor(ExecContext* ctx, BatchExecutorPtr child,

@@ -41,17 +41,10 @@ class ExecContext {
   sched::ThreadPool* scheduler() const { return scheduler_; }
   void set_scheduler(sched::ThreadPool* scheduler) { scheduler_ = scheduler; }
 
-  /// Whether the planner may choose the vectorized batch pipeline for
-  /// eligible (sub)plans. On by default; DatabaseOptions::batch_execution
-  /// and the NO_BATCH hint turn it off per-database / per-query.
-  bool batch_enabled() const { return batch_enabled_; }
-  void set_batch_enabled(bool enabled) { batch_enabled_ = enabled; }
-
  private:
   BufferPool* pool_;
   ExecCounters counters_;
   sched::ThreadPool* scheduler_ = nullptr;
-  bool batch_enabled_ = true;
 };
 
 /// Volcano-style executor: Init() once, then Next() until it yields false.

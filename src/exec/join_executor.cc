@@ -170,20 +170,15 @@ BandMergeJoinExecutor::BandMergeJoinExecutor(ExecContext* ctx, ExecutorPtr outer
 }
 
 Status BandMergeJoinExecutor::AdvanceOuter() {
-  ELE_ASSIGN_OR_RETURN(bool has, outer_->Next(&outer_row_));
-  outer_valid_ = has;
-  if (has) {
+  emit_pos_ = 0;
+  do {
+    ELE_ASSIGN_OR_RETURN(outer_valid_, outer_->Next(&outer_row_));
+    if (!outer_valid_) return Status::OK();
     ELE_ASSIGN_OR_RETURN(lo_, outer_lo_->Eval(outer_row_));
     ELE_ASSIGN_OR_RETURN(hi_, outer_hi_->Eval(outer_row_));
-  }
-  return Status::OK();
-}
-
-Status BandMergeJoinExecutor::AdvanceInner() {
-  ELE_ASSIGN_OR_RETURN(bool has, inner_->Next(&inner_row_));
-  inner_valid_ = has;
-  if (has) {
-    ELE_ASSIGN_OR_RETURN(point_, inner_point_->Eval(inner_row_));
+  } while (lo_.is_null() || hi_.is_null());
+  while (!window_.empty() && window_.front().first.Compare(lo_) < 0) {
+    window_.pop_front();
   }
   return Status::OK();
 }
@@ -191,28 +186,39 @@ Status BandMergeJoinExecutor::AdvanceInner() {
 Status BandMergeJoinExecutor::Init() {
   ELE_RETURN_NOT_OK(outer_->Init());
   ELE_RETURN_NOT_OK(inner_->Init());
-  ELE_RETURN_NOT_OK(AdvanceOuter());
-  ELE_RETURN_NOT_OK(AdvanceInner());
-  return Status::OK();
+  window_.clear();
+  inner_done_ = false;
+  return AdvanceOuter();
 }
 
 Result<bool> BandMergeJoinExecutor::Next(Row* out) {
-  while (outer_valid_ && inner_valid_) {
-    if (point_.Compare(lo_) < 0) {
-      ELE_RETURN_NOT_OK(AdvanceInner());
-      continue;
+  while (outer_valid_) {
+    if (emit_pos_ == window_.size()) {
+      // The window is exhausted for this range: read the next inner point.
+      if (inner_done_) {
+        ELE_RETURN_NOT_OK(AdvanceOuter());
+        continue;
+      }
+      ELE_ASSIGN_OR_RETURN(bool has, inner_->Next(&inner_row_));
+      if (!has) {
+        inner_done_ = true;
+        continue;
+      }
+      ELE_ASSIGN_OR_RETURN(Value point, inner_point_->Eval(inner_row_));
+      // Points below lo are below every later range too (reuse the buffer).
+      if (point.is_null() || point.Compare(lo_) < 0) continue;
+      window_.emplace_back(std::move(point), std::move(inner_row_));
     }
-    if (point_.Compare(hi_) > 0) {
+    const auto& [point, inner_row] = window_[emit_pos_];
+    if (point.Compare(hi_) > 0) {
       ELE_RETURN_NOT_OK(AdvanceOuter());
       continue;
     }
-    // Containment: emit, then advance the inner side (each inner point
-    // belongs to at most one outer range — ranges never partially overlap).
+    emit_pos_++;
     out->clear();
-    out->reserve(outer_row_.size() + inner_row_.size());
+    out->reserve(outer_row_.size() + inner_row.size());
     out->insert(out->end(), outer_row_.begin(), outer_row_.end());
-    out->insert(out->end(), inner_row_.begin(), inner_row_.end());
-    ELE_RETURN_NOT_OK(AdvanceInner());
+    out->insert(out->end(), inner_row.begin(), inner_row.end());
     if (residual_ != nullptr) {
       ELE_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual_, *out));
       if (!pass) continue;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <deque>
 #include <optional>
 #include <unordered_map>
 
@@ -96,9 +97,12 @@ class HashJoinExecutor final : public Executor {
 };
 
 /// Merge-style band join over two sorted inputs: the outer rows carry ranges
-/// [lo(outer), hi(outer)] (ascending, non-partially-overlapping — the
-/// c-table property of §2.2.1); the inner rows carry points point(inner) in
-/// ascending order. Emits outer ++ inner for every containment. Both inputs
+/// [lo(outer), hi(outer)] in ascending lo order; the inner rows carry points
+/// point(inner) in ascending order. Emits outer ++ inner for every
+/// containment; a NULL bound or point matches nothing. Inner rows wait in a
+/// window from the current lo onward, so overlapping ranges (a general band
+/// join) pair with every point they contain; for the disjoint c-table ranges
+/// of §2.2.1 the window holds one range's points at a time. Both inputs
 /// are consumed exactly once — this is the "merge join" plan the paper says
 /// the optimizer wrongly prefers over INLJ when it ignores data properties
 /// (§3 "Query hints"): it must read the *entire* inner input even when the
@@ -116,8 +120,9 @@ class BandMergeJoinExecutor final : public Executor {
   const Schema& OutputSchema() const override { return schema_; }
 
  private:
+  /// Moves to the next outer row with non-NULL bounds and drops the window
+  /// points below its lo (no later outer row can contain them).
   Status AdvanceOuter();
-  Status AdvanceInner();
 
   ExecContext* ctx_;
   ExecutorPtr outer_, inner_;
@@ -125,9 +130,14 @@ class BandMergeJoinExecutor final : public Executor {
   ExprPtr residual_;
   Schema schema_;
 
-  Row outer_row_, inner_row_;
-  bool outer_valid_ = false, inner_valid_ = false;
-  Value lo_, hi_, point_;
+  Row outer_row_;
+  Row inner_row_;  ///< read buffer for the next inner row
+  bool outer_valid_ = false, inner_done_ = false;
+  Value lo_, hi_;
+  /// Inner rows read so far with point >= lo_, in ascending point order.
+  std::deque<std::pair<Value, Row>> window_;
+  /// Next window entry to pair with the current outer row.
+  size_t emit_pos_ = 0;
 };
 
 }  // namespace elephant

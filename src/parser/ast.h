@@ -54,6 +54,11 @@ struct SqlExpr {
   // kBetween
   SqlExprPtr between_lo, between_hi;
 
+  /// Height of this subtree (1 for a leaf). The parser rejects trees taller
+  /// than kMaxExprDepth, so every later recursive pass over a SqlExpr or its
+  /// bound Expr has bounded stack depth.
+  uint32_t height = 1;
+
   /// Human-readable rendering (used in error messages and as default
   /// output-column names).
   std::string ToString() const;

@@ -1,5 +1,6 @@
 #include "parser/parser.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "parser/lexer.h"
@@ -30,6 +31,30 @@ std::string SqlExpr::ToString() const {
 }
 
 namespace {
+
+constexpr uint32_t kDerivedTableLevels = 8;
+
+/// Binding strength of expression operators, loosest first. NOT is a
+/// prefix operator; comparisons include BETWEEN and IS [NOT] NULL.
+enum Prec : int { kOrPrec = 1, kAndPrec, kNotPrec, kCmpPrec, kAddPrec, kMulPrec };
+
+/// Precedence of the binary (or comparison) operator at `t`; 0 for none.
+int OperatorPrec(const Token& t) {
+  if (t.kind == TokenKind::kIdent) {
+    if (t.text == "OR") return kOrPrec;
+    if (t.text == "AND") return kAndPrec;
+    if (t.text == "BETWEEN" || t.text == "IS") return kCmpPrec;
+    return 0;
+  }
+  if (t.kind != TokenKind::kSymbol) return 0;
+  const std::string& s = t.text;
+  if (s == "=" || s == "<>" || s == "<" || s == "<=" || s == ">" || s == ">=") {
+    return kCmpPrec;
+  }
+  if (s == "+" || s == "-") return kAddPrec;
+  if (s == "*" || s == "/") return kMulPrec;
+  return 0;
+}
 
 bool IsAggName(const std::string& s) {
   return s == "COUNT" || s == "SUM" || s == "MIN" || s == "MAX" || s == "AVG";
@@ -93,14 +118,52 @@ class Parser {
     return Advance().text;
   }
 
-  Result<SqlExprPtr> ParseExpr() { return ParseOr(); }
-  Result<SqlExprPtr> ParseOr();
-  Result<SqlExprPtr> ParseAnd();
-  Result<SqlExprPtr> ParseNot();
-  Result<SqlExprPtr> ParseComparison();
-  Result<SqlExprPtr> ParseAdditive();
-  Result<SqlExprPtr> ParseMultiplicative();
+  /// `levels` of parser recursion, held for the scope's lifetime.
+  class Nested {
+   public:
+    explicit Nested(Parser* p, uint32_t levels = 1) : p_(p), levels_(levels) {
+      p_->nesting_ += levels_;
+    }
+    ~Nested() { p_->nesting_ -= levels_; }
+    Nested(const Nested&) = delete;
+    Nested& operator=(const Nested&) = delete;
+
+   private:
+    Parser* p_;
+    uint32_t levels_;
+  };
+
+  /// ParseError once `depth` (parser nesting or tree height) passes
+  /// kMaxExprDepth.
+  Status CheckDepth(uint32_t depth) const {
+    return depth <= kMaxExprDepth ? Status::OK() : DepthError();
+  }
+  [[gnu::noinline]] Status DepthError() const {
+    return Status::ParseError("expression nested deeper than " +
+                              std::to_string(kMaxExprDepth) +
+                              " levels near offset " +
+                              std::to_string(Peek().offset));
+  }
+
+  /// Builds a binary node; fails when the tree grows past kMaxExprDepth.
+  Result<SqlExprPtr> Binary(std::string op, SqlExprPtr l, SqlExprPtr r) {
+    auto e = std::make_unique<SqlExpr>();
+    e->kind = SqlExprKind::kBinary;
+    e->op = std::move(op);
+    e->height = 1 + std::max(l->height, r->height);
+    ELE_RETURN_NOT_OK(CheckDepth(e->height));
+    e->lhs = std::move(l);
+    e->rhs = std::move(r);
+    return e;
+  }
+
+  Result<SqlExprPtr> ParseExpr(int min_prec = kOrPrec);
   Result<SqlExprPtr> ParsePrimary();
+  [[gnu::noinline]] Result<SqlExprPtr> ParseNot();
+  [[gnu::noinline]] Result<SqlExprPtr> ParseComparison(SqlExprPtr lhs);
+  [[gnu::noinline]] Result<SqlExprPtr> Negate(SqlExprPtr operand);
+  [[gnu::noinline]] Result<SqlExprPtr> ParseAggregate();
+  [[gnu::noinline]] Result<SqlExprPtr> ParseLeaf();
   Result<Value> ParseNumberLiteral(const std::string& text);
 
   Result<TableRef> ParseTableRef();
@@ -113,100 +176,82 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  uint32_t nesting_ = 0;  ///< current recursion depth; see Nested
 };
 
-SqlExprPtr MakeBinary(std::string op, SqlExprPtr l, SqlExprPtr r) {
+/// Precedence climbing: parses operators binding at least as tightly as
+/// `min_prec`. A parenthesis level costs one ParseExpr and one ParsePrimary
+/// frame, which keeps kMaxExprDepth levels affordable on the stack.
+Result<SqlExprPtr> Parser::ParseExpr(int min_prec) {
+  SqlExprPtr lhs;
+  // The loosest operator that may still extend lhs: operators of one
+  // precedence chain left to right, comparisons do not chain, and a NOT
+  // operand has already taken everything tighter than AND.
+  int max_prec = kMulPrec;
+  if (min_prec <= kNotPrec && MatchKeyword("NOT")) {
+    ELE_ASSIGN_OR_RETURN(lhs, ParseNot());
+    max_prec = kAndPrec;
+  } else {
+    ELE_ASSIGN_OR_RETURN(lhs, ParsePrimary());
+  }
+  while (true) {
+    const int prec = OperatorPrec(Peek());
+    if (prec == 0 || prec < min_prec || prec > max_prec) return lhs;
+    if (prec == kCmpPrec) {
+      ELE_ASSIGN_OR_RETURN(lhs, ParseComparison(std::move(lhs)));
+      max_prec = kAndPrec;
+      continue;
+    }
+    std::string op = Advance().text;
+    ELE_ASSIGN_OR_RETURN(SqlExprPtr rhs, ParseExpr(prec + 1));
+    ELE_ASSIGN_OR_RETURN(lhs, Binary(std::move(op), std::move(lhs), std::move(rhs)));
+    max_prec = prec;
+  }
+}
+
+/// The operand of a NOT just consumed: a comparison or another NOT.
+Result<SqlExprPtr> Parser::ParseNot() {
+  Nested nested(this);
+  ELE_RETURN_NOT_OK(CheckDepth(nesting_));
+  ELE_ASSIGN_OR_RETURN(SqlExprPtr child, ParseExpr(kNotPrec));
   auto e = std::make_unique<SqlExpr>();
-  e->kind = SqlExprKind::kBinary;
-  e->op = std::move(op);
-  e->lhs = std::move(l);
-  e->rhs = std::move(r);
+  e->kind = SqlExprKind::kNot;
+  e->height = 1 + child->height;
+  ELE_RETURN_NOT_OK(CheckDepth(e->height));
+  e->child = std::move(child);
   return e;
 }
 
-Result<SqlExprPtr> Parser::ParseOr() {
-  ELE_ASSIGN_OR_RETURN(SqlExprPtr lhs, ParseAnd());
-  while (MatchKeyword("OR")) {
-    ELE_ASSIGN_OR_RETURN(SqlExprPtr rhs, ParseAnd());
-    lhs = MakeBinary("OR", std::move(lhs), std::move(rhs));
-  }
-  return lhs;
-}
-
-Result<SqlExprPtr> Parser::ParseAnd() {
-  ELE_ASSIGN_OR_RETURN(SqlExprPtr lhs, ParseNot());
-  while (MatchKeyword("AND")) {
-    ELE_ASSIGN_OR_RETURN(SqlExprPtr rhs, ParseNot());
-    lhs = MakeBinary("AND", std::move(lhs), std::move(rhs));
-  }
-  return lhs;
-}
-
-Result<SqlExprPtr> Parser::ParseNot() {
-  if (MatchKeyword("NOT")) {
-    ELE_ASSIGN_OR_RETURN(SqlExprPtr child, ParseNot());
-    auto e = std::make_unique<SqlExpr>();
-    e->kind = SqlExprKind::kNot;
-    e->child = std::move(child);
-    return e;
-  }
-  return ParseComparison();
-}
-
-Result<SqlExprPtr> Parser::ParseComparison() {
-  ELE_ASSIGN_OR_RETURN(SqlExprPtr lhs, ParseAdditive());
-  if (Peek().kind == TokenKind::kSymbol) {
-    const std::string& sym = Peek().text;
-    if (sym == "=" || sym == "<>" || sym == "<" || sym == "<=" || sym == ">" ||
-        sym == ">=") {
-      std::string op = Advance().text;
-      ELE_ASSIGN_OR_RETURN(SqlExprPtr rhs, ParseAdditive());
-      return MakeBinary(std::move(op), std::move(lhs), std::move(rhs));
-    }
-  }
-  if (CheckKeyword("BETWEEN")) {
-    Advance();
-    ELE_ASSIGN_OR_RETURN(SqlExprPtr lo, ParseAdditive());
+/// The comparison, BETWEEN or IS [NOT] NULL whose left operand is `lhs`;
+/// the current token is its operator.
+Result<SqlExprPtr> Parser::ParseComparison(SqlExprPtr lhs) {
+  if (MatchKeyword("BETWEEN")) {
+    ELE_ASSIGN_OR_RETURN(SqlExprPtr lo, ParseExpr(kAddPrec));
     ELE_RETURN_NOT_OK(ExpectKeyword("AND"));
-    ELE_ASSIGN_OR_RETURN(SqlExprPtr hi, ParseAdditive());
+    ELE_ASSIGN_OR_RETURN(SqlExprPtr hi, ParseExpr(kAddPrec));
     auto e = std::make_unique<SqlExpr>();
     e->kind = SqlExprKind::kBetween;
+    e->height = 1 + std::max({lhs->height, lo->height, hi->height});
+    ELE_RETURN_NOT_OK(CheckDepth(e->height));
     e->child = std::move(lhs);
     e->between_lo = std::move(lo);
     e->between_hi = std::move(hi);
     return e;
   }
-  if (CheckKeyword("IS")) {
-    Advance();
+  if (MatchKeyword("IS")) {
     bool is_not = MatchKeyword("NOT");
     ELE_RETURN_NOT_OK(ExpectKeyword("NULL"));
     auto e = std::make_unique<SqlExpr>();
     e->kind = SqlExprKind::kIsNull;
+    e->height = 1 + lhs->height;
+    ELE_RETURN_NOT_OK(CheckDepth(e->height));
     e->child = std::move(lhs);
     e->is_not = is_not;
     return e;
   }
-  return lhs;
-}
-
-Result<SqlExprPtr> Parser::ParseAdditive() {
-  ELE_ASSIGN_OR_RETURN(SqlExprPtr lhs, ParseMultiplicative());
-  while (CheckSymbol("+") || CheckSymbol("-")) {
-    std::string op = Advance().text;
-    ELE_ASSIGN_OR_RETURN(SqlExprPtr rhs, ParseMultiplicative());
-    lhs = MakeBinary(std::move(op), std::move(lhs), std::move(rhs));
-  }
-  return lhs;
-}
-
-Result<SqlExprPtr> Parser::ParseMultiplicative() {
-  ELE_ASSIGN_OR_RETURN(SqlExprPtr lhs, ParsePrimary());
-  while (CheckSymbol("*") || CheckSymbol("/")) {
-    std::string op = Advance().text;
-    ELE_ASSIGN_OR_RETURN(SqlExprPtr rhs, ParsePrimary());
-    lhs = MakeBinary(std::move(op), std::move(lhs), std::move(rhs));
-  }
-  return lhs;
+  std::string op = Advance().text;
+  ELE_ASSIGN_OR_RETURN(SqlExprPtr rhs, ParseExpr(kAddPrec));
+  return Binary(std::move(op), std::move(lhs), std::move(rhs));
 }
 
 Result<Value> Parser::ParseNumberLiteral(const std::string& text) {
@@ -221,93 +266,116 @@ Result<Value> Parser::ParseNumberLiteral(const std::string& text) {
   return Value::Int64(v);
 }
 
+// ParsePrimary and ParseExpr recurse once per nesting level, so they keep
+// their own frames small (sanitizer builds give every local its own stack
+// slot): everything else lives in helpers that are not inlined into them.
 Result<SqlExprPtr> Parser::ParsePrimary() {
+  Nested nested(this);
+  ELE_RETURN_NOT_OK(CheckDepth(nesting_));
+  if (MatchSymbol("(")) {
+    ELE_ASSIGN_OR_RETURN(SqlExprPtr inner, ParseExpr());
+    ELE_RETURN_NOT_OK(ExpectSymbol(")"));
+    return inner;
+  }
+  if (MatchSymbol("-")) {
+    ELE_ASSIGN_OR_RETURN(SqlExprPtr operand, ParsePrimary());
+    return Negate(std::move(operand));
+  }
+  if (IsAggName(Peek().text) && Peek().kind == TokenKind::kIdent &&
+      Peek(1).kind == TokenKind::kSymbol && Peek(1).text == "(") {
+    return ParseAggregate();
+  }
+  return ParseLeaf();
+}
+
+Result<SqlExprPtr> Parser::Negate(SqlExprPtr operand) {
+  if (operand->kind == SqlExprKind::kLiteral && !operand->literal.is_null() &&
+      IsNumeric(operand->literal.type())) {
+    // Over a numeric literal, unary minus folds into a negative literal
+    // (so INSERT ... VALUES (-5) stays a literal), typed like any other
+    // literal: INT32 when it fits (CastTo's NarrowToInt32 range check),
+    // else INT64 / DECIMAL.
+    ELE_ASSIGN_OR_RETURN(Value neg, Value::Int64(0).Subtract(operand->literal));
+    if (neg.type() == TypeId::kInt64) {
+      Result<Value> narrow = neg.CastTo(TypeId::kInt32);
+      if (narrow.ok()) neg = std::move(narrow).value();
+    }
+    operand->literal = std::move(neg);
+    return operand;
+  }
+  // Otherwise: 0 - operand.
+  auto zero = std::make_unique<SqlExpr>();
+  zero->kind = SqlExprKind::kLiteral;
+  zero->literal = Value::Int32(0);
+  return Binary("-", std::move(zero), std::move(operand));
+}
+
+Result<SqlExprPtr> Parser::ParseAggregate() {
+  auto e = std::make_unique<SqlExpr>();
+  e->kind = SqlExprKind::kFuncCall;
+  e->func = Advance().text;
+  Advance();  // '('
+  if (MatchSymbol("*")) {
+    e->star_arg = true;
+  } else {
+    ELE_ASSIGN_OR_RETURN(e->child, ParseExpr());
+    e->height = 1 + e->child->height;
+    ELE_RETURN_NOT_OK(CheckDepth(e->height));
+  }
+  ELE_RETURN_NOT_OK(ExpectSymbol(")"));
+  return e;
+}
+
+Result<SqlExprPtr> Parser::ParseLeaf() {
   const Token& tok = Peek();
+  auto e = std::make_unique<SqlExpr>();
+  e->kind = SqlExprKind::kLiteral;
   if (tok.kind == TokenKind::kNumber) {
     Advance();
-    auto e = std::make_unique<SqlExpr>();
-    e->kind = SqlExprKind::kLiteral;
     ELE_ASSIGN_OR_RETURN(e->literal, ParseNumberLiteral(tok.text));
     return e;
   }
   if (tok.kind == TokenKind::kString) {
     Advance();
-    auto e = std::make_unique<SqlExpr>();
-    e->kind = SqlExprKind::kLiteral;
     e->literal = Value::Varchar(tok.raw);
     return e;
   }
-  if (tok.kind == TokenKind::kSymbol && tok.text == "(") {
-    Advance();
-    ELE_ASSIGN_OR_RETURN(SqlExprPtr inner, ParseExpr());
-    ELE_RETURN_NOT_OK(ExpectSymbol(")"));
-    return inner;
+  if (tok.kind != TokenKind::kIdent) {
+    return Status::ParseError("unexpected token near offset " +
+                              std::to_string(tok.offset));
   }
-  if (tok.kind == TokenKind::kSymbol && tok.text == "-") {
-    // Unary minus: 0 - primary.
+  // DATE 'yyyy-mm-dd' literal.
+  if (tok.text == "DATE" && Peek(1).kind == TokenKind::kString) {
     Advance();
-    ELE_ASSIGN_OR_RETURN(SqlExprPtr operand, ParsePrimary());
-    auto zero = std::make_unique<SqlExpr>();
-    zero->kind = SqlExprKind::kLiteral;
-    zero->literal = Value::Int32(0);
-    return MakeBinary("-", std::move(zero), std::move(operand));
-  }
-  if (tok.kind == TokenKind::kIdent) {
-    // DATE 'yyyy-mm-dd' literal.
-    if (tok.text == "DATE" && Peek(1).kind == TokenKind::kString) {
-      Advance();
-      const Token& str = Advance();
-      ELE_ASSIGN_OR_RETURN(int32_t days, date::Parse(str.raw));
-      auto e = std::make_unique<SqlExpr>();
-      e->kind = SqlExprKind::kLiteral;
-      e->literal = Value::Date(days);
-      return e;
-    }
-    if (tok.text == "NULL") {
-      Advance();
-      auto e = std::make_unique<SqlExpr>();
-      e->kind = SqlExprKind::kLiteral;
-      e->literal = Value();
-      return e;
-    }
-    // Aggregate function call.
-    if (IsAggName(tok.text) && Peek(1).kind == TokenKind::kSymbol &&
-        Peek(1).text == "(") {
-      std::string func = Advance().text;
-      Advance();  // '('
-      auto e = std::make_unique<SqlExpr>();
-      e->kind = SqlExprKind::kFuncCall;
-      e->func = func;
-      if (CheckSymbol("*")) {
-        Advance();
-        e->star_arg = true;
-      } else {
-        ELE_ASSIGN_OR_RETURN(e->child, ParseExpr());
-      }
-      ELE_RETURN_NOT_OK(ExpectSymbol(")"));
-      return e;
-    }
-    // Qualified or bare identifier.
-    Advance();
-    auto e = std::make_unique<SqlExpr>();
-    e->kind = SqlExprKind::kIdent;
-    if (CheckSymbol(".")) {
-      Advance();
-      ELE_ASSIGN_OR_RETURN(std::string col, ExpectIdent());
-      e->qualifier = tok.text;
-      e->name = col;
-    } else {
-      e->name = tok.text;
-    }
+    const Token& str = Advance();
+    ELE_ASSIGN_OR_RETURN(int32_t days, date::Parse(str.raw));
+    e->literal = Value::Date(days);
     return e;
   }
-  return Status::ParseError("unexpected token near offset " +
-                            std::to_string(tok.offset));
+  if (tok.text == "NULL") {
+    Advance();
+    return e;
+  }
+  // Qualified or bare identifier.
+  Advance();
+  e->kind = SqlExprKind::kIdent;
+  if (MatchSymbol(".")) {
+    ELE_ASSIGN_OR_RETURN(std::string col, ExpectIdent());
+    e->qualifier = tok.text;
+    e->name = col;
+  } else {
+    e->name = tok.text;
+  }
+  return e;
 }
 
 Result<TableRef> Parser::ParseTableRef() {
   TableRef ref;
   if (MatchSymbol("(")) {
+    // A nested SELECT is charged as kDerivedTableLevels expression levels:
+    // parsing, binding and planning one takes several times the stack.
+    Nested nested(this, kDerivedTableLevels);
+    ELE_RETURN_NOT_OK(CheckDepth(nesting_));
     ELE_ASSIGN_OR_RETURN(ref.derived, ParseSelectStmt());
     ELE_RETURN_NOT_OK(ExpectSymbol(")"));
     MatchKeyword("AS");
@@ -364,17 +432,23 @@ Result<std::unique_ptr<SelectStmt>> Parser::ParseSelectStmt() {
       stmt->from.push_back(std::move(jref));
       ELE_RETURN_NOT_OK(ExpectKeyword("ON"));
       ELE_ASSIGN_OR_RETURN(SqlExprPtr cond, ParseExpr());
-      stmt->where = stmt->where == nullptr
-                        ? std::move(cond)
-                        : MakeBinary("AND", std::move(stmt->where), std::move(cond));
+      if (stmt->where == nullptr) {
+        stmt->where = std::move(cond);
+      } else {
+        ELE_ASSIGN_OR_RETURN(stmt->where, Binary("AND", std::move(stmt->where),
+                                                 std::move(cond)));
+      }
     }
   } while (MatchSymbol(","));
 
   if (MatchKeyword("WHERE")) {
     ELE_ASSIGN_OR_RETURN(SqlExprPtr w, ParseExpr());
-    stmt->where = stmt->where == nullptr
-                      ? std::move(w)
-                      : MakeBinary("AND", std::move(stmt->where), std::move(w));
+    if (stmt->where == nullptr) {
+      stmt->where = std::move(w);
+    } else {
+      ELE_ASSIGN_OR_RETURN(stmt->where,
+                           Binary("AND", std::move(stmt->where), std::move(w)));
+    }
   }
   if (MatchKeyword("GROUP")) {
     ELE_RETURN_NOT_OK(ExpectKeyword("BY"));

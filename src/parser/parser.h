@@ -8,6 +8,17 @@
 
 namespace elephant {
 
+/// Deepest expression a statement may contain, counted both as parser
+/// nesting (parentheses, NOT, unary minus, function arguments; a derived
+/// table counts as several levels) and as expression-tree height (each
+/// AND/OR/arithmetic/comparison term adds a level). Parsing, binding,
+/// planning, evaluation and destruction all recurse over expressions, so
+/// past this limit ParseStatement returns a ParseError instead of
+/// exhausting the stack. 1,024 leaves room for 1,000-term expressions and
+/// stays within an 8 MiB stack under AddressSanitizer, which gives every
+/// local its own stack slot.
+inline constexpr uint32_t kMaxExprDepth = 1024;
+
 /// Parses one SQL statement (SELECT / CREATE TABLE / CREATE INDEX / INSERT).
 /// The supported subset covers everything the paper's workload and its
 /// c-table rewrites need: multi-table FROM with derived tables, WHERE with

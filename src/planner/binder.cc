@@ -81,7 +81,6 @@ PlanHints PlanHints::Parse(const std::string& text) {
     if (tok == "MERGE_JOIN") h.merge_join = true;
     if (tok == "STREAM_AGG") h.stream_agg = true;
     if (tok == "HASH_AGG") h.hash_agg = true;
-    if (tok == "NO_BATCH") h.no_batch = true;
     if (tok == "PARALLEL") {
       int n = 0;
       if (in >> n && n > 0) h.parallel_workers = n;
@@ -98,7 +97,6 @@ PlanHints PlanHints::Merge(const PlanHints& o) const {
   h.merge_join |= o.merge_join;
   h.stream_agg |= o.stream_agg;
   h.hash_agg |= o.hash_agg;
-  h.no_batch |= o.no_batch;
   h.parallel_workers = std::max(parallel_workers, o.parallel_workers);
   return h;
 }
@@ -117,7 +115,6 @@ std::string PlanHints::ToString() const {
   add(merge_join, "MERGE_JOIN");
   add(stream_agg, "STREAM_AGG");
   add(hash_agg, "HASH_AGG");
-  add(no_batch, "NO_BATCH");
   if (parallel_workers > 0) {
     if (!out.empty()) out += ' ';
     out += "PARALLEL " + std::to_string(parallel_workers);

@@ -17,7 +17,6 @@ struct PlanHints {
   bool merge_join = false;   ///< MERGE_JOIN: use band-merge for band predicates
   bool stream_agg = false;   ///< STREAM_AGG: sort + stream aggregation
   bool hash_agg = false;     ///< HASH_AGG: hash aggregation
-  bool no_batch = false;     ///< NO_BATCH: force row-at-a-time (Volcano) execution
 
   /// PARALLEL n: run eligible single-table scans/aggregations with n workers
   /// (morsel-driven). 0 = unset (serial); values < 2 stay serial.

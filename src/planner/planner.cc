@@ -174,9 +174,6 @@ struct ParallelSpec {
   AccessIntent scan_intent = AccessIntent::kPointLookup;
   ExprPtr residual;              ///< relation-local filter; may be null
   bool aggregate = false;
-  /// Build the per-morsel pipeline out of vectorized batch operators (the
-  /// morsel root is then adapted back to rows so Gather is unchanged).
-  bool batch = false;
   std::vector<ExprPtr> groups;   ///< relation-local group expressions
   std::vector<AggSpec> aggs;
   std::shared_ptr<obs::OperatorStats> scan_slot;
@@ -184,65 +181,42 @@ struct ParallelSpec {
   std::shared_ptr<obs::OperatorStats> agg_slot;
 };
 
-/// Builds the factory that constructs one morsel's pipeline:
+/// Builds the factory that constructs one morsel's vectorized pipeline:
 ///   [Instrumented] PartialAggregate? <- [Instrumented] Filter? <-
 ///   [Instrumented] ClusteredScan(morsel range)
+/// The finished batch root is adapted back to rows so GatherExecutor's merge
+/// loop stays engine-agnostic.
 MorselPlanFactory MakeMorselFactory(std::shared_ptr<const ParallelSpec> spec) {
   return [spec](const KeyRange& morsel, ExecContext* wctx) -> Result<MorselPlan> {
     MorselPlan mp;
+    BatchExecutorPtr bexec;
     auto attach = [&](const std::shared_ptr<obs::OperatorStats>& target) {
       if (target == nullptr) return;
       auto slot = std::make_shared<obs::OperatorStats>();
-      mp.exec = std::make_unique<obs::InstrumentedExecutor>(
-          wctx, std::move(mp.exec), slot);
+      bexec = std::make_unique<obs::InstrumentedBatchExecutor>(
+          wctx, std::move(bexec), slot);
       mp.stats.emplace_back(std::move(slot), target);
     };
-    std::vector<ExprPtr> groups;
-    groups.reserve(spec->groups.size());
-    for (const ExprPtr& g : spec->groups) groups.push_back(g->Clone());
-    std::vector<AggSpec> aggs;
-    aggs.reserve(spec->aggs.size());
-    for (const AggSpec& a : spec->aggs) aggs.push_back(a.Clone());
-    if (spec->batch) {
-      // Vectorized morsel pipeline; the finished batch root is adapted back
-      // to rows so GatherExecutor's merge loop stays engine-agnostic.
-      BatchExecutorPtr bexec;
-      auto battach = [&](const std::shared_ptr<obs::OperatorStats>& target) {
-        if (target == nullptr) return;
-        auto slot = std::make_shared<obs::OperatorStats>();
-        bexec = std::make_unique<obs::InstrumentedBatchExecutor>(
-            wctx, std::move(bexec), slot);
-        mp.stats.emplace_back(std::move(slot), target);
-      };
-      bexec = std::make_unique<BatchClusteredScanExecutor>(
-          wctx, spec->table, morsel, spec->scan_intent);
-      battach(spec->scan_slot);
-      if (spec->residual != nullptr) {
-        bexec = std::make_unique<BatchFilterExecutor>(std::move(bexec),
-                                                      spec->residual->Clone());
-        battach(spec->filter_slot);
-      }
-      if (spec->aggregate) {
-        bexec = std::make_unique<BatchPartialAggregateExecutor>(
-            wctx, std::move(bexec), std::move(groups), std::move(aggs));
-        battach(spec->agg_slot);
-      }
-      mp.exec = std::make_unique<RowFromBatchAdapter>(std::move(bexec));
-      return mp;
-    }
-    mp.exec = std::make_unique<ClusteredScanExecutor>(wctx, spec->table, morsel,
-                                                      spec->scan_intent);
+    bexec = std::make_unique<BatchClusteredScanExecutor>(
+        wctx, spec->table, morsel, spec->scan_intent);
     attach(spec->scan_slot);
     if (spec->residual != nullptr) {
-      mp.exec = std::make_unique<FilterExecutor>(std::move(mp.exec),
-                                                 spec->residual->Clone());
+      bexec = std::make_unique<BatchFilterExecutor>(std::move(bexec),
+                                                    spec->residual->Clone());
       attach(spec->filter_slot);
     }
     if (spec->aggregate) {
-      mp.exec = std::make_unique<PartialAggregateExecutor>(
-          wctx, std::move(mp.exec), std::move(groups), std::move(aggs));
+      std::vector<ExprPtr> groups;
+      groups.reserve(spec->groups.size());
+      for (const ExprPtr& g : spec->groups) groups.push_back(g->Clone());
+      std::vector<AggSpec> aggs;
+      aggs.reserve(spec->aggs.size());
+      for (const AggSpec& a : spec->aggs) aggs.push_back(a.Clone());
+      bexec = std::make_unique<BatchPartialAggregateExecutor>(
+          wctx, std::move(bexec), std::move(groups), std::move(aggs));
       attach(spec->agg_slot);
     }
+    mp.exec = std::make_unique<RowFromBatchAdapter>(std::move(bexec));
     return mp;
   };
 }
@@ -284,13 +258,6 @@ class PlanBuilder {
       return;
     }
     WrapNode(&plan->exec, plan->note.get(), est_rows);
-  }
-
-  /// Whether the vectorized batch engine is available to this query. The
-  /// NO_BATCH hint and DatabaseOptions::batch_execution force the classic
-  /// row-at-a-time pipeline.
-  bool batch_on() const {
-    return ctx_->batch_enabled() && !q_->hints.no_batch;
   }
 
   /// Drops a batch-mode subplan back to row mode through a transparent
@@ -669,16 +636,11 @@ Result<SubPlan> PlanBuilder::AccessPath(size_t r, std::vector<int>* local_to_pla
                                   ? AccessIntent::kPointLookup
                                   : ScanIntent(rel.table);
   if (use_clustered || best_idx == nullptr) {
-    if (batch_on()) {
-      plan.bexec = std::make_unique<BatchClusteredScanExecutor>(
-          ctx_, rel.table, range, intent);
-    } else {
-      plan.exec = std::make_unique<ClusteredScanExecutor>(ctx_, rel.table,
-                                                          range, intent);
-    }
+    plan.bexec = std::make_unique<BatchClusteredScanExecutor>(
+        ctx_, rel.table, range, intent);
     plan.width = rel.table->schema().NumColumns();
     plan.note = Note("ClusteredIndexScan " + rel.table->name() + " as " +
-                     rel.alias + range_desc + (batch_on() ? " [batch]" : ""));
+                     rel.alias + range_desc + " [batch]");
     Decorate(&plan, EstimateRows(r));
     local_to_plan->assign(rel.schema.NumColumns(), 0);
     for (size_t c = 0; c < rel.schema.NumColumns(); c++) {
@@ -693,17 +655,12 @@ Result<SubPlan> PlanBuilder::AccessPath(size_t r, std::vector<int>* local_to_pla
       }
     }
   } else {
-    if (batch_on()) {
-      plan.bexec = std::make_unique<BatchSecondaryIndexScanExecutor>(
-          ctx_, rel.table, best_idx, range, intent);
-    } else {
-      plan.exec = std::make_unique<SecondaryIndexScanExecutor>(
-          ctx_, rel.table, best_idx, range, intent);
-    }
+    plan.bexec = std::make_unique<BatchSecondaryIndexScanExecutor>(
+        ctx_, rel.table, best_idx, range, intent);
     plan.width = best_idx->out_schema.NumColumns();
     plan.note = Note("CoveringIndexSeek " + best_idx->name + " on " +
                      rel.table->name() + " as " + rel.alias + range_desc +
-                     (batch_on() ? " [batch]" : ""));
+                     " [batch]");
     Decorate(&plan, EstimateRows(r));
     local_to_plan->assign(rel.schema.NumColumns(), -1);
     size_t out_pos = 0;
@@ -750,15 +707,9 @@ Result<SubPlan> PlanBuilder::AccessPath(size_t r, std::vector<int>* local_to_pla
     }
     for (ExprPtr& p : residual) p->RemapColumns(to_plan);
     ExprPtr pred = ConjoinAll(std::move(residual));
-    std::string label = "Filter " + pred->ToString();
-    if (plan.bexec != nullptr) {
-      label += " [batch]";
-      plan.bexec = std::make_unique<BatchFilterExecutor>(std::move(plan.bexec),
-                                                         std::move(pred));
-    } else {
-      plan.exec = std::make_unique<FilterExecutor>(std::move(plan.exec),
-                                                   std::move(pred));
-    }
+    std::string label = "Filter " + pred->ToString() + " [batch]";
+    plan.bexec = std::make_unique<BatchFilterExecutor>(std::move(plan.bexec),
+                                                       std::move(pred));
     plan.note = Note(std::move(label), std::move(plan.note));
     Decorate(&plan, EstimateRows(r));
   }
@@ -1118,8 +1069,10 @@ Status PlanBuilder::JoinNext(size_t r, SubPlan* plan) {
     ExprPtr point = Col(static_cast<size_t>(inner_map[lead]),
                         rel.schema.ColumnAt(lead).type,
                         rel.alias + "." + rel.schema.ColumnAt(lead).name);
-    consumed_[band_lo->conjunct_id] = true;
-    consumed_[band_hi->conjunct_id] = true;
+    // The executor's band is inclusive; a strict bound stays behind as a
+    // residual predicate.
+    if (band_lo->op == CompareOp::kGe) consumed_[band_lo->conjunct_id] = true;
+    if (band_hi->op == CompareOp::kLe) consumed_[band_hi->conjunct_id] = true;
 
     for (size_t c = 0; c < rel.schema.NumColumns(); c++) {
       mapping_[rel.offset + c] =
@@ -1233,8 +1186,6 @@ Result<bool> PlanBuilder::TryBuildParallel(SubPlan* out, bool* agg_done) {
 
   auto spec = std::make_shared<ParallelSpec>();
   spec->table = rel.table;
-  spec->batch = batch_on();
-  const std::string batch_tag = spec->batch ? " [batch]" : "";
   spec->scan_intent =
       match.matched_cols > 0 ? AccessIntent::kPointLookup : ScanIntent(rel.table);
   std::vector<ExprPtr> residual;
@@ -1275,11 +1226,11 @@ Result<bool> PlanBuilder::TryBuildParallel(SubPlan* out, bool* agg_done) {
   };
   ExplainPtr tip = Note("ParallelMorselScan " + rel.table->name() + " as " +
                         rel.alias + range_desc + " (morsels=" +
-                        std::to_string(morsels.size()) + ")" + batch_tag);
+                        std::to_string(morsels.size()) + ") [batch]");
   tip->est_rows = scan_est;
   spec->scan_slot = slot_for(tip.get());
   if (spec->residual != nullptr) {
-    tip = Note("Filter " + spec->residual->ToString() + batch_tag,
+    tip = Note("Filter " + spec->residual->ToString() + " [batch]",
                std::move(tip));
     tip->est_rows = scan_est;
     spec->filter_slot = slot_for(tip.get());
@@ -1295,7 +1246,7 @@ Result<bool> PlanBuilder::TryBuildParallel(SubPlan* out, bool* agg_done) {
     for (const AggSpec& a : spec->aggs) final_aggs.push_back(a.Clone());
     final_schema = MakeAggOutputSchema(q_->input_schema, spec->groups, spec->aggs);
     worker_schema = MakePartialAggSchema(spec->groups, spec->aggs);
-    tip = Note("PartialAggregate" + batch_tag, std::move(tip));
+    tip = Note("PartialAggregate [batch]", std::move(tip));
     spec->agg_slot = slot_for(tip.get());
   }
   const size_t num_groups = spec->groups.size();
@@ -1313,20 +1264,13 @@ Result<bool> PlanBuilder::TryBuildParallel(SubPlan* out, bool* agg_done) {
     const double agg_est =
         num_groups == 0 ? 1.0 : std::max(1.0, scan_est / 10.0);
     plan.width = final_schema.NumColumns();
-    if (spec->batch) {
-      // Gather emits rows (its merge loop is engine-agnostic); adapt them
-      // into batches so the final merge runs vectorized too.
-      plan.bexec = std::make_unique<BatchFinalAggregateExecutor>(
-          ctx_,
-          std::make_unique<BatchFromRowAdapter>(std::move(plan.exec)),
-          num_groups, std::move(final_aggs), std::move(final_schema));
-      plan.exec = nullptr;
-    } else {
-      plan.exec = std::make_unique<FinalAggregateExecutor>(
-          ctx_, std::move(plan.exec), num_groups, std::move(final_aggs),
-          std::move(final_schema));
-    }
-    plan.note = Note("FinalAggregate" + batch_tag, std::move(plan.note));
+    // Gather emits rows (its merge loop is engine-agnostic); adapt them into
+    // batches so the final merge runs vectorized too.
+    plan.bexec = std::make_unique<BatchFinalAggregateExecutor>(
+        ctx_, std::make_unique<BatchFromRowAdapter>(std::move(plan.exec)),
+        num_groups, std::move(final_aggs), std::move(final_schema));
+    plan.exec = nullptr;
+    plan.note = Note("FinalAggregate [batch]", std::move(plan.note));
     Decorate(&plan, agg_est);
     *agg_done = true;
   } else {

@@ -394,15 +394,11 @@ TEST_F(BatchExecFixture, BatchPartialFinalAggregateMatchesRowPipeline) {
   };
   Schema out_schema = MakeAggOutputSchema(t->schema(), groups(), aggs());
 
-  PartialAggregateExecutor row_partial(
+  // The row pipeline is the serial plan the parallel split must reproduce:
+  // one HashAggregate over the whole scan.
+  HashAggregateExecutor row_agg(
       &ctx, std::make_unique<ClusteredScanExecutor>(&ctx, t), groups(), aggs());
-  FinalAggregateExecutor row_final(
-      &ctx,
-      std::make_unique<PartialAggregateExecutor>(
-          &ctx, std::make_unique<ClusteredScanExecutor>(&ctx, t), groups(),
-          aggs()),
-      1, aggs(), out_schema);
-  auto rows = ExecuteToVector(&row_final);
+  auto rows = ExecuteToVector(&row_agg);
   ASSERT_TRUE(rows.ok());
 
   auto batch_rows = DrainBatch(std::make_unique<BatchFinalAggregateExecutor>(

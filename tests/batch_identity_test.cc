@@ -1,23 +1,30 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "engine/database.h"
+#include "sqlite_oracle.h"
 
 namespace elephant {
 namespace {
 
-/// Differential identity harness for the vectorized engine: every query runs
-/// three ways — Volcano (NO_BATCH), batch serial, and batch PARALLEL 4 — and
-/// the results must be byte-identical. A randomized generator sweeps plan
-/// shapes (filters, projections, both aggregate kinds, DISTINCT, ORDER BY,
-/// LIMIT); fixed regression queries pin shapes the sweep once diverged on or
-/// that are structurally interesting (batch-boundary groups, LIMIT over
-/// Gather, scalar aggregates over empty inputs).
+/// Differential harness for the vectorized engine, with SQLite as the
+/// reference (sqlite_oracle.h lists the comparison rules and the deliberate
+/// divergences it normalizes). Every query runs serial and PARALLEL 4; both
+/// results must agree with the oracle, with each other as multisets, and
+/// with their own rows_output counter. A randomized single-table generator
+/// sweeps the batch operators (scans, filters, projections, both aggregate
+/// kinds, DISTINCT, ORDER BY, LIMIT); a randomized comma-join generator
+/// sweeps the row operators that remain above the batch scans (index nested
+/// loop, hash and band-merge joins, and the Filter/Project/HashAggregate/
+/// StreamAggregate over them). Fixed shapes pin regressions and structurally
+/// interesting cases (batch-boundary groups, LIMIT over Gather, scalar
+/// aggregates over empty inputs, guarded and unguarded errors).
 class BatchIdentityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -32,90 +39,132 @@ class BatchIdentityTest : public ::testing::Test {
     // 3000 rows so serial batch plans cross the 1024-row batch boundary
     // twice. NULLs are sprinkled into a and amount (every 7th / 11th row)
     // so NULL comparison, SUM-skips-NULL, and COUNT(col) semantics are all
-    // exercised. Values are kept small enough that no generated arithmetic
-    // can overflow (overflow parity has its own tests in common_test).
+    // exercised; a, b and amount take negative values too. Values are kept
+    // small enough that no generated arithmetic can overflow (overflow
+    // parity has its own tests in common_test).
     Rng rng(0xe1e9);
     std::string multi;
     for (int i = 0; i < 3000; i++) {
-      // INSERT literals cannot be signed expressions, so values are kept
-      // non-negative (negative constants still appear in generated WHERE
-      // clauses, where unary minus parses as 0 - c).
       const std::string a =
-          i % 7 == 0 ? "NULL" : std::to_string(rng.Uniform(0, 100));
+          i % 7 == 0 ? "NULL" : std::to_string(rng.Uniform(0, 200) - 100);
       const std::string amount =
-          i % 11 == 0
-              ? "NULL"
-              : std::to_string(rng.Uniform(0, 9999)) + "." +
-                    std::to_string(rng.Uniform(10, 99));
+          i % 11 == 0 ? "NULL"
+                      : std::to_string(rng.Uniform(0, 19998) - 9999) + "." +
+                            std::to_string(rng.Uniform(10, 99));
       multi += (i == 0 ? "(" : ", (") + std::to_string(i) + ", " +
                std::to_string(i % 13) + ", " + a + ", " +
-               std::to_string(rng.Uniform(0, 2000000)) + ", " + amount + ")";
+               std::to_string(rng.Uniform(0, 4000000) - 2000000) + ", " +
+               amount + ")";
     }
     ASSERT_TRUE(db_->Execute("INSERT INTO t VALUES " + multi).ok());
     ASSERT_TRUE(db_->Execute("CREATE INDEX t_grp ON t (grp) INCLUDE (a)").ok());
+
+    // Second clustered table, keyed on negative and positive k, for joins:
+    // u.tk references t.k (covering index u_tk), u.k meets t.a, u.c meets
+    // t.a through a hash join.
+    ASSERT_TRUE(db_->Execute("CREATE TABLE u (k INT, tk INT, c INT, "
+                             "price DECIMAL) CLUSTER BY (k)")
+                    .ok());
+    multi.clear();
+    for (int i = 0; i < 500; i++) {
+      const std::string c =
+          i % 9 == 0 ? "NULL" : std::to_string(rng.Uniform(0, 100) - 50);
+      multi += (i == 0 ? "(" : ", (") + std::to_string(i - 250) + ", " +
+               std::to_string(rng.Uniform(0, 2999)) + ", " + c + ", " +
+               std::to_string(rng.Uniform(0, 999) - 500) + "." +
+               std::to_string(rng.Uniform(10, 99)) + ")";
+    }
+    ASSERT_TRUE(db_->Execute("INSERT INTO u VALUES " + multi).ok());
+    ASSERT_TRUE(db_->Execute("CREATE INDEX u_tk ON u (tk) INCLUDE (c)").ok());
+
+    auto oracle = SqliteOracle::Open();
+    if (!oracle.ok()) {
+      oracle_status_ = new Status(oracle.status());
+      return;
+    }
+    oracle_ = std::move(oracle).value().release();
+    for (const char* table : {"t", "u"}) {
+      Status s = oracle_->CopyTable(db_, table);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+    }
   }
   static void TearDownTestSuite() {
+    delete oracle_;
+    oracle_ = nullptr;
+    delete oracle_status_;
+    oracle_status_ = nullptr;
     delete db_;
     db_ = nullptr;
   }
 
-  /// Runs `sql` through both engines at both degrees of parallelism and
-  /// asserts the engines agree:
-  ///  - Volcano serial vs batch serial: byte-identical (same plan shape,
-  ///    only the engine differs).
-  ///  - Volcano PARALLEL 4 vs batch PARALLEL 4: byte-identical likewise.
-  ///  - serial vs parallel: identical as multisets (a parallel plan may
-  ///    legitimately pick a different access path — e.g. clustered morsels
-  ///    where serial uses a covering index — changing unordered row order).
-  /// Statements where every engine fails with the same status code also
-  /// pass (both engines rejecting an overflow identically is agreement);
-  /// one engine failing while the other succeeds is a divergence.
-  static void ExpectIdentical(const std::string& sql) {
-    PlanHints volcano;
-    volcano.no_batch = true;
-    PlanHints parallel;
-    parallel.parallel_workers = 4;
-    PlanHints volcano_parallel = volcano;
-    volcano_parallel.parallel_workers = 4;
-    auto row_r = db_->Execute(sql, volcano);
-    auto batch_r = db_->Execute(sql);
-    auto rowpar_r = db_->Execute(sql, volcano_parallel);
-    auto par_r = db_->Execute(sql, parallel);
-    ASSERT_EQ(row_r.ok(), batch_r.ok())
-        << sql << "\nrow: " << row_r.status().ToString()
-        << "\nbatch: " << batch_r.status().ToString();
-    ASSERT_EQ(rowpar_r.ok(), par_r.ok())
-        << sql << "\nrow parallel: " << rowpar_r.status().ToString()
-        << "\nbatch parallel: " << par_r.status().ToString();
-    if (!row_r.ok()) {
-      EXPECT_EQ(row_r.status().code(), batch_r.status().code()) << sql;
-      if (!rowpar_r.ok()) {
-        EXPECT_EQ(rowpar_r.status().code(), par_r.status().code()) << sql;
-      }
-      return;
-    }
-    ExpectRowsIdentical(row_r.value(), batch_r.value(), sql + " [serial]");
-    if (rowpar_r.ok()) {
-      ExpectRowsIdentical(rowpar_r.value(), par_r.value(), sql + " [parallel]");
-      ExpectSameMultiset(row_r.value(), par_r.value(),
-                         sql + " [serial vs parallel]");
-    }
-    // Counters-match-emitted-rows enforcement (the rows_output audit):
-    // rows_output is "rows the root emitted", for every engine and degree
-    // of parallelism — including LIMIT-atop-Gather shapes.
-    EXPECT_EQ(row_r.value().counters.rows_output, row_r.value().rows.size())
-        << sql;
-    EXPECT_EQ(batch_r.value().counters.rows_output,
-              batch_r.value().rows.size())
-        << sql;
-    if (par_r.ok()) {
-      EXPECT_EQ(par_r.value().counters.rows_output, par_r.value().rows.size())
-          << sql;
+  void SetUp() override {
+    if (oracle_ == nullptr) {
+      GTEST_SKIP() << "*** SQLite ORACLE UNAVAILABLE: differential checks NOT "
+                      "RUN *** ("
+                   << (oracle_status_ != nullptr ? oracle_status_->ToString()
+                                                 : std::string("unknown"))
+                   << ")";
     }
   }
 
-  /// Order-insensitive comparison for plans that legitimately emit in
-  /// different (unspecified) orders.
+  static PlanHints Parallel() {
+    PlanHints h;
+    h.parallel_workers = 4;
+    return h;
+  }
+
+  /// Runs `sql` serial and PARALLEL 4 and asserts:
+  ///  - both succeed and agree with the SQLite oracle;
+  ///  - serial vs parallel: identical as multisets (a parallel plan may
+  ///    legitimately pick a different access path, e.g. clustered morsels
+  ///    where serial uses a covering index, changing unordered row order);
+  ///  - rows_output is "rows the root emitted" at both degrees of
+  ///    parallelism, including LIMIT-atop-Gather shapes.
+  static void ExpectAgrees(const std::string& sql) {
+    auto serial = db_->Execute(sql);
+    ASSERT_TRUE(serial.ok()) << sql << "\n" << serial.status().ToString();
+    auto par = db_->Execute(sql, Parallel());
+    ASSERT_TRUE(par.ok()) << sql << " [parallel]\n" << par.status().ToString();
+    Status s = oracle_->Check(sql, serial.value());
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    s = oracle_->Check(sql, par.value());
+    EXPECT_TRUE(s.ok()) << "[parallel] " << s.ToString();
+    ExpectSameMultiset(serial.value(), par.value(),
+                       sql + " [serial vs parallel]");
+    EXPECT_EQ(serial.value().counters.rows_output, serial.value().rows.size())
+        << sql;
+    EXPECT_EQ(par.value().counters.rows_output, par.value().rows.size())
+        << sql;
+  }
+
+  /// Statements the engine must reject: serial and PARALLEL 4 fail with the
+  /// same code (the oracle cannot judge these; SQLite yields NULL instead).
+  static void ExpectSameError(const std::string& sql) {
+    auto serial = db_->Execute(sql);
+    auto par = db_->Execute(sql, Parallel());
+    ASSERT_FALSE(serial.ok()) << sql;
+    ASSERT_FALSE(par.ok()) << sql << " [parallel]";
+    EXPECT_EQ(serial.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_EQ(serial.status().code(), par.status().code()) << sql;
+  }
+
+  /// Whether an EXPLAIN text has a row-engine (no " [batch]") node whose
+  /// label contains `op`.
+  static bool HasRowOperator(const std::string& plan, const std::string& op) {
+    size_t start = 0;
+    while (start < plan.size()) {
+      size_t end = plan.find('\n', start);
+      if (end == std::string::npos) end = plan.size();
+      const std::string line = plan.substr(start, end - start);
+      if (line.find(op) != std::string::npos &&
+          line.find(" [batch]") == std::string::npos) {
+        return true;
+      }
+      start = end + 1;
+    }
+    return false;
+  }
+
   static void ExpectSameMultiset(const QueryResult& want,
                                  const QueryResult& got,
                                  const std::string& what) {
@@ -133,91 +182,132 @@ class BatchIdentityTest : public ::testing::Test {
     EXPECT_EQ(render(want), render(got)) << what;
   }
 
-  static void ExpectRowsIdentical(const QueryResult& want,
-                                  const QueryResult& got,
-                                  const std::string& what) {
-    ASSERT_EQ(want.rows.size(), got.rows.size()) << what;
-    for (size_t i = 0; i < want.rows.size(); i++) {
-      ASSERT_EQ(want.rows[i].size(), got.rows[i].size()) << what;
-      for (size_t j = 0; j < want.rows[i].size(); j++) {
-        ASSERT_TRUE(want.rows[i][j] == got.rows[i][j])
-            << what << " row " << i << " col " << j << ": "
-            << want.rows[i][j].ToString() << " vs "
-            << got.rows[i][j].ToString();
-      }
-    }
-  }
-
   static Database* db_;
+  static SqliteOracle* oracle_;
+  static Status* oracle_status_;
 };
 
 Database* BatchIdentityTest::db_ = nullptr;
+SqliteOracle* BatchIdentityTest::oracle_ = nullptr;
+Status* BatchIdentityTest::oracle_status_ = nullptr;
 
 // ---------- fixed regression shapes ----------
 
 TEST_F(BatchIdentityTest, ScanProjectFilter) {
-  ExpectIdentical("SELECT k, a, amount FROM t WHERE k >= 100 AND k < 2200");
-  ExpectIdentical("SELECT k + 1, amount FROM t WHERE grp = 5 AND a > 10");
-  ExpectIdentical("SELECT k FROM t WHERE a IS NULL");
-  ExpectIdentical("SELECT k FROM t WHERE 1 = 0");
+  ExpectAgrees("SELECT k, a, amount FROM t WHERE k >= 100 AND k < 2200");
+  ExpectAgrees("SELECT k + 1, amount FROM t WHERE grp = 5 AND a > 10");
+  ExpectAgrees("SELECT k FROM t WHERE a IS NULL");
+  ExpectAgrees("SELECT k FROM t WHERE 1 = 0");
+  ExpectAgrees("SELECT k, a / 4, amount / 3 FROM t WHERE a < -90");
+  ExpectAgrees("SELECT k, b FROM t WHERE b < -1999000 OR amount > 9990");
 }
 
 TEST_F(BatchIdentityTest, CoveringIndexScan) {
-  ExpectIdentical("SELECT grp, a FROM t WHERE grp = 7");
-  ExpectIdentical("SELECT grp, a FROM t WHERE grp >= 10");
+  ExpectAgrees("SELECT grp, a FROM t WHERE grp = 7");
+  ExpectAgrees("SELECT grp, a FROM t WHERE grp >= 10");
 }
 
 TEST_F(BatchIdentityTest, Aggregates) {
-  ExpectIdentical("SELECT COUNT(*), SUM(a), MIN(b), MAX(b), AVG(amount) FROM t");
-  ExpectIdentical(
-      "SELECT grp, COUNT(*), SUM(b), AVG(a) FROM t GROUP BY grp");
-  ExpectIdentical(
+  ExpectAgrees("SELECT COUNT(*), SUM(a), MIN(b), MAX(b), AVG(amount) FROM t");
+  ExpectAgrees("SELECT grp, COUNT(*), SUM(b), AVG(a) FROM t GROUP BY grp");
+  ExpectAgrees(
       "SELECT grp, COUNT(a) FROM t GROUP BY grp HAVING COUNT(a) > 100");
+  ExpectAgrees("SELECT a, COUNT(*), SUM(amount) FROM t GROUP BY a");
+  ExpectAgrees("SELECT grp, SUM(a) / COUNT(a) FROM t GROUP BY grp");
   // Scalar aggregate over an empty input: exactly one row either way.
-  ExpectIdentical("SELECT COUNT(*), SUM(a) FROM t WHERE k < 0");
-  ExpectIdentical("SELECT grp, SUM(a) FROM t WHERE k < 0 GROUP BY grp");
+  ExpectAgrees("SELECT COUNT(*), SUM(a) FROM t WHERE k < 0");
+  ExpectAgrees("SELECT grp, SUM(a) FROM t WHERE k < 0 GROUP BY grp");
 }
 
 TEST_F(BatchIdentityTest, StreamAggregateBatchBoundaryGroups) {
   // STREAM_AGG sorts then aggregates; grouping by grp makes each group's
   // rows span many 1024-row batches after the sort.
-  ExpectIdentical(
-      "SELECT /*+ STREAM_AGG */ grp, COUNT(*), SUM(b) FROM t GROUP BY grp");
+  ExpectAgrees(
+      "/*+ STREAM_AGG */ SELECT grp, COUNT(*), SUM(b) FROM t GROUP BY grp");
 }
 
 TEST_F(BatchIdentityTest, DistinctOrderByLimit) {
-  ExpectIdentical("SELECT DISTINCT grp FROM t ORDER BY grp");
-  ExpectIdentical("SELECT k, a FROM t ORDER BY k DESC LIMIT 17");
-  ExpectIdentical("SELECT DISTINCT grp FROM t ORDER BY grp LIMIT 4");
+  ExpectAgrees("SELECT DISTINCT grp FROM t ORDER BY grp");
+  ExpectAgrees("SELECT k, a FROM t ORDER BY k DESC LIMIT 17");
+  ExpectAgrees("SELECT DISTINCT grp FROM t ORDER BY grp LIMIT 4");
+  // NULL ordering: NULLs first ascending, last descending.
+  ExpectAgrees("SELECT a, k FROM t ORDER BY 1, 2 LIMIT 30");
+  ExpectAgrees("SELECT a, k FROM t ORDER BY 1 DESC, 2 LIMIT 30");
   // LIMIT smaller than one batch: the batch scan may overscan, but the
   // emitted rows must match exactly.
-  ExpectIdentical("SELECT k FROM t LIMIT 3");
+  ExpectAgrees("SELECT k FROM t LIMIT 3");
 }
 
 TEST_F(BatchIdentityTest, LimitAtopGather) {
   // Regression shape for the rows_output audit: LIMIT above the parallel
   // Gather exchange discards most of what the workers produced.
-  PlanHints parallel;
-  parallel.parallel_workers = 4;
-  auto r = db_->Execute("SELECT k FROM t LIMIT 5", parallel);
+  auto r = db_->Execute("SELECT k FROM t LIMIT 5", Parallel());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().rows.size(), 5u);
   EXPECT_EQ(r.value().counters.rows_output, 5u);
-  ExpectIdentical("SELECT k, b FROM t ORDER BY k LIMIT 5");
+  ExpectAgrees("SELECT k, b FROM t ORDER BY k LIMIT 5");
 }
 
 TEST_F(BatchIdentityTest, ErrorParity) {
-  // Division by zero must fail under every engine with the same code (the
-  // row engine hits it on the first offending row; the batch engine must
-  // not mask it or hit it in a different order after a filter).
-  ExpectIdentical("SELECT k / 0 FROM t");
-  ExpectIdentical("SELECT 10 / a FROM t WHERE a = 0");
+  // Division by zero fails serial and parallel with the same code (the
+  // batch engine must not mask it, or hit it in a different order after a
+  // filter).
+  ExpectSameError("SELECT k / 0 FROM t");
+  ExpectSameError("SELECT 10 / a FROM t WHERE a = 0");
   // Short-circuit protection: the division is guarded by the conjunct
-  // before it, so NO engine may evaluate it at a = 0.
-  ExpectIdentical("SELECT k FROM t WHERE a <> 0 AND 100 / a > 1");
+  // before it, so it is never evaluated at a = 0, and the statement
+  // succeeds with SQLite's rows.
+  ExpectAgrees("SELECT k FROM t WHERE a <> 0 AND 100 / a > 1");
 }
 
-// ---------- randomized differential sweep ----------
+TEST_F(BatchIdentityTest, JoinShapes) {
+  // Each shape names the join operator it is meant to reach.
+  struct Shape {
+    const char* sql;
+    const char* op;
+  };
+  const Shape shapes[] = {
+      {"/*+ LOOP_JOIN */ SELECT t.k, u.k, u.price FROM t, u "
+       "WHERE u.k = t.a AND t.grp = 3",
+       "IndexNestedLoopJoin inner=U as U (clustered seek"},
+      {"/*+ LOOP_JOIN */ SELECT u.tk, u.c, t.b FROM u, t WHERE t.k = u.tk",
+       "IndexNestedLoopJoin"},
+      {"/*+ FORCE_ORDER LOOP_JOIN */ SELECT t.k, u.c FROM t, u "
+       "WHERE u.tk = t.k AND t.k < 400",
+       "IndexNestedLoopJoin inner=U as U (covering seek U_TK)"},
+      {"/*+ HASH_JOIN */ SELECT t.k, u.k FROM t, u WHERE t.a = u.c",
+       "HashJoin"},
+      // Overlapping bands (t.a repeats), inclusive and strict.
+      {"/*+ MERGE_JOIN */ SELECT t.k, u.k FROM t, u "
+       "WHERE u.k >= t.a AND u.k <= t.a + 3 AND t.grp = 1",
+       "BandMergeJoin"},
+      {"/*+ MERGE_JOIN */ SELECT t.k, u.k, u.c FROM t, u "
+       "WHERE u.k > t.a AND u.k < t.a + 3 AND t.grp = 2",
+       "BandMergeJoin"},
+      {"SELECT t.k, u.k FROM t, u WHERE t.a < u.c AND t.k < 20 AND u.k < -240",
+       "NestedProduct"},
+      {"SELECT t.grp, COUNT(*), SUM(u.price), AVG(t.a) FROM t INNER JOIN u "
+       "ON u.k = t.a GROUP BY t.grp HAVING COUNT(*) > 5",
+       "HashAggregate"},
+      {"/*+ STREAM_AGG */ SELECT u.c, MIN(t.b), MAX(t.amount) FROM t, u "
+       "WHERE t.a = u.c GROUP BY u.c",
+       "StreamAggregate"},
+      {"SELECT DISTINCT t.grp, u.c FROM t, u WHERE u.k = t.a ORDER BY 1, 2",
+       "Distinct"},
+      {"SELECT x.g, x.n, u.price FROM (SELECT grp AS g, COUNT(*) AS n FROM t "
+       "GROUP BY grp) AS x, u WHERE u.k = x.g",
+       "DerivedTable"},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.sql);
+    auto plan = db_->Explain(shape.sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_TRUE(HasRowOperator(plan.value(), shape.op)) << plan.value();
+    ExpectAgrees(shape.sql);
+  }
+}
+
+// ---------- randomized differential sweeps ----------
 
 TEST_F(BatchIdentityTest, RandomizedDifferentialSweep) {
   Rng rng(20260807);
@@ -229,15 +319,15 @@ TEST_F(BatchIdentityTest, RandomizedDifferentialSweep) {
   auto cmp = [&] { return cmps[rng.Uniform(0, 5)]; };
   // Division only by non-zero literals: the engines may evaluate different
   // row sets past LIMIT/filter boundaries, so a data-dependent error could
-  // legitimately fire in one engine and not the other. Overflow-prone
+  // legitimately fire in one plan and not the other. Overflow-prone
   // arithmetic is excluded the same way (parity for guarded/unguarded
   // errors is pinned by the fixed shapes above).
   auto predicate = [&]() -> std::string {
     std::string p = std::string(col()) + " " + cmp() + " " +
-                    std::to_string(rng.Uniform(-40, 2500));
+                    std::to_string(rng.Uniform(-140, 2500));
     if (rng.Uniform(0, 2) == 0) {
       p += (rng.Uniform(0, 1) == 0 ? " AND " : " OR ") + std::string(col()) +
-           " " + cmp() + " " + std::to_string(rng.Uniform(-40, 2500));
+           " " + cmp() + " " + std::to_string(rng.Uniform(-140, 2500));
     }
     return p;
   };
@@ -247,7 +337,8 @@ TEST_F(BatchIdentityTest, RandomizedDifferentialSweep) {
     const int shape = static_cast<int>(rng.Uniform(0, 3));
     if (shape == 0) {
       sql = "SELECT " + std::string(col()) + ", " + std::string(icol()) +
-            " + " + std::to_string(rng.Uniform(0, 100)) + " FROM t WHERE " +
+            " + " + std::to_string(rng.Uniform(0, 100)) + ", " + col() +
+            " / " + std::to_string(rng.Uniform(1, 9)) + " FROM t WHERE " +
             predicate();
     } else if (shape == 1) {
       sql = "SELECT grp, COUNT(*), SUM(" + std::string(icol()) + "), AVG(" +
@@ -263,14 +354,105 @@ TEST_F(BatchIdentityTest, RandomizedDifferentialSweep) {
     if (rng.Uniform(0, 2) == 0) {
       sql += " LIMIT " + std::to_string(rng.Uniform(0, 40));
     }
-    // Row order is deterministic in every engine (clustered scan order,
-    // morsel-order Gather merge, encoded-key aggregate order), so even
-    // unordered results compare exactly.
     SCOPED_TRACE(sql);
-    ExpectIdentical(sql);
+    ExpectAgrees(sql);
     checked++;
   }
   EXPECT_EQ(checked, 60);
+}
+
+TEST_F(BatchIdentityTest, RandomizedJoinSweep) {
+  Rng rng(20261017);
+  // Join predicates, each with the hints that may steer it: equality on u's
+  // clustered key (INLJ or hash), on u's covering index, on t's clustered
+  // key, on two unindexed columns (hash), and inclusive and strict bands on
+  // u.k (band merge or INLJ range; FORCE_ORDER keeps u inner, since the
+  // other order is a 1.5M-pair product).
+  struct JoinKind {
+    const char* pred;
+    std::vector<const char*> hints;
+  };
+  const JoinKind joins[] = {
+      {"u.k = t.a", {"", "LOOP_JOIN", "HASH_JOIN"}},
+      {"u.tk = t.k", {"", "LOOP_JOIN", "HASH_JOIN", "FORCE_ORDER"}},
+      {"t.k = u.tk", {"", "LOOP_JOIN", "FORCE_ORDER LOOP_JOIN"}},
+      {"t.a = u.c", {"", "HASH_JOIN"}},
+      {"u.k >= t.a AND u.k <= t.a + 2",
+       {"FORCE_ORDER MERGE_JOIN", "FORCE_ORDER LOOP_JOIN", "FORCE_ORDER"}},
+      {"u.k > t.a - 2 AND u.k < t.a + 2",
+       {"FORCE_ORDER MERGE_JOIN", "FORCE_ORDER"}},
+  };
+  const char* t_cols[] = {"t.k", "t.grp", "t.a", "t.b", "t.amount"};
+  const char* u_cols[] = {"u.k", "u.tk", "u.c", "u.price"};
+  const char* cmps[] = {"=", "<>", "<", "<=", ">", ">="};
+  auto any_col = [&]() -> std::string {
+    return rng.Uniform(0, 1) == 0 ? t_cols[rng.Uniform(0, 4)]
+                                  : u_cols[rng.Uniform(0, 3)];
+  };
+  // Single-table filters push down to the batch scans; a filter over both
+  // tables stays above the join as a row Filter (or an INLJ residual).
+  auto filter = [&]() -> std::string {
+    if (rng.Uniform(0, 3) == 0) {
+      return std::string("t.a + u.k ") + cmps[rng.Uniform(0, 5)] + " " +
+             std::to_string(rng.Uniform(-100, 100));
+    }
+    return any_col() + " " + cmps[rng.Uniform(0, 5)] + " " +
+           std::to_string(rng.Uniform(-120, 1500));
+  };
+  std::map<std::string, int> ops_seen;
+  const char* ops[] = {"IndexNestedLoopJoin", "HashJoin",        "BandMergeJoin",
+                       "Filter",              "Project",         "HashAggregate",
+                       "StreamAggregate",     "Distinct"};
+  int checked = 0;
+  for (int q = 0; q < 36; q++) {
+    const JoinKind& join = joins[rng.Uniform(0, 5)];
+    const std::string hint = join.hints[rng.Uniform(0, join.hints.size() - 1)];
+    const int shape = static_cast<int>(rng.Uniform(0, 2));
+    const bool stream = shape == 1 && rng.Uniform(0, 1) == 0;
+    std::string hints = hint;
+    if (stream) hints += hints.empty() ? "STREAM_AGG" : " STREAM_AGG";
+    std::string sql = hints.empty() ? "SELECT " : "/*+ " + hints + " */ SELECT ";
+    int width;
+    std::string group;
+    if (shape == 0) {
+      // Projection, with arithmetic over both sides.
+      sql += any_col() + ", " + any_col() + ", t.k + u.k, u.price / 4";
+      width = 4;
+    } else if (shape == 1) {
+      group = rng.Uniform(0, 1) == 0 ? "t.grp" : "u.c";
+      sql += group + ", COUNT(*), SUM(" + any_col() + "), MIN(" + any_col() +
+             "), AVG(t.a)";
+      width = 5;
+    } else {
+      sql += "DISTINCT " + any_col() + ", " + any_col();
+      width = 2;
+    }
+    sql += " FROM t, u WHERE " + std::string(join.pred);
+    const int nfilters = static_cast<int>(rng.Uniform(0, 2));
+    for (int f = 0; f < nfilters; f++) sql += " AND " + filter();
+    if (!group.empty()) {
+      sql += " GROUP BY " + group;
+      if (rng.Uniform(0, 1) == 0) sql += " HAVING COUNT(*) > 2";
+    }
+    if (rng.Uniform(0, 1) == 0) {
+      sql += " ORDER BY " + std::to_string(rng.Uniform(1, width));
+      if (rng.Uniform(0, 1) == 0) sql += " DESC";
+    }
+    if (rng.Uniform(0, 2) == 0) {
+      sql += " LIMIT " + std::to_string(rng.Uniform(0, 50));
+    }
+    SCOPED_TRACE(sql);
+    auto plan = db_->Explain(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    for (const char* op : ops) {
+      if (HasRowOperator(plan.value(), op)) ops_seen[op]++;
+    }
+    ExpectAgrees(sql);
+    checked++;
+  }
+  EXPECT_GE(checked, 30);
+  // The sweep must reach every row operator it exists to check.
+  for (const char* op : ops) EXPECT_GT(ops_seen[op], 0) << op;
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "benchlib/harness.h"
+#include "sqlite_oracle.h"
 
 namespace elephant {
 namespace {
@@ -87,6 +88,25 @@ TEST_P(AllStrategiesAgree, SameResults) {
   auto colopt = bench_->RunColOpt(query);
   ASSERT_TRUE(colopt.ok()) << colopt.status().ToString();
   EXPECT_GT(colopt.value().seconds, 0.0);
+
+  // Oracle leg: the Row statement in SQLite over the same TPC-H tables. Every
+  // strategy above equals Row, so this one check covers all of them.
+  auto oracle = SqliteOracle::Open();
+  if (!oracle.ok()) {
+    GTEST_SKIP() << "*** SQLite ORACLE UNAVAILABLE: oracle leg NOT RUN *** ("
+                 << oracle.status().ToString() << ")";
+  }
+  for (const char* table : {"lineitem", "orders", "customer"}) {
+    Status s = oracle.value()->CopyTable(&bench_->db(), table);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+  const std::string sql = query.ToRowSql();
+  auto engine = bench_->db().Execute(sql);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_EQ(paper::ResultChecksum(engine.value()), row.value().checksum)
+      << "not the rows the Row strategy returned";
+  Status s = oracle.value()->Check(sql, engine.value());
+  EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(

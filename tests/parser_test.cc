@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "engine/database.h"
 #include "parser/parser.h"
 
 namespace elephant {
@@ -115,6 +120,84 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseSelect("SELECT a FROM t LIMIT x").ok());
   EXPECT_FALSE(ParseSelect("SELECT a FROM t trailing junk ,").ok());
   EXPECT_FALSE(ParseSelect("SELECT a FROM t WHERE s = 'unterminated").ok());
+}
+
+TEST(ParserTest, UnaryMinusFoldsNumericLiterals) {
+  auto r = ParseSelect("SELECT -5, -2147483648, -2147483649, -1.25, -a FROM t");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const auto& items = r.value()->items;
+  ASSERT_EQ(items[0].expr->kind, SqlExprKind::kLiteral);
+  EXPECT_EQ(items[0].expr->literal.type(), TypeId::kInt32);
+  EXPECT_EQ(items[0].expr->literal.AsInt64(), -5);
+  EXPECT_EQ(items[1].expr->literal.type(), TypeId::kInt32);
+  EXPECT_EQ(items[1].expr->literal.AsInt64(), -2147483648LL);
+  EXPECT_EQ(items[2].expr->literal.type(), TypeId::kInt64);
+  EXPECT_EQ(items[2].expr->literal.AsInt64(), -2147483649LL);
+  EXPECT_EQ(items[3].expr->literal.type(), TypeId::kDecimal);
+  EXPECT_EQ(items[3].expr->literal.AsInt64(), -125);
+  // Over anything but a numeric literal, unary minus is still 0 - operand.
+  EXPECT_EQ(items[4].expr->kind, SqlExprKind::kBinary);
+}
+
+/// Hostile nesting ends in a ParseError Status, never a stack overflow, on
+/// every path a statement takes (Database::Execute parses, binds, plans and
+/// runs it); 1,000 terms of every shape still run.
+TEST(ParserTest, ExpressionDepthLimit) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (a INT) CLUSTER BY (a)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1), (2)").ok());
+  auto repeat = [](const std::string& s, int n) {
+    std::string out;
+    for (int i = 0; i < n; i++) out += s;
+    return out;
+  };
+  auto nested_parens = [&](int n) {
+    return "SELECT a FROM t WHERE " + repeat("(", n) + "a = 1" + repeat(")", n);
+  };
+  auto and_chain = [&](int n) {
+    return "SELECT a FROM t WHERE a = 1" + repeat(" AND a = 1", n - 1);
+  };
+  auto plus_chain = [&](int n) {
+    return "SELECT a" + repeat(" + a", n - 1) + " FROM t";
+  };
+  auto not_chain = [&](int n) {
+    return "SELECT a FROM t WHERE " + repeat("NOT ", n) + "a = 1";
+  };
+  auto minus_chain = [&](int n) {
+    return "SELECT " + repeat("- ", n) + "1 FROM t";
+  };
+  auto derived = [&](int n) {
+    return repeat("SELECT * FROM (", n) + "SELECT a FROM t" +
+           repeat(") AS d", n);
+  };
+  // Every shape also runs just under the limit, where the deepest stacks
+  // are. A derived table counts as several levels, so 100 is near its limit.
+  const int near_limit = static_cast<int>(kMaxExprDepth) - 10;
+  struct Shape {
+    const char* name;
+    std::function<std::string(int)> make;
+    int hostile;
+    std::vector<int> accepted;
+  };
+  const Shape shapes[] = {
+      {"nested parentheses", nested_parens, 5000, {1000, near_limit}},
+      {"AND chain", and_chain, 20000, {1000, near_limit}},
+      {"+ chain", plus_chain, 20000, {1000, near_limit}},
+      {"NOT chain", not_chain, 20000, {1000, near_limit}},
+      {"unary minus chain", minus_chain, 20000, {1000, near_limit}},
+      {"nested derived tables", derived, 5000, {100}},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    auto bad = db.Execute(shape.make(shape.hostile));
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kParseError)
+        << bad.status().ToString();
+    for (int n : shape.accepted) {
+      auto ok = db.Execute(shape.make(n));
+      EXPECT_TRUE(ok.ok()) << n << " terms: " << ok.status().ToString();
+    }
+  }
 }
 
 TEST(ParserTest, CreateTable) {

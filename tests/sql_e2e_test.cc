@@ -325,5 +325,49 @@ TEST_F(SqlExtensionsTest, DateArithmeticInSql) {
   EXPECT_EQ(r.rows[0][0].AsInt64(), 6);
 }
 
+/// Negative literals load through INSERT ... VALUES on both write paths:
+/// unary minus folds into the literal, and a value outside its column's
+/// range is an InvalidArgument rather than a wrapped store.
+TEST(SqlNegativeLiteralTest, InsertNegativeValues) {
+  for (bool wal : {false, true}) {
+    SCOPED_TRACE(wal ? "WAL write path" : "unlogged write path");
+    DatabaseOptions options;
+    options.wal_enabled = wal;
+    Database db(options);
+    ASSERT_TRUE(db.Execute("CREATE TABLE n (k INT, v BIGINT, d DECIMAL) "
+                           "CLUSTER BY (k)")
+                    .ok());
+    auto ins = db.Execute(
+        "INSERT INTO n VALUES (-5, -9000000000, -12.34), "
+        "(-2147483648, -1, -0.5), (7, 9000000000, 3)");
+    ASSERT_TRUE(ins.ok()) << ins.status().ToString();
+    auto r = db.Execute("SELECT k, v, d FROM n ORDER BY k");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r.value().rows.size(), 3u);
+    EXPECT_EQ(r.value().rows[0][0].AsInt64(), -2147483648LL);
+    EXPECT_EQ(r.value().rows[0][1].AsInt64(), -1);
+    EXPECT_EQ(r.value().rows[0][2].ToString(), "-0.50");
+    EXPECT_EQ(r.value().rows[1][0].AsInt64(), -5);
+    EXPECT_EQ(r.value().rows[1][1].AsInt64(), -9000000000LL);
+    EXPECT_EQ(r.value().rows[1][2].ToString(), "-12.34");
+    // A negative literal is sargable like any other.
+    auto eq = db.Execute("SELECT v FROM n WHERE k = -5");
+    ASSERT_TRUE(eq.ok());
+    ASSERT_EQ(eq.value().rows.size(), 1u);
+    EXPECT_EQ(eq.value().rows[0][0].AsInt64(), -9000000000LL);
+
+    for (const char* out_of_range :
+         {"(-2147483649, 0, 0)", "(1, 0, -99999999999999999)"}) {
+      auto over = db.Execute(std::string("INSERT INTO n VALUES ") + out_of_range);
+      ASSERT_FALSE(over.ok()) << out_of_range;
+      EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument)
+          << over.status().ToString();
+    }
+    auto count = db.Execute("SELECT COUNT(*) FROM n");
+    ASSERT_TRUE(count.ok());
+    EXPECT_EQ(count.value().rows[0][0].AsInt64(), 3);
+  }
+}
+
 }  // namespace
 }  // namespace elephant
