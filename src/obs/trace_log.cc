@@ -103,8 +103,17 @@ void TraceLog::Instant(const char* name, const char* cat, TraceArgs args) {
 }
 
 void TraceLog::SetCurrentThreadName(const std::string& name) {
+  // Build the map node before taking mu_. A pool starts all its workers at
+  // once and each names itself first thing; a new thread's first heap
+  // allocation also sets up its malloc arena, and doing that under mu_
+  // holds it past the Mutex spin budget, so pool startup would park workers
+  // and count LWLock waits. The locked section only links the node.
+  std::map<uint32_t, std::string> staged;
+  staged.emplace(CurrentThreadTrackId(), name);
+  auto node = staged.extract(staged.begin());
   MutexLock lock(mu_);
-  thread_names_[CurrentThreadTrackId()] = name;
+  auto result = thread_names_.insert(std::move(node));
+  if (!result.inserted) result.position->second.swap(result.node.mapped());
 }
 
 std::vector<TraceEvent> TraceLog::Snapshot() const {

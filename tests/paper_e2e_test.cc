@@ -1,3 +1,5 @@
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "benchlib/harness.h"
@@ -36,6 +38,12 @@ struct QueryCase {
   std::string name;
   double selectivity;  // for the date parameter
 };
+
+// Without a printer gtest lists the raw object bytes, which include a heap
+// address, so the discovered ctest names would change on every build.
+void PrintTo(const QueryCase& c, std::ostream* os) {
+  *os << c.name << " sel=" << c.selectivity;
+}
 
 class AllStrategiesAgree : public PaperE2eTest,
                            public ::testing::WithParamInterface<QueryCase> {};

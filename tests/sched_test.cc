@@ -1,4 +1,5 @@
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <random>
 #include <thread>
@@ -35,7 +36,15 @@ TEST(ThreadPoolTest, AsyncReturnsValues) {
     EXPECT_EQ(futures[static_cast<size_t>(i)].get(), i * i);
   }
   EXPECT_EQ(pool.num_threads(), 3u);
-  EXPECT_GE(pool.tasks_executed(), 64u);
+  // A task is counted after its body returns, which is after its future is
+  // satisfied, so the last workers may still be finishing their bookkeeping.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (pool.tasks_executed() < 64u &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(pool.tasks_executed(), 64u);
 }
 
 TEST(ThreadPoolTest, AsyncPropagatesExceptions) {
