@@ -16,6 +16,10 @@ taxonomy parsed out of ``src/obs/wait_events.h``: both labeled counter
 families must cover exactly the taxonomy (zeros included), so an event added
 in C++ without reaching the export — or a stale exported label — fails here.
 
+``--stat-statements`` also recomputes every entry's ``p95_seconds`` from its
+``latency_buckets`` and the document's ``latency_bounds`` with an independent
+copy of the engine's histogram quantile rule (see ``histogram_quantile``).
+
 Exits non-zero with one line per violation.
 """
 
@@ -288,6 +292,38 @@ STATEMENT_KEYS = (
 HEX_HASH_RE = re.compile(r"^[0-9a-f]{16}$")
 
 
+def g9_quantum(v):
+    """Max rounding error of the JSON writer's %.9g for a value of v's
+    magnitude (half a unit in the 9th significant digit, rounded up)."""
+    if not v:
+        return 0.0
+    return 10.0 ** (math.floor(math.log10(abs(v))) - 8)
+
+
+def histogram_quantile(bounds, buckets, q):
+    """The engine's histogram quantile rule (obs::HistogramSnapshot::
+    Quantile), reimplemented independently: the q*count-th observation,
+    interpolated uniformly between its bucket's edges (the first bucket
+    spans [0, bounds[0]]); the overflow bucket reports the last finite
+    bound; 0 when empty."""
+    count = sum(buckets)
+    last = bounds[-1] if bounds else 0.0
+    if count == 0:
+        return 0.0
+    target = min(max(q, 0.0), 1.0) * count
+    seen = 0
+    for i, n in enumerate(buckets):
+        if n == 0:
+            continue
+        if seen + n >= target:
+            if i >= len(bounds):
+                return last
+            lo = bounds[i - 1] if i > 0 else 0.0
+            return lo + (target - seen) / n * (bounds[i] - lo)
+        seen += n
+    return last
+
+
 def _check_io_object(io, where, errors):
     for key in IO_KEYS:
         if not isinstance(io.get(key), int) or io.get(key, -1) < 0:
@@ -360,6 +396,20 @@ def check_stat_statements(path):
                 and len(entry["latency_buckets"]) != len(bounds) + 1:
             errors.append("%s: %d latency_buckets for %d bounds" %
                           (where, len(entry["latency_buckets"]), len(bounds)))
+        if isinstance(bounds, list) \
+                and len(entry["latency_buckets"]) == len(bounds) + 1:
+            # p95 recomputed from the serialized histogram must match the
+            # engine's to the %.9g quantum of p95 itself plus that of the
+            # bucket edge it was interpolated from.
+            p95 = histogram_quantile(bounds, entry["latency_buckets"], 0.95)
+            edge = next((b for b in bounds if b >= p95),
+                        bounds[-1] if bounds else 0.0)
+            tol = g9_quantum(p95) + g9_quantum(entry["p95_seconds"]) + \
+                g9_quantum(edge)
+            if abs(entry["p95_seconds"] - p95) > tol:
+                errors.append("%s: p95_seconds %r != %r recomputed from "
+                              "latency_buckets" %
+                              (where, entry["p95_seconds"], p95))
         if not entry["min_seconds"] <= entry["mean_seconds"] \
                 <= entry["max_seconds"]:
             errors.append("%s: min/mean/max out of order" % where)
@@ -390,12 +440,6 @@ def check_stat_statements(path):
         if totals.get(key) != sums[key]:
             errors.append("stat_statements: totals.%s %r != statement sum %d" %
                           (key, totals.get(key), sums[key]))
-
-    def g9_quantum(v):
-        """Max rounding error of %.9g for a value of v's magnitude."""
-        if not v:
-            return 0.0
-        return 10.0 ** (math.floor(math.log10(abs(v))) - 8)
 
     for key in ("total_seconds", "total_io_seconds"):
         tol = (1e-9 + g9_quantum(totals.get(key, 0)) +

@@ -25,7 +25,6 @@ const char* LockRankName(LockRank rank) {
     case LockRank::kTraceLog: return "kTraceLog";
     case LockRank::kHeatmap: return "kHeatmap";
     case LockRank::kMetricsRegistry: return "kMetricsRegistry";
-    case LockRank::kMetricsHistogram: return "kMetricsHistogram";
     case LockRank::kWaitSessionRegistry: return "kWaitSessionRegistry";
     case LockRank::kAshRing: return "kAshRing";
     case LockRank::kAshSampler: return "kAshSampler";

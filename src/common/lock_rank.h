@@ -64,7 +64,6 @@ enum class LockRank : int {
   kTraceLog = 740,
   kHeatmap = 760,
   kMetricsRegistry = 780,
-  kMetricsHistogram = 800,
   kWaitSessionRegistry = 820,  ///< obs/ash.h: live-session state slots
   kAshRing = 840,              ///< obs/ash.h: sample ring buffer
   kAshSampler = 860,           ///< obs/ash.h: sampler start/stop + sleep

@@ -299,7 +299,7 @@ Status Database::RegisterSystemTables() {
                     Value::Double(e.MeanSeconds()),
                     Value::Double(e.min_seconds),
                     Value::Double(e.max_seconds),
-                    Value::Double(e.QuantileSeconds(0.95)),
+                    Value::Double(e.latency.Quantile(0.95)),
                     Value::Double(e.total_io_seconds),
                     Value::Double(e.ResidualSeconds()),
                     i64(e.io.sequential_reads),
@@ -534,8 +534,8 @@ Status Database::RegisterSystemTables() {
                     Value::Varchar(obs::kWaitEventInfos[e].event_name),
                     i64(snap.count),
                     Value::Double(static_cast<double>(snap.nanos) / 1e9),
-                    Value::Double(reg.QuantileSeconds(event, 0.50)),
-                    Value::Double(reg.QuantileSeconds(event, 0.95)),
+                    Value::Double(snap.latency.Quantile(0.50)),
+                    Value::Double(snap.latency.Quantile(0.95)),
                 });
               }
               return rows;
@@ -783,8 +783,7 @@ Result<std::string> Database::Explain(const std::string& sql,
 
 Result<QueryResult> Database::ExecuteSelectWithLocks(
     const std::string& sql, std::unique_ptr<SelectStmt> stmt,
-    PlanHints extra_hints, bool instrument, obs::Tracer* tracer,
-    SessionTxnState* ts) {
+    PlanHints extra_hints, bool instrument, SessionTxnState* ts) {
   // In WAL mode a SELECT takes statement-scoped shared locks on its base
   // tables (and refreshes stale derived tables) before executing. Inside
   // a transaction the locks are taken under the transaction's id, so
@@ -807,7 +806,7 @@ Result<QueryResult> Database::ExecuteSelectWithLocks(
     }
   }
   Result<QueryResult> r =
-      ExecuteSelect(sql, std::move(stmt), extra_hints, instrument, tracer);
+      ExecuteSelect(sql, std::move(stmt), extra_hints, instrument);
   if (log_ != nullptr) {
     if (ts->txn == nullptr) {
       lock_mgr_->ReleaseAll(locker);
@@ -832,12 +831,10 @@ Result<QueryResult> Database::ExecuteSelectWithLocks(
 Result<QueryResult> Database::ExecuteSelect(const std::string& sql,
                                             std::unique_ptr<SelectStmt> stmt,
                                             PlanHints extra_hints,
-                                            bool instrument,
-                                            obs::Tracer* tracer) {
+                                            bool instrument) {
   std::unique_ptr<BoundQuery> bound;
   {
-    auto span = tracer->StartSpan("bind");
-    obs::TraceSpan tspan("bind", "engine");
+    auto span = obs::TraceSpan::Phase("bind");
     Binder binder(catalog_.get());
     ELE_ASSIGN_OR_RETURN(bound, binder.Bind(*stmt));
     bound->hints = bound->hints.Merge(extra_hints);
@@ -853,8 +850,7 @@ Result<QueryResult> Database::ExecuteSelect(const std::string& sql,
   if (bound->hints.parallel_workers >= 2) ctx.set_scheduler(workers());
   PlannedQuery plan;
   {
-    auto span = tracer->StartSpan("plan");
-    obs::TraceSpan tspan("plan", "engine");
+    auto span = obs::TraceSpan::Phase("plan");
     Planner planner(&ctx, instrument);
     ELE_ASSIGN_OR_RETURN(plan, planner.Plan(std::move(bound)));
   }
@@ -872,8 +868,7 @@ Result<QueryResult> Database::ExecuteSelect(const std::string& sql,
     // query's own workers, which fold into the sink) run concurrently.
     IoSink query_sink;
     IoScope io_scope(&query_sink);
-    auto span = tracer->StartSpan("execute");
-    obs::TraceSpan tspan("execute", "engine");
+    auto span = obs::TraceSpan::Phase("execute");
     ELE_RETURN_NOT_OK(plan.executor->Init());
     Row row;
     while (true) {
@@ -904,50 +899,39 @@ Result<QueryResult> Database::ExecuteSelect(const std::string& sql,
   metrics_.GetCounter("db.pages_read_total")->Increment(result.io.TotalReads());
   metrics_.GetHistogram("db.query_seconds")->Observe(result.cpu_seconds);
   metrics_.GetHistogram("db.query_modeled_seconds")->Observe(result.TotalSeconds());
-  const uint64_t plan_hash = obs::PlanShapeHash(plan.explain);
-  if (!reads_virtual) {
-    obs::StatementSample sample;
-    sample.sql = sql;
-    sample.plan_hash = plan_hash;
-    sample.rows = result.rows.size();
-    sample.latency_seconds = result.cpu_seconds;
-    sample.io_seconds = result.io_seconds;
-    sample.io = result.io;
-    if (instrument && result.plan != nullptr) {
-      // Per-operator-class residuals exist only on instrumented runs: the
-      // self-attributed wall seconds come from the InstrumentedExecutor
-      // wrappers, and the modeled side prices the operator's own page reads
-      // through the same disk model the planner costs with.
-      for (const obs::OperatorBreakdown& b : obs::FlattenPlan(*result.plan)) {
-        IoStats op_io;
-        op_io.sequential_reads = b.seq_reads;
-        op_io.random_reads = b.rand_reads;
-        obs::OperatorResidual residual;
-        residual.op_class = obs::OperatorClassOf(b.op);
-        residual.modeled_io_seconds = options_.disk_model.Seconds(op_io);
-        residual.measured_seconds = b.seconds;
-        sample.residuals.push_back(std::move(residual));
-      }
-    }
-    stat_statements_.Record(sample);
+  // One record per statement, built once (one NormalizeSql) and handed to
+  // both sinks.
+  obs::StatementRecord record;
+  record.SetSql(sql);
+  record.plan_hash = obs::PlanShapeHash(plan.explain);
+  record.rows = result.rows.size();
+  record.latency_seconds = result.cpu_seconds;
+  record.io_seconds = result.io_seconds;
+  record.io = result.io;
+  record.session_id = obs::CurrentSessionId();
+  if (obs::WaitSink* waits = obs::CurrentWaitSink()) {
+    // The statement's waits so far (locks were acquired before this point,
+    // so heavyweight Lock waits are already in the sink).
+    record.wait_profile = waits->ToProfile();
   }
-  if (query_log_.enabled()) {
-    obs::QueryLogEntry entry;
-    entry.sql = sql;
-    entry.plan_hash = plan_hash;
-    entry.sql_fingerprint = obs::FingerprintSql(sql);
-    entry.latency_seconds = result.cpu_seconds;
-    entry.io_seconds = result.io_seconds;
-    entry.io = result.io;
-    entry.rows = result.rows.size();
-    entry.session_id = obs::CurrentSessionId();
-    if (obs::WaitSink* waits = obs::CurrentWaitSink()) {
-      // The statement's waits so far (locks were acquired before this point,
-      // so heavyweight Lock waits are already in the sink).
-      entry.wait_profile = waits->ToProfile();
+  if (instrument && result.plan != nullptr) {
+    // Per-operator-class residuals exist only on instrumented runs: the
+    // self-attributed wall seconds come from the InstrumentedExecutor
+    // wrappers, and the modeled side prices the operator's own page reads
+    // through the same disk model the planner costs with.
+    for (const obs::OperatorBreakdown& b : obs::FlattenPlan(*result.plan)) {
+      IoStats op_io;
+      op_io.sequential_reads = b.seq_reads;
+      op_io.random_reads = b.rand_reads;
+      obs::OperatorResidual residual;
+      residual.op_class = obs::OperatorClassOf(b.op);
+      residual.modeled_io_seconds = options_.disk_model.Seconds(op_io);
+      residual.measured_seconds = b.seconds;
+      record.residuals.push_back(std::move(residual));
     }
-    query_log_.Record(entry);
   }
+  if (!reads_virtual) stat_statements_.Record(record);
+  query_log_.Record(record);
   return result;
 }
 
@@ -962,10 +946,11 @@ Result<ExplainAnalyzeResult> Database::ExplainAnalyze(const std::string& sql,
   obs::WaitSink sink;
   obs::WaitSinkScope sink_scope(&sink);
   const auto wall_start = std::chrono::steady_clock::now();
-  obs::Tracer tracer;
+  obs::QueryTrace trace;
+  obs::QueryTraceScope trace_scope(&trace);
   std::unique_ptr<SelectStmt> stmt;
   {
-    auto span = tracer.StartSpan("parse");
+    auto span = obs::TraceSpan::Phase("parse");
     ELE_ASSIGN_OR_RETURN(Statement parsed, ParseStatement(sql));
     if (parsed.select == nullptr) {
       return Status::BindError("EXPLAIN ANALYZE requires a SELECT statement");
@@ -977,9 +962,8 @@ Result<ExplainAnalyzeResult> Database::ExplainAnalyze(const std::string& sql,
   ELE_ASSIGN_OR_RETURN(
       QueryResult result,
       ExecuteSelectWithLocks(sql, std::move(stmt), extra_hints,
-                             /*instrument=*/true, &tracer,
-                             &default_txn_state_));
-  result.trace = std::make_shared<obs::QueryTrace>(tracer.Finish());
+                             /*instrument=*/true, &default_txn_state_));
+  result.trace = std::make_shared<obs::QueryTrace>(std::move(trace));
   result.wait_profile = sink.ToProfile();
   result.wall_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - wall_start)
@@ -998,36 +982,13 @@ Result<ExplainAnalyzeResult> Database::ExplainAnalyze(const std::string& sql,
   w.Key("plan");
   obs::AppendPlanJson(*result.plan, /*with_actuals=*/true, &w);
   w.Key("rows").UInt(result.rows.size());
-  w.Key("io").BeginObject();
-  w.Key("sequential_reads").UInt(result.io.sequential_reads);
-  w.Key("random_reads").UInt(result.io.random_reads);
-  w.Key("page_writes").UInt(result.io.page_writes);
-  w.Key("readahead").BeginObject();
-  w.Key("windows_issued").UInt(result.io.readahead.windows_issued);
-  w.Key("pages_prefetched").UInt(result.io.readahead.pages_prefetched);
-  w.Key("prefetch_hits").UInt(result.io.readahead.prefetch_hits);
-  w.Key("prefetch_wasted").UInt(result.io.readahead.prefetch_wasted);
-  w.EndObject();
-  w.EndObject();
+  w.Key("io");
+  obs::AppendIoJson(result.io, &w);
   w.Key("cpu_seconds").Double(result.cpu_seconds);
   w.Key("io_seconds").Double(result.io_seconds);
   w.Key("total_seconds").Double(result.TotalSeconds());
-  w.Key("waits").BeginObject();
-  w.Key("total_seconds").Double(result.wait_profile.TotalSeconds());
-  w.Key("lwlock_seconds")
-      .Double(result.wait_profile.ClassSeconds(obs::WaitClass::kLWLock));
-  w.Key("lock_seconds")
-      .Double(result.wait_profile.ClassSeconds(obs::WaitClass::kLock));
-  w.Key("io_seconds")
-      .Double(result.wait_profile.ClassSeconds(obs::WaitClass::kIO));
-  w.Key("wal_seconds")
-      .Double(result.wait_profile.ClassSeconds(obs::WaitClass::kWAL));
-  w.Key("condvar_seconds")
-      .Double(result.wait_profile.ClassSeconds(obs::WaitClass::kCondVar));
-  w.Key("scheduler_seconds")
-      .Double(result.wait_profile.ClassSeconds(obs::WaitClass::kScheduler));
-  w.Key("top_event").String(result.wait_profile.TopEventName());
-  w.EndObject();
+  w.Key("waits");
+  result.wait_profile.AppendJson(&w);
   w.Key("phases");
   result.trace->AppendJson(&w);
   w.EndObject();
@@ -1067,11 +1028,11 @@ Result<QueryResult> Database::ExecuteStatement(const std::string& sql,
     statement_span.emplace("statement", "engine", obs::TraceArgs{{"sql", sql}});
   }
   SessionTxnState* ts = session != nullptr ? session : &default_txn_state_;
-  obs::Tracer tracer;
+  obs::QueryTrace trace;
+  obs::QueryTraceScope trace_scope(&trace);
   Statement stmt;
   {
-    auto span = tracer.StartSpan("parse");
-    obs::TraceSpan tspan("parse", "engine");
+    auto span = obs::TraceSpan::Phase("parse");
     ELE_ASSIGN_OR_RETURN(stmt, ParseStatement(sql));
   }
   metrics_.GetCounter("db.statements_total")->Increment();
@@ -1081,10 +1042,10 @@ Result<QueryResult> Database::ExecuteStatement(const std::string& sql,
       ELE_RETURN_NOT_OK(CheckNotInAbortedTxn(*ts, sql));
       Result<QueryResult> r =
           ExecuteSelectWithLocks(sql, std::move(stmt.select), extra_hints,
-                                 /*instrument=*/false, &tracer, ts);
+                                 /*instrument=*/false, ts);
       if (!r.ok()) return r.status();
       QueryResult qr = std::move(r).value();
-      qr.trace = std::make_shared<obs::QueryTrace>(tracer.Finish());
+      qr.trace = std::make_shared<obs::QueryTrace>(std::move(trace));
       return qr;
     }
     case StatementKind::kBegin:
@@ -1114,14 +1075,14 @@ Result<QueryResult> Database::ExecuteStatement(const std::string& sql,
         ELE_ASSIGN_OR_RETURN(PlannedQuery plan, planner.Plan(std::move(bound)));
         QueryResult qr = PlanTextResult(plan.explain);
         qr.plan = std::shared_ptr<const obs::PlanNode>(std::move(plan.plan));
-        qr.trace = std::make_shared<obs::QueryTrace>(tracer.Finish());
+        qr.trace = std::make_shared<obs::QueryTrace>(std::move(trace));
         return qr;
       }
       ELE_ASSIGN_OR_RETURN(
           QueryResult inner,
           ExecuteSelectWithLocks(sql, std::move(stmt.select), extra_hints,
-                                 /*instrument=*/true, &tracer, ts));
-      inner.trace = std::make_shared<obs::QueryTrace>(tracer.Finish());
+                                 /*instrument=*/true, ts));
+      inner.trace = std::make_shared<obs::QueryTrace>(std::move(trace));
       std::string text = obs::RenderPlanTree(*inner.plan, /*with_actuals=*/true);
       char buf[256];
       std::snprintf(buf, sizeof(buf),

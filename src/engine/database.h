@@ -15,7 +15,7 @@
 #include "obs/plan_stats.h"
 #include "obs/query_log.h"
 #include "obs/stat_statements.h"
-#include "obs/trace.h"
+#include "obs/trace_log.h"
 #include "obs/wait_events.h"
 #include "parser/ast.h"
 #include "planner/hints.h"
@@ -272,8 +272,7 @@ class Database {
 
   Result<QueryResult> ExecuteSelect(const std::string& sql,
                                     std::unique_ptr<SelectStmt> stmt,
-                                    PlanHints extra_hints, bool instrument,
-                                    obs::Tracer* tracer);
+                                    PlanHints extra_hints, bool instrument);
 
   /// ExecuteSelect wrapped in the WAL-mode statement-scoped shared-lock
   /// protocol (acquire via PrepareSelectTables, release at statement end,
@@ -284,7 +283,6 @@ class Database {
                                              std::unique_ptr<SelectStmt> stmt,
                                              PlanHints extra_hints,
                                              bool instrument,
-                                             obs::Tracer* tracer,
                                              SessionTxnState* ts);
 
   /// Creates and starts the ASH sampler when options_.ash_sampler_enabled

@@ -1,55 +1,9 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace elephant {
 namespace obs {
-
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)) {
-  std::sort(bounds_.begin(), bounds_.end());
-  buckets_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::Observe(double v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  MutexLock lock(mu_);
-  buckets_[static_cast<size_t>(it - bounds_.begin())]++;
-  count_++;
-  sum_ += v;
-}
-
-double Histogram::Quantile(double q) const {
-  MutexLock lock(mu_);
-  if (count_ == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count_);
-  uint64_t seen = 0;
-  for (size_t i = 0; i < buckets_.size(); i++) {
-    if (buckets_[i] == 0) continue;
-    if (static_cast<double>(seen + buckets_[i]) >= target) {
-      if (i >= bounds_.size()) return bounds_.empty() ? 0 : bounds_.back();
-      const double lo = i == 0 ? 0 : bounds_[i - 1];
-      const double hi = bounds_[i];
-      const double frac =
-          (target - static_cast<double>(seen)) / static_cast<double>(buckets_[i]);
-      return lo + frac * (hi - lo);
-    }
-    seen += buckets_[i];
-  }
-  return bounds_.empty() ? 0 : bounds_.back();
-}
-
-HistogramSnapshot Histogram::Snapshot() const {
-  HistogramSnapshot snap;
-  snap.bounds = bounds_;
-  MutexLock lock(mu_);
-  snap.buckets = buckets_;
-  snap.count = count_;
-  snap.sum = sum_;
-  return snap;
-}
 
 std::vector<double> DefaultLatencyBuckets() {
   std::vector<double> b;
@@ -135,22 +89,23 @@ std::string MetricsRegistry::ToJson() const {
   w.EndObject();
   w.Key("histograms").BeginObject();
   for (const auto& [name, h] : histograms_) {
+    const HistogramSnapshot snap = h->Snapshot();
     w.Key(name).BeginObject();
-    w.Key("count").UInt(h->count());
-    w.Key("sum").Double(h->sum());
-    w.Key("p50").Double(h->Quantile(0.5));
-    w.Key("p99").Double(h->Quantile(0.99));
+    w.Key("count").UInt(snap.count);
+    w.Key("sum").Double(snap.sum);
+    w.Key("p50").Double(snap.Quantile(0.5));
+    w.Key("p99").Double(snap.Quantile(0.99));
     w.Key("buckets").BeginArray();
-    for (size_t i = 0; i < h->NumBuckets(); i++) {
-      if (h->BucketCount(i) == 0) continue;
+    for (size_t i = 0; i < snap.buckets.size(); i++) {
+      if (snap.buckets[i] == 0) continue;
       w.BeginObject();
       w.Key("le");
-      if (i < h->bounds().size()) {
-        w.Double(h->bounds()[i]);
+      if (i < snap.bounds.size()) {
+        w.Double(snap.bounds[i]);
       } else {
         w.String("+Inf");
       }
-      w.Key("count").UInt(h->BucketCount(i));
+      w.Key("count").UInt(snap.buckets[i]);
       w.EndObject();
     }
     w.EndArray();
@@ -173,9 +128,10 @@ std::string MetricsRegistry::ToString() const {
     out += name + " = " + buf + "\n";
   }
   for (const auto& [name, h] : histograms_) {
+    const HistogramSnapshot snap = h->Snapshot();
     std::snprintf(buf, sizeof(buf), "count=%llu sum=%g p50=%g p99=%g",
-                  static_cast<unsigned long long>(h->count()), h->sum(),
-                  h->Quantile(0.5), h->Quantile(0.99));
+                  static_cast<unsigned long long>(snap.count), snap.sum,
+                  snap.Quantile(0.5), snap.Quantile(0.99));
     out += name + " = " + buf + "\n";
   }
   return out;

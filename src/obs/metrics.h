@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "obs/histogram.h"
 #include "obs/json.h"
 
 namespace elephant {
@@ -41,56 +42,6 @@ class Gauge {
 
  private:
   std::atomic<double> value_{0};
-};
-
-/// Consistent copy of one histogram's state (one lock acquisition, unlike
-/// reading count/sum/BucketCount piecemeal).
-struct HistogramSnapshot {
-  std::vector<double> bounds;     ///< ascending upper bounds
-  std::vector<uint64_t> buckets;  ///< bounds.size() + 1 (overflow last)
-  uint64_t count = 0;
-  double sum = 0;
-};
-
-/// Fixed-bucket histogram. Bucket i counts observations with
-/// `v <= bounds[i]`; one implicit overflow bucket catches the rest.
-/// Observe and the readers synchronize on an internal mutex (observations
-/// are rare — once per statement — so contention is negligible).
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  void Observe(double v);
-
-  uint64_t count() const {
-    MutexLock lock(mu_);
-    return count_;
-  }
-  double sum() const {
-    MutexLock lock(mu_);
-    return sum_;
-  }
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// Per-bucket (non-cumulative) count; index bounds().size() is overflow.
-  uint64_t BucketCount(size_t i) const {
-    MutexLock lock(mu_);
-    return buckets_[i];
-  }
-  size_t NumBuckets() const { return buckets_.size(); }
-
-  /// Approximate quantile (q in [0,1]) assuming a uniform distribution
-  /// within each bucket. The overflow bucket reports its lower bound.
-  double Quantile(double q) const;
-
-  HistogramSnapshot Snapshot() const;
-
- private:
-  mutable Mutex mu_{LockRank::kMetricsHistogram, "Histogram::mu_"};
-  std::vector<double> bounds_;  ///< ascending upper bounds; immutable after
-                                ///< the constructor, so reads skip the lock
-  std::vector<uint64_t> buckets_ GUARDED_BY(mu_);  ///< bounds_.size() + 1 entries
-  uint64_t count_ GUARDED_BY(mu_) = 0;
-  double sum_ GUARDED_BY(mu_) = 0;
 };
 
 /// Exponential latency buckets from 10us to ~100s.

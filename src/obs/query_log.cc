@@ -5,15 +5,6 @@
 namespace elephant {
 namespace obs {
 
-uint64_t Fnv1a64(std::string_view data) {
-  uint64_t h = 14695981039346656037ull;
-  for (char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 QueryLog::~QueryLog() { Close(); }
 
 bool QueryLog::Open(const std::string& path, double threshold_seconds) {
@@ -42,41 +33,28 @@ double QueryLog::threshold_seconds() const {
   return threshold_seconds_;
 }
 
-void QueryLog::Record(const QueryLogEntry& entry) {
+void QueryLog::Record(const StatementRecord& record) {
   if (!enabled()) return;
-  if (entry.latency_seconds < threshold_seconds()) return;
+  if (record.latency_seconds < threshold_seconds()) return;
   JsonWriter w;
   w.BeginObject();
-  w.Key("sql").String(entry.sql);
-  w.Key("plan_hash").UInt(entry.plan_hash);
-  w.Key("sql_fingerprint").UInt(entry.sql_fingerprint);
-  w.Key("latency_ms").Double(entry.latency_seconds * 1e3);
-  w.Key("io_ms").Double(entry.io_seconds * 1e3);
-  w.Key("sequential_reads").UInt(entry.io.sequential_reads);
-  w.Key("random_reads").UInt(entry.io.random_reads);
-  w.Key("page_writes").UInt(entry.io.page_writes);
-  w.Key("rows").UInt(entry.rows);
-  w.Key("session_id").Int(entry.session_id);
-  w.Key("wait_profile").BeginObject();
-  w.Key("total_seconds").Double(entry.wait_profile.TotalSeconds());
-  w.Key("lwlock_seconds")
-      .Double(entry.wait_profile.ClassSeconds(WaitClass::kLWLock));
-  w.Key("lock_seconds")
-      .Double(entry.wait_profile.ClassSeconds(WaitClass::kLock));
-  w.Key("io_seconds").Double(entry.wait_profile.ClassSeconds(WaitClass::kIO));
-  w.Key("wal_seconds")
-      .Double(entry.wait_profile.ClassSeconds(WaitClass::kWAL));
-  w.Key("condvar_seconds")
-      .Double(entry.wait_profile.ClassSeconds(WaitClass::kCondVar));
-  w.Key("scheduler_seconds")
-      .Double(entry.wait_profile.ClassSeconds(WaitClass::kScheduler));
-  w.Key("top_event").String(entry.wait_profile.TopEventName());
-  w.EndObject();
+  w.Key("sql").String(record.sql);
+  w.Key("plan_hash").String(HexHash(record.plan_hash));
+  w.Key("sql_fingerprint").String(HexHash(record.fingerprint));
+  w.Key("latency_ms").Double(record.latency_seconds * 1e3);
+  w.Key("io_ms").Double(record.io_seconds * 1e3);
+  w.Key("sequential_reads").UInt(record.io.sequential_reads);
+  w.Key("random_reads").UInt(record.io.random_reads);
+  w.Key("page_writes").UInt(record.io.page_writes);
+  w.Key("rows").UInt(record.rows);
+  w.Key("session_id").Int(record.session_id);
+  w.Key("wait_profile");
+  record.wait_profile.AppendJson(&w);
   w.EndObject();
   const std::string line = std::move(w).str();
 
   MutexLock lock(mu_);
-  if (file_ == nullptr || entry.latency_seconds < threshold_seconds_) return;
+  if (file_ == nullptr || record.latency_seconds < threshold_seconds_) return;
   std::fwrite(line.data(), 1, line.size(), file_);
   std::fputc('\n', file_);
   std::fflush(file_);  // tail-able while the engine runs

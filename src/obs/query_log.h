@@ -1,44 +1,24 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <string_view>
 
 #include "common/thread_annotations.h"
-#include "obs/wait_events.h"
-#include "storage/disk_manager.h"
+#include "obs/stat_statements.h"
 
 namespace elephant {
 namespace obs {
-
-/// FNV-1a 64-bit hash; used to fingerprint plans so the slow-query log can
-/// group entries by plan shape without storing the whole plan tree.
-uint64_t Fnv1a64(std::string_view data);
-
-/// One finished statement as the audit log sees it.
-struct QueryLogEntry {
-  std::string sql;
-  uint64_t plan_hash = 0;        ///< obs::PlanShapeHash of the rendered plan
-  /// obs::FingerprintSql(sql): groups entries by statement *shape*, stable
-  /// across plan changes (the same family re-plans as data grows), and the
-  /// join key against elephant_stat_statements and EXPLAIN ANALYZE output.
-  uint64_t sql_fingerprint = 0;
-  double latency_seconds = 0;    ///< wall-clock execution time
-  double io_seconds = 0;         ///< modeled disk time
-  IoStats io;                    ///< physical page traffic
-  uint64_t rows = 0;
-  int session_id = -1;           ///< -1 = outside any session
-  /// Where the statement's blocked time went (per wait class, plus the
-  /// single hottest event) — serialized as the "wait_profile" JSON object.
-  WaitProfile wait_profile;
-};
 
 /// Threshold-gated slow-query/audit log: statements whose wall-clock latency
 /// meets the threshold are appended to a JSONL file (one self-contained JSON
 /// object per line — statement, plan hash, latency, modeled I/O, session id)
 /// the moment they finish, so the file is tail-able during a run. A
-/// threshold of 0 audits every statement.
+/// threshold of 0 audits every statement. `plan_hash` and `sql_fingerprint`
+/// are HexHash strings, the same spelling elephant_stat_statements, EXPLAIN
+/// ANALYZE JSON and the Prometheus labels use, so the log joins against them
+/// directly.
 ///
 /// Disabled until Open() succeeds; Record() is a single relaxed atomic load
 /// when disabled. Thread-safe: concurrent sessions append whole lines under
@@ -58,9 +38,9 @@ class QueryLog {
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   double threshold_seconds() const;
 
-  /// Appends `entry` when the log is open and the latency meets the
+  /// Appends `record` when the log is open and the latency meets the
   /// threshold.
-  void Record(const QueryLogEntry& entry);
+  void Record(const StatementRecord& record);
 
   /// Number of entries appended since Open() (for tests).
   uint64_t EntriesWritten() const;

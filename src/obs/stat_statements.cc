@@ -6,7 +6,6 @@
 
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/query_log.h"
 
 namespace elephant {
 namespace obs {
@@ -25,20 +24,6 @@ void AddIo(IoStats* a, const IoStats& b) {
   a->readahead.pages_prefetched += b.readahead.pages_prefetched;
   a->readahead.prefetch_hits += b.readahead.prefetch_hits;
   a->readahead.prefetch_wasted += b.readahead.prefetch_wasted;
-}
-
-void AppendIoJson(const IoStats& io, JsonWriter* w) {
-  w->BeginObject();
-  w->Key("sequential_reads").UInt(io.sequential_reads);
-  w->Key("random_reads").UInt(io.random_reads);
-  w->Key("page_writes").UInt(io.page_writes);
-  w->Key("readahead").BeginObject();
-  w->Key("windows_issued").UInt(io.readahead.windows_issued);
-  w->Key("pages_prefetched").UInt(io.readahead.pages_prefetched);
-  w->Key("prefetch_hits").UInt(io.readahead.prefetch_hits);
-  w->Key("prefetch_wasted").UInt(io.readahead.prefetch_wasted);
-  w->EndObject();
-  w->EndObject();
 }
 
 }  // namespace
@@ -95,6 +80,15 @@ std::string NormalizeSql(std::string_view sql) {
   return out;
 }
 
+uint64_t Fnv1a64(std::string_view data) {
+  uint64_t h = 14695981039346656037ull;
+  for (char c : data) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 uint64_t FingerprintSql(std::string_view sql) {
   return Fnv1a64(NormalizeSql(sql));
 }
@@ -116,25 +110,24 @@ std::string OperatorClassOf(std::string_view label) {
   return std::string(label.substr(0, end));
 }
 
-double StatementStats::QuantileSeconds(double q) const {
-  const std::vector<double>& bounds = StatStatements::LatencyBounds();
-  if (calls == 0 || latency_buckets.empty()) return 0;
-  const double target = q * static_cast<double>(calls);
-  uint64_t seen = 0;
-  for (size_t i = 0; i < latency_buckets.size(); i++) {
-    const uint64_t in_bucket = latency_buckets[i];
-    if (in_bucket == 0) continue;
-    if (static_cast<double>(seen + in_bucket) >= target) {
-      if (i >= bounds.size()) return bounds.empty() ? 0 : bounds.back();
-      const double lo = i == 0 ? 0 : bounds[i - 1];
-      const double hi = bounds[i];
-      const double frac =
-          (target - static_cast<double>(seen)) / static_cast<double>(in_bucket);
-      return lo + (hi - lo) * std::min(1.0, std::max(0.0, frac));
-    }
-    seen += in_bucket;
-  }
-  return bounds.empty() ? 0 : bounds.back();
+void AppendIoJson(const IoStats& io, JsonWriter* w) {
+  w->BeginObject();
+  w->Key("sequential_reads").UInt(io.sequential_reads);
+  w->Key("random_reads").UInt(io.random_reads);
+  w->Key("page_writes").UInt(io.page_writes);
+  w->Key("readahead").BeginObject();
+  w->Key("windows_issued").UInt(io.readahead.windows_issued);
+  w->Key("pages_prefetched").UInt(io.readahead.pages_prefetched);
+  w->Key("prefetch_hits").UInt(io.readahead.prefetch_hits);
+  w->Key("prefetch_wasted").UInt(io.readahead.prefetch_wasted);
+  w->EndObject();
+  w->EndObject();
+}
+
+void StatementRecord::SetSql(std::string text) {
+  sql = std::move(text);
+  query = NormalizeSql(sql);
+  fingerprint = Fnv1a64(query);
 }
 
 const std::vector<double>& StatStatements::LatencyBounds() {
@@ -145,10 +138,8 @@ const std::vector<double>& StatStatements::LatencyBounds() {
 StatStatements::StatStatements(size_t capacity)
     : capacity_(std::max<size_t>(capacity, 1)) {}
 
-void StatStatements::Record(const StatementSample& sample) {
-  std::string normalized = NormalizeSql(sample.sql);
-  const uint64_t fingerprint = Fnv1a64(normalized);
-  const Key key{fingerprint, sample.plan_hash};
+void StatStatements::Record(const StatementRecord& record) {
+  const Key key{record.fingerprint, record.plan_hash};
 
   MutexLock lock(mu_);
   auto it = index_.find(key);
@@ -162,12 +153,12 @@ void StatStatements::Record(const StatementSample& sample) {
       evicted_++;
     }
     StatementStats fresh;
-    fresh.query = std::move(normalized);
-    fresh.fingerprint = fingerprint;
-    fresh.plan_hash = sample.plan_hash;
-    fresh.latency_buckets.assign(LatencyBounds().size() + 1, 0);
-    fresh.min_seconds = sample.latency_seconds;
-    fresh.max_seconds = sample.latency_seconds;
+    fresh.query = record.query;
+    fresh.fingerprint = record.fingerprint;
+    fresh.plan_hash = record.plan_hash;
+    fresh.latency = HistogramSnapshot(LatencyBounds());
+    fresh.min_seconds = record.latency_seconds;
+    fresh.max_seconds = record.latency_seconds;
     entries_.push_front(std::move(fresh));
     it = index_.emplace(key, entries_.begin()).first;
   } else if (it->second != entries_.begin()) {
@@ -176,26 +167,17 @@ void StatStatements::Record(const StatementSample& sample) {
 
   StatementStats& entry = *it->second;
   entry.calls++;
-  entry.rows += sample.rows;
-  entry.total_seconds += sample.latency_seconds;
-  entry.total_io_seconds += sample.io_seconds;
-  entry.min_seconds = std::min(entry.min_seconds, sample.latency_seconds);
-  entry.max_seconds = std::max(entry.max_seconds, sample.latency_seconds);
-  AddIo(&entry.io, sample.io);
+  entry.rows += record.rows;
+  entry.total_seconds += record.latency_seconds;
+  entry.total_io_seconds += record.io_seconds;
+  entry.min_seconds = std::min(entry.min_seconds, record.latency_seconds);
+  entry.max_seconds = std::max(entry.max_seconds, record.latency_seconds);
+  AddIo(&entry.io, record.io);
+  entry.latency.Observe(record.latency_seconds);
 
-  const std::vector<double>& bounds = LatencyBounds();
-  size_t bucket = bounds.size();
-  for (size_t i = 0; i < bounds.size(); i++) {
-    if (sample.latency_seconds <= bounds[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  entry.latency_buckets[bucket]++;
-
-  if (!sample.residuals.empty()) {
+  if (!record.residuals.empty()) {
     entry.instrumented_calls++;
-    for (const OperatorResidual& r : sample.residuals) {
+    for (const OperatorResidual& r : record.residuals) {
       OperatorClassStats& cls = entry.operator_classes[r.op_class];
       cls.operators++;
       cls.modeled_io_seconds += r.modeled_io_seconds;
@@ -274,13 +256,13 @@ std::string StatStatements::ToJson() const {
     w.Key("mean_seconds").Double(e.MeanSeconds());
     w.Key("min_seconds").Double(e.min_seconds);
     w.Key("max_seconds").Double(e.max_seconds);
-    w.Key("p95_seconds").Double(e.QuantileSeconds(0.95));
+    w.Key("p95_seconds").Double(e.latency.Quantile(0.95));
     w.Key("total_io_seconds").Double(e.total_io_seconds);
     w.Key("residual_seconds").Double(e.ResidualSeconds());
     w.Key("io");
     AppendIoJson(e.io, &w);
     w.Key("latency_buckets").BeginArray();
-    for (uint64_t c : e.latency_buckets) w.UInt(c);
+    for (uint64_t c : e.latency.buckets) w.UInt(c);
     w.EndArray();
     w.Key("operator_classes").BeginObject();
     for (const auto& [name, cls] : e.operator_classes) {

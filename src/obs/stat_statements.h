@@ -9,6 +9,9 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "obs/histogram.h"
+#include "obs/json.h"
+#include "obs/wait_events.h"
 #include "storage/disk_manager.h"
 
 namespace elephant {
@@ -21,6 +24,9 @@ namespace obs {
 /// same text — the pg_stat_statements grouping discipline, done lexically
 /// because the engine has no post-parse query tree serializer.
 std::string NormalizeSql(std::string_view sql);
+
+/// FNV-1a 64-bit hash.
+uint64_t Fnv1a64(std::string_view data);
 
 /// FNV-1a 64-bit hash of NormalizeSql(sql): the statement fingerprint.
 uint64_t FingerprintSql(std::string_view sql);
@@ -39,6 +45,12 @@ uint64_t PlanShapeHash(std::string_view plan_text);
 /// tables and exports carry them as hex strings).
 std::string HexHash(uint64_t value);
 
+/// `io` as the JSON object stat-statements entries and EXPLAIN ANALYZE use:
+/// {"sequential_reads", "random_reads", "page_writes", "readahead":
+///  {"windows_issued", "pages_prefetched", "prefetch_hits",
+///   "prefetch_wasted"}}.
+void AppendIoJson(const IoStats& io, JsonWriter* w);
+
 /// The operator class of an EXPLAIN label: its first token ("HashJoin",
 /// "ClusteredScan on lineitem" -> "ClusteredScan").
 std::string OperatorClassOf(std::string_view label);
@@ -52,17 +64,29 @@ struct OperatorResidual {
   double measured_seconds = 0;
 };
 
-/// One finished statement, as the engine hands it to StatStatements.
-/// `residuals` is empty unless the statement ran instrumented (EXPLAIN
-/// ANALYZE): per-operator wall time only exists when every node is wrapped.
-struct StatementSample {
-  std::string sql;            ///< raw statement text (normalized internally)
+/// One finished statement, built once by the engine and handed to every
+/// per-statement sink: StatStatements (the cumulative registry) and QueryLog
+/// (the slow-query log). `fingerprint` and `plan_hash` are the join keys
+/// between them and EXPLAIN ANALYZE output, always rendered with HexHash.
+struct StatementRecord {
+  std::string sql;            ///< raw statement text
+  std::string query;          ///< NormalizeSql(sql)
+  uint64_t fingerprint = 0;   ///< Fnv1a64(query), i.e. FingerprintSql(sql)
   uint64_t plan_hash = 0;     ///< PlanShapeHash of the rendered plan tree
   uint64_t rows = 0;
   double latency_seconds = 0; ///< measured wall-clock execution time
   double io_seconds = 0;      ///< modeled disk time for `io`
   IoStats io;                 ///< physical page traffic, incl. readahead
+  int session_id = -1;        ///< -1 = outside any session
+  /// Where the statement's blocked time went (the slow-query log's
+  /// "wait_profile" object).
+  WaitProfile wait_profile;
+  /// Empty unless the statement ran instrumented (EXPLAIN ANALYZE):
+  /// per-operator wall time only exists when every node is wrapped.
   std::vector<OperatorResidual> residuals;
+
+  /// Sets `sql` and derives `query` and `fingerprint` from it.
+  void SetSql(std::string text);
 };
 
 /// Cumulative per-operator-class calibration data: how far the disk model's
@@ -96,17 +120,14 @@ struct StatementStats {
   double max_seconds = 0;
   IoStats io;
 
-  /// Per-call latency histogram over StatStatements::LatencyBounds();
-  /// one extra overflow bucket at the end.
-  std::vector<uint64_t> latency_buckets;
+  /// Per-call latency histogram over StatStatements::LatencyBounds().
+  HistogramSnapshot latency;
 
   std::map<std::string, OperatorClassStats> operator_classes;
 
   double MeanSeconds() const {
     return calls > 0 ? total_seconds / static_cast<double>(calls) : 0;
   }
-  /// Approximate per-call latency quantile (uniform within buckets).
-  double QuantileSeconds(double q) const;
   /// Statement-level model drift: measured wall time minus modeled I/O time.
   double ResidualSeconds() const { return total_seconds - total_io_seconds; }
 };
@@ -133,7 +154,7 @@ class StatStatements {
 
   /// Folds one finished statement into its entry (created — possibly
   /// evicting the least-recently-used entry — when new).
-  void Record(const StatementSample& sample);
+  void Record(const StatementRecord& record);
 
   /// Copies of every entry, most-recently-used first.
   std::vector<StatementStats> Snapshot() const;

@@ -11,6 +11,8 @@ namespace {
 
 thread_local int t_session_id = -1;
 thread_local uint64_t t_current_span = 0;
+thread_local QueryTrace* t_query_trace = nullptr;
+thread_local int t_phase_depth = 0;  ///< open phase spans in t_query_trace
 
 uint32_t AssignThreadTrackId() {
   static std::atomic<uint32_t> next{0};
@@ -48,7 +50,58 @@ void AppendMetadataJson(const char* name, int32_t pid, uint32_t tid,
   w->EndObject();
 }
 
+std::string FormatMs(double seconds) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.3fms", seconds * 1e3);
+  return buf;
+}
+
 }  // namespace
+
+double QueryTrace::SecondsFor(const std::string& name) const {
+  for (const SpanRecord& s : spans) {
+    if (s.name == name) return s.seconds;
+  }
+  return 0;
+}
+
+std::string QueryTrace::ToString() const {
+  std::string top;
+  std::string nested;
+  for (const SpanRecord& s : spans) {
+    if (s.depth == 0) {
+      if (!top.empty()) top += " | ";
+      top += s.name + " " + FormatMs(s.seconds);
+    } else {
+      nested.append(static_cast<size_t>(s.depth) * 2, ' ');
+      nested += s.name + " " + FormatMs(s.seconds) + "\n";
+    }
+  }
+  return nested.empty() ? top : top + "\n" + nested;
+}
+
+void QueryTrace::AppendJson(JsonWriter* w) const {
+  w->BeginArray();
+  for (const SpanRecord& s : spans) {
+    w->BeginObject();
+    w->Key("name").String(s.name);
+    w->Key("depth").Int(s.depth);
+    w->Key("seconds").Double(s.seconds);
+    w->EndObject();
+  }
+  w->EndArray();
+}
+
+QueryTraceScope::QueryTraceScope(QueryTrace* trace)
+    : prev_(t_query_trace), prev_depth_(t_phase_depth) {
+  t_query_trace = trace;
+  t_phase_depth = 0;
+}
+
+QueryTraceScope::~QueryTraceScope() {
+  t_query_trace = prev_;
+  t_phase_depth = prev_depth_;
+}
 
 TraceLog& TraceLog::Global() {
   static TraceLog log;
@@ -191,8 +244,21 @@ TraceParentScope::TraceParentScope(uint64_t parent_span_id)
 
 TraceParentScope::~TraceParentScope() { t_current_span = prev_; }
 
+TraceSpan TraceSpan::Phase(const char* name) {
+  return TraceSpan(name, "engine", {}, t_query_trace);
+}
+
 TraceSpan::TraceSpan(const char* name, const char* cat, TraceArgs args)
-    : name_(name), cat_(cat) {
+    : TraceSpan(name, cat, std::move(args), nullptr) {}
+
+TraceSpan::TraceSpan(const char* name, const char* cat, TraceArgs args,
+                     QueryTrace* trace)
+    : name_(name), cat_(cat), trace_(trace) {
+  if (trace_ != nullptr) {
+    record_ = trace_->spans.size();
+    trace_->spans.push_back(SpanRecord{name_, t_phase_depth++, 0});
+    start_ = std::chrono::steady_clock::now();
+  }
   TraceLog& log = TraceLog::Global();
   if (!log.enabled()) return;
   const uint64_t id = log.NextSpanId();
@@ -210,14 +276,20 @@ TraceSpan::TraceSpan(const char* name, const char* cat, TraceArgs args)
 }
 
 TraceSpan::~TraceSpan() {
-  if (id_ == 0) return;
-  t_current_span = prev_current_;
-  TraceEvent ev;
-  ev.ph = 'E';
-  ev.name = name_;
-  ev.cat = cat_;
-  ev.span_id = id_;
-  TraceLog::Global().Emit(std::move(ev));
+  if (id_ != 0) {
+    t_current_span = prev_current_;
+    TraceEvent ev;
+    ev.ph = 'E';
+    ev.name = name_;
+    ev.cat = cat_;
+    ev.span_id = id_;
+    TraceLog::Global().Emit(std::move(ev));
+  }
+  if (trace_ != nullptr) {
+    trace_->spans[record_].seconds = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - start_).count();
+    t_phase_depth--;
+  }
 }
 
 }  // namespace obs

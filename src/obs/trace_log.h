@@ -9,9 +9,52 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "obs/json.h"
 
 namespace elephant {
 namespace obs {
+
+/// One finished span: a named phase with its nesting depth and duration.
+/// Spans appear in start order, so a depth-annotated flat list reconstructs
+/// the tree.
+struct SpanRecord {
+  std::string name;
+  int depth = 0;
+  double seconds = 0;
+};
+
+/// The phase timings of one query, collected from its phase spans (see
+/// QueryTraceScope) and attached to QueryResult: parse -> bind -> plan ->
+/// execute, plus any nested phases.
+struct QueryTrace {
+  std::vector<SpanRecord> spans;
+
+  /// Seconds of the first span with this name, or 0 when absent.
+  double SecondsFor(const std::string& name) const;
+
+  /// "parse 0.01ms | bind 0.02ms | plan 0.1ms | execute 5.2ms" (top level
+  /// spans only; nested spans are indented on ToString's following lines).
+  std::string ToString() const;
+  void AppendJson(JsonWriter* w) const;
+};
+
+/// RAII thread-local QueryTrace collector: while installed, phase spans
+/// (TraceSpan::Phase) opened on this thread append a SpanRecord to `trace`,
+/// at depths counted from 0. Nests/restores like IoScope; a statement
+/// installs one before its parse phase. Worker threads never inherit it,
+/// and non-phase spans (statement, task, morsel, fault) never record into
+/// it. The scope and `trace` must outlive every phase span opened under it.
+class QueryTraceScope {
+ public:
+  explicit QueryTraceScope(QueryTrace* trace);
+  ~QueryTraceScope();
+  QueryTraceScope(const QueryTraceScope&) = delete;
+  QueryTraceScope& operator=(const QueryTraceScope&) = delete;
+
+ private:
+  QueryTrace* prev_;
+  int prev_depth_;
+};
 
 /// Extra string arguments attached to a trace event ({"sql": "...",
 /// "page": "17"}). Keys must be literals or otherwise outlive the call.
@@ -151,11 +194,12 @@ class TraceParentScope {
   uint64_t prev_;
 };
 
-/// RAII span: emits a 'B' event at construction and the matching 'E' at
-/// destruction on the same thread track, maintaining the thread's
-/// current-span chain for parent attribution. Inert (and allocation-free)
-/// when the global log is disabled; hot paths with argument strings should
-/// still gate on TraceLog::Global().enabled() to avoid building args.
+/// RAII span, the engine's one span type: emits a 'B' event at
+/// construction and the matching 'E' at destruction on the same thread
+/// track, maintaining the thread's current-span chain for parent
+/// attribution. Inert (and allocation-free) when the global log is disabled;
+/// hot paths with argument strings should still gate on
+/// TraceLog::Global().enabled() to avoid building args.
 class TraceSpan {
  public:
   TraceSpan(const char* name, const char* cat, TraceArgs args = {});
@@ -163,11 +207,23 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
+  /// A statement phase ("parse", "bind", "plan", "execute"): an "engine"
+  /// span that also appends a timed SpanRecord to the calling thread's
+  /// QueryTrace collector, when one is installed — whether or not the log
+  /// is enabled.
+  static TraceSpan Phase(const char* name);
+
  private:
+  TraceSpan(const char* name, const char* cat, TraceArgs args,
+            QueryTrace* trace);
+
   const char* name_;
   const char* cat_;
   uint64_t id_ = 0;  ///< 0 = inert (log disabled or event dropped)
   uint64_t prev_current_ = 0;
+  QueryTrace* trace_ = nullptr;  ///< phase spans: the collector recorded into
+  size_t record_ = 0;            ///< index of this span in trace_->spans
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace obs

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "obs/json.h"
+
 namespace elephant {
 namespace obs {
 
@@ -142,6 +144,19 @@ std::string WaitProfile::ToString() const {
   return out;
 }
 
+void WaitProfile::AppendJson(JsonWriter* w) const {
+  w->BeginObject();
+  w->Key("total_seconds").Double(TotalSeconds());
+  w->Key("lwlock_seconds").Double(ClassSeconds(WaitClass::kLWLock));
+  w->Key("lock_seconds").Double(ClassSeconds(WaitClass::kLock));
+  w->Key("io_seconds").Double(ClassSeconds(WaitClass::kIO));
+  w->Key("wal_seconds").Double(ClassSeconds(WaitClass::kWAL));
+  w->Key("condvar_seconds").Double(ClassSeconds(WaitClass::kCondVar));
+  w->Key("scheduler_seconds").Double(ClassSeconds(WaitClass::kScheduler));
+  w->Key("top_event").String(TopEventName());
+  w->EndObject();
+}
+
 WaitProfile WaitSink::ToProfile() const {
   WaitProfile p;
   for (int i = 0; i < kNumWaitEvents; i++) {
@@ -182,31 +197,20 @@ SessionWaitStateScope::SessionWaitStateScope(SessionWaitState* state)
 
 SessionWaitStateScope::~SessionWaitStateScope() { t_session_state = prev_; }
 
-double WaitEventRegistry::BucketBoundSeconds(int i) {
-  if (i >= kNumBuckets - 1) return 1e300;  // +Inf bucket
-  double bound = 1e-6;
-  for (int k = 0; k < i; k++) bound *= 4;
-  return bound;
+const std::vector<double>& WaitEventRegistry::BucketBounds() {
+  static const std::vector<double> bounds = [] {
+    std::vector<double> b;
+    for (double bound = 1e-6; b.size() < 15; bound *= 4) b.push_back(bound);
+    return b;
+  }();
+  return bounds;
 }
-
-namespace {
-
-int BucketFor(uint64_t wait_nanos) {
-  uint64_t bound = 1000;  // 1µs in nanos
-  for (int i = 0; i < WaitEventRegistry::kNumBuckets - 1; i++) {
-    if (wait_nanos <= bound) return i;
-    bound *= 4;
-  }
-  return WaitEventRegistry::kNumBuckets - 1;
-}
-
-}  // namespace
 
 void WaitEventRegistry::Record(WaitEventId event, uint64_t wait_nanos) {
   PerEvent& e = events_[static_cast<int>(event)];
   e.count.fetch_add(1, std::memory_order_relaxed);
   e.nanos.fetch_add(wait_nanos, std::memory_order_relaxed);
-  e.buckets[BucketFor(wait_nanos)].fetch_add(1, std::memory_order_relaxed);
+  e.latency.Observe(static_cast<double>(wait_nanos) / 1e9);
 }
 
 uint64_t WaitEventRegistry::Count(WaitEventId event) const {
@@ -219,50 +223,14 @@ uint64_t WaitEventRegistry::Nanos(WaitEventId event) const {
       std::memory_order_relaxed);
 }
 
-uint64_t WaitEventRegistry::ClassCount(WaitClass c) const {
-  uint64_t total = 0;
-  for (int i = 0; i < kNumWaitEvents; i++) {
-    if (kWaitEventInfos[i].wait_class == c) {
-      total += events_[i].count.load(std::memory_order_relaxed);
-    }
-  }
-  return total;
-}
-
-uint64_t WaitEventRegistry::ClassNanos(WaitClass c) const {
-  uint64_t total = 0;
-  for (int i = 0; i < kNumWaitEvents; i++) {
-    if (kWaitEventInfos[i].wait_class == c) {
-      total += events_[i].nanos.load(std::memory_order_relaxed);
-    }
-  }
-  return total;
-}
-
 WaitEventRegistry::EventSnapshot WaitEventRegistry::Snapshot(
     WaitEventId event) const {
   const PerEvent& e = events_[static_cast<int>(event)];
   EventSnapshot snap;
   snap.count = e.count.load(std::memory_order_relaxed);
   snap.nanos = e.nanos.load(std::memory_order_relaxed);
-  for (int i = 0; i < kNumBuckets; i++) {
-    snap.buckets[i] = e.buckets[i].load(std::memory_order_relaxed);
-  }
+  snap.latency = e.latency.Snapshot();
   return snap;
-}
-
-double WaitEventRegistry::QuantileSeconds(WaitEventId event, double q) const {
-  const EventSnapshot snap = Snapshot(event);
-  if (snap.count == 0) return 0;
-  const double target = q * static_cast<double>(snap.count);
-  uint64_t cumulative = 0;
-  for (int i = 0; i < kNumBuckets; i++) {
-    cumulative += snap.buckets[i];
-    if (static_cast<double>(cumulative) >= target) {
-      return BucketBoundSeconds(i);
-    }
-  }
-  return BucketBoundSeconds(kNumBuckets - 1);
 }
 
 WaitProfile WaitEventRegistry::ToProfile() const {
@@ -302,9 +270,7 @@ void WaitEventRegistry::Reset() {
   for (int i = 0; i < kNumWaitEvents; i++) {
     events_[i].count.store(0, std::memory_order_relaxed);
     events_[i].nanos.store(0, std::memory_order_relaxed);
-    for (int b = 0; b < kNumBuckets; b++) {
-      events_[i].buckets[b].store(0, std::memory_order_relaxed);
-    }
+    events_[i].latency.Reset();
   }
 }
 
@@ -312,6 +278,14 @@ WaitEventRegistry& WaitEventRegistry::Global() {
   static WaitEventRegistry registry;
   return registry;
 }
+
+namespace {
+// The registry's histograms allocate their buckets on construction; build
+// it at load time rather than on the first wait, which runs inside
+// Mutex::Lock.
+[[maybe_unused]] const WaitEventRegistry& g_eager_registry =
+    WaitEventRegistry::Global();
+}  // namespace
 
 WaitScope::WaitScope(WaitEventId event) : event_(event) {
   if (t_in_wait) return;  // nested: the outermost scope records

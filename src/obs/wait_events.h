@@ -21,8 +21,8 @@
 // nested scopes record nothing, so a WAL flush that syncs the disk under the
 // log mutex counts once as WAL, not three times as WAL + IO + LWLock.
 //
-// Recording fans out to three sinks, all wait-free (relaxed atomics, no
-// allocation, no locks — WaitScope runs inside Mutex::Lock itself):
+// Recording fans out to three sinks, none of which locks or allocates
+// (relaxed atomics only — WaitScope runs inside Mutex::Lock itself):
 //   - the process-wide WaitEventRegistry (cumulative counts + histograms),
 //   - the per-query WaitSink attached to the thread (see WaitSinkScope;
 //     TaskGroup propagates the query's sink to its workers),
@@ -30,18 +30,22 @@
 //     "waiting on <event>" while the wait is in progress.
 //
 // This header is included by common/thread_annotations.h (the Mutex/CondVar
-// hooks), so it must not include it back: lock_rank.h and the standard
-// library only.
+// hooks), so it must not include it back: lock_rank.h, histogram.h and the
+// standard library only.
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/lock_rank.h"
+#include "obs/histogram.h"
 
 namespace elephant {
 namespace obs {
+
+class JsonWriter;
 
 enum class WaitClass : uint8_t {
   kLWLock,
@@ -160,6 +164,12 @@ struct WaitProfile {
   /// "total=1.204ms lwlock=0.000ms lock=1.102ms io=0.072ms wal=0.030ms
   ///  condvar=0.000ms scheduler=0.000ms | top=Lock:TableExclusive"
   std::string ToString() const;
+
+  /// The same totals as a JSON object, shared by the EXPLAIN ANALYZE JSON
+  /// "waits" key and the slow-query log's "wait_profile" key:
+  /// {"total_seconds", "lwlock_seconds", "lock_seconds", "io_seconds",
+  ///  "wal_seconds", "condvar_seconds", "scheduler_seconds", "top_event"}.
+  void AppendJson(JsonWriter* w) const;
 };
 
 /// Per-query wait attribution sink, the wait-side sibling of IoSink: every
@@ -240,38 +250,32 @@ class SessionWaitStateScope {
   SessionWaitState* prev_;
 };
 
-/// Process-wide cumulative wait accounting: per-event counts, total nanos
-/// and a log-scale latency histogram. Entirely wait-free (relaxed atomics)
-/// because it is invoked from inside Mutex::Lock — it can never take a lock,
-/// allocate, or re-enter itself.
+/// Process-wide cumulative wait accounting: per-event exact counts and
+/// total nanos plus a log-scale latency Histogram. Lock- and allocation-free
+/// (relaxed atomics) because it is invoked from inside Mutex::Lock — it can
+/// never take a lock, allocate, or re-enter itself.
 class WaitEventRegistry {
  public:
-  /// Histogram buckets: upper bounds 1µs·4^i for i=0..14 (≈268s), plus +Inf.
-  static constexpr int kNumBuckets = 16;
-
-  /// Upper bound of bucket `i` in seconds (+Inf for the last).
-  static double BucketBoundSeconds(int i);
+  /// Histogram upper bounds in seconds: 1µs·4^i for i=0..14 (≈268s); the
+  /// histogram adds the overflow bucket.
+  static const std::vector<double>& BucketBounds();
 
   void Record(WaitEventId event, uint64_t wait_nanos);
 
   uint64_t Count(WaitEventId event) const;
   uint64_t Nanos(WaitEventId event) const;
-  uint64_t ClassCount(WaitClass c) const;
-  uint64_t ClassNanos(WaitClass c) const;
+  uint64_t ClassCount(WaitClass c) const { return ToProfile().ClassCount(c); }
+  uint64_t ClassNanos(WaitClass c) const { return ToProfile().ClassNanos(c); }
   double ClassSeconds(WaitClass c) const {
-    return static_cast<double>(ClassNanos(c)) / 1e9;
+    return ToProfile().ClassSeconds(c);
   }
 
   struct EventSnapshot {
     uint64_t count = 0;
     uint64_t nanos = 0;
-    std::array<uint64_t, kNumBuckets> buckets{};
+    HistogramSnapshot latency;  ///< wait seconds; p50/p95 via Quantile()
   };
   EventSnapshot Snapshot(WaitEventId event) const;
-
-  /// Histogram quantile estimate in seconds (upper bound of the bucket the
-  /// q-th wait falls in); 0 when the event never fired.
-  double QuantileSeconds(WaitEventId event, double q) const;
 
   /// Everything as a WaitProfile (the stat table's data source).
   WaitProfile ToProfile() const;
@@ -294,7 +298,7 @@ class WaitEventRegistry {
   struct PerEvent {
     std::atomic<uint64_t> count{0};
     std::atomic<uint64_t> nanos{0};
-    std::array<std::atomic<uint64_t>, kNumBuckets> buckets{};
+    Histogram latency{BucketBounds()};
   };
   PerEvent events_[kNumWaitEvents];
 };

@@ -213,7 +213,7 @@ TEST_F(ExplainAnalyzeTest, DatabaseMetricsCountStatements) {
   EXPECT_GE(db_->metrics().GetCounter("db.statements.explain")->value(), 1u);
   const obs::Histogram* lat = db_->metrics().FindHistogram("db.query_seconds");
   ASSERT_NE(lat, nullptr);
-  EXPECT_GE(lat->count(), 2u);
+  EXPECT_GE(lat->Snapshot().count, 2u);
 }
 
 TEST_F(ExplainAnalyzeTest, ToStringReportsModeledVsMeasured) {

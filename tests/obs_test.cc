@@ -3,7 +3,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/plan_stats.h"
-#include "obs/trace.h"
+#include "obs/trace_log.h"
 
 namespace elephant {
 namespace obs {
@@ -49,13 +49,21 @@ TEST(HistogramTest, BucketAssignment) {
   h.Observe(1.5);   // <= 2.0
   h.Observe(3.0);   // <= 4.0
   h.Observe(100.0); // overflow
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 106.0);
-  ASSERT_EQ(h.NumBuckets(), 4u);
-  EXPECT_EQ(h.BucketCount(0), 2u);
-  EXPECT_EQ(h.BucketCount(1), 1u);
-  EXPECT_EQ(h.BucketCount(2), 1u);
-  EXPECT_EQ(h.BucketCount(3), 1u);
+  const HistogramSnapshot snap = h.Snapshot();
+  EXPECT_EQ(snap.count, 5u);
+  EXPECT_DOUBLE_EQ(snap.sum, 106.0);
+  ASSERT_EQ(snap.buckets.size(), 4u);
+  EXPECT_EQ(snap.buckets[0], 2u);
+  EXPECT_EQ(snap.buckets[1], 1u);
+  EXPECT_EQ(snap.buckets[2], 1u);
+  EXPECT_EQ(snap.buckets[3], 1u);
+
+  // A snapshot observed into directly buckets the same way.
+  HistogramSnapshot direct(h.bounds());
+  for (double v : {0.5, 1.0, 1.5, 3.0, 100.0}) direct.Observe(v);
+  EXPECT_EQ(direct.buckets, snap.buckets);
+  EXPECT_EQ(direct.count, snap.count);
+  EXPECT_DOUBLE_EQ(direct.sum, snap.sum);
 }
 
 TEST(HistogramTest, BoundsAreSortedOnConstruction) {
@@ -69,28 +77,25 @@ TEST(HistogramTest, QuantileInterpolatesWithinBucket) {
   Histogram h({10.0});
   for (int i = 0; i < 10; i++) h.Observe(5.0);
   // All mass in [0, 10]; uniform assumption puts the median at 5.
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 5.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 10.0);
+  EXPECT_DOUBLE_EQ(h.Snapshot().Quantile(0.5), 5.0);
+  EXPECT_DOUBLE_EQ(h.Snapshot().Quantile(1.0), 10.0);
   // Overflow bucket reports the last bound.
   h.Observe(1e9);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 10.0);
+  EXPECT_DOUBLE_EQ(h.Snapshot().Quantile(1.0), 10.0);
   Histogram empty({1.0});
-  EXPECT_DOUBLE_EQ(empty.Quantile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(empty.Snapshot().Quantile(0.5), 0.0);
 }
 
-TEST(TracerTest, RecordsNestedSpansInStartOrder) {
-  Tracer tracer;
+TEST(QueryTraceTest, RecordsNestedPhaseSpansInStartOrder) {
+  QueryTrace trace;
   {
-    auto outer = tracer.StartSpan("execute");
+    QueryTraceScope collect(&trace);
+    auto outer = TraceSpan::Phase("execute");
     {
-      auto inner = tracer.StartSpan("scan");
-      (void)inner;
+      auto inner = TraceSpan::Phase("scan");
     }
-    auto sibling = tracer.StartSpan("sort");
-    sibling.End();
-    sibling.End();  // idempotent
+    auto sibling = TraceSpan::Phase("sort");
   }
-  QueryTrace trace = tracer.Finish();
   ASSERT_EQ(trace.spans.size(), 3u);
   EXPECT_EQ(trace.spans[0].name, "execute");
   EXPECT_EQ(trace.spans[0].depth, 0);
@@ -103,12 +108,30 @@ TEST(TracerTest, RecordsNestedSpansInStartOrder) {
   EXPECT_DOUBLE_EQ(trace.SecondsFor("missing"), 0.0);
 }
 
-TEST(TracerTest, FinishClosesDanglingSpans) {
-  Tracer tracer;
-  auto scope = tracer.StartSpan("parse");
-  QueryTrace trace = tracer.Finish();
-  ASSERT_EQ(trace.spans.size(), 1u);
-  EXPECT_GE(trace.spans[0].seconds, 0.0);
+TEST(QueryTraceTest, OnlyPhaseSpansUnderAScopeRecord) {
+  // No collector installed: the phase span records nowhere.
+  { auto outside = TraceSpan::Phase("parse"); }
+  QueryTrace trace;
+  {
+    QueryTraceScope collect(&trace);
+    auto phase = TraceSpan::Phase("execute");
+    TraceSpan task("task", "sched");  // not a phase
+    {
+      // A nested statement collects into its own trace, from depth 0.
+      QueryTrace nested;
+      QueryTraceScope nested_collect(&nested);
+      { auto inner = TraceSpan::Phase("parse"); }
+      ASSERT_EQ(nested.spans.size(), 1u);
+      EXPECT_EQ(nested.spans[0].depth, 0);
+    }
+    auto sibling = TraceSpan::Phase("fetch");
+  }
+  ASSERT_EQ(trace.spans.size(), 2u);
+  EXPECT_EQ(trace.spans[0].name, "execute");
+  EXPECT_EQ(trace.spans[0].depth, 0);
+  EXPECT_EQ(trace.spans[1].name, "fetch");
+  EXPECT_EQ(trace.spans[1].depth, 1);
+  for (const SpanRecord& s : trace.spans) EXPECT_GE(s.seconds, 0.0);
 }
 
 TEST(JsonWriterTest, EscapesAndStructures) {

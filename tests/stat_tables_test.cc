@@ -42,15 +42,15 @@ TEST(NormalizeSql, FingerprintGroupsShapes) {
 
 TEST(StatStatements, AccumulatesAndGroupsByFingerprintAndPlan) {
   obs::StatStatements reg(8);
-  obs::StatementSample s;
-  s.sql = "SELECT a FROM t WHERE k < 10";
+  obs::StatementRecord s;
+  s.SetSql("SELECT a FROM t WHERE k < 10");
   s.plan_hash = 42;
   s.rows = 3;
   s.latency_seconds = 0.5;
   s.io_seconds = 0.25;
   s.io.sequential_reads = 7;
   reg.Record(s);
-  s.sql = "SELECT a FROM t WHERE k < 99";  // same shape
+  s.SetSql("SELECT a FROM t WHERE k < 99");  // same shape
   s.rows = 5;
   reg.Record(s);
 
@@ -73,18 +73,18 @@ TEST(StatStatements, AccumulatesAndGroupsByFingerprintAndPlan) {
 
 TEST(StatStatements, LruEvictionIsBoundedAndCounted) {
   obs::StatStatements reg(2);
-  obs::StatementSample s;
+  obs::StatementRecord s;
   s.latency_seconds = 0.001;
-  s.sql = "SELECT 1 FROM a";
+  s.SetSql("SELECT 1 FROM a");
   reg.Record(s);
-  s.sql = "SELECT 1 FROM b";
+  s.SetSql("SELECT 1 FROM b");
   reg.Record(s);
   EXPECT_EQ(reg.evicted_entries(), 0u);
 
   // Touch `a` so `b` becomes the LRU victim.
-  s.sql = "SELECT 1 FROM a";
+  s.SetSql("SELECT 1 FROM a");
   reg.Record(s);
-  s.sql = "SELECT 1 FROM c";
+  s.SetSql("SELECT 1 FROM c");
   reg.Record(s);
 
   EXPECT_EQ(reg.size(), 2u);
@@ -98,15 +98,15 @@ TEST(StatStatements, LruEvictionIsBoundedAndCounted) {
 
 TEST(StatStatements, ResidualsAccumulatePerOperatorClass) {
   obs::StatStatements reg;
-  obs::StatementSample s;
-  s.sql = "SELECT 1 FROM t";
+  obs::StatementRecord s;
+  s.SetSql("SELECT 1 FROM t");
   s.latency_seconds = 0.1;
   s.residuals.push_back({"ClusteredIndexScan", 0.02, 0.05});
   s.residuals.push_back({"HashJoin", 0.0, 0.01});
   s.residuals.push_back({"ClusteredIndexScan", 0.01, 0.01});
   reg.Record(s);
-  reg.Record(obs::StatementSample{
-      "SELECT 1 FROM t", 0, 0, 0.1, 0, IoStats{}, {}});  // uninstrumented
+  s.residuals.clear();
+  reg.Record(s);  // uninstrumented
 
   const obs::StatementStats e = reg.Snapshot()[0];
   EXPECT_EQ(e.calls, 2u);
@@ -122,8 +122,8 @@ TEST(StatStatements, ResidualsAccumulatePerOperatorClass) {
 
 TEST(StatStatements, ToJsonIsValidAndCarriesTotals) {
   obs::StatStatements reg;
-  obs::StatementSample s;
-  s.sql = "SELECT a FROM t WHERE k = 7";
+  obs::StatementRecord s;
+  s.SetSql("SELECT a FROM t WHERE k = 7");
   s.latency_seconds = 0.01;
   s.io.random_reads = 3;
   s.residuals.push_back({"Filter", 0.001, 0.002});
@@ -390,11 +390,12 @@ TEST_F(StatTablesTest, ExportsValidateAndSurfaceRegistryFamilies) {
 }
 
 TEST_F(StatTablesTest, SlowQueryLogCarriesSqlFingerprint) {
+  ResetAllCounters();
   const std::string path = ::testing::TempDir() + "stat_tables_query_log.jsonl";
+  const std::string sql =
+      "SELECT l_orderkey FROM lineitem WHERE l_orderkey < 100";
   ASSERT_TRUE(db_->EnableSlowQueryLog(path, /*threshold_seconds=*/0));
-  ASSERT_TRUE(db_->Execute(
-                     "SELECT l_orderkey FROM lineitem WHERE l_orderkey < 100")
-                  .ok());
+  ASSERT_TRUE(db_->Execute(sql).ok());
   ASSERT_TRUE(db_->Execute(
                      "SELECT l_orderkey FROM lineitem WHERE l_orderkey < 250")
                   .ok());
@@ -408,24 +409,43 @@ TEST_F(StatTablesTest, SlowQueryLogCarriesSqlFingerprint) {
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) contents.append(buf, n);
   std::fclose(f);
 
-  // Both entries must agree on sql_fingerprint (the shape key) even though
-  // their literals differ.
-  const std::string key = "\"sql_fingerprint\":";
-  const size_t first = contents.find(key);
-  ASSERT_NE(first, std::string::npos) << contents;
-  const size_t second = contents.find(key, first + key.size());
-  ASSERT_NE(second, std::string::npos) << contents;
-  auto value_at = [&contents, &key](size_t pos) {
-    const size_t start = pos + key.size();
-    size_t end = start;
-    while (end < contents.size() && contents[end] != ',' &&
-           contents[end] != '}') {
-      end++;
-    }
-    return contents.substr(start, end - start);
+  // The string value of the first `key` in `doc` at or after `from`.
+  auto string_at = [](const std::string& doc, const std::string& key,
+                      size_t from) {
+    const std::string needle = "\"" + key + "\":\"";
+    const size_t pos = doc.find(needle, from);
+    if (pos == std::string::npos) return std::string();
+    const size_t start = pos + needle.size();
+    return doc.substr(start, doc.find('"', start) - start);
   };
-  EXPECT_EQ(value_at(first), value_at(second)) << contents;
-  EXPECT_NE(value_at(first), "0");
+  const std::string log_fingerprint = string_at(contents, "sql_fingerprint", 0);
+  const std::string log_plan_hash = string_at(contents, "plan_hash", 0);
+  // Hashes are HexHash strings, the spelling every other export uses.
+  EXPECT_EQ(log_fingerprint, obs::HexHash(obs::FingerprintSql(sql)))
+      << contents;
+  EXPECT_EQ(log_plan_hash.size(), 16u) << contents;
+  // Both entries agree on sql_fingerprint (the shape key) even though their
+  // literals differ.
+  const size_t second_line = contents.find('\n') + 1;
+  EXPECT_EQ(string_at(contents, "sql_fingerprint", second_line),
+            log_fingerprint)
+      << contents;
+
+  // The log joins against elephant_stat_statements without conversion...
+  auto stat = db_->Execute(
+      "SELECT fingerprint, plan_hash FROM elephant_stat_statements "
+      "WHERE query = '" + obs::NormalizeSql(sql) + "'");
+  ASSERT_TRUE(stat.ok()) << stat.status().ToString();
+  ASSERT_EQ(stat.value().rows.size(), 1u);
+  EXPECT_EQ(stat.value().rows[0][0].AsString(), log_fingerprint);
+  EXPECT_EQ(stat.value().rows[0][1].AsString(), log_plan_hash);
+
+  // ...and against EXPLAIN ANALYZE of the same statement.
+  auto analyzed = db_->ExplainAnalyze(sql);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_EQ(string_at(analyzed.value().json, "sql_fingerprint", 0),
+            log_fingerprint);
+  EXPECT_EQ(string_at(analyzed.value().json, "plan_hash", 0), log_plan_hash);
 }
 
 TEST_F(StatTablesTest, TraceDropCounterObservableAfterOverflow) {

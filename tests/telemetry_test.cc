@@ -1,7 +1,9 @@
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -185,6 +187,79 @@ TEST_F(TelemetryTest, TraceIsValidJsonWithBalancedSpans) {
   std::set<int32_t> pids;
   for (const obs::TraceEvent& ev : events) pids.insert(ev.pid);
   EXPECT_GE(pids.size(), 2u);
+}
+
+/// A statement's QueryTrace as (name, depth) pairs in start order.
+std::vector<std::pair<std::string, int>> PhaseShape(
+    const std::shared_ptr<const obs::QueryTrace>& trace) {
+  std::vector<std::pair<std::string, int>> shape;
+  if (trace == nullptr) return shape;
+  for (const obs::SpanRecord& s : trace->spans) {
+    shape.emplace_back(s.name, s.depth);
+  }
+  return shape;
+}
+
+const std::vector<std::pair<std::string, int>> kSelectPhases = {
+    {"parse", 0}, {"bind", 0}, {"plan", 0}, {"execute", 0}};
+
+TEST_F(TelemetryTest, QueryTraceIsIdenticalWithTraceLogOnAndOff) {
+  obs::TraceLog& log = obs::TraceLog::Global();
+  const std::string select =
+      "SELECT o_orderpriority, COUNT(*) FROM orders GROUP BY o_orderpriority";
+  const std::vector<std::pair<std::string,
+                              std::vector<std::pair<std::string, int>>>>
+      cases = {
+          {select, kSelectPhases},
+          {"EXPLAIN " + select, {{"parse", 0}}},
+          {"EXPLAIN ANALYZE " + select, kSelectPhases},
+      };
+  for (const auto& [sql, expected] : cases) {
+    log.Disable();
+    auto off = db_->Execute(sql);
+    log.Clear();
+    log.Enable();
+    auto on = db_->Execute(sql);
+    log.Disable();
+    ASSERT_TRUE(off.ok()) << sql << "\n" << off.status().ToString();
+    ASSERT_TRUE(on.ok()) << sql << "\n" << on.status().ToString();
+    EXPECT_EQ(PhaseShape(off.value().trace), expected) << sql;
+    EXPECT_EQ(PhaseShape(on.value().trace), expected) << sql;
+    EXPECT_GT(log.EventCount(), 0u) << sql;
+  }
+
+  auto off = db_->ExplainAnalyze(select);
+  log.Enable();
+  auto on = db_->ExplainAnalyze(select);
+  log.Disable();
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  ASSERT_TRUE(on.ok()) << on.status().ToString();
+  EXPECT_EQ(PhaseShape(off.value().result.trace), kSelectPhases);
+  EXPECT_EQ(PhaseShape(on.value().result.trace), kSelectPhases);
+  log.Clear();
+}
+
+TEST_F(TelemetryTest, ParallelQueryTraceHoldsOnlyStatementPhases) {
+  obs::TraceLog& log = obs::TraceLog::Global();
+  ASSERT_TRUE(db_->pool().EvictAll().ok());  // so the scan faults pages in
+  log.Clear();
+  log.Enable();
+  auto r = db_->Execute(
+      "/*+ PARALLEL 4 */ SELECT COUNT(*), SUM(l_quantity) FROM lineitem");
+  log.Disable();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  // The Chrome trace saw the worker, morsel and fault spans...
+  std::set<std::string> traced;
+  for (const obs::TraceEvent& ev : log.Snapshot()) {
+    if (ev.ph == 'B') traced.insert(ev.name);
+  }
+  EXPECT_EQ(traced.count("task"), 1u);
+  EXPECT_EQ(traced.count("morsel"), 1u);
+  EXPECT_EQ(traced.count("page_fault"), 1u);
+  // ...but none of them entered the statement's QueryTrace.
+  EXPECT_EQ(PhaseShape(r.value().trace), kSelectPhases);
+  log.Clear();
 }
 
 TEST_F(TelemetryTest, PrometheusExportConforms) {

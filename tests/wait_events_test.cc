@@ -120,39 +120,76 @@ TEST(WaitScope, OutermostWinsNestedScopesAreInert) {
 }
 
 TEST(WaitRegistry, HistogramBucketsAndQuantiles) {
-  // Bucket bounds: 1µs * 4^i, monotone, +Inf cap.
-  for (int i = 1; i + 1 < obs::WaitEventRegistry::kNumBuckets; i++) {
-    EXPECT_GT(obs::WaitEventRegistry::BucketBoundSeconds(i),
-              obs::WaitEventRegistry::BucketBoundSeconds(i - 1));
+  // Bucket bounds: 1µs * 4^i, monotone; the histogram adds the overflow.
+  const std::vector<double>& bounds = obs::WaitEventRegistry::BucketBounds();
+  ASSERT_EQ(bounds.size(), 15u);
+  for (size_t i = 1; i < bounds.size(); i++) {
+    EXPECT_GT(bounds[i], bounds[i - 1]);
   }
-  EXPECT_DOUBLE_EQ(obs::WaitEventRegistry::BucketBoundSeconds(0), 1e-6);
-  // The last bucket is the catch-all (+Inf, spelled as a huge finite bound
-  // so the stat table's p95 column stays serializable).
-  EXPECT_GE(obs::WaitEventRegistry::BucketBoundSeconds(
-                obs::WaitEventRegistry::kNumBuckets - 1),
-            1e300);
+  EXPECT_DOUBLE_EQ(bounds[0], 1e-6);
 
   obs::WaitEventRegistry reg;
-  EXPECT_EQ(reg.QuantileSeconds(WaitEventId::kLockTableShared, 0.5), 0.0);
+  EXPECT_EQ(reg.Snapshot(WaitEventId::kLockTableShared).latency.Quantile(0.5),
+            0.0);
   reg.Record(WaitEventId::kLockTableShared, 500);      // 0.5µs -> bucket 0
   reg.Record(WaitEventId::kLockTableShared, 100000);   // 100µs -> bound 256µs
   reg.Record(WaitEventId::kLockTableShared, 100000);
   EXPECT_EQ(reg.Count(WaitEventId::kLockTableShared), 3u);
   EXPECT_EQ(reg.Nanos(WaitEventId::kLockTableShared), 200500u);
   EXPECT_EQ(reg.ClassCount(WaitClass::kLock), 3u);
-  EXPECT_DOUBLE_EQ(reg.QuantileSeconds(WaitEventId::kLockTableShared, 0.0),
-                   1e-6);
-  EXPECT_DOUBLE_EQ(reg.QuantileSeconds(WaitEventId::kLockTableShared, 1.0),
-                   256e-6);
 
   const obs::WaitEventRegistry::EventSnapshot snap =
       reg.Snapshot(WaitEventId::kLockTableShared);
+  // Interpolated within the bucket: q=0 sits at bucket 0's lower edge, q=1
+  // at the upper edge of the last occupied bucket.
+  EXPECT_DOUBLE_EQ(snap.latency.Quantile(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(snap.latency.Quantile(1.0), 256e-6);
+  EXPECT_EQ(snap.latency.buckets[0], 1u);
+  EXPECT_EQ(snap.latency.buckets[4], 2u);
   uint64_t bucketed = 0;
-  for (uint64_t b : snap.buckets) bucketed += b;
+  for (uint64_t b : snap.latency.buckets) bucketed += b;
   EXPECT_EQ(bucketed, snap.count);
+  EXPECT_EQ(snap.latency.count, snap.count);
+
+  // Bucket edges are inclusive, in nanos as in seconds.
+  reg.Record(WaitEventId::kWalFlush, 1000);   // exactly 1µs -> bucket 0
+  reg.Record(WaitEventId::kWalFlush, 4001);   // just past 4µs -> bucket 2
+  const obs::HistogramSnapshot wal =
+      reg.Snapshot(WaitEventId::kWalFlush).latency;
+  EXPECT_EQ(wal.buckets[0], 1u);
+  EXPECT_EQ(wal.buckets[2], 1u);
+
+  // A wait past the last bound lands in the overflow bucket, whose quantile
+  // reports the last finite bound.
+  reg.Record(WaitEventId::kIoDataFileSync, 1000ull * 1000 * 1000 * 1000);
+  const obs::HistogramSnapshot sync =
+      reg.Snapshot(WaitEventId::kIoDataFileSync).latency;
+  EXPECT_EQ(sync.buckets.back(), 1u);
+  EXPECT_DOUBLE_EQ(sync.Quantile(0.95), bounds.back());
 
   reg.Reset();
   EXPECT_EQ(reg.Count(WaitEventId::kLockTableShared), 0u);
+  EXPECT_EQ(reg.Snapshot(WaitEventId::kLockTableShared).latency.count, 0u);
+}
+
+TEST(WaitRegistry, ConcurrentHistogramObserversLoseNoCounts) {
+  obs::Histogram h(obs::WaitEventRegistry::BucketBounds());
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 10000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&h, t] {
+      for (int i = 0; i < kPerThread; i++) {
+        h.Observe(1e-6 * static_cast<double>((t * kPerThread + i) % 5000));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const obs::HistogramSnapshot snap = h.Snapshot();
+  uint64_t bucketed = 0;
+  for (uint64_t b : snap.buckets) bucketed += b;
+  EXPECT_EQ(snap.count, bucketed);
+  EXPECT_EQ(snap.count, uint64_t{kThreads} * kPerThread);
 }
 
 TEST(WaitRegistry, PrometheusEmitsFullTaxonomyWithZeros) {
