@@ -3,12 +3,7 @@
 # different things:
 #
 #   default   correctness (full suite, incl. the lint/lint_selftest tests)
-#   analysis  static-analysis gate: regex lint (self-test + live, fallback
-#             rules auto-retired when clang++ is present) and the AST
-#             protocol analyzer (tools/elephant_analyze) — checker self-test
-#             on committed AST fixtures plus a live run over
-#             compile_commands.json that SKIPS LOUDLY when clang++ is absent
-#   analyze   Clang -Wthread-safety -Werror whole-tree lock-discipline proof
+#   analysis  the regex lint: self-test over tests/lint_fixtures, then src/
 #   sanitize  ASan + UBSan
 #   telemetry run a traced multi-session PARALLEL workload on the default
 #             build and validate the export formats (Chrome trace JSON,
@@ -21,35 +16,23 @@
 #             restores exactly the committed prefix (base table, MV, and
 #             c-tables checked against a shadow oracle)
 #
-# The analyze preset needs clang++; when it is not installed the preset is
-# skipped with a loud notice (the annotations compile as no-ops under GCC, so
-# the default build still exercises the same code).
-#
 # Usage: scripts/check.sh [preset ...]
-#        (default: default analyze sanitize telemetry recovery)
+#        (default: default analysis sanitize telemetry recovery)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 PRESETS=("$@")
 if [ ${#PRESETS[@]} -eq 0 ]; then
-  PRESETS=(default analysis analyze sanitize telemetry recovery)
+  PRESETS=(default analysis sanitize telemetry recovery)
 fi
 
 for preset in "${PRESETS[@]}"; do
   if [ "$preset" = analysis ]; then
-    echo "=== [$preset] configure ==============================================="
-    cmake --preset default
     echo "=== [$preset] lint self-test =========================================="
     python3 scripts/elephant_lint.py --self-test
     echo "=== [$preset] lint ===================================================="
     python3 scripts/elephant_lint.py
-    echo "=== [$preset] analyzer self-test ======================================"
-    python3 tools/elephant_analyze --self-test
-    echo "=== [$preset] analyzer live run ======================================="
-    # Prints a SKIPPED notice (exit 0) when clang++ is not installed; the
-    # ctest `analysis` label turns the same notice into an explicit Skipped.
-    python3 tools/elephant_analyze --build-dir build
     continue
   fi
   if [ "$preset" = recovery ]; then
@@ -80,12 +63,6 @@ for preset in "${PRESETS[@]}"; do
     echo "=== [$preset] bench-regression self-tests ============================="
     python3 scripts/bench_regress.py figure2 --self-test
     python3 scripts/bench_regress.py parallel --self-test
-    continue
-  fi
-  if [ "$preset" = analyze ] && ! command -v clang++ >/dev/null 2>&1; then
-    echo "=== [$preset] SKIPPED: clang++ not installed =========================="
-    echo "    Thread-safety annotations were NOT statically verified."
-    echo "    Install clang and re-run: scripts/check.sh analyze"
     continue
   fi
   echo "=== [$preset] configure ==============================================="

@@ -7,13 +7,17 @@ arguments depend on:
   raw-page-api      FetchPage / NewPage / UnpinPage outside the buffer pool
                     and PageGuard implementation. Engine code must hold pages
                     through PageGuard (RAII unpin) so pin leaks are impossible
-                    by construction. FALLBACK RULE — see below.
+                    by construction.
   raw-mutex         std::mutex / std::condition_variable / std::lock_guard /
                     std::unique_lock / std::scoped_lock / std::shared_mutex in
-                    src/. Engine code must use the annotated Mutex / MutexLock
-                    / CondVar from common/thread_annotations.h so Clang's
-                    -Wthread-safety analysis sees every lock.
-                    FALLBACK RULE — see below.
+                    src/. Engine code must use the Mutex / MutexLock / CondVar
+                    wrappers from common/thread_annotations.h: only those run
+                    the lock-rank and blocking-under-latch checks and open the
+                    wait-event scopes, so a raw primitive escapes all three.
+  discarded-status  a `(void)` cast with no lint:allow(discarded-status)
+                    comment. Status and Result are [[nodiscard]] and the build
+                    passes -Werror=unused-result, so `(void)` is the only way
+                    to drop one; each such launder must say why.
   unguarded-mutex   A Mutex member declared in a header whose file contains no
                     GUARDED_BY(that_mutex) annotation — a capability nothing
                     is guarded by is almost always a forgotten annotation.
@@ -51,16 +55,6 @@ arguments depend on:
                     silently breaks redo idempotence and the WAL rule.
                     Everything else mutates heaps through the wal:: helpers
                     (InsertTxn / DeleteRowTxn / UpdateRowTxn).
-                    FALLBACK RULE — see below.
-
-Fallback rules: raw-page-api, raw-mutex and wal-protocol are regex
-approximations of protocols the AST analyzer (tools/elephant_analyze)
-checks precisely — clang's thread-safety analysis plus the lock-rank,
-page-escape and wal-order checkers subsume them. When clang++ is installed
-the AST layer is authoritative and these rules are retired for the normal
-lint run (a notice says so); when clang++ is absent they stay active as the
-fallback enforcement. --self-test always exercises ALL rules in both
-environments, and --force-fallback re-activates them with clang present.
 
 Suppress a finding with a trailing or preceding-line comment:
 
@@ -69,17 +63,11 @@ Suppress a finding with a trailing or preceding-line comment:
 Usage:
   elephant_lint.py [--root DIR]              lint src/ (exit 1 on findings)
   elephant_lint.py --self-test [--root DIR]  run against tests/lint_fixtures/
-  elephant_lint.py --clang-tidy BUILD_DIR    additionally run clang-tidy over
-                                             compile_commands.json (skipped
-                                             with a notice when clang-tidy is
-                                             not installed)
 """
 
 import argparse
 import os
 import re
-import shutil
-import subprocess
 import sys
 
 # Files allowed to use the raw pin API: the pool itself and the guard that
@@ -95,25 +83,6 @@ RAW_PAGE_API_ALLOWED = {
 RAW_MUTEX_ALLOWED = {
     os.path.join("common", "thread_annotations.h"),
 }
-
-RULES = (
-    "raw-page-api",
-    "raw-mutex",
-    "unguarded-mutex",
-    "naked-new",
-    "naked-delete",
-    "nonconst-global",
-    "unchecked-narrowing",
-    "stat-statements-mutation",
-    "batch-interface",
-    "wal-protocol",
-)
-
-# Regex approximations of protocols tools/elephant_analyze proves at AST
-# level (via clang -Wthread-safety and the lock-rank / page-escape /
-# wal-order checkers). Active only when clang++ is unavailable — the
-# fallback enforcement — or under --force-fallback / --self-test.
-FALLBACK_RULES = frozenset({"raw-page-api", "raw-mutex", "wal-protocol"})
 
 # Directories (top-level under src/) allowed to touch the statement registry:
 # obs/ implements it, engine/ records into it and serves the virtual tables.
@@ -155,6 +124,11 @@ RAW_PAGE_API_RE = re.compile(
 )
 # FetchPageGuarded / NewPageGuarded are the sanctioned spellings.
 RAW_PAGE_API_OK_RE = re.compile(r"\b(?:FetchPage|NewPage)Guarded\b")
+
+# A `(void)` cast: the previous token is not a name (so `f(void)`
+# declarations and `function<void(void)>` are exempt) and an expression
+# follows.
+VOID_CAST_RE = re.compile(r"(?:^|[^\w\s])\s*\(\s*void\s*\)\s*[\w(*&:!~]")
 
 RAW_MUTEX_RE = re.compile(
     r"\bstd\s*::\s*(?:mutex|shared_mutex|recursive_mutex|timed_mutex|"
@@ -340,6 +314,14 @@ def lint_file(path, rel, text):
                        "annotated Mutex/MutexLock/CondVar from "
                        "common/thread_annotations.h")
 
+    # --- discarded-status ---
+    for lineno, ln in enumerate(lines, 1):
+        if VOID_CAST_RE.search(ln):
+            report(lineno, "discarded-status",
+                   "(void) cast without a justification; consume the "
+                   "Status/Result, or add // lint:allow(discarded-status): "
+                   "reason")
+
     # --- unchecked-narrowing (value.cc only; fixtures lint as bare names) ---
     if rel in NARROWING_SCOPED or os.sep not in rel:
         for lineno, ln in enumerate(lines, 1):
@@ -519,74 +501,28 @@ def run_self_test(root):
     return 1 if failures else 0
 
 
-def run_clang_tidy(root, build_dir):
-    tidy = shutil.which("clang-tidy")
-    if tidy is None:
-        print("clang-tidy not installed; skipping the clang-tidy pass "
-              "(regex rules still enforced)")
-        return 0
-    db = os.path.join(build_dir, "compile_commands.json")
-    if not os.path.exists(db):
-        print(f"no compile_commands.json in {build_dir}; configure with "
-              "CMAKE_EXPORT_COMPILE_COMMANDS=ON", file=sys.stderr)
-        return 1
-    sources = [full for full, _ in collect_sources(root, "src")
-               if full.endswith(".cc")]
-    r = subprocess.run([tidy, "-p", build_dir, "--quiet"] + sources,
-                       cwd=root)
-    return 1 if r.returncode != 0 else 0
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--root", default=None,
                     help="repo root (default: parent of this script)")
     ap.add_argument("--self-test", action="store_true",
                     help="lint the seeded fixtures instead of src/")
-    ap.add_argument("--clang-tidy", metavar="BUILD_DIR", default=None,
-                    help="also run clang-tidy over compile_commands.json")
-    ap.add_argument("--force-fallback", action="store_true",
-                    help="keep the fallback rules active even when clang++ "
-                         "is installed")
     args = ap.parse_args()
 
     root = args.root or os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
 
     if args.self_test:
-        # The self-test always exercises every rule, fallback ones included:
-        # the fixtures prove the regex layer still works in a clang-less
-        # environment regardless of what this machine has installed.
         return run_self_test(root)
 
-    fallback_active = args.force_fallback or shutil.which("clang++") is None
-    if fallback_active:
-        active_rules = set(RULES)
-        print("elephant_lint: fallback mode — clang++ "
-              + ("override (--force-fallback)" if args.force_fallback
-                 else "not found")
-              + "; regex rules " + ", ".join(sorted(FALLBACK_RULES))
-              + " enforce what tools/elephant_analyze would prove at AST "
-                "level")
-    else:
-        active_rules = set(RULES) - FALLBACK_RULES
-        print("elephant_lint: clang++ present — retired fallback rules "
-              + ", ".join(sorted(FALLBACK_RULES))
-              + " (tools/elephant_analyze and -Wthread-safety are "
-                "authoritative); run with --force-fallback to re-enable")
-
-    findings = [f for f in run_lint(root) if f.rule in active_rules]
+    findings = run_lint(root)
     for f in findings:
         print(f)
-    rc = 0
     if findings:
         print(f"\nelephant_lint: {len(findings)} finding(s) in src/")
-        rc = 1
-    else:
-        print("elephant_lint: src/ clean")
-    if args.clang_tidy is not None:
-        rc = max(rc, run_clang_tidy(root, args.clang_tidy))
-    return rc
+        return 1
+    print("elephant_lint: src/ clean")
+    return 0
 
 
 if __name__ == "__main__":

@@ -121,5 +121,19 @@ LockRank MaxHeldRank() {
   return max;
 }
 
+void AssertMayBlock(const char* what, const std::source_location& caller) {
+  for (int i = 0; i < t_held.size; i++) {
+    const HeldLock& held = t_held.entries[i];
+    if (held.rank != LockRank::kBufferPool) continue;
+    std::fprintf(stderr,
+                 "blocking-under-latch violation: %s called from %s:%u (%s) "
+                 "while holding \"%s\" (%s); release the buffer-pool latch "
+                 "before blocking\n",
+                 what, caller.file_name(), caller.line(),
+                 caller.function_name(), held.name, LockRankName(held.rank));
+    std::abort();
+  }
+}
+
 }  // namespace lock_rank
 }  // namespace elephant

@@ -1,13 +1,15 @@
 #pragma once
 
+#include <source_location>
+
 // Ranked-lock deadlock freedom.
 //
 // Every long-lived engine mutex is assigned a static rank, and the runtime
-// validator (plus the AST analyzer in tools/elephant_analyze/) enforces that
-// a thread only ever acquires locks in strictly increasing rank order. Any
-// two code paths that respect the order cannot deadlock on these mutexes:
-// a wait-for cycle would need at least one edge from a higher-ranked holder
-// to a lower-ranked lock, which the order forbids.
+// validator below enforces that a thread only ever acquires locks in
+// strictly increasing rank order. Any two code paths that respect the order
+// cannot deadlock on these mutexes: a wait-for cycle would need at least one
+// edge from a higher-ranked holder to a lower-ranked lock, which the order
+// forbids.
 //
 // The rank order follows the engine's layering, front-of-house first:
 //
@@ -31,8 +33,9 @@
 // validator keeps a thread-local stack of held ranked locks and aborts with
 // both lock names the moment an acquisition would invert the order.
 //
-// Define ELEPHANT_NO_LOCK_RANK_CHECKS (CMake: -DELEPHANT_LOCK_RANK_CHECKS=OFF)
-// to compile the hooks out entirely.
+// The same held stack enforces the blocking-under-latch rule: no fsync, WAL
+// flush or condition wait while the buffer-pool latch is held
+// (AssertMayBlock). The hooks are compiled into every build.
 
 namespace elephant {
 
@@ -92,6 +95,15 @@ int HeldCount();
 
 /// Highest rank the calling thread currently holds; kUnranked if none.
 LockRank MaxHeldRank();
+
+/// Called on entry to every wrapper that blocks for device time or without
+/// bound (DiskManager::Sync, LogManager::Flush/FlushUntil, CondVar::Wait/
+/// WaitFor). The buffer-pool latch serializes every page lookup in the
+/// engine, so blocking under it stalls them all (and a condition wait under
+/// it can deadlock against a waker that needs the latch). Aborts, naming
+/// `what`, the held latch and `caller`, when this thread holds a
+/// kBufferPool-ranked lock.
+void AssertMayBlock(const char* what, const std::source_location& caller);
 
 }  // namespace lock_rank
 }  // namespace elephant

@@ -42,10 +42,10 @@ const char* StatusCodeName(StatusCode code);
 ///
 /// `[[nodiscard]]`: a dropped Status is a silently swallowed failure — in
 /// the WAL/commit paths it is the difference between "durable" and
-/// "acknowledged but lost". Every producer must be consumed; genuinely
-/// intentional discards are spelled `(void)expr;` with a
-/// `// lint:allow(discarded-status): reason` justification, which
-/// tools/elephant_analyze verifies.
+/// "acknowledged but lost". Every producer must be consumed (the build
+/// passes -Werror=unused-result); genuinely intentional discards are
+/// spelled `(void)expr;` with a `// lint:allow(discarded-status): reason`
+/// justification, which the discarded-status lint rule requires.
 class [[nodiscard]] Status {
  public:
   /// Constructs a success status.

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <source_location>
 #include <thread>
 
 #include "common/lock_rank.h"
@@ -10,11 +11,11 @@
 
 // Clang thread-safety analysis (-Wthread-safety) macros plus the annotated
 // Mutex / MutexLock / CondVar wrappers every mutex in this engine must use
-// (enforced by scripts/elephant_lint.py: bare std::mutex is banned outside
-// this header). Under GCC the attributes expand to nothing, so the default
-// build is unaffected; the `analyze` preset compiles with Clang and
-// -Wthread-safety -Werror, turning locking-discipline mistakes into compile
-// errors. The macro set mirrors the canonical Clang documentation names.
+// (enforced by the raw-mutex rule of scripts/elephant_lint.py: bare
+// std::mutex is banned outside this header). The annotations document the
+// locking discipline; under GCC they expand to nothing. What is checked at
+// runtime is the lock-rank order and the blocking-under-latch rule
+// (common/lock_rank.h). The macro set mirrors the Clang documentation names.
 
 #if defined(__clang__) && !defined(SWIG)
 #define ELE_THREAD_ANNOTATION_(x) __attribute__((x))
@@ -145,7 +146,6 @@ class CAPABILITY("mutex") Mutex {
     mu_.lock();
   }
 
-#ifndef ELEPHANT_NO_LOCK_RANK_CHECKS
   // The acquire check runs *before* blocking on the std::mutex so an
   // inversion aborts loudly instead of deadlocking quietly; the release
   // hook pops before unlocking so the stack never understates what's held.
@@ -164,11 +164,6 @@ class CAPABILITY("mutex") Mutex {
       lock_rank::OnRelease(this, name_);
     }
   }
-#else
-  void RankCheckAcquire() {}
-  void RankCheckTryAcquire() {}
-  void RankCheckRelease() {}
-#endif
 
   std::mutex mu_;
   LockRank rank_ = LockRank::kUnranked;
@@ -193,11 +188,14 @@ class SCOPED_CAPABILITY MutexLock {
 /// mutex while blocked and reacquires it before returning; callers must
 /// re-check their predicate in a loop (spurious wakeups). The body is
 /// excluded from analysis (the release/reacquire happens inside the
-/// std::condition_variable_any template), but the REQUIRES contract is
-/// still enforced at every call site.
+/// std::condition_variable_any template). Both waits abort when the caller
+/// holds the buffer-pool latch (lock_rank::AssertMayBlock).
 class CondVar {
  public:
-  void Wait(Mutex& mu) REQUIRES(mu) NO_THREAD_SAFETY_ANALYSIS {
+  void Wait(Mutex& mu, const std::source_location& caller =
+                           std::source_location::current())
+      REQUIRES(mu) NO_THREAD_SAFETY_ANALYSIS {
+    lock_rank::AssertMayBlock("CondVar::Wait", caller);
     // The generic CondVar wait event; callers with a sharper classification
     // (lock manager, scheduler, WAL) open their own WaitScope first, which
     // makes this one inert (outermost-wins nesting).
@@ -207,7 +205,11 @@ class CondVar {
   /// Timed wait: returns false when `seconds` elapsed without a notify
   /// (callers still re-check their predicate either way). Used by the lock
   /// manager to resolve deadlocks by timeout.
-  bool WaitFor(Mutex& mu, double seconds) REQUIRES(mu) NO_THREAD_SAFETY_ANALYSIS {
+  bool WaitFor(Mutex& mu, double seconds,
+               const std::source_location& caller =
+                   std::source_location::current())
+      REQUIRES(mu) NO_THREAD_SAFETY_ANALYSIS {
+    lock_rank::AssertMayBlock("CondVar::WaitFor", caller);
     obs::WaitScope wait(obs::WaitEventId::kCondVarWait);
     return cv_.wait_for(mu, std::chrono::duration<double>(seconds)) ==
            std::cv_status::no_timeout;

@@ -213,11 +213,11 @@ Status Database::Checkpoint() {
         "CHECKPOINT requires the WAL engine (DatabaseOptions::wal_enabled)");
   }
   const lsn_t ckpt_lsn = log_->AppendCheckpoint();
-  // Pages first: each dirty frame's write-back flushes the log through that
-  // frame's LSN (WAL rule), so by the time the meta page commits to this
-  // checkpoint, every page it implies is covered.
-  ELE_RETURN_NOT_OK(pool_->FlushAll());
+  // Log first, so the page write-back finds every dirty frame's LSN already
+  // durable (WAL rule) and needs no flush of its own; by the time the meta
+  // page commits to this checkpoint, every page it implies is on disk.
   ELE_RETURN_NOT_OK(log_->Flush());
+  ELE_RETURN_NOT_OK(pool_->FlushAll());
   return WriteMetaPage(ckpt_lsn);
 }
 
@@ -1192,7 +1192,6 @@ Status Database::AbortTxn(txn::Transaction* t, const std::string& sql,
   // transaction then parks in kAborted limbo (PostgreSQL-style): every later
   // statement is rejected until the client acknowledges with ROLLBACK or
   // COMMIT. An implicit (autocommit) transaction just dies.
-  (void)state;  // lint:allow(discarded-status): not a Status — unused param kept for call-site symmetry
   Status rb = txn_mgr_->Rollback(t);
   if (!rb.ok()) {
     // An incomplete rollback means uncommitted changes may still be visible

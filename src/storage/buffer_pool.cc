@@ -9,7 +9,32 @@
 #include "obs/heatmap.h"
 #include "obs/trace_log.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace elephant {
+
+namespace {
+
+// Page escape: under ASan an unpinned frame's bytes are poisoned, so any
+// access through a released PageGuard (or a Frame* kept past its unpin)
+// dies with use-after-poison. The pool unpoisons a frame when it pins it and
+// around its own accesses to an unpinned frame (write-back). No-ops in
+// other builds.
+void PoisonFrame(Frame& f) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_POISON_MEMORY_REGION(f.data(), kPageSize);
+#endif
+}
+
+void UnpoisonFrame(Frame& f) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_UNPOISON_MEMORY_REGION(f.data(), kPageSize);
+#endif
+}
+
+}  // namespace
 
 BufferPool::BufferPool(DiskManager* disk, uint32_t capacity_pages,
                        obs::AccessHeatmap* heatmap)
@@ -19,6 +44,7 @@ BufferPool::BufferPool(DiskManager* disk, uint32_t capacity_pages,
   free_frames_.reserve(capacity_);
   for (uint32_t i = 0; i < capacity_; i++) {
     frames_[i].data_ = std::make_unique<char[]>(kPageSize);
+    PoisonFrame(frames_[i]);
     free_frames_.push_back(capacity_ - 1 - i);  // hand out low indices first
   }
 }
@@ -52,16 +78,44 @@ Status BufferPool::FlushFrame(size_t i) {
   Frame& f = frames_[i];
   if (f.dirty_ && f.page_id_ != kInvalidPageId) {
     // WAL rule: the log record that last touched this page must be durable
-    // before the page image may reach disk. FlushUntil is a no-op when the
-    // log is already flushed that far.
-    if (f.last_lsn_ != kInvalidLsn && wal_flush_) {
-      ELE_RETURN_NOT_OK(wal_flush_(f.last_lsn_));
+    // before the page image may reach disk. Callers flush the log first,
+    // with the latch dropped (FlushLogUnlatched); this is the backstop.
+    if (wal_flush_ && f.last_lsn_ > wal_durable_lsn_) {
+      return Status::Internal(
+          "WAL rule: page " + std::to_string(f.page_id_) + " has LSN " +
+          std::to_string(f.last_lsn_) + " past the durable log (" +
+          std::to_string(wal_durable_lsn_) + ")");
     }
-    ELE_RETURN_NOT_OK(disk_->WritePage(f.page_id_, f.data()));
+    UnpoisonFrame(f);
+    const Status written = disk_->WritePage(f.page_id_, f.data());
+    if (f.pin_count_ == 0) PoisonFrame(f);
+    ELE_RETURN_NOT_OK(written);
     f.dirty_ = false;
     f.last_lsn_ = kInvalidLsn;
   }
   return Status::OK();
+}
+
+Status BufferPool::FlushLogUnlatched(lsn_t lsn) {
+  const std::function<Status(lsn_t)> flush = wal_flush_;
+  latch_.Unlock();
+  const Status flushed = flush(lsn);
+  latch_.Lock();
+  if (flushed.ok() && lsn > wal_durable_lsn_) wal_durable_lsn_ = lsn;
+  return flushed;
+}
+
+Status BufferPool::MakeDirtyFramesDurable() {
+  if (!wal_flush_) return Status::OK();
+  for (;;) {
+    lsn_t needed = kInvalidLsn;
+    for (const Frame& f : frames_) {
+      if (f.dirty_ && f.last_lsn_ > needed) needed = f.last_lsn_;
+    }
+    if (needed <= wal_durable_lsn_) return Status::OK();
+    // Frames dirtied while the latch was down are caught by the next pass.
+    ELE_RETURN_NOT_OK(FlushLogUnlatched(needed));
+  }
 }
 
 void BufferPool::RecordPageLsn(page_id_t page_id, lsn_t lsn) {
@@ -85,19 +139,46 @@ Result<size_t> BufferPool::GetVictimFrame() {
   for (std::list<size_t>* region : {&scan_ring_, &lru_}) {
     for (auto it = region->rbegin(); it != region->rend(); ++it) {
       size_t idx = *it;
-      if (frames_[idx].pin_count_ == 0) {
-        ELE_RETURN_NOT_OK(FlushFrame(idx));
-        page_table_.erase(frames_[idx].page_id_);
-        region->erase(std::next(it).base());
-        list_pos_.erase(idx);
-        frames_[idx].page_id_ = kInvalidPageId;
-        frames_[idx].in_scan_ring_ = false;
-        stats_.evictions++;
-        return idx;
+      Frame& f = frames_[idx];
+      if (f.pin_count_ != 0) continue;
+      if (wal_flush_ && f.dirty_ && f.last_lsn_ > wal_durable_lsn_) {
+        // Stealing a page whose log is not yet durable: flush the log with
+        // the latch dropped, then choose again, since the pool may have
+        // changed meanwhile.
+        ELE_RETURN_NOT_OK(FlushLogUnlatched(f.last_lsn_));
+        return GetVictimFrame();
       }
+      ELE_RETURN_NOT_OK(FlushFrame(idx));
+      page_table_.erase(f.page_id_);
+      region->erase(std::next(it).base());
+      list_pos_.erase(idx);
+      f.page_id_ = kInvalidPageId;
+      f.in_scan_ring_ = false;
+      stats_.evictions++;
+      return idx;
     }
   }
   return Status::ResourceExhausted("buffer pool: all frames pinned");
+}
+
+Frame* BufferPool::PinResident(size_t idx, AccessIntent intent) {
+  Frame& f = frames_[idx];
+  if (f.pin_count_++ == 0) UnpoisonFrame(f);
+  if (f.in_scan_ring_) {
+    if (intent == AccessIntent::kPointLookup) {
+      // Reuse beyond the scan that brought it in: graduate to the young
+      // region so the page competes as a normal hot page.
+      stats_.scan_ring_promotions++;
+      Touch(idx);
+    } else {
+      TouchRing(idx);
+    }
+  } else {
+    // Young pages stay young: a scan crossing an already-hot page must not
+    // demote it (that would let the scan damage the working set after all).
+    Touch(idx);
+  }
+  return &f;
 }
 
 Result<PageGuard> BufferPool::FetchPageGuarded(page_id_t page_id,
@@ -121,23 +202,7 @@ Result<Frame*> BufferPool::FetchPage(page_id_t page_id, AccessIntent intent) {
     if (IoSink* sink = CurrentIoSink()) {
       sink->pool_hits.fetch_add(1, std::memory_order_relaxed);
     }
-    Frame& f = frames_[it->second];
-    f.pin_count_++;
-    if (f.in_scan_ring_) {
-      if (intent == AccessIntent::kPointLookup) {
-        // Reuse beyond the scan that brought it in: graduate to the young
-        // region so the page competes as a normal hot page.
-        stats_.scan_ring_promotions++;
-        Touch(it->second);
-      } else {
-        TouchRing(it->second);
-      }
-    } else {
-      // Young pages stay young: a scan crossing an already-hot page must not
-      // demote it (that would let the scan damage the working set after all).
-      Touch(it->second);
-    }
-    return &f;
+    return PinResident(it->second, intent);
   }
   stats_.misses++;
   if (heatmap_ != nullptr) heatmap_->RecordFault(obs::CurrentAccessLabel());
@@ -153,10 +218,17 @@ Result<Frame*> BufferPool::FetchPage(page_id_t page_id, AccessIntent intent) {
                                       {"object", obs::CurrentAccessLabel()}});
   }
   ELE_ASSIGN_OR_RETURN(size_t idx, GetVictimFrame());
+  // A steal that flushed the log dropped the latch, and another thread may
+  // have read the page in meanwhile: pin its copy and give the frame back.
+  if (auto raced = page_table_.find(page_id); raced != page_table_.end()) {
+    free_frames_.push_back(idx);
+    return PinResident(raced->second, intent);
+  }
   Frame& f = frames_[idx];
   // The disk read happens under the latch: simple and correct, and the miss
   // path is rare enough (once per resident page) that it does not bottleneck
   // parallel scans.
+  UnpoisonFrame(f);
   ELE_RETURN_NOT_OK(disk_->ReadPage(page_id, f.data(), intent));
   f.page_id_ = page_id;
   f.pin_count_ = 1;
@@ -177,6 +249,7 @@ Result<Frame*> BufferPool::NewPage(page_id_t* page_id, AccessIntent intent) {
   *page_id = disk_->AllocatePage();
   ELE_ASSIGN_OR_RETURN(size_t idx, GetVictimFrame());
   Frame& f = frames_[idx];
+  UnpoisonFrame(f);
   std::memset(f.data(), 0, kPageSize);
   f.page_id_ = *page_id;
   f.pin_count_ = 1;
@@ -203,7 +276,7 @@ void BufferPool::UnpinPage(page_id_t page_id, bool dirty) {
   }
   Frame& f = frames_[it->second];
   if (f.pin_count_ > 0) {
-    f.pin_count_--;
+    if (--f.pin_count_ == 0) PoisonFrame(f);
   } else {
     stats_.pin_protocol_errors++;  // double unpin
   }
@@ -244,6 +317,7 @@ void BufferPool::AssertNoPinsHeld() const {
 
 Status BufferPool::FlushAll() {
   MutexLock lock(latch_);
+  ELE_RETURN_NOT_OK(MakeDirtyFramesDurable());
   for (size_t i = 0; i < frames_.size(); i++) {
     ELE_RETURN_NOT_OK(FlushFrame(i));
   }
@@ -252,6 +326,7 @@ Status BufferPool::FlushAll() {
 
 Status BufferPool::EvictAll() {
   MutexLock lock(latch_);
+  ELE_RETURN_NOT_OK(MakeDirtyFramesDurable());
   for (size_t i = 0; i < frames_.size(); i++) {
     ELE_RETURN_NOT_OK(FlushFrame(i));
   }

@@ -72,8 +72,10 @@ struct BufferPoolStats {
 /// never reallocates, so Frame pointers handed to callers stay valid; a
 /// pinned frame can never be evicted, so callers may read a pinned frame's
 /// data without the latch. The latch is taken once per page (not per row),
-/// which keeps contention low for scan-heavy workloads. The locking
-/// discipline is annotated for Clang -Wthread-safety (`analyze` preset).
+/// which keeps contention low for scan-heavy workloads. The latch is never
+/// held across a WAL flush: write-back that needs the log durable first
+/// drops the latch for the flush (lock_rank::AssertMayBlock aborts on an
+/// fsync under it).
 class BufferPool {
  public:
   /// A non-null `heatmap` additionally receives every hit/fault, attributed
@@ -115,9 +117,10 @@ class BufferPool {
   void UnpinPage(page_id_t page_id, bool dirty);
 
   /// Installs the WAL-rule hook: before any dirty frame with a recorded LSN
-  /// is written back, `flush(lsn)` is invoked and must make the log durable
-  /// up to that LSN (or fail, which blocks the write-back). Wired by the
-  /// Database to LogManager::FlushUntil in WAL mode; nullptr disables.
+  /// is written back, `flush(lsn)` is invoked with the latch released and
+  /// must make the log durable up to that LSN (or fail, which blocks the
+  /// write-back). Wired by the Database to LogManager::FlushUntil in WAL
+  /// mode; nullptr disables.
   void SetWalFlushCallback(std::function<Status(lsn_t)> flush) {
     MutexLock lock(latch_);
     wal_flush_ = std::move(flush);
@@ -129,7 +132,8 @@ class BufferPool {
   /// are rejected by elephant_lint (rule wal-protocol).
   void RecordPageLsn(page_id_t page_id, lsn_t lsn);
 
-  /// Writes back all dirty frames.
+  /// Writes back all dirty frames. In WAL mode the log is first flushed
+  /// past the highest dirty LSN, with the latch released.
   Status FlushAll();
 
   /// Flushes and drops every unpinned frame — the cold-cache knob for
@@ -186,9 +190,20 @@ class BufferPool {
  private:
   /// Returns a free frame, evicting from the scan ring first, then the
   /// young-LRU tail. Pinned frames are skipped; all-pinned pools fail with
-  /// ResourceExhausted and untouched bookkeeping.
+  /// ResourceExhausted and untouched bookkeeping. Stealing a dirty frame
+  /// whose LSN is not yet durable drops the latch for the log flush.
   Result<size_t> GetVictimFrame() REQUIRES(latch_);
+  /// Pins a resident frame and applies the replacement policy's touch.
+  Frame* PinResident(size_t frame_idx, AccessIntent intent) REQUIRES(latch_);
+  /// Writes a dirty frame back; fails with Internal (writing nothing) when
+  /// its LSN is past wal_durable_lsn_.
   Status FlushFrame(size_t frame_idx) REQUIRES(latch_);
+  /// Runs wal_flush_(lsn) with the latch dropped, then retakes it and, on
+  /// success, advances wal_durable_lsn_. The pool may change meanwhile.
+  Status FlushLogUnlatched(lsn_t lsn) REQUIRES(latch_);
+  /// Makes the log durable past every dirty frame's LSN, so the caller can
+  /// write them all back in one latch hold. No-op outside WAL mode.
+  Status MakeDirtyFramesDurable() REQUIRES(latch_);
   /// Moves the frame to the front of the young region (exact LRU touch),
   /// pulling it out of the scan ring if it was there.
   void Touch(size_t frame_idx) REQUIRES(latch_);
@@ -218,6 +233,10 @@ class BufferPool {
   std::vector<size_t> free_frames_ GUARDED_BY(latch_);
   BufferPoolStats stats_ GUARDED_BY(latch_);
   std::function<Status(lsn_t)> wal_flush_ GUARDED_BY(latch_);
+  /// The log is known durable up to here: the highest LSN a wal_flush_ call
+  /// succeeded for. Commits flush the log without telling the pool, so the
+  /// real watermark may be higher; a steal then costs a no-op flush call.
+  lsn_t wal_durable_lsn_ GUARDED_BY(latch_) = kInvalidLsn;
 };
 
 }  // namespace elephant

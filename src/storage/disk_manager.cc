@@ -187,7 +187,8 @@ Status DiskManager::WritePage(page_id_t page_id, const char* src) {
   return Status::OK();
 }
 
-Status DiskManager::Sync() {
+Status DiskManager::Sync(const std::source_location& caller) {
+  lock_rank::AssertMayBlock("DiskManager::Sync", caller);
   // Inert when the caller is a WAL group flush (kWalFlush is already
   // timing); standalone syncs (checkpoints) count as IO.
   obs::WaitScope wait(obs::WaitEventId::kIoDataFileSync);

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <source_location>
 #include <string>
 #include <vector>
 
@@ -259,8 +260,10 @@ class DiskManager {
 
   /// Simulated fsync: counted in IoStats::fsyncs. Returns kIoError when a
   /// fault injector drops the sync (the caller's durability watermark must
-  /// not advance).
-  Status Sync();
+  /// not advance). Aborts when the caller holds the buffer-pool latch
+  /// (lock_rank::AssertMayBlock).
+  Status Sync(const std::source_location& caller =
+                  std::source_location::current());
 
   /// Arms (or with nullptr disarms) fault injection on page writes and
   /// syncs. The injector is owned by the caller and must outlive its use;

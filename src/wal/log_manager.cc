@@ -1,5 +1,7 @@
 #include "wal/log_manager.h"
 
+#include <string>
+
 #include "obs/wait_events.h"
 #include "storage/disk_manager.h"
 #include "storage/fault_injection.h"
@@ -29,6 +31,11 @@ lsn_t LogManager::AppendCheckpoint() {
 }
 
 Status LogManager::FlushLocked(lsn_t lsn) {
+  if (lsn > buffer_.size()) {
+    return Status::Internal("WAL order: flush requested to LSN " +
+                            std::to_string(lsn) + " past the end of the log (" +
+                            std::to_string(buffer_.size()) + ")");
+  }
   if (durable_bytes_ >= lsn) return Status::OK();
   const uint64_t pending = buffer_.size() - durable_bytes_;
   const uint64_t kept = injector_ != nullptr ? injector_->OnLogFlush(pending) : pending;
@@ -56,7 +63,8 @@ Status LogManager::FlushLocked(lsn_t lsn) {
   return Status::OK();
 }
 
-Status LogManager::FlushUntil(lsn_t lsn) {
+Status LogManager::FlushUntil(lsn_t lsn, const std::source_location& caller) {
+  lock_rank::AssertMayBlock("LogManager::FlushUntil", caller);
   // The WAL scope opens before the log mutex: committers queued behind an
   // in-progress group flush are waiting on WAL durability, not on a latch.
   // The nested LWLock:LogManager and IO:DataFileSync scopes are inert.
@@ -65,7 +73,8 @@ Status LogManager::FlushUntil(lsn_t lsn) {
   return FlushLocked(lsn);
 }
 
-Status LogManager::Flush() {
+Status LogManager::Flush(const std::source_location& caller) {
+  lock_rank::AssertMayBlock("LogManager::Flush", caller);
   obs::WaitScope wait(obs::WaitEventId::kWalFlush);
   MutexLock lock(mu_);
   return FlushLocked(buffer_.size());

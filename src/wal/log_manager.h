@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <source_location>
 #include <string>
 
 #include "common/config.h"
@@ -61,10 +62,16 @@ class LogManager {
   /// flushed — group commit). Fails with kIoError when fault injection
   /// kills the flush or drops the fsync; on a torn flush the surviving
   /// prefix is accounted durable (recovery truncates at the damaged CRC).
-  Status FlushUntil(lsn_t lsn);
+  /// An `lsn` past the end of the appended log is a WAL-order bug (a page
+  /// stamped with an LSN no record carries) and fails with kInternal.
+  /// Both flushes abort when the caller holds the buffer-pool latch
+  /// (lock_rank::AssertMayBlock).
+  Status FlushUntil(lsn_t lsn, const std::source_location& caller =
+                                   std::source_location::current());
 
   /// Flushes everything appended so far.
-  Status Flush();
+  Status Flush(const std::source_location& caller =
+                   std::source_location::current());
 
   /// True when the record ending at `lsn` is on stable storage.
   bool IsDurable(lsn_t lsn) const {

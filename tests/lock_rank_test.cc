@@ -1,16 +1,21 @@
 // Runtime ranked-lock validator (common/lock_rank.h): the thread-local
 // held-rank stack must stay exact through RAII guards, manual Lock/Unlock,
 // try-locks, out-of-LIFO releases, and CondVar waits — and an acquisition
-// that inverts the rank order must abort naming BOTH locks. Death assertions
+// that inverts the rank order must abort naming BOTH locks, as must a
+// blocking call made under the buffer-pool latch. Death assertions
 // use the "threadsafe" style so the re-executed child is safe even though
 // the test binary links the threaded engine.
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 #include <gtest/gtest.h>
 
 #include "common/lock_rank.h"
 #include "common/thread_annotations.h"
+#include "storage/disk_manager.h"
+#include "wal/log_manager.h"
 
 namespace elephant {
 namespace {
@@ -134,6 +139,63 @@ TEST_F(LockRankTest, HeldStacksArePerThread) {
   });
   other.join();
   EXPECT_EQ(lock_rank::HeldCount(), 1);
+}
+
+// Blocking-under-latch (lock_rank::AssertMayBlock): an fsync, a WAL flush or
+// a condition wait while a kBufferPool-ranked lock is held aborts, naming the
+// blocking call, its call site in this file and the held latch. The same
+// calls without the latch are silent.
+TEST_F(LockRankTest, SyncUnderPoolLatchAborts) {
+  DiskManager disk;
+  ASSERT_TRUE(disk.Sync().ok());
+  Mutex latch(LockRank::kBufferPool, "test::pool_latch");
+  MutexLock hold(latch);
+  EXPECT_DEATH(EXPECT_TRUE(disk.Sync().ok()),
+               "blocking-under-latch violation: DiskManager::Sync called "
+               "from .*lock_rank_test.cc.*test::pool_latch");
+}
+
+TEST_F(LockRankTest, WalFlushUnderPoolLatchAborts) {
+  DiskManager disk;
+  wal::LogManager log(&disk);
+  ASSERT_TRUE(log.FlushUntil(log.AppendCheckpoint()).ok());
+  const lsn_t lsn = log.AppendCheckpoint();
+  Mutex latch(LockRank::kBufferPool, "test::pool_latch");
+  MutexLock hold(latch);
+  EXPECT_DEATH(EXPECT_TRUE(log.FlushUntil(lsn).ok()),
+               "blocking-under-latch violation: LogManager::FlushUntil called "
+               "from .*lock_rank_test.cc.*test::pool_latch");
+  EXPECT_DEATH(EXPECT_TRUE(log.Flush().ok()),
+               "blocking-under-latch violation: LogManager::Flush called "
+               "from .*lock_rank_test.cc.*test::pool_latch");
+}
+
+TEST_F(LockRankTest, CondVarWaitUnderPoolLatchAborts) {
+  Mutex latch(LockRank::kBufferPool, "test::pool_latch");
+  Mutex mu(LockRank::kTraceLog, "test::cv_mu");
+  CondVar cv;
+  MutexLock hold(latch);
+  MutexLock lock(mu);
+  // The notifier makes an unchecked Wait return, so a missing check fails
+  // the death test instead of hanging it.
+  EXPECT_DEATH(
+      {
+        std::atomic<bool> woke{false};
+        std::thread notifier([&] {
+          while (!woke) {
+            cv.NotifyAll();
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        });
+        cv.Wait(mu);
+        woke = true;
+        notifier.join();
+      },
+      "blocking-under-latch violation: CondVar::Wait called from "
+      ".*lock_rank_test.cc.*test::pool_latch");
+  EXPECT_DEATH(cv.WaitFor(mu, 0.001),
+               "blocking-under-latch violation: CondVar::WaitFor called from "
+               ".*lock_rank_test.cc.*test::pool_latch");
 }
 
 TEST_F(LockRankTest, RankAndNameAccessors) {

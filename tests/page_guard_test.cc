@@ -151,6 +151,22 @@ TEST(PageGuardDeathTest, AssertNoPinsHeldAbortsOnLeak) {
 }
 #endif
 
+#if defined(__SANITIZE_ADDRESS__)
+// Page escape: an unpinned frame is poisoned under ASan, so reading the page
+// through a pointer kept past the guard's release dies.
+TEST(PageGuardDeathTest, ReadThroughReleasedGuardIsUseAfterPoison) {
+  DiskManager disk;
+  BufferPool pool(&disk, 4);
+  page_id_t pid = MakePage(&pool);
+  auto guard = pool.FetchPageGuarded(pid);
+  ASSERT_TRUE(guard.ok());
+  const volatile char* escaped = guard.value().data();
+  EXPECT_EQ(escaped[0], '\0');  // fine while pinned
+  guard.value().Release();
+  EXPECT_DEATH(EXPECT_EQ(escaped[0], '\0'), "use-after-poison");
+}
+#endif
+
 TEST(PinProtocolTest, DoubleUnpinIsCounted) {
   DiskManager disk;
   BufferPool pool(&disk, 4);

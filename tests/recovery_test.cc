@@ -4,7 +4,10 @@
 #include <string>
 
 #include "engine/database.h"
+#include "storage/buffer_pool.h"
+#include "storage/disk_manager.h"
 #include "storage/fault_injection.h"
+#include "wal/log_manager.h"
 
 namespace elephant {
 namespace {
@@ -199,6 +202,36 @@ TEST_F(RecoveryTest, DerivedTablesMarkedStaleAfterRecovery) {
   auto recovered = Reboot(*db);
   ASSERT_NE(recovered, nullptr);
   EXPECT_EQ(Count(*recovered, "t"), 1u);
+}
+
+// WAL order at the pool/log boundary: write-back makes the log durable past
+// a dirty page's LSN first, and a page stamped with an LSN past the end of
+// the log fails with Internal instead of reaching disk.
+TEST(WalOrderTest, PageLsnPastTheLogFailsFlushAll) {
+  DiskManager disk;
+  BufferPool pool(&disk, 4);
+  wal::LogManager log(&disk);
+  pool.SetWalFlushCallback([&log](lsn_t lsn) { return log.FlushUntil(lsn); });
+  auto stamp = [&](page_id_t pid, lsn_t lsn) {
+    auto guard = pool.FetchPageGuarded(pid);
+    ASSERT_TRUE(guard.ok());
+    pool.RecordPageLsn(pid, lsn);
+    guard.value().MarkDirty();
+  };
+  page_id_t pid;
+  ASSERT_TRUE(pool.NewPageGuarded(&pid).ok());
+
+  const lsn_t appended = log.AppendCheckpoint();
+  stamp(pid, appended);
+  EXPECT_FALSE(log.IsDurable(appended));
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_TRUE(log.IsDurable(appended));
+
+  const uint64_t writes = disk.stats().page_writes;
+  stamp(pid, log.stats().current_lsn + 100);
+  Status s = pool.FlushAll();
+  EXPECT_EQ(s.code(), StatusCode::kInternal) << s.ToString();
+  EXPECT_EQ(disk.stats().page_writes, writes);
 }
 
 }  // namespace

@@ -299,6 +299,54 @@ TEST_F(TxnTest, WritingDerivedTableRejected) {
       << r.status().ToString();
 }
 
+/// The WAL steal path: an open transaction dirties more pages than a tiny
+/// pool holds, so eviction writes back pages whose log records are not yet
+/// durable. The pool flushes the log first with its latch released (an
+/// fsync under the latch aborts), and recovery matches the committed state
+/// whether the transaction commits or rolls back.
+void StealThenRecover(bool commit) {
+  DatabaseOptions options;
+  options.wal_enabled = true;
+  options.buffer_pool_pages = 16;
+  Database db(options);
+  auto exec = [](Database& d, const std::string& sql) {
+    auto r = d.Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << "\n" << r.status().ToString();
+    return r.ok() ? std::move(r).value() : QueryResult{};
+  };
+  exec(db, "CREATE TABLE t (id INT, v VARCHAR) CLUSTER BY (id)");
+  exec(db, "INSERT INTO t VALUES (0, 'committed')");
+  exec(db, "BEGIN");
+  const uint64_t flushes = db.wal()->stats().flushes;
+  const uint64_t evictions = db.pool().stats().evictions;
+  const std::string pad(200, 'x');
+  for (int batch = 0; batch < 20; batch++) {
+    std::string sql = "INSERT INTO t VALUES ";
+    for (int i = 1; i <= 50; i++) {
+      if (i > 1) sql += ", ";
+      sql += "(" + std::to_string(batch * 50 + i) + ", '" + pad + "')";
+    }
+    exec(db, sql);
+  }
+  // No commit has asked for a flush yet: these are steals.
+  EXPECT_GT(db.pool().stats().evictions, evictions);
+  EXPECT_GT(db.wal()->stats().flushes, flushes);
+  exec(db, commit ? "COMMIT" : "ROLLBACK");
+
+  const size_t expected = commit ? 1001 : 1;
+  EXPECT_EQ(exec(db, "SELECT * FROM t").rows.size(), expected);
+  auto reopened = Database::Reopen(options, db.CloneDurableImage());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(exec(*reopened.value(), "SELECT * FROM t").rows.size(), expected);
+  QueryResult base = exec(*reopened.value(), "SELECT v FROM t WHERE id = 0");
+  ASSERT_EQ(base.rows.size(), 1u);
+  EXPECT_EQ(base.rows[0][0].AsString(), "committed");
+}
+
+TEST(TxnStealTest, CommitAfterStealRecovers) { StealThenRecover(true); }
+
+TEST(TxnStealTest, RollbackAfterStealRecovers) { StealThenRecover(false); }
+
 /// DML and transaction control on a non-WAL engine fail loudly instead of
 /// silently running without durability.
 TEST(TxnWithoutWalTest, RequiresWalEngine) {

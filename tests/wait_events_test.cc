@@ -1,3 +1,4 @@
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -14,8 +15,12 @@
 #include "engine/session.h"
 #include "obs/ash.h"
 #include "obs/wait_events.h"
+#include "sched/task_group.h"
+#include "sched/thread_pool.h"
+#include "storage/disk_manager.h"
 #include "tpch/tpch.h"
 #include "txn/lock_manager.h"
+#include "wal/log_manager.h"
 
 namespace elephant {
 namespace {
@@ -546,6 +551,115 @@ TEST(WaitEventsContention, BlockedStatementIsDominatedByLockClass) {
   EXPECT_TRUE(named) << "waiting ASH samples did not join back to the "
                         "blocked statement's registry entry";
   reg.Reset();
+}
+
+// ---------------------------------------------------------------------------
+// Wait scope: every wrapper that can park a thread classifies the park with
+// an obs::WaitScope, so no sleep escapes wait-event accounting. One case per
+// blocking wrapper: make it park, then look for the event it must record.
+// ---------------------------------------------------------------------------
+
+uint64_t Recorded(WaitEventId event) {
+  return obs::WaitEventRegistry::Global().Count(event);
+}
+
+TEST(WaitScopeCoverage, MutexRecordsContendedAcquire) {
+  Mutex mu(LockRank::kLogManager, "test::contended");
+  std::atomic<bool> held{false};
+  const uint64_t before = Recorded(WaitEventId::kLWLockLogManager);
+  std::thread holder([&] {
+    MutexLock lock(mu);
+    held = true;
+    // Long enough to outlast the spin budget, so the waiter sleeps.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  });
+  while (!held) std::this_thread::yield();
+  { MutexLock lock(mu); }
+  holder.join();
+  EXPECT_GE(Recorded(WaitEventId::kLWLockLogManager), before + 1);
+}
+
+TEST(WaitScopeCoverage, CondVarRecordsWaitAndWaitFor) {
+  Mutex mu;
+  CondVar cv;
+  bool ready = false;
+  const uint64_t before = Recorded(WaitEventId::kCondVarWait);
+  std::thread waker([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    MutexLock lock(mu);
+    ready = true;
+    cv.NotifyOne();
+  });
+  {
+    MutexLock lock(mu);
+    while (!ready) cv.Wait(mu);
+    EXPECT_FALSE(cv.WaitFor(mu, 0.001));  // nobody notifies: times out
+  }
+  waker.join();
+  EXPECT_GE(Recorded(WaitEventId::kCondVarWait), before + 2);
+}
+
+TEST(WaitScopeCoverage, LockManagerRecordsLockClassWait) {
+  txn::LockManager locks;
+  ASSERT_TRUE(locks.Acquire(1, "t", txn::LockManager::Mode::kExclusive, 1.0)
+                  .ok());
+  const uint64_t before = Recorded(WaitEventId::kLockTableShared);
+  std::thread reader([&] {
+    EXPECT_TRUE(
+        locks.Acquire(2, "t", txn::LockManager::Mode::kShared, 10.0).ok());
+    locks.ReleaseAll(2);
+  });
+  while (locks.SnapshotWaiters().empty()) std::this_thread::yield();
+  locks.ReleaseAll(1);
+  reader.join();
+  EXPECT_EQ(Recorded(WaitEventId::kLockTableShared), before + 1);
+}
+
+TEST(WaitScopeCoverage, LogManagerAndDiskManagerRecordFlushAndSync) {
+  DiskManager disk;
+  wal::LogManager log(&disk);
+  const uint64_t flushes = Recorded(WaitEventId::kWalFlush);
+  const uint64_t syncs = Recorded(WaitEventId::kIoDataFileSync);
+  ASSERT_TRUE(log.FlushUntil(log.AppendCheckpoint()).ok());
+  ASSERT_TRUE(log.Flush().ok());
+  // The fsync inside a WAL flush is part of the WAL:Flush wait (inert).
+  EXPECT_EQ(Recorded(WaitEventId::kWalFlush), flushes + 2);
+  EXPECT_EQ(Recorded(WaitEventId::kIoDataFileSync), syncs);
+  ASSERT_TRUE(disk.Sync().ok());  // a standalone fsync is IO
+  EXPECT_EQ(Recorded(WaitEventId::kIoDataFileSync), syncs + 1);
+}
+
+TEST(WaitScopeCoverage, ThreadPoolRecordsWorkerIdle) {
+  const uint64_t before = Recorded(WaitEventId::kSchedulerWorkerIdle);
+  {
+    sched::ThreadPool pool(1);
+    // Let the worker park on the empty queue, then wake it with a task.
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    pool.Async([] {}).get();
+  }
+  EXPECT_GE(Recorded(WaitEventId::kSchedulerWorkerIdle), before + 1);
+}
+
+TEST(WaitScopeCoverage, TaskGroupRecordsGather) {
+  sched::ThreadPool pool(1);
+  const uint64_t before = Recorded(WaitEventId::kSchedulerGather);
+  sched::TaskGroup group(&pool);
+  group.Submit([] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    return Status::OK();
+  });
+  ASSERT_TRUE(group.Wait().ok());
+  EXPECT_EQ(Recorded(WaitEventId::kSchedulerGather), before + 1);
+}
+
+TEST(WaitScopeCoverage, AshSamplerRecordsSamplerSleep) {
+  obs::SessionStateRegistry sessions;
+  const uint64_t before = Recorded(WaitEventId::kCondVarSamplerSleep);
+  obs::AshSampler sampler(&sessions, {.interval_seconds = 0.001});
+  sampler.Start();
+  while (sampler.ticks() < 2) std::this_thread::yield();
+  sampler.Stop();
+  EXPECT_GE(Recorded(WaitEventId::kCondVarSamplerSleep), before + 1);
 }
 
 // ---------------------------------------------------------------------------
