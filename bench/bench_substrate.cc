@@ -8,7 +8,7 @@
 #include "catalog/catalog.h"
 #include "common/rng.h"
 #include "cstore/compression.h"
-#include "exec/agg_executor.h"
+#include "exec/batch_executors.h"
 #include "exec/scan_executor.h"
 #include "index/btree.h"
 
@@ -186,18 +186,18 @@ void BM_ClusteredScanExecutor(benchmark::State& state) {
   }
   for (auto _ : state) {
     ExecContext ctx(&pool);
-    ClusteredScanExecutor scan(&ctx, table.value());
+    IndexScanExecutor scan(&ctx, table.value());
     Status init = scan.Init();
     if (!init.ok()) {
       state.SkipWithError(init.ToString().c_str());
       return;
     }
-    Row row;
+    Batch batch;
     int64_t count = 0;
     while (true) {
-      auto has = scan.Next(&row);
+      auto has = scan.NextBatch(&batch);
       if (!has.ok() || !has.value()) break;
-      count++;
+      count += batch.ActiveCount();
     }
     benchmark::DoNotOptimize(count);
   }
@@ -224,24 +224,24 @@ void BM_HashAggregate(benchmark::State& state) {
   }
   for (auto _ : state) {
     ExecContext ctx(&pool);
-    auto scan = std::make_unique<ClusteredScanExecutor>(&ctx, table.value());
+    auto scan = std::make_unique<IndexScanExecutor>(&ctx, table.value());
     std::vector<ExprPtr> groups;
     groups.push_back(Col(1, TypeId::kInt32));
     std::vector<AggSpec> aggs;
     aggs.emplace_back(AggFunc::kCountStar, nullptr, "cnt");
-    HashAggregateExecutor agg(&ctx, std::move(scan), std::move(groups),
-                              std::move(aggs));
+    BatchHashAggregateExecutor agg(std::move(scan), std::move(groups),
+                                   std::move(aggs));
     Status init = agg.Init();
     if (!init.ok()) {
       state.SkipWithError(init.ToString().c_str());
       return;
     }
-    Row row;
+    Batch batch;
     int64_t count = 0;
     while (true) {
-      auto has = agg.Next(&row);
+      auto has = agg.NextBatch(&batch);
       if (!has.ok() || !has.value()) break;
-      count++;
+      count += batch.ActiveCount();
     }
     benchmark::DoNotOptimize(count);
   }

@@ -39,14 +39,6 @@ arguments depend on:
                     nothing else feeds or resets it; executors and
                     strategies must read it through SQL
                     (elephant_stat_statements) instead.
-  batch-interface   a row Executor subclass declared under src/exec/ with no
-                    `batch:` marker comment above it. Every operator either
-                    has a vectorized twin (the marker names it) or opts out
-                    with a rationale (joins are row-only, Sort is a blocking
-                    materialization, adapters bridge the engines). The marker
-                    keeps the planner's batch/Volcano dispatch table auditable:
-                    a new executor cannot silently fall off the vectorized
-                    path without saying why.
   wal-protocol      LogRecord construction / page-LSN mutation outside
                     src/wal/ and src/txn/ (plus storage/slotted_page, which
                     defines the LSN field). ARIES correctness rests on every
@@ -107,15 +99,6 @@ NARROWING_SCOPED = {
 }
 
 NARROWING_RE = re.compile(r"\bstatic_cast\s*<\s*(?:std\s*::\s*)?int32_t\s*>")
-
-# A row-engine executor declaration (BatchExecutor subclasses are the batch
-# interface itself and are exempt; `public\s+Executor` cannot match them
-# because the whitespace boundary excludes "BatchExecutor").
-BATCH_IFACE_DECL_RE = re.compile(r"\bclass\s+\w+[^;{]*:\s*public\s+Executor\b")
-# The marker: a comment within the lookback window containing `batch:` —
-# either naming the vectorized twin or stating the opt-out rationale.
-BATCH_IFACE_MARKER_RE = re.compile(r"batch:")
-BATCH_IFACE_LOOKBACK = 7  # declaration line plus six lines above it
 
 RAW_PAGE_API_RE = re.compile(
     r"\b(?:FetchPage|NewPage)\s*\((?!\s*\))"  # call with args (decl-ish ok too)
@@ -340,23 +323,6 @@ def lint_file(path, rel, text):
                        "and src/engine/; only the engine records into it — "
                        "read it through the elephant_stat_statements virtual "
                        "table instead")
-
-    # --- batch-interface (src/exec only; fixtures lint as bare names) ---
-    if top_dir == "exec" or os.sep not in rel:
-        # The marker lives in a comment, so the lookback scans the ORIGINAL
-        # text; the declaration itself is matched in stripped text so a
-        # commented-out class cannot satisfy (or trip) the rule.
-        orig_lines = text.split("\n")
-        for lineno, ln in enumerate(lines, 1):
-            if not BATCH_IFACE_DECL_RE.search(ln):
-                continue
-            window = orig_lines[max(0, lineno - BATCH_IFACE_LOOKBACK):lineno]
-            if any(BATCH_IFACE_MARKER_RE.search(w) for w in window):
-                continue
-            report(lineno, "batch-interface",
-                   "row Executor in src/exec without a `batch:` marker; "
-                   "name its vectorized twin (`batch: twin BatchXxx`) or "
-                   "state why it opts out of the batch interface")
 
     # --- wal-protocol (fixtures lint as bare names) ---
     if (top_dir not in WAL_PROTOCOL_ALLOWED_DIRS

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <set>
 
 #include "exec/expression.h"
 #include "obs/json.h"
@@ -784,14 +785,16 @@ Result<std::string> Database::Explain(const std::string& sql,
 Result<QueryResult> Database::ExecuteSelectWithLocks(
     const std::string& sql, std::unique_ptr<SelectStmt> stmt,
     PlanHints extra_hints, bool instrument, SessionTxnState* ts) {
-  // In WAL mode a SELECT takes statement-scoped shared locks on its base
-  // tables (and refreshes stale derived tables) before executing. Inside
-  // a transaction the locks are taken under the transaction's id, so
-  // they compose with its exclusive locks; outside, a throwaway reader
-  // id keeps them disjoint from every transaction.
+  // A SELECT first refreshes the stale derived tables it reads. In WAL mode
+  // it then takes statement-scoped shared locks on its tables. Inside a
+  // transaction the locks are taken under the transaction's id, so they
+  // compose with its exclusive locks; outside, a throwaway reader id keeps
+  // them disjoint from every transaction.
   std::vector<std::string> acquired;
   txn_id_t locker = kInvalidTxnId;
-  if (log_ != nullptr) {
+  if (log_ == nullptr) {
+    ELE_RETURN_NOT_OK(RefreshSelectTables(*stmt).status());
+  } else {
     locker = ts->txn != nullptr ? ts->txn->id()
                                 : next_read_locker_.fetch_add(1);
     Status prep = PrepareSelectTables(*stmt, locker, &acquired);
@@ -869,13 +872,7 @@ Result<QueryResult> Database::ExecuteSelect(const std::string& sql,
     IoSink query_sink;
     IoScope io_scope(&query_sink);
     auto span = obs::TraceSpan::Phase("execute");
-    ELE_RETURN_NOT_OK(plan.executor->Init());
-    Row row;
-    while (true) {
-      ELE_ASSIGN_OR_RETURN(bool has, plan.executor->Next(&row));
-      if (!has) break;
-      result.rows.push_back(row);
-    }
+    ELE_ASSIGN_OR_RETURN(result.rows, DrainBatches(plan.executor.get()));
     plan.executor.reset();  // release pinned pages before measuring
     result.io = query_sink.ToStats();
   }
@@ -916,7 +913,7 @@ Result<QueryResult> Database::ExecuteSelect(const std::string& sql,
   }
   if (instrument && result.plan != nullptr) {
     // Per-operator-class residuals exist only on instrumented runs: the
-    // self-attributed wall seconds come from the InstrumentedExecutor
+    // self-attributed wall seconds come from the InstrumentedBatchExecutor
     // wrappers, and the modeled side prices the operator's own page reads
     // through the same disk model the planner costs with.
     for (const obs::OperatorBreakdown& b : obs::FlattenPlan(*result.plan)) {
@@ -1192,7 +1189,7 @@ Status Database::AbortTxn(txn::Transaction* t, const std::string& sql,
   // transaction then parks in kAborted limbo (PostgreSQL-style): every later
   // statement is rejected until the client acknowledges with ROLLBACK or
   // COMMIT. An implicit (autocommit) transaction just dies.
-  Status rb = txn_mgr_->Rollback(t);
+  Status rb = RollbackTxn(t);
   if (!rb.ok()) {
     // An incomplete rollback means uncommitted changes may still be visible
     // until recovery replays the WAL. This must never be silent: count it
@@ -1203,6 +1200,14 @@ Status Database::AbortTxn(txn::Transaction* t, const std::string& sql,
     t->state = txn::TxnState::kAborted;
     t->failed_statement = sql;
   }
+  return rb;
+}
+
+Status Database::RollbackTxn(txn::Transaction* t) {
+  std::set<std::string> written;
+  for (const UndoEntry& u : t->undo) written.insert(u.table->name());
+  Status rb = txn_mgr_->Rollback(t);
+  for (const std::string& name : written) catalog_->MarkDependentsStale(name);
   return rb;
 }
 
@@ -1256,7 +1261,7 @@ Result<QueryResult> Database::ExecuteTxnControl(StatementKind kind,
       }
       std::unique_ptr<txn::Transaction> t = std::move(state->txn);
       if (t->state == txn::TxnState::kAborted) return QueryResult{};
-      ELE_RETURN_NOT_OK(txn_mgr_->Rollback(t.get()));
+      ELE_RETURN_NOT_OK(RollbackTxn(t.get()));
       return QueryResult{};
     }
     case StatementKind::kCheckpoint: {
@@ -1358,7 +1363,7 @@ Result<QueryResult> Database::ExecuteDml(const Statement& stmt,
   Result<uint64_t> changed = run();
   if (!changed.ok()) {
     if (autocommit) {
-      Status rb = txn_mgr_->Rollback(t);
+      Status rb = RollbackTxn(t);
       if (!rb.ok()) {
         metrics_.GetCounter("txn.rollback_failures_total")->Increment();
       }
@@ -1485,8 +1490,8 @@ Result<uint64_t> Database::RunUpdate(const UpdateStmt& upd, Table* table,
   return static_cast<uint64_t>(victims.size());
 }
 
-Status Database::PrepareSelectTables(const SelectStmt& stmt, txn_id_t locker,
-                                     std::vector<std::string>* acquired) {
+Result<std::vector<std::string>> Database::RefreshSelectTables(
+    const SelectStmt& stmt) {
   std::vector<std::string> names;
   CollectTableNames(stmt, &names);
   std::vector<std::string> tables;
@@ -1500,12 +1505,19 @@ Status Database::PrepareSelectTables(const SelectStmt& stmt, txn_id_t locker,
   // the same (lexicographic) order, so statements cannot deadlock each other.
   std::sort(tables.begin(), tables.end());
   tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
-  // Refresh stale derived tables before taking this statement's locks: the
-  // rebuild re-enters Execute() for the materialization query, which takes
-  // its own reader locks on the base tables.
+  // The rebuild re-enters Execute() for the materialization query, which in
+  // WAL mode takes its own reader locks on the base tables: refresh before
+  // this statement locks anything.
   for (const std::string& name : tables) {
     ELE_RETURN_NOT_OK(catalog_->RebuildIfStale(name));
   }
+  return tables;
+}
+
+Status Database::PrepareSelectTables(const SelectStmt& stmt, txn_id_t locker,
+                                     std::vector<std::string>* acquired) {
+  ELE_ASSIGN_OR_RETURN(std::vector<std::string> tables,
+                       RefreshSelectTables(stmt));
   for (const std::string& name : tables) {
     if (lock_mgr_->Holds(locker, name, txn::LockManager::Mode::kShared)) {
       continue;

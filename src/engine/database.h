@@ -310,6 +310,11 @@ class Database {
   Status AbortTxn(txn::Transaction* t, const std::string& sql,
                   SessionTxnState* state);
 
+  /// Rolls `t` back and marks stale every derived table over a base it
+  /// wrote: a read inside the transaction may have refreshed a view with
+  /// rows the rollback removes. Every rollback path goes through here.
+  Status RollbackTxn(txn::Transaction* t);
+
   /// Appends a rollback failure to a primary statement error (no-op when the
   /// rollback succeeded).
   static Status CombineWithRollbackFailure(const Status& primary,
@@ -330,9 +335,13 @@ class Database {
   Result<uint64_t> RunUpdate(const UpdateStmt& upd, Table* table,
                              txn::Transaction* t);
 
-  /// Statement-scoped shared locks + stale-derived-table refresh for a
-  /// SELECT's base tables; fills `acquired` with the locks to drop at
-  /// statement end.
+  /// The catalog tables a SELECT reads (sorted, deduplicated), after
+  /// rebuilding each stale derived table among them. Runs before every
+  /// SELECT in both modes.
+  Result<std::vector<std::string>> RefreshSelectTables(const SelectStmt& stmt);
+
+  /// Statement-scoped shared locks on a SELECT's (refreshed) tables; fills
+  /// `acquired` with the locks to drop at statement end.
   Status PrepareSelectTables(const SelectStmt& stmt, txn_id_t locker,
                              std::vector<std::string>* acquired);
 

@@ -74,6 +74,19 @@ class Batch {
     for (size_t c = 0; c < cols_.size(); ++c) (*row)[c] = cols_[c][r];
   }
 
+  /// Moves the live rows, in order, onto the end of `*rows`; the batch's
+  /// values are left moved-from.
+  void MoveActiveRowsTo(std::vector<Row>* rows) {
+    const uint32_t n = ActiveCount();
+    for (uint32_t i = 0; i < n; ++i) {
+      const uint32_t r = ActiveIndex(i);
+      Row row;
+      row.reserve(cols_.size());
+      for (auto& c : cols_) row.push_back(std::move(c[r]));
+      rows->push_back(std::move(row));
+    }
+  }
+
   /// Installs a selection vector (physical indices, strictly ascending).
   void SetSelection(std::vector<uint32_t> sel) {
     sel_ = std::move(sel);
@@ -105,12 +118,12 @@ class Batch {
   bool sel_active_ = false;
 };
 
-/// Batch-at-a-time executor interface, the vectorized sibling of `Executor`.
-/// NextBatch fills `*out` (after resetting it to the operator's output
-/// width) and returns true while rows remain; a true return with zero
-/// active rows is legal (e.g. a fully-filtered batch) and consumers must
-/// simply ask again. After the first false return, behavior of further
-/// calls is unspecified.
+/// The operator interface: every physical operator, from the scans to the
+/// joins, Sort and Gather, is a BatchExecutor. Init() once, then NextBatch
+/// fills `*out` (after resetting it to the operator's output width) and
+/// returns true while rows remain; a true return with zero active rows is
+/// legal (e.g. a fully-filtered batch) and consumers must simply ask again.
+/// After the first false return, behavior of further calls is unspecified.
 class BatchExecutor {
  public:
   virtual ~BatchExecutor() = default;
@@ -121,5 +134,9 @@ class BatchExecutor {
 };
 
 using BatchExecutorPtr = std::unique_ptr<BatchExecutor>;
+
+/// Runs `exec` to completion (Init + every NextBatch) and returns its live
+/// rows in output order: the client drain loop, in one place.
+Result<std::vector<Row>> DrainBatches(BatchExecutor* exec);
 
 }  // namespace elephant

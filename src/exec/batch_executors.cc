@@ -6,8 +6,7 @@ namespace {
 
 /// Group-key and aggregate-argument vectors for one input batch: the
 /// vectorized front half of aggregation. The fold itself then walks live
-/// rows in batch order — the same order the row engine sees them — through
-/// the shared AggState accumulators.
+/// rows in input order through the AggState accumulators.
 struct AggInputVectors {
   std::vector<std::vector<Value>> group_cols;
   std::vector<std::vector<Value>> agg_cols;  ///< unused entry for COUNT(*)
@@ -52,53 +51,51 @@ Status AccumulateAt(const std::vector<AggSpec>& aggs, const AggInputVectors& v,
   return Status::OK();
 }
 
+std::vector<AggState> FreshAggStates(const std::vector<AggSpec>& aggs) {
+  std::vector<AggState> states;
+  states.reserve(aggs.size());
+  for (const AggSpec& a : aggs) states.emplace_back(a.fn);
+  return states;
+}
+
 }  // namespace
 
-// ---- Scans ----
-
-Status BatchClusteredScanExecutor::Init() {
-  ELE_ASSIGN_OR_RETURN(Table::RowIterator it,
-                       table_->ScanRange(range_.lo, range_.hi, intent_));
-  it_.emplace(std::move(it));
-  return Status::OK();
+Result<std::vector<Row>> DrainBatches(BatchExecutor* exec) {
+  ELE_RETURN_NOT_OK(exec->Init());
+  std::vector<Row> rows;
+  Batch batch;
+  while (true) {
+    ELE_ASSIGN_OR_RETURN(bool has, exec->NextBatch(&batch));
+    if (!has) break;
+    batch.MoveActiveRowsTo(&rows);
+  }
+  return rows;
 }
 
-Result<bool> BatchClusteredScanExecutor::NextBatch(Batch* out) {
-  out->Reset(table_->schema().NumColumns());
-  Row row;
-  while (!out->full() && it_->Valid()) {
-    ELE_RETURN_NOT_OK(it_->Current(&row));
-    ELE_RETURN_NOT_OK(it_->Next());
-    ctx_->counters().rows_scanned++;
-    out->AppendRowMove(std::move(row));
+Schema MakeAggOutputSchema(const std::vector<ExprPtr>& groups,
+                           const std::vector<AggSpec>& aggs) {
+  std::vector<Column> cols;
+  for (const ExprPtr& g : groups) {
+    cols.emplace_back(g->ToString(), g->output_type(), g->output_length());
   }
-  return out->num_rows() > 0;
+  for (const AggSpec& a : aggs) {
+    std::string name = !a.name.empty()
+                           ? a.name
+                           : std::string(AggFuncName(a.fn)) +
+                                 (a.arg ? "(" + a.arg->ToString() + ")" : "");
+    cols.emplace_back(std::move(name), a.OutputType(), a.OutputLength());
+  }
+  return Schema(std::move(cols));
 }
 
-Status BatchSecondaryIndexScanExecutor::Init() {
-  BPlusTree::Iterator it;
-  if (range_.lo.empty()) {
-    ELE_ASSIGN_OR_RETURN(it, index_->tree->SeekToFirst(intent_));
-  } else {
-    ELE_ASSIGN_OR_RETURN(it, index_->tree->Seek(range_.lo, intent_));
+Schema MakePartialAggSchema(const std::vector<ExprPtr>& groups,
+                            const std::vector<AggSpec>& aggs) {
+  std::vector<Column> cols;
+  for (const ExprPtr& g : groups) {
+    cols.emplace_back(g->ToString(), g->output_type(), g->output_length());
   }
-  it_.emplace(std::move(it));
-  return Status::OK();
-}
-
-Result<bool> BatchSecondaryIndexScanExecutor::NextBatch(Batch* out) {
-  out->Reset(index_->out_schema.NumColumns());
-  Row row;
-  while (!out->full() && it_->Valid()) {
-    const std::string_view key = it_->key();
-    if (!range_.hi.empty() && key >= std::string_view(range_.hi)) break;
-    ELE_RETURN_NOT_OK(
-        DecodeSecondaryIndexRow(*table_, *index_, key, it_->value(), &row));
-    ELE_RETURN_NOT_OK(it_->Next());
-    ctx_->counters().rows_scanned++;
-    out->AppendRowMove(std::move(row));
-  }
-  return out->num_rows() > 0;
+  for (const AggSpec& a : aggs) AggState::AppendPartialColumns(a, &cols);
+  return Schema(std::move(cols));
 }
 
 // ---- Filter / projection ----
@@ -148,74 +145,111 @@ Result<bool> BatchProjectExecutor::NextBatch(Batch* out) {
   return true;
 }
 
-// ---- Hash aggregation ----
+// ---- Grouped (blocking) aggregation ----
 
-BatchHashAggregateExecutor::BatchHashAggregateExecutor(
-    ExecContext* ctx, BatchExecutorPtr child, std::vector<ExprPtr> group_exprs,
-    std::vector<AggSpec> aggs)
-    : ctx_(ctx),
-      child_(std::move(child)),
-      group_exprs_(std::move(group_exprs)),
-      aggs_(std::move(aggs)) {
-  schema_ = MakeAggOutputSchema(child_->OutputSchema(), group_exprs_, aggs_);
-}
-
-Status BatchHashAggregateExecutor::Init() {
+Status GroupedAggregateExecutor::Init() {
   ELE_RETURN_NOT_OK(child_->Init());
   groups_.clear();
   Batch in;
-  AggInputVectors v;
-  Row group_values;
   while (true) {
     ELE_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&in));
     if (!has) break;
-    const std::vector<uint32_t> positions = in.ActiveIndices();
-    ELE_RETURN_NOT_OK(EvalAggInputs(in, positions, group_exprs_, aggs_, &v));
-    for (uint32_t pos : positions) {
-      std::string key = EncodeGroupKeyAt(v, pos, &group_values);
-      auto it = groups_.find(key);
-      if (it == groups_.end()) {
-        it = groups_
-                 .emplace(std::move(key),
-                          Group{group_values, FreshAggStates(aggs_)})
-                 .first;
-      }
-      ELE_RETURN_NOT_OK(AccumulateAt(aggs_, v, pos, &it->second.states));
-    }
+    ELE_RETURN_NOT_OK(Fold(in));
   }
-  // Scalar aggregation (no GROUP BY) over empty input yields one row.
-  if (group_exprs_.empty() && groups_.empty()) {
-    groups_.emplace(std::string(), Group{Row{}, FreshAggStates(aggs_)});
-  }
+  if (scalar_ && groups_.empty()) GroupFor(std::string(), Row{});
   emit_it_ = groups_.begin();
   inited_ = true;
   return Status::OK();
 }
 
-Result<bool> BatchHashAggregateExecutor::NextBatch(Batch* out) {
+GroupedAggregateExecutor::Group& GroupedAggregateExecutor::GroupFor(
+    std::string key, const Row& values) {
+  auto it = groups_.find(key);
+  if (it == groups_.end()) {
+    it = groups_.emplace(std::move(key), Group{values, FreshAggStates(aggs_)})
+             .first;
+  }
+  return it->second;
+}
+
+Result<bool> GroupedAggregateExecutor::NextBatch(Batch* out) {
   out->Reset(schema_.NumColumns());
   if (!inited_) return false;
   Row row;
   while (!out->full() && emit_it_ != groups_.end()) {
-    row.clear();
-    for (const Value& gv : emit_it_->second.group_values) row.push_back(gv);
-    for (const AggState& s : emit_it_->second.states) row.push_back(s.Finalize());
+    row = emit_it_->second.group_values;
+    Emit(emit_it_->second, &row);
     out->AppendRowMove(std::move(row));
     ++emit_it_;
   }
   return out->num_rows() > 0;
 }
 
+BatchHashAggregateExecutor::BatchHashAggregateExecutor(
+    BatchExecutorPtr child, std::vector<ExprPtr> group_exprs,
+    std::vector<AggSpec> aggs, bool partial)
+    : GroupedAggregateExecutor(
+          std::move(child), std::move(aggs), group_exprs.empty(),
+          partial ? MakePartialAggSchema(group_exprs, aggs)
+                  : MakeAggOutputSchema(group_exprs, aggs)),
+      group_exprs_(std::move(group_exprs)),
+      partial_(partial) {}
+
+Status BatchHashAggregateExecutor::Fold(const Batch& in) {
+  const std::vector<uint32_t> positions = in.ActiveIndices();
+  AggInputVectors v;
+  ELE_RETURN_NOT_OK(EvalAggInputs(in, positions, group_exprs_, aggs_, &v));
+  Row group_values;
+  for (uint32_t pos : positions) {
+    std::string key = EncodeGroupKeyAt(v, pos, &group_values);
+    Group& g = GroupFor(std::move(key), group_values);
+    ELE_RETURN_NOT_OK(AccumulateAt(aggs_, v, pos, &g.states));
+  }
+  return Status::OK();
+}
+
+void BatchHashAggregateExecutor::Emit(const Group& group, Row* out) const {
+  for (const AggState& s : group.states) {
+    if (partial_) {
+      s.AppendPartial(out);
+    } else {
+      out->push_back(s.Finalize());
+    }
+  }
+}
+
+Status BatchFinalAggregateExecutor::Fold(const Batch& in) {
+  Row row;
+  const uint32_t n = in.ActiveCount();
+  for (uint32_t i = 0; i < n; ++i) {
+    in.GatherRow(in.ActiveIndex(i), &row);
+    std::string key;
+    for (size_t g = 0; g < num_groups_; g++) keycodec::Encode(row[g], &key);
+    Group& group = GroupFor(
+        std::move(key),
+        Row(row.begin(), row.begin() + static_cast<long>(num_groups_)));
+    size_t pos = num_groups_;
+    for (size_t a = 0; a < aggs_.size(); a++) {
+      ELE_RETURN_NOT_OK(group.states[a].MergePartial(row, pos));
+      pos += AggState::PartialWidth(aggs_[a].fn);
+    }
+  }
+  return Status::OK();
+}
+
+void BatchFinalAggregateExecutor::Emit(const Group& group, Row* out) const {
+  for (const AggState& s : group.states) out->push_back(s.Finalize());
+}
+
 // ---- Stream aggregation ----
 
 BatchStreamAggregateExecutor::BatchStreamAggregateExecutor(
-    ExecContext* ctx, BatchExecutorPtr child, std::vector<ExprPtr> group_exprs,
+    BatchExecutorPtr child, std::vector<ExprPtr> group_exprs,
     std::vector<AggSpec> aggs)
-    : ctx_(ctx),
-      child_(std::move(child)),
+    : child_(std::move(child)),
       group_exprs_(std::move(group_exprs)),
       aggs_(std::move(aggs)) {
-  schema_ = MakeAggOutputSchema(child_->OutputSchema(), group_exprs_, aggs_);
+  schema_ = MakeAggOutputSchema(group_exprs_, aggs_);
 }
 
 Status BatchStreamAggregateExecutor::Init() {
@@ -290,157 +324,4 @@ Result<bool> BatchStreamAggregateExecutor::NextBatch(Batch* out) {
   }
   return out->num_rows() > 0;
 }
-
-// ---- Partial / final aggregation (parallel halves) ----
-
-BatchPartialAggregateExecutor::BatchPartialAggregateExecutor(
-    ExecContext* ctx, BatchExecutorPtr child, std::vector<ExprPtr> group_exprs,
-    std::vector<AggSpec> aggs)
-    : ctx_(ctx),
-      child_(std::move(child)),
-      group_exprs_(std::move(group_exprs)),
-      aggs_(std::move(aggs)) {
-  schema_ = MakePartialAggSchema(group_exprs_, aggs_);
-}
-
-Status BatchPartialAggregateExecutor::Init() {
-  ELE_RETURN_NOT_OK(child_->Init());
-  groups_.clear();
-  Batch in;
-  AggInputVectors v;
-  Row group_values;
-  while (true) {
-    ELE_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&in));
-    if (!has) break;
-    const std::vector<uint32_t> positions = in.ActiveIndices();
-    ELE_RETURN_NOT_OK(EvalAggInputs(in, positions, group_exprs_, aggs_, &v));
-    for (uint32_t pos : positions) {
-      std::string key = EncodeGroupKeyAt(v, pos, &group_values);
-      auto it = groups_.find(key);
-      if (it == groups_.end()) {
-        it = groups_
-                 .emplace(std::move(key),
-                          Group{group_values, FreshAggStates(aggs_)})
-                 .first;
-      }
-      ELE_RETURN_NOT_OK(AccumulateAt(aggs_, v, pos, &it->second.states));
-    }
-  }
-  // A scalar partial aggregate always contributes one transfer row, even
-  // over an empty morsel, so the final merge sees COUNT() = 0 etc.
-  if (group_exprs_.empty() && groups_.empty()) {
-    groups_.emplace(std::string(), Group{Row{}, FreshAggStates(aggs_)});
-  }
-  emit_it_ = groups_.begin();
-  inited_ = true;
-  return Status::OK();
-}
-
-Result<bool> BatchPartialAggregateExecutor::NextBatch(Batch* out) {
-  out->Reset(schema_.NumColumns());
-  if (!inited_) return false;
-  Row row;
-  while (!out->full() && emit_it_ != groups_.end()) {
-    row.clear();
-    for (const Value& gv : emit_it_->second.group_values) row.push_back(gv);
-    for (const AggState& s : emit_it_->second.states) s.AppendPartial(&row);
-    out->AppendRowMove(std::move(row));
-    ++emit_it_;
-  }
-  return out->num_rows() > 0;
-}
-
-BatchFinalAggregateExecutor::BatchFinalAggregateExecutor(
-    ExecContext* ctx, BatchExecutorPtr child, size_t num_groups,
-    std::vector<AggSpec> aggs, Schema output_schema)
-    : ctx_(ctx),
-      child_(std::move(child)),
-      num_groups_(num_groups),
-      aggs_(std::move(aggs)),
-      schema_(std::move(output_schema)) {}
-
-Status BatchFinalAggregateExecutor::Init() {
-  ELE_RETURN_NOT_OK(child_->Init());
-  groups_.clear();
-  Batch in;
-  Row row;
-  while (true) {
-    ELE_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&in));
-    if (!has) break;
-    const uint32_t n = in.ActiveCount();
-    for (uint32_t i = 0; i < n; ++i) {
-      in.GatherRow(in.ActiveIndex(i), &row);
-      std::string key;
-      for (size_t g = 0; g < num_groups_; g++) keycodec::Encode(row[g], &key);
-      auto it = groups_.find(key);
-      if (it == groups_.end()) {
-        Row group_values(row.begin(), row.begin() + static_cast<long>(num_groups_));
-        it = groups_
-                 .emplace(std::move(key),
-                          Group{std::move(group_values), FreshAggStates(aggs_)})
-                 .first;
-      }
-      size_t pos = num_groups_;
-      for (size_t a = 0; a < aggs_.size(); a++) {
-        ELE_RETURN_NOT_OK(it->second.states[a].MergePartial(row, pos));
-        pos += AggState::PartialWidth(aggs_[a].fn);
-      }
-    }
-  }
-  // Scalar aggregation over zero partial rows (e.g. an empty key range
-  // produced no morsels) still yields one output row, like the serial plan.
-  if (num_groups_ == 0 && groups_.empty()) {
-    groups_.emplace(std::string(), Group{Row{}, FreshAggStates(aggs_)});
-  }
-  emit_it_ = groups_.begin();
-  inited_ = true;
-  return Status::OK();
-}
-
-Result<bool> BatchFinalAggregateExecutor::NextBatch(Batch* out) {
-  out->Reset(schema_.NumColumns());
-  if (!inited_) return false;
-  Row row;
-  while (!out->full() && emit_it_ != groups_.end()) {
-    row.clear();
-    row.reserve(num_groups_ + aggs_.size());
-    for (const Value& gv : emit_it_->second.group_values) row.push_back(gv);
-    for (const AggState& s : emit_it_->second.states) row.push_back(s.Finalize());
-    out->AppendRowMove(std::move(row));
-    ++emit_it_;
-  }
-  return out->num_rows() > 0;
-}
-
-// ---- Adapters ----
-
-Result<bool> RowFromBatchAdapter::Next(Row* out) {
-  while (idx_ >= batch_.ActiveCount()) {
-    if (done_) return false;
-    ELE_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch_));
-    if (!has) {
-      done_ = true;
-      return false;
-    }
-    idx_ = 0;
-  }
-  batch_.GatherRow(batch_.ActiveIndex(idx_++), out);
-  return true;
-}
-
-Result<bool> BatchFromRowAdapter::NextBatch(Batch* out) {
-  out->Reset(child_->OutputSchema().NumColumns());
-  if (done_) return false;
-  Row row;
-  while (!out->full()) {
-    ELE_ASSIGN_OR_RETURN(bool has, child_->Next(&row));
-    if (!has) {
-      done_ = true;
-      break;
-    }
-    out->AppendRowMove(std::move(row));
-  }
-  return out->num_rows() > 0;
-}
-
 }  // namespace elephant

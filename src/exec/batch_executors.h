@@ -2,69 +2,14 @@
 
 #include <deque>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "catalog/table.h"
-#include "exec/agg_executor.h"
 #include "exec/batch.h"
 #include "exec/executor.h"
 #include "exec/expression.h"
-#include "exec/scan_executor.h"
 
 namespace elephant {
-
-/// Batch twin of ClusteredScanExecutor: materializes up to kBatchCapacity
-/// table rows per NextBatch call. Same iterator, same key range, same
-/// rows_scanned accounting per row pulled from storage.
-/// batch: this IS the vectorized scan (row twin: ClusteredScanExecutor).
-class BatchClusteredScanExecutor final : public BatchExecutor {
- public:
-  BatchClusteredScanExecutor(ExecContext* ctx, const Table* table,
-                             KeyRange range = {},
-                             AccessIntent intent = AccessIntent::kPointLookup)
-      : ctx_(ctx), table_(table), range_(std::move(range)), intent_(intent) {}
-
-  Status Init() override;
-  Result<bool> NextBatch(Batch* out) override;
-  const Schema& OutputSchema() const override { return table_->schema(); }
-
- private:
-  ExecContext* ctx_;
-  const Table* table_;
-  KeyRange range_;
-  AccessIntent intent_;
-  std::optional<Table::RowIterator> it_;
-};
-
-/// Batch twin of SecondaryIndexScanExecutor (covering-index range scan);
-/// decodes through the same DecodeSecondaryIndexRow helper as the row path.
-/// batch: this IS the vectorized index scan (row twin:
-/// SecondaryIndexScanExecutor).
-class BatchSecondaryIndexScanExecutor final : public BatchExecutor {
- public:
-  BatchSecondaryIndexScanExecutor(ExecContext* ctx, const Table* table,
-                                  const SecondaryIndex* index, KeyRange range = {},
-                                  AccessIntent intent = AccessIntent::kPointLookup)
-      : ctx_(ctx),
-        table_(table),
-        index_(index),
-        range_(std::move(range)),
-        intent_(intent) {}
-
-  Status Init() override;
-  Result<bool> NextBatch(Batch* out) override;
-  const Schema& OutputSchema() const override { return index_->out_schema; }
-
- private:
-  ExecContext* ctx_;
-  const Table* table_;
-  const SecondaryIndex* index_;
-  KeyRange range_;
-  AccessIntent intent_;
-  std::optional<BPlusTree::Iterator> it_;
-};
 
 /// Batch filter: narrows the child batch's selection vector to rows where
 /// the predicate is non-NULL true (ApplyFilterToBatch), without copying
@@ -101,43 +46,104 @@ class BatchProjectExecutor final : public BatchExecutor {
   Schema schema_;
 };
 
-/// Batch twin of HashAggregateExecutor: consumes the whole child in Init()
-/// — group keys and aggregate arguments evaluated vectorized per batch,
-/// folded through the same AggState accumulators in the same row order —
-/// then drains groups in encoded-key order, kBatchCapacity rows at a time.
-class BatchHashAggregateExecutor final : public BatchExecutor {
+/// The grouping shared by every blocking aggregate: Init() consumes the whole
+/// child, folding each batch into groups keyed by their encoded group values;
+/// NextBatch() then drains the groups in encoded-key order (a std::map, so
+/// output is deterministic), kBatchCapacity rows at a time. Subclasses differ
+/// only in how a batch is folded and how a group is emitted. A scalar
+/// aggregate (no group columns) over empty input still yields one row.
+class GroupedAggregateExecutor : public BatchExecutor {
  public:
-  BatchHashAggregateExecutor(ExecContext* ctx, BatchExecutorPtr child,
-                             std::vector<ExprPtr> group_exprs,
-                             std::vector<AggSpec> aggs);
+  Status Init() final;
+  Result<bool> NextBatch(Batch* out) final;
+  const Schema& OutputSchema() const final { return schema_; }
 
-  Status Init() override;
-  Result<bool> NextBatch(Batch* out) override;
-  const Schema& OutputSchema() const override { return schema_; }
-
- private:
-  ExecContext* ctx_;
-  BatchExecutorPtr child_;
-  std::vector<ExprPtr> group_exprs_;
-  std::vector<AggSpec> aggs_;
-  Schema schema_;
-
+ protected:
   struct Group {
     Row group_values;
     std::vector<AggState> states;
   };
+
+  /// `aggs` binds by reference so a subclass can derive `schema` from it in
+  /// the same constructor call before it is moved in.
+  GroupedAggregateExecutor(BatchExecutorPtr child, std::vector<AggSpec>&& aggs,
+                           bool scalar, Schema schema)
+      : child_(std::move(child)),
+        aggs_(std::move(aggs)),
+        scalar_(scalar),
+        schema_(std::move(schema)) {}
+
+  /// Folds the live rows of one child batch into the groups.
+  virtual Status Fold(const Batch& in) = 0;
+  /// Appends a group's aggregate columns after its group values.
+  virtual void Emit(const Group& group, Row* out) const = 0;
+
+  /// The group stored under `key`, created with `values` and fresh states.
+  Group& GroupFor(std::string key, const Row& values);
+
+  BatchExecutorPtr child_;
+  std::vector<AggSpec> aggs_;
+
+ private:
+  bool scalar_;
+  Schema schema_;
   std::map<std::string, Group> groups_;
   std::map<std::string, Group>::iterator emit_it_;
   bool inited_ = false;
 };
 
-/// Batch twin of StreamAggregateExecutor: input arrives clustered by the
-/// group expressions; the current group's state is carried across batch
-/// boundaries so a group split over two (or more) batches folds exactly
-/// like the row path.
+/// Hash-based GROUP BY aggregation; group keys and aggregate arguments are
+/// evaluated vectorized per batch and folded in row order through AggState.
+/// Output = group columns ++ aggregate columns. With `partial`, it is the
+/// worker half of a parallel aggregation (one instance per morsel): each
+/// group emits partial transfer columns instead of finalized values (COUNT
+/// -> count, SUM -> running sum, AVG -> (sum, count), ...; see
+/// MakePartialAggSchema) for a BatchFinalAggregateExecutor above the
+/// exchange to merge exactly.
+class BatchHashAggregateExecutor final : public GroupedAggregateExecutor {
+ public:
+  BatchHashAggregateExecutor(BatchExecutorPtr child,
+                             std::vector<ExprPtr> group_exprs,
+                             std::vector<AggSpec> aggs, bool partial = false);
+
+ private:
+  Status Fold(const Batch& in) override;
+  void Emit(const Group& group, Row* out) const override;
+
+  std::vector<ExprPtr> group_exprs_;
+  bool partial_;
+};
+
+/// Session-side half of a parallel aggregation: merges partial transfer rows
+/// (group values ++ partial states) read straight from the Gather exchange
+/// through AggState::MergePartial, emitting in encoded-group-key order
+/// exactly like the serial hash aggregate. Merging is exact for integer and
+/// decimal aggregates; the input arrives in deterministic morsel order, so
+/// even floating-point sums are reproducible run to run.
+class BatchFinalAggregateExecutor final : public GroupedAggregateExecutor {
+ public:
+  BatchFinalAggregateExecutor(BatchExecutorPtr child, size_t num_groups,
+                              std::vector<AggSpec> aggs, Schema output_schema)
+      : GroupedAggregateExecutor(std::move(child), std::move(aggs),
+                                 num_groups == 0, std::move(output_schema)),
+        num_groups_(num_groups) {}
+
+ private:
+  Status Fold(const Batch& in) override;
+  void Emit(const Group& group, Row* out) const override;
+
+  size_t num_groups_;
+};
+
+/// Stream aggregation over input already sorted (or at least clustered) by
+/// the group expressions: emits each group as soon as the next group starts.
+/// This is the "stream-based operator" of the paper's Figure 4(c) plan —
+/// after an intermediate sort, grouping needs no hash table. The current
+/// group's state is carried across batch boundaries, so a group split over
+/// several batches folds exactly like one that fits in a single batch.
 class BatchStreamAggregateExecutor final : public BatchExecutor {
  public:
-  BatchStreamAggregateExecutor(ExecContext* ctx, BatchExecutorPtr child,
+  BatchStreamAggregateExecutor(BatchExecutorPtr child,
                                std::vector<ExprPtr> group_exprs,
                                std::vector<AggSpec> aggs);
 
@@ -151,7 +157,6 @@ class BatchStreamAggregateExecutor final : public BatchExecutor {
   Status ConsumeBatch(const Batch& in);
   Row FinishCurrent();
 
-  ExecContext* ctx_;
   BatchExecutorPtr child_;
   std::vector<ExprPtr> group_exprs_;
   std::vector<AggSpec> aggs_;
@@ -167,114 +172,13 @@ class BatchStreamAggregateExecutor final : public BatchExecutor {
   Batch in_;
 };
 
-/// Worker-side half of a parallel aggregation: groups its input like
-/// BatchHashAggregateExecutor but emits partial transfer rows instead of
-/// finalized values (COUNT -> count, SUM -> running sum, AVG -> (sum, count),
-/// ...). One instance runs per morsel; a BatchFinalAggregateExecutor above
-/// the exchange merges the partial rows exactly. A scalar partial aggregate
-/// over an empty morsel still emits one row, mirroring serial scalar
-/// aggregation.
-class BatchPartialAggregateExecutor final : public BatchExecutor {
- public:
-  BatchPartialAggregateExecutor(ExecContext* ctx, BatchExecutorPtr child,
-                                std::vector<ExprPtr> group_exprs,
-                                std::vector<AggSpec> aggs);
+/// Output schema of an aggregate: group columns ++ aggregate columns.
+Schema MakeAggOutputSchema(const std::vector<ExprPtr>& groups,
+                           const std::vector<AggSpec>& aggs);
 
-  Status Init() override;
-  Result<bool> NextBatch(Batch* out) override;
-  const Schema& OutputSchema() const override { return schema_; }
-
- private:
-  ExecContext* ctx_;
-  BatchExecutorPtr child_;
-  std::vector<ExprPtr> group_exprs_;
-  std::vector<AggSpec> aggs_;
-  Schema schema_;
-
-  struct Group {
-    Row group_values;
-    std::vector<AggState> states;
-  };
-  std::map<std::string, Group> groups_;
-  std::map<std::string, Group>::iterator emit_it_;
-  bool inited_ = false;
-};
-
-/// Session-side half of a parallel aggregation: merges partial transfer rows
-/// (group values ++ partial states), usually via a BatchFromRowAdapter over
-/// the Gather exchange, through AggState::MergePartial, emitting in
-/// encoded-group-key order exactly like HashAggregateExecutor. Merging is
-/// exact for integer and decimal aggregates; the input arrives in
-/// deterministic morsel order, so even floating-point sums are reproducible
-/// run to run.
-class BatchFinalAggregateExecutor final : public BatchExecutor {
- public:
-  BatchFinalAggregateExecutor(ExecContext* ctx, BatchExecutorPtr child,
-                              size_t num_groups, std::vector<AggSpec> aggs,
-                              Schema output_schema);
-
-  Status Init() override;
-  Result<bool> NextBatch(Batch* out) override;
-  const Schema& OutputSchema() const override { return schema_; }
-
- private:
-  ExecContext* ctx_;
-  BatchExecutorPtr child_;
-  size_t num_groups_;
-  std::vector<AggSpec> aggs_;
-  Schema schema_;
-
-  struct Group {
-    Row group_values;
-    std::vector<AggState> states;
-  };
-  std::map<std::string, Group> groups_;
-  std::map<std::string, Group>::iterator emit_it_;
-  bool inited_ = false;
-};
-
-/// Row-side adapter over a batch subtree: the fallback bridge that lets a
-/// batch pipeline feed any Volcano consumer (joins, Sort, Limit, the engine
-/// drain loop). Transparent: no plan node, no counters of its own.
-/// batch: adapter between the engines, not an operator (no batch twin).
-class RowFromBatchAdapter final : public Executor {
- public:
-  explicit RowFromBatchAdapter(BatchExecutorPtr child)
-      : child_(std::move(child)) {}
-
-  Status Init() override {
-    idx_ = 0;
-    done_ = false;
-    batch_.Reset(0);
-    return child_->Init();
-  }
-  Result<bool> Next(Row* out) override;
-  const Schema& OutputSchema() const override { return child_->OutputSchema(); }
-
- private:
-  BatchExecutorPtr child_;
-  Batch batch_;
-  uint32_t idx_ = 0;
-  bool done_ = false;
-};
-
-/// Batch-side adapter over a row subtree: lets batch consumers (e.g. a
-/// final aggregate above the Gather exchange, or a stream aggregate above a
-/// Sort) run over any Volcano producer. Emits dense batches.
-class BatchFromRowAdapter final : public BatchExecutor {
- public:
-  explicit BatchFromRowAdapter(ExecutorPtr child) : child_(std::move(child)) {}
-
-  Status Init() override {
-    done_ = false;
-    return child_->Init();
-  }
-  Result<bool> NextBatch(Batch* out) override;
-  const Schema& OutputSchema() const override { return child_->OutputSchema(); }
-
- private:
-  ExecutorPtr child_;
-  bool done_ = false;
-};
+/// Output schema of a partial aggregate: group columns followed by each
+/// aggregate's partial (transfer) columns — see AggState::AppendPartial.
+Schema MakePartialAggSchema(const std::vector<ExprPtr>& groups,
+                            const std::vector<AggSpec>& aggs);
 
 }  // namespace elephant

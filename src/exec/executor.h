@@ -1,7 +1,5 @@
 #pragma once
 
-#include <memory>
-
 #include "common/schema.h"
 #include "common/status.h"
 #include "storage/buffer_pool.h"
@@ -19,8 +17,7 @@ class ThreadPool;
 /// `rows_output` is the number of rows the PLAN ROOT emitted to the client;
 /// the engine assigns it once when the drain loop finishes. Operators must
 /// not bump it per intermediate row — doing so over-counted under
-/// LIMIT-atop-Gather and double-counted multi-stage aggregation, and would
-/// diverge between the row and batch engines.
+/// LIMIT-atop-Gather and double-counted multi-stage aggregation.
 struct ExecCounters {
   uint64_t rows_output = 0;
   uint64_t index_seeks = 0;
@@ -46,23 +43,5 @@ class ExecContext {
   ExecCounters counters_;
   sched::ThreadPool* scheduler_ = nullptr;
 };
-
-/// Volcano-style executor: Init() once, then Next() until it yields false.
-class Executor {
- public:
-  virtual ~Executor() = default;
-
-  virtual Status Init() = 0;
-
-  /// Produces the next row into `out`. Returns false at end of stream.
-  virtual Result<bool> Next(Row* out) = 0;
-
-  virtual const Schema& OutputSchema() const = 0;
-};
-
-using ExecutorPtr = std::unique_ptr<Executor>;
-
-/// Drains an executor into a vector of rows (Init + all Next calls).
-Result<std::vector<Row>> ExecuteToVector(Executor* exec);
 
 }  // namespace elephant

@@ -46,7 +46,7 @@ class Expr {
   /// `out` is resized to batch.num_rows(); entries at positions NOT listed
   /// are unspecified and must never be read. Taking an explicit position
   /// list (rather than evaluating the whole batch) is what keeps batch
-  /// semantics identical to Volcano: side-effecting expressions such as
+  /// semantics identical to per-row Eval: side-effecting expressions such as
   /// `10 / x` are never evaluated at rows a preceding filter rejected, and
   /// AND/OR short-circuit positionally exactly like the row path.
   ///

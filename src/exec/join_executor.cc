@@ -2,95 +2,135 @@
 
 namespace elephant {
 
-InljBounds InljBounds::Clone() const {
-  InljBounds out;
-  for (const ExprPtr& e : eq_exprs) out.eq_exprs.push_back(e->Clone());
-  out.lo = lo ? lo->Clone() : nullptr;
-  out.lo_inclusive = lo_inclusive;
-  out.hi = hi ? hi->Clone() : nullptr;
-  out.hi_inclusive = hi_inclusive;
-  return out;
+namespace {
+
+/// Appends one output row: physical row `r` of `outer`, then `inner`.
+void AppendJoined(const Batch& outer, uint32_t r, const Row& inner,
+                  Batch* out) {
+  const size_t width = outer.num_cols();
+  for (size_t c = 0; c < width; ++c) out->col(c).push_back(outer.col(c)[r]);
+  for (size_t c = 0; c < inner.size(); ++c) {
+    out->col(width + c).push_back(inner[c]);
+  }
+  out->SetRowCount(out->num_rows() + 1);
 }
 
-IndexNestedLoopJoinExecutor::IndexNestedLoopJoinExecutor(
-    ExecContext* ctx, ExecutorPtr outer, const Table* inner_table,
-    const SecondaryIndex* inner_index, InljBounds bounds, ExprPtr residual)
-    : ctx_(ctx),
-      outer_(std::move(outer)),
-      inner_table_(inner_table),
-      inner_index_(inner_index),
-      bounds_(std::move(bounds)),
-      residual_(std::move(residual)) {
-  const Schema& inner_schema =
-      inner_index_ != nullptr ? inner_index_->out_schema : inner_table_->schema();
-  schema_ = Schema::Concat(outer_->OutputSchema(), inner_schema);
-}
-
-Status IndexNestedLoopJoinExecutor::Init() {
-  ELE_RETURN_NOT_OK(outer_->Init());
-  outer_valid_ = false;
-  inner_scan_.reset();
+/// Evaluates `exprs` over the live rows of `in`, one vector per expression.
+Status EvalColumns(const std::vector<ExprPtr>& exprs, const Batch& in,
+                   std::vector<std::vector<Value>>* cols) {
+  const std::vector<uint32_t> positions = in.ActiveIndices();
+  cols->resize(exprs.size());
+  for (size_t i = 0; i < exprs.size(); ++i) {
+    ELE_RETURN_NOT_OK(exprs[i]->EvalBatch(in, positions, &(*cols)[i]));
+  }
   return Status::OK();
 }
 
-Status IndexNestedLoopJoinExecutor::OpenInner() {
-  std::vector<Value> eq_values;
-  eq_values.reserve(bounds_.eq_exprs.size());
-  for (const ExprPtr& e : bounds_.eq_exprs) {
-    ELE_ASSIGN_OR_RETURN(Value v, e->Eval(outer_row_));
-    eq_values.push_back(std::move(v));
+/// Encodes the join key of physical row `r` into `*key`; false when any key
+/// value is NULL (NULL keys never join).
+bool EncodeJoinKey(const std::vector<std::vector<Value>>& cols, uint32_t r,
+                   std::string* key) {
+  key->clear();
+  for (const std::vector<Value>& col : cols) {
+    if (col[r].is_null()) return false;
+    keycodec::Encode(col[r], key);
   }
-  std::optional<Value> lo, hi;
+  return true;
+}
+
+/// Applies a join residual to a finished output batch.
+Status ApplyResidual(const ExprPtr& residual, Batch* out) {
+  if (residual == nullptr || out->num_rows() == 0) return Status::OK();
+  return ApplyFilterToBatch(*residual, out);
+}
+
+}  // namespace
+
+// ---- Index nested-loop join ----
+
+IndexNestedLoopJoinExecutor::IndexNestedLoopJoinExecutor(
+    ExecContext* ctx, BatchExecutorPtr outer, const Table* inner_table,
+    const SecondaryIndex* inner_index, InljBounds bounds, ExprPtr residual)
+    : ctx_(ctx),
+      outer_(std::move(outer)),
+      bounds_(std::move(bounds)),
+      residual_(std::move(residual)),
+      inner_(inner_table, inner_index, AccessIntent::kPointLookup) {
+  schema_ = Schema::Concat(outer_->OutputSchema(), inner_.schema());
+}
+
+Status IndexNestedLoopJoinExecutor::Init() {
+  outer_batch_.Reset(0);
+  outer_pos_ = 0;
+  inner_open_ = false;
+  outer_done_ = false;
+  return outer_->Init();
+}
+
+Result<bool> IndexNestedLoopJoinExecutor::NextOuterBatch() {
+  do {
+    ELE_ASSIGN_OR_RETURN(bool has, outer_->NextBatch(&outer_batch_));
+    if (!has) return false;
+  } while (outer_batch_.empty());
+  ELE_RETURN_NOT_OK(EvalColumns(bounds_.eq_exprs, outer_batch_, &eq_vals_));
+  const std::vector<uint32_t> rows = outer_batch_.ActiveIndices();
   if (bounds_.lo != nullptr) {
-    ELE_ASSIGN_OR_RETURN(Value v, bounds_.lo->Eval(outer_row_));
-    lo = std::move(v);
+    ELE_RETURN_NOT_OK(bounds_.lo->EvalBatch(outer_batch_, rows, &lo_vals_));
   }
   if (bounds_.hi != nullptr) {
-    ELE_ASSIGN_OR_RETURN(Value v, bounds_.hi->Eval(outer_row_));
-    hi = std::move(v);
+    ELE_RETURN_NOT_OK(bounds_.hi->EvalBatch(outer_batch_, rows, &hi_vals_));
   }
-  KeyRange range = MakeKeyRange(eq_values, lo, bounds_.lo_inclusive, hi,
-                                bounds_.hi_inclusive);
-  if (inner_index_ != nullptr) {
-    inner_scan_ = std::make_unique<SecondaryIndexScanExecutor>(
-        ctx_, inner_table_, inner_index_, std::move(range));
-  } else {
-    inner_scan_ = std::make_unique<ClusteredScanExecutor>(ctx_, inner_table_,
-                                                          std::move(range));
-  }
+  outer_pos_ = 0;
+  return true;
+}
+
+Status IndexNestedLoopJoinExecutor::Probe(uint32_t r) {
+  eq_row_.clear();
+  for (const std::vector<Value>& col : eq_vals_) eq_row_.push_back(col[r]);
+  std::optional<Value> lo, hi;
+  if (bounds_.lo != nullptr) lo = lo_vals_[r];
+  if (bounds_.hi != nullptr) hi = hi_vals_[r];
+  MakeKeyRange(eq_row_, lo, bounds_.lo_inclusive, hi, bounds_.hi_inclusive,
+               &range_);
   ctx_->counters().index_seeks++;
-  return inner_scan_->Init();
+  return inner_.Seek(range_);
 }
 
-Result<bool> IndexNestedLoopJoinExecutor::Next(Row* out) {
-  while (true) {
-    if (!outer_valid_) {
-      ELE_ASSIGN_OR_RETURN(bool has, outer_->Next(&outer_row_));
-      if (!has) return false;
-      outer_valid_ = true;
-      ELE_RETURN_NOT_OK(OpenInner());
+Result<bool> IndexNestedLoopJoinExecutor::NextBatch(Batch* out) {
+  out->Reset(schema_.NumColumns());
+  while (!out->full()) {
+    if (inner_open_) {
+      while (!out->full() && inner_.Valid()) {
+        ELE_RETURN_NOT_OK(inner_.Read(&inner_row_));
+        ctx_->counters().rows_scanned++;
+        AppendJoined(outer_batch_, outer_row_, inner_row_, out);
+      }
+      if (out->full()) break;
+      inner_open_ = false;
     }
-    Row inner_row;
-    ELE_ASSIGN_OR_RETURN(bool has_inner, inner_scan_->Next(&inner_row));
-    if (!has_inner) {
-      outer_valid_ = false;
-      continue;
+    if (outer_done_) break;
+    if (outer_pos_ == outer_batch_.ActiveCount()) {
+      ELE_ASSIGN_OR_RETURN(bool has, NextOuterBatch());
+      if (!has) {
+        outer_done_ = true;
+        break;
+      }
     }
-    out->clear();
-    out->reserve(outer_row_.size() + inner_row.size());
-    out->insert(out->end(), outer_row_.begin(), outer_row_.end());
-    out->insert(out->end(), inner_row.begin(), inner_row.end());
-    if (residual_ != nullptr) {
-      ELE_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual_, *out));
-      if (!pass) continue;
-    }
-    return true;
+    outer_row_ = outer_batch_.ActiveIndex(outer_pos_++);
+    ELE_RETURN_NOT_OK(Probe(outer_row_));
+    inner_open_ = true;
   }
+  ELE_RETURN_NOT_OK(ApplyResidual(residual_, out));
+  return out->num_rows() > 0;
 }
 
-HashJoinExecutor::HashJoinExecutor(ExecContext* ctx, ExecutorPtr left,
-                                   ExecutorPtr right, std::vector<ExprPtr> left_keys,
-                                   std::vector<ExprPtr> right_keys, ExprPtr residual)
+// ---- Hash join ----
+
+HashJoinExecutor::HashJoinExecutor(ExecContext* ctx, BatchExecutorPtr left,
+                                   BatchExecutorPtr right,
+                                   std::vector<ExprPtr> left_keys,
+                                   std::vector<ExprPtr> right_keys,
+                                   ExprPtr residual)
     : ctx_(ctx),
       left_(std::move(left)),
       right_(std::move(right)),
@@ -100,65 +140,66 @@ HashJoinExecutor::HashJoinExecutor(ExecContext* ctx, ExecutorPtr left,
   schema_ = Schema::Concat(left_->OutputSchema(), right_->OutputSchema());
 }
 
-Result<std::string> HashJoinExecutor::EncodeKeys(const std::vector<ExprPtr>& exprs,
-                                                 const Row& row) {
-  std::string key;
-  for (const ExprPtr& e : exprs) {
-    ELE_ASSIGN_OR_RETURN(Value v, e->Eval(row));
-    if (v.is_null()) return std::string();  // NULL keys never join
-    keycodec::Encode(v, &key);
-  }
-  return key;
-}
-
 Status HashJoinExecutor::Init() {
   ELE_RETURN_NOT_OK(left_->Init());
   ELE_RETURN_NOT_OK(right_->Init());
   build_.clear();
-  probe_valid_ = false;
-  Row row;
+  probe_.Reset(0);
+  probe_pos_ = 0;
+  probe_done_ = false;
+  Batch in;
+  std::string key;
   while (true) {
-    ELE_ASSIGN_OR_RETURN(bool has, right_->Next(&row));
+    ELE_ASSIGN_OR_RETURN(bool has, right_->NextBatch(&in));
     if (!has) break;
-    ELE_ASSIGN_OR_RETURN(std::string key, EncodeKeys(right_keys_, row));
-    if (key.empty() && !right_keys_.empty()) continue;  // NULL key
-    build_.emplace(std::move(key), row);
+    ELE_RETURN_NOT_OK(EvalColumns(right_keys_, in, &key_cols_));
+    const uint32_t n = in.ActiveCount();
+    for (uint32_t i = 0; i < n; ++i) {
+      const uint32_t r = in.ActiveIndex(i);
+      if (!EncodeJoinKey(key_cols_, r, &key)) continue;
+      Row row;
+      in.GatherRow(r, &row);
+      build_.emplace(key, std::move(row));
+    }
   }
+  matches_ = {build_.end(), build_.end()};
   return Status::OK();
 }
 
-Result<bool> HashJoinExecutor::Next(Row* out) {
-  while (true) {
-    if (!probe_valid_) {
-      ELE_ASSIGN_OR_RETURN(bool has, left_->Next(&probe_row_));
-      if (!has) return false;
-      ELE_ASSIGN_OR_RETURN(std::string key, EncodeKeys(left_keys_, probe_row_));
-      if (key.empty() && !left_keys_.empty()) continue;  // NULL key
-      matches_ = build_.equal_range(key);
-      probe_valid_ = true;
-    }
-    if (matches_.first == matches_.second) {
-      probe_valid_ = false;
+Result<bool> HashJoinExecutor::NextBatch(Batch* out) {
+  out->Reset(schema_.NumColumns());
+  std::string key;
+  while (!out->full()) {
+    if (matches_.first != matches_.second) {
+      AppendJoined(probe_, probe_row_, matches_.first->second, out);
+      ++matches_.first;
       continue;
     }
-    const Row& build_row = matches_.first->second;
-    ++matches_.first;
-    out->clear();
-    out->reserve(probe_row_.size() + build_row.size());
-    out->insert(out->end(), probe_row_.begin(), probe_row_.end());
-    out->insert(out->end(), build_row.begin(), build_row.end());
-    if (residual_ != nullptr) {
-      ELE_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual_, *out));
-      if (!pass) continue;
+    if (probe_done_) break;
+    if (probe_pos_ == probe_.ActiveCount()) {
+      ELE_ASSIGN_OR_RETURN(bool has, left_->NextBatch(&probe_));
+      if (!has) {
+        probe_done_ = true;
+        break;
+      }
+      ELE_RETURN_NOT_OK(EvalColumns(left_keys_, probe_, &key_cols_));
+      probe_pos_ = 0;
+      continue;
     }
-    return true;
+    probe_row_ = probe_.ActiveIndex(probe_pos_++);
+    if (EncodeJoinKey(key_cols_, probe_row_, &key)) {
+      matches_ = build_.equal_range(key);
+    }
   }
+  ELE_RETURN_NOT_OK(ApplyResidual(residual_, out));
+  return out->num_rows() > 0;
 }
 
-BandMergeJoinExecutor::BandMergeJoinExecutor(ExecContext* ctx, ExecutorPtr outer,
-                                             ExecutorPtr inner, ExprPtr outer_lo,
-                                             ExprPtr outer_hi, ExprPtr inner_point,
-                                             ExprPtr residual)
+// ---- Band merge join ----
+
+BandMergeJoinExecutor::BandMergeJoinExecutor(
+    ExecContext* ctx, BatchExecutorPtr outer, BatchExecutorPtr inner,
+    ExprPtr outer_lo, ExprPtr outer_hi, ExprPtr inner_point, ExprPtr residual)
     : ctx_(ctx),
       outer_(std::move(outer)),
       inner_(std::move(inner)),
@@ -171,43 +212,74 @@ BandMergeJoinExecutor::BandMergeJoinExecutor(ExecContext* ctx, ExecutorPtr outer
 
 Status BandMergeJoinExecutor::AdvanceOuter() {
   emit_pos_ = 0;
-  do {
-    ELE_ASSIGN_OR_RETURN(outer_valid_, outer_->Next(&outer_row_));
-    if (!outer_valid_) return Status::OK();
-    ELE_ASSIGN_OR_RETURN(lo_, outer_lo_->Eval(outer_row_));
-    ELE_ASSIGN_OR_RETURN(hi_, outer_hi_->Eval(outer_row_));
-  } while (lo_.is_null() || hi_.is_null());
+  outer_valid_ = false;
+  while (!outer_valid_) {
+    if (outer_pos_ == outer_batch_.ActiveCount()) {
+      ELE_ASSIGN_OR_RETURN(bool has, outer_->NextBatch(&outer_batch_));
+      if (!has) return Status::OK();
+      const std::vector<uint32_t> positions = outer_batch_.ActiveIndices();
+      ELE_RETURN_NOT_OK(outer_lo_->EvalBatch(outer_batch_, positions, &los_));
+      ELE_RETURN_NOT_OK(outer_hi_->EvalBatch(outer_batch_, positions, &his_));
+      outer_pos_ = 0;
+      continue;
+    }
+    outer_row_ = outer_batch_.ActiveIndex(outer_pos_++);
+    lo_ = los_[outer_row_];
+    hi_ = his_[outer_row_];
+    outer_valid_ = !lo_.is_null() && !hi_.is_null();
+  }
   while (!window_.empty() && window_.front().first.Compare(lo_) < 0) {
     window_.pop_front();
   }
   return Status::OK();
 }
 
+Result<bool> BandMergeJoinExecutor::PullInner() {
+  while (true) {
+    if (inner_pos_ == inner_batch_.ActiveCount()) {
+      ELE_ASSIGN_OR_RETURN(bool has, inner_->NextBatch(&inner_batch_));
+      if (!has) return false;
+      ELE_RETURN_NOT_OK(inner_point_->EvalBatch(
+          inner_batch_, inner_batch_.ActiveIndices(), &points_));
+      inner_pos_ = 0;
+      continue;
+    }
+    const uint32_t r = inner_batch_.ActiveIndex(inner_pos_++);
+    // Points below lo are below every later range too.
+    if (points_[r].is_null() || points_[r].Compare(lo_) < 0) continue;
+    Row row;
+    inner_batch_.GatherRow(r, &row);
+    window_.emplace_back(std::move(points_[r]), std::move(row));
+    return true;
+  }
+}
+
 Status BandMergeJoinExecutor::Init() {
   ELE_RETURN_NOT_OK(outer_->Init());
   ELE_RETURN_NOT_OK(inner_->Init());
+  outer_batch_.Reset(0);
+  inner_batch_.Reset(0);
+  outer_pos_ = 0;
+  inner_pos_ = 0;
   window_.clear();
   inner_done_ = false;
   return AdvanceOuter();
 }
 
-Result<bool> BandMergeJoinExecutor::Next(Row* out) {
-  while (outer_valid_) {
+Result<bool> BandMergeJoinExecutor::NextBatch(Batch* out) {
+  out->Reset(schema_.NumColumns());
+  while (outer_valid_ && !out->full()) {
     if (emit_pos_ == window_.size()) {
       // The window is exhausted for this range: read the next inner point.
       if (inner_done_) {
         ELE_RETURN_NOT_OK(AdvanceOuter());
         continue;
       }
-      ELE_ASSIGN_OR_RETURN(bool has, inner_->Next(&inner_row_));
+      ELE_ASSIGN_OR_RETURN(bool has, PullInner());
       if (!has) {
         inner_done_ = true;
         continue;
       }
-      ELE_ASSIGN_OR_RETURN(Value point, inner_point_->Eval(inner_row_));
-      // Points below lo are below every later range too (reuse the buffer).
-      if (point.is_null() || point.Compare(lo_) < 0) continue;
-      window_.emplace_back(std::move(point), std::move(inner_row_));
     }
     const auto& [point, inner_row] = window_[emit_pos_];
     if (point.Compare(hi_) > 0) {
@@ -215,17 +287,10 @@ Result<bool> BandMergeJoinExecutor::Next(Row* out) {
       continue;
     }
     emit_pos_++;
-    out->clear();
-    out->reserve(outer_row_.size() + inner_row.size());
-    out->insert(out->end(), outer_row_.begin(), outer_row_.end());
-    out->insert(out->end(), inner_row.begin(), inner_row.end());
-    if (residual_ != nullptr) {
-      ELE_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual_, *out));
-      if (!pass) continue;
-    }
-    return true;
+    AppendJoined(outer_batch_, outer_row_, inner_row, out);
   }
-  return false;
+  ELE_RETURN_NOT_OK(ApplyResidual(residual_, out));
+  return out->num_rows() > 0;
 }
 
 }  // namespace elephant

@@ -86,11 +86,11 @@ Status GatherExecutor::Init() {
       if (!plan.ok()) return plan.status();
       MorselPlan mp = std::move(plan).value();
       ELE_RETURN_NOT_OK(mp.exec->Init());
-      Row row;
+      Batch batch;
       while (true) {
-        ELE_ASSIGN_OR_RETURN(bool has, mp.exec->Next(&row));
+        ELE_ASSIGN_OR_RETURN(bool has, mp.exec->NextBatch(&batch));
         if (!has) break;
-        chunks_[i].push_back(std::move(row));
+        if (!batch.empty()) chunks_[i].push_back(std::move(batch));
       }
       mp.exec.reset();  // release page pins before accounting
       for (auto& [slot, target] : mp.stats) {
@@ -119,7 +119,7 @@ Status GatherExecutor::Init() {
   return status;
 }
 
-Result<bool> GatherExecutor::Next(Row* out) {
+Result<bool> GatherExecutor::NextBatch(Batch* out) {
   while (chunk_ < chunks_.size()) {
     if (pos_ < chunks_[chunk_].size()) {
       *out = std::move(chunks_[chunk_][pos_++]);
@@ -130,6 +130,7 @@ Result<bool> GatherExecutor::Next(Row* out) {
     chunk_++;
     pos_ = 0;
   }
+  out->Reset(schema_.NumColumns());
   return false;
 }
 

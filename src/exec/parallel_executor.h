@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/batch.h"
 #include "exec/executor.h"
 #include "exec/scan_executor.h"
 #include "obs/plan_stats.h"
@@ -15,13 +16,13 @@ namespace elephant {
 /// One morsel's executor pipeline plus its instrumentation hookups.
 ///
 /// `stats` pairs a fresh per-morsel OperatorStats slot (written by an
-/// InstrumentedExecutor inside this pipeline) with the shared plan-tree slot
-/// it should eventually be folded into. The worker accumulates per-morsel
+/// InstrumentedBatchExecutor inside this pipeline) with the shared plan-tree
+/// slot it should eventually be folded into. The worker accumulates per-morsel
 /// slots locally; GatherExecutor merges them into the plan-tree slots on the
 /// session thread after all workers have finished, so the shared slots are
 /// never written concurrently.
 struct MorselPlan {
-  ExecutorPtr exec;
+  BatchExecutorPtr exec;
   std::vector<std::pair<std::shared_ptr<obs::OperatorStats>,
                         std::shared_ptr<obs::OperatorStats>>>
       stats;
@@ -38,10 +39,10 @@ using MorselPlanFactory =
 /// Init() runs `workers` workers (workers-1 pool tasks plus the session
 /// thread itself via TaskGroup::RunInline): each worker pops the next morsel
 /// index from a shared counter, builds that morsel's pipeline through the
-/// factory, and drains it into a per-morsel buffer. Next() then emits the
-/// buffered rows in morsel order — i.e. cluster-key order — so the output
-/// row sequence is identical to the serial plan's, independent of worker
-/// count and thread timing.
+/// factory, and drains its batches into a per-morsel buffer. NextBatch()
+/// then emits the buffered batches in morsel order — i.e. cluster-key order
+/// — so the output row sequence is identical to the serial plan's,
+/// independent of worker count and thread timing.
 ///
 /// Per-query accounting stays exact under concurrency: each worker runs
 /// under its own IoSink (IoScope), and after the barrier the worker sinks
@@ -49,17 +50,14 @@ using MorselPlanFactory =
 /// sink). Worker ExecCounters and per-morsel operator stats are merged the
 /// same way. An error from any morsel cancels the remaining morsels via
 /// TaskGroup and is returned from Init().
-/// batch: opt-out — exchange operator; it merges per-morsel ROW streams
-/// in morsel order, so batch morsel pipelines end in a RowFromBatchAdapter
-/// and Gather itself never sees a Batch.
-class GatherExecutor final : public Executor {
+class GatherExecutor final : public BatchExecutor {
  public:
   GatherExecutor(ExecContext* ctx, sched::ThreadPool* pool, size_t workers,
                  std::vector<KeyRange> morsels, MorselPlanFactory factory,
                  Schema schema);
 
   Status Init() override;
-  Result<bool> Next(Row* out) override;
+  Result<bool> NextBatch(Batch* out) override;
   const Schema& OutputSchema() const override { return schema_; }
 
   size_t num_morsels() const { return morsels_.size(); }
@@ -72,8 +70,8 @@ class GatherExecutor final : public Executor {
   MorselPlanFactory factory_;
   Schema schema_;
 
-  /// Row buffers indexed by morsel; emitted in morsel order.
-  std::vector<std::vector<Row>> chunks_;
+  /// Non-empty batches indexed by morsel; emitted in morsel order.
+  std::vector<std::vector<Batch>> chunks_;
   size_t chunk_ = 0;
   size_t pos_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "catalog/table.h"
+#include "exec/batch.h"
 #include "exec/executor.h"
 #include "exec/expression.h"
 
@@ -17,79 +18,78 @@ struct KeyRange {
 
 /// Builds an encoded KeyRange from per-column bounds on the leading index
 /// columns: `eq_values` constrain a prefix by equality; then an optional
-/// range [lo, hi] (inclusive flags) on the next column.
+/// range [lo, hi] (inclusive flags) on the next column. Re-encodes into
+/// `*out`, reusing its buffers.
+void MakeKeyRange(const std::vector<Value>& eq_values,
+                  const std::optional<Value>& lo, bool lo_inclusive,
+                  const std::optional<Value>& hi, bool hi_inclusive,
+                  KeyRange* out);
 KeyRange MakeKeyRange(const std::vector<Value>& eq_values,
                       const std::optional<Value>& lo, bool lo_inclusive,
                       const std::optional<Value>& hi, bool hi_inclusive);
 
-/// Decodes one secondary-index entry into an output row: key columns from
-/// the encoded key, include columns from the serialized payload. Shared by
-/// the row and batch index-scan executors so both decode identically.
-Status DecodeSecondaryIndexRow(const Table& table, const SecondaryIndex& index,
-                               std::string_view key, std::string_view value,
-                               Row* out);
-
-/// Scans a table through its clustered index, optionally within a key range.
-/// Output schema = the table schema. Range scans over a cluster-key prefix
-/// touch only the qualifying leaves (sequential I/O on bulk-loaded tables).
-/// batch: twin BatchClusteredScanExecutor (batch_executors.h).
-class ClusteredScanExecutor final : public Executor {
+/// A range cursor over a table's clustered index (`index` null) or one of
+/// its covering secondary indexes. Seek() descends the tree once; Read()
+/// then streams rows along the leaf chain until the range's exclusive upper
+/// bound. Rows are the table schema (clustered) or the index's `out_schema`
+/// (key columns, then include columns). A scan holds one cursor for its
+/// range; an index nested-loop join re-seeks one cursor per outer row.
+class IndexCursor {
  public:
-  /// `intent` is the planner's access-pattern hint: full scans (and wide
-  /// ranges) pass AccessIntent::kSequentialScan so the leaves they drag in
-  /// recycle through the buffer pool's scan ring and prime the disk
-  /// read-ahead window; selective ranges keep the default point intent.
-  ClusteredScanExecutor(ExecContext* ctx, const Table* table, KeyRange range = {},
-                        AccessIntent intent = AccessIntent::kPointLookup)
-      : ctx_(ctx), table_(table), range_(std::move(range)), intent_(intent) {}
+  /// `intent` is the access-pattern hint for the leaf chain: full scans
+  /// (and wide ranges) pass AccessIntent::kSequentialScan so the leaves they
+  /// drag in recycle through the buffer pool's scan ring and prime the disk
+  /// read-ahead window; selective ranges and probes keep point intent.
+  IndexCursor(const Table* table, const SecondaryIndex* index,
+              AccessIntent intent)
+      : table_(table), index_(index), intent_(intent) {}
 
-  Status Init() override;
-  Result<bool> Next(Row* out) override;
-  const Schema& OutputSchema() const override { return table_->schema(); }
+  const Schema& schema() const {
+    return index_ != nullptr ? index_->out_schema : table_->schema();
+  }
+
+  /// Positions the cursor at the first entry of `range`, releasing the
+  /// previous position first.
+  Status Seek(const KeyRange& range);
+  bool Valid() const {
+    return it_.Valid() &&
+           (hi_.empty() || std::string_view(it_.key()) < std::string_view(hi_));
+  }
+  /// Decodes the current entry into `*out` and advances.
+  Status Read(Row* out);
 
  private:
-  ExecContext* ctx_;
-  const Table* table_;
-  KeyRange range_;
-  AccessIntent intent_;
-  std::optional<Table::RowIterator> it_;
-};
-
-/// Scans a secondary covering index within a key range. Output schema =
-/// index key columns followed by include columns (SecondaryIndex::out_schema).
-/// batch: twin BatchSecondaryIndexScanExecutor (batch_executors.h) for
-/// the covering case; non-covering scans fetch from the heap row-by-row
-/// and stay on this executor.
-class SecondaryIndexScanExecutor final : public Executor {
- public:
-  /// `intent` as in ClusteredScanExecutor: kSequentialScan for full-index
-  /// sweeps, point intent for selective probes.
-  SecondaryIndexScanExecutor(ExecContext* ctx, const Table* table,
-                             const SecondaryIndex* index, KeyRange range = {},
-                             AccessIntent intent = AccessIntent::kPointLookup)
-      : ctx_(ctx),
-        table_(table),
-        index_(index),
-        range_(std::move(range)),
-        intent_(intent) {}
-
-  Status Init() override;
-  Result<bool> Next(Row* out) override;
-  const Schema& OutputSchema() const override { return index_->out_schema; }
-
- private:
-  ExecContext* ctx_;
   const Table* table_;
   const SecondaryIndex* index_;
-  KeyRange range_;
   AccessIntent intent_;
-  std::optional<BPlusTree::Iterator> it_;
+  BPlusTree::Iterator it_;
+  std::string hi_;
+};
+
+/// Scans a table's clustered index (`index` null) or a covering secondary
+/// index within a key range, up to kBatchCapacity rows per NextBatch. Range
+/// scans over a key prefix touch only the qualifying leaves (sequential I/O
+/// on bulk-loaded tables). Every row pulled from storage counts once in
+/// ExecCounters::rows_scanned.
+class IndexScanExecutor final : public BatchExecutor {
+ public:
+  IndexScanExecutor(ExecContext* ctx, const Table* table,
+                    const SecondaryIndex* index = nullptr, KeyRange range = {},
+                    AccessIntent intent = AccessIntent::kPointLookup)
+      : ctx_(ctx), cursor_(table, index, intent), range_(std::move(range)) {}
+
+  Status Init() override { return cursor_.Seek(range_); }
+  Result<bool> NextBatch(Batch* out) override;
+  const Schema& OutputSchema() const override { return cursor_.schema(); }
+
+ private:
+  ExecContext* ctx_;
+  IndexCursor cursor_;
+  KeyRange range_;
 };
 
 /// Emits a fixed list of rows (used for VALUES and for testing).
-/// batch: opt-out — emits a tiny bound VALUES list; batching buys
-/// nothing below one batch of input.
-class ValuesExecutor final : public Executor {
+class ValuesExecutor final : public BatchExecutor {
  public:
   ValuesExecutor(Schema schema, std::vector<Row> rows)
       : schema_(std::move(schema)), rows_(std::move(rows)) {}
@@ -98,10 +98,10 @@ class ValuesExecutor final : public Executor {
     pos_ = 0;
     return Status::OK();
   }
-  Result<bool> Next(Row* out) override {
-    if (pos_ >= rows_.size()) return false;
-    *out = rows_[pos_++];
-    return true;
+  Result<bool> NextBatch(Batch* out) override {
+    out->Reset(schema_.NumColumns());
+    while (!out->full() && pos_ < rows_.size()) out->AppendRow(rows_[pos_++]);
+    return out->num_rows() > 0;
   }
   const Schema& OutputSchema() const override { return schema_; }
 

@@ -4,85 +4,43 @@
 
 namespace elephant {
 
-Result<std::vector<Row>> ExecuteToVector(Executor* exec) {
-  ELE_RETURN_NOT_OK(exec->Init());
-  std::vector<Row> rows;
-  Row row;
-  while (true) {
-    ELE_ASSIGN_OR_RETURN(bool has, exec->Next(&row));
-    if (!has) break;
-    rows.push_back(row);
-  }
-  return rows;
-}
-
-Result<bool> FilterExecutor::Next(Row* out) {
-  while (true) {
-    ELE_ASSIGN_OR_RETURN(bool has, child_->Next(out));
-    if (!has) return false;
-    ELE_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*predicate_, *out));
-    if (pass) return true;
-  }
-}
-
-ProjectExecutor::ProjectExecutor(ExecutorPtr child, std::vector<ExprPtr> exprs,
-                                 std::vector<std::string> names)
-    : child_(std::move(child)), exprs_(std::move(exprs)) {
-  std::vector<Column> cols;
-  for (size_t i = 0; i < exprs_.size(); i++) {
-    std::string name = i < names.size() && !names[i].empty()
-                           ? names[i]
-                           : exprs_[i]->ToString();
-    cols.emplace_back(std::move(name), exprs_[i]->output_type(),
-                      exprs_[i]->output_length());
-  }
-  schema_ = Schema(std::move(cols));
-}
-
-Result<bool> ProjectExecutor::Next(Row* out) {
-  Row in;
-  ELE_ASSIGN_OR_RETURN(bool has, child_->Next(&in));
-  if (!has) return false;
-  out->clear();
-  out->reserve(exprs_.size());
-  for (const ExprPtr& e : exprs_) {
-    ELE_ASSIGN_OR_RETURN(Value v, e->Eval(in));
-    out->push_back(std::move(v));
-  }
-  return true;
-}
-
 Status SortExecutor::Init() {
   ELE_RETURN_NOT_OK(child_->Init());
   rows_.clear();
   pos_ = 0;
-  Row row;
+  // Encoded sort key per row, built while the input streams in so key
+  // expressions run vectorized and comparisons are plain memcmp.
+  std::vector<std::pair<std::string, size_t>> keyed;
+  Batch in;
+  std::vector<std::vector<Value>> key_cols(keys_.size());
+  std::string enc;
   while (true) {
-    ELE_ASSIGN_OR_RETURN(bool has, child_->Next(&row));
+    ELE_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&in));
     if (!has) break;
-    rows_.push_back(row);
+    const std::vector<uint32_t> positions = in.ActiveIndices();
+    for (size_t k = 0; k < keys_.size(); k++) {
+      ELE_RETURN_NOT_OK(keys_[k].expr->EvalBatch(in, positions, &key_cols[k]));
+    }
+    for (uint32_t pos : positions) {
+      std::string key;
+      for (size_t k = 0; k < keys_.size(); k++) {
+        if (keys_[k].ascending) {
+          keycodec::Encode(key_cols[k][pos], &key);
+        } else {
+          // Descending: complement the encoded bytes so memcmp order flips.
+          enc.clear();
+          keycodec::Encode(key_cols[k][pos], &enc);
+          for (char& c : enc) c = static_cast<char>(~static_cast<unsigned char>(c));
+          key += enc;
+          key.push_back('\x00');  // terminator to avoid prefix aliasing
+        }
+      }
+      keyed.emplace_back(std::move(key), rows_.size());
+      rows_.emplace_back();
+      in.GatherRow(pos, &rows_.back());
+    }
   }
   ctx_->counters().sort_rows += rows_.size();
-  // Pre-compute sort keys to avoid re-evaluating expressions in comparisons.
-  std::vector<std::pair<std::string, size_t>> keyed(rows_.size());
-  for (size_t i = 0; i < rows_.size(); i++) {
-    std::string key;
-    for (const SortKey& sk : keys_) {
-      auto v = sk.expr->Eval(rows_[i]);
-      if (!v.ok()) return v.status();
-      if (sk.ascending) {
-        keycodec::Encode(v.value(), &key);
-      } else {
-        // Descending: complement the encoded bytes so memcmp order flips.
-        std::string enc;
-        keycodec::Encode(v.value(), &enc);
-        for (char& c : enc) c = static_cast<char>(~static_cast<unsigned char>(c));
-        key += enc;
-        key.push_back('\x00');  // terminator to avoid prefix aliasing
-      }
-    }
-    keyed[i] = {std::move(key), i};
-  }
   std::sort(keyed.begin(), keyed.end());
   std::vector<Row> sorted;
   sorted.reserve(rows_.size());
@@ -91,9 +49,28 @@ Status SortExecutor::Init() {
   return Status::OK();
 }
 
-Result<bool> SortExecutor::Next(Row* out) {
-  if (pos_ >= rows_.size()) return false;
-  *out = rows_[pos_++];
+Result<bool> SortExecutor::NextBatch(Batch* out) {
+  out->Reset(child_->OutputSchema().NumColumns());
+  while (!out->full() && pos_ < rows_.size()) {
+    out->AppendRowMove(std::move(rows_[pos_++]));
+  }
+  return out->num_rows() > 0;
+}
+
+Result<bool> LimitExecutor::NextBatch(Batch* out) {
+  if (emitted_ >= limit_) {
+    out->Reset(child_->OutputSchema().NumColumns());
+    return false;
+  }
+  ELE_ASSIGN_OR_RETURN(bool has, child_->NextBatch(out));
+  if (!has) return false;
+  const uint64_t left = limit_ - emitted_;
+  if (out->ActiveCount() > left) {
+    std::vector<uint32_t> keep = out->ActiveIndices();
+    keep.resize(left);
+    out->SetSelection(std::move(keep));
+  }
+  emitted_ += out->ActiveCount();
   return true;
 }
 

@@ -1,42 +1,10 @@
 #pragma once
 
+#include "exec/batch.h"
 #include "exec/executor.h"
 #include "exec/expression.h"
 
 namespace elephant {
-
-/// Emits child rows satisfying `predicate`.
-/// batch: twin BatchFilterExecutor (batch_executors.h).
-class FilterExecutor final : public Executor {
- public:
-  FilterExecutor(ExecutorPtr child, ExprPtr predicate)
-      : child_(std::move(child)), predicate_(std::move(predicate)) {}
-
-  Status Init() override { return child_->Init(); }
-  Result<bool> Next(Row* out) override;
-  const Schema& OutputSchema() const override { return child_->OutputSchema(); }
-
- private:
-  ExecutorPtr child_;
-  ExprPtr predicate_;
-};
-
-/// Computes one output column per expression.
-/// batch: twin BatchProjectExecutor (batch_executors.h).
-class ProjectExecutor final : public Executor {
- public:
-  ProjectExecutor(ExecutorPtr child, std::vector<ExprPtr> exprs,
-                  std::vector<std::string> names);
-
-  Status Init() override { return child_->Init(); }
-  Result<bool> Next(Row* out) override;
-  const Schema& OutputSchema() const override { return schema_; }
-
- private:
-  ExecutorPtr child_;
-  std::vector<ExprPtr> exprs_;
-  Schema schema_;
-};
 
 /// One sort key: an expression and its direction.
 struct SortKey {
@@ -45,50 +13,42 @@ struct SortKey {
 };
 
 /// Materializes the child and emits rows in sort-key order (in-memory sort;
-/// the engine's working sets fit the paper's read-mostly workloads).
-/// batch: opt-out — blocking full-materialization operator; a batch
-/// pipeline below it is drained through RowFromBatchAdapter, and a
-/// stream aggregate above it re-enters batch via BatchFromRowAdapter.
-class SortExecutor final : public Executor {
+/// the engine's working sets fit the paper's read-mostly workloads). Sort
+/// keys are evaluated vectorized per input batch; ties keep input order.
+class SortExecutor final : public BatchExecutor {
  public:
-  SortExecutor(ExecContext* ctx, ExecutorPtr child, std::vector<SortKey> keys)
+  SortExecutor(ExecContext* ctx, BatchExecutorPtr child,
+               std::vector<SortKey> keys)
       : ctx_(ctx), child_(std::move(child)), keys_(std::move(keys)) {}
 
   Status Init() override;
-  Result<bool> Next(Row* out) override;
+  Result<bool> NextBatch(Batch* out) override;
   const Schema& OutputSchema() const override { return child_->OutputSchema(); }
 
  private:
   ExecContext* ctx_;
-  ExecutorPtr child_;
+  BatchExecutorPtr child_;
   std::vector<SortKey> keys_;
   std::vector<Row> rows_;
   size_t pos_ = 0;
 };
 
-/// Emits at most `limit` child rows.
-/// batch: opt-out — sits at the plan root above ORDER BY, where the
-/// engine drains rows anyway; counting rows beats slicing batches.
-class LimitExecutor final : public Executor {
+/// Emits at most `limit` child rows: the batch that crosses the limit is
+/// cut by its selection vector, and the child is not asked again.
+class LimitExecutor final : public BatchExecutor {
  public:
-  LimitExecutor(ExecutorPtr child, uint64_t limit)
+  LimitExecutor(BatchExecutorPtr child, uint64_t limit)
       : child_(std::move(child)), limit_(limit) {}
 
   Status Init() override {
     emitted_ = 0;
     return child_->Init();
   }
-  Result<bool> Next(Row* out) override {
-    if (emitted_ >= limit_) return false;
-    ELE_ASSIGN_OR_RETURN(bool has, child_->Next(out));
-    if (!has) return false;
-    emitted_++;
-    return true;
-  }
+  Result<bool> NextBatch(Batch* out) override;
   const Schema& OutputSchema() const override { return child_->OutputSchema(); }
 
  private:
-  ExecutorPtr child_;
+  BatchExecutorPtr child_;
   uint64_t limit_;
   uint64_t emitted_ = 0;
 };

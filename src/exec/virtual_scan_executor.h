@@ -3,19 +3,18 @@
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "exec/batch.h"
 #include "exec/executor.h"
 
 namespace elephant {
 
 /// Scans a virtual system table: materializes the provider's rows at Init()
 /// (a consistent point-in-time snapshot of the engine state — counters read
-/// mid-scan would tear) and streams them out Volcano-style. No pages are
+/// mid-scan would tear) and streams them out in batches. No pages are
 /// touched, so virtual scans contribute zero physical I/O to the query's
 /// IoStats — the property that lets `elephant_stat_*` queries be excluded
 /// from the statement registry without skewing reconciliation.
-/// batch: opt-out — virtual system tables are tiny introspection
-/// snapshots; scans finish within a single batch of rows.
-class VirtualTableScanExecutor final : public Executor {
+class VirtualTableScanExecutor final : public BatchExecutor {
  public:
   VirtualTableScanExecutor(ExecContext* ctx, const VirtualTable* vtable)
       : ctx_(ctx), vtable_(vtable) {}
@@ -26,11 +25,13 @@ class VirtualTableScanExecutor final : public Executor {
     return Status::OK();
   }
 
-  Result<bool> Next(Row* out) override {
-    if (pos_ >= rows_.size()) return false;
-    ctx_->counters().rows_scanned++;
-    *out = rows_[pos_++];
-    return true;
+  Result<bool> NextBatch(Batch* out) override {
+    out->Reset(vtable_->schema.NumColumns());
+    while (!out->full() && pos_ < rows_.size()) {
+      ctx_->counters().rows_scanned++;
+      out->AppendRowMove(std::move(rows_[pos_++]));
+    }
+    return out->num_rows() > 0;
   }
 
   const Schema& OutputSchema() const override { return vtable_->schema; }

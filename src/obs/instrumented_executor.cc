@@ -46,29 +46,6 @@ void Accumulate(const IoSnapshot& before, const IoSnapshot& after,
 
 }  // namespace
 
-Status InstrumentedExecutor::Init() {
-  const IoSnapshot before = Snap(ctx_);
-  const auto t0 = std::chrono::steady_clock::now();
-  Status s = child_->Init();
-  const auto t1 = std::chrono::steady_clock::now();
-  Accumulate(before, Snap(ctx_), std::chrono::duration<double>(t1 - t0).count(),
-             stats_.get());
-  stats_->init_calls++;
-  return s;
-}
-
-Result<bool> InstrumentedExecutor::Next(Row* out) {
-  const IoSnapshot before = Snap(ctx_);
-  const auto t0 = std::chrono::steady_clock::now();
-  Result<bool> has = child_->Next(out);
-  const auto t1 = std::chrono::steady_clock::now();
-  Accumulate(before, Snap(ctx_), std::chrono::duration<double>(t1 - t0).count(),
-             stats_.get());
-  stats_->next_calls++;
-  if (has.ok() && has.value()) stats_->rows++;
-  return has;
-}
-
 Status InstrumentedBatchExecutor::Init() {
   const IoSnapshot before = Snap(ctx_);
   const auto t0 = std::chrono::steady_clock::now();

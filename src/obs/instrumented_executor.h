@@ -9,33 +9,14 @@
 namespace elephant {
 namespace obs {
 
-/// Transparent Executor decorator: forwards Init()/Next() to the wrapped
+/// Transparent operator decorator: forwards Init()/NextBatch() to the wrapped
 /// operator while attributing wall time, row counts, buffer-pool hit/miss
 /// deltas, and sequential/random page-read deltas to an OperatorStats slot.
-/// The planner wraps every node of an instrumented plan, so the stats of a
-/// node are inclusive of its subtree; RenderPlanTree/FlattenPlan subtract
-/// children to report self-attributed numbers.
-class InstrumentedExecutor final : public Executor {
- public:
-  InstrumentedExecutor(ExecContext* ctx, ExecutorPtr child,
-                       std::shared_ptr<OperatorStats> stats)
-      : ctx_(ctx), child_(std::move(child)), stats_(std::move(stats)) {}
-
-  Status Init() override;
-  Result<bool> Next(Row* out) override;
-  const Schema& OutputSchema() const override { return child_->OutputSchema(); }
-
- private:
-  ExecContext* ctx_;
-  ExecutorPtr child_;
-  std::shared_ptr<OperatorStats> stats_;
-};
-
-/// BatchExecutor decorator with the same contract as InstrumentedExecutor:
-/// inclusive wall time and I/O deltas per Init()/NextBatch() call, `rows`
-/// advanced by each emitted batch's live-row count. One NextBatch call is
-/// one `next_calls` tick — per-operator CPU cost amortizes over the batch,
-/// which is the point of the vectorized engine.
+/// `rows` advances by each emitted batch's live-row count; one NextBatch call
+/// is one `next_calls` tick, so the clock is read once per batch, not per
+/// row. The planner wraps every node of an instrumented plan, so the stats
+/// of a node are inclusive of its subtree; RenderPlanTree/FlattenPlan
+/// subtract children to report self-attributed numbers.
 class InstrumentedBatchExecutor final : public BatchExecutor {
  public:
   InstrumentedBatchExecutor(ExecContext* ctx, BatchExecutorPtr child,

@@ -13,17 +13,17 @@ namespace elephant {
 namespace obs {
 
 /// Runtime statistics of one physical operator, gathered by an
-/// InstrumentedExecutor. All values are INCLUSIVE of the operator's children
-/// (a child's Next() runs inside its parent's Next()); self-attributed
+/// InstrumentedBatchExecutor. All values are INCLUSIVE of the operator's
+/// children (a child's NextBatch() runs inside its parent's); self-attributed
 /// numbers are derived from the plan tree by subtracting child totals.
 struct OperatorStats {
   uint64_t init_calls = 0;
-  uint64_t next_calls = 0;   ///< Next() invocations, including the final false
+  uint64_t next_calls = 0;   ///< NextBatch() calls, including the final false
   uint64_t rows = 0;         ///< rows produced
-  double seconds = 0;        ///< wall time inside Init() + Next()
-  IoStats io;                ///< disk traffic during Init() + Next()
-  uint64_t pool_hits = 0;    ///< buffer-pool hits during Init() + Next()
-  uint64_t pool_misses = 0;  ///< buffer-pool misses during Init() + Next()
+  double seconds = 0;        ///< wall time inside Init() + NextBatch()
+  IoStats io;                ///< disk traffic during Init() + NextBatch()
+  uint64_t pool_hits = 0;    ///< buffer-pool hits during Init() + NextBatch()
+  uint64_t pool_misses = 0;  ///< buffer-pool misses during Init() + NextBatch()
 };
 
 /// One node of the physical plan tree, as produced by the planner. Carries

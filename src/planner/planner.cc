@@ -4,7 +4,6 @@
 #include <cmath>
 #include <set>
 
-#include "exec/agg_executor.h"
 #include "exec/batch_executors.h"
 #include "exec/join_executor.h"
 #include "exec/parallel_executor.h"
@@ -23,7 +22,7 @@ namespace {
 // The plan tree is the public obs::PlanNode: the planner attaches labels and
 // cardinality/cost estimates as it builds the operator tree, and (when
 // instrumenting) an OperatorStats slot per node that an
-// obs::InstrumentedExecutor wrapper fills in at run time.
+// obs::InstrumentedBatchExecutor wrapper fills in at run time.
 
 using ExplainNode = obs::PlanNode;
 using ExplainPtr = std::unique_ptr<obs::PlanNode>;
@@ -66,12 +65,7 @@ void FillEstimates(ExplainNode* n) {
 // ---------- working structures ----------
 
 struct SubPlan {
-  /// Exactly one of `exec` / `bexec` is set: a subplan is either in
-  /// row (Volcano) mode or in vectorized batch mode. Batch-mode plan nodes
-  /// carry a trailing " [batch]" label marker; EnsureRows() drops back to
-  /// row mode through a transparent RowFromBatchAdapter.
-  ExecutorPtr exec;
-  BatchExecutorPtr bexec;
+  BatchExecutorPtr exec;
   ExplainPtr note;
   size_t width = 0;  ///< number of output columns
   /// Plan positions whose values are provably ascending across the output
@@ -181,28 +175,25 @@ struct ParallelSpec {
   std::shared_ptr<obs::OperatorStats> agg_slot;
 };
 
-/// Builds the factory that constructs one morsel's vectorized pipeline:
+/// Builds the factory that constructs one morsel's pipeline:
 ///   [Instrumented] PartialAggregate? <- [Instrumented] Filter? <-
 ///   [Instrumented] ClusteredScan(morsel range)
-/// The finished batch root is adapted back to rows so GatherExecutor's merge
-/// loop stays engine-agnostic.
 MorselPlanFactory MakeMorselFactory(std::shared_ptr<const ParallelSpec> spec) {
   return [spec](const KeyRange& morsel, ExecContext* wctx) -> Result<MorselPlan> {
     MorselPlan mp;
-    BatchExecutorPtr bexec;
     auto attach = [&](const std::shared_ptr<obs::OperatorStats>& target) {
       if (target == nullptr) return;
       auto slot = std::make_shared<obs::OperatorStats>();
-      bexec = std::make_unique<obs::InstrumentedBatchExecutor>(
-          wctx, std::move(bexec), slot);
+      mp.exec = std::make_unique<obs::InstrumentedBatchExecutor>(
+          wctx, std::move(mp.exec), slot);
       mp.stats.emplace_back(std::move(slot), target);
     };
-    bexec = std::make_unique<BatchClusteredScanExecutor>(
-        wctx, spec->table, morsel, spec->scan_intent);
+    mp.exec = std::make_unique<IndexScanExecutor>(
+        wctx, spec->table, nullptr, morsel, spec->scan_intent);
     attach(spec->scan_slot);
     if (spec->residual != nullptr) {
-      bexec = std::make_unique<BatchFilterExecutor>(std::move(bexec),
-                                                    spec->residual->Clone());
+      mp.exec = std::make_unique<BatchFilterExecutor>(std::move(mp.exec),
+                                                      spec->residual->Clone());
       attach(spec->filter_slot);
     }
     if (spec->aggregate) {
@@ -212,11 +203,11 @@ MorselPlanFactory MakeMorselFactory(std::shared_ptr<const ParallelSpec> spec) {
       std::vector<AggSpec> aggs;
       aggs.reserve(spec->aggs.size());
       for (const AggSpec& a : spec->aggs) aggs.push_back(a.Clone());
-      bexec = std::make_unique<BatchPartialAggregateExecutor>(
-          wctx, std::move(bexec), std::move(groups), std::move(aggs));
+      mp.exec = std::make_unique<BatchHashAggregateExecutor>(
+          std::move(mp.exec), std::move(groups), std::move(aggs),
+          /*partial=*/true);
       attach(spec->agg_slot);
     }
-    mp.exec = std::make_unique<RowFromBatchAdapter>(std::move(bexec));
     return mp;
   };
 }
@@ -231,42 +222,35 @@ class PlanBuilder {
   Result<PlannedQuery> Build();
 
  private:
-  /// Finishes a newly created plan node: records the planner's cardinality
-  /// estimate (< 0 = inherit from input) and, when instrumenting, wraps the
-  /// executor so the node's OperatorStats fill in at run time. Call exactly
-  /// once per (executor, note) creation site.
-  void WrapNode(ExecutorPtr* exec, ExplainNode* node, double est_rows = -1) {
+  /// Finishes the plan's newly created root node: records the planner's
+  /// cardinality estimate (< 0 = inherit from input) and, when
+  /// instrumenting, wraps the operator so the node's OperatorStats fill in
+  /// at run time. Call exactly once per (operator, note) creation site.
+  void Decorate(SubPlan* plan, double est_rows = -1) {
+    ExplainNode* node = plan->note.get();
     if (est_rows >= 0) node->est_rows = est_rows;
     if (!instrument_) return;
     node->stats = std::make_shared<obs::OperatorStats>();
-    *exec = std::make_unique<obs::InstrumentedExecutor>(ctx_, std::move(*exec),
-                                                        node->stats);
+    plan->exec = std::make_unique<obs::InstrumentedBatchExecutor>(
+        ctx_, std::move(plan->exec), node->stats);
   }
 
-  /// WrapNode for the common case where the new node is the SubPlan's root.
-  /// Dispatches on the plan's engine: batch-mode roots are wrapped in an
-  /// InstrumentedBatchExecutor so EXPLAIN ANALYZE attribution works
-  /// identically for both engines.
-  void Decorate(SubPlan* plan, double est_rows = -1) {
-    if (plan->bexec != nullptr) {
-      ExplainNode* node = plan->note.get();
-      if (est_rows >= 0) node->est_rows = est_rows;
-      if (!instrument_) return;
-      node->stats = std::make_shared<obs::OperatorStats>();
-      plan->bexec = std::make_unique<obs::InstrumentedBatchExecutor>(
-          ctx_, std::move(plan->bexec), node->stats);
-      return;
-    }
-    WrapNode(&plan->exec, plan->note.get(), est_rows);
+  /// Puts a Filter over `plan`.
+  void AddFilter(SubPlan* plan, ExprPtr pred, std::string label,
+                 double est_rows = -1) {
+    plan->exec = std::make_unique<BatchFilterExecutor>(std::move(plan->exec),
+                                                       std::move(pred));
+    plan->note = Note(std::move(label), std::move(plan->note));
+    Decorate(plan, est_rows);
   }
 
-  /// Drops a batch-mode subplan back to row mode through a transparent
-  /// RowFromBatchAdapter (no plan node of its own: the adapter is glue
-  /// between the engines, not an operator). No-op for row-mode plans.
-  static void EnsureRows(SubPlan* plan) {
-    if (plan->bexec == nullptr) return;
-    plan->exec = std::make_unique<RowFromBatchAdapter>(std::move(plan->bexec));
-    plan->bexec = nullptr;
+  /// Puts a Sort on `keys` over `plan`.
+  void AddSort(SubPlan* plan, std::vector<SortKey> keys, std::string label,
+               double est_rows = -1) {
+    plan->exec = std::make_unique<SortExecutor>(ctx_, std::move(plan->exec),
+                                                std::move(keys));
+    plan->note = Note(std::move(label), std::move(plan->note));
+    Decorate(plan, est_rows);
   }
 
   Status AnalyzePrereqs();
@@ -535,10 +519,7 @@ Result<SubPlan> PlanBuilder::AccessPath(size_t r, std::vector<int>* local_to_pla
     if (!local_preds.empty()) {
       ExprPtr pred = ConjoinAll(std::move(local_preds));
       std::string label = "Filter " + pred->ToString();
-      plan.exec = std::make_unique<FilterExecutor>(std::move(plan.exec),
-                                                   std::move(pred));
-      plan.note = Note(std::move(label), std::move(plan.note));
-      Decorate(&plan, EstimateRows(r));
+      AddFilter(&plan, std::move(pred), std::move(label), EstimateRows(r));
     }
     return plan;
   }
@@ -565,10 +546,7 @@ Result<SubPlan> PlanBuilder::AccessPath(size_t r, std::vector<int>* local_to_pla
     if (!local_preds.empty()) {
       ExprPtr pred = ConjoinAll(std::move(local_preds));
       std::string label = "Filter " + pred->ToString();
-      plan.exec = std::make_unique<FilterExecutor>(std::move(plan.exec),
-                                                   std::move(pred));
-      plan.note = Note(std::move(label), std::move(plan.note));
-      Decorate(&plan, EstimateRows(r));
+      AddFilter(&plan, std::move(pred), std::move(label), EstimateRows(r));
     }
     return plan;
   }
@@ -636,11 +614,11 @@ Result<SubPlan> PlanBuilder::AccessPath(size_t r, std::vector<int>* local_to_pla
                                   ? AccessIntent::kPointLookup
                                   : ScanIntent(rel.table);
   if (use_clustered || best_idx == nullptr) {
-    plan.bexec = std::make_unique<BatchClusteredScanExecutor>(
-        ctx_, rel.table, range, intent);
+    plan.exec = std::make_unique<IndexScanExecutor>(ctx_, rel.table, nullptr,
+                                                    range, intent);
     plan.width = rel.table->schema().NumColumns();
     plan.note = Note("ClusteredIndexScan " + rel.table->name() + " as " +
-                     rel.alias + range_desc + " [batch]");
+                     rel.alias + range_desc);
     Decorate(&plan, EstimateRows(r));
     local_to_plan->assign(rel.schema.NumColumns(), 0);
     for (size_t c = 0; c < rel.schema.NumColumns(); c++) {
@@ -655,12 +633,11 @@ Result<SubPlan> PlanBuilder::AccessPath(size_t r, std::vector<int>* local_to_pla
       }
     }
   } else {
-    plan.bexec = std::make_unique<BatchSecondaryIndexScanExecutor>(
-        ctx_, rel.table, best_idx, range, intent);
+    plan.exec = std::make_unique<IndexScanExecutor>(ctx_, rel.table, best_idx,
+                                                    range, intent);
     plan.width = best_idx->out_schema.NumColumns();
     plan.note = Note("CoveringIndexSeek " + best_idx->name + " on " +
-                     rel.table->name() + " as " + rel.alias + range_desc +
-                     " [batch]");
+                     rel.table->name() + " as " + rel.alias + range_desc);
     Decorate(&plan, EstimateRows(r));
     local_to_plan->assign(rel.schema.NumColumns(), -1);
     size_t out_pos = 0;
@@ -707,15 +684,9 @@ Result<SubPlan> PlanBuilder::AccessPath(size_t r, std::vector<int>* local_to_pla
     }
     for (ExprPtr& p : residual) p->RemapColumns(to_plan);
     ExprPtr pred = ConjoinAll(std::move(residual));
-    std::string label = "Filter " + pred->ToString() + " [batch]";
-    plan.bexec = std::make_unique<BatchFilterExecutor>(std::move(plan.bexec),
-                                                       std::move(pred));
-    plan.note = Note(std::move(label), std::move(plan.note));
-    Decorate(&plan, EstimateRows(r));
+    std::string label = "Filter " + pred->ToString();
+    AddFilter(&plan, std::move(pred), std::move(label), EstimateRows(r));
   }
-  // Joins are row-at-a-time operators: when this relation feeds a join, fall
-  // back to the Volcano engine at the access-path boundary.
-  if (q_->relations.size() > 1) EnsureRows(&plan);
   return plan;
 }
 
@@ -738,16 +709,7 @@ Status PlanBuilder::ApplyAvailableFilters(SubPlan* plan) {
   if (!preds.empty()) {
     ExprPtr pred = ConjoinAll(std::move(preds));
     std::string label = "Filter " + pred->ToString();
-    if (plan->bexec != nullptr) {
-      label += " [batch]";
-      plan->bexec = std::make_unique<BatchFilterExecutor>(std::move(plan->bexec),
-                                                          std::move(pred));
-    } else {
-      plan->exec = std::make_unique<FilterExecutor>(std::move(plan->exec),
-                                                    std::move(pred));
-    }
-    plan->note = Note(std::move(label), std::move(plan->note));
-    Decorate(plan);
+    AddFilter(plan, std::move(pred), std::move(label));
   }
   return Status::OK();
 }
@@ -1030,19 +992,11 @@ Status PlanBuilder::JoinNext(size_t r, SubPlan* plan) {
     if (const auto* sc = dynamic_cast<const ColumnExpr*>(sort_key.get())) {
       already_sorted = plan->ordered.count(sc->index()) != 0;
     }
-    ExplainPtr outer_note;
-    ExecutorPtr outer_sorted;
-    if (already_sorted) {
-      outer_note = std::move(plan->note);
-      outer_sorted = std::move(plan->exec);
-    } else {
-      outer_note = Note("Sort (merge-join order: " + sort_key->ToString() + ")",
-                        std::move(plan->note));
+    if (!already_sorted) {
       std::vector<SortKey> keys;
       keys.push_back(SortKey{sort_key->Clone(), true});
-      outer_sorted = std::make_unique<SortExecutor>(ctx_, std::move(plan->exec),
-                                                    std::move(keys));
-      WrapNode(&outer_sorted, outer_note.get());
+      AddSort(plan, std::move(keys),
+              "Sort (merge-join order: " + sort_key->ToString() + ")");
     }
 
     // Inner point: the leading cluster column, in inner-plan coordinates.
@@ -1057,10 +1011,7 @@ Status PlanBuilder::JoinNext(size_t r, SubPlan* plan) {
           Col(lead_pos, rel.schema.ColumnAt(lead).type,
               rel.alias + "." + rel.schema.ColumnAt(lead).name),
           true});
-      inner.note = Note("Sort (merge-join inner order)", std::move(inner.note));
-      inner.exec = std::make_unique<SortExecutor>(ctx_, std::move(inner.exec),
-                                                  std::move(ikeys));
-      Decorate(&inner);
+      AddSort(&inner, std::move(ikeys), "Sort (merge-join inner order)");
     }
     ExprPtr lo = band_lo->outer->Clone();
     lo->RemapColumns(mapping_);
@@ -1094,12 +1045,12 @@ Status PlanBuilder::JoinNext(size_t r, SubPlan* plan) {
     }
     ExprPtr resid = ConjoinAll(std::move(residual));
     plan->exec = std::make_unique<BandMergeJoinExecutor>(
-        ctx_, std::move(outer_sorted), std::move(inner.exec), std::move(lo),
+        ctx_, std::move(plan->exec), std::move(inner.exec), std::move(lo),
         std::move(hi), std::move(point), std::move(resid));
     plan->note = Note(std::string("BandMergeJoin inner=") + rel.table->name() +
                           " as " + rel.alias + " (full inner scan" +
                           (already_sorted ? ", outer pre-sorted)" : ")"),
-                      std::move(outer_note), std::move(inner.note));
+                      std::move(plan->note), std::move(inner.note));
     Decorate(plan, outer_est_);
     plan->width = outer_width + inner.width;
     return Status::OK();
@@ -1226,12 +1177,11 @@ Result<bool> PlanBuilder::TryBuildParallel(SubPlan* out, bool* agg_done) {
   };
   ExplainPtr tip = Note("ParallelMorselScan " + rel.table->name() + " as " +
                         rel.alias + range_desc + " (morsels=" +
-                        std::to_string(morsels.size()) + ") [batch]");
+                        std::to_string(morsels.size()) + ")");
   tip->est_rows = scan_est;
   spec->scan_slot = slot_for(tip.get());
   if (spec->residual != nullptr) {
-    tip = Note("Filter " + spec->residual->ToString() + " [batch]",
-               std::move(tip));
+    tip = Note("Filter " + spec->residual->ToString(), std::move(tip));
     tip->est_rows = scan_est;
     spec->filter_slot = slot_for(tip.get());
   }
@@ -1244,9 +1194,9 @@ Result<bool> PlanBuilder::TryBuildParallel(SubPlan* out, bool* agg_done) {
     for (ExprPtr& g : q_->group_by) spec->groups.push_back(std::move(g));
     for (AggSpec& a : q_->aggs) spec->aggs.push_back(std::move(a));
     for (const AggSpec& a : spec->aggs) final_aggs.push_back(a.Clone());
-    final_schema = MakeAggOutputSchema(q_->input_schema, spec->groups, spec->aggs);
+    final_schema = MakeAggOutputSchema(spec->groups, spec->aggs);
     worker_schema = MakePartialAggSchema(spec->groups, spec->aggs);
-    tip = Note("PartialAggregate [batch]", std::move(tip));
+    tip = Note("PartialAggregate", std::move(tip));
     spec->agg_slot = slot_for(tip.get());
   }
   const size_t num_groups = spec->groups.size();
@@ -1264,13 +1214,10 @@ Result<bool> PlanBuilder::TryBuildParallel(SubPlan* out, bool* agg_done) {
     const double agg_est =
         num_groups == 0 ? 1.0 : std::max(1.0, scan_est / 10.0);
     plan.width = final_schema.NumColumns();
-    // Gather emits rows (its merge loop is engine-agnostic); adapt them into
-    // batches so the final merge runs vectorized too.
-    plan.bexec = std::make_unique<BatchFinalAggregateExecutor>(
-        ctx_, std::make_unique<BatchFromRowAdapter>(std::move(plan.exec)),
-        num_groups, std::move(final_aggs), std::move(final_schema));
-    plan.exec = nullptr;
-    plan.note = Note("FinalAggregate [batch]", std::move(plan.note));
+    plan.exec = std::make_unique<BatchFinalAggregateExecutor>(
+        std::move(plan.exec), num_groups, std::move(final_aggs),
+        std::move(final_schema));
+    plan.note = Note("FinalAggregate", std::move(plan.note));
     Decorate(&plan, agg_est);
     *agg_done = true;
   } else {
@@ -1338,55 +1285,24 @@ Result<PlannedQuery> PlanBuilder::Build() {
     const double agg_est =
         q_->group_by.empty() ? 1.0 : std::max(1.0, outer_est_ / 10.0);
     if (q_->hints.stream_agg && !q_->hints.hash_agg) {
-      // The sort itself is a row operator; when the input pipeline ran
-      // vectorized, the aggregation above the sort does too (re-batching the
-      // sorted rows exercises the row->batch adapter on a hot path).
-      const bool batch_agg = plan.bexec != nullptr;
-      EnsureRows(&plan);
       std::vector<SortKey> keys;
       for (const ExprPtr& g : groups) keys.push_back(SortKey{g->Clone(), true});
-      ExplainPtr note = Note("Sort (group order)", std::move(plan.note));
-      plan.exec = std::make_unique<SortExecutor>(ctx_, std::move(plan.exec),
-                                                 std::move(keys));
-      WrapNode(&plan.exec, note.get(), outer_est_);
-      if (batch_agg) {
-        plan.bexec = std::make_unique<BatchStreamAggregateExecutor>(
-            ctx_, std::make_unique<BatchFromRowAdapter>(std::move(plan.exec)),
-            std::move(groups), std::move(aggs));
-        plan.exec = nullptr;
-        plan.note = Note("StreamAggregate [batch]", std::move(note));
-      } else {
-        plan.exec = std::make_unique<StreamAggregateExecutor>(
-            ctx_, std::move(plan.exec), std::move(groups), std::move(aggs));
-        plan.note = Note("StreamAggregate", std::move(note));
-      }
-      Decorate(&plan, agg_est);
-    } else if (plan.bexec != nullptr) {
-      plan.bexec = std::make_unique<BatchHashAggregateExecutor>(
-          ctx_, std::move(plan.bexec), std::move(groups), std::move(aggs));
-      plan.note = Note("HashAggregate [batch]", std::move(plan.note));
-      Decorate(&plan, agg_est);
+      AddSort(&plan, std::move(keys), "Sort (group order)", outer_est_);
+      plan.exec = std::make_unique<BatchStreamAggregateExecutor>(
+          std::move(plan.exec), std::move(groups), std::move(aggs));
+      plan.note = Note("StreamAggregate", std::move(plan.note));
     } else {
-      plan.exec = std::make_unique<HashAggregateExecutor>(
-          ctx_, std::move(plan.exec), std::move(groups), std::move(aggs));
+      plan.exec = std::make_unique<BatchHashAggregateExecutor>(
+          std::move(plan.exec), std::move(groups), std::move(aggs));
       plan.note = Note("HashAggregate", std::move(plan.note));
-      Decorate(&plan, agg_est);
     }
+    Decorate(&plan, agg_est);
   }
   // HAVING binds against the aggregate output schema, which is identical for
   // the serial and the parallel (partial/final) aggregation plans.
   if (q_->has_grouping && q_->having != nullptr) {
     std::string label = "Filter (HAVING) " + q_->having->ToString();
-    if (plan.bexec != nullptr) {
-      label += " [batch]";
-      plan.bexec = std::make_unique<BatchFilterExecutor>(std::move(plan.bexec),
-                                                         std::move(q_->having));
-    } else {
-      plan.exec = std::make_unique<FilterExecutor>(std::move(plan.exec),
-                                                   std::move(q_->having));
-    }
-    plan.note = Note(std::move(label), std::move(plan.note));
-    Decorate(&plan);
+    AddFilter(&plan, std::move(q_->having), std::move(label));
   }
 
   // Final projection.
@@ -1395,52 +1311,31 @@ Result<PlannedQuery> PlanBuilder::Build() {
     if (!q_->has_grouping) s->RemapColumns(mapping_);
     projs.push_back(std::move(s));
   }
-  if (plan.bexec != nullptr) {
-    plan.bexec = std::make_unique<BatchProjectExecutor>(
-        std::move(plan.bexec), std::move(projs), q_->select_names);
-    plan.note = Note("Project [batch]", std::move(plan.note));
-  } else {
-    plan.exec = std::make_unique<ProjectExecutor>(
-        std::move(plan.exec), std::move(projs), q_->select_names);
-    plan.note = Note("Project", std::move(plan.note));
-  }
+  plan.exec = std::make_unique<BatchProjectExecutor>(
+      std::move(plan.exec), std::move(projs), q_->select_names);
+  plan.note = Note("Project", std::move(plan.note));
   Decorate(&plan);
   if (q_->distinct) {
     // DISTINCT = group by every output column with no aggregates.
     std::vector<ExprPtr> dgroups;
-    const Schema& out_schema = plan.bexec != nullptr
-                                   ? plan.bexec->OutputSchema()
-                                   : plan.exec->OutputSchema();
+    const Schema& out_schema = plan.exec->OutputSchema();
     for (size_t c = 0; c < out_schema.NumColumns(); c++) {
       dgroups.push_back(Col(c, out_schema.ColumnAt(c).type,
                             out_schema.ColumnAt(c).name,
                             out_schema.ColumnAt(c).length));
     }
-    if (plan.bexec != nullptr) {
-      plan.bexec = std::make_unique<BatchHashAggregateExecutor>(
-          ctx_, std::move(plan.bexec), std::move(dgroups),
-          std::vector<AggSpec>{});
-      plan.note = Note("Distinct [batch]", std::move(plan.note));
-    } else {
-      plan.exec = std::make_unique<HashAggregateExecutor>(
-          ctx_, std::move(plan.exec), std::move(dgroups),
-          std::vector<AggSpec>{});
-      plan.note = Note("Distinct", std::move(plan.note));
-    }
+    plan.exec = std::make_unique<BatchHashAggregateExecutor>(
+        std::move(plan.exec), std::move(dgroups), std::vector<AggSpec>{});
+    plan.note = Note("Distinct", std::move(plan.note));
     Decorate(&plan);
   }
 
-  // ORDER BY / LIMIT: row operators; leave the batch engine if still in it.
-  EnsureRows(&plan);
   if (!q_->order_by.empty()) {
     std::vector<SortKey> keys;
     for (BoundOrderKey& k : q_->order_by) {
       keys.push_back(SortKey{std::move(k.expr), k.ascending});
     }
-    plan.exec = std::make_unique<SortExecutor>(ctx_, std::move(plan.exec),
-                                               std::move(keys));
-    plan.note = Note("Sort (ORDER BY)", std::move(plan.note));
-    Decorate(&plan);
+    AddSort(&plan, std::move(keys), "Sort (ORDER BY)");
   }
   if (q_->limit.has_value()) {
     plan.exec = std::make_unique<LimitExecutor>(std::move(plan.exec), *q_->limit);
@@ -1450,7 +1345,6 @@ Result<PlannedQuery> PlanBuilder::Build() {
 
   PlannedQuery out;
   out.output_schema = q_->output_schema;
-  EnsureRows(&plan);  // the engine's drain loop consumes rows
   out.executor = std::move(plan.exec);
   out.plan = std::move(plan.note);
   FillEstimates(out.plan.get());

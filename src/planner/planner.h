@@ -4,6 +4,7 @@
 #include <string>
 
 #include "catalog/catalog.h"
+#include "exec/batch.h"
 #include "exec/executor.h"
 #include "obs/plan_stats.h"
 #include "planner/bound_query.h"
@@ -15,7 +16,7 @@ namespace elephant {
 /// `instrument` — per-operator runtime stats slots filled in as the plan
 /// runs). `explain` is the tree rendered without actuals.
 struct PlannedQuery {
-  ExecutorPtr executor;
+  BatchExecutorPtr executor;
   std::unique_ptr<obs::PlanNode> plan;
   std::string explain;
   Schema output_schema;
@@ -32,7 +33,7 @@ struct PlannedQuery {
 /// "Query hints").
 ///
 /// With `instrument`, every node of the plan is wrapped in an
-/// obs::InstrumentedExecutor so EXPLAIN ANALYZE can attribute wall time,
+/// obs::InstrumentedBatchExecutor so EXPLAIN ANALYZE can attribute wall time,
 /// rows, buffer-pool traffic, and sequential/random page reads per operator.
 class Planner {
  public:

@@ -229,7 +229,17 @@ Result<Frame*> BufferPool::FetchPage(page_id_t page_id, AccessIntent intent) {
   // path is rare enough (once per resident page) that it does not bottleneck
   // parallel scans.
   UnpoisonFrame(f);
-  ELE_RETURN_NOT_OK(disk_->ReadPage(page_id, f.data(), intent));
+  if (Status read = disk_->ReadPage(page_id, f.data(), intent); !read.ok()) {
+    // The victim already left the page table: hand it back as a free frame,
+    // or every failed read would leak one until the pool is exhausted.
+    f.page_id_ = kInvalidPageId;
+    f.pin_count_ = 0;
+    f.dirty_ = false;
+    f.last_lsn_ = kInvalidLsn;
+    PoisonFrame(f);
+    free_frames_.push_back(idx);
+    return read;
+  }
   f.page_id_ = page_id;
   f.pin_count_ = 1;
   f.dirty_ = false;

@@ -1,24 +1,23 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "catalog/catalog.h"
-#include "exec/agg_executor.h"
 #include "exec/batch.h"
 #include "exec/batch_executors.h"
 #include "exec/scan_executor.h"
-#include "exec/simple_executors.h"
 
 namespace elephant {
 namespace {
 
-/// Unit coverage of the vectorized batch engine: container semantics, each
-/// batch operator against its row-engine twin, and the two adapters. Every
-/// identity test runs the same input through both engines and compares the
-/// materialized rows exactly.
+/// Unit coverage of the batch operators: container semantics, and each
+/// operator against a row-at-a-time reference computed in the test itself
+/// (storage iterators, Expr::Eval, EvalPredicate, AggState), compared exactly
+/// row for row.
 struct BatchExecFixture : public ::testing::Test {
   DiskManager disk;
   BufferPool pool{&disk, 4096};
@@ -41,10 +40,69 @@ struct BatchExecFixture : public ::testing::Test {
     return t.value();
   }
 
-  /// Drains a batch executor through a RowFromBatchAdapter.
   Result<std::vector<Row>> DrainBatch(BatchExecutorPtr bexec) {
-    RowFromBatchAdapter adapter(std::move(bexec));
-    return ExecuteToVector(&adapter);
+    return DrainBatches(bexec.get());
+  }
+
+  /// Row reference for a clustered scan: the table's own row iterator.
+  static std::vector<Row> RowScan(const Table* t, const KeyRange& range = {}) {
+    std::vector<Row> rows;
+    auto it = t->ScanRange(range.lo, range.hi);
+    EXPECT_TRUE(it.ok());
+    while (it.value().Valid()) {
+      Row row;
+      EXPECT_TRUE(it.value().Current(&row).ok());
+      rows.push_back(std::move(row));
+      EXPECT_TRUE(it.value().Next().ok());
+    }
+    return rows;
+  }
+
+  /// Row reference for a filter: EvalPredicate, one row at a time.
+  static std::vector<Row> RowFilter(std::vector<Row> rows, const Expr& pred) {
+    std::vector<Row> out;
+    for (Row& row : rows) {
+      auto pass = EvalPredicate(pred, row);
+      EXPECT_TRUE(pass.ok()) << pass.status().ToString();
+      if (pass.ok() && pass.value()) out.push_back(std::move(row));
+    }
+    return out;
+  }
+
+  /// Row reference for a hash aggregate: Expr::Eval per row, groups in
+  /// encoded-key order, folded through AggState.
+  static std::vector<Row> RowAggregate(const std::vector<Row>& rows,
+                                       const std::vector<ExprPtr>& groups,
+                                       const std::vector<AggSpec>& aggs) {
+    std::map<std::string, std::pair<Row, std::vector<AggState>>> table;
+    for (const Row& row : rows) {
+      std::string key;
+      Row values;
+      for (const ExprPtr& g : groups) {
+        Value v = g->Eval(row).value();
+        keycodec::Encode(v, &key);
+        values.push_back(std::move(v));
+      }
+      auto it = table.find(key);
+      if (it == table.end()) {
+        std::vector<AggState> states;
+        for (const AggSpec& a : aggs) states.emplace_back(a.fn);
+        it = table.emplace(key, std::make_pair(values, states)).first;
+      }
+      for (size_t i = 0; i < aggs.size(); i++) {
+        const Value v = aggs[i].fn == AggFunc::kCountStar
+                            ? Value()
+                            : aggs[i].arg->Eval(row).value();
+        EXPECT_TRUE(it->second.second[i].Accumulate(v).ok());
+      }
+    }
+    std::vector<Row> out;
+    for (const auto& [key, group] : table) {
+      Row row = group.first;
+      for (const AggState& s : group.second) row.push_back(s.Finalize());
+      out.push_back(std::move(row));
+    }
+    return out;
   }
 
   static void ExpectRowsEqual(const std::vector<Row>& a,
@@ -111,19 +169,15 @@ TEST_F(BatchExecFixture, BatchFullAtCapacity) {
 TEST_F(BatchExecFixture, BatchScanMatchesRowScanAcrossBatchBoundary) {
   // 2500 rows -> batches of 1024, 1024, 452.
   Table* t = MakeTable("t", 2500, 7);
-  ClusteredScanExecutor row_scan(&ctx, t);
-  auto rows = ExecuteToVector(&row_scan);
-  ASSERT_TRUE(rows.ok());
-  auto batch_rows =
-      DrainBatch(std::make_unique<BatchClusteredScanExecutor>(&ctx, t));
+  auto batch_rows = DrainBatch(std::make_unique<IndexScanExecutor>(&ctx, t));
   ASSERT_TRUE(batch_rows.ok());
-  ExpectRowsEqual(rows.value(), batch_rows.value());
+  ExpectRowsEqual(RowScan(t), batch_rows.value());
   ASSERT_EQ(batch_rows.value().size(), 2500u);
 }
 
 TEST_F(BatchExecFixture, BatchScanEmitsFullBatches) {
   Table* t = MakeTable("t", 2500, 7);
-  BatchClusteredScanExecutor scan(&ctx, t);
+  IndexScanExecutor scan(&ctx, t);
   ASSERT_TRUE(scan.Init().ok());
   Batch b;
   std::vector<uint32_t> sizes;
@@ -143,20 +197,16 @@ TEST_F(BatchExecFixture, BatchScanRangeMatchesRowScan) {
   Table* t = MakeTable("t", 300, 5);
   KeyRange range =
       MakeKeyRange({}, Value::Int32(10), true, Value::Int32(19), true);
-  ClusteredScanExecutor row_scan(&ctx, t, range);
-  auto rows = ExecuteToVector(&row_scan);
-  ASSERT_TRUE(rows.ok());
-  auto batch_rows =
-      DrainBatch(std::make_unique<BatchClusteredScanExecutor>(&ctx, t, range));
+  auto batch_rows = DrainBatch(
+      std::make_unique<IndexScanExecutor>(&ctx, t, nullptr, range));
   ASSERT_TRUE(batch_rows.ok());
-  ExpectRowsEqual(rows.value(), batch_rows.value());
+  ExpectRowsEqual(RowScan(t, range), batch_rows.value());
   ASSERT_EQ(batch_rows.value().size(), 10u);
 }
 
 TEST_F(BatchExecFixture, BatchScanEmptyTable) {
   Table* t = MakeTable("t", 0, 1);
-  auto batch_rows =
-      DrainBatch(std::make_unique<BatchClusteredScanExecutor>(&ctx, t));
+  auto batch_rows = DrainBatch(std::make_unique<IndexScanExecutor>(&ctx, t));
   ASSERT_TRUE(batch_rows.ok());
   EXPECT_TRUE(batch_rows.value().empty());
 }
@@ -167,27 +217,26 @@ TEST_F(BatchExecFixture, BatchSecondaryIndexScanMatchesRowScan) {
   SecondaryIndex* idx = t->FindIndex("idx");
   KeyRange range =
       MakeKeyRange({Value::Int32(3)}, std::nullopt, true, std::nullopt, true);
-  SecondaryIndexScanExecutor row_scan(&ctx, t, idx, range);
-  auto rows = ExecuteToVector(&row_scan);
-  ASSERT_TRUE(rows.ok());
-  auto batch_rows = DrainBatch(
-      std::make_unique<BatchSecondaryIndexScanExecutor>(&ctx, t, idx, range));
+  // Index order is (grp, clustering key): grp = 3 rows in k order, as
+  // (grp, amount).
+  std::vector<Row> want;
+  for (const Row& r : RowScan(t)) {
+    if (r[1].AsInt32() == 3) want.push_back({r[1], r[2]});
+  }
+  auto batch_rows =
+      DrainBatch(std::make_unique<IndexScanExecutor>(&ctx, t, idx, range));
   ASSERT_TRUE(batch_rows.ok());
-  ExpectRowsEqual(rows.value(), batch_rows.value());
+  ExpectRowsEqual(want, batch_rows.value());
   ASSERT_EQ(batch_rows.value().size(), 500u);
 }
 
 TEST_F(BatchExecFixture, RowsScannedMatchesRowEngine) {
+  // One rows_scanned tick per row pulled from storage, as a row-at-a-time
+  // scan would count, regardless of how rows are batched.
   Table* t = MakeTable("t", 2500, 7);
-  ExecContext row_ctx{&pool};
-  ClusteredScanExecutor row_scan(&row_ctx, t);
-  ASSERT_TRUE(ExecuteToVector(&row_scan).ok());
-  ExecContext batch_ctx{&pool};
-  RowFromBatchAdapter adapter(
-      std::make_unique<BatchClusteredScanExecutor>(&batch_ctx, t));
-  ASSERT_TRUE(ExecuteToVector(&adapter).ok());
-  EXPECT_EQ(row_ctx.counters().rows_scanned, 2500u);
-  EXPECT_EQ(batch_ctx.counters().rows_scanned, 2500u);
+  IndexScanExecutor scan(&ctx, t);
+  ASSERT_TRUE(DrainBatches(&scan).ok());
+  EXPECT_EQ(ctx.counters().rows_scanned, 2500u);
 }
 
 // ---------- Filter ----------
@@ -199,14 +248,10 @@ TEST_F(BatchExecFixture, BatchFilterMatchesRowFilter) {
         Cmp(CompareOp::kGe, Col(1, TypeId::kInt32), Lit(Value::Int32(3))),
         Cmp(CompareOp::kLt, Col(0, TypeId::kInt32), Lit(Value::Int32(2000))));
   };
-  FilterExecutor row_filter(
-      std::make_unique<ClusteredScanExecutor>(&ctx, t), pred());
-  auto rows = ExecuteToVector(&row_filter);
-  ASSERT_TRUE(rows.ok());
   auto batch_rows = DrainBatch(std::make_unique<BatchFilterExecutor>(
-      std::make_unique<BatchClusteredScanExecutor>(&ctx, t), pred()));
+      std::make_unique<IndexScanExecutor>(&ctx, t), pred()));
   ASSERT_TRUE(batch_rows.ok());
-  ExpectRowsEqual(rows.value(), batch_rows.value());
+  ExpectRowsEqual(RowFilter(RowScan(t), *pred()), batch_rows.value());
 }
 
 TEST_F(BatchExecFixture, BatchFilterSkipsFullyFilteredBatches) {
@@ -214,7 +259,7 @@ TEST_F(BatchExecFixture, BatchFilterSkipsFullyFilteredBatches) {
   // to zero live rows and must be skipped, not surfaced as empty output.
   Table* t = MakeTable("t", 2500, 7);
   BatchFilterExecutor filter(
-      std::make_unique<BatchClusteredScanExecutor>(&ctx, t),
+      std::make_unique<IndexScanExecutor>(&ctx, t),
       Cmp(CompareOp::kEq, Col(0, TypeId::kInt32), Lit(Value::Int32(2400))));
   ASSERT_TRUE(filter.Init().ok());
   Batch b;
@@ -233,14 +278,14 @@ TEST_F(BatchExecFixture, BatchFilterSkipsFullyFilteredBatches) {
 TEST_F(BatchExecFixture, BatchFilterAllRowsFilteredOut) {
   Table* t = MakeTable("t", 2500, 7);
   auto batch_rows = DrainBatch(std::make_unique<BatchFilterExecutor>(
-      std::make_unique<BatchClusteredScanExecutor>(&ctx, t),
+      std::make_unique<IndexScanExecutor>(&ctx, t),
       Cmp(CompareOp::kLt, Col(0, TypeId::kInt32), Lit(Value::Int32(0)))));
   ASSERT_TRUE(batch_rows.ok());
   EXPECT_TRUE(batch_rows.value().empty());
 }
 
 TEST_F(BatchExecFixture, BatchFilterShortCircuitSkipsErrorPositions) {
-  // grp <> 0 AND 10 / grp > 1: the row engine short-circuits the division
+  // grp <> 0 AND 10 / grp > 1: per-row evaluation short-circuits the division
   // at grp = 0; the vectorized evaluator must do the same positionally
   // instead of dividing the whole vector. 100 rows, groups of 7 -> rows
   // with grp = 0 exist.
@@ -252,15 +297,12 @@ TEST_F(BatchExecFixture, BatchFilterShortCircuitSkipsErrorPositions) {
                          Col(1, TypeId::kInt32)),
                    Lit(Value::Double(1.0))));
   };
-  FilterExecutor row_filter(
-      std::make_unique<ClusteredScanExecutor>(&ctx, t), pred());
-  auto rows = ExecuteToVector(&row_filter);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_FALSE(rows.value().empty());
+  const std::vector<Row> rows = RowFilter(RowScan(t), *pred());
+  ASSERT_FALSE(rows.empty());
   auto batch_rows = DrainBatch(std::make_unique<BatchFilterExecutor>(
-      std::make_unique<BatchClusteredScanExecutor>(&ctx, t), pred()));
+      std::make_unique<IndexScanExecutor>(&ctx, t), pred()));
   ASSERT_TRUE(batch_rows.ok()) << batch_rows.status().ToString();
-  ExpectRowsEqual(rows.value(), batch_rows.value());
+  ExpectRowsEqual(rows, batch_rows.value());
 }
 
 // ---------- Project ----------
@@ -277,18 +319,18 @@ TEST_F(BatchExecFixture, BatchProjectCompactsSelection) {
   auto make_pred = [] {
     return Cmp(CompareOp::kGe, Col(0, TypeId::kInt32), Lit(Value::Int32(2490)));
   };
-  ProjectExecutor row_proj(
-      std::make_unique<FilterExecutor>(
-          std::make_unique<ClusteredScanExecutor>(&ctx, t), make_pred()),
-      make_exprs(), {"kk", "amount"});
-  auto rows = ExecuteToVector(&row_proj);
-  ASSERT_TRUE(rows.ok());
+  std::vector<Row> rows;
+  for (const Row& r : RowFilter(RowScan(t), *make_pred())) {
+    Row out;
+    for (const ExprPtr& e : make_exprs()) out.push_back(e->Eval(r).value());
+    rows.push_back(std::move(out));
+  }
   auto batch_rows = DrainBatch(std::make_unique<BatchProjectExecutor>(
       std::make_unique<BatchFilterExecutor>(
-          std::make_unique<BatchClusteredScanExecutor>(&ctx, t), make_pred()),
+          std::make_unique<IndexScanExecutor>(&ctx, t), make_pred()),
       make_exprs(), std::vector<std::string>{"kk", "amount"}));
   ASSERT_TRUE(batch_rows.ok());
-  ExpectRowsEqual(rows.value(), batch_rows.value());
+  ExpectRowsEqual(rows, batch_rows.value());
   ASSERT_EQ(batch_rows.value().size(), 10u);
   EXPECT_EQ(batch_rows.value().front()[0].AsInt32(), 3490);
 }
@@ -311,16 +353,11 @@ TEST_F(BatchExecFixture, BatchHashAggregateMatchesRowTwin) {
     a.emplace_back(AggFunc::kMax, Col(0, TypeId::kInt32), "max_k");
     return a;
   };
-  HashAggregateExecutor row_agg(&ctx,
-                                std::make_unique<ClusteredScanExecutor>(&ctx, t),
-                                groups(), aggs());
-  auto rows = ExecuteToVector(&row_agg);
-  ASSERT_TRUE(rows.ok());
   auto batch_rows = DrainBatch(std::make_unique<BatchHashAggregateExecutor>(
-      &ctx, std::make_unique<BatchClusteredScanExecutor>(&ctx, t), groups(),
-      aggs()));
+      std::make_unique<IndexScanExecutor>(&ctx, t), groups(), aggs()));
   ASSERT_TRUE(batch_rows.ok());
-  ExpectRowsEqual(rows.value(), batch_rows.value());
+  ExpectRowsEqual(RowAggregate(RowScan(t), groups(), aggs()),
+                  batch_rows.value());
   ASSERT_EQ(batch_rows.value().size(), 7u);
 }
 
@@ -330,8 +367,8 @@ TEST_F(BatchExecFixture, BatchScalarAggregateOverEmptyInputEmitsOneRow) {
   aggs.emplace_back(AggFunc::kCountStar, nullptr, "n");
   aggs.emplace_back(AggFunc::kSum, Col(0, TypeId::kInt32), "s");
   auto batch_rows = DrainBatch(std::make_unique<BatchHashAggregateExecutor>(
-      &ctx, std::make_unique<BatchClusteredScanExecutor>(&ctx, t),
-      std::vector<ExprPtr>{}, std::move(aggs)));
+      std::make_unique<IndexScanExecutor>(&ctx, t), std::vector<ExprPtr>{},
+      std::move(aggs)));
   ASSERT_TRUE(batch_rows.ok());
   ASSERT_EQ(batch_rows.value().size(), 1u);
   EXPECT_EQ(batch_rows.value()[0][0].AsInt64(), 0);
@@ -364,15 +401,11 @@ TEST_F(BatchExecFixture, BatchStreamAggregateGroupSplitAcrossBatchBoundary) {
     a.emplace_back(AggFunc::kSum, Col(0, TypeId::kInt32), "s");
     return a;
   };
-  StreamAggregateExecutor row_agg(
-      &ctx, std::make_unique<ClusteredScanExecutor>(&ctx, t), groups(), aggs());
-  auto rows = ExecuteToVector(&row_agg);
-  ASSERT_TRUE(rows.ok());
   auto batch_rows = DrainBatch(std::make_unique<BatchStreamAggregateExecutor>(
-      &ctx, std::make_unique<BatchClusteredScanExecutor>(&ctx, t), groups(),
-      aggs()));
+      std::make_unique<IndexScanExecutor>(&ctx, t), groups(), aggs()));
   ASSERT_TRUE(batch_rows.ok());
-  ExpectRowsEqual(rows.value(), batch_rows.value());
+  ExpectRowsEqual(RowAggregate(RowScan(t), groups(), aggs()),
+                  batch_rows.value());
   ASSERT_EQ(batch_rows.value().size(), 5u);
   for (const Row& r : batch_rows.value()) {
     EXPECT_EQ(r[1].AsInt64(), 500);  // every group has exactly 500 rows
@@ -392,20 +425,19 @@ TEST_F(BatchExecFixture, BatchPartialFinalAggregateMatchesRowPipeline) {
     a.emplace_back(AggFunc::kCount, Col(0, TypeId::kInt32), "n");
     return a;
   };
-  Schema out_schema = MakeAggOutputSchema(t->schema(), groups(), aggs());
+  Schema out_schema = MakeAggOutputSchema(groups(), aggs());
 
-  // The row pipeline is the serial plan the parallel split must reproduce:
-  // one HashAggregate over the whole scan.
-  HashAggregateExecutor row_agg(
-      &ctx, std::make_unique<ClusteredScanExecutor>(&ctx, t), groups(), aggs());
-  auto rows = ExecuteToVector(&row_agg);
+  // The serial plan the parallel split must reproduce: one hash aggregate
+  // over the whole scan.
+  auto rows = DrainBatch(std::make_unique<BatchHashAggregateExecutor>(
+      std::make_unique<IndexScanExecutor>(&ctx, t), groups(), aggs()));
   ASSERT_TRUE(rows.ok());
+  ExpectRowsEqual(RowAggregate(RowScan(t), groups(), aggs()), rows.value());
 
   auto batch_rows = DrainBatch(std::make_unique<BatchFinalAggregateExecutor>(
-      &ctx,
-      std::make_unique<BatchPartialAggregateExecutor>(
-          &ctx, std::make_unique<BatchClusteredScanExecutor>(&ctx, t), groups(),
-          aggs()),
+      std::make_unique<BatchHashAggregateExecutor>(
+          std::make_unique<IndexScanExecutor>(&ctx, t), groups(), aggs(),
+          /*partial=*/true),
       1, aggs(), out_schema));
   ASSERT_TRUE(batch_rows.ok());
   ExpectRowsEqual(rows.value(), batch_rows.value());
@@ -414,8 +446,8 @@ TEST_F(BatchExecFixture, BatchPartialFinalAggregateMatchesRowPipeline) {
 
 TEST_F(BatchExecFixture, AggregateSumOverflowSurfacesAsError) {
   // SUM's accumulator arithmetic goes through the shared range-checked
-  // Value helpers, so an overflowing sum is an InvalidArgument in BOTH
-  // engines — never a silently wrapped (identical-but-wrong) answer.
+  // Value helpers, so an overflowing sum is an InvalidArgument — never a
+  // silently wrapped answer.
   const int64_t kBig = std::numeric_limits<int64_t>::max() - 10;
   AggState sum(AggFunc::kSum);
   ASSERT_TRUE(sum.Accumulate(Value::Int64(kBig)).ok());
@@ -445,28 +477,6 @@ TEST_F(BatchExecFixture, AggregateSumOverflowSurfacesAsError) {
   Status merged = partial_a.MergePartial(transfer, 0);
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.code(), StatusCode::kInvalidArgument);
-}
-
-// ---------- Adapters ----------
-
-TEST_F(BatchExecFixture, AdapterRoundTripPreservesRows) {
-  // row scan -> BatchFromRowAdapter -> RowFromBatchAdapter == row scan.
-  Table* t = MakeTable("t", 2500, 7);
-  ClusteredScanExecutor row_scan(&ctx, t);
-  auto rows = ExecuteToVector(&row_scan);
-  ASSERT_TRUE(rows.ok());
-  auto round_trip = DrainBatch(std::make_unique<BatchFromRowAdapter>(
-      std::make_unique<ClusteredScanExecutor>(&ctx, t)));
-  ASSERT_TRUE(round_trip.ok());
-  ExpectRowsEqual(rows.value(), round_trip.value());
-}
-
-TEST_F(BatchExecFixture, AdapterOverEmptyInput) {
-  Table* t = MakeTable("t", 0, 1);
-  auto round_trip = DrainBatch(std::make_unique<BatchFromRowAdapter>(
-      std::make_unique<ClusteredScanExecutor>(&ctx, t)));
-  ASSERT_TRUE(round_trip.ok());
-  EXPECT_TRUE(round_trip.value().empty());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -13,18 +14,17 @@
 namespace elephant {
 namespace {
 
-/// Differential harness for the vectorized engine, with SQLite as the
+/// Differential harness for the execution engine, with SQLite as the
 /// reference (sqlite_oracle.h lists the comparison rules and the deliberate
 /// divergences it normalizes). Every query runs serial and PARALLEL 4; both
 /// results must agree with the oracle, with each other as multisets, and
 /// with their own rows_output counter. A randomized single-table generator
-/// sweeps the batch operators (scans, filters, projections, both aggregate
-/// kinds, DISTINCT, ORDER BY, LIMIT); a randomized comma-join generator
-/// sweeps the row operators that remain above the batch scans (index nested
-/// loop, hash and band-merge joins, and the Filter/Project/HashAggregate/
-/// StreamAggregate over them). Fixed shapes pin regressions and structurally
-/// interesting cases (batch-boundary groups, LIMIT over Gather, scalar
-/// aggregates over empty inputs, guarded and unguarded errors).
+/// sweeps scans, filters, projections, both aggregate kinds, DISTINCT,
+/// ORDER BY and LIMIT; a randomized comma-join generator sweeps the index
+/// nested loop, hash and band-merge joins, and the Filter/Project/
+/// HashAggregate/StreamAggregate over them. Fixed shapes pin regressions and
+/// structurally interesting cases (batch-boundary groups, LIMIT over Gather,
+/// scalar aggregates over empty inputs, guarded and unguarded errors).
 class BatchIdentityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -148,21 +148,9 @@ class BatchIdentityTest : public ::testing::Test {
     EXPECT_EQ(serial.status().code(), par.status().code()) << sql;
   }
 
-  /// Whether an EXPLAIN text has a row-engine (no " [batch]") node whose
-  /// label contains `op`.
-  static bool HasRowOperator(const std::string& plan, const std::string& op) {
-    size_t start = 0;
-    while (start < plan.size()) {
-      size_t end = plan.find('\n', start);
-      if (end == std::string::npos) end = plan.size();
-      const std::string line = plan.substr(start, end - start);
-      if (line.find(op) != std::string::npos &&
-          line.find(" [batch]") == std::string::npos) {
-        return true;
-      }
-      start = end + 1;
-    }
-    return false;
+  /// Whether an EXPLAIN text has a node whose label contains `op`.
+  static bool HasOperator(const std::string& plan, const std::string& op) {
+    return plan.find(op) != std::string::npos;
   }
 
   static void ExpectSameMultiset(const QueryResult& want,
@@ -186,6 +174,12 @@ class BatchIdentityTest : public ::testing::Test {
   static SqliteOracle* oracle_;
   static Status* oracle_status_;
 };
+
+// There is no row-at-a-time operator left to reach: a plan is a tree of
+// batch operators from its root down.
+static_assert(
+    std::is_same_v<decltype(PlannedQuery::executor), BatchExecutorPtr>,
+    "plans must be batch operator trees");
 
 Database* BatchIdentityTest::db_ = nullptr;
 SqliteOracle* BatchIdentityTest::oracle_ = nullptr;
@@ -302,7 +296,7 @@ TEST_F(BatchIdentityTest, JoinShapes) {
     SCOPED_TRACE(shape.sql);
     auto plan = db_->Explain(shape.sql);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-    EXPECT_TRUE(HasRowOperator(plan.value(), shape.op)) << plan.value();
+    EXPECT_TRUE(HasOperator(plan.value(), shape.op)) << plan.value();
     ExpectAgrees(shape.sql);
   }
 }
@@ -389,8 +383,8 @@ TEST_F(BatchIdentityTest, RandomizedJoinSweep) {
     return rng.Uniform(0, 1) == 0 ? t_cols[rng.Uniform(0, 4)]
                                   : u_cols[rng.Uniform(0, 3)];
   };
-  // Single-table filters push down to the batch scans; a filter over both
-  // tables stays above the join as a row Filter (or an INLJ residual).
+  // Single-table filters push down to the scans; a filter over both tables
+  // stays above the join as a Filter (or a join residual).
   auto filter = [&]() -> std::string {
     if (rng.Uniform(0, 3) == 0) {
       return std::string("t.a + u.k ") + cmps[rng.Uniform(0, 5)] + " " +
@@ -445,13 +439,13 @@ TEST_F(BatchIdentityTest, RandomizedJoinSweep) {
     auto plan = db_->Explain(sql);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     for (const char* op : ops) {
-      if (HasRowOperator(plan.value(), op)) ops_seen[op]++;
+      if (HasOperator(plan.value(), op)) ops_seen[op]++;
     }
     ExpectAgrees(sql);
     checked++;
   }
   EXPECT_GE(checked, 30);
-  // The sweep must reach every row operator it exists to check.
+  // The sweep must reach every operator it exists to check.
   for (const char* op : ops) EXPECT_GT(ops_seen[op], 0) << op;
 }
 

@@ -3,7 +3,7 @@
 #include <functional>
 
 #include "catalog/catalog.h"
-#include "exec/agg_executor.h"
+#include "exec/batch_executors.h"
 #include "exec/join_executor.h"
 #include "exec/scan_executor.h"
 #include "exec/simple_executors.h"
@@ -36,8 +36,8 @@ struct ExecFixture : public ::testing::Test {
 
 TEST_F(ExecFixture, ClusteredScanFull) {
   Table* t = MakeTable("t", 100, 5);
-  ClusteredScanExecutor scan(&ctx, t);
-  auto rows = ExecuteToVector(&scan);
+  IndexScanExecutor scan(&ctx, t);
+  auto rows = DrainBatches(&scan);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows.value().size(), 100u);
   EXPECT_EQ(rows.value()[42][0].AsInt32(), 42);
@@ -46,8 +46,8 @@ TEST_F(ExecFixture, ClusteredScanFull) {
 TEST_F(ExecFixture, ClusteredScanRange) {
   Table* t = MakeTable("t", 100, 5);
   KeyRange range = MakeKeyRange({}, Value::Int32(10), true, Value::Int32(19), true);
-  ClusteredScanExecutor scan(&ctx, t, range);
-  auto rows = ExecuteToVector(&scan);
+  IndexScanExecutor scan(&ctx, t, nullptr, range);
+  auto rows = DrainBatches(&scan);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 10u);
   EXPECT_EQ(rows.value().front()[0].AsInt32(), 10);
@@ -57,8 +57,8 @@ TEST_F(ExecFixture, ClusteredScanRange) {
 TEST_F(ExecFixture, ClusteredScanExclusiveBounds) {
   Table* t = MakeTable("t", 100, 5);
   KeyRange range = MakeKeyRange({}, Value::Int32(10), false, Value::Int32(19), false);
-  ClusteredScanExecutor scan(&ctx, t, range);
-  auto rows = ExecuteToVector(&scan);
+  IndexScanExecutor scan(&ctx, t, nullptr, range);
+  auto rows = DrainBatches(&scan);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 8u);
   EXPECT_EQ(rows.value().front()[0].AsInt32(), 11);
@@ -70,8 +70,8 @@ TEST_F(ExecFixture, SecondaryIndexScanDecodesKeyAndIncludes) {
   ASSERT_TRUE(t->CreateSecondaryIndex("idx", {1}, {2}).ok());
   SecondaryIndex* idx = t->FindIndex("idx");
   KeyRange range = MakeKeyRange({Value::Int32(3)}, std::nullopt, true, std::nullopt, true);
-  SecondaryIndexScanExecutor scan(&ctx, t, idx, range);
-  auto rows = ExecuteToVector(&scan);
+  IndexScanExecutor scan(&ctx, t, idx, range);
+  auto rows = DrainBatches(&scan);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows.value().size(), 20u);  // 100 rows, 5 groups
   for (const Row& r : rows.value()) {
@@ -82,14 +82,14 @@ TEST_F(ExecFixture, SecondaryIndexScanDecodesKeyAndIncludes) {
 
 TEST_F(ExecFixture, FilterAndProject) {
   Table* t = MakeTable("t", 50, 5);
-  auto scan = std::make_unique<ClusteredScanExecutor>(&ctx, t);
-  auto filter = std::make_unique<FilterExecutor>(
+  auto scan = std::make_unique<IndexScanExecutor>(&ctx, t);
+  auto filter = std::make_unique<BatchFilterExecutor>(
       std::move(scan),
       Cmp(CompareOp::kGe, Col(0, TypeId::kInt32), Lit(Value::Int32(45))));
   std::vector<ExprPtr> projs;
   projs.push_back(Arith(ArithOp::kMul, Col(0, TypeId::kInt32), Lit(Value::Int32(2))));
-  ProjectExecutor proj(std::move(filter), std::move(projs), {"double_k"});
-  auto rows = ExecuteToVector(&proj);
+  BatchProjectExecutor proj(std::move(filter), std::move(projs), {"double_k"});
+  auto rows = DrainBatches(&proj);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 5u);
   EXPECT_EQ(rows.value()[0][0].AsInt32(), 90);
@@ -104,7 +104,7 @@ TEST_F(ExecFixture, SortAscendingAndDescending) {
     keys.push_back({Col(0, TypeId::kInt32), true});
     SortExecutor sort(&ctx, std::make_unique<ValuesExecutor>(s, input),
                       std::move(keys));
-    auto rows = ExecuteToVector(&sort);
+    auto rows = DrainBatches(&sort);
     ASSERT_TRUE(rows.ok());
     EXPECT_EQ(rows.value()[0][0].AsInt32(), 1);
     EXPECT_EQ(rows.value()[2][0].AsInt32(), 3);
@@ -114,7 +114,7 @@ TEST_F(ExecFixture, SortAscendingAndDescending) {
     keys.push_back({Col(0, TypeId::kInt32), false});
     SortExecutor sort(&ctx, std::make_unique<ValuesExecutor>(s, input),
                       std::move(keys));
-    auto rows = ExecuteToVector(&sort);
+    auto rows = DrainBatches(&sort);
     ASSERT_TRUE(rows.ok());
     EXPECT_EQ(rows.value()[0][0].AsInt32(), 3);
     EXPECT_EQ(rows.value()[2][0].AsInt32(), 1);
@@ -123,16 +123,16 @@ TEST_F(ExecFixture, SortAscendingAndDescending) {
 
 TEST_F(ExecFixture, Limit) {
   Table* t = MakeTable("t", 100, 5);
-  auto scan = std::make_unique<ClusteredScanExecutor>(&ctx, t);
+  auto scan = std::make_unique<IndexScanExecutor>(&ctx, t);
   LimitExecutor limit(std::move(scan), 7);
-  auto rows = ExecuteToVector(&limit);
+  auto rows = DrainBatches(&limit);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows.value().size(), 7u);
 }
 
 TEST_F(ExecFixture, HashAggregateGroupsAndAggregates) {
   Table* t = MakeTable("t", 100, 4);
-  auto scan = std::make_unique<ClusteredScanExecutor>(&ctx, t);
+  auto scan = std::make_unique<IndexScanExecutor>(&ctx, t);
   std::vector<ExprPtr> groups;
   groups.push_back(Col(1, TypeId::kInt32, "grp"));
   std::vector<AggSpec> aggs;
@@ -141,8 +141,9 @@ TEST_F(ExecFixture, HashAggregateGroupsAndAggregates) {
   aggs.emplace_back(AggFunc::kMin, Col(0, TypeId::kInt32), "min_k");
   aggs.emplace_back(AggFunc::kMax, Col(0, TypeId::kInt32), "max_k");
   aggs.emplace_back(AggFunc::kAvg, Col(0, TypeId::kInt32), "avg_k");
-  HashAggregateExecutor agg(&ctx, std::move(scan), std::move(groups), std::move(aggs));
-  auto rows = ExecuteToVector(&agg);
+  BatchHashAggregateExecutor agg(std::move(scan), std::move(groups),
+                                 std::move(aggs));
+  auto rows = DrainBatches(&agg);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 4u);
   // Groups emitted in key order: grp 0..3. grp 0: k = 0,4,...,96 (25 rows).
@@ -161,8 +162,8 @@ TEST_F(ExecFixture, ScalarAggregateOverEmptyInput) {
   std::vector<AggSpec> aggs;
   aggs.emplace_back(AggFunc::kCountStar, nullptr, "cnt");
   aggs.emplace_back(AggFunc::kSum, Col(0, TypeId::kInt32), "s");
-  HashAggregateExecutor agg(&ctx, std::move(values), {}, std::move(aggs));
-  auto rows = ExecuteToVector(&agg);
+  BatchHashAggregateExecutor agg(std::move(values), {}, std::move(aggs));
+  auto rows = DrainBatches(&agg);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 1u);
   EXPECT_EQ(rows.value()[0][0].AsInt64(), 0);
@@ -172,7 +173,7 @@ TEST_F(ExecFixture, ScalarAggregateOverEmptyInput) {
 TEST_F(ExecFixture, StreamAggregateMatchesHashAggregate) {
   Table* t = MakeTable("t", 120, 6);
   // Input sorted by grp via SortExecutor, then stream-aggregate.
-  auto scan = std::make_unique<ClusteredScanExecutor>(&ctx, t);
+  auto scan = std::make_unique<IndexScanExecutor>(&ctx, t);
   std::vector<SortKey> keys;
   keys.push_back({Col(1, TypeId::kInt32), true});
   auto sort = std::make_unique<SortExecutor>(&ctx, std::move(scan), std::move(keys));
@@ -181,20 +182,20 @@ TEST_F(ExecFixture, StreamAggregateMatchesHashAggregate) {
   std::vector<AggSpec> aggs;
   aggs.emplace_back(AggFunc::kCountStar, nullptr, "cnt");
   aggs.emplace_back(AggFunc::kSum, Col(2, TypeId::kDecimal), "total");
-  StreamAggregateExecutor stream(&ctx, std::move(sort), std::move(groups),
-                                 std::move(aggs));
-  auto srows = ExecuteToVector(&stream);
+  BatchStreamAggregateExecutor stream(std::move(sort), std::move(groups),
+                                      std::move(aggs));
+  auto srows = DrainBatches(&stream);
   ASSERT_TRUE(srows.ok());
 
-  auto scan2 = std::make_unique<ClusteredScanExecutor>(&ctx, t);
+  auto scan2 = std::make_unique<IndexScanExecutor>(&ctx, t);
   std::vector<ExprPtr> groups2;
   groups2.push_back(Col(1, TypeId::kInt32));
   std::vector<AggSpec> aggs2;
   aggs2.emplace_back(AggFunc::kCountStar, nullptr, "cnt");
   aggs2.emplace_back(AggFunc::kSum, Col(2, TypeId::kDecimal), "total");
-  HashAggregateExecutor hash(&ctx, std::move(scan2), std::move(groups2),
-                             std::move(aggs2));
-  auto hrows = ExecuteToVector(&hash);
+  BatchHashAggregateExecutor hash(std::move(scan2), std::move(groups2),
+                                  std::move(aggs2));
+  auto hrows = DrainBatches(&hash);
   ASSERT_TRUE(hrows.ok());
   ASSERT_EQ(srows.value().size(), hrows.value().size());
   for (size_t i = 0; i < srows.value().size(); i++) {
@@ -207,14 +208,14 @@ TEST_F(ExecFixture, StreamAggregateMatchesHashAggregate) {
 TEST_F(ExecFixture, HashJoinMatchesExpectedPairs) {
   Table* a = MakeTable("a", 20, 4);
   Table* b = MakeTable("b", 8, 4);
-  auto sa = std::make_unique<ClusteredScanExecutor>(&ctx, a);
-  auto sb = std::make_unique<ClusteredScanExecutor>(&ctx, b);
+  auto sa = std::make_unique<IndexScanExecutor>(&ctx, a);
+  auto sb = std::make_unique<IndexScanExecutor>(&ctx, b);
   std::vector<ExprPtr> lk, rk;
   lk.push_back(Col(1, TypeId::kInt32));  // a.grp
   rk.push_back(Col(1, TypeId::kInt32));  // b.grp
   HashJoinExecutor join(&ctx, std::move(sa), std::move(sb), std::move(lk),
                         std::move(rk), nullptr);
-  auto rows = ExecuteToVector(&join);
+  auto rows = DrainBatches(&join);
   ASSERT_TRUE(rows.ok());
   // Each a row matches b rows with same grp: b has 8 rows over 4 groups = 2 each.
   EXPECT_EQ(rows.value().size(), 20u * 2);
@@ -226,14 +227,14 @@ TEST_F(ExecFixture, HashJoinMatchesExpectedPairs) {
 TEST_F(ExecFixture, IndexNestedLoopJoinWithEqualityBounds) {
   Table* outer = MakeTable("outer", 10, 10);
   Table* inner = MakeTable("inner", 100, 100);  // k unique 0..99, clustered on k
-  auto so = std::make_unique<ClusteredScanExecutor>(&ctx, outer);
+  auto so = std::make_unique<IndexScanExecutor>(&ctx, outer);
   InljBounds bounds;
   // inner.k == outer.k * 3
   bounds.eq_exprs.push_back(
       Arith(ArithOp::kMul, Col(0, TypeId::kInt32), Lit(Value::Int32(3))));
   IndexNestedLoopJoinExecutor join(&ctx, std::move(so), inner, nullptr,
                                    std::move(bounds), nullptr);
-  auto rows = ExecuteToVector(&join);
+  auto rows = DrainBatches(&join);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 10u);
   for (const Row& r : rows.value()) {
@@ -245,7 +246,7 @@ TEST_F(ExecFixture, IndexNestedLoopJoinWithEqualityBounds) {
 TEST_F(ExecFixture, IndexNestedLoopJoinWithBandBounds) {
   Table* ranges = MakeTable("ranges", 5, 5);   // k = 0..4
   Table* points = MakeTable("points", 50, 5);  // k = 0..49, clustered on k
-  auto so = std::make_unique<ClusteredScanExecutor>(&ctx, ranges);
+  auto so = std::make_unique<IndexScanExecutor>(&ctx, ranges);
   InljBounds bounds;
   // points.k BETWEEN ranges.k*10 AND ranges.k*10+9
   bounds.lo = Arith(ArithOp::kMul, Col(0, TypeId::kInt32), Lit(Value::Int32(10)));
@@ -254,7 +255,7 @@ TEST_F(ExecFixture, IndexNestedLoopJoinWithBandBounds) {
                     Lit(Value::Int32(9)));
   IndexNestedLoopJoinExecutor join(&ctx, std::move(so), points, nullptr,
                                    std::move(bounds), nullptr);
-  auto rows = ExecuteToVector(&join);
+  auto rows = DrainBatches(&join);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows.value().size(), 50u);  // every point falls in exactly one band
   for (const Row& r : rows.value()) {
@@ -269,8 +270,8 @@ TEST_F(ExecFixture, BandMergeJoinEqualsInljResult) {
   Table* ranges = MakeTable("ranges", 5, 5);
   Table* points = MakeTable("points", 50, 5);
   auto run_band_merge = [&]() {
-    auto so = std::make_unique<ClusteredScanExecutor>(&ctx, ranges);
-    auto si = std::make_unique<ClusteredScanExecutor>(&ctx, points);
+    auto so = std::make_unique<IndexScanExecutor>(&ctx, ranges);
+    auto si = std::make_unique<IndexScanExecutor>(&ctx, points);
     BandMergeJoinExecutor join(
         &ctx, std::move(so), std::move(si),
         Arith(ArithOp::kMul, Col(0, TypeId::kInt32), Lit(Value::Int32(10))),
@@ -278,7 +279,7 @@ TEST_F(ExecFixture, BandMergeJoinEqualsInljResult) {
               Arith(ArithOp::kMul, Col(0, TypeId::kInt32), Lit(Value::Int32(10))),
               Lit(Value::Int32(9))),
         Col(0, TypeId::kInt32), nullptr);
-    return ExecuteToVector(&join);
+    return DrainBatches(&join);
   };
   auto rows = run_band_merge();
   ASSERT_TRUE(rows.ok());
@@ -297,20 +298,20 @@ TEST_F(ExecFixture, BandMergeJoinEqualsInljResult) {
 void ExpectBandMergeMatchesInlj(ExecContext* ctx, Table* ranges, Table* points,
                                 const std::function<ExprPtr()>& lo,
                                 const std::function<ExprPtr()>& hi) {
-  auto so_merge = std::make_unique<ClusteredScanExecutor>(ctx, ranges);
-  auto si_merge = std::make_unique<ClusteredScanExecutor>(ctx, points);
+  auto so_merge = std::make_unique<IndexScanExecutor>(ctx, ranges);
+  auto si_merge = std::make_unique<IndexScanExecutor>(ctx, points);
   BandMergeJoinExecutor merge(ctx, std::move(so_merge), std::move(si_merge),
                               lo(), hi(), Col(0, TypeId::kInt32), nullptr);
-  auto merge_rows = ExecuteToVector(&merge);
+  auto merge_rows = DrainBatches(&merge);
   ASSERT_TRUE(merge_rows.ok()) << merge_rows.status().ToString();
 
-  auto so_inlj = std::make_unique<ClusteredScanExecutor>(ctx, ranges);
+  auto so_inlj = std::make_unique<IndexScanExecutor>(ctx, ranges);
   InljBounds bounds;
   bounds.lo = lo();
   bounds.hi = hi();
   IndexNestedLoopJoinExecutor inlj(ctx, std::move(so_inlj), points, nullptr,
                                    std::move(bounds), nullptr);
-  auto inlj_rows = ExecuteToVector(&inlj);
+  auto inlj_rows = DrainBatches(&inlj);
   ASSERT_TRUE(inlj_rows.ok()) << inlj_rows.status().ToString();
 
   ASSERT_EQ(merge_rows.value().size(), inlj_rows.value().size());
@@ -373,11 +374,54 @@ TEST_F(ExecFixture, BandMergeJoinSingleRowRunsMatchInlj) {
       });
 }
 
+TEST_F(ExecFixture, JoinOutputSpanningBatchesMatchesAcrossJoins) {
+  // Three bands of 1,000 points each: 3,000 output rows, so every join must
+  // resume mid-inner-run across output batches. INLJ and band merge must
+  // agree row for row; the hash join on grp pairs the same rows.
+  Table* ranges = MakeTable("ranges", 3, 3);
+  Table* points = MakeTable("points", 3000, 3);
+  auto lo = [] {
+    return Arith(ArithOp::kMul, Col(0, TypeId::kInt32), Lit(Value::Int32(1000)));
+  };
+  auto hi = [] {
+    return Arith(ArithOp::kAdd,
+                 Arith(ArithOp::kMul, Col(0, TypeId::kInt32),
+                       Lit(Value::Int32(1000))),
+                 Lit(Value::Int32(999)));
+  };
+  ExpectBandMergeMatchesInlj(&ctx, ranges, points, lo, hi);
+
+  InljBounds bounds;
+  bounds.lo = lo();
+  bounds.hi = hi();
+  IndexNestedLoopJoinExecutor inlj(
+      &ctx, std::make_unique<IndexScanExecutor>(&ctx, ranges), points, nullptr,
+      std::move(bounds), nullptr);
+  auto rows = DrainBatches(&inlj);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows.value().size(), 3000u);
+  for (size_t i = 0; i < rows.value().size(); i++) {
+    EXPECT_EQ(rows.value()[i][3].AsInt32(), static_cast<int32_t>(i));
+    EXPECT_EQ(rows.value()[i][0].AsInt32(), static_cast<int32_t>(i / 1000));
+  }
+
+  std::vector<ExprPtr> lk, rk;
+  lk.push_back(Col(1, TypeId::kInt32));
+  rk.push_back(Col(1, TypeId::kInt32));
+  HashJoinExecutor hash(&ctx, std::make_unique<IndexScanExecutor>(&ctx, ranges),
+                        std::make_unique<IndexScanExecutor>(&ctx, points),
+                        std::move(lk), std::move(rk), nullptr);
+  auto hrows = DrainBatches(&hash);
+  ASSERT_TRUE(hrows.ok());
+  ASSERT_EQ(hrows.value().size(), 3000u);
+  for (const Row& r : hrows.value()) EXPECT_EQ(r[1].AsInt32(), r[4].AsInt32());
+}
+
 TEST_F(ExecFixture, JoinResidualPredicateApplies) {
   Table* a = MakeTable("a", 10, 2);
   Table* b = MakeTable("b", 10, 2);
-  auto sa = std::make_unique<ClusteredScanExecutor>(&ctx, a);
-  auto sb = std::make_unique<ClusteredScanExecutor>(&ctx, b);
+  auto sa = std::make_unique<IndexScanExecutor>(&ctx, a);
+  auto sb = std::make_unique<IndexScanExecutor>(&ctx, b);
   std::vector<ExprPtr> lk, rk;
   lk.push_back(Col(1, TypeId::kInt32));
   rk.push_back(Col(1, TypeId::kInt32));
@@ -386,7 +430,7 @@ TEST_F(ExecFixture, JoinResidualPredicateApplies) {
                         std::move(rk),
                         Cmp(CompareOp::kLt, Col(0, TypeId::kInt32),
                             Col(3, TypeId::kInt32)));
-  auto rows = ExecuteToVector(&join);
+  auto rows = DrainBatches(&join);
   ASSERT_TRUE(rows.ok());
   for (const Row& r : rows.value()) {
     EXPECT_LT(r[0].AsInt32(), r[3].AsInt32());

@@ -152,19 +152,27 @@ TEST_F(MvTest, SmallestMatchingViewWins) {
 
 TEST_F(MvTest, IncrementalMaintenanceMatchesRecompute) {
   ASSERT_TRUE(mgr_->CreateView(DayStoreView()).ok());
-  // Append new facts with item keys 100..104.
+  // Append new facts with item keys 100..104 straight into the table, as a
+  // bulk appender does: a SQL INSERT would mark the view stale, and the read
+  // below would then rebuild it instead of testing NotifyAppend's merge.
+  auto table = db_->catalog().GetTable("sales");
+  ASSERT_TRUE(table.ok());
+  Table* sales = table.value();
+  const int32_t day2 = date::Parse("2008-01-02").value();
   for (int i = 100; i < 105; i++) {
-    ASSERT_TRUE(db_->Execute("INSERT INTO sales VALUES (DATE '2008-01-02', 1, " +
-                             std::to_string(i) + ", 500.00)")
+    ASSERT_TRUE(sales->Insert({Value::Date(day2), Value::Int32(1),
+                               Value::Int32(i), Value::Decimal(50000)})
                     .ok());
   }
   // New group too (new day).
-  ASSERT_TRUE(
-      db_->Execute("INSERT INTO sales VALUES (DATE '2008-01-09', 2, 105, 7.00)")
-          .ok());
+  ASSERT_TRUE(sales->Insert({Value::Date(date::Parse("2008-01-09").value()),
+                             Value::Int32(2), Value::Int32(105),
+                             Value::Decimal(700)})
+                  .ok());
   ASSERT_TRUE(mgr_->NotifyAppend("sales", "item", Value::Int32(100),
                                  Value::Int32(105))
                   .ok());
+  ASSERT_FALSE(db_->catalog().IsStale("mv_day_store"));
   // The maintained view must equal a from-scratch recompute.
   auto maintained = db_->Execute(
       "SELECT day, store, cnt, sum_amount, max_amount FROM mv_day_store "
@@ -182,6 +190,20 @@ TEST_F(MvTest, IncrementalMaintenanceMatchesRecompute) {
           << "row " << i << " col " << c;
     }
   }
+}
+
+TEST_F(MvTest, SqlInsertRefreshesViewOnNextRead) {
+  // Without the WAL, a SQL INSERT marks the view stale; the next SELECT
+  // must rebuild it before reading, not serve the old groups for good.
+  ASSERT_TRUE(mgr_->CreateView(DayStoreView()).ok());
+  ASSERT_TRUE(
+      db_->Execute("INSERT INTO sales VALUES (DATE '2008-01-09', 2, 105, 7.00)")
+          .ok());
+  ASSERT_TRUE(db_->catalog().IsStale("mv_day_store"));
+  auto r = db_->Execute("SELECT COUNT(*) FROM mv_day_store");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value().rows[0][0].AsInt64(), 16);  // 15 groups + the new day
+  EXPECT_FALSE(db_->catalog().IsStale("mv_day_store"));
 }
 
 TEST_F(MvTest, MaintenanceOnUnrelatedTableIsNoop) {

@@ -187,6 +187,26 @@ TEST(BufferPoolTest, AllPinnedIsResourceExhausted) {
   pool.UnpinPage(p1, false);
 }
 
+TEST(BufferPoolTest, FailedReadReturnsVictimFrame) {
+  // A fetch whose disk read fails must hand its victim frame back: more
+  // failed fetches than frames, then a valid fetch, on a 4-frame pool.
+  DiskManager disk;
+  BufferPool pool(&disk, 4);
+  page_id_t valid;
+  ASSERT_TRUE(pool.NewPage(&valid).ok());
+  pool.UnpinPage(valid, true);
+  ASSERT_TRUE(pool.EvictAll().ok());
+  for (page_id_t bad = 100; bad < 110; bad++) {
+    auto r = pool.FetchPage(bad);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange) << "page " << bad;
+  }
+  auto f = pool.FetchPage(valid);
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  pool.UnpinPage(valid, false);
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
+}
+
 TEST(BufferPoolTest, EvictAllMakesNextFetchMiss) {
   DiskManager disk;
   BufferPool pool(&disk, 8);

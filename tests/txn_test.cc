@@ -284,6 +284,40 @@ TEST_F(TxnTest, MaterializedViewStaleAfterBaseWriteRebuiltOnRead) {
   EXPECT_FALSE(db_->catalog().IsStale("t_by_v"));
 }
 
+TEST_F(TxnTest, RollbackAfterRefreshInsideTransactionRestalesView) {
+  Exec("INSERT INTO t VALUES (1, 'a'), (2, 'a'), (3, 'b')");
+  mv::ViewManager views(db_.get());
+  mv::ViewDef def;
+  def.name = "t_by_v";
+  def.tables = {"t"};
+  def.group_cols = {"v"};
+  def.aggs = {{AggFunc::kCountStar, "", "n"}};
+  ASSERT_TRUE(views.CreateView(def).ok());
+
+  // Explicit ROLLBACK: the read inside the transaction refreshed the view
+  // with the new group; the rollback must leave it stale, not stale-free.
+  Exec("BEGIN");
+  Exec("INSERT INTO t VALUES (4, 'c')");
+  EXPECT_EQ(Exec("SELECT * FROM t_by_v").rows.size(), 3u);
+  Exec("ROLLBACK");
+  EXPECT_TRUE(db_->catalog().IsStale("t_by_v"));
+  EXPECT_EQ(Exec("SELECT * FROM t_by_v").rows.size(), 2u);
+
+  // A failed statement's abort rolls back the same way.
+  Exec("BEGIN");
+  Exec("INSERT INTO t VALUES (5, 'd')");
+  EXPECT_EQ(Exec("SELECT * FROM t_by_v").rows.size(), 3u);
+  ASSERT_FALSE(db_->Execute("INSERT INTO t VALUES (6)").ok());
+  EXPECT_TRUE(db_->catalog().IsStale("t_by_v"));
+  Exec("ROLLBACK");
+  EXPECT_EQ(Exec("SELECT * FROM t_by_v").rows.size(), 2u);
+
+  // So does a failed autocommit statement that wrote rows before failing.
+  ASSERT_FALSE(db_->Execute("INSERT INTO t VALUES (7, 'e'), (8)").ok());
+  EXPECT_EQ(Count("t"), 3u);
+  EXPECT_EQ(Exec("SELECT * FROM t_by_v").rows.size(), 2u);
+}
+
 TEST_F(TxnTest, WritingDerivedTableRejected) {
   Exec("INSERT INTO t VALUES (1, 'a')");
   mv::ViewManager views(db_.get());
