@@ -108,10 +108,16 @@ Status Catalog::DropTable(const std::string& name) {
   if (tables_.erase(key) == 0) {
     return Status::NotFound("table " + name);
   }
+  MutexLock lock(derived_mu_);
   derived_.erase(key);
+  insert_logs_.erase(key);
   for (auto& [dname, d] : derived_) {
-    d.bases.erase(std::remove(d.bases.begin(), d.bases.end(), key),
-                  d.bases.end());
+    for (size_t b = d.bases.size(); b-- > 0;) {
+      if (d.bases[b] != key) continue;
+      d.bases.erase(d.bases.begin() + static_cast<std::ptrdiff_t>(b));
+      d.applied.erase(d.applied.begin() + static_cast<std::ptrdiff_t>(b));
+      d.unknown = true;
+    }
   }
   return Status::OK();
 }
@@ -130,55 +136,162 @@ Status Catalog::RegisterDerivedTable(const std::string& derived,
     }
     d.bases.push_back(Normalize(b));
   }
-  // Re-registration (the post-recovery attach path) must not clear an
-  // existing staleness mark: the contents may still be stale.
+  MutexLock lock(derived_mu_);
+  for (const std::string& b : d.bases) d.applied.push_back(insert_logs_[b].end());
   auto it = derived_.find(key);
-  if (it != derived_.end()) d.stale = it->second.stale;
+  if (it != derived_.end()) {
+    // Re-registration must not drop a pending change: the contents may
+    // still be stale.
+    d.unknown = it->second.unknown || it->second.bases != d.bases;
+    if (!d.unknown) d.applied = it->second.applied;
+  }
   derived_[key] = std::move(d);
   return Status::OK();
 }
 
 bool Catalog::IsDerived(const std::string& name) const {
+  MutexLock lock(derived_mu_);
   return derived_.count(Normalize(name)) != 0;
 }
 
-void Catalog::SetDerivedRebuild(const std::string& derived,
-                                std::function<Status()> rebuild) {
+std::vector<std::string> Catalog::DerivedBases(const std::string& derived) const {
+  MutexLock lock(derived_mu_);
   auto it = derived_.find(Normalize(derived));
-  if (it != derived_.end()) it->second.rebuild = std::move(rebuild);
+  return it == derived_.end() ? std::vector<std::string>{} : it->second.bases;
+}
+
+void Catalog::SetDerivedRefresh(
+    const std::string& derived,
+    std::function<Status(const DerivedChange&)> refresh) {
+  MutexLock lock(derived_mu_);
+  auto it = derived_.find(Normalize(derived));
+  if (it != derived_.end()) it->second.refresh = std::move(refresh);
+}
+
+void Catalog::RecordInserts(const std::string& base, txn_id_t txn,
+                            std::vector<std::pair<std::string, Row>> rows) {
+  const std::string key = Normalize(base);
+  MutexLock lock(derived_mu_);
+  auto it = insert_logs_.find(key);
+  if (it == insert_logs_.end() || rows.empty()) return;
+  InsertLog& log = it->second;
+  if (log.tail_txn != txn) {
+    log.tail_txn = txn;
+    log.tail_start = log.end();
+  }
+  for (auto& [ckey, row] : rows) {
+    log.rows.push_back(InsertedRow{std::move(ckey), std::move(row)});
+  }
+  // Memory cap: a backlog past half the base is dropped, not merged.
+  const auto table = tables_.find(key);
+  if (table == tables_.end() || log.rows.size() * 2 <= table->second->row_count()) {
+    return;
+  }
+  ForEachDependent(key, [&log](DerivedTable& d, size_t b) {
+    d.unknown |= d.applied[b] < log.end();
+  });
+  TrimLog(key);
+}
+
+void Catalog::DiscardInserts(const std::string& base, txn_id_t txn) {
+  const std::string key = Normalize(base);
+  MutexLock lock(derived_mu_);
+  auto it = insert_logs_.find(key);
+  if (it == insert_logs_.end() || it->second.tail_txn != txn) return;
+  InsertLog& log = it->second;
+  while (!log.rows.empty() && log.end() > log.tail_start) log.rows.pop_back();
+  log.begin = std::min(log.begin, log.tail_start);
+  log.tail_txn = kInvalidTxnId;
+  ForEachDependent(key, [&log](DerivedTable& d, size_t b) {
+    d.unknown |= d.applied[b] > log.end();
+  });
 }
 
 void Catalog::MarkDependentsStale(const std::string& base) {
   const std::string key = Normalize(base);
+  MutexLock lock(derived_mu_);
+  ForEachDependent(key, [](DerivedTable& d, size_t) { d.unknown = true; });
+}
+
+void Catalog::MarkAllDerivedStale() {
+  MutexLock lock(derived_mu_);
+  for (auto& [dname, d] : derived_) d.unknown = true;
+}
+
+bool Catalog::StaleLocked(const DerivedTable& d) const {
+  if (d.unknown) return true;
+  for (size_t b = 0; b < d.bases.size(); b++) {
+    auto log = insert_logs_.find(d.bases[b]);
+    if (log != insert_logs_.end() && d.applied[b] < log->second.end()) return true;
+  }
+  return false;
+}
+
+void Catalog::ForEachDependent(
+    const std::string& base,
+    const std::function<void(DerivedTable&, size_t)>& fn) {
   for (auto& [dname, d] : derived_) {
-    for (const std::string& b : d.bases) {
-      if (b == key) {
-        d.stale = true;
-        break;
-      }
+    for (size_t b = 0; b < d.bases.size(); b++) {
+      if (d.bases[b] == base) fn(d, b);
     }
   }
 }
 
-void Catalog::MarkAllDerivedStale() {
-  for (auto& [dname, d] : derived_) d.stale = true;
+void Catalog::TrimLog(const std::string& base) {
+  InsertLog& log = insert_logs_[base];
+  uint64_t keep = log.end();
+  // An unknown change is rebuilt from the base itself, not from the log.
+  ForEachDependent(base, [&keep](DerivedTable& d, size_t b) {
+    if (!d.unknown) keep = std::min(keep, d.applied[b]);
+  });
+  while (log.begin < keep) {
+    log.rows.pop_front();
+    log.begin++;
+  }
 }
 
 bool Catalog::IsStale(const std::string& name) const {
+  MutexLock lock(derived_mu_);
   auto it = derived_.find(Normalize(name));
-  return it != derived_.end() && it->second.stale;
+  return it != derived_.end() && StaleLocked(it->second);
 }
 
 Status Catalog::RebuildIfStale(const std::string& name) {
-  auto it = derived_.find(Normalize(name));
-  if (it == derived_.end() || !it->second.stale) return Status::OK();
-  if (!it->second.rebuild) {
-    return Status::FailedPrecondition("derived table " + name +
-                                      " is stale but has no rebuild hook");
+  const std::string key = Normalize(name);
+  DerivedChange change;
+  std::vector<uint64_t> ends;
+  std::function<Status(const DerivedChange&)> refresh;
+  {
+    MutexLock lock(derived_mu_);
+    auto it = derived_.find(key);
+    if (it == derived_.end() || !StaleLocked(it->second)) return Status::OK();
+    const DerivedTable& d = it->second;
+    change.unknown = d.unknown;
+    for (size_t b = 0; b < d.bases.size(); b++) {
+      const InsertLog& log = insert_logs_[d.bases[b]];
+      ends.push_back(log.end());
+      change.inserted.emplace_back();
+      for (uint64_t pos = d.applied[b]; !d.unknown && pos < log.end(); pos++) {
+        change.inserted.back().push_back(&log.rows[pos - log.begin]);
+      }
+    }
+    refresh = d.refresh;
   }
-  ELE_RETURN_NOT_OK(it->second.rebuild());
-  it->second.stale = false;
-  return Status::OK();
+  if (!refresh) {
+    return Status::FailedPrecondition("derived table " + name +
+                                      " is stale but has no refresh hook");
+  }
+  // The hook runs unlocked: a full rebuild executes SQL. The caller's shared
+  // locks on the bases keep writers, and so the logged rows, where they are.
+  Status s = refresh(change);
+  MutexLock lock(derived_mu_);
+  auto it = derived_.find(key);
+  if (it == derived_.end()) return s;
+  DerivedTable& d = it->second;
+  d.unknown = !s.ok();
+  if (s.ok()) d.applied = std::move(ends);
+  for (const std::string& b : d.bases) TrimLog(b);
+  return s;
 }
 
 std::vector<std::string> Catalog::TableNames() const {
@@ -241,6 +354,7 @@ void Catalog::SerializeTo(std::string* out) const {
       for (size_t c : idx->include_cols) PutU32(out, static_cast<uint32_t>(c));
     }
   }
+  MutexLock lock(derived_mu_);
   PutU32(out, static_cast<uint32_t>(derived_.size()));
   for (const auto& [dname, d] : derived_) {
     PutStr(out, d.name);
@@ -255,7 +369,11 @@ Status Catalog::DeserializeFrom(std::string_view in) {
   if (magic != kCatalogMagic) return Status::Corruption("bad catalog magic");
   ELE_ASSIGN_OR_RETURN(uint32_t n_tables, r.U32());
   tables_.clear();
-  derived_.clear();
+  {
+    MutexLock lock(derived_mu_);
+    derived_.clear();
+    insert_logs_.clear();
+  }
   next_table_id_ = 1;
   for (uint32_t t = 0; t < n_tables; t++) {
     ELE_ASSIGN_OR_RETURN(std::string name, r.Str());
@@ -318,17 +436,20 @@ Status Catalog::DeserializeFrom(std::string_view in) {
     tables_[Normalize(name)] = std::move(table);
   }
   ELE_ASSIGN_OR_RETURN(uint32_t n_derived, r.U32());
+  MutexLock lock(derived_mu_);
   for (uint32_t d = 0; d < n_derived; d++) {
     DerivedTable dt;
     ELE_ASSIGN_OR_RETURN(dt.name, r.Str());
     ELE_ASSIGN_OR_RETURN(uint32_t n_bases, r.U32());
     for (uint32_t b = 0; b < n_bases; b++) {
       ELE_ASSIGN_OR_RETURN(std::string base, r.Str());
+      insert_logs_[base];
       dt.bases.push_back(std::move(base));
+      dt.applied.push_back(0);
     }
     // Derived contents are never recovered, only recomputed: the owner
-    // re-attaches the rebuild hook, and the first read repopulates.
-    dt.stale = true;
+    // re-attaches the refresh hook, and the first read repopulates.
+    dt.unknown = true;
     derived_[dt.name] = std::move(dt);
   }
   return Status::OK();

@@ -84,7 +84,7 @@ Status Table::MakeSecondaryEntry(const SecondaryIndex& idx, const Row& row,
   return tuple::Serialize(idx.include_schema, include_row, value);
 }
 
-Status Table::Insert(const Row& row) {
+Status Table::Insert(const Row& row, std::string* ckey_out) {
   if (row.size() != schema_.NumColumns()) {
     return Status::InvalidArgument("insert arity mismatch on table " + name_);
   }
@@ -98,6 +98,7 @@ Status Table::Insert(const Row& row) {
     ELE_RETURN_NOT_OK(idx->tree->Insert(key, value));
   }
   row_count_++;
+  if (ckey_out != nullptr) *ckey_out = ckey;
   return Status::OK();
 }
 
@@ -354,7 +355,8 @@ Rid Table::RidFor(const std::string& ckey) const {
   return it != rid_map_.end() ? it->second : Rid{};
 }
 
-Status Table::InsertTxn(const Row& row, const TxnWriteContext& ctx) {
+Status Table::InsertTxn(const Row& row, const TxnWriteContext& ctx,
+                        std::string* ckey_out) {
   if (heap_ == nullptr) {
     return Status::FailedPrecondition("table " + name_ + " has no WAL heap");
   }
@@ -377,6 +379,7 @@ Status Table::InsertTxn(const Row& row, const TxnWriteContext& ctx) {
     ctx.undo->push_back(
         UndoEntry{UndoEntry::Kind::kInsert, this, ckey, rid, Row{}, row});
   }
+  if (ckey_out != nullptr) *ckey_out = ckey;
   return Status::OK();
 }
 

@@ -89,8 +89,9 @@ class Table {
   BufferPool* pool() const { return pool_; }
   const BPlusTree& clustered() const { return *clustered_; }
 
-  /// Inserts one row, maintaining all secondary indexes.
-  Status Insert(const Row& row);
+  /// Inserts one row, maintaining all secondary indexes. `ckey`, when
+  /// given, receives the encoded clustering key the row is stored under.
+  Status Insert(const Row& row, std::string* ckey = nullptr);
 
   /// Bulk-loads rows into an empty table (sorts by clustering key first).
   /// Far faster than repeated Insert and produces sequentially laid-out
@@ -135,8 +136,9 @@ class Table {
 
   /// Transactional insert: WAL-logs a heap append, then maintains the
   /// volatile structures and records an undo entry. Requires an attached
-  /// heap (WAL mode only).
-  Status InsertTxn(const Row& row, const TxnWriteContext& ctx);
+  /// heap (WAL mode only). `ckey` as for Insert.
+  Status InsertTxn(const Row& row, const TxnWriteContext& ctx,
+                   std::string* ckey = nullptr);
 
   /// Transactional delete of the row with encoded clustering key `ckey`
   /// (callers pass the deserialized row so secondary entries can be

@@ -17,7 +17,7 @@
 //     -> kDatabaseWorkers (150)   engine/database.h    worker-pool handle
 //       -> kScheduler (200)       sched/thread_pool.h  task queue
 //         -> kTaskGroup (250)     sched/task_group.h   group error slot
-//   kCatalog (300)                reserved (catalog is single-writer today)
+//   kCatalog (300)                catalog/catalog.h    derived-table change log
 //     -> kTxnManager (350)        txn/transaction_manager.h  txn stats/ids
 //       -> kTxnLockManager (400)  txn/lock_manager.h   table lock queues
 //         -> kTableHeap (450)     reserved (heaps lock via the pool)
@@ -51,7 +51,7 @@ enum class LockRank : int {
   kTaskGroup = 250,
 
   // The canonical descent of a statement through the engine.
-  kCatalog = 300,  ///< reserved: the catalog has no mutex of its own yet
+  kCatalog = 300,  ///< catalog/catalog.h: derived-table change tracking
   kTxnManager = 350,
   kTxnLockManager = 400,
   kTableHeap = 450,  ///< reserved: heaps synchronize via the buffer pool

@@ -72,17 +72,17 @@ std::vector<Row> CTableRows(const std::vector<Row>& rows, size_t col,
   return out;
 }
 
-/// The stale-rebuild callback for one c-table. Self-contained on purpose:
-/// the builder is often a temporary, so the hook captures the database and
-/// the projection definition, not the builder.
-std::function<Status()> MakeRebuildHook(Database* db, std::string query,
-                                        std::string projection,
-                                        std::vector<std::string> sort_cols,
-                                        size_t pos, bool has_count,
-                                        std::string table_name) {
+/// The refresh hook for one c-table: whatever changed, it re-materializes
+/// the projection (c-tables have no incremental path). Self-contained on
+/// purpose: the builder is often a temporary, so the hook captures the
+/// database and the projection definition, not the builder.
+std::function<Status(const DerivedChange&)> MakeRebuildHook(
+    Database* db, std::string query, std::string projection,
+    std::vector<std::string> sort_cols, size_t pos, bool has_count,
+    std::string table_name) {
   return [db, query = std::move(query), projection = std::move(projection),
           sort_cols = std::move(sort_cols), pos, has_count,
-          name = std::move(table_name)]() -> Status {
+          name = std::move(table_name)](const DerivedChange&) -> Status {
     std::vector<size_t> idx;
     ELE_ASSIGN_OR_RETURN(
         QueryResult fresh,
@@ -184,7 +184,7 @@ Result<ProjectionMeta> CTableBuilder::Build(const ProjectionDef& def) {
     // callback captures the database, not `this`.
     ELE_RETURN_NOT_OK(
         db_->catalog().RegisterDerivedTable(ct.table_name, bases));
-    db_->catalog().SetDerivedRebuild(
+    db_->catalog().SetDerivedRefresh(
         ct.table_name, MakeRebuildHook(db_, def.query, def.name, def.sort_cols,
                                        pos, has_count, ct.table_name));
 
@@ -203,7 +203,7 @@ Status CTableBuilder::AttachRebuild(const ProjectionDef& def) {
     ELE_ASSIGN_OR_RETURN(Table * table, db_->catalog().GetTable(name));
     const bool has_count = table->schema().NumColumns() == 3;
     ELE_RETURN_NOT_OK(db_->catalog().RegisterDerivedTable(name, bases));
-    db_->catalog().SetDerivedRebuild(
+    db_->catalog().SetDerivedRefresh(
         name, MakeRebuildHook(db_, def.query, def.name, def.sort_cols, pos,
                               has_count, name));
   }

@@ -793,7 +793,7 @@ Result<QueryResult> Database::ExecuteSelectWithLocks(
   std::vector<std::string> acquired;
   txn_id_t locker = kInvalidTxnId;
   if (log_ == nullptr) {
-    ELE_RETURN_NOT_OK(RefreshSelectTables(*stmt).status());
+    ELE_RETURN_NOT_OK(RefreshSelectTables(*stmt, kInvalidTxnId).status());
   } else {
     locker = ts->txn != nullptr ? ts->txn->id()
                                 : next_read_locker_.fetch_add(1);
@@ -1204,11 +1204,17 @@ Status Database::AbortTxn(txn::Transaction* t, const std::string& sql,
 }
 
 Status Database::RollbackTxn(txn::Transaction* t) {
-  std::set<std::string> written;
-  for (const UndoEntry& u : t->undo) written.insert(u.table->name());
-  Status rb = txn_mgr_->Rollback(t);
-  for (const std::string& name : written) catalog_->MarkDependentsStale(name);
-  return rb;
+  std::set<std::string> inserted, changed;
+  for (const UndoEntry& u : t->undo) {
+    (u.kind == UndoEntry::Kind::kInsert ? inserted : changed)
+        .insert(u.table->name());
+  }
+  // Before the rollback releases t's exclusive base locks: until then no
+  // other writer can append after t's rows and no refresh can be reading
+  // them. The log update does not depend on the heap undo.
+  for (const std::string& name : inserted) catalog_->DiscardInserts(name, t->id());
+  for (const std::string& name : changed) catalog_->MarkDependentsStale(name);
+  return txn_mgr_->Rollback(t);
 }
 
 Status Database::CombineWithRollbackFailure(const Status& primary,
@@ -1319,11 +1325,21 @@ Result<QueryResult> Database::ExecuteDml(const Statement& stmt,
     }
     const InsertStmt& ins = *stmt.insert;
     const Schema& schema = table->schema();
-    for (const auto& row_exprs : ins.rows) {
-      ELE_ASSIGN_OR_RETURN(Row row, LiteralRow(row_exprs, schema));
-      ELE_RETURN_NOT_OK(table->Insert(row));
-    }
-    catalog_->MarkDependentsStale(table->name());
+    std::vector<std::pair<std::string, Row>> inserted;
+    auto insert_rows = [&]() -> Status {
+      for (const auto& row_exprs : ins.rows) {
+        ELE_ASSIGN_OR_RETURN(Row row, LiteralRow(row_exprs, schema));
+        std::string ckey;
+        ELE_RETURN_NOT_OK(table->Insert(row, &ckey));
+        inserted.emplace_back(std::move(ckey), std::move(row));
+      }
+      return Status::OK();
+    };
+    const Status s = insert_rows();
+    // Without the WAL nothing undoes the rows a failed statement stored
+    // before its error, so they are recorded too.
+    catalog_->RecordInserts(table->name(), kInvalidTxnId, std::move(inserted));
+    ELE_RETURN_NOT_OK(s);
     QueryResult qr;
     qr.counters.rows_output = ins.rows.size();
     return qr;
@@ -1372,7 +1388,9 @@ Result<QueryResult> Database::ExecuteDml(const Statement& stmt,
     return CombineWithRollbackFailure(changed.status(),
                                       AbortTxn(t, sql, state));
   }
-  catalog_->MarkDependentsStale(table->name());
+  if (stmt.kind != StatementKind::kInsert) {
+    catalog_->MarkDependentsStale(table->name());
+  }
   if (autocommit) {
     // Commit is the only durability point: if the group flush fails, the
     // transaction did NOT commit and the error surfaces here.
@@ -1387,10 +1405,17 @@ Result<uint64_t> Database::RunInsert(const InsertStmt& ins, Table* table,
                                      txn::Transaction* t) {
   const Schema& schema = table->schema();
   TxnWriteContext ctx{log_.get(), t->id(), &t->last_lsn, &t->undo};
+  std::vector<std::pair<std::string, Row>> inserted;
+  inserted.reserve(ins.rows.size());
   for (const auto& row_exprs : ins.rows) {
     ELE_ASSIGN_OR_RETURN(Row row, LiteralRow(row_exprs, schema));
-    ELE_RETURN_NOT_OK(table->InsertTxn(row, ctx));
+    std::string ckey;
+    ELE_RETURN_NOT_OK(table->InsertTxn(row, ctx, &ckey));
+    inserted.emplace_back(std::move(ckey), std::move(row));
   }
+  // Recorded only once the whole statement succeeded; a failure rolls the
+  // transaction back, which discards the rows its earlier statements logged.
+  catalog_->RecordInserts(table->name(), t->id(), std::move(inserted));
   return static_cast<uint64_t>(ins.rows.size());
 }
 
@@ -1491,7 +1516,7 @@ Result<uint64_t> Database::RunUpdate(const UpdateStmt& upd, Table* table,
 }
 
 Result<std::vector<std::string>> Database::RefreshSelectTables(
-    const SelectStmt& stmt) {
+    const SelectStmt& stmt, txn_id_t locker) {
   std::vector<std::string> names;
   CollectTableNames(stmt, &names);
   std::vector<std::string> tables;
@@ -1505,19 +1530,58 @@ Result<std::vector<std::string>> Database::RefreshSelectTables(
   // the same (lexicographic) order, so statements cannot deadlock each other.
   std::sort(tables.begin(), tables.end());
   tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
-  // The rebuild re-enters Execute() for the materialization query, which in
-  // WAL mode takes its own reader locks on the base tables: refresh before
-  // this statement locks anything.
+  // A full rebuild re-enters Execute() for the materialization query, which
+  // in WAL mode takes its own reader locks on the base tables: refresh
+  // before this statement locks anything.
   for (const std::string& name : tables) {
-    ELE_RETURN_NOT_OK(catalog_->RebuildIfStale(name));
+    if (catalog_->IsStale(name)) ELE_RETURN_NOT_OK(RefreshDerived(name, locker));
   }
   return tables;
+}
+
+Status Database::RefreshDerived(const std::string& name, txn_id_t locker) {
+  if (log_ == nullptr) return catalog_->RebuildIfStale(name);
+  // Shared locks on the bases, as a SELECT over them would take: the refresh
+  // waits out (or times out on) every writer, so it never applies another
+  // transaction's uncommitted inserts, and the bases hold still under it.
+  // Then an exclusive lock on the derived table: concurrent readers of one
+  // stale view refresh it one at a time (the later ones find nothing
+  // pending, so no insert is merged twice), and none reads it mid-merge.
+  std::vector<std::string> bases;
+  for (const std::string& base : catalog_->DerivedBases(name)) {
+    ELE_ASSIGN_OR_RETURN(Table * t, catalog_->GetTable(base));
+    bases.push_back(t->name());  // lock names are the tables' own spelling
+  }
+  std::sort(bases.begin(), bases.end());
+  ELE_ASSIGN_OR_RETURN(Table * derived, catalog_->GetTable(name));
+  std::vector<std::string> acquired;
+  Status s = AcquireShared(locker, bases, &acquired);
+  if (s.ok()) {
+    s = lock_mgr_->Acquire(locker, derived->name(),
+                           txn::LockManager::Mode::kExclusive,
+                           options_.lock_timeout_seconds);
+  }
+  if (s.ok()) {
+    s = catalog_->RebuildIfStale(name);
+    lock_mgr_->Release(locker, derived->name(),
+                       txn::LockManager::Mode::kExclusive);
+  }
+  for (const std::string& base : acquired) {
+    lock_mgr_->Release(locker, base, txn::LockManager::Mode::kShared);
+  }
+  return s;
 }
 
 Status Database::PrepareSelectTables(const SelectStmt& stmt, txn_id_t locker,
                                      std::vector<std::string>* acquired) {
   ELE_ASSIGN_OR_RETURN(std::vector<std::string> tables,
-                       RefreshSelectTables(stmt));
+                       RefreshSelectTables(stmt, locker));
+  return AcquireShared(locker, tables, acquired);
+}
+
+Status Database::AcquireShared(txn_id_t locker,
+                               const std::vector<std::string>& tables,
+                               std::vector<std::string>* acquired) {
   for (const std::string& name : tables) {
     if (lock_mgr_->Holds(locker, name, txn::LockManager::Mode::kShared)) {
       continue;

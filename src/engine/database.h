@@ -310,9 +310,11 @@ class Database {
   Status AbortTxn(txn::Transaction* t, const std::string& sql,
                   SessionTxnState* state);
 
-  /// Rolls `t` back and marks stale every derived table over a base it
-  /// wrote: a read inside the transaction may have refreshed a view with
-  /// rows the rollback removes. Every rollback path goes through here.
+  /// Rolls `t` back and withdraws its changes from the derived tables: a
+  /// read inside the transaction may have refreshed a view with rows the
+  /// rollback removes. Its inserts leave the base insert logs; a rolled-back
+  /// DELETE or UPDATE is an unknown change. Every rollback path goes
+  /// through here.
   Status RollbackTxn(txn::Transaction* t);
 
   /// Appends a rollback failure to a primary statement error (no-op when the
@@ -336,14 +338,26 @@ class Database {
                              txn::Transaction* t);
 
   /// The catalog tables a SELECT reads (sorted, deduplicated), after
-  /// rebuilding each stale derived table among them. Runs before every
-  /// SELECT in both modes.
-  Result<std::vector<std::string>> RefreshSelectTables(const SelectStmt& stmt);
+  /// refreshing each stale derived table among them. Runs before every
+  /// SELECT in both modes; `locker` is the statement's lock owner (unused
+  /// without the WAL).
+  Result<std::vector<std::string>> RefreshSelectTables(const SelectStmt& stmt,
+                                                       txn_id_t locker);
+
+  /// Refreshes one stale derived table. In WAL mode it holds, for
+  /// `locker`, shared locks on the bases and an exclusive lock on the
+  /// derived table while the refresh runs.
+  Status RefreshDerived(const std::string& name, txn_id_t locker);
 
   /// Statement-scoped shared locks on a SELECT's (refreshed) tables; fills
   /// `acquired` with the locks to drop at statement end.
   Status PrepareSelectTables(const SelectStmt& stmt, txn_id_t locker,
                              std::vector<std::string>* acquired);
+
+  /// Shared locks for `locker` on each of `tables` (sorted) it does not
+  /// already hold; appends the ones it took to `acquired`.
+  Status AcquireShared(txn_id_t locker, const std::vector<std::string>& tables,
+                       std::vector<std::string>* acquired);
 
   /// Serializes checkpoint LSN + catalog into the reserved meta page.
   Status WriteMetaPage(lsn_t checkpoint_lsn);

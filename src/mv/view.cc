@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <map>
+#include <optional>
 #include <set>
+#include <unordered_set>
+
+#include "exec/expression.h"
 
 namespace elephant {
 namespace mv {
@@ -37,37 +42,209 @@ std::string AggSql(AggFunc fn, const std::string& column) {
   return std::string(AggFuncName(fn)) + "(" + column + ")";
 }
 
-}  // namespace
+std::string Join(const std::vector<std::string>& parts, const char* sep) {
+  std::string out;
+  for (const std::string& p : parts) out += (out.empty() ? "" : sep) + p;
+  return out;
+}
 
-std::string ViewManager::MaterializationSql(const ViewInfo& info,
-                                            const std::string& extra_pred) {
-  const ViewDef& def = info.def;
-  std::string sql = "SELECT ";
-  for (size_t i = 0; i < def.group_cols.size(); i++) {
-    if (i > 0) sql += ", ";
-    sql += def.group_cols[i];
+/// A column of a view's join: the base (index into ViewDef::tables) and the
+/// column's position in that base's schema.
+struct ColRef {
+  size_t table = 0;
+  size_t col = 0;
+};
+
+/// The counting rule over a view's join. Term i joins the rows inserted
+/// into base i with the bases before i as they are now and the bases after
+/// i as they were (their inserted rows skipped), so each join row that
+/// involves an inserted row comes out once: ΔR⋈S ∪ R⋈ΔS ∪ ΔR⋈ΔS over the
+/// old states. Every other base is reached by a seek on its leading
+/// clustering column, as an index nested-loop join reaches its inner side.
+struct DeltaJoin {
+  explicit DeltaJoin(const ViewInfo& view) : info(view) {}
+
+  const ViewInfo& info;
+  std::vector<const Table*> tables;
+  std::vector<std::pair<ColRef, ColRef>> conds;
+  std::vector<ColRef> groups;
+  std::vector<std::optional<ColRef>> args;  ///< per agg column; none: COUNT(*)
+  /// Per base: the clustering keys of its inserted rows.
+  std::vector<std::unordered_set<std::string_view>> inserted;
+  size_t term = 0;
+  std::vector<bool> reached;
+  std::vector<Row> tuple;  ///< the current row of each base
+  std::map<std::string, std::pair<Row, std::vector<AggState>>> out;
+
+  Result<ColRef> Resolve(const std::string& column) const {
+    for (size_t t = 0; t < tables.size(); t++) {
+      const int c = tables[t]->schema().FindColumn(column);
+      if (c >= 0) return ColRef{t, static_cast<size_t>(c)};
+    }
+    return Status::NotSupported("unknown view column " + column);
+  }
+
+  Status Walk(size_t n_reached) {
+    if (n_reached == tables.size()) return Emit();
+    for (const auto& [a, b] : conds) {
+      for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+        const std::vector<size_t>& cluster = tables[to.table]->cluster_cols();
+        if (reached[from.table] && !reached[to.table] && !cluster.empty() &&
+            cluster[0] == to.col) {
+          return Seek(from, to, n_reached);
+        }
+      }
+    }
+    return Status::NotSupported(
+        "a base of the view is not reachable by clustered-key seeks");
+  }
+
+  Status Seek(ColRef from, ColRef to, size_t n_reached) {
+    const Value& probe = tuple[from.table][from.col];
+    if (probe.is_null()) return Status::OK();  // NULL joins nothing
+    const Table& t = *tables[to.table];
+    ELE_ASSIGN_OR_RETURN(Value key,
+                         probe.CastTo(t.schema().ColumnAt(to.col).type));
+    const std::string lo = t.EncodeClusterPrefix({key});
+    ELE_ASSIGN_OR_RETURN(Table::RowIterator it,
+                         t.ScanRange(lo, keycodec::PrefixUpperBound(lo)));
+    reached[to.table] = true;
+    while (it.Valid()) {
+      // A base after the term's is read as it was: its inserted rows skipped.
+      if (to.table < term || inserted[to.table].count(it.EncodedKey()) == 0) {
+        ELE_RETURN_NOT_OK(it.Current(&tuple[to.table]));
+        ELE_RETURN_NOT_OK(Walk(n_reached + 1));
+      }
+      ELE_RETURN_NOT_OK(it.Next());
+    }
+    reached[to.table] = false;
+    return Status::OK();
+  }
+
+  Status Emit() {
+    for (const auto& [a, b] : conds) {
+      const Value& x = tuple[a.table][a.col];
+      const Value& y = tuple[b.table][b.col];
+      if (x.is_null() || y.is_null() || x.Compare(y) != 0) return Status::OK();
+    }
+    Row key;
+    std::string encoded;
+    for (const ColRef& g : groups) {
+      key.push_back(tuple[g.table][g.col]);
+      keycodec::Encode(key.back(), &encoded);
+    }
+    auto [it, added] = out.try_emplace(std::move(encoded));
+    if (added) {
+      it->second.first = std::move(key);
+      for (const ViewInfo::AggColumn& a : info.agg_cols) {
+        it->second.second.emplace_back(a.fn);
+      }
+    }
+    for (size_t a = 0; a < args.size(); a++) {
+      ELE_RETURN_NOT_OK(it->second.second[a].Accumulate(
+          args[a] ? tuple[args[a]->table][args[a]->col] : Value()));
+    }
+    return Status::OK();
+  }
+};
+
+/// The view's groups over just the inserted rows, aggregates in AggState's
+/// partial form. NotSupported when the walk cannot reach every base by
+/// clustered-key seeks (the caller then re-materializes).
+Result<std::vector<Row>> DeltaGroups(const Catalog& catalog,
+                                     const ViewInfo& info,
+                                     const DerivedChange& change) {
+  DeltaJoin j(info);
+  for (const std::string& name : info.def.tables) {
+    ELE_ASSIGN_OR_RETURN(Table * t, catalog.GetTable(name));
+    j.tables.push_back(t);
+  }
+  if (change.inserted.size() != j.tables.size()) {
+    return Status::NotSupported("the view's bases changed");
+  }
+  for (const auto& [l, r] : info.def.join_conds) {
+    ELE_ASSIGN_OR_RETURN(ColRef a, j.Resolve(l));
+    ELE_ASSIGN_OR_RETURN(ColRef b, j.Resolve(r));
+    j.conds.emplace_back(a, b);
+  }
+  for (const std::string& g : info.def.group_cols) {
+    ELE_ASSIGN_OR_RETURN(ColRef c, j.Resolve(g));
+    j.groups.push_back(c);
   }
   for (const ViewInfo::AggColumn& a : info.agg_cols) {
-    sql += ", " + AggSql(a.fn, a.column) + " AS " + a.mv_col;
+    j.args.emplace_back();
+    if (a.fn != AggFunc::kCountStar) {
+      ELE_ASSIGN_OR_RETURN(j.args.back(), j.Resolve(a.column));
+    }
   }
-  sql += " FROM ";
-  for (size_t i = 0; i < def.tables.size(); i++) {
-    if (i > 0) sql += ", ";
-    sql += def.tables[i];
+  for (const std::vector<const InsertedRow*>& rows : change.inserted) {
+    j.inserted.emplace_back();
+    for (const InsertedRow* r : rows) j.inserted.back().insert(r->ckey);
   }
-  std::vector<std::string> preds;
-  for (const auto& [l, r] : def.join_conds) preds.push_back(l + " = " + r);
-  if (!extra_pred.empty()) preds.push_back(extra_pred);
-  for (size_t i = 0; i < preds.size(); i++) {
-    sql += i == 0 ? " WHERE " : " AND ";
-    sql += preds[i];
+  j.tuple.resize(j.tables.size());
+  for (j.term = 0; j.term < j.tables.size(); j.term++) {
+    j.reached.assign(j.tables.size(), false);
+    j.reached[j.term] = true;
+    for (const InsertedRow* r : change.inserted[j.term]) {
+      j.tuple[j.term] = r->row;
+      ELE_RETURN_NOT_OK(j.Walk(1));
+    }
   }
-  sql += " GROUP BY ";
-  for (size_t i = 0; i < def.group_cols.size(); i++) {
-    if (i > 0) sql += ", ";
-    sql += def.group_cols[i];
+  std::vector<Row> delta;
+  for (auto& [encoded, group] : j.out) {
+    delta.push_back(std::move(group.first));
+    for (const AggState& s : group.second) s.AppendPartial(&delta.back());
   }
-  return sql;
+  return delta;
+}
+
+/// Merges delta groups into the view's backing table. NULL is "no value" on
+/// both sides, as in AggState::MergePartial: an all-NULL delta leaves a
+/// stored SUM, MIN or MAX alone, and a stored NULL takes the delta's value.
+Status MergeDelta(const ViewInfo& info, Table* table,
+                  const std::vector<Row>& delta) {
+  const size_t ngroups = info.def.group_cols.size();
+  for (const Row& drow : delta) {
+    const std::vector<Value> key(drow.begin(), drow.begin() + ngroups);
+    const std::string lo = table->EncodeClusterPrefix(key);
+    Row merged = drow;
+    bool stored_group = false;
+    {
+      ELE_ASSIGN_OR_RETURN(Table::RowIterator it,
+                           table->ScanRange(lo, keycodec::PrefixUpperBound(lo)));
+      stored_group = it.Valid();
+      if (stored_group) {
+        Row stored;
+        ELE_RETURN_NOT_OK(it.Current(&stored));
+        merged.resize(ngroups);
+        for (size_t a = 0; a < info.agg_cols.size(); a++) {
+          AggState s(info.agg_cols[a].fn);
+          ELE_RETURN_NOT_OK(s.MergePartial(stored, ngroups + a));
+          ELE_RETURN_NOT_OK(s.MergePartial(drow, ngroups + a));
+          s.AppendPartial(&merged);
+        }
+      }
+    }
+    if (stored_group) {
+      ELE_RETURN_NOT_OK(table->DeleteByClusterPrefix(key).status());
+    }
+    ELE_RETURN_NOT_OK(table->Insert(merged));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+std::string ViewManager::MaterializationSql(const ViewInfo& info) {
+  const ViewDef& def = info.def;
+  std::vector<std::string> cols = def.group_cols, conds;
+  for (const ViewInfo::AggColumn& a : info.agg_cols) {
+    cols.push_back(AggSql(a.fn, a.column) + " AS " + a.mv_col);
+  }
+  for (const auto& [l, r] : def.join_conds) conds.push_back(l + " = " + r);
+  return "SELECT " + Join(cols, ", ") + " FROM " + Join(def.tables, ", ") +
+         (conds.empty() ? "" : " WHERE " + Join(conds, " AND ")) +
+         " GROUP BY " + Join(def.group_cols, ", ");
 }
 
 Result<ViewInfo> ViewManager::MakeInfo(const ViewDef& def) {
@@ -101,28 +278,37 @@ Result<ViewInfo> ViewManager::MakeInfo(const ViewDef& def) {
   return info;
 }
 
-Status ViewManager::RegisterRebuild(const ViewInfo& info) {
-  // A write to any base marks the view stale, and the next query that
-  // touches it re-materializes from scratch through this callback
-  // (NotifyAppend remains the cheap incremental path for batch appends).
+Status ViewManager::RegisterRefresh(const ViewInfo& info) {
   ELE_RETURN_NOT_OK(
       db_->catalog().RegisterDerivedTable(info.table_name, info.def.tables));
-  db_->catalog().SetDerivedRebuild(
-      info.table_name, [this, name = info.table_name]() -> Status {
-        const ViewInfo* v = nullptr;
-        for (const ViewInfo& candidate : views_) {
-          if (candidate.table_name == name) v = &candidate;
-        }
-        if (v == nullptr) {
-          return Status::Internal("derived view " + name + " has no ViewInfo");
-        }
-        ELE_ASSIGN_OR_RETURN(QueryResult fresh,
-                             db_->Execute(MaterializationSql(*v, "")));
-        ELE_ASSIGN_OR_RETURN(Table * t, db_->catalog().GetTable(name));
-        ELE_RETURN_NOT_OK(t->ReloadRows(std::move(fresh.rows)));
-        return t->Analyze();
+  // Called before `info` joins views_, so it lands at this index (views_
+  // only grows).
+  db_->catalog().SetDerivedRefresh(
+      info.table_name, [this, i = views_.size()](const DerivedChange& change) {
+        return Refresh(views_[i], change);
       });
   return Status::OK();
+}
+
+Status ViewManager::Refresh(const ViewInfo& info, const DerivedChange& change) {
+  ELE_ASSIGN_OR_RETURN(Table * table, db_->catalog().GetTable(info.table_name));
+  obs::MetricsRegistry& metrics = db_->metrics();
+  if (!change.unknown) {
+    Result<std::vector<Row>> delta = DeltaGroups(db_->catalog(), info, change);
+    if (delta.ok()) {
+      ELE_RETURN_NOT_OK(MergeDelta(info, table, delta.value()));
+      uint64_t rows = 0;
+      for (const auto& inserted : change.inserted) rows += inserted.size();
+      metrics.GetCounter("mv.refresh.delta_total")->Increment();
+      metrics.GetCounter("mv.refresh.delta_rows_total")->Increment(rows);
+      return Status::OK();
+    }
+    if (!delta.status().IsNotSupported()) return delta.status();
+  }
+  ELE_ASSIGN_OR_RETURN(QueryResult fresh, db_->Execute(MaterializationSql(info)));
+  ELE_RETURN_NOT_OK(table->ReloadRows(std::move(fresh.rows)));
+  metrics.GetCounter("mv.refresh.full_total")->Increment();
+  return table->Analyze();
 }
 
 Status ViewManager::AttachView(const ViewDef& def) {
@@ -130,7 +316,7 @@ Status ViewManager::AttachView(const ViewDef& def) {
   ELE_ASSIGN_OR_RETURN(Table * table,
                        db_->catalog().GetTable(info.table_name));
   info.rows = table->row_count();
-  ELE_RETURN_NOT_OK(RegisterRebuild(info));
+  ELE_RETURN_NOT_OK(RegisterRefresh(info));
   views_.push_back(std::move(info));
   return Status::OK();
 }
@@ -140,7 +326,7 @@ Status ViewManager::CreateView(const ViewDef& def) {
 
   // Materialize.
   ELE_ASSIGN_OR_RETURN(QueryResult result,
-                       db_->Execute(MaterializationSql(info, "")));
+                       db_->Execute(MaterializationSql(info)));
   // Backing table: group columns (their original names/types) followed by
   // aggregate columns, clustered on the group columns.
   std::vector<Column> cols;
@@ -163,7 +349,7 @@ Status ViewManager::CreateView(const ViewDef& def) {
   info.rows = result.rows.size();
   ELE_RETURN_NOT_OK(table->BulkLoadRows(std::move(result.rows)));
   ELE_RETURN_NOT_OK(table->Analyze());
-  ELE_RETURN_NOT_OK(RegisterRebuild(info));
+  ELE_RETURN_NOT_OK(RegisterRefresh(info));
   views_.push_back(std::move(info));
   return Status::OK();
 }
@@ -276,68 +462,6 @@ Result<std::string> ViewManager::TryRewrite(const AnalyticQuery& query) const {
     }
   }
   return sql;
-}
-
-Status ViewManager::MergeDelta(const ViewInfo& info, const std::vector<Row>& delta) {
-  ELE_ASSIGN_OR_RETURN(Table * table, db_->catalog().GetTable(info.table_name));
-  const size_t ngroups = info.def.group_cols.size();
-  for (const Row& drow : delta) {
-    std::vector<Value> key(drow.begin(), drow.begin() + ngroups);
-    // Probe for an existing group.
-    const std::string lo = table->EncodeClusterPrefix(key);
-    const std::string hi = keycodec::PrefixUpperBound(lo);
-    ELE_ASSIGN_OR_RETURN(Table::RowIterator it, table->ScanRange(lo, hi));
-    if (!it.Valid()) {
-      ELE_RETURN_NOT_OK(table->Insert(drow));
-      continue;
-    }
-    Row existing;
-    ELE_RETURN_NOT_OK(it.Current(&existing));
-    // Merge aggregate columns.
-    Row merged = existing;
-    for (size_t a = 0; a < info.agg_cols.size(); a++) {
-      const size_t c = ngroups + a;
-      const Value& old_v = existing[c];
-      const Value& new_v = drow[c];
-      switch (info.agg_cols[a].fn) {
-        case AggFunc::kCountStar:
-        case AggFunc::kCount:
-        case AggFunc::kSum: {
-          ELE_ASSIGN_OR_RETURN(merged[c], old_v.Add(new_v));
-          break;
-        }
-        case AggFunc::kMin:
-          merged[c] = new_v.Compare(old_v) < 0 ? new_v : old_v;
-          break;
-        case AggFunc::kMax:
-          merged[c] = new_v.Compare(old_v) > 0 ? new_v : old_v;
-          break;
-        case AggFunc::kAvg:
-          return Status::Internal("AVG is never materialized");
-      }
-    }
-    ELE_RETURN_NOT_OK(table->DeleteByClusterPrefix(key).status());
-    ELE_RETURN_NOT_OK(table->Insert(merged));
-  }
-  return Status::OK();
-}
-
-Status ViewManager::NotifyAppend(const std::string& table,
-                                 const std::string& key_col, const Value& lo,
-                                 const Value& hi) {
-  const std::string pred = key_col + " BETWEEN " + SqlLiteral(lo) + " AND " +
-                           SqlLiteral(hi);
-  for (const ViewInfo& info : views_) {
-    bool involves = false;
-    for (const std::string& t : info.def.tables) {
-      involves |= Lower(t) == Lower(table);
-    }
-    if (!involves) continue;
-    ELE_ASSIGN_OR_RETURN(QueryResult delta,
-                         db_->Execute(MaterializationSql(info, pred)));
-    ELE_RETURN_NOT_OK(MergeDelta(info, delta.rows));
-  }
-  return Status::OK();
 }
 
 }  // namespace mv

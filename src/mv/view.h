@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "catalog/catalog.h"
 #include "cstore/analytic_query.h"
 #include "engine/database.h"
 
@@ -44,10 +45,10 @@ struct ViewInfo {
   uint64_t rows = 0;
 };
 
-/// Creates, matches and incrementally maintains materialized views — the
-/// paper's `Row(MV)` strategy, implemented entirely with plain tables and
-/// rewritten SQL (view matching would be native in SQL Server; here the
-/// manager plays that role outside an unmodified engine).
+/// Creates, matches and maintains materialized views — the paper's
+/// `Row(MV)` strategy, implemented entirely with plain tables and rewritten
+/// SQL (view matching would be native in SQL Server; here the manager plays
+/// that role outside an unmodified engine).
 class ViewManager {
  public:
   explicit ViewManager(Database* db) : db_(db) {}
@@ -60,7 +61,7 @@ class ViewManager {
 
   /// Re-adopts a view whose backing table already exists — after crash
   /// recovery, the recovered catalog still knows the derived table and its
-  /// bases but the rebuild hook (a callback into this manager) is gone.
+  /// bases but the refresh hook (a callback into this manager) is gone.
   /// Registers the view for matching and re-attaches the hook; if recovery
   /// left the view stale, the next read re-materializes it.
   Status AttachView(const ViewDef& def);
@@ -74,31 +75,26 @@ class ViewManager {
   /// strategy, mirroring §2.1's discussion of the approach's narrow scope.
   Result<std::string> TryRewrite(const AnalyticQuery& query) const;
 
-  /// Incremental maintenance: after rows with `key_col` in [lo, hi] were
-  /// inserted into base table `table`, re-computes the delta for every view
-  /// over that table and merges it in (COUNT/SUM add, MIN/MAX take extrema).
-  /// Inserts only — the paper's data-warehouse setting is read-mostly with
-  /// batch appends.
-  Status NotifyAppend(const std::string& table, const std::string& key_col,
-                      const Value& lo, const Value& hi);
+  /// The view's defining query: the SQL that computes its contents from its
+  /// bases (a full refresh runs it; tests and benches check views against it).
+  static std::string MaterializationSql(const ViewInfo& info);
 
  private:
-  /// The SQL that (re)computes a view's contents, with an optional extra
-  /// conjunct restricting the fact rows (used for deltas).
-  static std::string MaterializationSql(const ViewInfo& info,
-                                        const std::string& extra_pred);
-
   /// Builds the ViewInfo for `def` (named aggregate columns, the implicit
   /// COUNT(*)); shared by CreateView and AttachView so both derive the same
   /// backing-table layout.
   static Result<ViewInfo> MakeInfo(const ViewDef& def);
 
   /// Registers `info`'s backing table as derived from its bases and attaches
-  /// the full-rematerialization rebuild hook.
-  Status RegisterRebuild(const ViewInfo& info);
+  /// Refresh as its refresh hook.
+  Status RegisterRefresh(const ViewInfo& info);
 
-  /// Merges delta group rows into the view's backing table.
-  Status MergeDelta(const ViewInfo& info, const std::vector<Row>& delta);
+  /// The view's one refresh entry point, run by the next read after its
+  /// bases changed. Inserted rows are merged as a delta (counting rule over
+  /// the join, then COUNT/SUM add and MIN/MAX take the extreme); an unknown
+  /// change, or a join the delta cannot walk by clustered-key seeks,
+  /// re-materializes the view from MaterializationSql.
+  Status Refresh(const ViewInfo& info, const DerivedChange& change);
 
   /// True when the view can answer the query; fills the derived agg exprs.
   bool Matches(const ViewInfo& info, const AnalyticQuery& query,

@@ -42,6 +42,21 @@ class MvTest : public ::testing::Test {
     return q;
   }
 
+  uint64_t Counter(const std::string& name) {
+    return db_->metrics().GetCounter(name)->value();
+  }
+
+  static void ExpectSameRows(const QueryResult& got, const QueryResult& want) {
+    ASSERT_EQ(got.rows.size(), want.rows.size());
+    for (size_t i = 0; i < want.rows.size(); i++) {
+      ASSERT_EQ(got.rows[i].size(), want.rows[i].size());
+      for (size_t c = 0; c < want.rows[i].size(); c++) {
+        EXPECT_EQ(got.rows[i][c].Compare(want.rows[i][c]), 0)
+            << "row " << i << " col " << c;
+      }
+    }
+  }
+
   std::unique_ptr<Database> db_;
   std::unique_ptr<ViewManager> mgr_;
 };
@@ -152,44 +167,59 @@ TEST_F(MvTest, SmallestMatchingViewWins) {
 
 TEST_F(MvTest, IncrementalMaintenanceMatchesRecompute) {
   ASSERT_TRUE(mgr_->CreateView(DayStoreView()).ok());
-  // Append new facts with item keys 100..104 straight into the table, as a
-  // bulk appender does: a SQL INSERT would mark the view stale, and the read
-  // below would then rebuild it instead of testing NotifyAppend's merge.
-  auto table = db_->catalog().GetTable("sales");
-  ASSERT_TRUE(table.ok());
-  Table* sales = table.value();
-  const int32_t day2 = date::Parse("2008-01-02").value();
+  // Appends into existing groups, plus a new group (a new day).
   for (int i = 100; i < 105; i++) {
-    ASSERT_TRUE(sales->Insert({Value::Date(day2), Value::Int32(1),
-                               Value::Int32(i), Value::Decimal(50000)})
+    ASSERT_TRUE(db_->Execute("INSERT INTO sales VALUES (DATE '2008-01-02', 1, " +
+                             std::to_string(i) + ", 500.00)")
                     .ok());
   }
-  // New group too (new day).
-  ASSERT_TRUE(sales->Insert({Value::Date(date::Parse("2008-01-09").value()),
-                             Value::Int32(2), Value::Int32(105),
-                             Value::Decimal(700)})
-                  .ok());
-  ASSERT_TRUE(mgr_->NotifyAppend("sales", "item", Value::Int32(100),
-                                 Value::Int32(105))
-                  .ok());
-  ASSERT_FALSE(db_->catalog().IsStale("mv_day_store"));
-  // The maintained view must equal a from-scratch recompute.
+  ASSERT_TRUE(
+      db_->Execute("INSERT INTO sales VALUES (DATE '2008-01-09', 2, 105, 7.00)")
+          .ok());
+  ASSERT_TRUE(db_->catalog().IsStale("mv_day_store"));
+  // The read merges the six inserted rows as a delta; the maintained view
+  // must equal a from-scratch recompute.
   auto maintained = db_->Execute(
       "SELECT day, store, cnt, sum_amount, max_amount FROM mv_day_store "
       "ORDER BY day, store");
+  ASSERT_FALSE(db_->catalog().IsStale("mv_day_store"));
+  EXPECT_EQ(Counter("mv.refresh.delta_total"), 1u);
+  EXPECT_EQ(Counter("mv.refresh.delta_rows_total"), 6u);
+  EXPECT_EQ(Counter("mv.refresh.full_total"), 0u);
   auto recomputed = db_->Execute(
       "SELECT day, store, COUNT(*), SUM(amount), MAX(amount) FROM sales "
       "GROUP BY day, store ORDER BY day, store");
   ASSERT_TRUE(maintained.ok());
   ASSERT_TRUE(recomputed.ok());
-  ASSERT_EQ(maintained.value().rows.size(), recomputed.value().rows.size());
-  for (size_t i = 0; i < recomputed.value().rows.size(); i++) {
-    for (size_t c = 0; c < 5; c++) {
-      EXPECT_EQ(
-          maintained.value().rows[i][c].Compare(recomputed.value().rows[i][c]), 0)
-          << "row " << i << " col " << c;
-    }
-  }
+  ExpectSameRows(maintained.value(), recomputed.value());
+}
+
+TEST_F(MvTest, DeltaMergeTreatsNullAsNoValue) {
+  ASSERT_TRUE(db_->Execute("CREATE TABLE n (g INT, v INT) CLUSTER BY (g)").ok());
+  ASSERT_TRUE(
+      db_->Execute("INSERT INTO n VALUES (1, 5), (1, 3), (2, NULL)").ok());
+  ViewDef v;
+  v.name = "mv_n";
+  v.tables = {"n"};
+  v.group_cols = {"g"};
+  v.aggs = {{AggFunc::kMin, "v", "min_v"}, {AggFunc::kSum, "v", "sum_v"}};
+  ASSERT_TRUE(mgr_->CreateView(v).ok());
+  // A NULL into a group with values must not erase its MIN or SUM; a value
+  // into the all-NULL group must replace its NULLs; a NULL-only new group
+  // stays NULL.
+  ASSERT_TRUE(
+      db_->Execute("INSERT INTO n VALUES (1, NULL), (2, 7), (3, NULL)").ok());
+  auto maintained =
+      db_->Execute("SELECT g, min_v, sum_v, cnt_star FROM mv_n ORDER BY g");
+  EXPECT_EQ(Counter("mv.refresh.delta_total"), 1u);
+  auto recomputed = db_->Execute(
+      "SELECT g, MIN(v), SUM(v), COUNT(*) FROM n GROUP BY g ORDER BY g");
+  ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
+  ASSERT_TRUE(recomputed.ok());
+  ExpectSameRows(maintained.value(), recomputed.value());
+  EXPECT_EQ(maintained.value().rows[0][1].AsInt64(), 3);
+  EXPECT_EQ(maintained.value().rows[1][1].AsInt64(), 7);
+  EXPECT_TRUE(maintained.value().rows[2][1].is_null());
 }
 
 TEST_F(MvTest, SqlInsertRefreshesViewOnNextRead) {
@@ -210,8 +240,10 @@ TEST_F(MvTest, MaintenanceOnUnrelatedTableIsNoop) {
   ASSERT_TRUE(mgr_->CreateView(DayStoreView()).ok());
   ASSERT_TRUE(db_->Execute("CREATE TABLE other (k INT)").ok());
   ASSERT_TRUE(db_->Execute("INSERT INTO other VALUES (1)").ok());
-  EXPECT_TRUE(
-      mgr_->NotifyAppend("other", "k", Value::Int32(1), Value::Int32(1)).ok());
+  EXPECT_FALSE(db_->catalog().IsStale("mv_day_store"));
+  ASSERT_TRUE(db_->Execute("SELECT * FROM mv_day_store").ok());
+  EXPECT_EQ(Counter("mv.refresh.delta_total"), 0u);
+  EXPECT_EQ(Counter("mv.refresh.full_total"), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "engine/database.h"
+#include "mv/view.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/fault_injection.h"
@@ -202,6 +203,41 @@ TEST_F(RecoveryTest, DerivedTablesMarkedStaleAfterRecovery) {
   auto recovered = Reboot(*db);
   ASSERT_NE(recovered, nullptr);
   EXPECT_EQ(Count(*recovered, "t"), 1u);
+}
+
+TEST_F(RecoveryTest, UnreadInsertsRebuildTheViewAfterReopen) {
+  auto db = FreshDb();
+  Run(*db, "INSERT INTO t VALUES (1, 'a'), (2, 'b')");
+  mv::ViewDef def;
+  def.name = "t_by_v";
+  def.tables = {"t"};
+  def.group_cols = {"v"};
+  def.aggs = {{AggFunc::kCountStar, "", "n"}, {AggFunc::kMax, "id", "top"}};
+  {
+    mv::ViewManager views(db.get());
+    ASSERT_TRUE(views.CreateView(def).ok());
+  }
+  Run(*db, "CHECKPOINT");
+  // Committed inserts the view never read: pending rows are volatile, so
+  // the reopened engine must rebuild rather than trust the stale contents.
+  Run(*db, "INSERT INTO t VALUES (3, 'a'), (4, 'c')");
+  auto recovered = Reboot(*db);
+  ASSERT_NE(recovered, nullptr);
+  mv::ViewManager views(recovered.get());
+  ASSERT_TRUE(views.AttachView(def).ok());
+  ASSERT_TRUE(recovered->catalog().IsStale("t_by_v"));
+  QueryResult stored = Run(*recovered, "SELECT v, n, top FROM t_by_v ORDER BY v");
+  QueryResult expected = Run(
+      *recovered, "SELECT v, COUNT(*), MAX(id) FROM t GROUP BY v ORDER BY v");
+  ASSERT_EQ(stored.rows.size(), 3u);
+  ASSERT_EQ(stored.rows.size(), expected.rows.size());
+  for (size_t r = 0; r < expected.rows.size(); r++) {
+    for (size_t c = 0; c < 3; c++) {
+      EXPECT_EQ(stored.rows[r][c].Compare(expected.rows[r][c]), 0);
+    }
+  }
+  EXPECT_EQ(recovered->metrics().GetCounter("mv.refresh.full_total")->value(), 1u);
+  EXPECT_EQ(recovered->metrics().GetCounter("mv.refresh.delta_total")->value(), 0u);
 }
 
 // WAL order at the pool/log boundary: write-back makes the log durable past

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/database.h"
 #include "engine/session.h"
+#include "mv/view.h"
 
 namespace elephant {
 namespace {
@@ -138,6 +141,137 @@ TEST(TxnStressTest, ReadersRaceWriter) {
   auto r = db.Execute("SELECT * FROM t");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().rows.size(), static_cast<size_t>(2 * kWrites));
+}
+
+/// Group g = 9 of the view below only ever receives rows that are rolled
+/// back, so no read may see it; every other row goes to group id % 5.
+constexpr int kRolledBackGroup = 9;
+
+std::string InsertSql(int id, int g) {
+  return "INSERT INTO t VALUES (" + std::to_string(id) + ", " +
+         std::to_string(g) + ")";
+}
+
+/// A WAL database with table t(id, g) and the view t_by_g (COUNT(*) and
+/// SUM(id) per g), for the view-refresh stress tests below. t starts with
+/// ids 1..kBaseRows, enough that the tests' inserts stay far below the
+/// insert log's cap (half the base) and are merged as deltas.
+constexpr int kBaseRows = 400;
+std::unique_ptr<Database> OpenViewDb(std::unique_ptr<mv::ViewManager>* views) {
+  DatabaseOptions options;
+  options.wal_enabled = true;
+  options.lock_timeout_seconds = 5.0;
+  auto db = std::make_unique<Database>(options);
+  EXPECT_TRUE(db->Execute("CREATE TABLE t (id INT, g INT) CLUSTER BY (id)").ok());
+  std::string rows;
+  for (int id = 1; id <= kBaseRows; id++) {
+    rows += (rows.empty() ? "(" : ", (") + std::to_string(id) + ", " +
+            std::to_string(id % 5) + ")";
+  }
+  EXPECT_TRUE(db->Execute("INSERT INTO t VALUES " + rows).ok());
+  *views = std::make_unique<mv::ViewManager>(db.get());
+  mv::ViewDef def;
+  def.name = "t_by_g";
+  def.tables = {"t"};
+  def.group_cols = {"g"};
+  def.aggs = {{AggFunc::kCountStar, "", "n"}, {AggFunc::kSum, "id", "s"}};
+  EXPECT_TRUE((*views)->CreateView(def).ok());
+  return db;
+}
+
+/// Reads t_by_g (refreshing it) and compares it with its GROUP BY over t.
+void ExpectViewMatchesGroupBy(Database* db) {
+  auto stored = db->Execute("SELECT g, n, s FROM t_by_g ORDER BY g");
+  auto expected =
+      db->Execute("SELECT g, COUNT(*), SUM(id) FROM t GROUP BY g ORDER BY g");
+  ASSERT_TRUE(stored.ok());
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(stored.value().rows.size(), expected.value().rows.size());
+  for (size_t i = 0; i < expected.value().rows.size(); i++) {
+    for (size_t c = 0; c < 3; c++) {
+      EXPECT_EQ(stored.value().rows[i][c].Compare(expected.value().rows[i][c]), 0)
+          << "row " << i << " col " << c;
+    }
+  }
+}
+
+/// Runs `writer` on session 0 while sessions 1..3 keep reading t_by_g, so
+/// every read refreshes the view if inserts are pending. Returns false when
+/// any statement failed or a read saw the rolled-back group.
+bool WriteWhileReading(Database* db,
+                       const std::function<bool(Session*)>& writer) {
+  constexpr int kReaders = 3;
+  std::atomic<bool> writing{true};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  threads.emplace_back([db, &writer, &writing, &failed]() {
+    Session session(db, 0);
+    if (!writer(&session)) failed = true;
+    writing = false;
+  });
+  for (int r = 1; r <= kReaders; r++) {
+    threads.emplace_back([db, &writing, &failed, r]() {
+      Session session(db, r);
+      while (writing.load() && !failed.load()) {
+        auto r = session.Execute("SELECT g, n FROM t_by_g");
+        if (!r.ok()) failed = true;
+        for (const Row& row : r.ok() ? r.value().rows : std::vector<Row>{}) {
+          if (row[0].AsInt64() == kRolledBackGroup) failed = true;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  return !failed.load();
+}
+
+/// One writer appends while readers refresh the view. Refreshes of one
+/// view take turns under its exclusive lock, so no insert is merged twice.
+TEST(TxnStressTest, ConcurrentReadersMergeEachInsertOnce) {
+  std::unique_ptr<mv::ViewManager> views;
+  std::unique_ptr<Database> db = OpenViewDb(&views);
+  ASSERT_TRUE(WriteWhileReading(db.get(), [](Session* s) {
+    for (int i = 0; i < 40; i++) {
+      const int id = kBaseRows + 1 + i;
+      if (!s->Execute(InsertSql(id, id % 5)).ok()) return false;
+    }
+    return true;
+  }));
+  ExpectViewMatchesGroupBy(db.get());
+}
+
+/// One session keeps inserting and rolling back while another commits
+/// inserts into the same base and readers refresh the view. A rollback
+/// drops its rows from the base's insert log before it releases its base
+/// lock, so no other writer appends behind them and no refresh merges them:
+/// no read ever sees a rolled-back row in the view.
+TEST(TxnStressTest, RollbacksRaceInsertsAndViewReads) {
+  std::unique_ptr<mv::ViewManager> views;
+  std::unique_ptr<Database> db = OpenViewDb(&views);
+  std::atomic<bool> failed{false};
+  std::thread committer([&db, &failed]() {
+    Session session(db.get(), 4);
+    for (int i = 0; i < 40 && !failed.load(); i++) {
+      if (!session.Execute(InsertSql(2000 + i, i % 5)).ok()) failed = true;
+    }
+  });
+  const bool ok = WriteWhileReading(db.get(), [](Session* s) {
+    for (int i = 0; i < 40; i++) {
+      if (!s->Execute("BEGIN").ok() || !s->Execute(InsertSql(kBaseRows + 1 + i, kRolledBackGroup)).ok() ||
+          !s->Execute("ROLLBACK").ok()) {
+        return false;
+      }
+    }
+    return true;
+  });
+  committer.join();
+  ASSERT_TRUE(ok);
+  ASSERT_FALSE(failed.load());
+  ExpectViewMatchesGroupBy(db.get());
+  EXPECT_GT(db->metrics().GetCounter("mv.refresh.delta_total")->value(), 0u);
+  auto n = db->Execute("SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n.value().rows[0][0].Compare(Value::Int64(kBaseRows + 40)), 0);
 }
 
 }  // namespace

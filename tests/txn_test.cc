@@ -318,6 +318,80 @@ TEST_F(TxnTest, RollbackAfterRefreshInsideTransactionRestalesView) {
   EXPECT_EQ(Exec("SELECT * FROM t_by_v").rows.size(), 2u);
 }
 
+TEST_F(TxnTest, RefreshPathIsObservable) {
+  Exec("INSERT INTO t VALUES (1, 'a'), (2, 'a'), (3, 'b')");
+  mv::ViewManager views(db_.get());
+  mv::ViewDef def;
+  def.name = "t_by_v";
+  def.tables = {"t"};
+  def.group_cols = {"v"};
+  def.aggs = {{AggFunc::kCountStar, "", "n"}};
+  ASSERT_TRUE(views.CreateView(def).ok());
+  auto counter = [this](const char* name) {
+    return db_->metrics().GetCounter(name)->value();
+  };
+
+  // A committed INSERT is merged as a delta by the next read.
+  Exec("INSERT INTO t VALUES (4, 'c'), (5, 'a')");
+  EXPECT_EQ(Exec("SELECT * FROM t_by_v").rows.size(), 3u);
+  EXPECT_EQ(counter("mv.refresh.delta_total"), 1u);
+  EXPECT_EQ(counter("mv.refresh.delta_rows_total"), 2u);
+  EXPECT_EQ(counter("mv.refresh.full_total"), 0u);
+
+  // A DELETE (and likewise an UPDATE) is an unknown change: full rebuild.
+  Exec("DELETE FROM t WHERE id = 4");
+  EXPECT_EQ(Exec("SELECT * FROM t_by_v").rows.size(), 2u);
+  Exec("UPDATE t SET v = 'b' WHERE id = 1");
+  EXPECT_EQ(Exec("SELECT v, n FROM t_by_v WHERE v = 'b'").rows[0][1].AsInt64(), 2);
+  EXPECT_EQ(counter("mv.refresh.delta_total"), 1u);
+  EXPECT_EQ(counter("mv.refresh.full_total"), 2u);
+  EXPECT_NE(db_->ExportMetrics().find("mv_refresh_delta_total"), std::string::npos);
+
+  // A backlog over half the base (5 rows into a base that then has 9) is
+  // not kept in the insert log: the next read rebuilds in full.
+  Exec("INSERT INTO t VALUES (6, 'a'), (7, 'a'), (8, 'b'), (9, 'd'), (10, 'd')");
+  QueryResult r = Exec("SELECT v, n FROM t_by_v ORDER BY v");
+  ASSERT_EQ(r.rows.size(), 3u);
+  EXPECT_EQ(r.rows[0][1].AsInt64(), 4);  // a
+  EXPECT_EQ(r.rows[1][1].AsInt64(), 3);  // b
+  EXPECT_EQ(r.rows[2][1].AsInt64(), 2);  // d
+  EXPECT_EQ(counter("mv.refresh.delta_total"), 1u);
+  EXPECT_EQ(counter("mv.refresh.full_total"), 3u);
+}
+
+TEST_F(TxnTest, ReadNeverMergesAnotherTransactionsUncommittedInserts) {
+  Exec("INSERT INTO t VALUES (1, 'a'), (2, 'b')");
+  mv::ViewManager views(db_.get());
+  mv::ViewDef def;
+  def.name = "t_by_v";
+  def.tables = {"t"};
+  def.group_cols = {"v"};
+  def.aggs = {{AggFunc::kCountStar, "", "n"}};
+  ASSERT_TRUE(views.CreateView(def).ok());
+  Session writer(db_.get(), 1), reader(db_.get(), 2);
+
+  // The reader's refresh needs a shared lock on t, which the writer's
+  // uncommitted insert holds exclusively: the read times out, as a full
+  // rebuild's SQL would, and merges nothing.
+  ASSERT_TRUE(writer.Execute("BEGIN").ok());
+  ASSERT_TRUE(writer.Execute("INSERT INTO t VALUES (3, 'c')").ok());
+  auto blocked = reader.Execute("SELECT * FROM t_by_v");
+  ASSERT_FALSE(blocked.ok());
+  EXPECT_TRUE(blocked.status().IsAborted()) << blocked.status().ToString();
+  EXPECT_EQ(db_->metrics().GetCounter("mv.refresh.delta_total")->value(), 0u);
+  ASSERT_TRUE(writer.Execute("ROLLBACK").ok());
+  // The rolled-back row left the insert log: nothing is pending.
+  EXPECT_FALSE(db_->catalog().IsStale("t_by_v"));
+  EXPECT_EQ(reader.Execute("SELECT * FROM t_by_v").value().rows.size(), 2u);
+
+  ASSERT_TRUE(writer.Execute("BEGIN").ok());
+  ASSERT_TRUE(writer.Execute("INSERT INTO t VALUES (4, 'd')").ok());
+  EXPECT_FALSE(reader.Execute("SELECT * FROM t_by_v").ok());
+  ASSERT_TRUE(writer.Execute("COMMIT").ok());
+  EXPECT_EQ(reader.Execute("SELECT * FROM t_by_v").value().rows.size(), 3u);
+  EXPECT_EQ(db_->metrics().GetCounter("mv.refresh.delta_total")->value(), 1u);
+}
+
 TEST_F(TxnTest, WritingDerivedTableRejected) {
   Exec("INSERT INTO t VALUES (1, 'a')");
   mv::ViewManager views(db_.get());
