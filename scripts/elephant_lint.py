@@ -39,14 +39,16 @@ arguments depend on:
                     nothing else feeds or resets it; executors and
                     strategies must read it through SQL
                     (elephant_stat_statements) instead.
-  wal-protocol      LogRecord construction / page-LSN mutation outside
-                    src/wal/ and src/txn/ (plus storage/slotted_page, which
-                    defines the LSN field). ARIES correctness rests on every
-                    page mutation being logged before the page LSN advances;
-                    code that forges records or stamps LSNs elsewhere
-                    silently breaks redo idempotence and the WAL rule.
-                    Everything else mutates heaps through the wal:: helpers
-                    (InsertTxn / DeleteRowTxn / UpdateRowTxn).
+  wal-protocol      LogRecord construction / page-LSN stamping outside
+                    src/wal/ and src/txn/ (plus storage/buffer_pool, which
+                    defines the frame-LSN hook). ARIES correctness rests on
+                    every page change being logged before its frame LSN is
+                    recorded; code that forges records or stamps LSNs
+                    elsewhere silently breaks redo and the WAL rule.
+                    Everything else changes logged B+-tree pages through the
+                    wal:: tree helpers (InsertCell / RemoveCell / SetValue /
+                    LogSplit), which Table's InsertTxn / DeleteRowTxn /
+                    UpdateRowTxn reach through BPlusTree.
 
 Suppress a finding with a trailing or preceding-line comment:
 
@@ -83,14 +85,14 @@ STAT_STATEMENTS_ALLOWED_DIRS = {"obs", "engine"}
 STAT_STATEMENTS_RE = re.compile(r"\b(?:StatStatements|stat_statements_?)\b")
 
 # The WAL protocol surface: record construction and page-LSN stamping live
-# in the wal/ and txn/ layers; slotted_page defines the LSN accessors.
+# in the wal/ and txn/ layers; the buffer pool defines the frame-LSN hook.
 WAL_PROTOCOL_ALLOWED_DIRS = {"wal", "txn"}
 WAL_PROTOCOL_ALLOWED = {
-    os.path.join("storage", "slotted_page.h"),
-    os.path.join("storage", "slotted_page.cc"),
+    os.path.join("storage", "buffer_pool.h"),
+    os.path.join("storage", "buffer_pool.cc"),
 }
 
-WAL_PROTOCOL_RE = re.compile(r"\bLogRecord\b|\bSetPageLsn\s*\(")
+WAL_PROTOCOL_RE = re.compile(r"\bLogRecord\b|\b(?:Set|Record)PageLsn\s*\(")
 
 # The one file the unchecked-narrowing rule polices: the Value arithmetic
 # that silently wrapped at the INT32/DATE boundary before NarrowToInt32.
@@ -330,10 +332,11 @@ def lint_file(path, rel, text):
         for lineno, ln in enumerate(lines, 1):
             if WAL_PROTOCOL_RE.search(ln):
                 report(lineno, "wal-protocol",
-                       "LogRecord construction / SetPageLsn outside src/wal/ "
-                       "and src/txn/; mutate heaps through the wal:: helpers "
-                       "(InsertTxn/DeleteRowTxn/UpdateRowTxn) so every page "
-                       "change is logged before its LSN advances")
+                       "LogRecord construction / page-LSN stamping outside "
+                       "src/wal/ and src/txn/; change logged B+-tree pages "
+                       "through the wal:: tree helpers (InsertCell/RemoveCell/"
+                       "SetValue/LogSplit) so every page change is logged "
+                       "before its frame LSN is recorded")
 
     # --- unguarded-mutex ---
     mutex_names = []

@@ -128,6 +128,7 @@ Result<StrategyResult> PaperBench::RunSql(const std::string& strategy,
   out.checksum = ResultChecksum(result);
   if (result.plan != nullptr) out.operators = obs::FlattenPlan(*result.plan);
   out.heatmap = obs::HeatmapDelta(heat_before, db_->heatmap().Snapshot());
+  out.disk_model = db_->disk_model();
   return out;
 }
 

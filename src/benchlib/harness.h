@@ -38,6 +38,8 @@ struct StrategyResult {
   /// hits, faults, reads, writes), from the engine's AccessHeatmap. Empty
   /// for modeled strategies.
   std::map<std::string, obs::ObjectIoStats> heatmap;
+  /// The disk model the engine priced this execution's I/O with.
+  DiskModel disk_model;
 };
 
 /// The full experimental rig of the paper: TPC-H data, the D1/D2/D4

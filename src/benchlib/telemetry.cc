@@ -111,13 +111,8 @@ void BenchTelemetry::RecordStrategy(
   w.EndArray();
   w.Key("heatmap").BeginObject();
   for (const auto& [object, io] : result.heatmap) {
-    w.Key(object).BeginObject();
-    w.Key("pool_hits").UInt(io.pool_hits);
-    w.Key("pool_faults").UInt(io.pool_faults);
-    w.Key("sequential_reads").UInt(io.sequential_reads);
-    w.Key("random_reads").UInt(io.random_reads);
-    w.Key("page_writes").UInt(io.page_writes);
-    w.EndObject();
+    w.Key(object);
+    obs::AppendObjectJson(io, result.disk_model, &w);
   }
   w.EndObject();
   w.EndObject();

@@ -26,7 +26,8 @@ namespace paper {
 ///                       "pool_misses": ..., "est_rows": ...}, ...],
 ///        "heatmap": {"table:lineitem": {"pool_hits": ..., "pool_faults": ...,
 ///                    "sequential_reads": ..., "random_reads": ...,
-///                    "page_writes": ...}, ...}},
+///                    "prefetch_hits": ..., "page_writes": ...,
+///                    "io_ms": ...}, ...}},
 ///       {"type": "metrics", "labels": {...}, "values": {...}}
 ///     ]
 ///   }

@@ -77,10 +77,7 @@ Result<Table*> Catalog::CreateTable(const std::string& name, Schema schema,
   ELE_ASSIGN_OR_RETURN(std::unique_ptr<Table> table,
                        Table::Create(pool_, name, std::move(schema),
                                      std::move(cluster_cols), unique_cluster));
-  if (wal_storage_ && !derived) {
-    ELE_ASSIGN_OR_RETURN(TableHeap heap, TableHeap::Create(pool_));
-    table->AttachHeap(std::make_unique<TableHeap>(heap), next_table_id_++);
-  }
+  if (wal_storage_ && !derived) table->EnableLogging(next_table_id_++);
   Table* raw = table.get();
   tables_[key] = std::move(table);
   return raw;
@@ -88,7 +85,7 @@ Result<Table*> Catalog::CreateTable(const std::string& name, Schema schema,
 
 Result<Table*> Catalog::GetTableById(uint32_t id) const {
   for (const auto& [key, table] : tables_) {
-    if (table->heap() != nullptr && table->table_id() == id) return table.get();
+    if (table->logged() && table->table_id() == id) return table.get();
   }
   return Status::NotFound("no table with WAL id " + std::to_string(id));
 }
@@ -326,14 +323,8 @@ void Catalog::SerializeTo(std::string* out) const {
   PutU32(out, static_cast<uint32_t>(tables_.size()));
   for (const auto& [key, table] : tables_) {
     PutStr(out, table->name());
-    out->push_back(table->heap() != nullptr ? 1 : 0);
     PutU32(out, table->table_id());
-    PutU32(out, table->heap() != nullptr
-                    ? static_cast<uint32_t>(table->heap()->first_page())
-                    : 0);
-    PutU32(out, table->heap() != nullptr
-                    ? static_cast<uint32_t>(table->heap()->last_page())
-                    : 0);
+    PutU32(out, static_cast<uint32_t>(table->clustered().root()));
     const Schema& schema = table->schema();
     PutU32(out, static_cast<uint32_t>(schema.NumColumns()));
     for (const Column& c : schema.columns()) {
@@ -352,6 +343,7 @@ void Catalog::SerializeTo(std::string* out) const {
       for (size_t c : idx->key_cols) PutU32(out, static_cast<uint32_t>(c));
       PutU32(out, static_cast<uint32_t>(idx->include_cols.size()));
       for (size_t c : idx->include_cols) PutU32(out, static_cast<uint32_t>(c));
+      PutU32(out, static_cast<uint32_t>(idx->tree->root()));
     }
   }
   MutexLock lock(derived_mu_);
@@ -377,10 +369,8 @@ Status Catalog::DeserializeFrom(std::string_view in) {
   next_table_id_ = 1;
   for (uint32_t t = 0; t < n_tables; t++) {
     ELE_ASSIGN_OR_RETURN(std::string name, r.Str());
-    ELE_ASSIGN_OR_RETURN(uint8_t has_heap, r.U8());
     ELE_ASSIGN_OR_RETURN(uint32_t table_id, r.U32());
-    ELE_ASSIGN_OR_RETURN(uint32_t heap_first, r.U32());
-    ELE_ASSIGN_OR_RETURN(uint32_t heap_last, r.U32());
+    ELE_ASSIGN_OR_RETURN(uint32_t root, r.U32());
     ELE_ASSIGN_OR_RETURN(uint32_t n_cols, r.U32());
     std::vector<Column> cols;
     cols.reserve(n_cols);
@@ -401,19 +391,20 @@ Status Catalog::DeserializeFrom(std::string_view in) {
       cluster_cols.push_back(col);
     }
     ELE_ASSIGN_OR_RETURN(uint8_t unique_cluster, r.U8());
-    ELE_ASSIGN_OR_RETURN(
-        std::unique_ptr<Table> table,
-        Table::Create(pool_, name, Schema(std::move(cols)),
-                      std::move(cluster_cols), unique_cluster != 0));
-    if (has_heap != 0) {
-      auto heap = std::make_unique<TableHeap>(
-          pool_, static_cast<page_id_t>(heap_first),
-          static_cast<page_id_t>(heap_last));
-      // Redo may have chained pages past the checkpointed tail.
-      ELE_RETURN_NOT_OK(heap->RefreshLastPage());
-      table->AttachHeap(std::move(heap), table_id);
+    // A logged table reopens on its trees where the checkpoint left their
+    // roots (roots never move); a derived table starts empty and is
+    // recomputed from its bases.
+    std::unique_ptr<Table> table;
+    if (table_id != 0) {
+      table = Table::Open(pool_, name, Schema(std::move(cols)),
+                          std::move(cluster_cols), unique_cluster != 0,
+                          static_cast<page_id_t>(root));
+      table->EnableLogging(table_id);
       next_table_id_ = std::max(next_table_id_, table_id + 1);
-      ELE_RETURN_NOT_OK(table->RebuildFromHeap());
+    } else {
+      ELE_ASSIGN_OR_RETURN(table, Table::Create(pool_, name, Schema(std::move(cols)),
+                                                std::move(cluster_cols),
+                                                unique_cluster != 0));
     }
     ELE_ASSIGN_OR_RETURN(uint32_t n_secondary, r.U32());
     for (uint32_t s = 0; s < n_secondary; s++) {
@@ -430,8 +421,15 @@ Status Catalog::DeserializeFrom(std::string_view in) {
         ELE_ASSIGN_OR_RETURN(uint32_t col, r.U32());
         include_cols.push_back(col);
       }
-      ELE_RETURN_NOT_OK(table->CreateSecondaryIndex(idx_name, std::move(key_cols),
-                                                    std::move(include_cols)));
+      ELE_ASSIGN_OR_RETURN(uint32_t idx_root, r.U32());
+      if (table->logged()) {
+        table->OpenSecondaryIndex(idx_name, std::move(key_cols),
+                                  std::move(include_cols),
+                                  static_cast<page_id_t>(idx_root));
+      } else {
+        ELE_RETURN_NOT_OK(table->CreateSecondaryIndex(
+            idx_name, std::move(key_cols), std::move(include_cols)));
+      }
     }
     tables_[Normalize(name)] = std::move(table);
   }

@@ -73,14 +73,14 @@ class Catalog {
   static constexpr const char* kVirtualPrefix = "elephant_stat_";
   static bool IsReservedName(const std::string& name);
 
-  /// WAL mode: every base table created from here on gets a durable
-  /// TableHeap plus a stable numeric id for its log records.
+  /// WAL mode: every base table created from here on is logged, under a
+  /// stable numeric id its log records carry.
   void EnableWalStorage() { wal_storage_ = true; }
   bool wal_storage() const { return wal_storage_; }
 
   /// Creates a table clustered on `cluster_cols` (empty = clustered on the
-  /// internal sequence only, i.e. insertion order). `derived` suppresses the
-  /// WAL heap: derived tables (MVs, c-tables) are rebuilt from their bases
+  /// internal sequence only, i.e. insertion order). `derived` suppresses
+  /// logging: derived tables (MVs, c-tables) are rebuilt from their bases
   /// rather than logged — register them with RegisterDerivedTable.
   Result<Table*> CreateTable(const std::string& name, Schema schema,
                              std::vector<size_t> cluster_cols = {},
@@ -132,15 +132,15 @@ class Catalog {
 
   // --- Persistence (WAL mode) ---------------------------------------------
 
-  /// Serializes every table definition — schema, clustering, WAL id, heap
-  /// chain head/tail, secondary-index definitions — plus the derived-table
-  /// registry. Written into the meta page at each checkpoint.
+  /// Serializes every table definition — schema, clustering, WAL id, tree
+  /// roots, secondary-index definitions — plus the derived-table registry.
+  /// Written into the meta page at each checkpoint.
   void SerializeTo(std::string* out) const;
 
-  /// Rebuilds the catalog from a SerializeTo blob: recreates each table,
-  /// re-adopts its heap (recomputing the chain tail), rebuilds the volatile
-  /// structures from heap contents, re-creates secondary indexes, and marks
-  /// every derived table stale. Call after WAL recovery has run.
+  /// Rebuilds the catalog from a SerializeTo blob without reading a page:
+  /// each logged table opens its trees at the stored roots (recovery then
+  /// brings them to the crash point, and Table::CountRows recounts them);
+  /// each derived table is recreated empty, and marked stale.
   Status DeserializeFrom(std::string_view in);
 
   /// Looks a table up by (case-insensitive) name.

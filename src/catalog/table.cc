@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "wal/heap_ops.h"
-
 namespace elephant {
 
 namespace {
@@ -53,6 +51,18 @@ Result<std::unique_ptr<Table>> Table::Create(BufferPool* pool, std::string name,
                 unique_cluster));
   ELE_ASSIGN_OR_RETURN(BPlusTree tree, BPlusTree::Create(pool));
   table->clustered_ = std::make_unique<BPlusTree>(tree);
+  table->clustered_->SetAccessLabel(&table->access_label_);
+  return table;
+}
+
+std::unique_ptr<Table> Table::Open(BufferPool* pool, std::string name,
+                                   Schema schema,
+                                   std::vector<size_t> cluster_cols,
+                                   bool unique_cluster, page_id_t root) {
+  auto table = std::unique_ptr<Table>(
+      new Table(pool, std::move(name), std::move(schema), std::move(cluster_cols),
+                unique_cluster));
+  table->clustered_ = std::make_unique<BPlusTree>(pool, root);
   table->clustered_->SetAccessLabel(&table->access_label_);
   return table;
 }
@@ -122,16 +132,9 @@ Status Table::BulkLoadRows(std::vector<Row>&& rows) {
   rows.shrink_to_fit();
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  if (heap_ != nullptr) {
-    // WAL mode: the heap is the durable store. Bulk loads write it directly
-    // (unlogged, like COPY into a fresh table); the engine checkpoints after
-    // the loading statement so the pages are flushed before any logged DML
-    // can depend on them.
-    for (const auto& [key, payload] : entries) {
-      ELE_ASSIGN_OR_RETURN(Rid rid, heap_->Insert(PackHeapRecord(key, payload)));
-      rid_map_[key] = rid;
-    }
-  }
+  // A logged table's bulk load is unlogged too, like COPY into a fresh
+  // table: the loader checkpoints afterwards, which flushes the pages and
+  // names the new root in the catalog before any logged DML depends on it.
   size_t i = 0;
   auto stream = [&](std::string* k, std::string* v) {
     if (i >= entries.size()) return false;
@@ -148,17 +151,16 @@ Status Table::BulkLoadRows(std::vector<Row>&& rows) {
 }
 
 Status Table::ReloadRows(std::vector<Row>&& rows) {
-  if (heap_ != nullptr) {
+  if (logged()) {
     return Status::FailedPrecondition(
-        "table " + name_ + " has a WAL heap; its contents are owned by the "
-        "log and cannot be reloaded");
+        "table " + name_ + " is logged; its contents are owned by the log "
+        "and cannot be reloaded");
   }
   ELE_ASSIGN_OR_RETURN(BPlusTree tree, BPlusTree::Create(pool_));
   clustered_ = std::make_unique<BPlusTree>(tree);
   clustered_->SetAccessLabel(&access_label_);
   row_count_ = 0;
   next_seq_ = 0;
-  rid_map_.clear();
   stats_.clear();
   ELE_RETURN_NOT_OK(BulkLoadRows(std::move(rows)));
   for (const auto& idx : secondary_) {
@@ -200,6 +202,31 @@ Status Table::CreateSecondaryIndex(const std::string& index_name,
   if (FindIndex(index_name) != nullptr) {
     return Status::AlreadyExists("index " + index_name);
   }
+  if (logged() && secondary_.size() >= 255) {
+    return Status::ResourceExhausted("table " + name_ + " has 255 secondary "
+                                     "indexes, all a log record can name");
+  }
+  std::unique_ptr<SecondaryIndex> idx =
+      DefineIndex(index_name, std::move(key_cols), std::move(include_cols));
+  ELE_RETURN_NOT_OK(BuildSecondaryFromScan(idx.get()));
+  secondary_.push_back(std::move(idx));
+  return Status::OK();
+}
+
+void Table::OpenSecondaryIndex(const std::string& index_name,
+                               std::vector<size_t> key_cols,
+                               std::vector<size_t> include_cols,
+                               page_id_t root) {
+  std::unique_ptr<SecondaryIndex> idx =
+      DefineIndex(index_name, std::move(key_cols), std::move(include_cols));
+  idx->tree = std::make_unique<BPlusTree>(pool_, root);
+  idx->tree->SetAccessLabel(&idx->access_label);
+  secondary_.push_back(std::move(idx));
+}
+
+std::unique_ptr<SecondaryIndex> Table::DefineIndex(
+    const std::string& index_name, std::vector<size_t> key_cols,
+    std::vector<size_t> include_cols) const {
   auto idx = std::make_unique<SecondaryIndex>();
   idx->name = index_name;
   idx->access_label = "index:" + name_ + "." + index_name;
@@ -213,9 +240,7 @@ Status Table::CreateSecondaryIndex(const std::string& index_name,
   }
   idx->out_schema = Schema(out_cols);
   idx->include_schema = Schema(inc_cols);
-  ELE_RETURN_NOT_OK(BuildSecondaryFromScan(idx.get()));
-  secondary_.push_back(std::move(idx));
-  return Status::OK();
+  return idx;
 }
 
 Status Table::BuildSecondaryFromScan(SecondaryIndex* idx) {
@@ -248,24 +273,6 @@ Status Table::BuildSecondaryFromScan(SecondaryIndex* idx) {
   ELE_ASSIGN_OR_RETURN(BPlusTree tree, BPlusTree::BulkLoad(pool_, stream));
   idx->tree = std::make_unique<BPlusTree>(tree);
   idx->tree->SetAccessLabel(&idx->access_label);
-  return Status::OK();
-}
-
-Status Table::SecondaryInsert(const Row& row, const std::string& ckey) {
-  for (const auto& idx : secondary_) {
-    std::string key, value;
-    ELE_RETURN_NOT_OK(MakeSecondaryEntry(*idx, row, ckey, &key, &value));
-    ELE_RETURN_NOT_OK(idx->tree->Insert(key, value));
-  }
-  return Status::OK();
-}
-
-Status Table::SecondaryDelete(const Row& row, const std::string& ckey) {
-  for (const auto& idx : secondary_) {
-    std::string key, value;
-    ELE_RETURN_NOT_OK(MakeSecondaryEntry(*idx, row, ckey, &key, &value));
-    ELE_RETURN_NOT_OK(idx->tree->Delete(key));
-  }
   return Status::OK();
 }
 
@@ -321,44 +328,14 @@ Result<Table::RowIterator> Table::ScanRange(const std::string& lo,
   return RowIterator(&schema_, std::move(it), hi);
 }
 
-void Table::AttachHeap(std::unique_ptr<TableHeap> heap, uint32_t table_id) {
-  heap_ = std::move(heap);
-  table_id_ = table_id;
-}
-
-std::string Table::PackHeapRecord(const std::string& ckey,
-                                  const std::string& payload) {
-  std::string rec;
-  rec.reserve(2 + ckey.size() + payload.size());
-  rec.push_back(static_cast<char>(ckey.size() & 0xff));
-  rec.push_back(static_cast<char>((ckey.size() >> 8) & 0xff));
-  rec.append(ckey);
-  rec.append(payload);
-  return rec;
-}
-
-Status Table::UnpackHeapRecord(std::string_view record, std::string* ckey,
-                               std::string* payload) {
-  if (record.size() < 2) return Status::Corruption("heap record too short");
-  const size_t cklen = static_cast<unsigned char>(record[0]) |
-                       (static_cast<unsigned char>(record[1]) << 8);
-  if (2 + cklen > record.size()) {
-    return Status::Corruption("heap record clustering key overruns record");
-  }
-  ckey->assign(record.data() + 2, cklen);
-  payload->assign(record.data() + 2 + cklen, record.size() - 2 - cklen);
-  return Status::OK();
-}
-
-Rid Table::RidFor(const std::string& ckey) const {
-  auto it = rid_map_.find(ckey);
-  return it != rid_map_.end() ? it->second : Rid{};
+wal::TreeWriter Table::Writer(const TxnWriteContext& ctx, uint8_t tree) const {
+  return wal::TreeWriter{ctx.log, pool_, ctx.txn_id, ctx.last_lsn, table_id_, tree};
 }
 
 Status Table::InsertTxn(const Row& row, const TxnWriteContext& ctx,
                         std::string* ckey_out) {
-  if (heap_ == nullptr) {
-    return Status::FailedPrecondition("table " + name_ + " has no WAL heap");
+  if (!logged()) {
+    return Status::FailedPrecondition("table " + name_ + " is not logged");
   }
   if (row.size() != schema_.NumColumns()) {
     return Status::InvalidArgument("insert arity mismatch on table " + name_);
@@ -367,17 +344,14 @@ Status Table::InsertTxn(const Row& row, const TxnWriteContext& ctx,
   const std::string ckey = EncodeClusteredKey(row, next_seq_++);
   std::string payload;
   ELE_RETURN_NOT_OK(tuple::Serialize(schema_, row, &payload));
-  const wal::WalWriter w{ctx.log, ctx.txn_id, ctx.last_lsn};
-  ELE_ASSIGN_OR_RETURN(
-      Rid rid, wal::LoggedInsert(w, heap_.get(), table_id_,
-                                 PackHeapRecord(ckey, payload)));
-  ELE_RETURN_NOT_OK(clustered_->Insert(ckey, payload));
-  ELE_RETURN_NOT_OK(SecondaryInsert(row, ckey));
-  rid_map_[ckey] = rid;
+  const wal::TreeWriter w = Writer(ctx, 0);
+  ELE_RETURN_NOT_OK(clustered_->Insert(ckey, payload, &w));
   row_count_++;
-  if (ctx.undo != nullptr) {
-    ctx.undo->push_back(
-        UndoEntry{UndoEntry::Kind::kInsert, this, ckey, rid, Row{}, row});
+  for (size_t i = 0; i < secondary_.size(); i++) {
+    std::string key, value;
+    ELE_RETURN_NOT_OK(MakeSecondaryEntry(*secondary_[i], row, ckey, &key, &value));
+    const wal::TreeWriter sw = Writer(ctx, static_cast<uint8_t>(i + 1));
+    ELE_RETURN_NOT_OK(secondary_[i]->tree->Insert(key, value, &sw));
   }
   if (ckey_out != nullptr) *ckey_out = ckey;
   return Status::OK();
@@ -385,137 +359,78 @@ Status Table::InsertTxn(const Row& row, const TxnWriteContext& ctx,
 
 Status Table::DeleteRowTxn(const std::string& ckey, const Row& row,
                            const TxnWriteContext& ctx) {
-  if (heap_ == nullptr) {
-    return Status::FailedPrecondition("table " + name_ + " has no WAL heap");
+  if (!logged()) {
+    return Status::FailedPrecondition("table " + name_ + " is not logged");
   }
   obs::AccessScope access(&access_label_);
-  auto rid_it = rid_map_.find(ckey);
-  if (rid_it == rid_map_.end()) {
-    return Status::NotFound("no heap address for row in table " + name_);
-  }
-  const Rid rid = rid_it->second;
-  const wal::WalWriter w{ctx.log, ctx.txn_id, ctx.last_lsn};
-  ELE_RETURN_NOT_OK(wal::LoggedDelete(w, pool_, table_id_, rid));
-  ELE_RETURN_NOT_OK(clustered_->Delete(ckey));
-  ELE_RETURN_NOT_OK(SecondaryDelete(row, ckey));
-  rid_map_.erase(rid_it);
+  const wal::TreeWriter w = Writer(ctx, 0);
+  ELE_RETURN_NOT_OK(clustered_->Delete(ckey, &w));
   row_count_--;
-  if (ctx.undo != nullptr) {
-    ctx.undo->push_back(
-        UndoEntry{UndoEntry::Kind::kDelete, this, ckey, rid, row, Row{}});
+  for (size_t i = 0; i < secondary_.size(); i++) {
+    std::string key, value;
+    ELE_RETURN_NOT_OK(MakeSecondaryEntry(*secondary_[i], row, ckey, &key, &value));
+    const wal::TreeWriter sw = Writer(ctx, static_cast<uint8_t>(i + 1));
+    ELE_RETURN_NOT_OK(secondary_[i]->tree->Delete(key, &sw));
   }
   return Status::OK();
 }
 
 Status Table::UpdateRowTxn(const std::string& ckey, const Row& before,
                            const Row& after, const TxnWriteContext& ctx) {
-  if (heap_ == nullptr) {
-    return Status::FailedPrecondition("table " + name_ + " has no WAL heap");
+  if (!logged()) {
+    return Status::FailedPrecondition("table " + name_ + " is not logged");
   }
   if (after.size() != schema_.NumColumns()) {
     return Status::InvalidArgument("update arity mismatch on table " + name_);
   }
   obs::AccessScope access(&access_label_);
-  auto rid_it = rid_map_.find(ckey);
-  if (rid_it == rid_map_.end()) {
-    return Status::NotFound("no heap address for row in table " + name_);
-  }
-  const Rid old_rid = rid_it->second;
   std::string payload;
   ELE_RETURN_NOT_OK(tuple::Serialize(schema_, after, &payload));
-  const std::string rec = PackHeapRecord(ckey, payload);
-  const wal::WalWriter w{ctx.log, ctx.txn_id, ctx.last_lsn};
-  ELE_ASSIGN_OR_RETURN(bool in_place,
-                       wal::LoggedUpdate(w, pool_, table_id_, old_rid, rec));
-  Rid new_rid = old_rid;
-  if (!in_place) {
-    // The new image outgrew the slot: logged delete + logged re-append.
-    ELE_RETURN_NOT_OK(wal::LoggedDelete(w, pool_, table_id_, old_rid));
-    ELE_ASSIGN_OR_RETURN(new_rid,
-                         wal::LoggedInsert(w, heap_.get(), table_id_, rec));
-  }
-  ELE_RETURN_NOT_OK(clustered_->Update(ckey, payload));
-  ELE_RETURN_NOT_OK(SecondaryDelete(before, ckey));
-  ELE_RETURN_NOT_OK(SecondaryInsert(after, ckey));
-  rid_map_[ckey] = new_rid;
-  if (ctx.undo != nullptr) {
-    ctx.undo->push_back(
-        UndoEntry{UndoEntry::Kind::kUpdate, this, ckey, old_rid, before, after});
+  const wal::TreeWriter w = Writer(ctx, 0);
+  ELE_RETURN_NOT_OK(clustered_->Update(ckey, payload, &w));
+  for (size_t i = 0; i < secondary_.size(); i++) {
+    std::string old_key, old_value, key, value;
+    ELE_RETURN_NOT_OK(
+        MakeSecondaryEntry(*secondary_[i], before, ckey, &old_key, &old_value));
+    ELE_RETURN_NOT_OK(MakeSecondaryEntry(*secondary_[i], after, ckey, &key, &value));
+    if (key == old_key && value == old_value) continue;
+    const wal::TreeWriter sw = Writer(ctx, static_cast<uint8_t>(i + 1));
+    ELE_RETURN_NOT_OK(secondary_[i]->tree->Delete(old_key, &sw));
+    ELE_RETURN_NOT_OK(secondary_[i]->tree->Insert(key, value, &sw));
   }
   return Status::OK();
 }
 
-Status Table::UndoVolatile(const UndoEntry& e) {
+Status Table::Undo(TreeChange change, uint8_t tree, std::string_view key,
+                   std::string_view before, const wal::TreeWriter& w) {
   obs::AccessScope access(&access_label_);
-  std::string payload;
-  switch (e.kind) {
-    case UndoEntry::Kind::kInsert:
-      ELE_RETURN_NOT_OK(clustered_->Delete(e.ckey));
-      ELE_RETURN_NOT_OK(SecondaryDelete(e.after, e.ckey));
-      rid_map_.erase(e.ckey);
-      row_count_--;
+  BPlusTree* target = tree == 0 ? clustered_.get() : secondary_[tree - 1]->tree.get();
+  switch (change) {
+    case TreeChange::kInserted:
+      ELE_RETURN_NOT_OK(target->Delete(key, &w));
+      if (tree == 0) row_count_--;
       return Status::OK();
-    case UndoEntry::Kind::kDelete:
-      ELE_RETURN_NOT_OK(tuple::Serialize(schema_, e.before, &payload));
-      ELE_RETURN_NOT_OK(clustered_->Insert(e.ckey, payload));
-      ELE_RETURN_NOT_OK(SecondaryInsert(e.before, e.ckey));
-      rid_map_[e.ckey] = e.rid;
-      row_count_++;
+    case TreeChange::kDeleted:
+      ELE_RETURN_NOT_OK(target->Insert(key, before, &w));
+      if (tree == 0) row_count_++;
       return Status::OK();
-    case UndoEntry::Kind::kUpdate:
-      ELE_RETURN_NOT_OK(tuple::Serialize(schema_, e.before, &payload));
-      ELE_RETURN_NOT_OK(clustered_->Update(e.ckey, payload));
-      ELE_RETURN_NOT_OK(SecondaryDelete(e.after, e.ckey));
-      ELE_RETURN_NOT_OK(SecondaryInsert(e.before, e.ckey));
-      rid_map_[e.ckey] = e.rid;
-      return Status::OK();
+    case TreeChange::kUpdated:
+      return target->Update(key, before, &w);
   }
-  return Status::InvalidArgument("unknown undo entry kind");
+  return Status::InvalidArgument("unknown tree change");
 }
 
-Status Table::RebuildFromHeap() {
-  if (heap_ == nullptr) {
-    return Status::FailedPrecondition("table " + name_ + " has no WAL heap");
-  }
+Status Table::CountRows() {
   obs::AccessScope access(&access_label_);
-  struct Ent {
-    std::string ckey, payload;
-    Rid rid;
-  };
-  std::vector<Ent> ents;
-  ELE_ASSIGN_OR_RETURN(TableHeap::Iterator it, heap_->Begin());
-  while (it.Valid()) {
-    Ent e;
-    ELE_RETURN_NOT_OK(UnpackHeapRecord(it.record(), &e.ckey, &e.payload));
-    e.rid = it.rid();
-    ents.push_back(std::move(e));
+  row_count_ = 0;
+  next_seq_ = 0;
+  ELE_ASSIGN_OR_RETURN(BPlusTree::Iterator it,
+                       clustered_->SeekToFirst(AccessIntent::kSequentialScan));
+  for (; it.Valid(); row_count_++) {
+    if (!unique_cluster_) next_seq_ = std::max(next_seq_, TrailingSeq(it.key()) + 1);
     ELE_RETURN_NOT_OK(it.Next());
   }
-  std::sort(ents.begin(), ents.end(),
-            [](const Ent& a, const Ent& b) { return a.ckey < b.ckey; });
-  rid_map_.clear();
-  uint64_t max_seq = 0;
-  for (const Ent& e : ents) {
-    rid_map_[e.ckey] = e.rid;
-    if (!unique_cluster_) max_seq = std::max(max_seq, TrailingSeq(e.ckey) + 1);
-  }
-  size_t i = 0;
-  auto stream = [&](std::string* k, std::string* v) {
-    if (i >= ents.size()) return false;
-    *k = ents[i].ckey;
-    *v = std::move(ents[i].payload);
-    i++;
-    return true;
-  };
-  ELE_ASSIGN_OR_RETURN(BPlusTree tree, BPlusTree::BulkLoad(pool_, stream));
-  *clustered_ = tree;
-  clustered_->SetAccessLabel(&access_label_);
-  row_count_ = ents.size();
-  next_seq_ = unique_cluster_ ? ents.size() : max_seq;
-  for (const auto& idx : secondary_) {
-    ELE_RETURN_NOT_OK(BuildSecondaryFromScan(idx.get()));
-  }
-  stats_.clear();
+  if (unique_cluster_) next_seq_ = row_count_;
   return Status::OK();
 }
 

@@ -2,14 +2,12 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/schema.h"
 #include "common/status.h"
 #include "index/btree.h"
 #include "storage/buffer_pool.h"
-#include "storage/table_heap.h"
 
 namespace elephant {
 
@@ -17,31 +15,16 @@ namespace wal {
 class LogManager;
 }
 
-class Table;
-
-/// One volatile-side undo step, recorded by the Txn write methods. ROLLBACK
-/// replays these in reverse to restore the in-memory structures (clustered
-/// tree, secondary indexes, rid map, row count); the durable heap side is
-/// undone separately by walking the transaction's WAL chain backwards.
-struct UndoEntry {
-  enum class Kind { kInsert, kDelete, kUpdate };
-  Kind kind;
-  Table* table;
-  std::string ckey;  ///< encoded clustering key of the affected row
-  Rid rid;           ///< heap address the row had before this op took effect
-  Row before;        ///< kDelete/kUpdate: the row image to restore
-  Row after;         ///< kInsert/kUpdate: the row image to remove
-};
-
 /// Logging context a transaction threads through every Txn write method.
-/// `last_lsn` is the head of the transaction's WAL chain; `undo` collects
-/// volatile undo steps in op order.
+/// `last_lsn` is the head of the transaction's WAL chain.
 struct TxnWriteContext {
   wal::LogManager* log = nullptr;
   txn_id_t txn_id = kInvalidTxnId;
   lsn_t* last_lsn = nullptr;
-  std::vector<UndoEntry>* undo = nullptr;
 };
+
+/// What a logged tree change did, as undo reverses it.
+enum class TreeChange { kInserted, kDeleted, kUpdated };
 
 /// Per-column statistics gathered by Table::Analyze, consumed by the planner.
 struct ColumnStats {
@@ -81,6 +64,14 @@ class Table {
                                                std::vector<size_t> cluster_cols,
                                                bool unique_cluster = false);
 
+  /// Opens a table whose clustered tree already exists at `root` (the
+  /// reopen path). Row count and sequence counter read zero until
+  /// CountRows.
+  static std::unique_ptr<Table> Open(BufferPool* pool, std::string name,
+                                     Schema schema,
+                                     std::vector<size_t> cluster_cols,
+                                     bool unique_cluster, page_id_t root);
+
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
   const std::vector<size_t>& cluster_cols() const { return cluster_cols_; }
@@ -100,7 +91,7 @@ class Table {
 
   /// Replaces the table's entire contents: fresh clustered tree, bulk-load
   /// of `rows`, secondary indexes rebuilt. The rebuild path for stale
-  /// derived tables (MVs, c-tables); not valid for WAL-heap tables, whose
+  /// derived tables (MVs, c-tables); not valid for logged tables, whose
   /// contents are owned by the log.
   Status ReloadRows(std::vector<Row>&& rows);
 
@@ -111,62 +102,57 @@ class Table {
 
   // --- WAL-mode durable storage -------------------------------------------
   //
-  // In WAL mode every table also owns a TableHeap: the heap is the durable,
-  // log-protected store, while the clustered tree, secondary indexes and rid
-  // map are volatile accelerators rebuilt from the heap on reopen. Heap
-  // records pack the clustering key in front of the serialized row so the
-  // tree can be reconstructed without re-deriving sequence numbers.
+  // In WAL mode a base table's trees are its one durable store: the Txn
+  // write methods log every page change, and the trees reopen from their
+  // checkpointed roots. Each tree is named in the log by the table id and
+  // an ordinal: 0 for the clustered tree, i for secondary index i - 1.
 
-  /// Adopts `heap` as this table's durable store. `table_id` is the stable
-  /// numeric id WAL records carry for this table.
-  void AttachHeap(std::unique_ptr<TableHeap> heap, uint32_t table_id);
-  TableHeap* heap() const { return heap_.get(); }
+  /// Makes this a logged table; `table_id` is the stable numeric id its WAL
+  /// records carry.
+  void EnableLogging(uint32_t table_id) { table_id_ = table_id; }
+  bool logged() const { return table_id_ != 0; }
   uint32_t table_id() const { return table_id_; }
 
-  /// Rebuilds the clustered tree, all secondary indexes, the rid map, the
-  /// row count and the sequence counter from the heap contents (the reopen
-  /// path after crash recovery). Requires an attached heap.
-  Status RebuildFromHeap();
+  /// Recomputes the row count and the sequence counter with one walk of
+  /// the clustered leaves (the reopen path, after recovery).
+  Status CountRows();
 
-  /// Packs / unpacks a heap record: [u16 cklen][ckey][serialized row].
-  static std::string PackHeapRecord(const std::string& ckey,
-                                    const std::string& payload);
-  static Status UnpackHeapRecord(std::string_view record, std::string* ckey,
-                                 std::string* payload);
-
-  /// Transactional insert: WAL-logs a heap append, then maintains the
-  /// volatile structures and records an undo entry. Requires an attached
-  /// heap (WAL mode only). `ckey` as for Insert.
+  /// Transactional insert into the clustered tree and every secondary
+  /// index, each change logged. Requires a logged table. `ckey` as for
+  /// Insert.
   Status InsertTxn(const Row& row, const TxnWriteContext& ctx,
                    std::string* ckey = nullptr);
 
   /// Transactional delete of the row with encoded clustering key `ckey`
   /// (callers pass the deserialized row so secondary entries can be
-  /// recomputed without a heap read).
+  /// recomputed without a read).
   Status DeleteRowTxn(const std::string& ckey, const Row& row,
                       const TxnWriteContext& ctx);
 
-  /// Transactional in-place update keeping the same clustering key (cluster
-  /// columns unchanged — the engine decomposes key-changing updates into
-  /// delete + insert). Tries a logged in-place heap rewrite; falls back to
-  /// logged delete + append when the new image no longer fits the slot.
+  /// Transactional update keeping the same clustering key (cluster columns
+  /// unchanged — the engine decomposes key-changing updates into delete +
+  /// insert). Secondary entries are rewritten only where they change.
   Status UpdateRowTxn(const std::string& ckey, const Row& before,
                       const Row& after, const TxnWriteContext& ctx);
 
-  /// Reverses one undo entry against the volatile structures (tree,
-  /// secondaries, rid map, row count). The heap is NOT touched — the WAL
-  /// chain walk handles the durable side.
-  Status UndoVolatile(const UndoEntry& e);
-
-  /// Heap address of the row with the given clustering key (kInvalidPageId
-  /// page when unknown / non-WAL mode).
-  Rid RidFor(const std::string& ckey) const;
+  /// Logical undo of one logged change to tree `tree`, found again by its
+  /// exact key (keys are unique): an insert is deleted, a delete
+  /// re-inserted with `before`, an update restored to `before`. `w` makes
+  /// the change a CLR. Shared by runtime ROLLBACK and recovery undo.
+  /// `tree` must name an existing tree (0 clustered, i secondary i - 1).
+  Status Undo(TreeChange change, uint8_t tree, std::string_view key,
+              std::string_view before, const wal::TreeWriter& w);
 
   /// Creates a covering secondary index over the current contents
   /// (bulk-built). Maintained by subsequent Insert calls.
   Status CreateSecondaryIndex(const std::string& index_name,
                               std::vector<size_t> key_cols,
                               std::vector<size_t> include_cols);
+
+  /// Attaches an existing secondary index tree at `root` (the reopen path).
+  void OpenSecondaryIndex(const std::string& index_name,
+                          std::vector<size_t> key_cols,
+                          std::vector<size_t> include_cols, page_id_t root);
 
   const std::vector<std::unique_ptr<SecondaryIndex>>& secondary_indexes() const {
     return secondary_;
@@ -237,15 +223,18 @@ class Table {
         unique_cluster_(unique_cluster) {}
 
   std::string EncodeClusteredKey(const Row& row, uint64_t seq) const;
+  /// The writer for tree `tree` of this table under `ctx`.
+  wal::TreeWriter Writer(const TxnWriteContext& ctx, uint8_t tree) const;
+  /// A secondary index's definition, without its tree.
+  std::unique_ptr<SecondaryIndex> DefineIndex(const std::string& index_name,
+                                              std::vector<size_t> key_cols,
+                                              std::vector<size_t> include_cols) const;
   /// Builds the entry for `idx` from a row and its full clustered key.
   Status MakeSecondaryEntry(const SecondaryIndex& idx, const Row& row,
                             const std::string& ckey, std::string* key,
                             std::string* value) const;
   /// (Re)builds `idx->tree` from a full clustered scan (bulk load).
   Status BuildSecondaryFromScan(SecondaryIndex* idx);
-  /// Inserts/removes the row's entries in every secondary index.
-  Status SecondaryInsert(const Row& row, const std::string& ckey);
-  Status SecondaryDelete(const Row& row, const std::string& ckey);
 
   BufferPool* pool_;
   std::string name_;
@@ -260,11 +249,7 @@ class Table {
   uint64_t row_count_ = 0;
   uint64_t next_seq_ = 0;
   std::vector<ColumnStats> stats_;
-  /// WAL mode only: the durable heap, this table's WAL id, and the
-  /// clustering-key → heap-address map the Txn write methods maintain.
-  std::unique_ptr<TableHeap> heap_;
-  uint32_t table_id_ = 0;
-  std::unordered_map<std::string, Rid> rid_map_;
+  uint32_t table_id_ = 0;  ///< WAL id of a logged table; 0 = unlogged
 };
 
 /// Decodes the payload of a secondary-index entry.

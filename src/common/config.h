@@ -11,16 +11,8 @@ constexpr uint32_t kPageSize = 8192;
 using page_id_t = int32_t;
 constexpr page_id_t kInvalidPageId = -1;
 
-/// Slot number within a slotted page.
+/// Cell position within a page.
 using slot_id_t = uint16_t;
-
-/// Record identifier: physical address of a tuple in a heap.
-struct Rid {
-  page_id_t page_id = kInvalidPageId;
-  slot_id_t slot = 0;
-
-  bool operator==(const Rid& o) const { return page_id == o.page_id && slot == o.slot; }
-};
 
 /// Default buffer pool capacity in pages (64 MiB at 8 KiB pages).
 constexpr uint32_t kDefaultBufferPoolPages = 8192;

@@ -15,7 +15,6 @@ const char* LockRankName(LockRank rank) {
     case LockRank::kCatalog: return "kCatalog";
     case LockRank::kTxnManager: return "kTxnManager";
     case LockRank::kTxnLockManager: return "kTxnLockManager";
-    case LockRank::kTableHeap: return "kTableHeap";
     case LockRank::kBufferPool: return "kBufferPool";
     case LockRank::kLogManager: return "kLogManager";
     case LockRank::kDiskManager: return "kDiskManager";

@@ -20,7 +20,6 @@
 //   kCatalog (300)                catalog/catalog.h    derived-table change log
 //     -> kTxnManager (350)        txn/transaction_manager.h  txn stats/ids
 //       -> kTxnLockManager (400)  txn/lock_manager.h   table lock queues
-//         -> kTableHeap (450)     reserved (heaps lock via the pool)
 //           -> kBufferPool (500)  storage/buffer_pool.h  frame table latch
 //             -> kLogManager (550)   wal/log_manager.h  WAL buffer + tail
 //               -> kDiskManager (600) storage/disk_manager.h  page store
@@ -54,7 +53,6 @@ enum class LockRank : int {
   kCatalog = 300,  ///< catalog/catalog.h: derived-table change tracking
   kTxnManager = 350,
   kTxnLockManager = 400,
-  kTableHeap = 450,  ///< reserved: heaps synchronize via the buffer pool
   kBufferPool = 500,
   kLogManager = 550,
   kDiskManager = 600,

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
-#include <set>
 
 #include "exec/expression.h"
 #include "obs/json.h"
@@ -144,8 +143,8 @@ void Database::InitWalMachinery() {
   disk_->AllocatePage();
   log_ = std::make_unique<wal::LogManager>(disk_.get());
   lock_mgr_ = std::make_unique<txn::LockManager>();
-  txn_mgr_ = std::make_unique<txn::TransactionManager>(log_.get(), pool_.get(),
-                                                       lock_mgr_.get());
+  txn_mgr_ = std::make_unique<txn::TransactionManager>(
+      log_.get(), catalog_.get(), lock_mgr_.get());
   catalog_->EnableWalStorage();
   // The WAL rule: a dirty page may reach disk only after the log covering
   // its last mutation is durable.
@@ -162,7 +161,7 @@ Result<std::unique_ptr<Database>> Database::Reopen(DatabaseOptions options,
       std::make_unique<wal::LogManager>(db->disk_.get(), std::move(image.log));
   db->lock_mgr_ = std::make_unique<txn::LockManager>();
   db->txn_mgr_ = std::make_unique<txn::TransactionManager>(
-      db->log_.get(), db->pool_.get(), db->lock_mgr_.get());
+      db->log_.get(), db->catalog_.get(), db->lock_mgr_.get());
   db->catalog_->EnableWalStorage();
   db->pool_->SetWalFlushCallback(
       [log = db->log_.get()](lsn_t lsn) { return log->FlushUntil(lsn); });
@@ -192,10 +191,19 @@ Result<std::unique_ptr<Database>> Database::Reopen(DatabaseOptions options,
       catalog_blob.assign(page.get() + 16, blob_len);
     }
   }
-  ELE_RETURN_NOT_OK(wal::Recover(db->log_.get(), db->pool_.get(),
-                                 checkpoint_lsn, &db->recovery_stats_));
+  // The catalog opens every logged tree at its checkpointed root, ready for
+  // recovery: redo brings the pages to the crash point, and undo finds the
+  // losers' changes by key through those trees. Every page id the log
+  // names was allocated before the crash and survives in the image, so the
+  // pages the catalog allocates for derived tables cannot collide.
   if (!catalog_blob.empty()) {
     ELE_RETURN_NOT_OK(db->catalog_->DeserializeFrom(catalog_blob));
+  }
+  ELE_RETURN_NOT_OK(
+      db->txn_mgr_->Recover(checkpoint_lsn, &db->recovery_stats_));
+  for (const std::string& name : db->catalog_->TableNames()) {
+    ELE_ASSIGN_OR_RETURN(Table * table, db->catalog_->GetTable(name));
+    if (table->logged()) ELE_RETURN_NOT_OK(table->CountRows());
   }
   // Derived tables (MVs, c-tables) are never logged; their owners re-attach
   // rebuild hooks and the next read recomputes them from the bases.
@@ -456,7 +464,6 @@ Status Database::RegisterSystemTables() {
         Column("durable_lsn", TypeId::kInt64),
         Column("checkpoint_lsn", TypeId::kInt64),
         Column("recovery_redo_applied", TypeId::kInt64),
-        Column("recovery_redo_skipped", TypeId::kInt64),
         Column("recovery_loser_txns", TypeId::kInt64),
         Column("recovery_clrs_written", TypeId::kInt64),
         Column("recovery_torn_tail", TypeId::kInt64),
@@ -477,7 +484,6 @@ Status Database::RegisterSystemTables() {
                   i64(ws.durable_lsn),
                   i64(ws.checkpoint_lsn),
                   i64(recovery_stats_.redo_applied),
-                  i64(recovery_stats_.redo_skipped),
                   i64(recovery_stats_.loser_txns),
                   i64(recovery_stats_.clrs_written),
                   i64(recovery_stats_.torn_tail ? 1 : 0),
@@ -1161,8 +1167,25 @@ Result<QueryResult> Database::ExecuteStatement(const std::string& sql,
         if (idx < 0) return Status::BindError("unknown INCLUDE column " + name);
         includes.push_back(static_cast<size_t>(idx));
       }
-      ELE_RETURN_NOT_OK(table->CreateSecondaryIndex(ci.index_name, keys, includes));
-      if (log_ != nullptr) ELE_RETURN_NOT_OK(Checkpoint());
+      if (log_ == nullptr) {
+        ELE_RETURN_NOT_OK(table->CreateSecondaryIndex(ci.index_name, keys, includes));
+        return QueryResult{};
+      }
+      // The build waits out the table's writers: an uncommitted change it
+      // copied into the new tree would be left there by the rollback,
+      // whose log records name only the trees that existed. The lock is
+      // held until the checkpoint has put the index in the durable catalog,
+      // so no change to the new tree is logged before recovery can find it.
+      const txn_id_t locker = next_read_locker_.fetch_add(1);
+      Status built = lock_mgr_->Acquire(locker, table->name(),
+                                        txn::LockManager::Mode::kExclusive,
+                                        options_.lock_timeout_seconds);
+      if (built.ok()) {
+        built = table->CreateSecondaryIndex(ci.index_name, keys, includes);
+      }
+      if (built.ok()) built = Checkpoint();
+      lock_mgr_->ReleaseAll(locker);
+      ELE_RETURN_NOT_OK(built);
       return QueryResult{};
     }
   }
@@ -1204,16 +1227,13 @@ Status Database::AbortTxn(txn::Transaction* t, const std::string& sql,
 }
 
 Status Database::RollbackTxn(txn::Transaction* t) {
-  std::set<std::string> inserted, changed;
-  for (const UndoEntry& u : t->undo) {
-    (u.kind == UndoEntry::Kind::kInsert ? inserted : changed)
-        .insert(u.table->name());
-  }
   // Before the rollback releases t's exclusive base locks: until then no
   // other writer can append after t's rows and no refresh can be reading
-  // them. The log update does not depend on the heap undo.
-  for (const std::string& name : inserted) catalog_->DiscardInserts(name, t->id());
-  for (const std::string& name : changed) catalog_->MarkDependentsStale(name);
+  // them. The insert log does not depend on the tree undo.
+  for (const std::string& name : t->inserted_into) {
+    catalog_->DiscardInserts(name, t->id());
+  }
+  for (const std::string& name : t->changed) catalog_->MarkDependentsStale(name);
   return txn_mgr_->Rollback(t);
 }
 
@@ -1404,7 +1424,8 @@ Result<QueryResult> Database::ExecuteDml(const Statement& stmt,
 Result<uint64_t> Database::RunInsert(const InsertStmt& ins, Table* table,
                                      txn::Transaction* t) {
   const Schema& schema = table->schema();
-  TxnWriteContext ctx{log_.get(), t->id(), &t->last_lsn, &t->undo};
+  t->inserted_into.insert(table->name());
+  TxnWriteContext ctx{log_.get(), t->id(), &t->last_lsn};
   std::vector<std::pair<std::string, Row>> inserted;
   inserted.reserve(ins.rows.size());
   for (const auto& row_exprs : ins.rows) {
@@ -1444,7 +1465,8 @@ Result<uint64_t> Database::RunDelete(const DeleteStmt& del, Table* table,
       ELE_RETURN_NOT_OK(it.Next());
     }
   }
-  TxnWriteContext ctx{log_.get(), t->id(), &t->last_lsn, &t->undo};
+  t->changed.insert(table->name());
+  TxnWriteContext ctx{log_.get(), t->id(), &t->last_lsn};
   for (auto& [ckey, row] : victims) {
     ELE_RETURN_NOT_OK(table->DeleteRowTxn(ckey, row, ctx));
   }
@@ -1492,14 +1514,22 @@ Result<uint64_t> Database::RunUpdate(const UpdateStmt& upd, Table* table,
       ELE_RETURN_NOT_OK(it.Next());
     }
   }
-  TxnWriteContext ctx{log_.get(), t->id(), &t->last_lsn, &t->undo};
+  t->changed.insert(table->name());
+  TxnWriteContext ctx{log_.get(), t->id(), &t->last_lsn};
   for (auto& [ckey, before] : victims) {
     Row after = before;
     for (const SetTarget& st : sets) {
       ELE_ASSIGN_OR_RETURN(Value v, st.expr->Eval(before));
-      if (v.type() != schema.ColumnAt(st.col).type && !v.is_null()) {
-        auto cast = v.CastTo(schema.ColumnAt(st.col).type);
-        if (cast.ok()) v = std::move(cast).value();
+      const Column& column = schema.ColumnAt(st.col);
+      if (v.type() != column.type && !v.is_null()) {
+        // As for INSERT (LiteralRow): a value the column cannot hold fails
+        // the statement, which rolls it back, instead of being stored.
+        auto cast = v.CastTo(column.type);
+        if (!cast.ok()) {
+          return Status::InvalidArgument("UPDATE SET " + column.name + ": " +
+                                         cast.status().message());
+        }
+        v = std::move(cast).value();
       }
       after[st.col] = std::move(v);
     }

@@ -95,9 +95,10 @@ struct DatabaseOptions {
   /// *global* pin count, so it is only valid for single-stream use — a
   /// concurrent session mid-scan legitimately holds pins. Tests enable it.
   bool check_pin_invariants = false;
-  /// Transactional write path: WAL-log every DML, give each base table a
-  /// durable heap, enforce the WAL rule in the buffer pool, and accept
-  /// BEGIN/COMMIT/ROLLBACK/CHECKPOINT plus DELETE/UPDATE. Off by default —
+  /// Transactional write path: each base table's B+-trees (clustered and
+  /// secondary) become its one durable store, every DML page change is
+  /// WAL-logged, the buffer pool enforces the WAL rule, and BEGIN/COMMIT/
+  /// ROLLBACK/CHECKPOINT plus DELETE/UPDATE are accepted. Off by default —
   /// the read-only experiments keep the original unlogged engine.
   bool wal_enabled = false;
   /// Table-lock wait budget. A wait exceeding it aborts the transaction

@@ -1,10 +1,11 @@
 #include "index/btree.h"
 
+#include <algorithm>
 #include <cstring>
 #include <deque>
 #include <vector>
 
-#include "index/btree_node.h"
+#include "storage/btree_node.h"
 
 namespace elephant {
 
@@ -42,156 +43,151 @@ Result<page_id_t> BPlusTree::FindLeaf(
   }
 }
 
-Status BPlusTree::SplitNode(page_id_t pid, std::string* separator,
-                            page_id_t* new_pid, int* split_index) {
-  ELE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPageGuarded(pid));
-  BTreeNode node(guard.data());
+namespace {
+
+/// Split index m of an overfull node: the left half keeps about half of
+/// its live bytes, and each half at least one cell.
+int SplitPoint(BTreeNode& node) {
   const int count = node.Count();
-  if (count < 2) {
-    return Status::Internal("split of node with <2 cells");
-  }
-  // Choose split index m so the left half holds ~half of the live bytes.
   const uint32_t half = node.LiveBytes() / 2;
   uint32_t acc = 0;
   int m = 0;
   for (; m < count - 1; m++) {
     acc += BTreeNode::CellBytes(node.KeyAt(m).size(), node.ValueAt(m).size());
-    if (acc >= half && m + 1 >= 1) break;
+    if (acc >= half) break;
   }
-  if (m == 0) m = 1;
-  if (m >= count) m = count - 1;
+  return std::clamp(m, 1, count - 1);
+}
 
-  page_id_t right_pid;
-  // On allocation failure, `guard` unpins the left node automatically (the
-  // manual error-path cleanup this function used to carry).
-  ELE_ASSIGN_OR_RETURN(PageGuard right_guard, pool_->NewPageGuarded(&right_pid));
-  BTreeNode right(right_guard.data());
-
+/// Splits `node` at m into itself and the empty page `right` (`right_pid`).
+/// A leaf keeps cells [0,m) and moves [m,count) right; an internal node
+/// keeps [0,m), moves (m,count) right and drops cell m, whose key the
+/// caller posts to the parent as the separator.
+void SplitNode(BTreeNode& node, BTreeNode& right, page_id_t right_pid, int m) {
+  const int count = node.Count();
   if (node.IsLeaf()) {
     right.Init(BTreeNode::kLeaf);
-    *separator = std::string(node.KeyAt(m));
     for (int i = m; i < count; i++) {
       right.InsertCell(i - m, node.KeyAt(i), node.ValueAt(i));
     }
     right.SetLink(node.Link());
-    // Truncate left to [0, m) and reclaim space.
-    node.PutU16(1, static_cast<uint16_t>(m));
-    node.Compact();
     node.SetLink(right_pid);
   } else {
     right.Init(BTreeNode::kInternal);
-    *separator = std::string(node.KeyAt(m));
     right.SetLink(node.ChildCellAt(m));  // separator's child becomes leftmost
     for (int i = m + 1; i < count; i++) {
       right.InsertCell(i - m - 1, node.KeyAt(i), node.ValueAt(i));
     }
-    node.PutU16(1, static_cast<uint16_t>(m));
-    node.Compact();
   }
-  right_guard.MarkDirty();
-  guard.MarkDirty();
-  *new_pid = right_pid;
-  *split_index = m;
+  node.Truncate(m);
+}
+
+}  // namespace
+
+Status BPlusTree::Split(page_id_t leaf_pid,
+                        std::vector<std::pair<page_id_t, int>> path,
+                        const wal::TreeWriter* w) {
+  // First pin every page the split changes, walking up while the parent
+  // cannot take the separator, and allocate the new pages. Nothing changes
+  // yet: a failure here leaves the tree as it was.
+  struct Level {
+    PageGuard node;     ///< the overfull node
+    int m;              ///< its split index
+    int child_idx;      ///< where the separator from the level below goes
+    PageGuard right;    ///< the new right half
+  };
+  std::vector<Level> levels;
+  PageGuard parent;  // the node that takes the last separator; none: the root splits
+  int parent_idx = 0;
+  int child_idx = 0;
+  ELE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPageGuarded(leaf_pid));
+  while (true) {
+    BTreeNode node(guard.data());
+    if (node.Count() < 2) return Status::Internal("split of node with <2 cells");
+    const int m = SplitPoint(node);
+    const uint32_t need = BTreeNode::CellBytes(node.KeyAt(m).size(), 4);
+    levels.push_back(Level{std::move(guard), m, child_idx, PageGuard()});
+    if (path.empty()) break;
+    const auto [pid, idx] = path.back();
+    path.pop_back();
+    ELE_ASSIGN_OR_RETURN(guard, pool_->FetchPageGuarded(pid));
+    if (need <= BTreeNode(guard.data()).TotalFree()) {
+      parent = std::move(guard);
+      parent_idx = idx;
+      break;
+    }
+    child_idx = idx;
+  }
+  for (Level& level : levels) {
+    page_id_t pid;
+    ELE_ASSIGN_OR_RETURN(level.right, pool_->NewPageGuarded(&pid));
+  }
+  PageGuard new_left;
+  if (!parent.valid()) {
+    page_id_t pid;
+    ELE_ASSIGN_OR_RETURN(new_left, pool_->NewPageGuarded(&pid));
+  }
+
+  // Then split bottom-up; nothing below can fail. Each level above the leaf
+  // takes the separator from the level below into the half its pre-split
+  // position falls in (positional, so duplicate keys stay ordered).
+  std::vector<PageGuard*> rewrote;
+  std::string separator;
+  page_id_t new_child = kInvalidPageId;
+  for (Level& level : levels) {
+    BTreeNode node(level.node.data());
+    BTreeNode right(level.right.data());
+    std::string promoted(node.KeyAt(level.m));
+    SplitNode(node, right, level.right.page_id(), level.m);
+    if (new_child != kInvalidPageId) {
+      const bool left = level.child_idx <= level.m;
+      BTreeNode& half = left ? node : right;
+      half.InsertCell(left ? level.child_idx : level.child_idx - level.m - 1,
+                      separator, ChildValue(new_child));
+    }
+    separator = std::move(promoted);
+    new_child = level.right.page_id();
+    rewrote.push_back(&level.node);
+    rewrote.push_back(&level.right);
+  }
+  if (!parent.valid()) {
+    // The root page stays put: its cells (the left half) move to a new
+    // child, and it becomes the internal node over that child and the new
+    // right half. So a tree's root never changes, and the catalog names a
+    // logged tree's root once, at the checkpoint.
+    PageGuard& root = levels.back().node;
+    std::memcpy(new_left.data(), root.data(), kPageSize);
+    BTreeNode node(root.data());
+    node.Init(BTreeNode::kInternal);
+    node.SetLink(new_left.page_id());
+    node.InsertCell(0, separator, ChildValue(new_child));
+    rewrote.push_back(&new_left);
+  }
+  wal::LogSplit(w, rewrote, parent.valid() ? &parent : nullptr, parent_idx,
+                separator, ChildValue(new_child));
   return Status::OK();
 }
 
-Status BPlusTree::InsertIntoParent(std::vector<std::pair<page_id_t, int>>& path,
-                                   std::string separator, page_id_t new_child) {
-  while (true) {
-    if (path.empty()) {
-      // Root split: create a new internal root.
-      page_id_t new_root;
-      ELE_ASSIGN_OR_RETURN(PageGuard guard, pool_->NewPageGuarded(&new_root));
-      BTreeNode node(guard.data());
-      node.Init(BTreeNode::kInternal);
-      node.SetLink(root_);
-      node.InsertCell(0, separator, ChildValue(new_child));
-      guard.MarkDirty();
-      root_ = new_root;
-      return Status::OK();
-    }
-    auto [pid, child_idx] = path.back();
-    path.pop_back();
-    {
-      ELE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPageGuarded(pid));
-      BTreeNode node(guard.data());
-      const std::string child_value = ChildValue(new_child);
-      const uint32_t need =
-          BTreeNode::CellBytes(separator.size(), child_value.size());
-      if (need <= node.ContiguousFree() || need <= node.TotalFree()) {
-        if (need > node.ContiguousFree()) node.Compact();
-        node.InsertCell(child_idx, separator, child_value);
-        guard.MarkDirty();
-        return Status::OK();
-      }
-    }  // parent overfull: drop the pin before splitting it
-    // Split the parent, insert into the proper half by *position*
-    // (duplicate-safe), and continue propagating its separator upward.
-    std::string parent_sep;
-    page_id_t parent_right;
-    int m;
-    ELE_RETURN_NOT_OK(SplitNode(pid, &parent_sep, &parent_right, &m));
-    // Pre-split coordinates: cell position child_idx. Internal split keeps
-    // cells [0,m) left, promotes m, moves (m,count) right (right cell i maps
-    // to pre-split cell m+1+i).
-    page_id_t target = child_idx <= m ? pid : parent_right;
-    int idx = child_idx <= m ? child_idx : child_idx - m - 1;
-    const std::string child_value = ChildValue(new_child);
-    ELE_ASSIGN_OR_RETURN(PageGuard tguard, pool_->FetchPageGuarded(target));
-    BTreeNode tnode(tguard.data());
-    if (BTreeNode::CellBytes(separator.size(), child_value.size()) >
-        tnode.ContiguousFree()) {
-      tnode.Compact();
-    }
-    tnode.InsertCell(idx, separator, child_value);
-    tguard.MarkDirty();
-    separator = std::move(parent_sep);
-    new_child = parent_right;
-  }
-}
-
-Status BPlusTree::Insert(std::string_view key, std::string_view value) {
+Status BPlusTree::Insert(std::string_view key, std::string_view value,
+                         const wal::TreeWriter* w) {
   obs::AccessScope access(access_label_);
   if (key.size() + value.size() > kMaxCellPayload) {
     return Status::InvalidArgument("btree entry exceeds max payload");
   }
-  std::vector<std::pair<page_id_t, int>> path;
-  ELE_ASSIGN_OR_RETURN(page_id_t leaf_pid, FindLeaf(key, &path));
   const uint32_t need = BTreeNode::CellBytes(key.size(), value.size());
-  int pos;
-  {
-    ELE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPageGuarded(leaf_pid));
-    BTreeNode leaf(guard.data());
-    pos = leaf.LowerBound(key);
-    if (need <= leaf.ContiguousFree()) {
-      leaf.InsertCell(pos, key, value);
-      guard.MarkDirty();
-      return Status::OK();
-    }
-    if (need <= leaf.TotalFree()) {
-      leaf.Compact();
-      leaf.InsertCell(pos, key, value);
-      guard.MarkDirty();
-      return Status::OK();
-    }
-  }  // leaf overfull: drop the pin before splitting
-  // Split, insert into the proper half by pre-split position
-  // (duplicate-safe), fix ancestors. Leaf split keeps cells [0,m) left and
-  // moves [m,count) right.
-  std::string separator;
-  page_id_t right_pid;
-  int m;
-  ELE_RETURN_NOT_OK(SplitNode(leaf_pid, &separator, &right_pid, &m));
-  page_id_t target = pos <= m ? leaf_pid : right_pid;
-  int idx = pos <= m ? pos : pos - m;
-  {
-    ELE_ASSIGN_OR_RETURN(PageGuard tguard, pool_->FetchPageGuarded(target));
-    BTreeNode tnode(tguard.data());
-    if (need > tnode.ContiguousFree()) tnode.Compact();
-    tnode.InsertCell(idx, key, value);
-    tguard.MarkDirty();
+  while (true) {
+    std::vector<std::pair<page_id_t, int>> path;
+    ELE_ASSIGN_OR_RETURN(page_id_t leaf_pid, FindLeaf(key, &path));
+    {
+      ELE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPageGuarded(leaf_pid));
+      BTreeNode leaf(guard.data());
+      if (need <= leaf.TotalFree()) {
+        wal::InsertCell(w, &guard, leaf.LowerBound(key), key, value);
+        return Status::OK();
+      }
+    }  // leaf overfull: drop the pin, split it, and descend again
+    ELE_RETURN_NOT_OK(Split(leaf_pid, std::move(path), w));
   }
-  return InsertIntoParent(path, std::move(separator), right_pid);
 }
 
 namespace {
@@ -229,33 +225,29 @@ Result<std::string> BPlusTree::Get(std::string_view key) const {
   return std::string(node.ValueAt(at.pos));
 }
 
-Status BPlusTree::Delete(std::string_view key) {
+Status BPlusTree::Delete(std::string_view key, const wal::TreeWriter* w) {
   obs::AccessScope access(access_label_);
   ELE_ASSIGN_OR_RETURN(page_id_t leaf_pid, FindLeaf(key, nullptr));
   ELE_ASSIGN_OR_RETURN(ExactPos at, LocateExact(pool_, key, leaf_pid));
   ELE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPageGuarded(at.leaf));
-  BTreeNode node(guard.data());
-  node.RemoveCell(at.pos);
-  guard.MarkDirty();
+  wal::RemoveCell(w, &guard, at.pos);
   return Status::OK();
 }
 
-Status BPlusTree::Update(std::string_view key, std::string_view value) {
+Status BPlusTree::Update(std::string_view key, std::string_view value,
+                         const wal::TreeWriter* w) {
   obs::AccessScope access(access_label_);
   ELE_ASSIGN_OR_RETURN(page_id_t leaf_pid, FindLeaf(key, nullptr));
   ELE_ASSIGN_OR_RETURN(ExactPos at, LocateExact(pool_, key, leaf_pid));
   {
     ELE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPageGuarded(at.leaf));
-    BTreeNode node(guard.data());
-    if (node.ValueAt(at.pos).size() == value.size()) {
-      node.SetValueInPlace(at.pos, value);
-      guard.MarkDirty();
+    if (BTreeNode(guard.data()).ValueAt(at.pos).size() == value.size()) {
+      wal::SetValue(w, &guard, at.pos, value);
       return Status::OK();
     }
-    node.RemoveCell(at.pos);
-    guard.MarkDirty();
+    wal::RemoveCell(w, &guard, at.pos);
   }  // drop the pin before re-inserting (Insert may split this leaf)
-  return Insert(key, value);
+  return Insert(key, value, w);
 }
 
 Status BPlusTree::Iterator::LoadCell() {

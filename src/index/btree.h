@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "obs/heatmap.h"
 #include "storage/buffer_pool.h"
+#include "wal/tree_ops.h"
 
 namespace elephant {
 
@@ -23,6 +24,14 @@ namespace elephant {
 /// in a real row-store.
 ///
 /// Deletions do not rebalance (read-mostly engine); pages may stay underfull.
+///
+/// Every write takes an optional wal::TreeWriter. With one, the tree is a
+/// logged, durable store: each page change goes through the wal:: tree
+/// helpers, and each split reaches the log as one record. Without one the
+/// tree is unlogged. Either way a root split keeps the root page where it
+/// is (its cells move into two new children), so a tree's root never
+/// changes and the catalog names a logged tree's root once, at the
+/// checkpoint.
 class BPlusTree {
  public:
   /// Creates an empty tree (root = single empty leaf).
@@ -40,13 +49,16 @@ class BPlusTree {
                                     double fill_fraction = 0.95);
 
   /// Inserts an entry. key.size()+value.size() must be <= kMaxCellPayload.
-  Status Insert(std::string_view key, std::string_view value);
+  Status Insert(std::string_view key, std::string_view value,
+                const wal::TreeWriter* w = nullptr);
 
   /// Removes the first entry with exactly this key (NotFound if absent).
-  Status Delete(std::string_view key);
+  Status Delete(std::string_view key, const wal::TreeWriter* w = nullptr);
 
-  /// Replaces the value of the first entry with exactly this key.
-  Status Update(std::string_view key, std::string_view value);
+  /// Replaces the value of the first entry with exactly this key: in place
+  /// when the size is unchanged, else as a delete and an insert.
+  Status Update(std::string_view key, std::string_view value,
+                const wal::TreeWriter* w = nullptr);
 
   /// Returns the value of the first entry with exactly this key.
   Result<std::string> Get(std::string_view key) const;
@@ -138,18 +150,11 @@ class BPlusTree {
   Result<page_id_t> FindLeaf(std::string_view key,
                              std::vector<std::pair<page_id_t, int>>* path) const;
 
-  /// Splits the given overfull node; returns the separator key, the new
-  /// (right) page and the split index `m` in pre-split cell coordinates
-  /// (leaves keep cells [0,m) left / [m,count) right; internal nodes keep
-  /// [0,m) left, promote cell m, and move (m,count) right). The caller
-  /// inserts the separator into the parent. Positional routing (rather than
-  /// key comparison) keeps duplicate keys correctly ordered.
-  Status SplitNode(page_id_t pid, std::string* separator, page_id_t* new_pid,
-                   int* split_index);
-
-  /// Inserts (separator,new_child) into the parent chain after a child split.
-  Status InsertIntoParent(std::vector<std::pair<page_id_t, int>>& path,
-                          std::string separator, page_id_t new_child);
+  /// Splits the overfull leaf `leaf_pid` reached by `path`, and each
+  /// ancestor the separator does not fit in, as one logged change
+  /// (wal::LogSplit). A root split keeps the root page where it is.
+  Status Split(page_id_t leaf_pid, std::vector<std::pair<page_id_t, int>> path,
+               const wal::TreeWriter* w);
 
   BufferPool* pool_ = nullptr;
   page_id_t root_ = kInvalidPageId;

@@ -13,6 +13,8 @@ namespace {
 
 thread_local const std::string* t_access_label = nullptr;
 
+}  // namespace
+
 void AppendObjectJson(const ObjectIoStats& s, const DiskModel& model,
                       JsonWriter* w) {
   w->BeginObject();
@@ -25,8 +27,6 @@ void AppendObjectJson(const ObjectIoStats& s, const DiskModel& model,
   w->Key("io_ms").Double(s.ModeledReadSeconds(model) * 1e3);
   w->EndObject();
 }
-
-}  // namespace
 
 const std::string& UnattributedLabel() {
   static const std::string label = "(unattributed)";

@@ -104,6 +104,15 @@ class AccessHeatmap {
   std::map<std::string, ObjectIoStats> objects_ GUARDED_BY(mu_);
 };
 
+class JsonWriter;
+
+/// Writes one object's counters as a JSON object — {pool_hits,
+/// pool_faults, sequential_reads, random_reads, prefetch_hits, page_writes,
+/// io_ms} with io_ms modeled by `model` — the one writer of per-object I/O
+/// JSON (the heatmap document and the bench telemetry both use it).
+void AppendObjectJson(const ObjectIoStats& s, const DiskModel& model,
+                      JsonWriter* w);
+
 /// Per-object difference `after - before` of two Snapshot() results (objects
 /// with no traffic in between are omitted) — how benches attribute one
 /// strategy's I/O when the heatmap has been accumulating engine-lifetime.

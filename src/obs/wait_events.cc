@@ -79,8 +79,8 @@ WaitEventId WaitEventForRank(LockRank rank) {
     default:
       break;
   }
-  // Observability leaves all rank 700+; everything else (catalog, table
-  // heaps, fault injector, unranked) folds into Other.
+  // Observability leaves all rank 700+; everything else (catalog, fault
+  // injector, unranked) folds into Other.
   return static_cast<int>(rank) >= 700 ? WaitEventId::kLWLockObservability
                                        : WaitEventId::kLWLockOther;
 }

@@ -1,4 +1,4 @@
-#include "index/btree_node.h"
+#include "storage/btree_node.h"
 
 #include <cstring>
 #include <vector>

@@ -70,11 +70,16 @@ class BTreeNode {
   /// Rewrites all cells to eliminate fragmentation.
   void Compact();
 
+  /// Keeps cells [0, m) and compacts: a split's left half.
+  void Truncate(int m) {
+    PutU16(1, static_cast<uint16_t>(m));
+    Compact();
+  }
+
   /// Bytes of cell data + slots currently live (used by split balancing).
   uint32_t LiveBytes() const;
 
  private:
-  friend class BPlusTree;
   uint16_t GetU16(uint32_t off) const {
     return static_cast<uint16_t>(static_cast<unsigned char>(data_[off]) |
                                  (static_cast<unsigned char>(data_[off + 1]) << 8));

@@ -91,7 +91,7 @@ class FaultInjector {
   /// plan (the platter is intact, only new durability is lost); they fail
   /// only while `FailReads(true)` is armed — a dying disk surface. Exists so
   /// tests can force failures on paths that only read (e.g. rollback undo
-  /// re-fetching an evicted heap page) and prove those errors are surfaced.
+  /// re-fetching an evicted tree page) and prove those errors are surfaced.
   bool OnPageRead() {
     MutexLock lock(mu_);
     return !fail_reads_;

@@ -1,9 +1,8 @@
 #pragma once
 
+#include <set>
 #include <string>
-#include <vector>
 
-#include "catalog/table.h"
 #include "common/config.h"
 
 namespace elephant::txn {
@@ -21,10 +20,9 @@ enum class TxnState {
 
 const char* TxnStateName(TxnState s);
 
-/// One transaction. The heap (durable) side of its write set lives in the
-/// WAL as a backward prev_lsn chain headed by `last_lsn`; the volatile side
-/// (clustered tree, secondary indexes, rid map) is captured as UndoEntry
-/// records so ROLLBACK can reverse both.
+/// One transaction. Its write set lives in the WAL as a backward prev_lsn
+/// chain headed by `last_lsn`: every logged tree change, which ROLLBACK
+/// reverses by key.
 class Transaction {
  public:
   Transaction(txn_id_t id, bool implicit) : id_(id), implicit_(implicit) {}
@@ -36,8 +34,10 @@ class Transaction {
   TxnState state = TxnState::kActive;
   /// Head of this transaction's WAL record chain (the undo cursor).
   lsn_t last_lsn = kInvalidLsn;
-  /// Volatile-structure undo, in op order (ROLLBACK applies it in reverse).
-  std::vector<UndoEntry> undo;
+  /// Tables this transaction INSERTed into, and tables it DELETEd from or
+  /// UPDATEd: what a rollback must tell their derived tables.
+  std::set<std::string> inserted_into;
+  std::set<std::string> changed;
   /// The statement that put the transaction into kAborted (quoted in the
   /// rejection message every later statement gets).
   std::string failed_statement;

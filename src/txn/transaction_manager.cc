@@ -1,6 +1,6 @@
 #include "txn/transaction_manager.h"
 
-#include "wal/heap_ops.h"
+#include "catalog/catalog.h"
 
 namespace elephant::txn {
 
@@ -50,7 +50,6 @@ Status TransactionManager::Commit(Transaction* t) {
     return flush;
   }
   t->state = TxnState::kCommitted;
-  t->undo.clear();
   locks_->ReleaseAll(t->id());
   MutexLock lock(mu_);
   stats_.committed++;
@@ -59,49 +58,82 @@ Status TransactionManager::Commit(Transaction* t) {
 }
 
 Status TransactionManager::Rollback(Transaction* t) {
-  // Durable side: walk the backward WAL chain, appending one CLR per undone
-  // heap record — the same routine recovery undo uses, so a crash during
-  // rollback is recovered exactly like a crash during recovery undo.
-  Status first_error = Status::OK();
+  // Walk the backward WAL chain, undoing each change with a CLR — the same
+  // step recovery undo takes, so a crash during rollback is recovered
+  // exactly like a crash during recovery undo.
+  Status status = Status::OK();
   lsn_t cursor = t->last_lsn;
-  while (cursor != kInvalidLsn) {
+  while (cursor != kInvalidLsn && status.ok()) {
     auto rec = log_->ReadRecordEndingAt(cursor);
     if (!rec.ok()) {
-      if (first_error.ok()) first_error = rec.status();
+      status = rec.status();
       break;
     }
-    if (rec->type == wal::LogRecordType::kBegin) break;
     if (rec->type == wal::LogRecordType::kClr) {
       cursor = rec->undo_next_lsn;
       continue;
     }
-    const Status undo =
-        wal::UndoHeapRecord(log_, pool_, *rec, cursor, &t->last_lsn);
-    if (!undo.ok() && first_error.ok()) first_error = undo;
+    status = Undo(*rec, &t->last_lsn);
     cursor = rec->prev_lsn;
   }
-  // Volatile side: reverse the in-memory undo list even if heap undo hit an
-  // (injected) I/O failure — after a simulated crash the engine is unusable
-  // anyway, but a plain statement-failure rollback must leave the trees,
-  // secondary indexes and rid maps exactly as before the transaction.
-  for (auto it = t->undo.rbegin(); it != t->undo.rend(); ++it) {
-    const Status undo = it->table->UndoVolatile(*it);
-    if (!undo.ok() && first_error.ok()) first_error = undo;
+  if (status.ok()) {
+    wal::LogRecord abort;
+    abort.type = wal::LogRecordType::kAbort;
+    abort.txn_id = t->id();
+    abort.prev_lsn = t->last_lsn;
+    t->last_lsn = log_->Append(abort);
   }
-  t->undo.clear();
-  wal::LogRecord abort;
-  abort.type = wal::LogRecordType::kAbort;
-  abort.txn_id = t->id();
-  abort.prev_lsn = t->last_lsn;
-  t->last_lsn = log_->Append(abort);
   t->state = TxnState::kRolledBack;
-  locks_->ReleaseAll(t->id());
+  // A failed undo leaves some of t's changes in the trees, which recovery
+  // undoes from the log at the next restart. Until then t keeps its table
+  // locks, so no other transaction reads those changes or commits one
+  // built on them that recovery's undo by key would then trip over.
+  if (status.ok()) locks_->ReleaseAll(t->id());
   {
     MutexLock lock(mu_);
     stats_.aborted++;
     stats_.active--;
   }
-  return first_error;
+  return status;
+}
+
+Status TransactionManager::Undo(const wal::LogRecord& rec, lsn_t* last_lsn) {
+  TreeChange change;
+  switch (rec.type) {
+    case wal::LogRecordType::kInsert:
+      change = TreeChange::kInserted;
+      break;
+    case wal::LogRecordType::kDelete:
+      change = TreeChange::kDeleted;
+      break;
+    case wal::LogRecordType::kUpdate:
+      change = TreeChange::kUpdated;
+      break;
+    default:
+      return Status::OK();  // BEGIN and the like change nothing undoable
+  }
+  // A table or index the catalog does not name was created after the last
+  // durable checkpoint, and its DDL's checkpoint failed: after a reopen
+  // nothing reaches its tree, so there is nothing to undo.
+  Result<Table*> found = catalog_->GetTableById(rec.table_id);
+  if (found.status().IsNotFound()) return Status::OK();
+  ELE_ASSIGN_OR_RETURN(Table * table, std::move(found));
+  if (rec.tree > table->secondary_indexes().size()) return Status::OK();
+  wal::TreeWriter w{log_, catalog_->pool(), rec.txn_id, last_lsn,
+                    rec.table_id, rec.tree};
+  w.compensation = true;
+  w.undo_next_lsn = rec.prev_lsn;
+  return table->Undo(change, rec.tree, rec.key, rec.before, w);
+}
+
+Status TransactionManager::Recover(lsn_t checkpoint_lsn,
+                                   wal::RecoveryStats* stats) {
+  return wal::Recover(
+      log_, catalog_->pool(), checkpoint_lsn,
+      [this](const wal::LogRecord& rec, lsn_t* last_lsn) {
+        return Undo(rec, last_lsn);
+      },
+      stats);
 }
 
 TxnStats TransactionManager::stats() const {

@@ -7,10 +7,11 @@
 #include "txn/lock_manager.h"
 #include "txn/transaction.h"
 #include "wal/log_manager.h"
+#include "wal/recovery.h"
 
 namespace elephant {
 
-class BufferPool;
+class Catalog;
 
 namespace txn {
 
@@ -26,15 +27,15 @@ struct TxnStats {
 /// Begins, commits and rolls back transactions against the WAL.
 ///
 /// COMMIT appends a commit record and group-flushes the log through it —
-/// the only flush a transaction ever waits for. ROLLBACK undoes the durable
-/// side by walking the transaction's backward WAL chain (each step appends
-/// a CLR, exactly as recovery undo would), replays the volatile undo list
-/// in reverse, and appends an abort record that needs no flush.
+/// the only flush a transaction ever waits for. ROLLBACK walks the
+/// transaction's backward WAL chain, undoing each change by key through its
+/// tree and appending a CLR (Undo, exactly what recovery undo runs), then
+/// appends an abort record that needs no flush.
 class TransactionManager {
  public:
-  TransactionManager(wal::LogManager* log, BufferPool* pool,
+  TransactionManager(wal::LogManager* log, Catalog* catalog,
                      LockManager* locks)
-      : log_(log), pool_(pool), locks_(locks) {}
+      : log_(log), catalog_(catalog), locks_(locks) {}
 
   TransactionManager(const TransactionManager&) = delete;
   TransactionManager& operator=(const TransactionManager&) = delete;
@@ -49,10 +50,23 @@ class TransactionManager {
   /// by recovery on the next reopen.
   Status Commit(Transaction* t);
 
-  /// Rolls back: heap undo via the WAL chain (CLR-logged), volatile undo in
-  /// reverse, ABORT record, release locks. Safe to call on a transaction
-  /// whose statement just failed mid-flight.
+  /// Rolls back: undo via the WAL chain (CLR-logged), ABORT record,
+  /// release locks. Safe to call on a transaction whose statement just
+  /// failed mid-flight. When an undo step fails no ABORT is written, so
+  /// recovery finishes the rollback after the next restart, and t keeps
+  /// its table locks until then.
   Status Rollback(Transaction* t);
+
+  /// Logical undo of one logged record: finds its table by id and reverses
+  /// the change by key through the tree, appending a CLR chained at
+  /// `*last_lsn`. Records that change nothing undoable are skipped, and so
+  /// are records naming a table or index the catalog lacks. The one undo
+  /// step of runtime ROLLBACK and of recovery (wal::UndoFn).
+  Status Undo(const wal::LogRecord& rec, lsn_t* last_lsn);
+
+  /// Restart recovery (wal::Recover) with Undo as its undo step. The
+  /// catalog must already hold the logged tables.
+  Status Recover(lsn_t checkpoint_lsn, wal::RecoveryStats* stats);
 
   LockManager* locks() const { return locks_; }
 
@@ -60,7 +74,7 @@ class TransactionManager {
 
  private:
   wal::LogManager* const log_;
-  BufferPool* const pool_;
+  Catalog* const catalog_;
   LockManager* const locks_;
   mutable Mutex mu_{LockRank::kTxnManager, "TransactionManager::mu_"};
   txn_id_t next_id_ GUARDED_BY(mu_) = 1;

@@ -15,11 +15,44 @@ LogManager::LogManager(DiskManager* disk, std::string durable_image)
 
 lsn_t LogManager::Append(const LogRecord& rec) {
   MutexLock lock(mu_);
+  return AppendLocked(rec);
+}
+
+lsn_t LogManager::AppendPageChange(const LogRecord& rec,
+                                   const std::function<LogRecord()>& image) {
+  MutexLock lock(mu_);
+  if (imaged_.count(rec.page_id) == 0) AppendLocked(image());
+  return AppendLocked(rec);
+}
+
+lsn_t LogManager::AppendSplit(std::vector<LogRecord> changes,
+                              const std::function<LogRecord(page_id_t)>& image) {
+  MutexLock lock(mu_);
+  LogRecord split;
+  split.type = LogRecordType::kSplit;
+  for (LogRecord& change : changes) {
+    if (change.type != LogRecordType::kPageImage &&
+        imaged_.count(change.page_id) == 0) {
+      change = image(change.page_id);
+    }
+    if (change.type == LogRecordType::kPageImage) imaged_.insert(change.page_id);
+    change.EncodeTo(&split.after);
+  }
+  split.page_id = changes.front().page_id;
+  split.table_id = changes.front().table_id;
+  split.tree = changes.front().tree;
+  return AppendLocked(split);
+}
+
+lsn_t LogManager::AppendLocked(const LogRecord& rec) {
   rec.EncodeTo(&buffer_);
   stats_.records_appended++;
   stats_.bytes_appended += rec.EncodedSize();
   if (rec.type == LogRecordType::kCheckpoint) {
     stats_.checkpoint_lsn = buffer_.size();
+    imaged_.clear();
+  } else if (rec.type == LogRecordType::kPageImage) {
+    imaged_.insert(rec.page_id);
   }
   return buffer_.size();
 }

@@ -3,6 +3,8 @@
 #include <functional>
 #include <source_location>
 #include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "common/config.h"
 #include "common/status.h"
@@ -53,9 +55,30 @@ class LogManager {
   /// durable until FlushUntil reaches that LSN.
   lsn_t Append(const LogRecord& rec);
 
+  /// Appends `rec`, a change to the page `rec.page_id`, and returns its
+  /// LSN. When the page has had no image logged since the last checkpoint
+  /// record, `image()` — the page as it is before the change — is appended
+  /// first. Redo replays every record after the checkpoint in order, so it
+  /// starts each page from a logged image and needs no LSN on the page. The
+  /// check and the appends are one step with respect to AppendCheckpoint:
+  /// a change logged after a checkpoint record always follows an image
+  /// logged after it too.
+  lsn_t AppendPageChange(const LogRecord& rec,
+                         const std::function<LogRecord()>& image);
+
+  /// Appends one B+-tree split as a single kSplit record and returns its
+  /// LSN. `changes` are the split's page changes, already applied, in the
+  /// order redo must repeat them: images of the pages it rewrote and the
+  /// separator insert it made. A cell change to a page with no image since
+  /// the last checkpoint record is logged as `image(page_id)` — the page as
+  /// it is now, after the change — which redo can start the page from. One
+  /// record under one mutex hold: no flush sees half of a split.
+  lsn_t AppendSplit(std::vector<LogRecord> changes,
+                    const std::function<LogRecord(page_id_t)>& image);
+
   /// Appends a checkpoint marker and returns its LSN (recovery redo starts
   /// after the most recent durable one; the engine stores it in the meta
-  /// page after flushing).
+  /// page after flushing). Every page needs a fresh image after it.
   lsn_t AppendCheckpoint();
 
   /// Makes the log durable up to at least `lsn` (entire pending tail is
@@ -115,6 +138,7 @@ class LogManager {
   }
 
  private:
+  lsn_t AppendLocked(const LogRecord& rec) REQUIRES(mu_);
   Status FlushLocked(lsn_t lsn) REQUIRES(mu_);
 
   DiskManager* const disk_;
@@ -122,6 +146,8 @@ class LogManager {
   std::string buffer_ GUARDED_BY(mu_);  ///< entire log; [0, durable_bytes_) is on "disk"
   uint64_t durable_bytes_ GUARDED_BY(mu_) = 0;
   WalStats stats_ GUARDED_BY(mu_);
+  /// Pages with an image logged since the last checkpoint record.
+  std::unordered_set<page_id_t> imaged_ GUARDED_BY(mu_);
   FaultInjector* injector_ GUARDED_BY(mu_) = nullptr;
 };
 

@@ -6,7 +6,7 @@ namespace elephant::wal {
 
 namespace {
 
-constexpr uint32_t kFixedHead = 4 + 1 + 1 + 2 + 8 + 8 + 8 + 4 + 4 + 4 + 4 + 4;
+constexpr uint32_t kFixedHead = 4 + 1 + 1 + 2 + 8 + 8 + 8 + 4 + 4 + 1 + 4 + 4 + 4;
 constexpr uint32_t kTrailer = 4 + 4;  // length echo + CRC
 
 void PutU16(std::string* out, uint16_t v) {
@@ -51,8 +51,8 @@ const char* LogRecordTypeName(LogRecordType t) {
     case LogRecordType::kUpdate: return "UPDATE";
     case LogRecordType::kClr: return "CLR";
     case LogRecordType::kCheckpoint: return "CHECKPOINT";
-    case LogRecordType::kPageInit: return "PAGE_INIT";
-    case LogRecordType::kPageLink: return "PAGE_LINK";
+    case LogRecordType::kPageImage: return "PAGE_IMAGE";
+    case LogRecordType::kSplit: return "SPLIT";
   }
   return "UNKNOWN";
 }
@@ -67,7 +67,8 @@ uint32_t Fnv1a32(std::string_view bytes) {
 }
 
 uint32_t LogRecord::EncodedSize() const {
-  return kFixedHead + static_cast<uint32_t>(before.size()) +
+  return kFixedHead + static_cast<uint32_t>(key.size()) +
+         static_cast<uint32_t>(before.size()) +
          static_cast<uint32_t>(after.size()) + kTrailer;
 }
 
@@ -81,10 +82,12 @@ void LogRecord::EncodeTo(std::string* out) const {
   PutU64(out, prev_lsn);
   PutU64(out, undo_next_lsn);
   PutU32(out, static_cast<uint32_t>(page_id));
-  PutU32(out, static_cast<uint32_t>(aux_page));
   PutU32(out, table_id);
+  out->push_back(static_cast<char>(tree));
+  PutU32(out, static_cast<uint32_t>(key.size()));
   PutU32(out, static_cast<uint32_t>(before.size()));
   PutU32(out, static_cast<uint32_t>(after.size()));
+  out->append(key);
   out->append(before);
   out->append(after);
   PutU32(out, EncodedSize());  // tail length echo: enables backward decode
@@ -115,15 +118,20 @@ Result<std::pair<LogRecord, uint32_t>> LogRecord::Decode(std::string_view buf) {
   rec.prev_lsn = GetU64(p + 16);
   rec.undo_next_lsn = GetU64(p + 24);
   rec.page_id = static_cast<page_id_t>(GetU32(p + 32));
-  rec.aux_page = static_cast<page_id_t>(GetU32(p + 36));
-  rec.table_id = GetU32(p + 40);
-  const uint32_t before_len = GetU32(p + 44);
-  const uint32_t after_len = GetU32(p + 48);
-  if (kFixedHead + static_cast<uint64_t>(before_len) + after_len + kTrailer != len) {
+  rec.table_id = GetU32(p + 36);
+  rec.tree = static_cast<uint8_t>(p[40]);
+  const uint32_t key_len = GetU32(p + 41);
+  const uint32_t before_len = GetU32(p + 45);
+  const uint32_t after_len = GetU32(p + 49);
+  if (kFixedHead + static_cast<uint64_t>(key_len) + before_len + after_len +
+          kTrailer !=
+      len) {
     return Status::Corruption("log record payload length mismatch");
   }
-  rec.before.assign(p + kFixedHead, before_len);
-  rec.after.assign(p + kFixedHead + before_len, after_len);
+  const char* payload = p + kFixedHead;
+  rec.key.assign(payload, key_len);
+  rec.before.assign(payload + key_len, before_len);
+  rec.after.assign(payload + key_len + before_len, after_len);
   return std::make_pair(std::move(rec), len);
 }
 

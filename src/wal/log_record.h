@@ -11,28 +11,37 @@
 namespace elephant::wal {
 
 /// Every mutation of durable state is described by exactly one of these.
-/// Heap mutations are *physiological*: each record names one page and one
-/// slot, so redo is a single-page operation ordered by the page LSN, while
-/// the before/after images carry enough to undo logically.
+/// Tree records are the ARIES/IM split: each names one page, so redo is a
+/// single-page operation replayed in log order, while the key and the
+/// before/after values let undo find its entry again by key through the
+/// tree, wherever splits have moved it since.
 enum class LogRecordType : uint8_t {
   kBegin = 1,       ///< transaction started
   kCommit = 2,      ///< transaction durably committed (group-flushed)
   kAbort = 3,       ///< transaction fully rolled back (written after undo)
-  kInsert = 4,      ///< heap tuple appended: after = record bytes
-  kDelete = 5,      ///< heap tuple deleted: before = record bytes
-  kUpdate = 6,      ///< heap tuple rewritten in place: before + after images
+  kInsert = 4,      ///< leaf cell inserted at (page, slot): key,
+                    ///< after = value (also a split's separator, inside
+                    ///< a kSplit record)
+  kDelete = 5,      ///< leaf cell removed at (page, slot): key, before = value
+  kUpdate = 6,      ///< leaf value rewritten in place (same size): key,
+                    ///< before and after values
   kClr = 7,         ///< compensation record: redo-only undo step
-  kCheckpoint = 8,  ///< fuzzy checkpoint marker (redo starts after this)
-  kPageInit = 9,    ///< fresh heap page formatted
-  kPageLink = 10,   ///< heap chain extended: page.next = aux_page
+  kCheckpoint = 8,  ///< checkpoint marker (redo starts after this)
+  kPageImage = 9,   ///< whole page (redo-only): a page's first change after
+                    ///< a checkpoint logs its image first
+  kSplit = 10,      ///< one B+-tree split (redo-only): `after` holds the
+                    ///< encoded records of its page changes — images of the
+                    ///< pages it rewrote, then the separator it inserted —
+                    ///< under one CRC, so a torn tail drops all of them
 };
 
-/// What a CLR does when redone. CLRs are never undone themselves (that is
-/// the point: rollback progress survives a crash during rollback).
+/// The cell change a CLR made (and its redo repeats). CLRs are never undone
+/// themselves: rollback progress survives a crash during rollback.
 enum class ClrAction : uint8_t {
   kNone = 0,
-  kDelete = 1,   ///< compensates an insert: delete the slot again
-  kRestore = 2,  ///< compensates a delete/update: rewrite the old image
+  kInsert = 1,  ///< re-inserted the cell a delete removed
+  kDelete = 2,  ///< removed the cell an insert added
+  kUpdate = 3,  ///< restored the value an update overwrote
 };
 
 const char* LogRecordTypeName(LogRecordType t);
@@ -45,8 +54,9 @@ const char* LogRecordTypeName(LogRecordType t);
 /// Wire format (little-endian, CRC over everything before it):
 ///   [u32 len][u8 type][u8 clr_action][u16 slot]
 ///   [u64 txn_id][u64 prev_lsn][u64 undo_next_lsn]
-///   [i32 page_id][i32 aux_page][u32 table_id]
-///   [u32 before_len][u32 after_len][before][after][u32 len][u32 crc]
+///   [i32 page_id][u32 table_id][u8 tree]
+///   [u32 key_len][u32 before_len][u32 after_len][key][before][after]
+///   [u32 len][u32 crc]
 ///
 /// The length is echoed at the tail so a record can be decoded backwards
 /// from its end offset — rollback walks a transaction's chain by LSN
@@ -61,9 +71,10 @@ struct LogRecord {
   lsn_t prev_lsn = kInvalidLsn;       ///< previous record of the same txn
   lsn_t undo_next_lsn = kInvalidLsn;  ///< CLR: next record to undo
   page_id_t page_id = kInvalidPageId;
-  slot_id_t slot = 0;
-  page_id_t aux_page = kInvalidPageId;  ///< kPageLink: the chained-on page
-  uint32_t table_id = 0;
+  slot_id_t slot = 0;     ///< cell position; kPageImage: start of the elided hole
+  uint32_t table_id = 0;  ///< the table whose tree the page belongs to
+  uint8_t tree = 0;       ///< 0 = clustered, i = secondary index i - 1
+  std::string key;
   std::string before;
   std::string after;
 

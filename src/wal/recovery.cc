@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "storage/buffer_pool.h"
-#include "wal/heap_ops.h"
+#include "wal/tree_ops.h"
 #include "wal/log_manager.h"
 #include "wal/log_record.h"
 
@@ -22,7 +22,7 @@ struct TxnState {
 }  // namespace
 
 Status Recover(LogManager* log, BufferPool* pool, lsn_t checkpoint_lsn,
-               RecoveryStats* stats) {
+               const UndoFn& undo, RecoveryStats* stats) {
   *stats = RecoveryStats{};
 
   // ---- Analysis: one front-to-back scan of the durable log. ------------
@@ -66,11 +66,7 @@ Status Recover(LogManager* log, BufferPool* pool, lsn_t checkpoint_lsn,
     if (rec.page_id == kInvalidPageId) continue;
     bool applied = false;
     ELE_RETURN_NOT_OK(RedoRecord(pool, rec, lsn, &applied));
-    if (applied) {
-      stats->redo_applied++;
-    } else {
-      stats->redo_skipped++;
-    }
+    if (applied) stats->redo_applied++;
   }
 
   // ---- Undo: roll back the losers, newest change first. ----------------
@@ -108,7 +104,7 @@ Status Recover(LogManager* log, BufferPool* pool, lsn_t checkpoint_lsn,
     } else {
       lsn_t& chain = undo_chain_head[txn];
       const lsn_t before = chain;
-      ELE_RETURN_NOT_OK(UndoHeapRecord(log, pool, rec, lsn, &chain));
+      ELE_RETURN_NOT_OK(undo(rec, &chain));
       if (chain != before) stats->clrs_written++;
       next = rec.prev_lsn;
     }

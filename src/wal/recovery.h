@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
 #include "common/config.h"
 #include "common/status.h"
@@ -12,13 +13,19 @@ class BufferPool;
 namespace wal {
 
 class LogManager;
+struct LogRecord;
+
+/// Logically undoes one record of a loser transaction, appending its CLR
+/// to the chain `*last_lsn` heads; records that change nothing undoable
+/// (BEGIN, structure) are skipped without logging. Runtime ROLLBACK
+/// (TransactionManager::Undo) supplies the same function.
+using UndoFn = std::function<Status(const LogRecord& rec, lsn_t* last_lsn)>;
 
 /// What recovery did — surfaced in elephant_stat_wal after a reopen and
 /// asserted by the crash-matrix harness.
 struct RecoveryStats {
   uint64_t records_scanned = 0;  ///< valid records in the durable log
   uint64_t redo_applied = 0;     ///< page records replayed
-  uint64_t redo_skipped = 0;     ///< page records the page image already had
   uint64_t committed_txns = 0;   ///< txns with a durable COMMIT
   uint64_t loser_txns = 0;       ///< txns undone (no COMMIT/ABORT on disk)
   uint64_t clrs_written = 0;     ///< compensation records appended by undo
@@ -32,17 +39,20 @@ struct RecoveryStats {
 ///      transaction as winner (durable COMMIT), finished (durable ABORT) or
 ///      loser, and locating the torn tail (first record with a damaged CRC),
 ///      at which the log is truncated.
-///   2. **Redo** — replay every page record after `checkpoint_lsn`
-///      ("repeating history"), skipping pages whose on-disk LSN already
-///      covers the record. CLRs are redone like any other record, so
-///      rollback progress from before the crash is preserved.
-///   3. **Undo** — roll the losers back in descending LSN order, appending
-///      a CLR per undone record and an ABORT per finished loser; a CLR's
-///      undo_next_lsn makes this pass itself crash-restartable.
+///   2. **Redo** — replay every page record after `checkpoint_lsn` in log
+///      order ("repeating history"). Each page's first record after the
+///      checkpoint is its image, so replay is exact whatever the page held
+///      on disk. CLRs are redone like any other record, so rollback
+///      progress from before the crash is preserved.
+///   3. **Undo** — roll the losers back in descending LSN order through
+///      `undo`, which reverses each change by key and appends a CLR, and
+///      append an ABORT per finished loser; a CLR's undo_next_lsn makes
+///      this pass itself crash-restartable.
 ///
-/// The caller (Database::Reopen) flushes pages and checkpoints afterwards.
+/// The caller (Database::Reopen) opens the trees `undo` needs before, and
+/// checkpoints afterwards.
 Status Recover(LogManager* log, BufferPool* pool, lsn_t checkpoint_lsn,
-               RecoveryStats* stats);
+               const UndoFn& undo, RecoveryStats* stats);
 
 }  // namespace wal
 }  // namespace elephant

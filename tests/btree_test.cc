@@ -7,7 +7,7 @@
 #include "common/rng.h"
 #include "common/schema.h"
 #include "index/btree.h"
-#include "index/btree_node.h"
+#include "storage/btree_node.h"
 
 namespace elephant {
 namespace {

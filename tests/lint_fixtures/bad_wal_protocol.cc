@@ -1,18 +1,18 @@
 // Fixture for the wal-protocol rule: code outside src/wal/ and src/txn/
-// forging a WAL record and stamping a page LSN by hand. ARIES redo is
-// idempotent only because every page mutation is logged first and the page
-// LSN advances to that record's LSN; an executor doing either directly
-// bypasses the protocol. Heap mutations must go through the wal:: helpers
-// (InsertTxn / DeleteRowTxn / UpdateRowTxn).
-#include "storage/slotted_page.h"
+// forging a WAL record and stamping a frame LSN by hand. Redo is exact only
+// because every page change is logged first and the buffer pool learns that
+// record's LSN before write-back; an executor doing either directly bypasses
+// the protocol. Logged B+-tree pages change only through the wal:: tree
+// helpers (InsertCell / RemoveCell / SetValue / LogSplit).
+#include "storage/buffer_pool.h"
 #include "wal/log_record.h"
 
 namespace elephant {
 
-void ForgeLogRecord(SlottedPage& page) {
+void ForgeLogRecord(BufferPool& pool, page_id_t page) {
   wal::LogRecord rec;
   rec.type = wal::LogRecordType::kInsert;
-  page.SetPageLsn(42);
+  pool.RecordPageLsn(page, 42);
 }
 
 }  // namespace elephant

@@ -2,8 +2,6 @@
 
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
-#include "storage/slotted_page.h"
-#include "storage/table_heap.h"
 
 namespace elephant {
 namespace {
@@ -363,127 +361,6 @@ TEST(DiskManagerTest, ReadaheadLowersModeledScanTime) {
   // overhead on every page after the stream head.
   EXPECT_LT(with, without);
   EXPECT_NEAR(without - with, 199 * model.request_overhead_seconds, 1e-9);
-}
-
-TEST(SlottedPageTest, InsertGetDelete) {
-  char buf[kPageSize];
-  SlottedPage page(buf);
-  page.Init();
-  auto s0 = page.Insert("hello");
-  auto s1 = page.Insert("world!");
-  ASSERT_TRUE(s0.ok());
-  ASSERT_TRUE(s1.ok());
-  EXPECT_EQ(page.Get(s0.value()).value(), "hello");
-  EXPECT_EQ(page.Get(s1.value()).value(), "world!");
-  ASSERT_TRUE(page.Delete(s0.value()).ok());
-  EXPECT_FALSE(page.Get(s0.value()).ok());
-  EXPECT_EQ(page.Get(s1.value()).value(), "world!");
-}
-
-TEST(SlottedPageTest, FillsUntilFull) {
-  char buf[kPageSize];
-  SlottedPage page(buf);
-  page.Init();
-  std::string rec(100, 'x');
-  int inserted = 0;
-  while (page.Insert(rec).ok()) inserted++;
-  // 100-byte records + 4-byte slots into ~8184 usable bytes.
-  EXPECT_GT(inserted, 70);
-  EXPECT_LT(inserted, 82);
-  // Every record is still readable.
-  for (int i = 0; i < inserted; i++) {
-    EXPECT_EQ(page.Get(static_cast<slot_id_t>(i)).value(), rec);
-  }
-}
-
-TEST(SlottedPageTest, UpdateInPlace) {
-  char buf[kPageSize];
-  SlottedPage page(buf);
-  page.Init();
-  auto s = page.Insert("abcdef");
-  ASSERT_TRUE(s.ok());
-  ASSERT_TRUE(page.Update(s.value(), "ABCDEF").ok());
-  EXPECT_EQ(page.Get(s.value()).value(), "ABCDEF");
-  // Larger payload is rejected.
-  EXPECT_FALSE(page.Update(s.value(), "toolongforslot").ok());
-  // Smaller payload shrinks.
-  ASSERT_TRUE(page.Update(s.value(), "xy").ok());
-  EXPECT_EQ(page.Get(s.value()).value(), "xy");
-}
-
-TEST(TableHeapTest, InsertAcrossPagesAndScan) {
-  DiskManager disk;
-  BufferPool pool(&disk, 64);
-  auto heap = TableHeap::Create(&pool);
-  ASSERT_TRUE(heap.ok());
-  const int n = 500;
-  std::string rec(100, 'r');
-  std::vector<Rid> rids;
-  for (int i = 0; i < n; i++) {
-    rec[0] = static_cast<char>('a' + i % 26);
-    auto rid = heap.value().Insert(rec);
-    ASSERT_TRUE(rid.ok());
-    rids.push_back(rid.value());
-  }
-  EXPECT_GT(heap.value().last_page(), heap.value().first_page());
-  // Point gets.
-  std::string out;
-  ASSERT_TRUE(heap.value().Get(rids[123], &out).ok());
-  EXPECT_EQ(out[0], 'a' + 123 % 26);
-  // Full scan sees all rows in insertion order.
-  auto it = heap.value().Begin();
-  ASSERT_TRUE(it.ok());
-  int count = 0;
-  while (it.value().Valid()) {
-    EXPECT_EQ(it.value().record()[0], 'a' + count % 26);
-    count++;
-    ASSERT_TRUE(it.value().Next().ok());
-  }
-  EXPECT_EQ(count, n);
-}
-
-TEST(TableHeapTest, DeleteSkippedByScan) {
-  DiskManager disk;
-  BufferPool pool(&disk, 16);
-  auto heap = TableHeap::Create(&pool);
-  ASSERT_TRUE(heap.ok());
-  std::vector<Rid> rids;
-  for (int i = 0; i < 10; i++) {
-    rids.push_back(heap.value().Insert("row" + std::to_string(i)).value());
-  }
-  ASSERT_TRUE(heap.value().Delete(rids[3]).ok());
-  ASSERT_TRUE(heap.value().Delete(rids[7]).ok());
-  auto it = heap.value().Begin();
-  ASSERT_TRUE(it.ok());
-  int count = 0;
-  while (it.value().Valid()) {
-    EXPECT_NE(it.value().record(), "row3");
-    EXPECT_NE(it.value().record(), "row7");
-    count++;
-    ASSERT_TRUE(it.value().Next().ok());
-  }
-  EXPECT_EQ(count, 8);
-}
-
-TEST(TableHeapTest, HeapScanIsMostlySequentialIo) {
-  DiskManager disk;
-  BufferPool pool(&disk, 4);  // tiny pool: scan must re-read from disk
-  auto heap = TableHeap::Create(&pool);
-  ASSERT_TRUE(heap.ok());
-  std::string rec(200, 'q');
-  for (int i = 0; i < 2000; i++) ASSERT_TRUE(heap.value().Insert(rec).ok());
-  ASSERT_TRUE(pool.EvictAll().ok());
-  disk.ResetStats();
-  auto it = heap.value().Begin();
-  ASSERT_TRUE(it.ok());
-  int n = 0;
-  while (it.value().Valid()) {
-    n++;
-    ASSERT_TRUE(it.value().Next().ok());
-  }
-  EXPECT_EQ(n, 2000);
-  // Pages are chained in allocation order, so the scan is sequential I/O.
-  EXPECT_GT(disk.stats().sequential_reads, disk.stats().random_reads * 10);
 }
 
 }  // namespace

@@ -96,6 +96,89 @@ TEST_F(TxnTest, RollbackRestoresClusterKeyMove) {
   EXPECT_EQ(Count("t"), 1u);
 }
 
+/// Every (key, value) entry of a tree, in key order.
+std::vector<std::pair<std::string, std::string>> Entries(const BPlusTree& tree) {
+  std::vector<std::pair<std::string, std::string>> out;
+  auto it = tree.SeekToFirst();
+  EXPECT_TRUE(it.ok());
+  while (it.ok() && it.value().Valid()) {
+    out.emplace_back(std::string(it.value().key()), std::string(it.value().value()));
+    EXPECT_TRUE(it.value().Next().ok());
+  }
+  return out;
+}
+
+TEST_F(TxnTest, RollbackOfSplittingInsertsRestoresEveryTree) {
+  Exec("CREATE INDEX t_v ON t (v)");
+  const std::string pad(200, 'p');
+  Exec("INSERT INTO t VALUES (0, 'zero" + pad + "'), (1000, 'last" + pad + "')");
+  auto found = db_->catalog().GetTable("t");
+  ASSERT_TRUE(found.ok());
+  Table* table = found.value();
+  const BPlusTree& clustered = table->clustered();
+  const BPlusTree& secondary = *table->secondary_indexes()[0]->tree;
+  const auto clustered_before = Entries(clustered);
+  const auto secondary_before = Entries(secondary);
+  const page_id_t root = clustered.root();
+  const uint32_t height_before = clustered.Height().value();
+
+  Exec("BEGIN");
+  for (int batch = 0; batch < 10; batch++) {
+    std::string sql = "INSERT INTO t VALUES ";
+    for (int i = 1; i <= 30; i++) {
+      const int id = batch * 30 + i;
+      sql += (i > 1 ? ", (" : "(") + std::to_string(id) + ", '" +
+             std::to_string(id % 7) + pad + std::to_string(id) + "')";
+    }
+    Exec(sql);
+  }
+  ASSERT_GT(clustered.Height().value(), height_before);  // the root split
+  ASSERT_GT(Entries(secondary).size(), 300u);
+  Exec("ROLLBACK");
+
+  // The splits stay (they are redo-only), but every entry they carried is
+  // gone again, and the root page never moved.
+  EXPECT_EQ(clustered.root(), root);
+  EXPECT_EQ(Entries(clustered), clustered_before);
+  EXPECT_EQ(Entries(secondary), secondary_before);
+  EXPECT_EQ(table->row_count(), 2u);
+  EXPECT_EQ(Count("t"), 2u);
+}
+
+TEST_F(TxnTest, UpdateRejectsValuesItsColumnCannotHold) {
+  Exec("CREATE TABLE n (id INT64, v INT32, s VARCHAR(8))");
+  Exec("INSERT INTO n VALUES (1, 5, 'ab')");
+  auto expect_unchanged = [&](const std::string& context) {
+    QueryResult r = Exec("SELECT v, s FROM n");
+    ASSERT_EQ(r.rows.size(), 1u) << context;
+    EXPECT_EQ(r.rows[0][0].AsInt32(), 5) << context;
+    EXPECT_EQ(r.rows[0][1].AsString(), "ab") << context;
+  };
+  for (const std::string sql :
+       {"UPDATE n SET v = 99999999999", "UPDATE n SET v = 'abc'",
+        "UPDATE n SET s = 12345678901"}) {
+    auto r = db_->Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << sql << ": " << r.status().ToString();
+    expect_unchanged(sql);
+  }
+  // Inside an explicit transaction the failed cast parks it in aborted
+  // limbo, and the rollback takes the earlier statement with it.
+  Exec("BEGIN");
+  Exec("UPDATE n SET s = 'cd'");
+  auto r = db_->Execute("UPDATE n SET v = 'abc'");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  auto next = db_->Execute("SELECT * FROM n");
+  ASSERT_FALSE(next.ok());
+  EXPECT_NE(next.status().message().find("current transaction is aborted"),
+            std::string::npos)
+      << next.status().ToString();
+  Exec("ROLLBACK");
+  expect_unchanged("after ROLLBACK");
+}
+
 TEST_F(TxnTest, FailedStatementAbortsTransaction) {
   Exec("BEGIN");
   Exec("INSERT INTO t VALUES (1, 'a')");
@@ -120,17 +203,17 @@ TEST_F(TxnTest, RollbackFailureSurfacedNotSwallowed) {
   Exec("INSERT INTO t VALUES (1, 'a'), (2, 'b')");
   Exec("BEGIN");
   Exec("UPDATE t SET v = 'x' WHERE id = 1");
-  // Push the dirtied heap page out of the pool so rollback's heap undo must
-  // re-read it from disk.
+  // Push the dirtied leaf out of the pool so rollback's undo must re-read
+  // it from disk.
   ASSERT_TRUE(db_->EvictCaches().ok());
   FaultInjector injector{FaultPlan{}};
   db_->SetFaultInjector(&injector);
   injector.FailReads(true);
   // The next statement dies on the injected read fault, aborting the
-  // transaction — and rollback's heap undo then hits the same fault, so the
+  // transaction — and rollback's undo then hits the same fault, so the
   // rollback itself is incomplete. Before the [[nodiscard]] sweep that
   // second failure was discarded with (void): the client saw only the
-  // statement error while uncommitted changes silently stayed in the heap.
+  // statement error while uncommitted changes silently stayed behind.
   auto r = db_->Execute("UPDATE t SET v = 'y' WHERE id = 2");
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("rollback also failed"),
@@ -141,6 +224,21 @@ TEST_F(TxnTest, RollbackFailureSurfacedNotSwallowed) {
   injector.FailReads(false);
   db_->SetFaultInjector(nullptr);
   Exec("ROLLBACK");  // closes the limbo transaction
+
+  // The change the failed undo left behind stays locked until a restart:
+  // no other session may read it or build a committed change on it.
+  SessionTxnState other;
+  EXPECT_FALSE(db_->Execute("DELETE FROM t WHERE id = 1", {}, &other).ok());
+  EXPECT_FALSE(db_->Execute("SELECT v FROM t", {}, &other).ok());
+  DatabaseOptions options;
+  options.wal_enabled = true;
+  auto reopened = Database::Reopen(options, db_->CloneDurableImage());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto rows = reopened.value()->Execute("SELECT id, v FROM t");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows.value().rows.size(), 2u);
+  EXPECT_EQ(rows.value().rows[0][1].AsString(), "a");
+  EXPECT_EQ(rows.value().rows[1][1].AsString(), "b");
 }
 
 TEST_F(TxnTest, CommitOfAbortedTransactionJustClosesIt) {

@@ -1,21 +1,34 @@
-// Crash-recovery matrix: the PR's headline experiment. Runs a fixed DML
-// workload over a base table with a materialized view and a c-store
-// projection riding on it, crashes the simulated machine at every durable
-// op (page write or WAL flush) in turn, reboots from the durable image, and
-// checks three invariants at every crash point:
+// Crash-recovery matrix. Runs a fixed DML workload over a base table with
+// a secondary index, a materialized view and a c-store projection riding on
+// it, crashes the simulated machine at every durable op (page write or WAL
+// flush) in turn, reboots from the durable image, and checks three
+// invariants at every crash point:
 //
 //   1. the recovered base table is EXACTLY the acknowledged-commit prefix
 //      of the workload (row count and content checksum against a shadow
-//      oracle maintained outside the engine);
+//      oracle maintained outside the engine), and its secondary index holds
+//      one entry per row and answers each category's lookup exactly;
 //   2. a scan of the materialized view after recovery (which re-materializes
 //      it, since recovery marks all derived tables stale) matches the
 //      equivalent aggregate over the base table, value for value;
 //   3. each c-table, expanded back into a column, equals the base table's
 //      sorted projection, value for value.
 //
+// The workload's last steps insert padded rows that split clustered and
+// secondary leaves and the clustered root after the last checkpoint: once
+// committed, and once inside an explicit transaction whose CHECKPOINT
+// pushes its uncommitted splits to disk, so the sweep crashes inside it.
+// The tool fails when the clustered tree's height did not grow, so this
+// coverage cannot silently vanish.
+//
 // Besides the crash-at-Nth-op sweep, two more failure modes run at the
 // workload's end: a torn final WAL flush (recovery must truncate at the bad
 // record) and silently dropped fsyncs (no invented commits).
+// A third sweep tears each step's first log flush at every 1 KiB offset,
+// so the durable tail ends between and inside the records of its page
+// splits. After each reboot, rows inserted across the key range must keep
+// the clustered leaf chain in key order and be found by point seeks — what
+// a split made durable without its separator would break.
 //
 // Exit code 0 = every point green. Any failure prints the point and aborts
 // with a nonzero exit. Wired into ctest as `recovery_crash_matrix` and into
@@ -106,6 +119,25 @@ const std::vector<std::pair<int32_t, OracleRow>> kSeed = {
     {5, {"b", 50}}, {6, {"a", 60}}, {7, {"c", 70}}, {8, {"b", 80}},
 };
 
+// A category long enough that a few dozen rows fill a leaf.
+std::string Padded(int id) { return "pad" + std::to_string(id % 3) + std::string(300, 'x'); }
+
+// One multi-row INSERT of padded rows [first, last] and its oracle mirror.
+// Rows alternate between the two ends of the range, so splits land keys in
+// both halves and leave some split pages untouched afterwards.
+Step PaddedInsert(int first, int last) {
+  std::string sql = "INSERT INTO orders VALUES ";
+  for (int i = 0; i <= last - first; i++) {
+    const int id = i % 2 == 0 ? first + i / 2 : last - i / 2;
+    if (i > 0) sql += ", ";
+    sql += "(" + std::to_string(id) + ", '" + Padded(id) + "', " +
+           std::to_string(id) + ")";
+  }
+  return {sql, [first, last](Oracle& o) {
+            for (int id = first; id <= last; id++) o[id] = {Padded(id), id};
+          }};
+}
+
 std::vector<Step> Workload() {
   std::vector<Step> steps;
   steps.push_back({"INSERT INTO orders VALUES (9, 'a', 90), (10, 'b', 100)",
@@ -155,6 +187,23 @@ std::vector<Step> Workload() {
                    [](Oracle& o) { o[15].amt = 151; }});
   steps.push_back({"DELETE FROM orders WHERE id = 7",
                    [](Oracle& o) { o.erase(7); }});
+  // Tree structure changes after the last checkpoint: a committed insert
+  // that splits leaves and the root ...
+  steps.push_back(PaddedInsert(100, 139));
+  // ... and an explicit transaction that splits more, with a CHECKPOINT
+  // inside it flushing its uncommitted pages: a crash anywhere here must
+  // undo the transaction through the split trees.
+  steps.push_back({"BEGIN", [](Oracle&) {}});
+  Step more = PaddedInsert(200, 239);
+  steps.push_back({more.sql, [](Oracle&) {}});
+  steps.push_back({"DELETE FROM orders WHERE id = 105", [](Oracle&) {}});
+  steps.push_back({"CHECKPOINT", [](Oracle&) {}});
+  steps.push_back({"UPDATE orders SET amt = 1 WHERE id = 110", [](Oracle&) {}});
+  steps.push_back({"COMMIT", [apply = more.apply](Oracle& o) {
+                     apply(o);
+                     o.erase(105);
+                     o[110].amt = 1;
+                   }});
   return steps;
 }
 
@@ -214,6 +263,9 @@ std::unique_ptr<Database> Setup(Oracle* oracle) {
     (*oracle)[id] = row;
   }
   if (!run("INSERT INTO orders VALUES " + values)) return nullptr;
+  if (!run("CREATE INDEX orders_cat ON orders (cat) INCLUDE (amt)")) {
+    return nullptr;
+  }
 
   mv::ViewManager views(db.get());
   if (!views.CreateView(MvDef()).ok()) return nullptr;
@@ -225,6 +277,37 @@ std::unique_ptr<Database> Setup(Oracle* oracle) {
 
 // ---------------------------------------------------------------------------
 // Post-recovery verification.
+
+// The secondary index holds exactly one entry per row, and a lookup of each
+// category (answered from the covering index) returns that category's rows.
+bool VerifyIndex(Database& db, const Oracle& oracle, uint64_t point) {
+  Table* table = db.catalog().GetTable("orders").value();
+  Result<uint64_t> entries =
+      table->secondary_indexes().at(0)->tree->CountEntries();
+  if (!entries.ok() || entries.value() != oracle.size()) {
+    std::fprintf(stderr, "point %llu: index holds %llu entries for %zu rows\n",
+                 static_cast<unsigned long long>(point),
+                 static_cast<unsigned long long>(entries.ok() ? entries.value() : 0),
+                 oracle.size());
+    return false;
+  }
+  std::map<std::string, std::vector<std::string>> by_cat;
+  for (const auto& [id, row] : oracle) {
+    by_cat[row.cat].push_back(row.cat + "|" + std::to_string(row.amt));
+  }
+  for (auto& [cat, want] : by_cat) {
+    std::sort(want.begin(), want.end());
+    auto r = db.Execute("SELECT cat, amt FROM orders WHERE cat = '" + cat + "'");
+    std::string want_all;
+    for (const std::string& l : want) want_all += l + "\n";
+    if (!r.ok() || SortedRowsString(r.value()) != want_all) {
+      std::fprintf(stderr, "point %llu: index lookup of category %.8s... is "
+                   "wrong\n", static_cast<unsigned long long>(point), cat.c_str());
+      return false;
+    }
+  }
+  return true;
+}
 
 bool VerifyBase(Database& db, const Oracle& oracle, uint64_t point) {
   auto r = db.Execute("SELECT id, cat, amt FROM orders");
@@ -246,6 +329,50 @@ bool VerifyBase(Database& db, const Oracle& oracle, uint64_t point) {
                  r.value().rows.size(),
                  static_cast<unsigned long long>(Fnv1a(got)), got.c_str());
     return false;
+  }
+  return VerifyIndex(db, oracle, point);
+}
+
+// A split whose separator was lost leaves both halves on the leaf chain,
+// so scans and lookups that walk the chain still work; the next insert
+// routed past the lost separator breaks key order. So insert rows across
+// the key range after recovery, then check that the clustered leaf chain is
+// in key order and that a point seek finds every row.
+bool VerifyInsertAfterRecovery(Database& db, Oracle oracle, uint64_t point) {
+  std::string sql;
+  for (int id = 3; id < 260; id += 4) {
+    if (oracle.count(id) != 0) continue;
+    sql += (sql.empty() ? "" : ", ") + ("(" + std::to_string(id) + ", 'post', " +
+                                         std::to_string(id) + ")");
+    oracle[id] = {"post", id};
+  }
+  auto ins = db.Execute("INSERT INTO orders VALUES " + sql);
+  if (!ins.ok()) {
+    std::fprintf(stderr, "point %llu: insert after recovery failed: %s\n",
+                 static_cast<unsigned long long>(point),
+                 ins.status().ToString().c_str());
+    return false;
+  }
+  const BPlusTree& tree = db.catalog().GetTable("orders").value()->clustered();
+  auto it = tree.SeekToFirst();
+  std::string prev;
+  for (bool first = true; it.ok() && it.value().Valid(); first = false) {
+    if (!first && std::string(it.value().key()) <= prev) {
+      std::fprintf(stderr, "point %llu: clustered leaf chain out of key order\n",
+                   static_cast<unsigned long long>(point));
+      return false;
+    }
+    prev = std::string(it.value().key());
+    if (!it.value().Next().ok()) break;
+  }
+  for (const auto& [id, row] : oracle) {
+    auto r = db.Execute("SELECT amt FROM orders WHERE id = " + std::to_string(id));
+    if (!r.ok() || r.value().rows.size() != 1 ||
+        r.value().rows[0][0].AsInt32() != row.amt) {
+      std::fprintf(stderr, "point %llu: point seek of id %d after recovery "
+                   "failed\n", static_cast<unsigned long long>(point), id);
+      return false;
+    }
   }
   return true;
 }
@@ -327,20 +454,34 @@ bool VerifyCTables(Database& db, uint64_t point) {
 // ---------------------------------------------------------------------------
 // One sweep point: run the workload with the given fault plan, reboot from
 // the durable image, re-attach derived-table hooks, verify all invariants.
-// `total_ops` (out, optional) reports the durable ops a full run consumed.
+// `probe` (out, optional) records what a full run did.
 
-bool RunPoint(const FaultPlan& plan, uint64_t point, uint64_t* total_ops) {
+struct Probe {
+  uint64_t total_ops = 0;  ///< durable ops of the whole workload
+  /// Per step: the durable ops before it and the log bytes it flushed.
+  std::vector<std::pair<uint64_t, uint64_t>> steps;
+};
+
+bool RunPoint(const FaultPlan& plan, uint64_t point, Probe* probe) {
   Oracle oracle;
   std::unique_ptr<Database> db = Setup(&oracle);
   if (db == nullptr) return false;
 
   FaultInjector injector(plan);
   db->SetFaultInjector(&injector);
+  const BPlusTree& clustered = db->catalog().GetTable("orders").value()->clustered();
+  const uint32_t height_before = clustered.Height().value();
 
   for (const Step& step : Workload()) {
     Oracle next = oracle;
     step.apply(next);
+    const uint64_t ops_before = injector.ops();
+    const lsn_t durable_before = db->wal()->stats().durable_lsn;
     auto r = db->Execute(step.sql);
+    if (probe != nullptr) {
+      probe->steps.emplace_back(ops_before,
+                                db->wal()->stats().durable_lsn - durable_before);
+    }
     if (r.ok()) {
       oracle = std::move(next);
       continue;
@@ -353,7 +494,16 @@ bool RunPoint(const FaultPlan& plan, uint64_t point, uint64_t* total_ops) {
                  r.status().ToString().c_str());
     return false;
   }
-  if (total_ops != nullptr) *total_ops = injector.ops();
+  if (probe != nullptr) {
+    probe->total_ops = injector.ops();
+    // The fault-free run must have split the clustered root.
+    const uint32_t height_after = clustered.Height().value();
+    if (height_after <= height_before) {
+      std::fprintf(stderr, "clustered tree height stayed at %u: the workload "
+                   "no longer splits the root\n", height_after);
+      return false;
+    }
+  }
 
   // For dropped fsyncs the engine keeps running (the drive lies, nothing
   // fails); the crash happens "now", at an arbitrary later moment.
@@ -377,7 +527,8 @@ bool RunPoint(const FaultPlan& plan, uint64_t point, uint64_t* total_ops) {
   CHECK_OK(builder.AttachRebuild(ProjDef()));
 
   return VerifyBase(*rec, oracle, point) && VerifyMv(*rec, point) &&
-         VerifyCTables(*rec, point);
+         VerifyCTables(*rec, point) &&
+         VerifyInsertAfterRecovery(*rec, oracle, point);
 }
 
 }  // namespace
@@ -388,14 +539,15 @@ int main() {
 
   // Measure the workload's durable-op count with a counting-but-never-firing
   // plan (crash_after_ops = 0), which also validates the fault-free run.
-  FaultPlan probe;
-  probe.mode = FaultPlan::Mode::kCrashAtWrite;
-  probe.crash_after_ops = 0;
-  uint64_t total_ops = 0;
-  if (!RunPoint(probe, 0, &total_ops)) {
+  FaultPlan counting;
+  counting.mode = FaultPlan::Mode::kCrashAtWrite;
+  counting.crash_after_ops = 0;
+  Probe probe;
+  if (!RunPoint(counting, 0, &probe)) {
     std::fprintf(stderr, "fault-free run failed\n");
     return 1;
   }
+  const uint64_t total_ops = probe.total_ops;
   std::printf("fault-free workload: %llu durable ops\n",
               static_cast<unsigned long long>(total_ops));
   if (total_ops < 20) {
@@ -428,6 +580,22 @@ int main() {
     }
   }
   std::printf("torn-flush points done\n");
+
+  // Each step's first log flush torn at every 1 KiB offset: the durable
+  // tail ends between and inside the records of the step's splits.
+  size_t torn_points = 0;
+  for (const auto& [ops_before, bytes] : probe.steps) {
+    for (uint64_t keep = 0; keep < bytes; keep += 1024) {
+      FaultPlan plan;
+      plan.mode = FaultPlan::Mode::kTornLogFlush;
+      plan.crash_after_ops = ops_before + 1;
+      plan.torn_keep_bytes = static_cast<uint32_t>(keep);
+      if (!RunPoint(plan, ops_before + 1, nullptr)) failures++;
+      torn_points++;
+    }
+  }
+  std::printf("torn-inside-step sweep: %zu points, %d failures\n", torn_points,
+              failures);
 
   // A lying drive: fsyncs dropped after the first. The engine detects the
   // failed sync and refuses to acknowledge those commits (statements fail),
