@@ -5,6 +5,9 @@
 #   default   correctness (full suite, incl. the lint/lint_selftest tests)
 #   analysis  the regex lint: self-test over tests/lint_fixtures, then src/
 #   sanitize  ASan + UBSan
+#   tsan      ThreadSanitizer over the concurrency-labeled tests (the
+#             tsan-concurrency test preset): concurrent sessions, table
+#             locks, transactions, parallel workers and telemetry
 #   telemetry run a traced multi-session PARALLEL workload on the default
 #             build and validate the export formats (Chrome trace JSON,
 #             Prometheus text, stat-statements JSON) with
@@ -17,14 +20,14 @@
 #             c-tables checked against a shadow oracle)
 #
 # Usage: scripts/check.sh [preset ...]
-#        (default: default analysis sanitize telemetry recovery)
+#        (default: default analysis sanitize tsan telemetry recovery)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 PRESETS=("$@")
 if [ ${#PRESETS[@]} -eq 0 ]; then
-  PRESETS=(default analysis sanitize telemetry recovery)
+  PRESETS=(default analysis sanitize tsan telemetry recovery)
 fi
 
 for preset in "${PRESETS[@]}"; do
@@ -41,6 +44,15 @@ for preset in "${PRESETS[@]}"; do
     cmake --build --preset default -j "$(nproc)" --target crash_matrix
     echo "=== [$preset] crash matrix ============================================"
     ./build/tools/crash_matrix
+    continue
+  fi
+  if [ "$preset" = tsan ]; then
+    echo "=== [$preset] configure ==============================================="
+    cmake --preset tsan
+    echo "=== [$preset] build ==================================================="
+    cmake --build --preset tsan -j "$(nproc)"
+    echo "=== [$preset] concurrency label under TSan ============================"
+    ctest --preset tsan-concurrency -j "$(nproc)"
     continue
   fi
   if [ "$preset" = telemetry ]; then

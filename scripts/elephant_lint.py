@@ -47,8 +47,8 @@ arguments depend on:
                     elsewhere silently breaks redo and the WAL rule.
                     Everything else changes logged B+-tree pages through the
                     wal:: tree helpers (InsertCell / RemoveCell / SetValue /
-                    LogSplit), which Table's InsertTxn / DeleteRowTxn /
-                    UpdateRowTxn reach through BPlusTree.
+                    LogSplit), which Table's Insert / Delete / Update
+                    reach through BPlusTree.
 
 Suppress a finding with a trailing or preceding-line comment:
 

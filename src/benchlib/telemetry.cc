@@ -100,9 +100,9 @@ void BenchTelemetry::RecordStrategy(
     w.Key("rows").UInt(op.rows);
     w.Key("next_calls").UInt(op.next_calls);
     w.Key("seconds").Double(op.seconds);
-    w.Key("seq_reads").UInt(op.seq_reads);
-    w.Key("rand_reads").UInt(op.rand_reads);
-    w.Key("page_writes").UInt(op.page_writes);
+    w.Key("seq_reads").UInt(op.io.sequential_reads);
+    w.Key("rand_reads").UInt(op.io.random_reads);
+    w.Key("page_writes").UInt(op.io.page_writes);
     w.Key("pool_hits").UInt(op.pool_hits);
     w.Key("pool_misses").UInt(op.pool_misses);
     if (op.est_rows >= 0) w.Key("est_rows").Double(op.est_rows);

@@ -94,24 +94,6 @@ Status Table::MakeSecondaryEntry(const SecondaryIndex& idx, const Row& row,
   return tuple::Serialize(idx.include_schema, include_row, value);
 }
 
-Status Table::Insert(const Row& row, std::string* ckey_out) {
-  if (row.size() != schema_.NumColumns()) {
-    return Status::InvalidArgument("insert arity mismatch on table " + name_);
-  }
-  const std::string ckey = EncodeClusteredKey(row, next_seq_++);
-  std::string payload;
-  ELE_RETURN_NOT_OK(tuple::Serialize(schema_, row, &payload));
-  ELE_RETURN_NOT_OK(clustered_->Insert(ckey, payload));
-  for (const auto& idx : secondary_) {
-    std::string key, value;
-    ELE_RETURN_NOT_OK(MakeSecondaryEntry(*idx, row, ckey, &key, &value));
-    ELE_RETURN_NOT_OK(idx->tree->Insert(key, value));
-  }
-  row_count_++;
-  if (ckey_out != nullptr) *ckey_out = ckey;
-  return Status::OK();
-}
-
 Status Table::BulkLoadRows(std::vector<Row>&& rows) {
   obs::AccessScope access(&access_label_);
   if (row_count_ != 0) {
@@ -167,33 +149,6 @@ Status Table::ReloadRows(std::vector<Row>&& rows) {
     ELE_RETURN_NOT_OK(BuildSecondaryFromScan(idx.get()));
   }
   return Status::OK();
-}
-
-Result<uint64_t> Table::DeleteByClusterPrefix(
-    const std::vector<Value>& cluster_values) {
-  const std::string lo = EncodeClusterPrefix(cluster_values);
-  const std::string hi = keycodec::PrefixUpperBound(lo);
-  // Collect targets first (the iterator pins pages; mutate afterwards).
-  std::vector<std::pair<std::string, Row>> victims;
-  {
-    ELE_ASSIGN_OR_RETURN(RowIterator it, ScanRange(lo, hi));
-    while (it.Valid()) {
-      Row row;
-      ELE_RETURN_NOT_OK(it.Current(&row));
-      victims.emplace_back(std::string(it.it_.key()), std::move(row));
-      ELE_RETURN_NOT_OK(it.Next());
-    }
-  }
-  for (auto& [ckey, row] : victims) {
-    ELE_RETURN_NOT_OK(clustered_->Delete(ckey));
-    for (const auto& idx : secondary_) {
-      std::string key, value;
-      ELE_RETURN_NOT_OK(MakeSecondaryEntry(*idx, row, ckey, &key, &value));
-      ELE_RETURN_NOT_OK(idx->tree->Delete(key));
-    }
-    row_count_--;
-  }
-  return static_cast<uint64_t>(victims.size());
 }
 
 Status Table::CreateSecondaryIndex(const std::string& index_name,
@@ -328,15 +283,29 @@ Result<Table::RowIterator> Table::ScanRange(const std::string& lo,
   return RowIterator(&schema_, std::move(it), hi);
 }
 
-wal::TreeWriter Table::Writer(const TxnWriteContext& ctx, uint8_t tree) const {
-  return wal::TreeWriter{ctx.log, pool_, ctx.txn_id, ctx.last_lsn, table_id_, tree};
+Status Table::CheckContext(const TxnWriteContext& ctx) const {
+  if (logged() && ctx.log == nullptr) {
+    return Status::FailedPrecondition("table " + name_ +
+                                      " is logged; a write needs the log");
+  }
+  if (!logged() && ctx.log != nullptr) {
+    return Status::FailedPrecondition("table " + name_ +
+                                      " is not logged; a write cannot be logged");
+  }
+  return Status::OK();
 }
 
-Status Table::InsertTxn(const Row& row, const TxnWriteContext& ctx,
-                        std::string* ckey_out) {
-  if (!logged()) {
-    return Status::FailedPrecondition("table " + name_ + " is not logged");
-  }
+const wal::TreeWriter* Table::Writer(const TxnWriteContext& ctx, size_t tree,
+                                     wal::TreeWriter* slot) const {
+  if (ctx.log == nullptr) return nullptr;
+  *slot = wal::TreeWriter{ctx.log,     pool_,     ctx.txn_id,
+                          ctx.last_lsn, table_id_, static_cast<uint8_t>(tree)};
+  return slot;
+}
+
+Status Table::Insert(const Row& row, const TxnWriteContext& ctx,
+                     std::string* ckey_out) {
+  ELE_RETURN_NOT_OK(CheckContext(ctx));
   if (row.size() != schema_.NumColumns()) {
     return Status::InvalidArgument("insert arity mismatch on table " + name_);
   }
@@ -344,59 +313,54 @@ Status Table::InsertTxn(const Row& row, const TxnWriteContext& ctx,
   const std::string ckey = EncodeClusteredKey(row, next_seq_++);
   std::string payload;
   ELE_RETURN_NOT_OK(tuple::Serialize(schema_, row, &payload));
-  const wal::TreeWriter w = Writer(ctx, 0);
-  ELE_RETURN_NOT_OK(clustered_->Insert(ckey, payload, &w));
+  wal::TreeWriter slot;
+  ELE_RETURN_NOT_OK(clustered_->Insert(ckey, payload, Writer(ctx, 0, &slot)));
   row_count_++;
   for (size_t i = 0; i < secondary_.size(); i++) {
     std::string key, value;
     ELE_RETURN_NOT_OK(MakeSecondaryEntry(*secondary_[i], row, ckey, &key, &value));
-    const wal::TreeWriter sw = Writer(ctx, static_cast<uint8_t>(i + 1));
-    ELE_RETURN_NOT_OK(secondary_[i]->tree->Insert(key, value, &sw));
+    ELE_RETURN_NOT_OK(
+        secondary_[i]->tree->Insert(key, value, Writer(ctx, i + 1, &slot)));
   }
   if (ckey_out != nullptr) *ckey_out = ckey;
   return Status::OK();
 }
 
-Status Table::DeleteRowTxn(const std::string& ckey, const Row& row,
-                           const TxnWriteContext& ctx) {
-  if (!logged()) {
-    return Status::FailedPrecondition("table " + name_ + " is not logged");
-  }
+Status Table::Delete(const std::string& ckey, const Row& row,
+                     const TxnWriteContext& ctx) {
+  ELE_RETURN_NOT_OK(CheckContext(ctx));
   obs::AccessScope access(&access_label_);
-  const wal::TreeWriter w = Writer(ctx, 0);
-  ELE_RETURN_NOT_OK(clustered_->Delete(ckey, &w));
+  wal::TreeWriter slot;
+  ELE_RETURN_NOT_OK(clustered_->Delete(ckey, Writer(ctx, 0, &slot)));
   row_count_--;
   for (size_t i = 0; i < secondary_.size(); i++) {
     std::string key, value;
     ELE_RETURN_NOT_OK(MakeSecondaryEntry(*secondary_[i], row, ckey, &key, &value));
-    const wal::TreeWriter sw = Writer(ctx, static_cast<uint8_t>(i + 1));
-    ELE_RETURN_NOT_OK(secondary_[i]->tree->Delete(key, &sw));
+    ELE_RETURN_NOT_OK(secondary_[i]->tree->Delete(key, Writer(ctx, i + 1, &slot)));
   }
   return Status::OK();
 }
 
-Status Table::UpdateRowTxn(const std::string& ckey, const Row& before,
-                           const Row& after, const TxnWriteContext& ctx) {
-  if (!logged()) {
-    return Status::FailedPrecondition("table " + name_ + " is not logged");
-  }
+Status Table::Update(const std::string& ckey, const Row& before,
+                     const Row& after, const TxnWriteContext& ctx) {
+  ELE_RETURN_NOT_OK(CheckContext(ctx));
   if (after.size() != schema_.NumColumns()) {
     return Status::InvalidArgument("update arity mismatch on table " + name_);
   }
   obs::AccessScope access(&access_label_);
   std::string payload;
   ELE_RETURN_NOT_OK(tuple::Serialize(schema_, after, &payload));
-  const wal::TreeWriter w = Writer(ctx, 0);
-  ELE_RETURN_NOT_OK(clustered_->Update(ckey, payload, &w));
+  wal::TreeWriter slot;
+  ELE_RETURN_NOT_OK(clustered_->Update(ckey, payload, Writer(ctx, 0, &slot)));
   for (size_t i = 0; i < secondary_.size(); i++) {
     std::string old_key, old_value, key, value;
     ELE_RETURN_NOT_OK(
         MakeSecondaryEntry(*secondary_[i], before, ckey, &old_key, &old_value));
     ELE_RETURN_NOT_OK(MakeSecondaryEntry(*secondary_[i], after, ckey, &key, &value));
     if (key == old_key && value == old_value) continue;
-    const wal::TreeWriter sw = Writer(ctx, static_cast<uint8_t>(i + 1));
-    ELE_RETURN_NOT_OK(secondary_[i]->tree->Delete(old_key, &sw));
-    ELE_RETURN_NOT_OK(secondary_[i]->tree->Insert(key, value, &sw));
+    const wal::TreeWriter* w = Writer(ctx, i + 1, &slot);
+    ELE_RETURN_NOT_OK(secondary_[i]->tree->Delete(old_key, w));
+    ELE_RETURN_NOT_OK(secondary_[i]->tree->Insert(key, value, w));
   }
   return Status::OK();
 }

@@ -15,8 +15,10 @@ namespace wal {
 class LogManager;
 }
 
-/// Logging context a transaction threads through every Txn write method.
-/// `last_lsn` is the head of the transaction's WAL chain.
+/// Where a row write is logged: the transaction's log and the head of its
+/// WAL chain (`last_lsn`). A default-constructed context has no log, which
+/// is how unlogged tables (derived tables, and every table of an engine
+/// without a WAL) are written.
 struct TxnWriteContext {
   wal::LogManager* log = nullptr;
   txn_id_t txn_id = kInvalidTxnId;
@@ -80,10 +82,6 @@ class Table {
   BufferPool* pool() const { return pool_; }
   const BPlusTree& clustered() const { return *clustered_; }
 
-  /// Inserts one row, maintaining all secondary indexes. `ckey`, when
-  /// given, receives the encoded clustering key the row is stored under.
-  Status Insert(const Row& row, std::string* ckey = nullptr);
-
   /// Bulk-loads rows into an empty table (sorts by clustering key first).
   /// Far faster than repeated Insert and produces sequentially laid-out
   /// leaves. Consumes `rows`.
@@ -95,17 +93,15 @@ class Table {
   /// contents are owned by the log.
   Status ReloadRows(std::vector<Row>&& rows);
 
-  /// Deletes all rows whose cluster-column values equal `cluster_values`
-  /// (prefix match). Returns the number of rows removed. Secondary indexes
-  /// are maintained.
-  Result<uint64_t> DeleteByClusterPrefix(const std::vector<Value>& cluster_values);
-
-  // --- WAL-mode durable storage -------------------------------------------
+  // --- Row writes ----------------------------------------------------------
   //
-  // In WAL mode a base table's trees are its one durable store: the Txn
-  // write methods log every page change, and the trees reopen from their
-  // checkpointed roots. Each tree is named in the log by the table id and
-  // an ordinal: 0 for the clustered tree, i for secondary index i - 1.
+  // In WAL mode a base table's trees are its one durable store: each write
+  // logs every page change through its context's log, and the trees reopen
+  // from their checkpointed roots. Each tree is named in the log by the
+  // table id and an ordinal: 0 for the clustered tree, i for secondary
+  // index i - 1. An unlogged table is written the same way with a context
+  // that has no log; a write whose context disagrees with the table is
+  // FailedPrecondition.
 
   /// Makes this a logged table; `table_id` is the stable numeric id its WAL
   /// records carry.
@@ -117,23 +113,24 @@ class Table {
   /// the clustered leaves (the reopen path, after recovery).
   Status CountRows();
 
-  /// Transactional insert into the clustered tree and every secondary
-  /// index, each change logged. Requires a logged table. `ckey` as for
-  /// Insert.
-  Status InsertTxn(const Row& row, const TxnWriteContext& ctx,
-                   std::string* ckey = nullptr);
+  /// Inserts one row into the clustered tree and every secondary index.
+  /// `ckey`, when given, receives the encoded clustering key the row is
+  /// stored under.
+  Status Insert(const Row& row, const TxnWriteContext& ctx,
+                std::string* ckey = nullptr);
 
-  /// Transactional delete of the row with encoded clustering key `ckey`
-  /// (callers pass the deserialized row so secondary entries can be
-  /// recomputed without a read).
-  Status DeleteRowTxn(const std::string& ckey, const Row& row,
-                      const TxnWriteContext& ctx);
+  /// Deletes the row stored under encoded clustering key `ckey` (callers
+  /// pass the deserialized row so secondary entries can be recomputed
+  /// without a read).
+  Status Delete(const std::string& ckey, const Row& row,
+                const TxnWriteContext& ctx);
 
-  /// Transactional update keeping the same clustering key (cluster columns
-  /// unchanged — the engine decomposes key-changing updates into delete +
-  /// insert). Secondary entries are rewritten only where they change.
-  Status UpdateRowTxn(const std::string& ckey, const Row& before,
-                      const Row& after, const TxnWriteContext& ctx);
+  /// Replaces the row under `ckey`, keeping its clustering key (cluster
+  /// columns unchanged — the engine decomposes key-changing updates into
+  /// delete + insert). Secondary entries are rewritten only where they
+  /// change.
+  Status Update(const std::string& ckey, const Row& before, const Row& after,
+                const TxnWriteContext& ctx);
 
   /// Logical undo of one logged change to tree `tree`, found again by its
   /// exact key (keys are unique): an insert is deleted, a delete
@@ -144,7 +141,7 @@ class Table {
               std::string_view before, const wal::TreeWriter& w);
 
   /// Creates a covering secondary index over the current contents
-  /// (bulk-built). Maintained by subsequent Insert calls.
+  /// (bulk-built). Maintained by subsequent row writes.
   Status CreateSecondaryIndex(const std::string& index_name,
                               std::vector<size_t> key_cols,
                               std::vector<size_t> include_cols);
@@ -185,8 +182,8 @@ class Table {
     Status Current(Row* out) const;
     /// Reads one column of the current row without full deserialization.
     Value CurrentColumn(size_t col) const;
-    /// The encoded clustering key at the current position (what the Txn
-    /// write methods take to address a row).
+    /// The encoded clustering key at the current position (what Delete and
+    /// Update take to address a row).
     std::string_view EncodedKey() const { return it_.key(); }
 
    private:
@@ -223,8 +220,13 @@ class Table {
         unique_cluster_(unique_cluster) {}
 
   std::string EncodeClusteredKey(const Row& row, uint64_t seq) const;
-  /// The writer for tree `tree` of this table under `ctx`.
-  wal::TreeWriter Writer(const TxnWriteContext& ctx, uint8_t tree) const;
+  /// FailedPrecondition unless `ctx` has a log exactly when this table is
+  /// logged.
+  Status CheckContext(const TxnWriteContext& ctx) const;
+  /// The writer a change to tree `tree` under `ctx` goes through: filled
+  /// into `slot` when `ctx` has a log, null (an unlogged change) otherwise.
+  const wal::TreeWriter* Writer(const TxnWriteContext& ctx, size_t tree,
+                                wal::TreeWriter* slot) const;
   /// A secondary index's definition, without its tree.
   std::unique_ptr<SecondaryIndex> DefineIndex(const std::string& index_name,
                                               std::vector<size_t> key_cols,

@@ -97,14 +97,23 @@ std::string QueryResult::ToString(size_t max_rows) const {
   return out;
 }
 
-Database::Database(DatabaseOptions options) : options_(options) {
+Database::Database(DatabaseOptions options) : Database(options, ReopenTag{}) {
+  if (options_.wal_enabled) {
+    // Reserve the meta page first: nothing else has allocated yet, so it
+    // gets page 0 — a stable address a reopened engine can read before it
+    // knows anything else about the database.
+    disk_->AllocatePage();
+    AttachLog("");
+  }
+  MaybeStartAshSampler();
+}
+
+Database::Database(DatabaseOptions options, ReopenTag) : options_(options) {
   disk_ = std::make_unique<DiskManager>(&heatmap_);
-  disk_->ConfigureReadahead(options_.readahead_enabled,
-                            options_.readahead_window_pages);
   pool_ = std::make_unique<BufferPool>(disk_.get(), options_.buffer_pool_pages,
                                        &heatmap_);
   catalog_ = std::make_unique<Catalog>(pool_.get());
-  if (options_.wal_enabled) InitWalMachinery();
+  lock_mgr_ = std::make_unique<txn::LockManager>();
   Status reg = RegisterSystemTables();
   if (!reg.ok()) {
     // A fresh catalog cannot collide with the reserved elephant_stat_ names;
@@ -115,16 +124,6 @@ Database::Database(DatabaseOptions options) : options_(options) {
                  reg.ToString().c_str());
     std::abort();
   }
-  MaybeStartAshSampler();
-}
-
-Database::Database(DatabaseOptions options, ReopenTag) : options_(options) {
-  disk_ = std::make_unique<DiskManager>(&heatmap_);
-  disk_->ConfigureReadahead(options_.readahead_enabled,
-                            options_.readahead_window_pages);
-  pool_ = std::make_unique<BufferPool>(disk_.get(), options_.buffer_pool_pages,
-                                       &heatmap_);
-  catalog_ = std::make_unique<Catalog>(pool_.get());
 }
 
 void Database::MaybeStartAshSampler() {
@@ -136,13 +135,8 @@ void Database::MaybeStartAshSampler() {
   ash_sampler_->Start();
 }
 
-void Database::InitWalMachinery() {
-  // Reserve the meta page first: nothing else has allocated yet, so it gets
-  // page 0 — a stable address a reopened engine can read before it knows
-  // anything else about the database.
-  disk_->AllocatePage();
-  log_ = std::make_unique<wal::LogManager>(disk_.get());
-  lock_mgr_ = std::make_unique<txn::LockManager>();
+void Database::AttachLog(std::string durable_log) {
+  log_ = std::make_unique<wal::LogManager>(disk_.get(), std::move(durable_log));
   txn_mgr_ = std::make_unique<txn::TransactionManager>(
       log_.get(), catalog_.get(), lock_mgr_.get());
   catalog_->EnableWalStorage();
@@ -157,15 +151,7 @@ Result<std::unique_ptr<Database>> Database::Reopen(DatabaseOptions options,
   options.wal_enabled = true;
   std::unique_ptr<Database> db(new Database(options, ReopenTag{}));
   ELE_RETURN_NOT_OK(db->disk_->RestorePages(image.pages));
-  db->log_ =
-      std::make_unique<wal::LogManager>(db->disk_.get(), std::move(image.log));
-  db->lock_mgr_ = std::make_unique<txn::LockManager>();
-  db->txn_mgr_ = std::make_unique<txn::TransactionManager>(
-      db->log_.get(), db->catalog_.get(), db->lock_mgr_.get());
-  db->catalog_->EnableWalStorage();
-  db->pool_->SetWalFlushCallback(
-      [log = db->log_.get()](lsn_t lsn) { return log->FlushUntil(lsn); });
-  ELE_RETURN_NOT_OK(db->RegisterSystemTables());
+  db->AttachLog(std::move(image.log));
 
   // The meta page names the checkpoint to redo from and carries the catalog
   // as of that checkpoint (DDL checkpoints eagerly, so the blob is always
@@ -510,7 +496,7 @@ Status Database::RegisterSystemTables() {
                   i64(s.committed),
                   i64(s.aborted),
                   i64(s.active),
-                  i64(s.lock_timeouts),
+                  i64(lock_mgr_->timeouts()),
               }};
             }));
   }
@@ -613,7 +599,7 @@ Status Database::RegisterSystemTables() {
 
   // elephant_stat_lock_waits: who blocks whom *right now* — one row per
   // (parked waiter, current holder) edge of the lock manager's wait graph.
-  // Empty outside WAL mode and whenever nobody is parked.
+  // Empty whenever nobody is parked.
   {
     Schema schema({
         Column("waiter_txn", TypeId::kInt64),
@@ -626,7 +612,6 @@ Status Database::RegisterSystemTables() {
             "elephant_stat_lock_waits", std::move(schema),
             [this, i64]() -> Result<std::vector<Row>> {
               std::vector<Row> rows;
-              if (lock_mgr_ == nullptr) return rows;
               const auto mode_name = [](txn::LockManager::Mode m) {
                 return m == txn::LockManager::Mode::kShared ? "Shared"
                                                             : "Exclusive";
@@ -741,12 +726,12 @@ std::string Database::ExportMetrics() {
     metrics_.GetCounter("txn.aborts_total")
         ->Increment(txn_stats.aborted -
                     metrics_.GetCounter("txn.aborts_total")->value());
-    metrics_.GetCounter("txn.lock_timeouts_total")
-        ->Increment(txn_stats.lock_timeouts -
-                    metrics_.GetCounter("txn.lock_timeouts_total")->value());
     metrics_.GetGauge("txn.active")
         ->Set(static_cast<double>(txn_stats.active));
   }
+  metrics_.GetCounter("txn.lock_timeouts_total")
+      ->Increment(lock_mgr_->timeouts() -
+                  metrics_.GetCounter("txn.lock_timeouts_total")->value());
   // Registry families first, then the top statement families by modeled I/O
   // and the wait-event counters (labeled series the plain registry cannot
   // express).
@@ -791,40 +776,32 @@ Result<std::string> Database::Explain(const std::string& sql,
 Result<QueryResult> Database::ExecuteSelectWithLocks(
     const std::string& sql, std::unique_ptr<SelectStmt> stmt,
     PlanHints extra_hints, bool instrument, SessionTxnState* ts) {
-  // A SELECT first refreshes the stale derived tables it reads. In WAL mode
-  // it then takes statement-scoped shared locks on its tables. Inside a
-  // transaction the locks are taken under the transaction's id, so they
-  // compose with its exclusive locks; outside, a throwaway reader id keeps
-  // them disjoint from every transaction.
+  // A SELECT first refreshes the stale derived tables it reads, then takes
+  // statement-scoped shared locks on its tables. Inside a transaction the
+  // locks are taken under the transaction's id, so they compose with its
+  // exclusive locks; outside, a throwaway reader id keeps them disjoint
+  // from every transaction.
   std::vector<std::string> acquired;
-  txn_id_t locker = kInvalidTxnId;
-  if (log_ == nullptr) {
-    ELE_RETURN_NOT_OK(RefreshSelectTables(*stmt, kInvalidTxnId).status());
-  } else {
-    locker = ts->txn != nullptr ? ts->txn->id()
-                                : next_read_locker_.fetch_add(1);
-    Status prep = PrepareSelectTables(*stmt, locker, &acquired);
-    if (!prep.ok()) {
-      if (ts->txn == nullptr) {
-        lock_mgr_->ReleaseAll(locker);
-      } else if (ts->txn->state == txn::TxnState::kActive) {
-        return CombineWithRollbackFailure(prep,
-                                          AbortTxn(ts->txn.get(), sql, ts));
-      }
-      return prep;
+  const txn_id_t locker =
+      ts->txn != nullptr ? ts->txn->id() : next_read_locker_.fetch_add(1);
+  Status prep = PrepareSelectTables(*stmt, locker, &acquired);
+  if (!prep.ok()) {
+    if (ts->txn == nullptr) {
+      lock_mgr_->ReleaseAll(locker);
+    } else if (ts->txn->state == txn::TxnState::kActive) {
+      return CombineWithRollbackFailure(prep, AbortTxn(ts->txn.get(), sql, ts));
     }
+    return prep;
   }
   Result<QueryResult> r =
       ExecuteSelect(sql, std::move(stmt), extra_hints, instrument);
-  if (log_ != nullptr) {
-    if (ts->txn == nullptr) {
-      lock_mgr_->ReleaseAll(locker);
-    } else {
-      // Shared locks are statement-scoped even inside a transaction
-      // (locks the transaction held before this statement stay put).
-      for (const std::string& name : acquired) {
-        lock_mgr_->Release(locker, name, txn::LockManager::Mode::kShared);
-      }
+  if (ts->txn == nullptr) {
+    lock_mgr_->ReleaseAll(locker);
+  } else {
+    // Shared locks are statement-scoped even inside a transaction (locks
+    // the transaction held before this statement stay put).
+    for (const std::string& name : acquired) {
+      lock_mgr_->Release(locker, name, txn::LockManager::Mode::kShared);
     }
   }
   if (!r.ok()) {
@@ -920,15 +897,13 @@ Result<QueryResult> Database::ExecuteSelect(const std::string& sql,
   if (instrument && result.plan != nullptr) {
     // Per-operator-class residuals exist only on instrumented runs: the
     // self-attributed wall seconds come from the InstrumentedBatchExecutor
-    // wrappers, and the modeled side prices the operator's own page reads
-    // through the same disk model the planner costs with.
+    // wrappers, and the modeled side prices the operator's own disk traffic
+    // (read-ahead hits included) through the statement's disk model, so
+    // the operators' modeled seconds sum to the statement's io_seconds.
     for (const obs::OperatorBreakdown& b : obs::FlattenPlan(*result.plan)) {
-      IoStats op_io;
-      op_io.sequential_reads = b.seq_reads;
-      op_io.random_reads = b.rand_reads;
       obs::OperatorResidual residual;
       residual.op_class = obs::OperatorClassOf(b.op);
-      residual.modeled_io_seconds = options_.disk_model.Seconds(op_io);
+      residual.modeled_io_seconds = options_.disk_model.Seconds(b.io);
       residual.measured_seconds = b.seconds;
       record.residuals.push_back(std::move(residual));
     }
@@ -1119,7 +1094,7 @@ Result<QueryResult> Database::ExecuteStatement(const std::string& sql,
     case StatementKind::kCreateTable: {
       metrics_.GetCounter("db.statements.create_table")->Increment();
       ELE_RETURN_NOT_OK(CheckNotInAbortedTxn(*ts, sql));
-      if (log_ != nullptr && ts->txn != nullptr) {
+      if (ts->txn != nullptr) {
         return Status::FailedPrecondition(
             "DDL is not transactional: statement \"" + sql +
             "\" must run outside BEGIN/COMMIT (transaction state: " +
@@ -1148,7 +1123,7 @@ Result<QueryResult> Database::ExecuteStatement(const std::string& sql,
     case StatementKind::kCreateIndex: {
       metrics_.GetCounter("db.statements.create_index")->Increment();
       ELE_RETURN_NOT_OK(CheckNotInAbortedTxn(*ts, sql));
-      if (log_ != nullptr && ts->txn != nullptr) {
+      if (ts->txn != nullptr) {
         return Status::FailedPrecondition(
             "DDL is not transactional: statement \"" + sql +
             "\" must run outside BEGIN/COMMIT (transaction state: " +
@@ -1167,15 +1142,13 @@ Result<QueryResult> Database::ExecuteStatement(const std::string& sql,
         if (idx < 0) return Status::BindError("unknown INCLUDE column " + name);
         includes.push_back(static_cast<size_t>(idx));
       }
-      if (log_ == nullptr) {
-        ELE_RETURN_NOT_OK(table->CreateSecondaryIndex(ci.index_name, keys, includes));
-        return QueryResult{};
-      }
-      // The build waits out the table's writers: an uncommitted change it
-      // copied into the new tree would be left there by the rollback,
-      // whose log records name only the trees that existed. The lock is
-      // held until the checkpoint has put the index in the durable catalog,
-      // so no change to the new tree is logged before recovery can find it.
+      // The build holds the table's exclusive lock: readers, whose plans
+      // walk the index list it extends, and writers wait. With a log, an
+      // uncommitted change it copied into the new tree would be left there
+      // by the rollback, whose log records name only the trees that
+      // existed; and the lock is held until the checkpoint has put the
+      // index in the durable catalog, so no change to the new tree is
+      // logged before recovery can find it.
       const txn_id_t locker = next_read_locker_.fetch_add(1);
       Status built = lock_mgr_->Acquire(locker, table->name(),
                                         txn::LockManager::Mode::kExclusive,
@@ -1183,7 +1156,7 @@ Result<QueryResult> Database::ExecuteStatement(const std::string& sql,
       if (built.ok()) {
         built = table->CreateSecondaryIndex(ci.index_name, keys, includes);
       }
-      if (built.ok()) built = Checkpoint();
+      if (built.ok() && log_ != nullptr) built = Checkpoint();
       lock_mgr_->ReleaseAll(locker);
       ELE_RETURN_NOT_OK(built);
       return QueryResult{};
@@ -1332,39 +1305,13 @@ Result<QueryResult> Database::ExecuteDml(const Statement& stmt,
   }
   ELE_RETURN_NOT_OK(CheckNotInAbortedTxn(*state, sql));
   ELE_ASSIGN_OR_RETURN(Table * table, catalog_->GetTable(*table_name));
-
-  if (log_ == nullptr) {
-    // The unlogged engine keeps its original INSERT (bulk loads for the
-    // read-only experiments); destructive DML needs the write path.
-    if (stmt.kind != StatementKind::kInsert) {
-      return Status::NotSupported(
-          std::string(stmt.kind == StatementKind::kDelete ? "DELETE"
-                                                          : "UPDATE") +
-          " requires the transactional write path "
-          "(DatabaseOptions::wal_enabled)");
-    }
-    const InsertStmt& ins = *stmt.insert;
-    const Schema& schema = table->schema();
-    std::vector<std::pair<std::string, Row>> inserted;
-    auto insert_rows = [&]() -> Status {
-      for (const auto& row_exprs : ins.rows) {
-        ELE_ASSIGN_OR_RETURN(Row row, LiteralRow(row_exprs, schema));
-        std::string ckey;
-        ELE_RETURN_NOT_OK(table->Insert(row, &ckey));
-        inserted.emplace_back(std::move(ckey), std::move(row));
-      }
-      return Status::OK();
-    };
-    const Status s = insert_rows();
-    // Without the WAL nothing undoes the rows a failed statement stored
-    // before its error, so they are recorded too.
-    catalog_->RecordInserts(table->name(), kInvalidTxnId, std::move(inserted));
-    ELE_RETURN_NOT_OK(s);
-    QueryResult qr;
-    qr.counters.rows_output = ins.rows.size();
-    return qr;
+  if (log_ == nullptr && stmt.kind != StatementKind::kInsert) {
+    // Nothing could undo a DELETE or UPDATE that fails part-way.
+    return Status::NotSupported(
+        std::string(stmt.kind == StatementKind::kDelete ? "DELETE" : "UPDATE") +
+        " requires the transactional write path "
+        "(DatabaseOptions::wal_enabled)");
   }
-
   if (catalog_->IsDerived(table->name())) {
     return Status::BindError(
         "table \"" + table->name() +
@@ -1375,12 +1322,15 @@ Result<QueryResult> Database::ExecuteDml(const Statement& stmt,
 
   const bool autocommit = state->txn == nullptr;
   std::unique_ptr<txn::Transaction> implicit_txn;
-  txn::Transaction* t = nullptr;
+  txn::Transaction* t = state->txn.get();
   if (autocommit) {
-    implicit_txn = txn_mgr_->Begin(/*implicit=*/true);
+    // Without a log the statement runs under a bare lock owner: there is
+    // nothing to commit or undo.
+    implicit_txn = txn_mgr_ != nullptr
+                       ? txn_mgr_->Begin(/*implicit=*/true)
+                       : std::make_unique<txn::Transaction>(
+                             next_read_locker_.fetch_add(1), /*implicit=*/true);
     t = implicit_txn.get();
-  } else {
-    t = state->txn.get();
   }
 
   auto run = [&]() -> Result<uint64_t> {
@@ -1397,7 +1347,11 @@ Result<QueryResult> Database::ExecuteDml(const Statement& stmt,
     }
   };
   Result<uint64_t> changed = run();
-  if (!changed.ok()) {
+  if (log_ == nullptr) {
+    // The lock ends with the statement, and the rows a failed INSERT stored
+    // before its error stay stored.
+    lock_mgr_->ReleaseAll(t->id());
+  } else if (!changed.ok()) {
     if (autocommit) {
       Status rb = RollbackTxn(t);
       if (!rb.ok()) {
@@ -1407,15 +1361,12 @@ Result<QueryResult> Database::ExecuteDml(const Statement& stmt,
     }
     return CombineWithRollbackFailure(changed.status(),
                                       AbortTxn(t, sql, state));
-  }
-  if (stmt.kind != StatementKind::kInsert) {
-    catalog_->MarkDependentsStale(table->name());
-  }
-  if (autocommit) {
+  } else if (autocommit) {
     // Commit is the only durability point: if the group flush fails, the
     // transaction did NOT commit and the error surfaces here.
     ELE_RETURN_NOT_OK(txn_mgr_->Commit(t));
   }
+  ELE_RETURN_NOT_OK(changed.status());
   QueryResult qr;
   qr.counters.rows_output = changed.value();
   return qr;
@@ -1425,18 +1376,24 @@ Result<uint64_t> Database::RunInsert(const InsertStmt& ins, Table* table,
                                      txn::Transaction* t) {
   const Schema& schema = table->schema();
   t->inserted_into.insert(table->name());
-  TxnWriteContext ctx{log_.get(), t->id(), &t->last_lsn};
+  const TxnWriteContext ctx{log_.get(), t->id(), &t->last_lsn};
   std::vector<std::pair<std::string, Row>> inserted;
   inserted.reserve(ins.rows.size());
-  for (const auto& row_exprs : ins.rows) {
-    ELE_ASSIGN_OR_RETURN(Row row, LiteralRow(row_exprs, schema));
-    std::string ckey;
-    ELE_RETURN_NOT_OK(table->InsertTxn(row, ctx, &ckey));
-    inserted.emplace_back(std::move(ckey), std::move(row));
-  }
-  // Recorded only once the whole statement succeeded; a failure rolls the
-  // transaction back, which discards the rows its earlier statements logged.
+  auto insert_rows = [&]() -> Status {
+    for (const auto& row_exprs : ins.rows) {
+      ELE_ASSIGN_OR_RETURN(Row row, LiteralRow(row_exprs, schema));
+      std::string ckey;
+      ELE_RETURN_NOT_OK(table->Insert(row, ctx, &ckey));
+      inserted.emplace_back(std::move(ckey), std::move(row));
+    }
+    return Status::OK();
+  };
+  const Status s = insert_rows();
+  // Recorded even when a later row failed: with a log the rollback's
+  // DiscardInserts takes the transaction's rows out again; without one
+  // nothing undoes the rows already stored.
   catalog_->RecordInserts(table->name(), t->id(), std::move(inserted));
+  ELE_RETURN_NOT_OK(s);
   return static_cast<uint64_t>(ins.rows.size());
 }
 
@@ -1466,10 +1423,11 @@ Result<uint64_t> Database::RunDelete(const DeleteStmt& del, Table* table,
     }
   }
   t->changed.insert(table->name());
-  TxnWriteContext ctx{log_.get(), t->id(), &t->last_lsn};
+  const TxnWriteContext ctx{log_.get(), t->id(), &t->last_lsn};
   for (auto& [ckey, row] : victims) {
-    ELE_RETURN_NOT_OK(table->DeleteRowTxn(ckey, row, ctx));
+    ELE_RETURN_NOT_OK(table->Delete(ckey, row, ctx));
   }
+  catalog_->MarkDependentsStale(table->name());
   return static_cast<uint64_t>(victims.size());
 }
 
@@ -1515,7 +1473,7 @@ Result<uint64_t> Database::RunUpdate(const UpdateStmt& upd, Table* table,
     }
   }
   t->changed.insert(table->name());
-  TxnWriteContext ctx{log_.get(), t->id(), &t->last_lsn};
+  const TxnWriteContext ctx{log_.get(), t->id(), &t->last_lsn};
   for (auto& [ckey, before] : victims) {
     Row after = before;
     for (const SetTarget& st : sets) {
@@ -1536,12 +1494,13 @@ Result<uint64_t> Database::RunUpdate(const UpdateStmt& upd, Table* table,
     if (changes_cluster) {
       // A clustering-key change moves the row, so it logs as delete+insert
       // (the same decomposition PostgreSQL uses for every UPDATE).
-      ELE_RETURN_NOT_OK(table->DeleteRowTxn(ckey, before, ctx));
-      ELE_RETURN_NOT_OK(table->InsertTxn(after, ctx));
+      ELE_RETURN_NOT_OK(table->Delete(ckey, before, ctx));
+      ELE_RETURN_NOT_OK(table->Insert(after, ctx));
     } else {
-      ELE_RETURN_NOT_OK(table->UpdateRowTxn(ckey, before, after, ctx));
+      ELE_RETURN_NOT_OK(table->Update(ckey, before, after, ctx));
     }
   }
+  catalog_->MarkDependentsStale(table->name());
   return static_cast<uint64_t>(victims.size());
 }
 
@@ -1561,8 +1520,8 @@ Result<std::vector<std::string>> Database::RefreshSelectTables(
   std::sort(tables.begin(), tables.end());
   tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
   // A full rebuild re-enters Execute() for the materialization query, which
-  // in WAL mode takes its own reader locks on the base tables: refresh
-  // before this statement locks anything.
+  // takes its own reader locks on the base tables: refresh before this
+  // statement locks anything.
   for (const std::string& name : tables) {
     if (catalog_->IsStale(name)) ELE_RETURN_NOT_OK(RefreshDerived(name, locker));
   }
@@ -1570,7 +1529,6 @@ Result<std::vector<std::string>> Database::RefreshSelectTables(
 }
 
 Status Database::RefreshDerived(const std::string& name, txn_id_t locker) {
-  if (log_ == nullptr) return catalog_->RebuildIfStale(name);
   // Shared locks on the bases, as a SELECT over them would take: the refresh
   // waits out (or times out on) every writer, so it never applies another
   // transaction's uncommitted inserts, and the bases hold still under it.

@@ -75,12 +75,6 @@ struct ExplainAnalyzeResult {
 struct DatabaseOptions {
   uint32_t buffer_pool_pages = kDefaultBufferPoolPages;
   DiskModel disk_model;
-  /// Disk read-ahead: sequential streams prefetch a forward window of pages,
-  /// so reads landing inside the window are charged transfer time only
-  /// (no per-request overhead). Off = every read pays full request cost.
-  bool readahead_enabled = true;
-  /// Pages per read-ahead window (0 disables read-ahead as well).
-  uint32_t readahead_window_pages = DiskManager::kDefaultReadaheadPages;
   /// When true (the default for benchmarks), Execute() drops the buffer pool
   /// before running so every query starts cold, like the paper's experiments.
   /// Only valid for single-stream use: evicting while another session holds
@@ -95,14 +89,16 @@ struct DatabaseOptions {
   /// *global* pin count, so it is only valid for single-stream use — a
   /// concurrent session mid-scan legitimately holds pins. Tests enable it.
   bool check_pin_invariants = false;
-  /// Transactional write path: each base table's B+-trees (clustered and
+  /// Attaches a write-ahead log: each base table's B+-trees (clustered and
   /// secondary) become its one durable store, every DML page change is
-  /// WAL-logged, the buffer pool enforces the WAL rule, and BEGIN/COMMIT/
-  /// ROLLBACK/CHECKPOINT plus DELETE/UPDATE are accepted. Off by default —
-  /// the read-only experiments keep the original unlogged engine.
+  /// logged, the buffer pool enforces the WAL rule, and BEGIN/COMMIT/
+  /// ROLLBACK/CHECKPOINT plus DELETE/UPDATE are accepted. Without it the
+  /// engine is the same — one INSERT path, the same table locks — with its
+  /// tables unlogged. Off by default: the read-only experiments need no log.
   bool wal_enabled = false;
-  /// Table-lock wait budget. A wait exceeding it aborts the transaction
-  /// (suspected deadlock). Tests shrink it to fail fast.
+  /// Table-lock wait budget. A wait exceeding it fails the statement and
+  /// aborts its transaction (suspected deadlock). Tests shrink it to fail
+  /// fast.
   double lock_timeout_seconds = 1.0;
   /// Active session history: a background thread samples every live
   /// session's activity (running / waiting-on-<event> / idle-in-txn) into a
@@ -153,7 +149,8 @@ class Database {
   /// single QUERY PLAN column. `session` carries the caller's transaction
   /// slot (BEGIN opens into it, DML joins it); null uses the Database's
   /// built-in single-session slot. DELETE/UPDATE and transaction control
-  /// require `wal_enabled`; a bare DML statement autocommits.
+  /// require `wal_enabled`; a bare DML statement autocommits. Every
+  /// statement takes table locks, with or without the log.
   Result<QueryResult> Execute(const std::string& sql, PlanHints extra_hints = {},
                               SessionTxnState* session = nullptr);
 
@@ -233,6 +230,7 @@ class Database {
   /// Non-null in WAL mode.
   wal::LogManager* wal() { return log_.get(); }
   txn::TransactionManager* txn_manager() { return txn_mgr_.get(); }
+  /// The table locks, in both modes.
   txn::LockManager* lock_manager() { return lock_mgr_.get(); }
 
   /// Fuzzy checkpoint: checkpoint record, flush all dirty pages (the WAL
@@ -261,8 +259,10 @@ class Database {
 
  private:
   struct ReopenTag {};
-  /// Builds disk/pool/catalog only — the Reopen factory installs the platter
-  /// image and the WAL machinery itself, in recovery order.
+  /// Builds the engine with no log attached: disk, pool, catalog, lock
+  /// manager and system tables. The public constructor then attaches a
+  /// fresh log; the Reopen factory installs the platter image first and
+  /// attaches the durable log, in recovery order.
   Database(DatabaseOptions options, ReopenTag);
 
   /// Execute() minus the per-statement accounting wrapper: the public entry
@@ -275,8 +275,7 @@ class Database {
                                     std::unique_ptr<SelectStmt> stmt,
                                     PlanHints extra_hints, bool instrument);
 
-  /// ExecuteSelect wrapped in the WAL-mode statement-scoped shared-lock
-  /// protocol (acquire via PrepareSelectTables, release at statement end,
+  /// ExecuteSelect wrapped in the statement-scoped shared-lock protocol (acquire via PrepareSelectTables, release at statement end,
   /// abort the enclosing transaction on failure). Shared by plain SELECT,
   /// EXPLAIN ANALYZE and ExplainAnalyze() so an instrumented run blocks on —
   /// and attributes — exactly the locks a normal run would.
@@ -294,9 +293,11 @@ class Database {
   /// (providers capture `this`; the catalog dies before the engine state).
   Status RegisterSystemTables();
 
-  /// Creates the WAL machinery (log, lock manager, transaction manager),
-  /// reserves the meta page, and wires the WAL rule into the buffer pool.
-  void InitWalMachinery();
+  /// Attaches the log: creates the log manager (seeded with `durable_log`,
+  /// the recovered bytes of a previous incarnation) and the transaction
+  /// manager, makes new base tables logged, and wires the WAL rule into the
+  /// buffer pool.
+  void AttachLog(std::string durable_log);
 
   /// Rejects statements issued while the slot's transaction is in kAborted
   /// limbo, quoting both the failed and the rejected statement.
@@ -328,7 +329,8 @@ class Database {
                                         const std::string& sql,
                                         SessionTxnState* state);
 
-  /// INSERT / DELETE / UPDATE under an explicit or autocommit transaction.
+  /// INSERT / DELETE / UPDATE under an explicit or autocommit transaction
+  /// (without a log, an INSERT under its own lock owner).
   Result<QueryResult> ExecuteDml(const Statement& stmt, const std::string& sql,
                                  SessionTxnState* state);
   Result<uint64_t> RunInsert(const InsertStmt& ins, Table* table,
@@ -340,14 +342,13 @@ class Database {
 
   /// The catalog tables a SELECT reads (sorted, deduplicated), after
   /// refreshing each stale derived table among them. Runs before every
-  /// SELECT in both modes; `locker` is the statement's lock owner (unused
-  /// without the WAL).
+  /// SELECT; `locker` is the statement's lock owner.
   Result<std::vector<std::string>> RefreshSelectTables(const SelectStmt& stmt,
                                                        txn_id_t locker);
 
-  /// Refreshes one stale derived table. In WAL mode it holds, for
-  /// `locker`, shared locks on the bases and an exclusive lock on the
-  /// derived table while the refresh runs.
+  /// Refreshes one stale derived table, holding for `locker` shared locks
+  /// on the bases and an exclusive lock on the derived table while the
+  /// refresh runs.
   Status RefreshDerived(const std::string& name, txn_id_t locker);
 
   /// Statement-scoped shared locks on a SELECT's (refreshed) tables; fills
@@ -370,17 +371,18 @@ class Database {
   std::unique_ptr<DiskManager> disk_;
   std::unique_ptr<BufferPool> pool_;
   std::unique_ptr<Catalog> catalog_;
-  /// WAL mode only (null otherwise). The pool holds a flush callback into
-  /// log_, so these outlive pool_ teardown order-wise by being declared
-  /// after it (members destroy in reverse order; the callback fires only
-  /// from FlushAll/eviction, which no destructor triggers).
+  /// The log and transaction manager exist in WAL mode only (null
+  /// otherwise); the lock manager always. The pool holds a flush callback
+  /// into log_, so these outlive pool_ teardown order-wise by being
+  /// declared after it (members destroy in reverse order; the callback
+  /// fires only from FlushAll/eviction, which no destructor triggers).
   std::unique_ptr<wal::LogManager> log_;
   std::unique_ptr<txn::LockManager> lock_mgr_;
   std::unique_ptr<txn::TransactionManager> txn_mgr_;
   /// The built-in transaction slot used when Execute gets no session.
   SessionTxnState default_txn_state_;
-  /// Lock ids for statement-scoped shared locks taken outside any
-  /// transaction (plain SELECTs); disjoint from transaction ids.
+  /// Lock owners outside any transaction: plain SELECTs, CREATE INDEX, and
+  /// without a log each INSERT; disjoint from transaction ids.
   std::atomic<uint64_t> next_read_locker_{1ull << 62};
   wal::RecoveryStats recovery_stats_;
   obs::MetricsRegistry metrics_;

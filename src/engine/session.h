@@ -16,12 +16,13 @@ namespace elephant {
 /// statement counter, last error) is isolated per session; the catalog,
 /// buffer pool, and disk are shared through the Database.
 ///
-/// A Session may be driven from any single thread at a time. Concurrent
-/// SELECT statements across *different* sessions are safe: the storage
-/// layer latches, the per-query IoSink accounting, and the thread-safe
-/// metrics registry keep shared state consistent. DDL and loads are not
-/// synchronized against concurrent queries — run them from one session
-/// before fanning out, the usual read-mostly contract of this engine.
+/// A Session may be driven from any single thread at a time. Statements
+/// across *different* sessions may run concurrently: every SELECT, INSERT
+/// and CREATE INDEX takes table locks, with or without the WAL, and the
+/// storage layer latches, the per-query IoSink accounting, and the
+/// thread-safe metrics registry keep shared state consistent. CREATE TABLE
+/// and bulk loads through the C++ API (BulkLoadRows, CreateView) are not
+/// synchronized — run them from one session before fanning out.
 class Session {
  public:
   Session(Database* db, int id)

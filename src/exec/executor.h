@@ -23,6 +23,14 @@ struct ExecCounters {
   uint64_t index_seeks = 0;
   uint64_t rows_scanned = 0;
   uint64_t sort_rows = 0;
+
+  ExecCounters& operator+=(const ExecCounters& o) {
+    rows_output += o.rows_output;
+    index_seeks += o.index_seeks;
+    rows_scanned += o.rows_scanned;
+    sort_rows += o.sort_rows;
+    return *this;
+  }
 };
 
 /// Shared state for one query execution. When a worker pool is attached via

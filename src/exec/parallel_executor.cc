@@ -9,29 +9,6 @@
 
 namespace elephant {
 
-namespace {
-
-void AddOperatorStats(const obs::OperatorStats& from, obs::OperatorStats* to) {
-  to->init_calls += from.init_calls;
-  to->next_calls += from.next_calls;
-  to->rows += from.rows;
-  to->seconds += from.seconds;
-  to->io.sequential_reads += from.io.sequential_reads;
-  to->io.random_reads += from.io.random_reads;
-  to->io.page_writes += from.io.page_writes;
-  to->pool_hits += from.pool_hits;
-  to->pool_misses += from.pool_misses;
-}
-
-void AddCounters(const ExecCounters& from, ExecCounters* to) {
-  to->rows_output += from.rows_output;
-  to->index_seeks += from.index_seeks;
-  to->rows_scanned += from.rows_scanned;
-  to->sort_rows += from.sort_rows;
-}
-
-}  // namespace
-
 GatherExecutor::GatherExecutor(ExecContext* ctx, sched::ThreadPool* pool,
                                size_t workers, std::vector<KeyRange> morsels,
                                MorselPlanFactory factory, Schema schema)
@@ -94,7 +71,7 @@ Status GatherExecutor::Init() {
       }
       mp.exec.reset();  // release page pins before accounting
       for (auto& [slot, target] : mp.stats) {
-        AddOperatorStats(*slot, &st.stats[target.get()]);
+        st.stats[target.get()] += *slot;
       }
     }
     st.counters = worker_ctx.counters();
@@ -113,8 +90,8 @@ Status GatherExecutor::Init() {
   // operator stats into the shared plan-tree slots.
   for (WorkerState& st : states) {
     if (parent_sink != nullptr) st.sink.AddTo(parent_sink);
-    AddCounters(st.counters, &ctx_->counters());
-    for (auto& [target, acc] : st.stats) AddOperatorStats(acc, target);
+    ctx_->counters() += st.counters;
+    for (auto& [target, acc] : st.stats) *target += acc;
   }
   return status;
 }

@@ -198,37 +198,41 @@ Result<std::vector<Row>> DeltaGroups(const Catalog& catalog,
   return delta;
 }
 
-/// Merges delta groups into the view's backing table. NULL is "no value" on
-/// both sides, as in AggState::MergePartial: an all-NULL delta leaves a
-/// stored SUM, MIN or MAX alone, and a stored NULL takes the delta's value.
+/// Merges delta groups into the view's backing table: a stored group is
+/// updated in place, a new one inserted. NULL is "no value" on both sides,
+/// as in AggState::MergePartial: an all-NULL delta leaves a stored SUM, MIN
+/// or MAX alone, and a stored NULL takes the delta's value. The backing
+/// table is derived, so it is written with no log.
 Status MergeDelta(const ViewInfo& info, Table* table,
                   const std::vector<Row>& delta) {
   const size_t ngroups = info.def.group_cols.size();
   for (const Row& drow : delta) {
     const std::vector<Value> key(drow.begin(), drow.begin() + ngroups);
     const std::string lo = table->EncodeClusterPrefix(key);
-    Row merged = drow;
     bool stored_group = false;
+    std::string ckey;
+    Row stored;
     {
       ELE_ASSIGN_OR_RETURN(Table::RowIterator it,
                            table->ScanRange(lo, keycodec::PrefixUpperBound(lo)));
       stored_group = it.Valid();
       if (stored_group) {
-        Row stored;
+        ckey = it.EncodedKey();
         ELE_RETURN_NOT_OK(it.Current(&stored));
-        merged.resize(ngroups);
-        for (size_t a = 0; a < info.agg_cols.size(); a++) {
-          AggState s(info.agg_cols[a].fn);
-          ELE_RETURN_NOT_OK(s.MergePartial(stored, ngroups + a));
-          ELE_RETURN_NOT_OK(s.MergePartial(drow, ngroups + a));
-          s.AppendPartial(&merged);
-        }
       }
     }
-    if (stored_group) {
-      ELE_RETURN_NOT_OK(table->DeleteByClusterPrefix(key).status());
+    if (!stored_group) {
+      ELE_RETURN_NOT_OK(table->Insert(drow, TxnWriteContext{}));
+      continue;
     }
-    ELE_RETURN_NOT_OK(table->Insert(merged));
+    Row merged(drow.begin(), drow.begin() + ngroups);
+    for (size_t a = 0; a < info.agg_cols.size(); a++) {
+      AggState s(info.agg_cols[a].fn);
+      ELE_RETURN_NOT_OK(s.MergePartial(stored, ngroups + a));
+      ELE_RETURN_NOT_OK(s.MergePartial(drow, ngroups + a));
+      s.AppendPartial(&merged);
+    }
+    ELE_RETURN_NOT_OK(table->Update(ckey, stored, merged, TxnWriteContext{}));
   }
   return Status::OK();
 }

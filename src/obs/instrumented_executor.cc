@@ -36,10 +36,7 @@ IoSnapshot Snap(ExecContext* ctx) {
 void Accumulate(const IoSnapshot& before, const IoSnapshot& after,
                 double seconds, OperatorStats* stats) {
   stats->seconds += seconds;
-  const IoStats delta = after.disk - before.disk;
-  stats->io.sequential_reads += delta.sequential_reads;
-  stats->io.random_reads += delta.random_reads;
-  stats->io.page_writes += delta.page_writes;
+  stats->io += after.disk - before.disk;
   stats->pool_hits += after.pool_hits - before.pool_hits;
   stats->pool_misses += after.pool_misses - before.pool_misses;
 }

@@ -22,18 +22,13 @@ OperatorBreakdown SelfOf(const PlanNode& n, int depth) {
   b.next_calls = s.next_calls;
   OperatorStats kids;
   for (const auto& kid : n.children) {
-    if (kid->stats == nullptr) continue;
-    kids.seconds += kid->stats->seconds;
-    kids.io.sequential_reads += kid->stats->io.sequential_reads;
-    kids.io.random_reads += kid->stats->io.random_reads;
-    kids.io.page_writes += kid->stats->io.page_writes;
-    kids.pool_hits += kid->stats->pool_hits;
-    kids.pool_misses += kid->stats->pool_misses;
+    if (kid->stats != nullptr) kids += *kid->stats;
   }
   b.seconds = s.seconds > kids.seconds ? s.seconds - kids.seconds : 0;
-  b.seq_reads = SatSub(s.io.sequential_reads, kids.io.sequential_reads);
-  b.rand_reads = SatSub(s.io.random_reads, kids.io.random_reads);
-  b.page_writes = SatSub(s.io.page_writes, kids.io.page_writes);
+  // Exact: every child's I/O happened inside a call of this operator (or,
+  // under Gather, was folded into its sink inside one), so its inclusive
+  // traffic covers the children's.
+  b.io = s.io - kids.io;
   b.pool_hits = SatSub(s.pool_hits, kids.pool_hits);
   b.pool_misses = SatSub(s.pool_misses, kids.pool_misses);
   return b;
@@ -61,8 +56,8 @@ std::string Annotations(const PlanNode& n, bool with_actuals, int depth) {
                   static_cast<unsigned long long>(n.stats->rows),
                   static_cast<unsigned long long>(n.stats->next_calls),
                   FormatMs(n.stats->seconds).c_str(),
-                  static_cast<unsigned long long>(self.seq_reads),
-                  static_cast<unsigned long long>(self.rand_reads),
+                  static_cast<unsigned long long>(self.io.sequential_reads),
+                  static_cast<unsigned long long>(self.io.random_reads),
                   static_cast<unsigned long long>(self.pool_misses));
     out += buf;
   }
@@ -123,9 +118,9 @@ void AppendPlanJson(const PlanNode& root, bool with_actuals, JsonWriter* w) {
     w->Key("next_calls").UInt(root.stats->next_calls);
     w->Key("seconds").Double(root.stats->seconds);
     w->Key("self_seconds").Double(self.seconds);
-    w->Key("self_seq_reads").UInt(self.seq_reads);
-    w->Key("self_rand_reads").UInt(self.rand_reads);
-    w->Key("self_page_writes").UInt(self.page_writes);
+    w->Key("self_seq_reads").UInt(self.io.sequential_reads);
+    w->Key("self_rand_reads").UInt(self.io.random_reads);
+    w->Key("self_page_writes").UInt(self.io.page_writes);
     w->Key("self_pool_hits").UInt(self.pool_hits);
     w->Key("self_pool_misses").UInt(self.pool_misses);
     w->EndObject();

@@ -24,6 +24,17 @@ struct OperatorStats {
   IoStats io;                ///< disk traffic during Init() + NextBatch()
   uint64_t pool_hits = 0;    ///< buffer-pool hits during Init() + NextBatch()
   uint64_t pool_misses = 0;  ///< buffer-pool misses during Init() + NextBatch()
+
+  OperatorStats& operator+=(const OperatorStats& o) {
+    init_calls += o.init_calls;
+    next_calls += o.next_calls;
+    rows += o.rows;
+    seconds += o.seconds;
+    io += o.io;
+    pool_hits += o.pool_hits;
+    pool_misses += o.pool_misses;
+    return *this;
+  }
 };
 
 /// One node of the physical plan tree, as produced by the planner. Carries
@@ -40,16 +51,15 @@ struct PlanNode {
 
 /// Self-attributed (exclusive) numbers for one operator: the node's
 /// inclusive stats minus the sum of its direct children's inclusive stats.
-/// Per-operator I/O pages sum exactly to the query-level IoStats total.
+/// Per-operator I/O sums exactly, field for field, to the query-level
+/// IoStats total.
 struct OperatorBreakdown {
   std::string op;           ///< first line of the node label
   int depth = 0;
   uint64_t rows = 0;        ///< rows produced (not self-attributed)
   uint64_t next_calls = 0;
   double seconds = 0;       ///< self wall time
-  uint64_t seq_reads = 0;   ///< self sequential page reads
-  uint64_t rand_reads = 0;  ///< self random page reads
-  uint64_t page_writes = 0; ///< self page writes
+  IoStats io;               ///< self disk traffic, read-ahead included
   uint64_t pool_hits = 0;
   uint64_t pool_misses = 0;
   double est_rows = -1;

@@ -45,6 +45,14 @@ struct ReadaheadStats {
   uint64_t prefetch_hits = 0;     ///< demanded reads served from a window
   uint64_t prefetch_wasted = 0;   ///< staged pages discarded unread
 
+  ReadaheadStats& operator+=(const ReadaheadStats& o) {
+    windows_issued += o.windows_issued;
+    pages_prefetched += o.pages_prefetched;
+    prefetch_hits += o.prefetch_hits;
+    prefetch_wasted += o.prefetch_wasted;
+    return *this;
+  }
+
   ReadaheadStats operator-(const ReadaheadStats& o) const {
     ReadaheadStats r;
     r.windows_issued = windows_issued - o.windows_issued;
@@ -64,6 +72,15 @@ struct IoStats {
   ReadaheadStats readahead;       ///< prefetch-window activity
 
   uint64_t TotalReads() const { return sequential_reads + random_reads; }
+
+  IoStats& operator+=(const IoStats& o) {
+    sequential_reads += o.sequential_reads;
+    random_reads += o.random_reads;
+    page_writes += o.page_writes;
+    fsyncs += o.fsyncs;
+    readahead += o.readahead;
+    return *this;
+  }
 
   IoStats operator-(const IoStats& o) const {
     IoStats r;

@@ -40,9 +40,9 @@ Status TransactionManager::Commit(Transaction* t) {
   const Status flush = log_->FlushUntil(lsn);
   if (!flush.ok()) {
     // The commit record never reached stable storage: this transaction is
-    // NOT committed. Locks are released (the simulated machine is dying
-    // anyway) and recovery will undo the transaction on reopen.
-    locks_->ReleaseAll(t->id());
+    // NOT committed, and recovery undoes it at the next restart. Until then
+    // it keeps its table locks, as a failed rollback does, so no other
+    // transaction reads its changes or commits one built on them.
     t->state = TxnState::kAborted;
     MutexLock lock(mu_);
     stats_.aborted++;
@@ -138,9 +138,7 @@ Status TransactionManager::Recover(lsn_t checkpoint_lsn,
 
 TxnStats TransactionManager::stats() const {
   MutexLock lock(mu_);
-  TxnStats s = stats_;
-  s.lock_timeouts = locks_->timeouts();
-  return s;
+  return stats_;
 }
 
 }  // namespace elephant::txn

@@ -21,7 +21,6 @@ struct TxnStats {
   uint64_t committed = 0;
   uint64_t aborted = 0;     ///< rolled back (explicit ROLLBACK or failure)
   uint64_t active = 0;
-  uint64_t lock_timeouts = 0;
 };
 
 /// Begins, commits and rolls back transactions against the WAL.
@@ -46,8 +45,8 @@ class TransactionManager {
 
   /// Durably commits: COMMIT record, group flush, release locks. On flush
   /// failure (injected crash / dropped fsync) the transaction is NOT
-  /// committed — the caller reports the error and the data is rolled back
-  /// by recovery on the next reopen.
+  /// committed — the caller reports the error, recovery rolls the data back
+  /// on the next reopen, and t keeps its table locks until then.
   Status Commit(Transaction* t);
 
   /// Rolls back: undo via the WAL chain (CLR-logged), ABORT record,

@@ -2,6 +2,7 @@
 
 #include "catalog/catalog.h"
 #include "common/rng.h"
+#include "wal/log_manager.h"
 
 namespace elephant {
 namespace {
@@ -41,7 +42,8 @@ TEST_F(CatalogFixture, InsertAndScanSortedByClusterKey) {
   for (int k : {5, 1, 9, 3, 7}) {
     ASSERT_TRUE(
         t.value()
-            ->Insert({Value::Int32(k), Value::Int32(k % 2), Value::Varchar("r")})
+            ->Insert({Value::Int32(k), Value::Int32(k % 2), Value::Varchar("r")},
+                     TxnWriteContext{})
             .ok());
   }
   auto it = t.value()->ScanAll();
@@ -63,7 +65,8 @@ TEST_F(CatalogFixture, DuplicateClusterKeysAllowedViaUniquifier) {
   for (int i = 0; i < 10; i++) {
     ASSERT_TRUE(
         t.value()
-            ->Insert({Value::Int32(7), Value::Int32(i), Value::Varchar("dup")})
+            ->Insert({Value::Int32(7), Value::Int32(i), Value::Varchar("dup")},
+                     TxnWriteContext{})
             .ok());
   }
   EXPECT_EQ(t.value()->row_count(), 10u);
@@ -129,7 +132,10 @@ TEST_F(CatalogFixture, BulkLoadIntoNonEmptyTableRejected) {
   auto t = catalog.CreateTable("t", PointSchema(), {0});
   ASSERT_TRUE(t.ok());
   ASSERT_TRUE(
-      t.value()->Insert({Value::Int32(1), Value::Int32(1), Value::Varchar("a")}).ok());
+      t.value()
+          ->Insert({Value::Int32(1), Value::Int32(1), Value::Varchar("a")},
+                   TxnWriteContext{})
+          .ok());
   std::vector<Row> rows{{Value::Int32(2), Value::Int32(2), Value::Varchar("b")}};
   EXPECT_FALSE(t.value()->BulkLoadRows(std::move(rows)).ok());
 }
@@ -160,28 +166,91 @@ TEST_F(CatalogFixture, SecondaryIndexMaintainedOnInsert) {
   for (int i = 0; i < 50; i++) {
     ASSERT_TRUE(t.value()
                     ->Insert({Value::Int32(i), Value::Int32(i % 5),
-                              Value::Varchar("m")})
+                              Value::Varchar("m")},
+                             TxnWriteContext{})
                     .ok());
   }
   SecondaryIndex* idx = t.value()->FindIndex("idx_grp");
   EXPECT_EQ(idx->tree->CountEntries().value(), 50u);
 }
 
-TEST_F(CatalogFixture, DeleteByClusterPrefixMaintainsIndexes) {
+TEST_F(CatalogFixture, DeleteMaintainsIndexes) {
   auto t = catalog.CreateTable("t", PointSchema(), {0});
   ASSERT_TRUE(t.ok());
+  ASSERT_FALSE(t.value()->logged());
   ASSERT_TRUE(t.value()->CreateSecondaryIndex("idx_grp", {1}, {0}).ok());
   for (int i = 0; i < 20; i++) {
     ASSERT_TRUE(t.value()
-                    ->Insert({Value::Int32(i % 4), Value::Int32(i), Value::Varchar("d")})
+                    ->Insert({Value::Int32(i % 4), Value::Int32(i), Value::Varchar("d")},
+                             TxnWriteContext{})
                     .ok());
   }
-  auto removed = t.value()->DeleteByClusterPrefix({Value::Int32(2)});
-  ASSERT_TRUE(removed.ok());
-  EXPECT_EQ(removed.value(), 5u);
+  // Delete every row whose cluster column is 2, addressed by the clustering
+  // key the scan yields.
+  const std::string lo = t.value()->EncodeClusterPrefix({Value::Int32(2)});
+  std::vector<std::pair<std::string, Row>> victims;
+  {
+    auto it = t.value()->ScanRange(lo, keycodec::PrefixUpperBound(lo));
+    ASSERT_TRUE(it.ok());
+    while (it.value().Valid()) {
+      Row row;
+      ASSERT_TRUE(it.value().Current(&row).ok());
+      victims.emplace_back(std::string(it.value().EncodedKey()), std::move(row));
+      ASSERT_TRUE(it.value().Next().ok());
+    }
+  }
+  ASSERT_EQ(victims.size(), 5u);
+  for (const auto& [ckey, row] : victims) {
+    ASSERT_TRUE(t.value()->Delete(ckey, row, TxnWriteContext{}).ok());
+  }
   EXPECT_EQ(t.value()->row_count(), 15u);
   SecondaryIndex* idx = t.value()->FindIndex("idx_grp");
   EXPECT_EQ(idx->tree->CountEntries().value(), 15u);
+  auto left = t.value()->ScanRange(lo, keycodec::PrefixUpperBound(lo));
+  ASSERT_TRUE(left.ok());
+  EXPECT_FALSE(left.value().Valid());
+  // The index no longer holds an entry for any deleted row.
+  auto entries = idx->tree->SeekToFirst();
+  ASSERT_TRUE(entries.ok());
+  while (entries.value().Valid()) {
+    const SecondaryEntry e = DecodeSecondaryValue(entries.value().value());
+    EXPECT_NE(e.clustered_key.compare(0, lo.size(), lo), 0);
+    ASSERT_TRUE(entries.value().Next().ok());
+  }
+}
+
+TEST_F(CatalogFixture, WriteWhoseLogDisagreesWithTableRejected) {
+  auto plain = catalog.CreateTable("plain", PointSchema(), {0});
+  ASSERT_TRUE(plain.ok());
+  catalog.EnableWalStorage();
+  auto logged = catalog.CreateTable("logged", PointSchema(), {0});
+  ASSERT_TRUE(logged.ok());
+  ASSERT_TRUE(logged.value()->logged());
+  const Row row{Value::Int32(1), Value::Int32(1), Value::Varchar("a")};
+
+  // A logged table written without a log.
+  Status s = logged.value()->Insert(row, TxnWriteContext{});
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_EQ(logged.value()->row_count(), 0u);
+
+  // An unlogged table written with one.
+  wal::LogManager log(&disk);
+  lsn_t last_lsn = kInvalidLsn;
+  const TxnWriteContext ctx{&log, 1, &last_lsn};
+  s = plain.value()->Insert(row, ctx);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_EQ(plain.value()->row_count(), 0u);
+  EXPECT_EQ(log.stats().records_appended, 0u);
+
+  // The check guards Delete and Update too, before any tree is touched.
+  std::string ckey;
+  ASSERT_TRUE(plain.value()->Insert(row, TxnWriteContext{}, &ckey).ok());
+  EXPECT_EQ(plain.value()->Delete(ckey, row, ctx).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(plain.value()->Update(ckey, row, row, ctx).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(plain.value()->row_count(), 1u);
+  EXPECT_EQ(log.stats().records_appended, 0u);
 }
 
 TEST_F(CatalogFixture, AnalyzeComputesStats) {

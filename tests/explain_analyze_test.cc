@@ -143,8 +143,8 @@ TEST_F(ExplainAnalyzeTest, OperatorIoSumsToQueryIo) {
     ASSERT_NE(qr.plan, nullptr);
     uint64_t seq = 0, rand = 0, misses = 0;
     for (const obs::OperatorBreakdown& op : obs::FlattenPlan(*qr.plan)) {
-      seq += op.seq_reads;
-      rand += op.rand_reads;
+      seq += op.io.sequential_reads;
+      rand += op.io.random_reads;
       misses += op.pool_misses;
     }
     EXPECT_EQ(seq, qr.io.sequential_reads) << sql << "\n" << r.value().text;

@@ -179,17 +179,17 @@ TEST(PlanStatsTest, FlattenAttributesSelfIo) {
   ASSERT_EQ(flat.size(), 2u);
   EXPECT_EQ(flat[0].op, "HashAggregate");
   EXPECT_EQ(flat[0].depth, 0);
-  EXPECT_EQ(flat[0].seq_reads, 3u);
-  EXPECT_EQ(flat[0].rand_reads, 3u);
+  EXPECT_EQ(flat[0].io.sequential_reads, 3u);
+  EXPECT_EQ(flat[0].io.random_reads, 3u);
   EXPECT_EQ(flat[1].op, "ClusteredScan t");  // first label line only
   EXPECT_EQ(flat[1].depth, 1);
-  EXPECT_EQ(flat[1].seq_reads, 7u);
-  EXPECT_EQ(flat[1].rand_reads, 1u);
+  EXPECT_EQ(flat[1].io.sequential_reads, 7u);
+  EXPECT_EQ(flat[1].io.random_reads, 1u);
   // Self pages sum back to the root's inclusive (query-level) totals.
   uint64_t seq = 0, rand = 0;
   for (const auto& op : flat) {
-    seq += op.seq_reads;
-    rand += op.rand_reads;
+    seq += op.io.sequential_reads;
+    rand += op.io.random_reads;
   }
   EXPECT_EQ(seq, root.stats->io.sequential_reads);
   EXPECT_EQ(rand, root.stats->io.random_reads);

@@ -158,6 +158,59 @@ TEST_F(ParallelExecTest, ParallelOneStaysSerial) {
   EXPECT_EQ(plan.value().find("Gather"), std::string::npos) << plan.value();
 }
 
+/// Per-operator I/O carries every IoStats field, read-ahead included: the
+/// root operator's inclusive traffic is the statement's, and the operators'
+/// modeled I/O seconds (the stat-statements residuals) add up to the
+/// statement's io_seconds. Serial and PARALLEL 4, cold.
+TEST_F(ParallelExecTest, OperatorIoCarriesReadahead) {
+  // Summed modeled seconds over every registry entry: the operators' and
+  // the statements'.
+  auto registry = [] {
+    std::pair<double, double> sums{0, 0};
+    for (const obs::StatementStats& e : db_->stat_statements().Snapshot()) {
+      for (const auto& [cls, stats] : e.operator_classes) {
+        sums.first += stats.modeled_io_seconds;
+      }
+      sums.second += e.total_io_seconds;
+    }
+    return sums;
+  };
+  const std::string sql =
+      "SELECT l_linestatus, COUNT(*), SUM(l_quantity) FROM lineitem "
+      "GROUP BY l_linestatus";
+  for (const int workers : {1, 4}) {
+    PlanHints hints;
+    hints.parallel_workers = workers;
+    const std::pair<double, double> before = registry();
+    db_->options().cold_cache = true;  // single stream here: valid
+    auto r = db_->ExplainAnalyze(sql, hints);
+    db_->options().cold_cache = false;
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const QueryResult& qr = r.value().result;
+    EXPECT_EQ(r.value().text.find("Gather") != std::string::npos, workers > 1)
+        << r.value().text;
+    ASSERT_GT(qr.io.readahead.prefetch_hits, 0u) << r.value().text;
+
+    const IoStats& root = qr.plan->stats->io;
+    EXPECT_EQ(root.sequential_reads, qr.io.sequential_reads);
+    EXPECT_EQ(root.random_reads, qr.io.random_reads);
+    EXPECT_EQ(root.page_writes, qr.io.page_writes);
+    EXPECT_EQ(root.fsyncs, qr.io.fsyncs);
+    EXPECT_EQ(root.readahead.windows_issued, qr.io.readahead.windows_issued);
+    EXPECT_EQ(root.readahead.pages_prefetched,
+              qr.io.readahead.pages_prefetched);
+    EXPECT_EQ(root.readahead.prefetch_hits, qr.io.readahead.prefetch_hits);
+    EXPECT_EQ(root.readahead.prefetch_wasted, qr.io.readahead.prefetch_wasted);
+
+    const std::pair<double, double> after = registry();
+    const double operators = after.first - before.first;
+    const double statement = after.second - before.second;
+    EXPECT_NEAR(statement, qr.io_seconds, 1e-9 * qr.io_seconds);
+    EXPECT_NEAR(operators, statement, 1e-9 * statement)
+        << "workers=" << workers << "\n" << r.value().text;
+  }
+}
+
 /// The observability invariant from explain_analyze_test, now under a
 /// parallel plan: worker-thread page reads, folded through per-worker
 /// IoSinks, must sum exactly to the query-level IoStats.
@@ -176,8 +229,8 @@ TEST_F(ParallelExecTest, ParallelOperatorIoSumsToQueryIo) {
     ASSERT_NE(qr.plan, nullptr);
     uint64_t seq = 0, rand = 0, misses = 0;
     for (const obs::OperatorBreakdown& op : obs::FlattenPlan(*qr.plan)) {
-      seq += op.seq_reads;
-      rand += op.rand_reads;
+      seq += op.io.sequential_reads;
+      rand += op.io.random_reads;
       misses += op.pool_misses;
     }
     EXPECT_EQ(seq, qr.io.sequential_reads) << sql << "\n" << r.value().text;

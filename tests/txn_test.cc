@@ -241,6 +241,39 @@ TEST_F(TxnTest, RollbackFailureSurfacedNotSwallowed) {
   EXPECT_EQ(rows.value().rows[1][1].AsString(), "b");
 }
 
+TEST_F(TxnTest, FailedCommitKeepsLocksUntilRestart) {
+  Exec("INSERT INTO t VALUES (1, 'a')");
+  Exec("BEGIN");
+  Exec("INSERT INTO t VALUES (2, 'b')");
+  // The machine dies at the COMMIT's log flush, its first durable op.
+  FaultPlan plan;
+  plan.mode = FaultPlan::Mode::kCrashAtWrite;
+  plan.crash_after_ops = 1;
+  FaultInjector injector(plan);
+  db_->SetFaultInjector(&injector);
+  auto commit = db_->Execute("COMMIT");
+  ASSERT_FALSE(commit.ok());
+  ASSERT_TRUE(injector.crashed());
+
+  // The transaction did not commit, and recovery undoes its row at the
+  // restart; until then another session may not read it.
+  SessionTxnState other;
+  auto read = db_->Execute("SELECT COUNT(*) FROM t", {}, &other);
+  ASSERT_FALSE(read.ok());
+  EXPECT_NE(read.status().message().find("lock wait timeout"),
+            std::string::npos)
+      << read.status().ToString();
+  db_->SetFaultInjector(nullptr);
+  DatabaseOptions options;
+  options.wal_enabled = true;
+  auto reopened = Database::Reopen(options, db_->CloneDurableImage());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto rows = reopened.value()->Execute("SELECT id FROM t");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows.value().rows.size(), 1u);
+  EXPECT_EQ(rows.value().rows[0][0].AsInt32(), 1);
+}
+
 TEST_F(TxnTest, CommitOfAbortedTransactionJustClosesIt) {
   Exec("BEGIN");
   Exec("INSERT INTO t VALUES (1, 'a')");
@@ -566,6 +599,43 @@ TEST(TxnWithoutWalTest, RequiresWalEngine) {
   EXPECT_FALSE(db.Execute("UPDATE t SET id = 2").ok());
   EXPECT_FALSE(db.Execute("BEGIN").ok());
   EXPECT_FALSE(db.Execute("CHECKPOINT").ok());
+}
+
+/// Without a log the engine takes the same table locks: a SELECT waits for
+/// a table's exclusive holder, an INSERT for its readers.
+TEST(TxnWithoutWalTest, ReadsAndInsertsTakeTableLocks) {
+  DatabaseOptions options;
+  options.lock_timeout_seconds = 0.05;
+  Database db(options);
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (id INT) CLUSTER BY (id)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1)").ok());
+  txn::LockManager* locks = db.lock_manager();
+  const std::string name = db.catalog().GetTable("t").value()->name();
+  const txn_id_t holder = 7;
+  ASSERT_TRUE(locks
+                  ->Acquire(holder, name, txn::LockManager::Mode::kExclusive,
+                            options.lock_timeout_seconds)
+                  .ok());
+  auto read = db.Execute("SELECT COUNT(*) FROM t");
+  ASSERT_FALSE(read.ok());
+  EXPECT_TRUE(read.status().IsAborted()) << read.status().ToString();
+  locks->ReleaseAll(holder);
+
+  ASSERT_TRUE(locks
+                  ->Acquire(holder, name, txn::LockManager::Mode::kShared,
+                            options.lock_timeout_seconds)
+                  .ok());
+  auto write = db.Execute("INSERT INTO t VALUES (2)");
+  ASSERT_FALSE(write.ok());
+  EXPECT_TRUE(write.status().IsAborted()) << write.status().ToString();
+  locks->ReleaseAll(holder);
+
+  auto count = db.Execute("SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count.value().rows[0][0].AsInt64(), 1);
+  auto timeouts = db.Execute("SELECT lock_timeouts FROM elephant_stat_transactions");
+  ASSERT_TRUE(timeouts.ok()) << timeouts.status().ToString();
+  EXPECT_EQ(timeouts.value().rows[0][0].AsInt64(), 2);
 }
 
 }  // namespace

@@ -240,6 +240,10 @@ ProjectionDef ProjDef() {
 std::unique_ptr<Database> Setup(Oracle* oracle) {
   DatabaseOptions options;
   options.wal_enabled = true;
+  // One session runs the workload, so the only lock it can wait for is held
+  // by a transaction whose commit flush failed (it keeps its locks until
+  // the restart): fail such a statement fast.
+  options.lock_timeout_seconds = 0.05;
   auto db = std::make_unique<Database>(options);
   auto run = [&db](const std::string& sql) {
     auto r = db->Execute(sql);
