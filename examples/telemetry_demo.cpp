@@ -4,7 +4,8 @@
 //     tasks, page faults and disk seeks (open the file at ui.perfetto.dev)
 //   - Prometheus text exposition: Database::ExportMetrics()
 //   - per-object page-access heatmap: which tables/indexes paid the I/O
-//   - slow-query JSONL audit log, threshold-gated
+//   - elephant_stat_statements: per-statement-family time, modeled I/O and
+//     wait time, queried through SQL
 //
 // Build & run:  cmake --build build && ./build/examples/telemetry_demo
 
@@ -37,10 +38,8 @@ int main() {
   options.worker_threads = 4;
   Database db(options);
 
-  // Everything below lands in the trace; the slow-query log (threshold 0)
-  // records every statement.
+  // Everything below lands in the trace.
   elephant::obs::TraceLog::Global().Enable();
-  db.EnableSlowQueryLog("telemetry_demo_slow.jsonl", /*threshold_seconds=*/0);
 
   MustExec(db,
            "CREATE TABLE events (id INT, device INT, reading DECIMAL) "
@@ -74,7 +73,21 @@ int main() {
   MustExec(db, "SELECT reading FROM events WHERE device = 3");
 
   elephant::obs::TraceLog::Global().Disable();
-  db.DisableSlowQueryLog();
+
+  std::printf("--- top statement families (elephant_stat_statements) ----\n");
+  auto top = db.Execute(
+      "SELECT calls, total_seconds, total_io_seconds, wait_seconds, query "
+      "FROM elephant_stat_statements ORDER BY total_seconds DESC LIMIT 5");
+  if (!top.ok()) return 1;
+  std::printf("%6s %10s %10s %10s  %s\n", "calls", "total_ms", "io_ms",
+              "wait_ms", "query");
+  for (const elephant::Row& row : top.value().rows) {
+    std::printf("%6lld %10.3f %10.3f %10.3f  %.60s\n",
+                static_cast<long long>(row[0].AsInt64()),
+                row[1].AsDouble() * 1e3, row[2].AsDouble() * 1e3,
+                row[3].AsDouble() * 1e3, row[4].AsString().c_str());
+  }
+  std::printf("\n");
 
   std::printf("--- per-object page-access heatmap -----------------------\n");
   std::printf("%s\n", db.ExportHeatmapText().c_str());
@@ -86,9 +99,8 @@ int main() {
   if (elephant::obs::TraceLog::Global().WriteFile("telemetry_demo_trace.json")) {
     std::printf(
         "\nwrote telemetry_demo_trace.json (%zu events) — open it at "
-        "ui.perfetto.dev\nwrote telemetry_demo_slow.jsonl (%llu statements)\n",
-        elephant::obs::TraceLog::Global().EventCount(),
-        static_cast<unsigned long long>(db.query_log().EntriesWritten()));
+        "ui.perfetto.dev\n",
+        elephant::obs::TraceLog::Global().EventCount());
   }
   return 0;
 }

@@ -18,7 +18,9 @@ in C++ without reaching the export — or a stale exported label — fails here.
 
 ``--stat-statements`` also recomputes every entry's ``p95_seconds`` from its
 ``latency_buckets`` and the document's ``latency_bounds`` with an independent
-copy of the engine's histogram quantile rule (see ``histogram_quantile``).
+copy of the engine's histogram quantile rule (see ``histogram_quantile``),
+requires a finite, non-negative ``total_wait_seconds`` on every entry, and
+reconciles the entries' seconds, wait seconds and I/O against ``totals``.
 
 Exits non-zero with one line per violation.
 """
@@ -287,7 +289,7 @@ STATEMENT_KEYS = (
     "fingerprint", "plan_hash", "query", "calls", "rows",
     "instrumented_calls", "total_seconds", "mean_seconds", "min_seconds",
     "max_seconds", "p95_seconds", "total_io_seconds", "residual_seconds",
-    "io", "latency_buckets", "operator_classes",
+    "total_wait_seconds", "io", "latency_buckets", "operator_classes",
 )
 HEX_HASH_RE = re.compile(r"^[0-9a-f]{16}$")
 
@@ -322,6 +324,11 @@ def histogram_quantile(bounds, buckets, q):
             return lo + (target - seen) / n * (bounds[i] - lo)
         seen += n
     return last
+
+
+def _finite_nonneg(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and math.isfinite(v) and v >= 0
 
 
 def _check_io_object(io, where, errors):
@@ -365,7 +372,7 @@ def check_stat_statements(path):
         errors.append("stat_statements: more statements than capacity")
 
     sums = {"calls": 0, "rows": 0, "total_seconds": 0.0,
-            "total_io_seconds": 0.0}
+            "total_io_seconds": 0.0, "total_wait_seconds": 0.0}
     io_sums = {key: 0 for key in IO_KEYS}
     ra_sums = {key: 0 for key in READAHEAD_KEYS}
     seen_keys = set()
@@ -421,6 +428,10 @@ def check_stat_statements(path):
             if cls.get("operators", 0) < 1:
                 errors.append("%s: operator class %s with no operators" %
                               (where, name))
+        if not _finite_nonneg(entry["total_wait_seconds"]):
+            errors.append("%s: total_wait_seconds %r is not a finite number "
+                          ">= 0" % (where, entry["total_wait_seconds"]))
+            continue
         for key in sums:
             sums[key] += entry[key]
         for key in IO_KEYS:
@@ -441,9 +452,10 @@ def check_stat_statements(path):
             errors.append("stat_statements: totals.%s %r != statement sum %d" %
                           (key, totals.get(key), sums[key]))
 
-    for key in ("total_seconds", "total_io_seconds"):
+    for key in ("total_seconds", "total_io_seconds", "total_wait_seconds"):
         tol = (1e-9 + g9_quantum(totals.get(key, 0)) +
-               sum(g9_quantum(e.get(key, 0)) for e in statements))
+               sum(g9_quantum(e.get(key, 0)) for e in statements
+                   if _finite_nonneg(e.get(key, 0))))
         if abs(totals.get(key, 0) - sums[key]) > tol:
             errors.append("stat_statements: totals.%s %r != statement sum %r" %
                           (key, totals.get(key), sums[key]))

@@ -20,13 +20,9 @@ const char* LockRankName(LockRank rank) {
     case LockRank::kDiskManager: return "kDiskManager";
     case LockRank::kFaultInjector: return "kFaultInjector";
     case LockRank::kStatStatements: return "kStatStatements";
-    case LockRank::kQueryLog: return "kQueryLog";
     case LockRank::kTraceLog: return "kTraceLog";
     case LockRank::kHeatmap: return "kHeatmap";
     case LockRank::kMetricsRegistry: return "kMetricsRegistry";
-    case LockRank::kWaitSessionRegistry: return "kWaitSessionRegistry";
-    case LockRank::kAshRing: return "kAshRing";
-    case LockRank::kAshSampler: return "kAshSampler";
   }
   return "kUnranked";
 }

@@ -61,13 +61,9 @@ enum class LockRank : int {
   // Observability leaves: recorded from under arbitrary engine locks, so
   // they outrank everything and must never call back down.
   kStatStatements = 700,
-  kQueryLog = 720,
   kTraceLog = 740,
   kHeatmap = 760,
   kMetricsRegistry = 780,
-  kWaitSessionRegistry = 820,  ///< obs/ash.h: live-session state slots
-  kAshRing = 840,              ///< obs/ash.h: sample ring buffer
-  kAshSampler = 860,           ///< obs/ash.h: sampler start/stop + sleep
 };
 
 /// Enumerator name for diagnostics ("kBufferPool"); "kUnranked" if unknown.

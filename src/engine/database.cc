@@ -105,7 +105,6 @@ Database::Database(DatabaseOptions options) : Database(options, ReopenTag{}) {
     disk_->AllocatePage();
     AttachLog("");
   }
-  MaybeStartAshSampler();
 }
 
 Database::Database(DatabaseOptions options, ReopenTag) : options_(options) {
@@ -124,15 +123,6 @@ Database::Database(DatabaseOptions options, ReopenTag) : options_(options) {
                  reg.ToString().c_str());
     std::abort();
   }
-}
-
-void Database::MaybeStartAshSampler() {
-  if (!options_.ash_sampler_enabled) return;
-  obs::AshSampler::Options ash;
-  ash.interval_seconds = options_.ash_interval_seconds;
-  ash.ring_capacity = options_.ash_ring_capacity;
-  ash_sampler_ = std::make_unique<obs::AshSampler>(&session_states_, ash);
-  ash_sampler_->Start();
 }
 
 void Database::AttachLog(std::string durable_log) {
@@ -198,7 +188,6 @@ Result<std::unique_ptr<Database>> Database::Reopen(DatabaseOptions options,
   // makes the recovered state durable so a crash during normal operation
   // does not have to repeat this recovery's work.
   ELE_RETURN_NOT_OK(db->Checkpoint());
-  db->MaybeStartAshSampler();
   return db;
 }
 
@@ -270,6 +259,7 @@ Status Database::RegisterSystemTables() {
         Column("p95_seconds", TypeId::kDouble),
         Column("total_io_seconds", TypeId::kDouble),
         Column("residual_seconds", TypeId::kDouble),
+        Column("wait_seconds", TypeId::kDouble),
         Column("io_sequential_reads", TypeId::kInt64),
         Column("io_random_reads", TypeId::kInt64),
         Column("io_page_writes", TypeId::kInt64),
@@ -297,6 +287,7 @@ Status Database::RegisterSystemTables() {
                     Value::Double(e.latency.Quantile(0.95)),
                     Value::Double(e.total_io_seconds),
                     Value::Double(e.ResidualSeconds()),
+                    Value::Double(e.total_wait_seconds),
                     i64(e.io.sequential_reads),
                     i64(e.io.random_reads),
                     i64(e.io.page_writes),
@@ -529,68 +520,6 @@ Status Database::RegisterSystemTables() {
                     Value::Double(static_cast<double>(snap.nanos) / 1e9),
                     Value::Double(snap.latency.Quantile(0.50)),
                     Value::Double(snap.latency.Quantile(0.95)),
-                });
-              }
-              return rows;
-            }));
-  }
-
-  // elephant_stat_activity: one row per live session (pg_stat_activity).
-  {
-    Schema schema({
-        Column("session_id", TypeId::kInt64),
-        Column("state", TypeId::kVarchar),
-        Column("wait_event", TypeId::kVarchar),
-        Column("query_fingerprint", TypeId::kVarchar),
-        Column("txn_id", TypeId::kInt64),
-        Column("statements", TypeId::kInt64),
-    });
-    ELE_RETURN_NOT_OK(catalog_->RegisterVirtualTable(
-            "elephant_stat_activity", std::move(schema),
-            [this, i64]() -> Result<std::vector<Row>> {
-              std::vector<Row> rows;
-              for (const obs::SessionActivitySample& s :
-                   session_states_.Snapshot()) {
-                rows.push_back(Row{
-                    i64(static_cast<uint64_t>(s.session_id)),
-                    Value::Varchar(obs::SessionActivityStateName(s.state)),
-                    Value::Varchar(obs::WaitEventName(s.wait_event)),
-                    Value::Varchar(HexHash(s.sql_fingerprint)),
-                    Value::Int64(s.txn_id),
-                    i64(s.statements),
-                });
-              }
-              return rows;
-            }));
-  }
-
-  // elephant_stat_ash: the sampler's ring, oldest first. Empty (not an
-  // error) when the sampler is disabled, so the table always binds.
-  {
-    Schema schema({
-        Column("sample_seq", TypeId::kInt64),
-        Column("sample_seconds", TypeId::kDouble),
-        Column("session_id", TypeId::kInt64),
-        Column("state", TypeId::kVarchar),
-        Column("wait_event", TypeId::kVarchar),
-        Column("query_fingerprint", TypeId::kVarchar),
-        Column("txn_id", TypeId::kInt64),
-    });
-    ELE_RETURN_NOT_OK(catalog_->RegisterVirtualTable(
-            "elephant_stat_ash", std::move(schema),
-            [this, i64]() -> Result<std::vector<Row>> {
-              std::vector<Row> rows;
-              if (ash_sampler_ == nullptr) return rows;
-              for (const obs::AshSample& a : ash_sampler_->Snapshot()) {
-                rows.push_back(Row{
-                    i64(a.seq),
-                    Value::Double(static_cast<double>(a.steady_nanos) / 1e9),
-                    i64(static_cast<uint64_t>(a.session.session_id)),
-                    Value::Varchar(
-                        obs::SessionActivityStateName(a.session.state)),
-                    Value::Varchar(obs::WaitEventName(a.session.wait_event)),
-                    Value::Varchar(HexHash(a.session.sql_fingerprint)),
-                    Value::Int64(a.session.txn_id),
                 });
               }
               return rows;
@@ -879,8 +808,7 @@ Result<QueryResult> Database::ExecuteSelect(const std::string& sql,
   metrics_.GetCounter("db.pages_read_total")->Increment(result.io.TotalReads());
   metrics_.GetHistogram("db.query_seconds")->Observe(result.cpu_seconds);
   metrics_.GetHistogram("db.query_modeled_seconds")->Observe(result.TotalSeconds());
-  // One record per statement, built once (one NormalizeSql) and handed to
-  // both sinks.
+  if (reads_virtual) return result;  // no self-instrumentation
   obs::StatementRecord record;
   record.SetSql(sql);
   record.plan_hash = obs::PlanShapeHash(plan.explain);
@@ -888,7 +816,6 @@ Result<QueryResult> Database::ExecuteSelect(const std::string& sql,
   record.latency_seconds = result.cpu_seconds;
   record.io_seconds = result.io_seconds;
   record.io = result.io;
-  record.session_id = obs::CurrentSessionId();
   if (obs::WaitSink* waits = obs::CurrentWaitSink()) {
     // The statement's waits so far (locks were acquired before this point,
     // so heavyweight Lock waits are already in the sink).
@@ -908,8 +835,7 @@ Result<QueryResult> Database::ExecuteSelect(const std::string& sql,
       record.residuals.push_back(std::move(residual));
     }
   }
-  if (!reads_virtual) stat_statements_.Record(record);
-  query_log_.Record(record);
+  stat_statements_.Record(record);
   return result;
 }
 
@@ -952,7 +878,7 @@ Result<ExplainAnalyzeResult> Database::ExplainAnalyze(const std::string& sql,
   obs::JsonWriter w;
   w.BeginObject();
   // Statement-shape fingerprint plus plan hash, so EXPLAIN ANALYZE output
-  // joins against the slow-query log and elephant_stat_statements.
+  // joins against elephant_stat_statements.
   w.Key("sql_fingerprint").String(obs::HexHash(obs::FingerprintSql(sql)));
   w.Key("plan_hash")
       .String(obs::HexHash(obs::PlanShapeHash(

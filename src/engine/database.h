@@ -9,11 +9,9 @@
 #include "catalog/catalog.h"
 #include "common/thread_annotations.h"
 #include "exec/executor.h"
-#include "obs/ash.h"
 #include "obs/heatmap.h"
 #include "obs/metrics.h"
 #include "obs/plan_stats.h"
-#include "obs/query_log.h"
 #include "obs/stat_statements.h"
 #include "obs/trace_log.h"
 #include "obs/wait_events.h"
@@ -100,16 +98,6 @@ struct DatabaseOptions {
   /// aborts its transaction (suspected deadlock). Tests shrink it to fail
   /// fast.
   double lock_timeout_seconds = 1.0;
-  /// Active session history: a background thread samples every live
-  /// session's activity (running / waiting-on-<event> / idle-in-txn) into a
-  /// bounded ring served by the elephant_stat_ash virtual table. Off by
-  /// default — contention experiments and tests opt in.
-  bool ash_sampler_enabled = false;
-  /// Seconds between ASH samples (PostgreSQL folks run ~1s; the simulated
-  /// engine's statements finish in microseconds, so the default is 5ms).
-  double ash_interval_seconds = 0.005;
-  /// ASH ring size in samples; the oldest samples fall off.
-  uint32_t ash_ring_capacity = 4096;
 };
 
 /// A session's open-transaction slot, passed to Database::Execute. A null
@@ -195,24 +183,6 @@ class Database {
   /// Prometheus text exposition format.
   std::string ExportMetrics();
 
-  /// Starts the slow-query/audit log: statements whose measured latency
-  /// meets `threshold_seconds` are appended to `path` as JSONL (statement,
-  /// plan hash, latency, I/O stats, session id). 0 audits everything.
-  bool EnableSlowQueryLog(const std::string& path, double threshold_seconds) {
-    return query_log_.Open(path, threshold_seconds);
-  }
-  void DisableSlowQueryLog() { query_log_.Close(); }
-  obs::QueryLog& query_log() { return query_log_; }
-
-  /// Live-session activity slots behind elephant_stat_activity and the ASH
-  /// sampler. Sessions register themselves here for their lifetime
-  /// (engine/session.h).
-  obs::SessionStateRegistry* session_states() { return &session_states_; }
-
-  /// The ASH sampler thread, or null when DatabaseOptions::ash_sampler_enabled
-  /// is off (elephant_stat_ash then reads as empty).
-  obs::AshSampler* ash_sampler() { return ash_sampler_.get(); }
-
   /// The shared intra-query worker pool (created on first use). Distinct
   /// from any session-level statement scheduler: workers never block on
   /// other tasks, which keeps PARALLEL queries deadlock-free even when
@@ -284,10 +254,6 @@ class Database {
                                              PlanHints extra_hints,
                                              bool instrument,
                                              SessionTxnState* ts);
-
-  /// Creates and starts the ASH sampler when options_.ash_sampler_enabled
-  /// (both construction paths: fresh engine and Reopen).
-  void MaybeStartAshSampler();
 
   /// Registers the `elephant_stat_*` virtual system tables in the catalog
   /// (providers capture `this`; the catalog dies before the engine state).
@@ -387,11 +353,6 @@ class Database {
   wal::RecoveryStats recovery_stats_;
   obs::MetricsRegistry metrics_;
   obs::StatStatements stat_statements_;
-  obs::QueryLog query_log_;
-  /// Declared before ash_sampler_ (which holds a pointer into it) so the
-  /// sampler thread is stopped and destroyed first.
-  obs::SessionStateRegistry session_states_;
-  std::unique_ptr<obs::AshSampler> ash_sampler_;
   const std::chrono::steady_clock::time_point created_at_ =
       std::chrono::steady_clock::now();
   Mutex workers_mu_{LockRank::kDatabaseWorkers, "Database::workers_mu_"};

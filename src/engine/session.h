@@ -25,8 +25,7 @@ namespace elephant {
 /// synchronized — run them from one session before fanning out.
 class Session {
  public:
-  Session(Database* db, int id)
-      : db_(db), id_(id), registration_(db->session_states(), id) {}
+  Session(Database* db, int id) : db_(db), id_(id) {}
 
   int id() const { return id_; }
 
@@ -35,23 +34,14 @@ class Session {
   PlanHints& default_hints() { return default_hints_; }
 
   /// Executes one statement on the calling thread. The session id is
-  /// attached to the thread for the statement's duration, so telemetry
-  /// (trace process tracks, the slow-query log) attributes everything the
-  /// statement does — including worker tasks, which inherit the id through
-  /// TaskGroup — to this session.
+  /// attached to the thread for the statement's duration, so trace process
+  /// tracks attribute everything the statement does — including worker
+  /// tasks, which inherit the id through TaskGroup — to this session.
   Result<QueryResult> Execute(const std::string& sql, PlanHints hints = {}) {
     statements_++;
     obs::SessionIdScope session_scope(id_);
-    // Activity for elephant_stat_activity and the ASH sampler: running with
-    // this statement's fingerprint while Execute is in flight (WaitScopes
-    // flip it waiting), then idle or idle-in-txn depending on whether the
-    // statement left a transaction open.
-    obs::ScopedStatementActivity activity(registration_.state(),
-                                          obs::FingerprintSql(sql),
-                                          CurrentTxnId());
     Result<QueryResult> r =
         db_->Execute(sql, default_hints_.Merge(hints), &txn_state_);
-    activity.SetTxnId(CurrentTxnId());
     if (!r.ok()) last_error_ = r.status().ToString();
     return r;
   }
@@ -64,19 +54,8 @@ class Session {
   bool in_transaction() const { return txn_state_.txn != nullptr; }
 
  private:
-  int64_t CurrentTxnId() const {
-    return txn_state_.txn != nullptr
-               ? static_cast<int64_t>(txn_state_.txn->id())
-               : -1;
-  }
-
   Database* db_;
   int id_;
-  /// This session's slot in the Database's live-session registry, held for
-  /// the session's lifetime (the registry outlives every session: sessions
-  /// are owned by a SessionManager, which callers keep shorter-lived than
-  /// the Database).
-  obs::ScopedSessionRegistration registration_;
   PlanHints default_hints_;
   /// This session's transaction slot: BEGIN opens into it, later statements
   /// join it, COMMIT/ROLLBACK close it. Each session transacting on its own

@@ -124,8 +124,7 @@ void AppendIoJson(const IoStats& io, JsonWriter* w) {
   w->EndObject();
 }
 
-void StatementRecord::SetSql(std::string text) {
-  sql = std::move(text);
+void StatementRecord::SetSql(std::string_view sql) {
   query = NormalizeSql(sql);
   fingerprint = Fnv1a64(query);
 }
@@ -170,6 +169,7 @@ void StatStatements::Record(const StatementRecord& record) {
   entry.rows += record.rows;
   entry.total_seconds += record.latency_seconds;
   entry.total_io_seconds += record.io_seconds;
+  entry.total_wait_seconds += record.wait_profile.TotalSeconds();
   entry.min_seconds = std::min(entry.min_seconds, record.latency_seconds);
   entry.max_seconds = std::max(entry.max_seconds, record.latency_seconds);
   AddIo(&entry.io, record.io);
@@ -217,13 +217,14 @@ std::string StatStatements::ToJson() const {
   }
 
   uint64_t total_calls = 0, total_rows = 0;
-  double total_seconds = 0, total_io_seconds = 0;
+  double total_seconds = 0, total_io_seconds = 0, total_wait_seconds = 0;
   IoStats total_io;
   for (const StatementStats& e : entries) {
     total_calls += e.calls;
     total_rows += e.rows;
     total_seconds += e.total_seconds;
     total_io_seconds += e.total_io_seconds;
+    total_wait_seconds += e.total_wait_seconds;
     AddIo(&total_io, e.io);
   }
 
@@ -240,6 +241,7 @@ std::string StatStatements::ToJson() const {
   w.Key("rows").UInt(total_rows);
   w.Key("total_seconds").Double(total_seconds);
   w.Key("total_io_seconds").Double(total_io_seconds);
+  w.Key("total_wait_seconds").Double(total_wait_seconds);
   w.Key("io");
   AppendIoJson(total_io, &w);
   w.EndObject();
@@ -259,6 +261,7 @@ std::string StatStatements::ToJson() const {
     w.Key("p95_seconds").Double(e.latency.Quantile(0.95));
     w.Key("total_io_seconds").Double(e.total_io_seconds);
     w.Key("residual_seconds").Double(e.ResidualSeconds());
+    w.Key("total_wait_seconds").Double(e.total_wait_seconds);
     w.Key("io");
     AppendIoJson(e.io, &w);
     w.Key("latency_buckets").BeginArray();

@@ -64,29 +64,25 @@ struct OperatorResidual {
   double measured_seconds = 0;
 };
 
-/// One finished statement, built once by the engine and handed to every
-/// per-statement sink: StatStatements (the cumulative registry) and QueryLog
-/// (the slow-query log). `fingerprint` and `plan_hash` are the join keys
-/// between them and EXPLAIN ANALYZE output, always rendered with HexHash.
+/// One finished statement, built once by the engine and folded into
+/// StatStatements. `fingerprint` and `plan_hash` are the join keys between
+/// the registry and EXPLAIN ANALYZE output, always rendered with HexHash.
 struct StatementRecord {
-  std::string sql;            ///< raw statement text
-  std::string query;          ///< NormalizeSql(sql)
+  std::string query;          ///< NormalizeSql of the statement text
   uint64_t fingerprint = 0;   ///< Fnv1a64(query), i.e. FingerprintSql(sql)
   uint64_t plan_hash = 0;     ///< PlanShapeHash of the rendered plan tree
   uint64_t rows = 0;
   double latency_seconds = 0; ///< measured wall-clock execution time
   double io_seconds = 0;      ///< modeled disk time for `io`
   IoStats io;                 ///< physical page traffic, incl. readahead
-  int session_id = -1;        ///< -1 = outside any session
-  /// Where the statement's blocked time went (the slow-query log's
-  /// "wait_profile" object).
+  /// Where the statement's blocked time went; the registry sums its total.
   WaitProfile wait_profile;
   /// Empty unless the statement ran instrumented (EXPLAIN ANALYZE):
   /// per-operator wall time only exists when every node is wrapped.
   std::vector<OperatorResidual> residuals;
 
-  /// Sets `sql` and derives `query` and `fingerprint` from it.
-  void SetSql(std::string text);
+  /// Derives `query` and `fingerprint` from the statement text.
+  void SetSql(std::string_view sql);
 };
 
 /// Cumulative per-operator-class calibration data: how far the disk model's
@@ -116,6 +112,7 @@ struct StatementStats {
 
   double total_seconds = 0;     ///< measured wall time, summed
   double total_io_seconds = 0;  ///< modeled disk time, summed
+  double total_wait_seconds = 0;  ///< WaitProfile::TotalSeconds, summed
   double min_seconds = 0;
   double max_seconds = 0;
   IoStats io;
@@ -170,7 +167,7 @@ class StatStatements {
   ///   {"capacity":N, "entries":N, "evicted_entries":N,
   ///    "latency_bounds":[...],
   ///    "totals":{"calls":..,"rows":..,"total_seconds":..,
-  ///              "total_io_seconds":..,"io":{...}},
+  ///              "total_io_seconds":..,"total_wait_seconds":..,"io":{...}},
   ///    "statements":[{...per-entry stats, hex hashes, residuals...}]}
   /// `totals` sums the surviving entries (reconciliation hook for
   /// scripts/telemetry_check.py).

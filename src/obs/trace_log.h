@@ -157,8 +157,7 @@ class TraceLog {
 };
 
 /// The session id attached to the calling thread (-1 = engine work outside
-/// any session). Trace events use it as their Perfetto process track, the
-/// slow-query log stamps it into every entry.
+/// any session). Trace events use it as their Perfetto process track.
 int CurrentSessionId();
 
 /// RAII thread-local session attribution; nests/restores like IoScope.

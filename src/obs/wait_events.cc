@@ -16,7 +16,6 @@ namespace {
 // count once under the outermost classification.
 thread_local bool t_in_wait = false;
 thread_local WaitSink* t_wait_sink = nullptr;
-thread_local SessionWaitState* t_session_state = nullptr;
 
 uint64_t NowNanos() {
   return static_cast<uint64_t>(
@@ -174,29 +173,6 @@ WaitSinkScope::WaitSinkScope(WaitSink* sink) : prev_(t_wait_sink) {
 
 WaitSinkScope::~WaitSinkScope() { t_wait_sink = prev_; }
 
-const char* SessionActivityStateName(SessionActivityState s) {
-  switch (s) {
-    case SessionActivityState::kIdle:
-      return "idle";
-    case SessionActivityState::kRunning:
-      return "running";
-    case SessionActivityState::kWaiting:
-      return "waiting";
-    case SessionActivityState::kIdleInTxn:
-      return "idle in transaction";
-  }
-  return "unknown";
-}
-
-SessionWaitState* CurrentSessionWaitState() { return t_session_state; }
-
-SessionWaitStateScope::SessionWaitStateScope(SessionWaitState* state)
-    : prev_(t_session_state) {
-  t_session_state = state;
-}
-
-SessionWaitStateScope::~SessionWaitStateScope() { t_session_state = prev_; }
-
 const std::vector<double>& WaitEventRegistry::BucketBounds() {
   static const std::vector<double> bounds = [] {
     std::vector<double> b;
@@ -292,14 +268,6 @@ WaitScope::WaitScope(WaitEventId event) : event_(event) {
   t_in_wait = true;
   active_ = true;
   start_nanos_ = NowNanos();
-  SessionWaitState* session = t_session_state;
-  if (session != nullptr) {
-    prev_state_ = session->state.load(std::memory_order_relaxed);
-    session->wait_event.store(static_cast<int>(event_),
-                              std::memory_order_relaxed);
-    session->state.store(static_cast<int>(SessionActivityState::kWaiting),
-                         std::memory_order_relaxed);
-  }
 }
 
 WaitScope::~WaitScope() { Finish(); }
@@ -311,11 +279,6 @@ uint64_t WaitScope::Finish() {
   recorded_nanos_ = end > start_nanos_ ? end - start_nanos_ : 0;
   WaitEventRegistry::Global().Record(event_, recorded_nanos_);
   if (t_wait_sink != nullptr) t_wait_sink->Add(event_, recorded_nanos_);
-  SessionWaitState* session = t_session_state;
-  if (session != nullptr) {
-    session->state.store(prev_state_, std::memory_order_relaxed);
-    session->wait_event.store(-1, std::memory_order_relaxed);
-  }
   t_in_wait = false;
   return recorded_nanos_;
 }

@@ -14,20 +14,20 @@
 //   IO         DiskManager page read/write/sync (the simulated device;
 //              device-mutex queueing is subsumed — iowait semantics)
 //   WAL        group-flush commit waits at the LogManager flush entry
-//   CondVar    generic condition waits + the ASH sampler's interval sleep
+//   CondVar    generic condition waits
 //   Scheduler  task-queue idle and TaskGroup gather waits
 //
 // Scopes are NESTING-INERT: the outermost WaitScope on a thread wins and
 // nested scopes record nothing, so a WAL flush that syncs the disk under the
 // log mutex counts once as WAL, not three times as WAL + IO + LWLock.
 //
-// Recording fans out to three sinks, none of which locks or allocates
+// Recording fans out to two sinks, neither of which locks or allocates
 // (relaxed atomics only — WaitScope runs inside Mutex::Lock itself):
 //   - the process-wide WaitEventRegistry (cumulative counts + histograms),
 //   - the per-query WaitSink attached to the thread (see WaitSinkScope;
-//     TaskGroup propagates the query's sink to its workers),
-//   - the session's SessionWaitState, so the ASH sampler observes
-//     "waiting on <event>" while the wait is in progress.
+//     TaskGroup propagates the query's sink to its workers). The statement's
+//     profile lands in QueryResult, the EXPLAIN ANALYZE footer and
+//     elephant_stat_statements.wait_seconds.
 //
 // This header is included by common/thread_annotations.h (the Mutex/CondVar
 // hooks), so it must not include it back: lock_rank.h, histogram.h and the
@@ -82,7 +82,6 @@ enum class WaitEventId : uint8_t {
   kWalFlush,
   // CondVar.
   kCondVarWait,
-  kCondVarSamplerSleep,
   // Scheduler: morsel workers and gather points. Includes the pool/group
   // mutexes themselves — queue-handoff contention is scheduling overhead,
   // not a lock-discipline signal, so an uncontended PARALLEL query reports
@@ -91,7 +90,7 @@ enum class WaitEventId : uint8_t {
   kSchedulerWorkerIdle,
   kSchedulerGather,
 };
-inline constexpr int kNumWaitEvents = 19;
+inline constexpr int kNumWaitEvents = 18;
 
 struct WaitEventInfo {
   WaitClass wait_class;
@@ -118,7 +117,6 @@ inline constexpr WaitEventInfo kWaitEventInfos[kNumWaitEvents] = {
     {WaitClass::kIO, "IO", "DataFileSync"},
     {WaitClass::kWAL, "WAL", "Flush"},
     {WaitClass::kCondVar, "CondVar", "Wait"},
-    {WaitClass::kCondVar, "CondVar", "SamplerSleep"},
     {WaitClass::kScheduler, "Scheduler", "Mutex"},
     {WaitClass::kScheduler, "Scheduler", "WorkerIdle"},
     {WaitClass::kScheduler, "Scheduler", "Gather"},
@@ -134,7 +132,7 @@ WaitEventId WaitEventForRank(LockRank rank);
 
 /// Per-query (or per-statement) wait totals, the wait-side sibling of
 /// IoStats: a plain value folded into QueryResult, the EXPLAIN ANALYZE
-/// footer and the slow-query log.
+/// footer and the statement registry.
 struct WaitProfile {
   std::array<uint64_t, kNumWaitEvents> counts{};
   std::array<uint64_t, kNumWaitEvents> nanos{};
@@ -165,8 +163,8 @@ struct WaitProfile {
   ///  condvar=0.000ms scheduler=0.000ms | top=Lock:TableExclusive"
   std::string ToString() const;
 
-  /// The same totals as a JSON object, shared by the EXPLAIN ANALYZE JSON
-  /// "waits" key and the slow-query log's "wait_profile" key:
+  /// The same totals as a JSON object, the EXPLAIN ANALYZE JSON "waits"
+  /// key:
   /// {"total_seconds", "lwlock_seconds", "lock_seconds", "io_seconds",
   ///  "wal_seconds", "condvar_seconds", "scheduler_seconds", "top_event"}.
   void AppendJson(JsonWriter* w) const;
@@ -205,49 +203,6 @@ class WaitSinkScope {
 
  private:
   WaitSink* prev_;
-};
-
-/// What a live session is doing right now, as sampled by the ASH thread and
-/// served by elephant_stat_activity. Matches PostgreSQL's pg_stat_activity
-/// states, minus the network-protocol ones the engine does not have yet.
-enum class SessionActivityState : uint8_t {
-  kIdle = 0,       ///< registered, no statement in flight
-  kRunning = 1,    ///< executing a statement, not blocked
-  kWaiting = 2,    ///< inside a WaitScope (wait_event says which)
-  kIdleInTxn = 3,  ///< between statements with an open transaction
-};
-
-const char* SessionActivityStateName(SessionActivityState s);
-
-/// One live session's state, written with relaxed atomics by the owning
-/// thread (Session::Execute and any WaitScope running on it) and read by the
-/// ASH sampler and the stat tables without any lock.
-struct SessionWaitState {
-  std::atomic<int> session_id{-1};
-  std::atomic<int> state{static_cast<int>(SessionActivityState::kIdle)};
-  std::atomic<int> wait_event{-1};  ///< WaitEventId while kWaiting, else -1
-  std::atomic<uint64_t> sql_fingerprint{0};
-  std::atomic<int64_t> txn_id{-1};
-  std::atomic<uint64_t> statements{0};
-};
-
-/// The session state attached to the calling thread (nullptr when none).
-SessionWaitState* CurrentSessionWaitState();
-
-/// RAII scope attaching a session's state to the current thread for the
-/// duration of a statement, so WaitScopes flip it waiting/running. TaskGroup
-/// does NOT propagate this to workers: the session is "waiting on gather"
-/// while its morsels run, which is what the session thread reports.
-class SessionWaitStateScope {
- public:
-  explicit SessionWaitStateScope(SessionWaitState* state);
-  ~SessionWaitStateScope();
-
-  SessionWaitStateScope(const SessionWaitStateScope&) = delete;
-  SessionWaitStateScope& operator=(const SessionWaitStateScope&) = delete;
-
- private:
-  SessionWaitState* prev_;
 };
 
 /// Process-wide cumulative wait accounting: per-event exact counts and
@@ -305,7 +260,7 @@ class WaitEventRegistry {
 
 /// RAII timer for one blocking point. The outermost scope on a thread is the
 /// one that records (nested scopes are inert), fanning out to the global
-/// registry, the thread's WaitSink, and the thread's SessionWaitState.
+/// registry and the thread's WaitSink.
 /// Finish() is idempotent and returns the recorded nanos (0 when inert) so
 /// callers like LockManager can reconcile their own counters exactly.
 class WaitScope {
@@ -324,7 +279,6 @@ class WaitScope {
   bool finished_ = false;
   uint64_t start_nanos_ = 0;
   uint64_t recorded_nanos_ = 0;
-  int prev_state_ = 0;  ///< session state to restore (active scopes only)
 };
 
 }  // namespace obs

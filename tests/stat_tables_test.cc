@@ -1,4 +1,3 @@
-#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -49,6 +48,8 @@ TEST(StatStatements, AccumulatesAndGroupsByFingerprintAndPlan) {
   s.latency_seconds = 0.5;
   s.io_seconds = 0.25;
   s.io.sequential_reads = 7;
+  s.wait_profile.Add(obs::WaitEventId::kLockTableShared, 200000000);
+  s.wait_profile.Add(obs::WaitEventId::kIoDataFileRead, 50000000);
   reg.Record(s);
   s.SetSql("SELECT a FROM t WHERE k < 99");  // same shape
   s.rows = 5;
@@ -61,6 +62,7 @@ TEST(StatStatements, AccumulatesAndGroupsByFingerprintAndPlan) {
   EXPECT_EQ(e.io.sequential_reads, 14u);
   EXPECT_DOUBLE_EQ(e.total_seconds, 1.0);
   EXPECT_DOUBLE_EQ(e.total_io_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(e.total_wait_seconds, 0.5);  // 2 calls x 250ms
   EXPECT_EQ(e.query, "select a from t where k < ?");
   EXPECT_EQ(e.min_seconds, 0.5);
   EXPECT_EQ(e.max_seconds, 0.5);
@@ -135,6 +137,7 @@ TEST(StatStatements, ToJsonIsValidAndCarriesTotals) {
   EXPECT_NE(json.find("\"evicted_entries\""), std::string::npos);
   EXPECT_NE(json.find("\"totals\""), std::string::npos);
   EXPECT_NE(json.find("\"operator_classes\""), std::string::npos);
+  EXPECT_NE(json.find("\"total_wait_seconds\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -214,8 +217,9 @@ TEST_F(StatTablesTest, AcceptanceQueryEndToEnd) {
       "ORDER BY total_io_seconds DESC LIMIT 5");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const QueryResult& qr = r.value();
-  EXPECT_EQ(qr.schema.NumColumns(), 20u);
+  EXPECT_EQ(qr.schema.NumColumns(), 21u);
   EXPECT_GE(qr.schema.FindColumn("total_io_seconds"), 0);
+  EXPECT_GE(qr.schema.FindColumn("wait_seconds"), 0);
   ASSERT_GE(qr.rows.size(), 3u);
   ASSERT_LE(qr.rows.size(), 5u);
   const int io_col = qr.schema.FindColumn("total_io_seconds");
@@ -389,63 +393,42 @@ TEST_F(StatTablesTest, ExportsValidateAndSurfaceRegistryFamilies) {
             std::string::npos);
 }
 
-TEST_F(StatTablesTest, SlowQueryLogCarriesSqlFingerprint) {
+TEST_F(StatTablesTest, RegistryFingerprintJoinsExplainAnalyzeJson) {
   ResetAllCounters();
-  const std::string path = ::testing::TempDir() + "stat_tables_query_log.jsonl";
   const std::string sql =
       "SELECT l_orderkey FROM lineitem WHERE l_orderkey < 100";
-  ASSERT_TRUE(db_->EnableSlowQueryLog(path, /*threshold_seconds=*/0));
   ASSERT_TRUE(db_->Execute(sql).ok());
   ASSERT_TRUE(db_->Execute(
                      "SELECT l_orderkey FROM lineitem WHERE l_orderkey < 250")
                   .ok());
-  db_->DisableSlowQueryLog();
 
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::string contents;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) contents.append(buf, n);
-  std::fclose(f);
+  // Both literals fold into one registry entry keyed by the shape's
+  // fingerprint, rendered as a HexHash string like every other export.
+  auto stat = db_->Execute(
+      "SELECT fingerprint, plan_hash, calls FROM elephant_stat_statements "
+      "WHERE query = '" + obs::NormalizeSql(sql) + "'");
+  ASSERT_TRUE(stat.ok()) << stat.status().ToString();
+  ASSERT_EQ(stat.value().rows.size(), 1u);
+  const std::string fingerprint = stat.value().rows[0][0].AsString();
+  const std::string plan_hash = stat.value().rows[0][1].AsString();
+  EXPECT_EQ(fingerprint, obs::HexHash(obs::FingerprintSql(sql)));
+  EXPECT_EQ(plan_hash.size(), 16u);
+  EXPECT_EQ(stat.value().rows[0][2].AsInt64(), 2);
 
-  // The string value of the first `key` in `doc` at or after `from`.
-  auto string_at = [](const std::string& doc, const std::string& key,
-                      size_t from) {
+  // The string value of the first `key` in `doc`.
+  auto string_at = [](const std::string& doc, const std::string& key) {
     const std::string needle = "\"" + key + "\":\"";
-    const size_t pos = doc.find(needle, from);
+    const size_t pos = doc.find(needle);
     if (pos == std::string::npos) return std::string();
     const size_t start = pos + needle.size();
     return doc.substr(start, doc.find('"', start) - start);
   };
-  const std::string log_fingerprint = string_at(contents, "sql_fingerprint", 0);
-  const std::string log_plan_hash = string_at(contents, "plan_hash", 0);
-  // Hashes are HexHash strings, the spelling every other export uses.
-  EXPECT_EQ(log_fingerprint, obs::HexHash(obs::FingerprintSql(sql)))
-      << contents;
-  EXPECT_EQ(log_plan_hash.size(), 16u) << contents;
-  // Both entries agree on sql_fingerprint (the shape key) even though their
-  // literals differ.
-  const size_t second_line = contents.find('\n') + 1;
-  EXPECT_EQ(string_at(contents, "sql_fingerprint", second_line),
-            log_fingerprint)
-      << contents;
-
-  // The log joins against elephant_stat_statements without conversion...
-  auto stat = db_->Execute(
-      "SELECT fingerprint, plan_hash FROM elephant_stat_statements "
-      "WHERE query = '" + obs::NormalizeSql(sql) + "'");
-  ASSERT_TRUE(stat.ok()) << stat.status().ToString();
-  ASSERT_EQ(stat.value().rows.size(), 1u);
-  EXPECT_EQ(stat.value().rows[0][0].AsString(), log_fingerprint);
-  EXPECT_EQ(stat.value().rows[0][1].AsString(), log_plan_hash);
-
-  // ...and against EXPLAIN ANALYZE of the same statement.
+  // EXPLAIN ANALYZE JSON of the same statement joins against the registry
+  // without conversion.
   auto analyzed = db_->ExplainAnalyze(sql);
   ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
-  EXPECT_EQ(string_at(analyzed.value().json, "sql_fingerprint", 0),
-            log_fingerprint);
-  EXPECT_EQ(string_at(analyzed.value().json, "plan_hash", 0), log_plan_hash);
+  EXPECT_EQ(string_at(analyzed.value().json, "sql_fingerprint"), fingerprint);
+  EXPECT_EQ(string_at(analyzed.value().json, "plan_hash"), plan_hash);
 }
 
 TEST_F(StatTablesTest, TraceDropCounterObservableAfterOverflow) {

@@ -1,4 +1,3 @@
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
@@ -335,31 +334,6 @@ TEST_F(TelemetryTest, PrometheusExportConforms) {
         "elephant_db_workers_queue_depth", "elephant_db_workers_utilization"}) {
     EXPECT_NE(text.find(gauge), std::string::npos) << gauge;
   }
-}
-
-TEST_F(TelemetryTest, SlowQueryLogWritesThresholdGatedJsonl) {
-  const std::string path = ::testing::TempDir() + "/elephant_slow_query.jsonl";
-  ASSERT_TRUE(db_->EnableSlowQueryLog(path, /*threshold_seconds=*/0.0));
-  RunMixedWorkload("");
-  const uint64_t written = db_->query_log().EntriesWritten();
-  db_->DisableSlowQueryLog();
-  EXPECT_GE(written, 4u);
-
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[8192];
-  size_t lines = 0;
-  while (std::fgets(buf, sizeof(buf), f) != nullptr) {
-    lines++;
-    std::string line(buf);
-    std::string error;
-    EXPECT_TRUE(obs::ValidateJson(line, &error)) << error << "\n" << line;
-    EXPECT_NE(line.find("\"plan_hash\""), std::string::npos);
-    EXPECT_NE(line.find("\"session_id\""), std::string::npos);
-  }
-  std::fclose(f);
-  EXPECT_EQ(lines, written);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -23,7 +23,9 @@
 //
 // Besides the crash-at-Nth-op sweep, two more failure modes run at the
 // workload's end: a torn final WAL flush (recovery must truncate at the bad
-// record) and silently dropped fsyncs (no invented commits).
+// record) and silently dropped fsyncs (no invented commits; the machine
+// restarts at the first failed statement and runs the rest of the workload,
+// which a final crash must preserve).
 // A third sweep tears each step's first log flush at every 1 KiB offset,
 // so the durable tail ends between and inside the records of its page
 // splits. After each reboot, rows inserted across the key range must keep
@@ -234,17 +236,21 @@ ProjectionDef ProjDef() {
     }                                                                     \
   } while (0)
 
-// Builds the database the workload runs against: base table + seed rows +
-// materialized view + c-store projection, checkpointed so the sweep starts
-// from a clean durable state.
-std::unique_ptr<Database> Setup(Oracle* oracle) {
+DatabaseOptions Options() {
   DatabaseOptions options;
   options.wal_enabled = true;
   // One session runs the workload, so the only lock it can wait for is held
   // by a transaction whose commit flush failed (it keeps its locks until
   // the restart): fail such a statement fast.
   options.lock_timeout_seconds = 0.05;
-  auto db = std::make_unique<Database>(options);
+  return options;
+}
+
+// Builds the database the workload runs against: base table + seed rows +
+// materialized view + c-store projection, checkpointed so the sweep starts
+// from a clean durable state.
+std::unique_ptr<Database> Setup(Oracle* oracle) {
+  auto db = std::make_unique<Database>(Options());
   auto run = [&db](const std::string& sql) {
     auto r = db->Execute(sql);
     if (!r.ok()) {
@@ -455,6 +461,35 @@ bool VerifyCTables(Database& db, uint64_t point) {
   return true;
 }
 
+// An engine booted from another's durable image, with the view's and the
+// c-table's rebuild hooks re-attached: recovery restores derived tables'
+// contents-as-of-crash and marks them stale, and their hooks are callbacks
+// the image cannot carry. The managers own the hooks' state, so they live
+// as long as the engine.
+struct Rebooted {
+  std::unique_ptr<Database> db;
+  std::unique_ptr<mv::ViewManager> views;
+  std::unique_ptr<cstore::CTableBuilder> builder;
+};
+
+// Crashes `db` "now" — whatever its stable storage holds is what survives —
+// and boots a fresh engine from that image into `out`.
+bool Reboot(Database& db, uint64_t point, Rebooted* out) {
+  auto reopened = Database::Reopen(Options(), db.CloneDurableImage());
+  if (!reopened.ok()) {
+    std::fprintf(stderr, "point %llu: reopen failed: %s\n",
+                 static_cast<unsigned long long>(point),
+                 reopened.status().ToString().c_str());
+    return false;
+  }
+  out->db = std::move(reopened).value();
+  out->views = std::make_unique<mv::ViewManager>(out->db.get());
+  CHECK_OK(out->views->AttachView(MvDef()));
+  out->builder = std::make_unique<cstore::CTableBuilder>(out->db.get());
+  CHECK_OK(out->builder->AttachRebuild(ProjDef()));
+  return true;
+}
+
 // ---------------------------------------------------------------------------
 // One sweep point: run the workload with the given fault plan, reboot from
 // the durable image, re-attach derived-table hooks, verify all invariants.
@@ -509,30 +544,90 @@ bool RunPoint(const FaultPlan& plan, uint64_t point, Probe* probe) {
     }
   }
 
-  // For dropped fsyncs the engine keeps running (the drive lies, nothing
-  // fails); the crash happens "now", at an arbitrary later moment.
-  DatabaseOptions options;
-  options.wal_enabled = true;
-  auto reopened = Database::Reopen(options, db->CloneDurableImage());
-  if (!reopened.ok()) {
-    std::fprintf(stderr, "point %llu: reopen failed: %s\n",
-                 static_cast<unsigned long long>(point),
-                 reopened.status().ToString().c_str());
+  Rebooted rec;
+  return Reboot(*db, point, &rec) && VerifyBase(*rec.db, oracle, point) &&
+         VerifyMv(*rec.db, point) && VerifyCTables(*rec.db, point) &&
+         VerifyInsertAfterRecovery(*rec.db, oracle, point);
+}
+
+// A lying drive: fsyncs dropped after the first. The engine detects the
+// failed sync and refuses to acknowledge the commit, whose transaction keeps
+// its locks until a restart, so the machine restarts at the first failed
+// statement. The oracle cannot tell which unsynced writes persisted: that
+// reboot is checked for internal consistency only (the MV and c-tables must
+// agree with whatever base state recovery produced), and the oracle is
+// re-seeded from the recovered rows. The rest of the workload then runs
+// fault-free on the rebooted engine, and a final crash must reproduce the
+// oracle exactly, as at every crash-at-write point.
+bool RunDropFsync() {
+  const uint64_t point = 9999;  // names this run in failure messages
+  FaultPlan plan;
+  plan.mode = FaultPlan::Mode::kDropFsync;
+  plan.drop_fsync_after = 1;
+  FaultInjector injector(plan);
+  Oracle oracle;
+  std::unique_ptr<Database> db = Setup(&oracle);
+  if (db == nullptr) return false;
+  db->SetFaultInjector(&injector);
+
+  const std::vector<Step> steps = Workload();
+  size_t failed = 0;
+  bool in_txn = false;  // the failed statement belongs to BEGIN..COMMIT
+  for (; failed < steps.size(); failed++) {
+    if (steps[failed].sql == "BEGIN") in_txn = true;
+    if (!db->Execute(steps[failed].sql).ok()) break;
+    if (steps[failed].sql == "COMMIT") in_txn = false;
+  }
+  if (failed == steps.size()) {
+    std::fprintf(stderr, "drop-fsync: every statement was acknowledged "
+                 "although fsyncs were dropped\n");
     return false;
   }
-  std::unique_ptr<Database> rec = std::move(reopened).value();
 
-  // Recovery restores derived tables' contents-as-of-crash and marks them
-  // stale; their rebuild hooks are callbacks and must be re-attached by the
-  // owning managers before the first read.
-  mv::ViewManager views(rec.get());
-  CHECK_OK(views.AttachView(MvDef()));
-  cstore::CTableBuilder builder(rec.get());
-  CHECK_OK(builder.AttachRebuild(ProjDef()));
+  Rebooted rec;
+  if (!Reboot(*db, point, &rec) || !VerifyMv(*rec.db, point) ||
+      !VerifyCTables(*rec.db, point)) {
+    return false;
+  }
+  db.reset();
+  auto rows = rec.db->Execute("SELECT id, cat, amt FROM orders");
+  if (!rows.ok()) {
+    std::fprintf(stderr, "drop-fsync: base scan after reboot failed: %s\n",
+                 rows.status().ToString().c_str());
+    return false;
+  }
+  oracle.clear();
+  for (const Row& row : rows.value().rows) {
+    oracle[row[0].AsInt32()] = {row[1].AsString(), row[2].AsInt32()};
+  }
 
-  return VerifyBase(*rec, oracle, point) && VerifyMv(*rec, point) &&
-         VerifyCTables(*rec, point) &&
-         VerifyInsertAfterRecovery(*rec, oracle, point);
+  // A transaction cut by the reboot is gone: resume after its COMMIT.
+  size_t resume = failed + 1;
+  if (in_txn) {
+    while (resume < steps.size() && steps[resume - 1].sql != "COMMIT") resume++;
+  }
+  for (size_t i = resume; i < steps.size(); i++) {
+    Oracle next = oracle;
+    steps[i].apply(next);
+    auto r = rec.db->Execute(steps[i].sql);
+    if (!r.ok()) {
+      std::fprintf(stderr, "drop-fsync: \"%s\" failed after the reboot: %s\n",
+                   steps[i].sql.c_str(), r.status().ToString().c_str());
+      return false;
+    }
+    oracle = std::move(next);
+  }
+  std::printf("drop-fsync: %zu/%zu statements acknowledged (%zu before the "
+              "first failed commit, %zu after the reboot)\n",
+              failed + steps.size() - resume, steps.size(), failed,
+              steps.size() - resume);
+
+  Rebooted final_boot;
+  return Reboot(*rec.db, point, &final_boot) &&
+         VerifyBase(*final_boot.db, oracle, point) &&
+         VerifyMv(*final_boot.db, point) &&
+         VerifyCTables(*final_boot.db, point) &&
+         VerifyInsertAfterRecovery(*final_boot.db, oracle, point);
 }
 
 }  // namespace
@@ -601,47 +696,8 @@ int main() {
   std::printf("torn-inside-step sweep: %zu points, %d failures\n", torn_points,
               failures);
 
-  // A lying drive: fsyncs dropped after the first. The engine detects the
-  // failed sync and refuses to acknowledge those commits (statements fail),
-  // so the durable prefix lags the workload. The oracle cannot track which
-  // writes truly persisted, so the reboot is checked for internal
-  // consistency only: the MV and c-tables must agree with whatever base
-  // state recovery produced.
-  {
-    FaultPlan plan;
-    plan.mode = FaultPlan::Mode::kDropFsync;
-    plan.drop_fsync_after = 1;
-    Oracle oracle;
-    std::unique_ptr<Database> db = Setup(&oracle);
-    if (db == nullptr) return 1;
-    FaultInjector injector(plan);
-    db->SetFaultInjector(&injector);
-    size_t acknowledged = 0;
-    for (const Step& step : Workload()) {
-      auto r = db->Execute(step.sql);
-      if (r.ok()) acknowledged++;  // unacknowledged statements are expected
-    }
-    std::printf("drop-fsync: %zu/%zu statements acknowledged\n", acknowledged,
-                Workload().size());
-    DatabaseOptions options;
-    options.wal_enabled = true;
-    auto reopened = Database::Reopen(options, db->CloneDurableImage());
-    if (!reopened.ok()) {
-      std::fprintf(stderr, "drop-fsync: reopen failed: %s\n",
-                   reopened.status().ToString().c_str());
-      failures++;
-    } else {
-      std::unique_ptr<Database> rec = std::move(reopened).value();
-      mv::ViewManager views(rec.get());
-      cstore::CTableBuilder builder(rec.get());
-      if (!views.AttachView(MvDef()).ok() ||
-          !builder.AttachRebuild(ProjDef()).ok() ||
-          !VerifyMv(*rec, 9999) || !VerifyCTables(*rec, 9999)) {
-        failures++;
-      }
-    }
-    std::printf("drop-fsync point done\n");
-  }
+  if (!RunDropFsync()) failures++;
+  std::printf("drop-fsync point done\n");
 
   if (failures > 0) {
     std::fprintf(stderr, "crash matrix: %d FAILURES\n", failures);
