@@ -31,8 +31,8 @@ SecondaryEntry DecodeSecondaryValue(std::string_view value) {
   const uint16_t cklen = static_cast<uint16_t>(
       static_cast<unsigned char>(value[0]) |
       (static_cast<unsigned char>(value[1]) << 8));
-  e.clustered_key.assign(value.data() + 2, cklen);
-  e.include_bytes.assign(value.data() + 2 + cklen, value.size() - 2 - cklen);
+  e.clustered_key = value.substr(2, cklen);
+  e.include_bytes = value.substr(2 + cklen);
   return e;
 }
 

@@ -254,10 +254,11 @@ class Table {
   uint32_t table_id_ = 0;  ///< WAL id of a logged table; 0 = unlogged
 };
 
-/// Decodes the payload of a secondary-index entry.
+/// Decodes the payload of a secondary-index entry. The views point into
+/// `value` and live as long as it does.
 struct SecondaryEntry {
-  std::string clustered_key;   ///< full clustering key of the base row
-  std::string include_bytes;   ///< serialized include-columns row
+  std::string_view clustered_key;  ///< full clustering key of the base row
+  std::string_view include_bytes;  ///< serialized include-columns row
 };
 SecondaryEntry DecodeSecondaryValue(std::string_view value);
 

@@ -44,6 +44,13 @@ Schema Schema::Concat(const Schema& a, const Schema& b) {
   return Schema(std::move(cols));
 }
 
+Schema Schema::Project(const std::vector<size_t>& cols) const {
+  std::vector<Column> out;
+  out.reserve(cols.size());
+  for (size_t c : cols) out.push_back(cols_[c]);
+  return Schema(std::move(out));
+}
+
 std::string Schema::ToString() const {
   std::string out;
   for (size_t i = 0; i < cols_.size(); i++) {
@@ -221,10 +228,15 @@ Value GetValue(const Schema& schema, const char* data, size_t size, size_t col) 
   return Value();
 }
 
-Status Deserialize(const Schema& schema, const char* data, size_t size, Row* out) {
+Status CheckTuple(const char* data, size_t size) {
   if (size < kHeaderSize) return Status::Corruption("tuple shorter than header");
   const uint32_t total = GetU32(data + 1);
   if (total > size) return Status::Corruption("tuple length exceeds buffer");
+  return Status::OK();
+}
+
+Status Deserialize(const Schema& schema, const char* data, size_t size, Row* out) {
+  ELE_RETURN_NOT_OK(CheckTuple(data, size));
   out->clear();
   out->reserve(schema.NumColumns());
   for (size_t i = 0; i < schema.NumColumns(); i++) {
@@ -248,7 +260,7 @@ void AppendBigEndian(std::string* out, uint64_t v, uint32_t n) {
   }
 }
 
-uint64_t ReadBigEndian(const std::string& s, size_t pos, uint32_t n) {
+uint64_t ReadBigEndian(std::string_view s, size_t pos, uint32_t n) {
   uint64_t v = 0;
   for (uint32_t i = 0; i < n; i++) {
     v = (v << 8) | static_cast<unsigned char>(s[pos + i]);
@@ -326,7 +338,7 @@ std::string EncodeValues(const std::vector<Value>& values) {
   return out;
 }
 
-Result<Value> Decode(TypeId type, const std::string& data, size_t* pos) {
+Result<Value> Decode(TypeId type, std::string_view data, size_t* pos) {
   if (*pos >= data.size()) return Status::OutOfRange("key exhausted");
   char marker = data[(*pos)++];
   if (marker == kNullMarker) return Value::Null(type);

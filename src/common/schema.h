@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -59,6 +60,9 @@ class Schema {
   /// Schema concatenation (used for join output schemas).
   static Schema Concat(const Schema& a, const Schema& b);
 
+  /// The columns at positions `cols`, in that order.
+  Schema Project(const std::vector<size_t>& cols) const;
+
   /// "name TYPE, name TYPE, ..." — for debugging and EXPLAIN output.
   std::string ToString() const;
 
@@ -91,10 +95,14 @@ constexpr uint32_t kHeaderSize = 9;
 /// Serializes `row` (which must match `schema`) into `out` (appended).
 Status Serialize(const Schema& schema, const Row& row, std::string* out);
 
+/// Checks that `size` bytes hold a whole tuple (header and its length).
+Status CheckTuple(const char* data, size_t size);
+
 /// Deserializes all columns of a tuple.
 Status Deserialize(const Schema& schema, const char* data, size_t size, Row* out);
 
-/// Reads a single column without materializing the rest of the row.
+/// Reads a single column without materializing the rest of the row: an O(1)
+/// read of its null bit and fixed slot (plus the var section for VARCHAR).
 Value GetValue(const Schema& schema, const char* data, size_t size, size_t col);
 
 /// Serialized size the row will occupy (header + bitmap + slots + var data).
@@ -118,8 +126,8 @@ std::string EncodeKey(const Row& row, const std::vector<size_t>& cols);
 std::string EncodeValues(const std::vector<Value>& values);
 
 /// Decodes one value of the given type from `data` starting at `*pos`;
-/// advances `*pos`. Used by tests and index debugging.
-Result<Value> Decode(TypeId type, const std::string& data, size_t* pos);
+/// advances `*pos`.
+Result<Value> Decode(TypeId type, std::string_view data, size_t* pos);
 
 /// The smallest key that is strictly greater than every key having `prefix`
 /// as a prefix (appends 0xFF sentinel). Used for prefix range scans.

@@ -991,13 +991,15 @@ Result<QueryResult> Database::ExecuteStatement(const std::string& sql,
       char buf[256];
       std::snprintf(buf, sizeof(buf),
                     "Execution: rows=%zu io_seq=%llu io_rand=%llu "
-                    "prefetch_hits=%llu | measured cpu=%.3fms | modeled "
-                    "io=%.3fms | modeled total=%.3fms\n",
+                    "prefetch_hits=%llu cols_decoded=%llu | measured "
+                    "cpu=%.3fms | modeled io=%.3fms | modeled total=%.3fms\n",
                     inner.rows.size(),
                     static_cast<unsigned long long>(inner.io.sequential_reads),
                     static_cast<unsigned long long>(inner.io.random_reads),
                     static_cast<unsigned long long>(
                         inner.io.readahead.prefetch_hits),
+                    static_cast<unsigned long long>(
+                        inner.counters.columns_decoded),
                     inner.cpu_seconds * 1e3, inner.io_seconds * 1e3,
                     inner.TotalSeconds() * 1e3);
       text += buf;

@@ -23,12 +23,17 @@ struct ExecCounters {
   uint64_t index_seeks = 0;
   uint64_t rows_scanned = 0;
   uint64_t sort_rows = 0;
+  /// Column values the storage cursors decoded: rows_scanned times the
+  /// width each scan was narrowed to (the planner prunes unreferenced
+  /// columns).
+  uint64_t columns_decoded = 0;
 
   ExecCounters& operator+=(const ExecCounters& o) {
     rows_output += o.rows_output;
     index_seeks += o.index_seeks;
     rows_scanned += o.rows_scanned;
     sort_rows += o.sort_rows;
+    columns_decoded += o.columns_decoded;
     return *this;
   }
 };

@@ -4,11 +4,18 @@ namespace elephant {
 
 namespace {
 
+/// Appends physical row `r` of `outer` to the leading columns of `out`.
+void AppendOuter(const Batch& outer, uint32_t r, Batch* out) {
+  for (size_t c = 0; c < outer.num_cols(); ++c) {
+    out->col(c).push_back(outer.col(c)[r]);
+  }
+}
+
 /// Appends one output row: physical row `r` of `outer`, then `inner`.
 void AppendJoined(const Batch& outer, uint32_t r, const Row& inner,
                   Batch* out) {
+  AppendOuter(outer, r, out);
   const size_t width = outer.num_cols();
-  for (size_t c = 0; c < width; ++c) out->col(c).push_back(outer.col(c)[r]);
   for (size_t c = 0; c < inner.size(); ++c) {
     out->col(width + c).push_back(inner[c]);
   }
@@ -50,12 +57,14 @@ Status ApplyResidual(const ExprPtr& residual, Batch* out) {
 
 IndexNestedLoopJoinExecutor::IndexNestedLoopJoinExecutor(
     ExecContext* ctx, BatchExecutorPtr outer, const Table* inner_table,
-    const SecondaryIndex* inner_index, InljBounds bounds, ExprPtr residual)
+    const SecondaryIndex* inner_index, InljBounds bounds, ExprPtr residual,
+    std::optional<std::vector<size_t>> inner_cols)
     : ctx_(ctx),
       outer_(std::move(outer)),
       bounds_(std::move(bounds)),
       residual_(std::move(residual)),
-      inner_(inner_table, inner_index, AccessIntent::kPointLookup) {
+      inner_(ctx, inner_table, inner_index, AccessIntent::kPointLookup,
+             std::move(inner_cols)) {
   schema_ = Schema::Concat(outer_->OutputSchema(), inner_.schema());
 }
 
@@ -101,9 +110,9 @@ Result<bool> IndexNestedLoopJoinExecutor::NextBatch(Batch* out) {
   while (!out->full()) {
     if (inner_open_) {
       while (!out->full() && inner_.Valid()) {
-        ELE_RETURN_NOT_OK(inner_.Read(&inner_row_));
-        ctx_->counters().rows_scanned++;
-        AppendJoined(outer_batch_, outer_row_, inner_row_, out);
+        AppendOuter(outer_batch_, outer_row_, out);
+        ELE_RETURN_NOT_OK(inner_.ReadInto(out, outer_batch_.num_cols()));
+        out->SetRowCount(out->num_rows() + 1);
       }
       if (out->full()) break;
       inner_open_ = false;
@@ -141,8 +150,10 @@ HashJoinExecutor::HashJoinExecutor(ExecContext* ctx, BatchExecutorPtr left,
 }
 
 Status HashJoinExecutor::Init() {
-  ELE_RETURN_NOT_OK(left_->Init());
+  // The build input opens first: when the planner builds on the plan so
+  // far, the relations still open in join order.
   ELE_RETURN_NOT_OK(right_->Init());
+  ELE_RETURN_NOT_OK(left_->Init());
   build_.clear();
   probe_.Reset(0);
   probe_pos_ = 0;

@@ -37,11 +37,12 @@ struct InljBounds {
 class IndexNestedLoopJoinExecutor final : public BatchExecutor {
  public:
   /// Inner = clustered index of `inner_table` when `inner_index` is null,
-  /// else the given secondary covering index.
-  IndexNestedLoopJoinExecutor(ExecContext* ctx, BatchExecutorPtr outer,
-                              const Table* inner_table,
-                              const SecondaryIndex* inner_index,
-                              InljBounds bounds, ExprPtr residual);
+  /// else the given secondary covering index; each inner row is narrowed to
+  /// the source positions in `inner_cols`, as in IndexCursor.
+  IndexNestedLoopJoinExecutor(
+      ExecContext* ctx, BatchExecutorPtr outer, const Table* inner_table,
+      const SecondaryIndex* inner_index, InljBounds bounds, ExprPtr residual,
+      std::optional<std::vector<size_t>> inner_cols = std::nullopt);
 
   Status Init() override;
   Result<bool> NextBatch(Batch* out) override;
@@ -71,7 +72,6 @@ class IndexNestedLoopJoinExecutor final : public BatchExecutor {
   std::vector<Value> lo_vals_, hi_vals_;
   std::vector<Value> eq_row_;
   KeyRange range_;
-  Row inner_row_;
 };
 
 /// Hash join on equality keys: builds a hash table on the right child, then

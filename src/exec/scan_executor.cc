@@ -1,5 +1,7 @@
 #include "exec/scan_executor.h"
 
+#include <algorithm>
+
 namespace elephant {
 
 void MakeKeyRange(const std::vector<Value>& eq_values,
@@ -37,6 +39,25 @@ KeyRange MakeKeyRange(const std::vector<Value>& eq_values,
   return range;
 }
 
+IndexCursor::IndexCursor(ExecContext* ctx, const Table* table,
+                         const SecondaryIndex* index, AccessIntent intent,
+                         std::optional<std::vector<size_t>> cols)
+    : ctx_(ctx), table_(table), index_(index), intent_(intent) {
+  const Schema& source = index_ != nullptr ? index_->out_schema : table_->schema();
+  if (cols.has_value()) {
+    cols_ = std::move(*cols);
+  } else {
+    for (size_t c = 0; c < source.NumColumns(); c++) cols_.push_back(c);
+  }
+  schema_ = source.Project(cols_);
+  for (size_t c : cols_) {
+    if (index_ != nullptr && c < index_->key_cols.size()) {
+      key_prefix_ = std::max(key_prefix_, c + 1);
+    }
+  }
+  key_vals_.resize(key_prefix_);
+}
+
 Status IndexCursor::Seek(const KeyRange& range) {
   it_ = BPlusTree::Iterator();  // unpin the old leaf before descending
   const BPlusTree& tree =
@@ -50,43 +71,45 @@ Status IndexCursor::Seek(const KeyRange& range) {
   return Status::OK();
 }
 
-Status IndexCursor::Read(Row* out) {
-  const std::string_view value = it_.value();
-  if (index_ == nullptr) {
-    ELE_RETURN_NOT_OK(
-        tuple::Deserialize(table_->schema(), value.data(), value.size(), out));
-  } else {
+Status IndexCursor::ReadInto(Batch* out, size_t first) {
+  std::string_view tuple = it_.value();
+  const Schema* tuple_schema = &table_->schema();
+  size_t num_keys = 0;  // source positions below this come from the key
+  if (index_ != nullptr) {
     // Key columns from the encoded key, then include columns from the
     // serialized payload.
-    out->clear();
-    const std::string key(it_.key());
+    num_keys = index_->key_cols.size();
     size_t pos = 0;
-    for (size_t c : index_->key_cols) {
+    for (size_t k = 0; k < key_prefix_; k++) {
       ELE_ASSIGN_OR_RETURN(
-          Value v,
-          keycodec::Decode(table_->schema().ColumnAt(c).type, key, &pos));
-      out->push_back(std::move(v));
+          key_vals_[k],
+          keycodec::Decode(index_->out_schema.ColumnAt(k).type, it_.key(), &pos));
     }
-    SecondaryEntry entry = DecodeSecondaryValue(value);
-    Row include_row;
-    ELE_RETURN_NOT_OK(tuple::Deserialize(index_->include_schema,
-                                         entry.include_bytes.data(),
-                                         entry.include_bytes.size(),
-                                         &include_row));
-    for (Value& v : include_row) out->push_back(std::move(v));
+    tuple = DecodeSecondaryValue(tuple).include_bytes;
+    tuple_schema = &index_->include_schema;
   }
+  ELE_RETURN_NOT_OK(tuple::CheckTuple(tuple.data(), tuple.size()));
+  for (size_t i = 0; i < cols_.size(); i++) {
+    const size_t c = cols_[i];
+    out->col(first + i).push_back(
+        c < num_keys ? std::move(key_vals_[c])
+                     : tuple::GetValue(*tuple_schema, tuple.data(),
+                                       tuple.size(), c - num_keys));
+  }
+  ExecCounters& counters = ctx_->counters();
+  counters.rows_scanned++;
+  counters.columns_decoded += cols_.size();
   return it_.Next();
 }
 
 Result<bool> IndexScanExecutor::NextBatch(Batch* out) {
   out->Reset(cursor_.schema().NumColumns());
-  Row row;
-  while (!out->full() && cursor_.Valid()) {
-    ELE_RETURN_NOT_OK(cursor_.Read(&row));
-    ctx_->counters().rows_scanned++;
-    out->AppendRowMove(std::move(row));
+  uint32_t n = 0;
+  for (; n < kBatchCapacity && cursor_.Valid(); n++) {
+    ELE_RETURN_NOT_OK(cursor_.ReadInto(out, 0));
   }
-  return out->num_rows() > 0;
+  out->SetRowCount(n);
+  return n > 0;
 }
 
 }  // namespace elephant

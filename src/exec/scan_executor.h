@@ -29,24 +29,27 @@ KeyRange MakeKeyRange(const std::vector<Value>& eq_values,
                       const std::optional<Value>& hi, bool hi_inclusive);
 
 /// A range cursor over a table's clustered index (`index` null) or one of
-/// its covering secondary indexes. Seek() descends the tree once; Read()
-/// then streams rows along the leaf chain until the range's exclusive upper
-/// bound. Rows are the table schema (clustered) or the index's `out_schema`
-/// (key columns, then include columns). A scan holds one cursor for its
-/// range; an index nested-loop join re-seeks one cursor per outer row.
+/// its covering secondary indexes. Seek() descends the tree once; ReadInto()
+/// then streams entries along the leaf chain until the range's exclusive
+/// upper bound. The source row is the table schema (clustered) or the
+/// index's `out_schema` (key columns, then include columns); the cursor
+/// decodes only the source positions in `cols`, each through an O(1)
+/// fixed-slot read, straight into batch columns. Without `cols` it decodes
+/// every source column, through the same code. A scan holds one cursor for
+/// its range; an index nested-loop join re-seeks one cursor per outer row.
 class IndexCursor {
  public:
   /// `intent` is the access-pattern hint for the leaf chain: full scans
   /// (and wide ranges) pass AccessIntent::kSequentialScan so the leaves they
   /// drag in recycle through the buffer pool's scan ring and prime the disk
   /// read-ahead window; selective ranges and probes keep point intent.
-  IndexCursor(const Table* table, const SecondaryIndex* index,
-              AccessIntent intent)
-      : table_(table), index_(index), intent_(intent) {}
+  /// `cols` lists distinct source positions in output order.
+  IndexCursor(ExecContext* ctx, const Table* table, const SecondaryIndex* index,
+              AccessIntent intent,
+              std::optional<std::vector<size_t>> cols = std::nullopt);
 
-  const Schema& schema() const {
-    return index_ != nullptr ? index_->out_schema : table_->schema();
-  }
+  /// The decoded columns: the source schema projected onto `cols`.
+  const Schema& schema() const { return schema_; }
 
   /// Positions the cursor at the first entry of `range`, releasing the
   /// previous position first.
@@ -55,35 +58,47 @@ class IndexCursor {
     return it_.Valid() &&
            (hi_.empty() || std::string_view(it_.key()) < std::string_view(hi_));
   }
-  /// Decodes the current entry into `*out` and advances.
-  Status Read(Row* out);
+  /// Appends the current entry's decoded columns to columns [first, first +
+  /// schema().NumColumns()) of `*out`, counts the row in
+  /// ExecCounters::rows_scanned and its columns in columns_decoded, and
+  /// advances. The caller sets the batch's row count.
+  Status ReadInto(Batch* out, size_t first);
 
  private:
+  ExecContext* ctx_;
   const Table* table_;
   const SecondaryIndex* index_;
   AccessIntent intent_;
+  std::vector<size_t> cols_;
+  Schema schema_;
+  /// Secondary index: how many leading key columns the listed positions
+  /// need decoded (keys decode front to back), and their scratch values.
+  size_t key_prefix_ = 0;
+  std::vector<Value> key_vals_;
   BPlusTree::Iterator it_;
   std::string hi_;
 };
 
 /// Scans a table's clustered index (`index` null) or a covering secondary
-/// index within a key range, up to kBatchCapacity rows per NextBatch. Range
-/// scans over a key prefix touch only the qualifying leaves (sequential I/O
-/// on bulk-loaded tables). Every row pulled from storage counts once in
-/// ExecCounters::rows_scanned.
+/// index within a key range, up to kBatchCapacity rows per NextBatch, each
+/// row narrowed to the source positions in `cols` (every column without
+/// it). Range scans over a key prefix touch only the qualifying leaves
+/// (sequential I/O on bulk-loaded tables). Every row pulled from storage
+/// counts once in ExecCounters::rows_scanned.
 class IndexScanExecutor final : public BatchExecutor {
  public:
   IndexScanExecutor(ExecContext* ctx, const Table* table,
                     const SecondaryIndex* index = nullptr, KeyRange range = {},
-                    AccessIntent intent = AccessIntent::kPointLookup)
-      : ctx_(ctx), cursor_(table, index, intent), range_(std::move(range)) {}
+                    AccessIntent intent = AccessIntent::kPointLookup,
+                    std::optional<std::vector<size_t>> cols = std::nullopt)
+      : cursor_(ctx, table, index, intent, std::move(cols)),
+        range_(std::move(range)) {}
 
   Status Init() override { return cursor_.Seek(range_); }
   Result<bool> NextBatch(Batch* out) override;
   const Schema& OutputSchema() const override { return cursor_.schema(); }
 
  private:
-  ExecContext* ctx_;
   IndexCursor cursor_;
   KeyRange range_;
 };

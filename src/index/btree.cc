@@ -29,13 +29,13 @@ Result<BPlusTree> BPlusTree::Create(BufferPool* pool) {
   return BPlusTree(pool, pid);
 }
 
-Result<page_id_t> BPlusTree::FindLeaf(
+Result<PageGuard> BPlusTree::FindLeaf(
     std::string_view key, std::vector<std::pair<page_id_t, int>>* path) const {
   page_id_t pid = root_;
   while (true) {
     ELE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPageGuarded(pid));
     BTreeNode node(guard.data());
-    if (node.IsLeaf()) return pid;
+    if (node.IsLeaf()) return guard;
     int idx = node.LowerBound(key);  // strict <: equal keys route left
     page_id_t child = node.ChildForIndex(idx);
     if (path != nullptr) path->emplace_back(pid, idx);
@@ -177,75 +177,67 @@ Status BPlusTree::Insert(std::string_view key, std::string_view value,
   const uint32_t need = BTreeNode::CellBytes(key.size(), value.size());
   while (true) {
     std::vector<std::pair<page_id_t, int>> path;
-    ELE_ASSIGN_OR_RETURN(page_id_t leaf_pid, FindLeaf(key, &path));
-    {
-      ELE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPageGuarded(leaf_pid));
-      BTreeNode leaf(guard.data());
-      if (need <= leaf.TotalFree()) {
-        wal::InsertCell(w, &guard, leaf.LowerBound(key), key, value);
-        return Status::OK();
-      }
-    }  // leaf overfull: drop the pin, split it, and descend again
+    ELE_ASSIGN_OR_RETURN(PageGuard guard, FindLeaf(key, &path));
+    const page_id_t leaf_pid = guard.page_id();
+    BTreeNode leaf(guard.data());
+    if (need <= leaf.TotalFree()) {
+      wal::InsertCell(w, &guard, leaf.LowerBound(key), key, value);
+      return Status::OK();
+    }
+    guard.Release();  // leaf overfull: drop the pin, split it, descend again
     ELE_RETURN_NOT_OK(Split(leaf_pid, std::move(path), w));
   }
 }
 
 namespace {
 
-/// Locates the first exact occurrence of `key`: (leaf pid, cell index).
-struct ExactPos {
-  page_id_t leaf;
-  int pos;
-};
+/// Moves `*leaf`, the pinned leaf FindLeaf returned, to the leaf holding the
+/// first exact occurrence of `key` and returns its cell index.
+Result<int> LocateExact(BufferPool* pool, std::string_view key,
+                        PageGuard* leaf) {
+  while (true) {
+    BTreeNode node(leaf->data());
+    const int pos = node.LowerBound(key);
+    if (pos < node.Count()) {
+      if (node.KeyAt(pos) == key) return pos;
+      return Status::NotFound("key not in btree");
+    }
+    // Duplicates/edge: the first key >= `key` may start on the next leaf.
+    const page_id_t next = node.Link();
+    leaf->Release();
+    if (next == kInvalidPageId) return Status::NotFound("key not in btree");
+    ELE_ASSIGN_OR_RETURN(*leaf, pool->FetchPageGuarded(next));
+  }
+}
 
 }  // namespace
 
-static Result<ExactPos> LocateExact(BufferPool* pool, std::string_view key,
-                                    page_id_t start_leaf) {
-  page_id_t pid = start_leaf;
-  while (pid != kInvalidPageId) {
-    ELE_ASSIGN_OR_RETURN(PageGuard guard, pool->FetchPageGuarded(pid));
-    BTreeNode node(guard.data());
-    int pos = node.LowerBound(key);
-    if (pos < node.Count()) {
-      if (node.KeyAt(pos) == key) return ExactPos{pid, pos};
-      return Status::NotFound("key not in btree");
-    }
-    pid = node.Link();  // duplicates/edge: first >= key may start on next leaf
-  }
-  return Status::NotFound("key not in btree");
-}
-
 Result<std::string> BPlusTree::Get(std::string_view key) const {
   obs::AccessScope access(access_label_);
-  ELE_ASSIGN_OR_RETURN(page_id_t leaf_pid, FindLeaf(key, nullptr));
-  ELE_ASSIGN_OR_RETURN(ExactPos at, LocateExact(pool_, key, leaf_pid));
-  ELE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPageGuarded(at.leaf));
-  BTreeNode node(guard.data());
-  return std::string(node.ValueAt(at.pos));
+  ELE_ASSIGN_OR_RETURN(PageGuard leaf, FindLeaf(key, nullptr));
+  ELE_ASSIGN_OR_RETURN(int pos, LocateExact(pool_, key, &leaf));
+  return std::string(BTreeNode(leaf.data()).ValueAt(pos));
 }
 
 Status BPlusTree::Delete(std::string_view key, const wal::TreeWriter* w) {
   obs::AccessScope access(access_label_);
-  ELE_ASSIGN_OR_RETURN(page_id_t leaf_pid, FindLeaf(key, nullptr));
-  ELE_ASSIGN_OR_RETURN(ExactPos at, LocateExact(pool_, key, leaf_pid));
-  ELE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPageGuarded(at.leaf));
-  wal::RemoveCell(w, &guard, at.pos);
+  ELE_ASSIGN_OR_RETURN(PageGuard leaf, FindLeaf(key, nullptr));
+  ELE_ASSIGN_OR_RETURN(int pos, LocateExact(pool_, key, &leaf));
+  wal::RemoveCell(w, &leaf, pos);
   return Status::OK();
 }
 
 Status BPlusTree::Update(std::string_view key, std::string_view value,
                          const wal::TreeWriter* w) {
   obs::AccessScope access(access_label_);
-  ELE_ASSIGN_OR_RETURN(page_id_t leaf_pid, FindLeaf(key, nullptr));
-  ELE_ASSIGN_OR_RETURN(ExactPos at, LocateExact(pool_, key, leaf_pid));
   {
-    ELE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPageGuarded(at.leaf));
-    if (BTreeNode(guard.data()).ValueAt(at.pos).size() == value.size()) {
-      wal::SetValue(w, &guard, at.pos, value);
+    ELE_ASSIGN_OR_RETURN(PageGuard leaf, FindLeaf(key, nullptr));
+    ELE_ASSIGN_OR_RETURN(int pos, LocateExact(pool_, key, &leaf));
+    if (BTreeNode(leaf.data()).ValueAt(pos).size() == value.size()) {
+      wal::SetValue(w, &leaf, pos, value);
       return Status::OK();
     }
-    wal::RemoveCell(w, &guard, at.pos);
+    wal::RemoveCell(w, &leaf, pos);
   }  // drop the pin before re-inserting (Insert may split this leaf)
   return Insert(key, value, w);
 }
@@ -316,13 +308,12 @@ Result<BPlusTree::Iterator> BPlusTree::SeekToFirst(AccessIntent intent) const {
 Result<BPlusTree::Iterator> BPlusTree::Seek(std::string_view key,
                                             AccessIntent intent) const {
   obs::AccessScope access(access_label_);
-  ELE_ASSIGN_OR_RETURN(page_id_t leaf_pid, FindLeaf(key, nullptr));
-  ELE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPageGuarded(leaf_pid));
+  ELE_ASSIGN_OR_RETURN(PageGuard guard, FindLeaf(key, nullptr));
   Iterator it;
   it.pool_ = pool_;
   it.access_label_ = access_label_;
   it.intent_ = intent;
-  it.leaf_ = leaf_pid;
+  it.leaf_ = guard.page_id();
   BTreeNode node(guard.data());
   it.pos_ = node.LowerBound(key);
   it.guard_ = std::move(guard);

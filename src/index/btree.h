@@ -147,7 +147,9 @@ class BPlusTree {
  private:
   /// Descends to the leaf that should contain `key` (lower-bound routing),
   /// recording the path of (page id, child index) pairs when `path` != null.
-  Result<page_id_t> FindLeaf(std::string_view key,
+  /// Returns the leaf still pinned, so callers read it without a second
+  /// fetch.
+  Result<PageGuard> FindLeaf(std::string_view key,
                              std::vector<std::pair<page_id_t, int>>* path) const;
 
   /// Splits the overfull leaf `leaf_pid` reached by `path`, and each

@@ -156,6 +156,52 @@ std::set<size_t> RelsOf(const Expr& e, const std::vector<size_t>& col_rel) {
   return rels;
 }
 
+/// Relation-local column -> its position in a covering index's row (key
+/// columns, then include columns); -1 when the index does not carry it. A
+/// column both keyed and included maps to its key position.
+std::vector<int> IndexPositions(const SecondaryIndex& idx, size_t ncols) {
+  std::vector<int> pos(ncols, -1);
+  size_t out_pos = 0;
+  for (size_t kc : idx.key_cols) pos[kc] = static_cast<int>(out_pos++);
+  for (size_t ic : idx.include_cols) {
+    if (pos[ic] < 0) pos[ic] = static_cast<int>(out_pos);
+    out_pos++;
+  }
+  return pos;
+}
+
+/// Relation-local column -> its position in the table row (the identity).
+std::vector<int> RowPositions(size_t ncols) {
+  std::vector<int> pos(ncols);
+  for (size_t c = 0; c < ncols; c++) pos[c] = static_cast<int>(c);
+  return pos;
+}
+
+/// The table columns a clustered scan emits in ascending order: the leading
+/// cluster column and, when equalities pin the first `eq_prefix` cluster
+/// columns, the next one.
+std::set<size_t> ClusteredOrder(const Table& table, size_t eq_prefix) {
+  std::set<size_t> out;
+  const std::vector<size_t>& cluster = table.cluster_cols();
+  if (cluster.empty()) return out;
+  out.insert(cluster[0]);
+  if (eq_prefix > 0 && eq_prefix < cluster.size()) {
+    out.insert(cluster[eq_prefix]);
+  }
+  return out;
+}
+
+/// The plan positions, among the decoded source positions `cols`, of the
+/// provably ascending source positions `src`; pruned ones are dropped.
+std::set<size_t> KeptOrder(const std::set<size_t>& src,
+                           const std::vector<size_t>& cols) {
+  std::set<size_t> out;
+  for (size_t i = 0; i < cols.size(); i++) {
+    if (src.count(cols[i]) != 0) out.insert(i);
+  }
+  return out;
+}
+
 /// Immutable shared description of the per-morsel pipeline of a parallel
 /// plan. The MorselPlanFactory (called on worker threads) clones the stored
 /// prototype expressions per morsel, so workers never share mutable
@@ -163,6 +209,7 @@ std::set<size_t> RelsOf(const Expr& e, const std::vector<size_t>& col_rel) {
 /// results merge into (null when not instrumenting).
 struct ParallelSpec {
   const Table* table = nullptr;
+  std::vector<size_t> cols;  ///< table columns each morsel scan decodes
   /// Storage hint every morsel scan runs under (PlanBuilder::ScanIntent of
   /// the scanned table: the morsels jointly cover one table-wide scan).
   AccessIntent scan_intent = AccessIntent::kPointLookup;
@@ -189,7 +236,7 @@ MorselPlanFactory MakeMorselFactory(std::shared_ptr<const ParallelSpec> spec) {
       mp.stats.emplace_back(std::move(slot), target);
     };
     mp.exec = std::make_unique<IndexScanExecutor>(
-        wctx, spec->table, nullptr, morsel, spec->scan_intent);
+        wctx, spec->table, nullptr, morsel, spec->scan_intent, spec->cols);
     attach(spec->scan_slot);
     if (spec->residual != nullptr) {
       mp.exec = std::make_unique<BatchFilterExecutor>(std::move(mp.exec),
@@ -265,6 +312,14 @@ class PlanBuilder {
   /// make warm repeated scans needlessly cold.
   AccessIntent ScanIntent(const Table* table) const;
 
+  /// Narrows a base-table access to the columns relation r references
+  /// (`needed_[r]`). `source_pos` maps each local column to its position in
+  /// the source row (RowPositions or IndexPositions). Returns the source
+  /// positions to decode, ascending, and sets `*local_to_plan` to each
+  /// local column's position among them (-1 when pruned).
+  std::vector<size_t> PruneColumns(size_t r, const std::vector<int>& source_pos,
+                                   std::vector<int>* local_to_plan) const;
+
   /// Plans the access path for relation r (consumes its single-relation
   /// conjuncts). `local_to_plan` maps relation-local columns to positions in
   /// the produced plan's output (-1 = unavailable).
@@ -300,7 +355,11 @@ class PlanBuilder {
 
   size_t ncols_ = 0;
   std::vector<size_t> col_rel_;              ///< input column -> relation
-  std::vector<std::set<size_t>> needed_;     ///< per relation: local cols needed
+  /// Per relation: the local columns the query references (conjuncts, GROUP
+  /// BY, aggregate arguments, and the select list when it reads the input;
+  /// HAVING and ORDER BY read the aggregate or select output). Base-table
+  /// scans decode only these.
+  std::vector<std::set<size_t>> needed_;
   std::vector<bool> consumed_;               ///< per conjunct
   std::set<size_t> joined_;
   std::vector<int> mapping_;                 ///< input column -> plan position
@@ -488,6 +547,26 @@ Result<std::vector<Value>> PlanBuilder::EvalConstExprs(
   return out;
 }
 
+std::vector<size_t> PlanBuilder::PruneColumns(
+    size_t r, const std::vector<int>& source_pos,
+    std::vector<int>* local_to_plan) const {
+  std::vector<size_t> cols;
+  for (size_t c : needed_[r]) {
+    if (source_pos[c] >= 0) cols.push_back(static_cast<size_t>(source_pos[c]));
+  }
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  local_to_plan->assign(source_pos.size(), -1);
+  for (size_t c : needed_[r]) {
+    if (source_pos[c] < 0) continue;
+    (*local_to_plan)[c] = static_cast<int>(
+        std::lower_bound(cols.begin(), cols.end(),
+                         static_cast<size_t>(source_pos[c])) -
+        cols.begin());
+  }
+  return cols;
+}
+
 Result<SubPlan> PlanBuilder::AccessPath(size_t r, std::vector<int>* local_to_plan) {
   BoundRelation& rel = q_->relations[r];
 
@@ -555,15 +634,6 @@ Result<SubPlan> PlanBuilder::AccessPath(size_t r, std::vector<int>* local_to_pla
   std::vector<Sarg> sargs;
   ExtractLiteralSargs(local_preds, &sargs);
 
-  // Needed local columns for covering checks: query needs + predicate cols.
-  std::set<size_t> needed_all = needed_[r];
-  for (const ExprPtr& p : local_preds) {
-    std::vector<size_t> cols;
-    p->CollectColumns(&cols);
-    needed_all.insert(cols.begin(), cols.end());
-  }
-  std::vector<size_t> needed_vec(needed_all.begin(), needed_all.end());
-
   BoundsMatch clustered_match = MatchBounds(rel.table->cluster_cols(), sargs);
   SecondaryIndex* best_idx = nullptr;
   BoundsMatch idx_match;
@@ -572,7 +642,7 @@ Result<SubPlan> PlanBuilder::AccessPath(size_t r, std::vector<int>* local_to_pla
     std::set<size_t> provided(idx->key_cols.begin(), idx->key_cols.end());
     provided.insert(idx->include_cols.begin(), idx->include_cols.end());
     bool covers = true;
-    for (size_t c : needed_vec) {
+    for (size_t c : needed_[r]) {
       if (provided.count(c) == 0) covers = false;
     }
     if (!covers) continue;
@@ -613,58 +683,41 @@ Result<SubPlan> PlanBuilder::AccessPath(size_t r, std::vector<int>* local_to_pla
   const AccessIntent intent = match.matched_cols > 0
                                   ? AccessIntent::kPointLookup
                                   : ScanIntent(rel.table);
-  if (use_clustered || best_idx == nullptr) {
+  // Interesting orders, in source positions (table or index row).
+  std::set<size_t> source_order;
+  std::vector<size_t> cols;
+  if (use_clustered) {
+    cols = PruneColumns(r, RowPositions(rel.schema.NumColumns()), local_to_plan);
     plan.exec = std::make_unique<IndexScanExecutor>(ctx_, rel.table, nullptr,
-                                                    range, intent);
-    plan.width = rel.table->schema().NumColumns();
+                                                    range, intent, cols);
     plan.note = Note("ClusteredIndexScan " + rel.table->name() + " as " +
                      rel.alias + range_desc);
-    Decorate(&plan, EstimateRows(r));
-    local_to_plan->assign(rel.schema.NumColumns(), 0);
-    for (size_t c = 0; c < rel.schema.NumColumns(); c++) {
-      (*local_to_plan)[c] = static_cast<int>(c);
-    }
-    if (!rel.table->cluster_cols().empty()) {
-      plan.ordered.insert(rel.table->cluster_cols()[0]);
-      // With an equality prefix pinned, the next cluster column ascends too.
-      if (match.eq.size() > 0 &&
-          match.eq.size() < rel.table->cluster_cols().size() && use_clustered) {
-        plan.ordered.insert(rel.table->cluster_cols()[match.eq.size()]);
-      }
-    }
+    source_order = ClusteredOrder(*rel.table, match.eq.size());
   } else {
+    cols = PruneColumns(
+        r, IndexPositions(*best_idx, rel.schema.NumColumns()), local_to_plan);
     plan.exec = std::make_unique<IndexScanExecutor>(ctx_, rel.table, best_idx,
-                                                    range, intent);
-    plan.width = best_idx->out_schema.NumColumns();
+                                                    range, intent, cols);
     plan.note = Note("CoveringIndexSeek " + best_idx->name + " on " +
                      rel.table->name() + " as " + rel.alias + range_desc);
-    Decorate(&plan, EstimateRows(r));
-    local_to_plan->assign(rel.schema.NumColumns(), -1);
-    size_t out_pos = 0;
-    for (size_t kc : best_idx->key_cols) {
-      (*local_to_plan)[kc] = static_cast<int>(out_pos++);
-    }
-    for (size_t ic : best_idx->include_cols) {
-      if ((*local_to_plan)[ic] < 0) {
-        (*local_to_plan)[ic] = static_cast<int>(out_pos);
-      }
-      out_pos++;
-    }
-    plan.ordered.insert(0);  // index emits in leading-key order
+    source_order.insert(0);  // index emits in leading-key order
     // With an equality prefix pinned, the next key column ascends. When the
     // whole key is pinned, entries order by the appended clustering key, so
     // the first include column ascends if it IS the leading cluster column
     // (true for c-tables: key v, include f, clustered on f).
     if (!match.eq.empty()) {
       if (match.eq.size() < best_idx->key_cols.size()) {
-        plan.ordered.insert(match.eq.size());
+        source_order.insert(match.eq.size());
       } else if (!best_idx->include_cols.empty() &&
                  !rel.table->cluster_cols().empty() &&
                  best_idx->include_cols[0] == rel.table->cluster_cols()[0]) {
-        plan.ordered.insert(match.eq.size());
+        source_order.insert(match.eq.size());
       }
     }
   }
+  plan.width = cols.size();
+  plan.ordered = KeptOrder(source_order, cols);
+  Decorate(&plan, EstimateRows(r));
 
   // Residual local predicates (those not consumed by the key range).
   std::vector<ExprPtr> residual;
@@ -678,11 +731,7 @@ Result<SubPlan> PlanBuilder::AccessPath(size_t r, std::vector<int>* local_to_pla
   }
   if (!residual.empty()) {
     // Remap from relation-local positions to plan output positions.
-    std::vector<int> to_plan(rel.schema.NumColumns(), -1);
-    for (size_t c = 0; c < rel.schema.NumColumns(); c++) {
-      to_plan[c] = (*local_to_plan)[c];
-    }
-    for (ExprPtr& p : residual) p->RemapColumns(to_plan);
+    for (ExprPtr& p : residual) p->RemapColumns(*local_to_plan);
     ExprPtr pred = ConjoinAll(std::move(residual));
     std::string label = "Filter " + pred->ToString();
     AddFilter(&plan, std::move(pred), std::move(label), EstimateRows(r));
@@ -787,12 +836,11 @@ Status PlanBuilder::JoinNext(size_t r, SubPlan* plan) {
       best_match = std::move(cm);
       use_clustered = true;
     }
-    std::set<size_t> needed_all = needed_[r];
     for (const auto& idx : rel.table->secondary_indexes()) {
       std::set<size_t> provided(idx->key_cols.begin(), idx->key_cols.end());
       provided.insert(idx->include_cols.begin(), idx->include_cols.end());
       bool covers = true;
-      for (size_t c : needed_all) {
+      for (size_t c : needed_[r]) {
         if (provided.count(c) == 0) covers = false;
       }
       if (!covers) continue;
@@ -806,7 +854,6 @@ Status PlanBuilder::JoinNext(size_t r, SubPlan* plan) {
   }
 
   const size_t outer_width = plan->width;
-  const Schema* inner_schema = nullptr;
 
   // Detect a band pattern for the MERGE_JOIN hint: lo and hi candidates on
   // the leading cluster column of R, both from cross conjuncts.
@@ -861,6 +908,7 @@ Status PlanBuilder::JoinNext(size_t r, SubPlan* plan) {
 
   // Estimated output cardinality of this join (FK-style fanout from the
   // inner's join-column distinct count when statistics exist).
+  const double outer_in_est = outer_est_;
   {
     double fanout = 1.0;
     if (rel.table != nullptr && rel.table->analyzed()) {
@@ -898,26 +946,16 @@ Status PlanBuilder::JoinNext(size_t r, SubPlan* plan) {
     }
     for (size_t cid : best_match.used_conjuncts) consumed_[cid] = true;
 
+    const std::vector<size_t> inner_cols = PruneColumns(
+        r,
+        use_clustered ? RowPositions(rel.schema.NumColumns())
+                      : IndexPositions(*best_idx, rel.schema.NumColumns()),
+        &local_to_plan);
     if (use_clustered) {
-      inner_schema = &rel.table->schema();
-      local_to_plan.assign(rel.schema.NumColumns(), 0);
-      for (size_t c = 0; c < rel.schema.NumColumns(); c++) {
-        local_to_plan[c] = static_cast<int>(c);
-      }
       join_label = "IndexNestedLoopJoin inner=" + rel.table->name() + " as " +
                    rel.alias + " (clustered seek, " +
                    std::to_string(best_match.matched_cols) + " key col(s))";
     } else {
-      inner_schema = &best_idx->out_schema;
-      local_to_plan.assign(rel.schema.NumColumns(), -1);
-      size_t out_pos = 0;
-      for (size_t kc : best_idx->key_cols) {
-        local_to_plan[kc] = static_cast<int>(out_pos++);
-      }
-      for (size_t ic : best_idx->include_cols) {
-        if (local_to_plan[ic] < 0) local_to_plan[ic] = static_cast<int>(out_pos);
-        out_pos++;
-      }
       join_label = "IndexNestedLoopJoin inner=" + rel.table->name() + " as " +
                    rel.alias + " (covering seek " + best_idx->name + ")";
     }
@@ -970,10 +1008,11 @@ Status PlanBuilder::JoinNext(size_t r, SubPlan* plan) {
     ExplainPtr outer_note = std::move(plan->note);
     plan->exec = std::make_unique<IndexNestedLoopJoinExecutor>(
         ctx_, std::move(plan->exec), rel.table,
-        use_clustered ? nullptr : best_idx, std::move(bounds), std::move(resid));
+        use_clustered ? nullptr : best_idx, std::move(bounds), std::move(resid),
+        inner_cols);
     plan->note = Note(std::move(join_label), std::move(outer_note));
     Decorate(plan, outer_est_);
-    plan->width = outer_width + inner_schema->NumColumns();
+    plan->width = outer_width + inner_cols.size();
     return Status::OK();
   }
 
@@ -1070,9 +1109,27 @@ Status PlanBuilder::JoinNext(size_t r, SubPlan* plan) {
                         rel.schema.ColumnAt(c.local_col).type));
     consumed_[c.conjunct_id] = true;
   }
+  // Build on the smaller input. When the plan so far is estimated smaller
+  // than R, it becomes the build (right) child and R the probe (left): R's
+  // columns come first, every earlier relation moves right by R's width,
+  // and the output follows R's order. FORCE_ORDER keeps the build on R, so
+  // hinted plans join exactly as written.
+  const bool build_outer = !lkeys.empty() && !q_->hints.force_order &&
+                           outer_in_est < inner_rows_est;
+  std::string build_alias = rel.alias;
+  if (build_outer) {
+    build_alias.clear();
+    for (size_t x : joined_) {
+      build_alias += (build_alias.empty() ? "" : ",") + q_->relations[x].alias;
+    }
+    for (int& m : mapping_) {
+      if (m >= 0) m += static_cast<int>(inner.width);
+    }
+  }
+  const size_t inner_base = build_outer ? 0 : outer_width;
   for (size_t c = 0; c < rel.schema.NumColumns(); c++) {
     mapping_[rel.offset + c] =
-        inner_map[c] < 0 ? -1 : static_cast<int>(outer_width) + inner_map[c];
+        inner_map[c] < 0 ? -1 : static_cast<int>(inner_base) + inner_map[c];
   }
   joined_.insert(r);
   std::vector<ExprPtr> residual;
@@ -1084,15 +1141,22 @@ Status PlanBuilder::JoinNext(size_t r, SubPlan* plan) {
     consumed_[i] = true;
   }
   ExprPtr resid = ConjoinAll(std::move(residual));
-  // Probe-side order is preserved by the hash join (plan->ordered keeps the
-  // outer positions, which do not move).
-  const std::string label =
-      lkeys.empty() ? "NestedProduct (no join keys)" : "HashJoin build=" + rel.alias;
+  const std::string label = lkeys.empty() ? "NestedProduct (no join keys)"
+                                          : "HashJoin build=" + build_alias;
   ExplainPtr outer_note = std::move(plan->note);
-  plan->exec = std::make_unique<HashJoinExecutor>(
-      ctx_, std::move(plan->exec), std::move(inner.exec), std::move(lkeys),
-      std::move(rkeys), std::move(resid));
-  plan->note = Note(label, std::move(outer_note), std::move(inner.note));
+  if (build_outer) {
+    plan->exec = std::make_unique<HashJoinExecutor>(
+        ctx_, std::move(inner.exec), std::move(plan->exec), std::move(rkeys),
+        std::move(lkeys), std::move(resid));
+    plan->note = Note(label, std::move(inner.note), std::move(outer_note));
+    plan->ordered = std::move(inner.ordered);
+  } else {
+    // The probe (outer) side's order is preserved, at unchanged positions.
+    plan->exec = std::make_unique<HashJoinExecutor>(
+        ctx_, std::move(plan->exec), std::move(inner.exec), std::move(lkeys),
+        std::move(rkeys), std::move(resid));
+    plan->note = Note(label, std::move(outer_note), std::move(inner.note));
+  }
   Decorate(plan, outer_est_);
   plan->width = outer_width + inner.width;
   return Status::OK();
@@ -1107,7 +1171,11 @@ Result<bool> PlanBuilder::TryBuildParallel(SubPlan* out, bool* agg_done) {
   const size_t workers = static_cast<size_t>(q_->hints.parallel_workers);
 
   // The single relation sits at offset 0, so input positions are already
-  // table-local: no remapping needed anywhere below.
+  // table-local; the morsel scans decode only the referenced columns, and
+  // `to_plan` maps table columns to their positions in those rows.
+  std::vector<int> to_plan;
+  const std::vector<size_t> cols =
+      PruneColumns(0, RowPositions(rel.schema.NumColumns()), &to_plan);
   std::vector<ExprPtr> local_preds;
   for (size_t i = 0; i < q_->conjuncts.size(); i++) {
     if (consumed_[i]) continue;
@@ -1137,11 +1205,13 @@ Result<bool> PlanBuilder::TryBuildParallel(SubPlan* out, bool* agg_done) {
 
   auto spec = std::make_shared<ParallelSpec>();
   spec->table = rel.table;
+  spec->cols = cols;
   spec->scan_intent =
       match.matched_cols > 0 ? AccessIntent::kPointLookup : ScanIntent(rel.table);
   std::vector<ExprPtr> residual;
   for (size_t i = 0; i < local_preds.size(); i++) {
     if (match.used_conjuncts.count(i) == 0) {
+      local_preds[i]->RemapColumns(to_plan);
       residual.push_back(std::move(local_preds[i]));
     }
   }
@@ -1186,13 +1256,19 @@ Result<bool> PlanBuilder::TryBuildParallel(SubPlan* out, bool* agg_done) {
     spec->filter_slot = slot_for(tip.get());
   }
 
-  Schema worker_schema = rel.table->schema();
+  Schema worker_schema = rel.table->schema().Project(cols);
   Schema final_schema;
   std::vector<AggSpec> final_aggs;
   if (q_->has_grouping) {
     spec->aggregate = true;
-    for (ExprPtr& g : q_->group_by) spec->groups.push_back(std::move(g));
-    for (AggSpec& a : q_->aggs) spec->aggs.push_back(std::move(a));
+    for (ExprPtr& g : q_->group_by) {
+      g->RemapColumns(to_plan);
+      spec->groups.push_back(std::move(g));
+    }
+    for (AggSpec& a : q_->aggs) {
+      if (a.arg) a.arg->RemapColumns(to_plan);
+      spec->aggs.push_back(std::move(a));
+    }
     for (const AggSpec& a : spec->aggs) final_aggs.push_back(a.Clone());
     final_schema = MakeAggOutputSchema(spec->groups, spec->aggs);
     worker_schema = MakePartialAggSchema(spec->groups, spec->aggs);
@@ -1223,19 +1299,10 @@ Result<bool> PlanBuilder::TryBuildParallel(SubPlan* out, bool* agg_done) {
   } else {
     // Morsels are emitted in clustered-key order, so the usual clustered
     // interesting orders hold.
-    if (!rel.table->cluster_cols().empty()) {
-      plan.ordered.insert(rel.table->cluster_cols()[0]);
-      if (match.eq.size() > 0 &&
-          match.eq.size() < rel.table->cluster_cols().size()) {
-        plan.ordered.insert(rel.table->cluster_cols()[match.eq.size()]);
-      }
-    }
+    plan.ordered = KeptOrder(ClusteredOrder(*rel.table, match.eq.size()), cols);
   }
 
-  mapping_.assign(ncols_, -1);
-  for (size_t c = 0; c < rel.schema.NumColumns(); c++) {
-    mapping_[c] = static_cast<int>(c);
-  }
+  mapping_ = std::move(to_plan);
   joined_.insert(0);
   outer_est_ = scan_est;
   *out = std::move(plan);

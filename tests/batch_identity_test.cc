@@ -77,13 +77,26 @@ class BatchIdentityTest : public ::testing::Test {
     ASSERT_TRUE(db_->Execute("INSERT INTO u VALUES " + multi).ok());
     ASSERT_TRUE(db_->Execute("CREATE INDEX u_tk ON u (tk) INCLUDE (c)").ok());
 
+    // Third clustered table for three-way joins: w.uk references u.k, and
+    // w.note is a VARCHAR, so narrowed scans skip or decode a string column.
+    ASSERT_TRUE(db_->Execute("CREATE TABLE w (k INT, uk INT, tag INT, "
+                             "note VARCHAR) CLUSTER BY (k)")
+                    .ok());
+    multi.clear();
+    for (int i = 0; i < 300; i++) {
+      multi += (i == 0 ? "(" : ", (") + std::to_string(i) + ", " +
+               std::to_string(rng.Uniform(0, 499) - 250) + ", " +
+               std::to_string(i % 17) + ", 'n" + std::to_string(i % 40) + "')";
+    }
+    ASSERT_TRUE(db_->Execute("INSERT INTO w VALUES " + multi).ok());
+
     auto oracle = SqliteOracle::Open();
     if (!oracle.ok()) {
       oracle_status_ = new Status(oracle.status());
       return;
     }
     oracle_ = std::move(oracle).value().release();
-    for (const char* table : {"t", "u"}) {
+    for (const char* table : {"t", "u", "w"}) {
       Status s = oracle_->CopyTable(db_, table);
       ASSERT_TRUE(s.ok()) << s.ToString();
     }
@@ -446,6 +459,72 @@ TEST_F(BatchIdentityTest, RandomizedJoinSweep) {
   }
   EXPECT_GE(checked, 30);
   // The sweep must reach every operator it exists to check.
+  for (const char* op : ops) EXPECT_GT(ops_seen[op], 0) << op;
+}
+
+TEST_F(BatchIdentityTest, RandomizedMultiJoinProjectionSweep) {
+  Rng rng(20261019);
+  // Two- and three-table equi-joins, each projecting a random subset of its
+  // tables' columns: the scans decode only what the statement references,
+  // and hash joins build on whichever input the planner (or FORCE_ORDER)
+  // picks, so narrowed rows meet every join and every column position.
+  struct JoinSet {
+    const char* from;
+    const char* where;
+    std::vector<const char*> cols;
+    std::vector<const char*> int_cols;
+  };
+  const JoinSet sets[] = {
+      {"t, u", "u.k = t.a",
+       {"t.k", "t.grp", "t.a", "t.b", "t.amount", "u.k", "u.tk", "u.c",
+        "u.price"},
+       {"t.grp", "t.a", "u.c"}},
+      {"u, t", "t.k = u.tk",
+       {"u.k", "u.tk", "u.c", "u.price", "t.k", "t.grp", "t.b"},
+       {"u.c", "t.grp", "t.k"}},
+      {"t, u, w", "u.k = t.a AND w.uk = u.k",
+       {"t.k", "t.grp", "t.amount", "u.k", "u.c", "u.price", "w.k", "w.tag",
+        "w.note"},
+       {"t.grp", "u.c", "w.tag"}},
+      {"w, u, t", "w.uk = u.k AND t.k = u.tk",
+       {"w.k", "w.uk", "w.note", "u.tk", "u.price", "t.grp", "t.a", "t.b"},
+       {"w.tag", "u.c", "t.grp"}},
+  };
+  const char* hints[] = {"", "HASH_JOIN", "LOOP_JOIN", "FORCE_ORDER",
+                         "FORCE_ORDER HASH_JOIN"};
+  const char* cmps[] = {"=", "<>", "<", "<=", ">", ">="};
+  std::map<std::string, int> ops_seen;
+  const char* ops[] = {"HashJoin", "IndexNestedLoopJoin"};
+  for (int q = 0; q < 40; q++) {
+    const JoinSet& set = sets[rng.Uniform(0, 3)];
+    const std::string hint = hints[rng.Uniform(0, 4)];
+    // A random subset of 1-4 distinct columns, in random order.
+    std::vector<const char*> cols = set.cols;
+    for (size_t i = cols.size() - 1; i > 0; i--) {
+      std::swap(cols[i], cols[rng.Uniform(0, i)]);
+    }
+    cols.resize(rng.Uniform(1, 4));
+    std::string sql = hint.empty() ? "SELECT " : "/*+ " + hint + " */ SELECT ";
+    if (rng.Uniform(0, 3) == 0) sql += "DISTINCT ";
+    for (size_t i = 0; i < cols.size(); i++) {
+      sql += (i == 0 ? "" : ", ") + std::string(cols[i]);
+    }
+    sql += " FROM " + std::string(set.from) + " WHERE " + set.where;
+    if (rng.Uniform(0, 1) == 0) {
+      sql += " AND " + std::string(set.int_cols[rng.Uniform(0, 2)]) + " " +
+             cmps[rng.Uniform(0, 5)] + " " + std::to_string(rng.Uniform(-20, 20));
+    }
+    if (rng.Uniform(0, 1) == 0) {
+      sql += " ORDER BY " + std::to_string(rng.Uniform(1, cols.size()));
+    }
+    SCOPED_TRACE(sql);
+    auto plan = db_->Explain(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    for (const char* op : ops) {
+      if (HasOperator(plan.value(), op)) ops_seen[op]++;
+    }
+    ExpectAgrees(sql);
+  }
   for (const char* op : ops) EXPECT_GT(ops_seen[op], 0) << op;
 }
 

@@ -164,6 +164,32 @@ TEST(BTreeTest, SeekFindsFirstGreaterOrEqual) {
   EXPECT_FALSE(it.value().Valid());
 }
 
+TEST(BTreeTest, LookupsFetchEachLevelOnce) {
+  // The descent hands its pinned leaf to Seek, Get, Update and Delete, so a
+  // lookup fetches each page on the root-to-leaf path exactly once.
+  TreeFixture f;
+  auto tree = BPlusTree::Create(&f.pool);
+  ASSERT_TRUE(tree.ok());
+  for (int i = 0; i < 5000; i++) {
+    ASSERT_TRUE(tree.value().Insert(IntKey(i), std::string(40, 'v')).ok());
+  }
+  const uint64_t height = tree.value().Height().value();
+  ASSERT_GE(height, 2u);
+  auto fetches = [&] { return f.pool.stats().hits + f.pool.stats().misses; };
+  uint64_t before = fetches();
+  ASSERT_TRUE(tree.value().Seek(IntKey(2500)).ok());
+  EXPECT_EQ(fetches() - before, height);
+  before = fetches();
+  ASSERT_TRUE(tree.value().Get(IntKey(1234)).ok());
+  EXPECT_EQ(fetches() - before, height);
+  before = fetches();
+  ASSERT_TRUE(tree.value().Update(IntKey(77), std::string(40, 'w')).ok());
+  EXPECT_EQ(fetches() - before, height);
+  before = fetches();
+  ASSERT_TRUE(tree.value().Delete(IntKey(4321)).ok());
+  EXPECT_EQ(fetches() - before, height);
+}
+
 TEST(BTreeTest, DeleteRemovesOnlyFirstMatch) {
   TreeFixture f;
   auto tree = BPlusTree::Create(&f.pool);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/database.h"
+#include "tpch/tpch.h"
 
 namespace elephant {
 namespace {
@@ -35,6 +36,31 @@ class PlannerTest : public ::testing::Test {
     auto p = db_->Explain(sql);
     EXPECT_TRUE(p.ok()) << p.status().ToString();
     return p.ok() ? p.value() : "";
+  }
+
+  /// The rows of `sql`, rendered in result order.
+  std::vector<std::string> Rows(const std::string& sql) {
+    auto r = db_->Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << "\n" << r.status().ToString();
+    std::vector<std::string> out;
+    if (!r.ok()) return out;
+    for (const Row& row : r.value().rows) {
+      std::string line;
+      for (const Value& v : row) line += v.ToString() + "|";
+      out.push_back(std::move(line));
+    }
+    return out;
+  }
+
+  /// Loads `n` rows (i, f(i)) into a two-column table and analyzes it.
+  template <typename F>
+  void Fill(const std::string& table, int n, F f) {
+    std::string values;
+    for (int i = 0; i < n; i++) {
+      values += (i == 0 ? "(" : ", (") + std::to_string(i) + ", " + f(i) + ")";
+    }
+    Exec("INSERT INTO " + table + " VALUES " + values);
+    ASSERT_TRUE(db_->Analyze(table).ok());
   }
 
   std::unique_ptr<Database> db_;
@@ -82,13 +108,12 @@ TEST_F(PlannerTest, SmallestFilteredRelationGoesFirst) {
   // small (20 rows) starts the join unless FORCE_ORDER overrides.
   const std::string plan =
       Plan("SELECT COUNT(*) FROM big, small WHERE fk = small.id");
-  // The leaf at the deepest indentation is the first relation scanned.
   const size_t small_pos = plan.find("SMALL as SMALL");
   ASSERT_NE(small_pos, std::string::npos) << plan;
-  // With small as outer, big is the join's inner/build side.
-  const bool big_inner = plan.find("inner=BIG") != std::string::npos ||
-                         plan.find("build=BIG") != std::string::npos;
-  EXPECT_TRUE(big_inner) << plan;
+  // small is the plan so far when big joins in, and the smaller input: the
+  // hash join builds on it (reading it first) and probes with big.
+  EXPECT_NE(plan.find("HashJoin build=SMALL"), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("build=BIG"), std::string::npos) << plan;
 }
 
 TEST_F(PlannerTest, BandPredicateWithoutHintsUsesMergeNotProduct) {
@@ -182,11 +207,149 @@ TEST_F(PlannerTest, ThreeWayJoinPlansAndAgreesWithHashOnly) {
   EXPECT_EQ(a.value().rows[0][0].AsInt64(), 400);
 }
 
+TEST_F(PlannerTest, SwappedBuildSideMatchesForceOrderPlans) {
+  // Each query lets the planner build its hash joins on the smaller plan so
+  // far; the FORCE_ORDER twin joins the same relations in the same order
+  // but builds on each added relation. Both must return the same rows in
+  // the same ORDER BY order, whatever consumes the swapped join's output.
+  Exec("CREATE TABLE mid (m INT, sid INT) CLUSTER BY (m)");
+  Fill("mid", 100, [](int i) { return std::to_string(i % 20); });
+  Exec("CREATE TABLE pts (p INT, v INT) CLUSTER BY (p)");
+  Fill("pts", 400, [](int i) { return std::to_string(i * 3); });
+  Exec("CREATE TABLE tags (id INT, name VARCHAR) CLUSTER BY (id)");
+  Fill("tags", 20, [](int i) { return "'t" + std::to_string(i) + "'"; });
+  struct Case {
+    std::string swapped, forced;
+    std::vector<std::string> swapped_ops, forced_ops;
+  };
+  const std::vector<Case> cases = {
+      // Two-way, then ORDER BY.
+      {"SELECT big.k, small.label, big.payload FROM big, small "
+       "WHERE fk = small.id ORDER BY big.k",
+       "/*+ FORCE_ORDER */ SELECT big.k, small.label, big.payload "
+       "FROM small, big WHERE fk = small.id ORDER BY big.k",
+       {"HashJoin build=SMALL"},
+       {"HashJoin build=BIG"}},
+      // Three-way: both joins build on the plan so far.
+      {"SELECT big.k, mid.m, small.label FROM big, mid, small "
+       "WHERE big.fk = mid.m AND mid.sid = small.id ORDER BY big.k",
+       "/*+ FORCE_ORDER */ SELECT big.k, mid.m, small.label "
+       "FROM small, mid, big WHERE big.fk = mid.m AND mid.sid = small.id "
+       "ORDER BY big.k",
+       {"HashJoin build=MID,SMALL", "HashJoin build=SMALL"},
+       {"HashJoin build=BIG", "HashJoin build=MID"}},
+      // A band merge join over the swapped join: the probe side (big) keeps
+      // its clustered k order, so the merge needs no sort; the forced plan
+      // streams in small's order and must sort.
+      {"/*+ MERGE_JOIN */ SELECT big.k, small.label, pts.v FROM big, small, "
+       "pts WHERE big.fk = small.id AND pts.p >= big.k AND pts.p <= big.k + 1 "
+       "ORDER BY big.k, pts.v",
+       "/*+ FORCE_ORDER MERGE_JOIN */ SELECT big.k, small.label, pts.v "
+       "FROM small, big, pts WHERE big.fk = small.id AND pts.p >= big.k "
+       "AND pts.p <= big.k + 1 ORDER BY big.k, pts.v",
+       {"HashJoin build=SMALL", "outer pre-sorted"},
+       {"HashJoin build=BIG", "Sort (merge-join order"}},
+      // An index nested-loop join probing from the swapped join.
+      {"/*+ LOOP_JOIN */ SELECT big.k, small.label, tags.name "
+       "FROM big, small, tags WHERE big.fk = small.id AND tags.id = big.fk "
+       "ORDER BY big.k",
+       "/*+ FORCE_ORDER LOOP_JOIN */ SELECT big.k, small.label, tags.name "
+       "FROM small, big, tags WHERE big.fk = small.id AND tags.id = big.fk "
+       "ORDER BY big.k",
+       {"HashJoin build=SMALL", "IndexNestedLoopJoin inner=TAGS"},
+       {"HashJoin build=BIG", "IndexNestedLoopJoin inner=TAGS"}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.swapped);
+    const std::string swapped_plan = Plan(c.swapped);
+    for (const std::string& op : c.swapped_ops) {
+      EXPECT_NE(swapped_plan.find(op), std::string::npos) << swapped_plan;
+    }
+    const std::string forced_plan = Plan(c.forced);
+    for (const std::string& op : c.forced_ops) {
+      EXPECT_NE(forced_plan.find(op), std::string::npos) << forced_plan;
+    }
+    const std::vector<std::string> want = Rows(c.forced);
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(Rows(c.swapped), want);
+  }
+}
+
 TEST_F(PlannerTest, StreamAggHintProducesSortPlusStreamAggregate) {
   const std::string plan = Plan(
       "/*+ STREAM_AGG */ SELECT fk, COUNT(*) FROM big GROUP BY fk");
   EXPECT_NE(plan.find("StreamAggregate"), std::string::npos) << plan;
   EXPECT_NE(plan.find("Sort (group order)"), std::string::npos) << plan;
+}
+
+/// Column pruning over TPC-H lineitem: every base-table scan decodes just
+/// the columns its query references, counted in
+/// ExecCounters::columns_decoded.
+class ColumnPruningTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    db_ = new Database();
+    TpchConfig config;
+    config.scale_factor = 0.002;
+    TpchGenerator gen(config);
+    ASSERT_TRUE(gen.LoadInto(db_).ok());
+  }
+  static void TearDownTestSuite() {
+    delete db_;
+    db_ = nullptr;
+  }
+
+  static ExecCounters Counters(const std::string& sql) {
+    auto r = db_->Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << "\n" << r.status().ToString();
+    return r.ok() ? r.value().counters : ExecCounters{};
+  }
+
+  static Database* db_;
+};
+
+Database* ColumnPruningTest::db_ = nullptr;
+
+TEST_F(ColumnPruningTest, ScansDecodeOnlyReferencedColumns) {
+  auto lineitem = db_->catalog().GetTable("lineitem");
+  ASSERT_TRUE(lineitem.ok());
+  const uint64_t width = lineitem.value()->schema().NumColumns();
+  ASSERT_GT(width, 2u);
+  for (const std::string hint : {"", "/*+ PARALLEL 4 */ "}) {
+    SCOPED_TRACE(hint);
+    const ExecCounters narrow = Counters(
+        hint +
+        "SELECT l_shipdate, COUNT(*) FROM lineitem "
+        "WHERE l_shipdate > DATE '1995-01-01' GROUP BY l_shipdate");
+    EXPECT_GT(narrow.rows_scanned, 0u);
+    EXPECT_EQ(narrow.columns_decoded, narrow.rows_scanned * 1);
+    const ExecCounters all = Counters(hint + "SELECT * FROM lineitem");
+    EXPECT_GT(all.rows_scanned, 0u);
+    EXPECT_EQ(all.columns_decoded, all.rows_scanned * width);
+    // COUNT(*) references no column at all.
+    const ExecCounters none = Counters(hint + "SELECT COUNT(*) FROM lineitem");
+    EXPECT_EQ(none.rows_scanned, all.rows_scanned);
+    EXPECT_EQ(none.columns_decoded, 0u);
+  }
+  // A hash join scans both tables once, two referenced columns each.
+  const ExecCounters join = Counters(
+      "SELECT o_orderdate, MAX(l_shipdate) FROM lineitem, orders "
+      "WHERE l_orderkey = o_orderkey GROUP BY o_orderdate");
+  EXPECT_EQ(join.columns_decoded, join.rows_scanned * 2);
+}
+
+TEST_F(ColumnPruningTest, ExplainAnalyzeReportsColumnsDecoded) {
+  auto r = db_->Execute(
+      "EXPLAIN ANALYZE SELECT l_returnflag, SUM(l_quantity) FROM lineitem "
+      "GROUP BY l_returnflag");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const uint64_t want = r.value().counters.rows_scanned * 2;
+  ASSERT_GT(want, 0u);
+  std::string text;
+  for (const Row& row : r.value().rows) text += row[0].AsString() + "\n";
+  EXPECT_NE(text.find("cols_decoded=" + std::to_string(want) + " "),
+            std::string::npos)
+      << text;
 }
 
 }  // namespace
