@@ -150,10 +150,8 @@ HashJoinExecutor::HashJoinExecutor(ExecContext* ctx, BatchExecutorPtr left,
 }
 
 Status HashJoinExecutor::Init() {
-  // The build input opens first: when the planner builds on the plan so
-  // far, the relations still open in join order.
-  ELE_RETURN_NOT_OK(right_->Init());
   ELE_RETURN_NOT_OK(left_->Init());
+  ELE_RETURN_NOT_OK(right_->Init());
   build_.clear();
   probe_.Reset(0);
   probe_pos_ = 0;

@@ -908,7 +908,6 @@ Status PlanBuilder::JoinNext(size_t r, SubPlan* plan) {
 
   // Estimated output cardinality of this join (FK-style fanout from the
   // inner's join-column distinct count when statistics exist).
-  const double outer_in_est = outer_est_;
   {
     double fanout = 1.0;
     if (rel.table != nullptr && rel.table->analyzed()) {
@@ -1109,27 +1108,9 @@ Status PlanBuilder::JoinNext(size_t r, SubPlan* plan) {
                         rel.schema.ColumnAt(c.local_col).type));
     consumed_[c.conjunct_id] = true;
   }
-  // Build on the smaller input. When the plan so far is estimated smaller
-  // than R, it becomes the build (right) child and R the probe (left): R's
-  // columns come first, every earlier relation moves right by R's width,
-  // and the output follows R's order. FORCE_ORDER keeps the build on R, so
-  // hinted plans join exactly as written.
-  const bool build_outer = !lkeys.empty() && !q_->hints.force_order &&
-                           outer_in_est < inner_rows_est;
-  std::string build_alias = rel.alias;
-  if (build_outer) {
-    build_alias.clear();
-    for (size_t x : joined_) {
-      build_alias += (build_alias.empty() ? "" : ",") + q_->relations[x].alias;
-    }
-    for (int& m : mapping_) {
-      if (m >= 0) m += static_cast<int>(inner.width);
-    }
-  }
-  const size_t inner_base = build_outer ? 0 : outer_width;
   for (size_t c = 0; c < rel.schema.NumColumns(); c++) {
     mapping_[rel.offset + c] =
-        inner_map[c] < 0 ? -1 : static_cast<int>(inner_base) + inner_map[c];
+        inner_map[c] < 0 ? -1 : static_cast<int>(outer_width) + inner_map[c];
   }
   joined_.insert(r);
   std::vector<ExprPtr> residual;
@@ -1141,22 +1122,15 @@ Status PlanBuilder::JoinNext(size_t r, SubPlan* plan) {
     consumed_[i] = true;
   }
   ExprPtr resid = ConjoinAll(std::move(residual));
-  const std::string label = lkeys.empty() ? "NestedProduct (no join keys)"
-                                          : "HashJoin build=" + build_alias;
+  // Probe-side order is preserved by the hash join (plan->ordered keeps the
+  // outer positions, which do not move).
+  const std::string label =
+      lkeys.empty() ? "NestedProduct (no join keys)" : "HashJoin build=" + rel.alias;
   ExplainPtr outer_note = std::move(plan->note);
-  if (build_outer) {
-    plan->exec = std::make_unique<HashJoinExecutor>(
-        ctx_, std::move(inner.exec), std::move(plan->exec), std::move(rkeys),
-        std::move(lkeys), std::move(resid));
-    plan->note = Note(label, std::move(inner.note), std::move(outer_note));
-    plan->ordered = std::move(inner.ordered);
-  } else {
-    // The probe (outer) side's order is preserved, at unchanged positions.
-    plan->exec = std::make_unique<HashJoinExecutor>(
-        ctx_, std::move(plan->exec), std::move(inner.exec), std::move(lkeys),
-        std::move(rkeys), std::move(resid));
-    plan->note = Note(label, std::move(outer_note), std::move(inner.note));
-  }
+  plan->exec = std::make_unique<HashJoinExecutor>(
+      ctx_, std::move(plan->exec), std::move(inner.exec), std::move(lkeys),
+      std::move(rkeys), std::move(resid));
+  plan->note = Note(label, std::move(outer_note), std::move(inner.note));
   Decorate(plan, outer_est_);
   plan->width = outer_width + inner.width;
   return Status::OK();

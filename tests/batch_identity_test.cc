@@ -466,8 +466,9 @@ TEST_F(BatchIdentityTest, RandomizedMultiJoinProjectionSweep) {
   Rng rng(20261019);
   // Two- and three-table equi-joins, each projecting a random subset of its
   // tables' columns: the scans decode only what the statement references,
-  // and hash joins build on whichever input the planner (or FORCE_ORDER)
-  // picks, so narrowed rows meet every join and every column position.
+  // and the planner's (or FORCE_ORDER's) join order decides which narrowed
+  // input each join builds on, so narrowed rows meet every join and every
+  // column position.
   struct JoinSet {
     const char* from;
     const char* where;
