@@ -229,7 +229,7 @@ void BM_HashAggregate(benchmark::State& state) {
     groups.push_back(Col(1, TypeId::kInt32));
     std::vector<AggSpec> aggs;
     aggs.emplace_back(AggFunc::kCountStar, nullptr, "cnt");
-    BatchHashAggregateExecutor agg(std::move(scan), std::move(groups),
+    BatchHashAggregateExecutor agg(&ctx, std::move(scan), std::move(groups),
                                    std::move(aggs));
     Status init = agg.Init();
     if (!init.ok()) {

@@ -988,10 +988,11 @@ Result<QueryResult> Database::ExecuteStatement(const std::string& sql,
                                  /*instrument=*/true, ts));
       inner.trace = std::make_shared<obs::QueryTrace>(std::move(trace));
       std::string text = obs::RenderPlanTree(*inner.plan, /*with_actuals=*/true);
-      char buf[256];
+      char buf[384];
       std::snprintf(buf, sizeof(buf),
                     "Execution: rows=%zu io_seq=%llu io_rand=%llu "
-                    "prefetch_hits=%llu cols_decoded=%llu | measured "
+                    "prefetch_hits=%llu cols_decoded=%llu hash_ins=%llu "
+                    "hash_probes=%llu | measured "
                     "cpu=%.3fms | modeled io=%.3fms | modeled total=%.3fms\n",
                     inner.rows.size(),
                     static_cast<unsigned long long>(inner.io.sequential_reads),
@@ -1000,6 +1001,9 @@ Result<QueryResult> Database::ExecuteStatement(const std::string& sql,
                         inner.io.readahead.prefetch_hits),
                     static_cast<unsigned long long>(
                         inner.counters.columns_decoded),
+                    static_cast<unsigned long long>(
+                        inner.counters.hash_inserts),
+                    static_cast<unsigned long long>(inner.counters.hash_probes),
                     inner.cpu_seconds * 1e3, inner.io_seconds * 1e3,
                     inner.TotalSeconds() * 1e3);
       text += buf;

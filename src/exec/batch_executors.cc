@@ -4,14 +4,6 @@ namespace elephant {
 
 namespace {
 
-/// Group-key and aggregate-argument vectors for one input batch: the
-/// vectorized front half of aggregation. The fold itself then walks live
-/// rows in input order through the AggState accumulators.
-struct AggInputVectors {
-  std::vector<std::vector<Value>> group_cols;
-  std::vector<std::vector<Value>> agg_cols;  ///< unused entry for COUNT(*)
-};
-
 Status EvalAggInputs(const Batch& in, const std::vector<uint32_t>& positions,
                      const std::vector<ExprPtr>& group_exprs,
                      const std::vector<AggSpec>& aggs, AggInputVectors* v) {
@@ -28,15 +20,18 @@ Status EvalAggInputs(const Batch& in, const std::vector<uint32_t>& positions,
   return Status::OK();
 }
 
-std::string EncodeGroupKeyAt(const AggInputVectors& v, uint32_t pos,
-                             Row* values_out) {
-  std::string key;
-  values_out->clear();
-  for (const auto& col : v.group_cols) {
-    keycodec::Encode(col[pos], &key);
-    values_out->push_back(col[pos]);
-  }
-  return key;
+/// Encodes the group key of row `pos` into `*key`.
+void EncodeGroupKeyAt(const AggInputVectors& v, uint32_t pos,
+                      std::string* key) {
+  key->clear();
+  for (const auto& col : v.group_cols) keycodec::Encode(col[pos], key);
+}
+
+/// Moves the group values of row `pos` into `*values` (a group's first row;
+/// the vectors are per batch and the key is already encoded).
+void TakeGroupValuesAt(AggInputVectors* v, uint32_t pos, Row* values) {
+  values->clear();
+  for (auto& col : v->group_cols) values->push_back(std::move(col[pos]));
 }
 
 Status AccumulateAt(const std::vector<AggSpec>& aggs, const AggInputVectors& v,
@@ -149,6 +144,7 @@ Result<bool> BatchProjectExecutor::NextBatch(Batch* out) {
 
 Status GroupedAggregateExecutor::Init() {
   ELE_RETURN_NOT_OK(child_->Init());
+  table_.Clear();
   groups_.clear();
   Batch in;
   while (true) {
@@ -156,40 +152,47 @@ Status GroupedAggregateExecutor::Init() {
     if (!has) break;
     ELE_RETURN_NOT_OK(Fold(in));
   }
-  if (scalar_ && groups_.empty()) GroupFor(std::string(), Row{});
-  emit_it_ = groups_.begin();
+  if (scalar_ && groups_.empty()) {
+    bool created;
+    key_.clear();
+    GroupForKey(&created);
+  }
+  emit_order_ = table_.SortedIds();
+  emit_pos_ = 0;
   inited_ = true;
   return Status::OK();
 }
 
-GroupedAggregateExecutor::Group& GroupedAggregateExecutor::GroupFor(
-    std::string key, const Row& values) {
-  auto it = groups_.find(key);
-  if (it == groups_.end()) {
-    it = groups_.emplace(std::move(key), Group{values, FreshAggStates(aggs_)})
-             .first;
+GroupedAggregateExecutor::Group& GroupedAggregateExecutor::GroupForKey(
+    bool* created) {
+  ExecCounters& counters = ctx_->counters();
+  counters.hash_probes++;
+  const uint32_t id = table_.FindOrInsert(key_, created);
+  if (*created) {
+    counters.hash_inserts++;
+    groups_.push_back(Group{Row{}, FreshAggStates(aggs_)});
   }
-  return it->second;
+  return groups_[id];
 }
 
 Result<bool> GroupedAggregateExecutor::NextBatch(Batch* out) {
   out->Reset(schema_.NumColumns());
   if (!inited_) return false;
   Row row;
-  while (!out->full() && emit_it_ != groups_.end()) {
-    row = emit_it_->second.group_values;
-    Emit(emit_it_->second, &row);
+  while (!out->full() && emit_pos_ < emit_order_.size()) {
+    Group& group = groups_[emit_order_[emit_pos_++]];
+    row = std::move(group.group_values);  // each group is emitted once
+    Emit(group, &row);
     out->AppendRowMove(std::move(row));
-    ++emit_it_;
   }
   return out->num_rows() > 0;
 }
 
 BatchHashAggregateExecutor::BatchHashAggregateExecutor(
-    BatchExecutorPtr child, std::vector<ExprPtr> group_exprs,
+    ExecContext* ctx, BatchExecutorPtr child, std::vector<ExprPtr> group_exprs,
     std::vector<AggSpec> aggs, bool partial)
     : GroupedAggregateExecutor(
-          std::move(child), std::move(aggs), group_exprs.empty(),
+          ctx, std::move(child), std::move(aggs), group_exprs.empty(),
           partial ? MakePartialAggSchema(group_exprs, aggs)
                   : MakeAggOutputSchema(group_exprs, aggs)),
       group_exprs_(std::move(group_exprs)),
@@ -197,13 +200,14 @@ BatchHashAggregateExecutor::BatchHashAggregateExecutor(
 
 Status BatchHashAggregateExecutor::Fold(const Batch& in) {
   const std::vector<uint32_t> positions = in.ActiveIndices();
-  AggInputVectors v;
-  ELE_RETURN_NOT_OK(EvalAggInputs(in, positions, group_exprs_, aggs_, &v));
-  Row group_values;
+  ELE_RETURN_NOT_OK(
+      EvalAggInputs(in, positions, group_exprs_, aggs_, &inputs_));
+  bool created;
   for (uint32_t pos : positions) {
-    std::string key = EncodeGroupKeyAt(v, pos, &group_values);
-    Group& g = GroupFor(std::move(key), group_values);
-    ELE_RETURN_NOT_OK(AccumulateAt(aggs_, v, pos, &g.states));
+    EncodeGroupKeyAt(inputs_, pos, &key_);
+    Group& g = GroupForKey(&created);
+    if (created) TakeGroupValuesAt(&inputs_, pos, &g.group_values);
+    ELE_RETURN_NOT_OK(AccumulateAt(aggs_, inputs_, pos, &g.states));
   }
   return Status::OK();
 }
@@ -219,19 +223,26 @@ void BatchHashAggregateExecutor::Emit(const Group& group, Row* out) const {
 }
 
 Status BatchFinalAggregateExecutor::Fold(const Batch& in) {
-  Row row;
   const uint32_t n = in.ActiveCount();
+  bool created;
   for (uint32_t i = 0; i < n; ++i) {
-    in.GatherRow(in.ActiveIndex(i), &row);
-    std::string key;
-    for (size_t g = 0; g < num_groups_; g++) keycodec::Encode(row[g], &key);
-    Group& group = GroupFor(
-        std::move(key),
-        Row(row.begin(), row.begin() + static_cast<long>(num_groups_)));
-    size_t pos = num_groups_;
+    const uint32_t r = in.ActiveIndex(i);
+    key_.clear();
+    for (size_t g = 0; g < num_groups_; g++) {
+      keycodec::Encode(in.col(g)[r], &key_);
+    }
+    Group& group = GroupForKey(&created);
+    if (created) {
+      for (size_t g = 0; g < num_groups_; g++) {
+        group.group_values.push_back(in.col(g)[r]);
+      }
+    }
+    size_t col = num_groups_;
     for (size_t a = 0; a < aggs_.size(); a++) {
-      ELE_RETURN_NOT_OK(group.states[a].MergePartial(row, pos));
-      pos += AggState::PartialWidth(aggs_[a].fn);
+      const size_t width = AggState::PartialWidth(aggs_[a].fn);
+      ELE_RETURN_NOT_OK(group.states[a].MergePartial(
+          in.col(col)[r], in.col(col + width - 1)[r]));
+      col += width;
     }
   }
   return Status::OK();
@@ -264,7 +275,7 @@ Status BatchStreamAggregateExecutor::Init() {
 Row BatchStreamAggregateExecutor::FinishCurrent() {
   Row out;
   out.reserve(current_values_.size() + states_.size());
-  for (const Value& v : current_values_) out.push_back(v);
+  for (Value& v : current_values_) out.push_back(std::move(v));
   for (const AggState& s : states_) out.push_back(s.Finalize());
   has_group_ = false;
   return out;
@@ -272,23 +283,22 @@ Row BatchStreamAggregateExecutor::FinishCurrent() {
 
 Status BatchStreamAggregateExecutor::ConsumeBatch(const Batch& in) {
   const std::vector<uint32_t> positions = in.ActiveIndices();
-  AggInputVectors v;
-  Row group_values;
-  ELE_RETURN_NOT_OK(EvalAggInputs(in, positions, group_exprs_, aggs_, &v));
+  ELE_RETURN_NOT_OK(
+      EvalAggInputs(in, positions, group_exprs_, aggs_, &inputs_));
   for (uint32_t pos : positions) {
-    std::string key = EncodeGroupKeyAt(v, pos, &group_values);
-    if (has_group_ && key != current_key_) {
+    EncodeGroupKeyAt(inputs_, pos, &key_);
+    if (has_group_ && key_ != current_key_) {
       // Group boundary (possibly mid-batch, possibly the carry-over from a
       // previous batch): finish the old group before starting the new one.
       pending_.push_back(FinishCurrent());
     }
     if (!has_group_) {
       has_group_ = true;
-      current_key_ = std::move(key);
-      current_values_ = std::move(group_values);
+      current_key_.swap(key_);
+      TakeGroupValuesAt(&inputs_, pos, &current_values_);
       states_ = FreshAggStates(aggs_);
     }
-    ELE_RETURN_NOT_OK(AccumulateAt(aggs_, v, pos, &states_));
+    ELE_RETURN_NOT_OK(AccumulateAt(aggs_, inputs_, pos, &states_));
   }
   return Status::OK();
 }

@@ -1,13 +1,13 @@
 #pragma once
 
 #include <deque>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "exec/batch.h"
 #include "exec/executor.h"
 #include "exec/expression.h"
+#include "exec/key_table.h"
 
 namespace elephant {
 
@@ -46,12 +46,21 @@ class BatchProjectExecutor final : public BatchExecutor {
   Schema schema_;
 };
 
+/// Group-key and aggregate-argument vectors for one input batch: the
+/// vectorized front half of aggregation. The fold itself then walks live
+/// rows in input order through the AggState accumulators.
+struct AggInputVectors {
+  std::vector<std::vector<Value>> group_cols;
+  std::vector<std::vector<Value>> agg_cols;  ///< unused entry for COUNT(*)
+};
+
 /// The grouping shared by every blocking aggregate: Init() consumes the whole
-/// child, folding each batch into groups keyed by their encoded group values;
-/// NextBatch() then drains the groups in encoded-key order (a std::map, so
-/// output is deterministic), kBatchCapacity rows at a time. Subclasses differ
-/// only in how a batch is folded and how a group is emitted. A scalar
-/// aggregate (no group columns) over empty input still yields one row.
+/// child, folding each batch into groups keyed by their encoded group values
+/// in one KeyTable (group id = entry id); NextBatch() then drains the groups
+/// in encoded-key order, kBatchCapacity rows at a time, so output is
+/// deterministic. Subclasses differ only in how a batch is folded and how a
+/// group is emitted. A scalar aggregate (no group columns) over empty input
+/// still yields one row.
 class GroupedAggregateExecutor : public BatchExecutor {
  public:
   Status Init() final;
@@ -66,9 +75,11 @@ class GroupedAggregateExecutor : public BatchExecutor {
 
   /// `aggs` binds by reference so a subclass can derive `schema` from it in
   /// the same constructor call before it is moved in.
-  GroupedAggregateExecutor(BatchExecutorPtr child, std::vector<AggSpec>&& aggs,
-                           bool scalar, Schema schema)
-      : child_(std::move(child)),
+  GroupedAggregateExecutor(ExecContext* ctx, BatchExecutorPtr child,
+                           std::vector<AggSpec>&& aggs, bool scalar,
+                           Schema schema)
+      : ctx_(ctx),
+        child_(std::move(child)),
         aggs_(std::move(aggs)),
         scalar_(scalar),
         schema_(std::move(schema)) {}
@@ -78,17 +89,24 @@ class GroupedAggregateExecutor : public BatchExecutor {
   /// Appends a group's aggregate columns after its group values.
   virtual void Emit(const Group& group, Row* out) const = 0;
 
-  /// The group stored under `key`, created with `values` and fresh states.
-  Group& GroupFor(std::string key, const Row& values);
+  /// The group whose encoded key is in key_. A new group gets fresh states
+  /// and empty group_values, which the caller fills (`*created` is true).
+  Group& GroupForKey(bool* created);
 
+  ExecContext* ctx_;
   BatchExecutorPtr child_;
   std::vector<AggSpec> aggs_;
+  /// Encoded group key of the row being folded (reused across rows).
+  std::string key_;
 
  private:
   bool scalar_;
   Schema schema_;
-  std::map<std::string, Group> groups_;
-  std::map<std::string, Group>::iterator emit_it_;
+  KeyTable table_;
+  /// Indexed by group id; a deque grows in chunks, never relocating groups.
+  std::deque<Group> groups_;
+  std::vector<uint32_t> emit_order_;  ///< group ids by encoded key
+  size_t emit_pos_ = 0;
   bool inited_ = false;
 };
 
@@ -102,7 +120,7 @@ class GroupedAggregateExecutor : public BatchExecutor {
 /// exchange to merge exactly.
 class BatchHashAggregateExecutor final : public GroupedAggregateExecutor {
  public:
-  BatchHashAggregateExecutor(BatchExecutorPtr child,
+  BatchHashAggregateExecutor(ExecContext* ctx, BatchExecutorPtr child,
                              std::vector<ExprPtr> group_exprs,
                              std::vector<AggSpec> aggs, bool partial = false);
 
@@ -112,6 +130,7 @@ class BatchHashAggregateExecutor final : public GroupedAggregateExecutor {
 
   std::vector<ExprPtr> group_exprs_;
   bool partial_;
+  AggInputVectors inputs_;
 };
 
 /// Session-side half of a parallel aggregation: merges partial transfer rows
@@ -122,9 +141,10 @@ class BatchHashAggregateExecutor final : public GroupedAggregateExecutor {
 /// even floating-point sums are reproducible run to run.
 class BatchFinalAggregateExecutor final : public GroupedAggregateExecutor {
  public:
-  BatchFinalAggregateExecutor(BatchExecutorPtr child, size_t num_groups,
-                              std::vector<AggSpec> aggs, Schema output_schema)
-      : GroupedAggregateExecutor(std::move(child), std::move(aggs),
+  BatchFinalAggregateExecutor(ExecContext* ctx, BatchExecutorPtr child,
+                              size_t num_groups, std::vector<AggSpec> aggs,
+                              Schema output_schema)
+      : GroupedAggregateExecutor(ctx, std::move(child), std::move(aggs),
                                  num_groups == 0, std::move(output_schema)),
         num_groups_(num_groups) {}
 
@@ -166,10 +186,12 @@ class BatchStreamAggregateExecutor final : public BatchExecutor {
   bool child_done_ = false;
   bool final_emitted_ = false;
   std::string current_key_;
+  std::string key_;  ///< encoded group key of the row being folded
   Row current_values_;
   std::vector<AggState> states_;
   std::deque<Row> pending_;
   Batch in_;
+  AggInputVectors inputs_;
 };
 
 /// Output schema of an aggregate: group columns ++ aggregate columns.

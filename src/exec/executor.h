@@ -27,6 +27,10 @@ struct ExecCounters {
   /// width each scan was narrowed to (the planner prunes unreferenced
   /// columns).
   uint64_t columns_decoded = 0;
+  /// KeyTable traffic of hash joins and hash aggregates: entries added
+  /// (build rows, groups) and keyed lookups (probe rows, folded rows).
+  uint64_t hash_inserts = 0;
+  uint64_t hash_probes = 0;
 
   ExecCounters& operator+=(const ExecCounters& o) {
     rows_output += o.rows_output;
@@ -34,6 +38,8 @@ struct ExecCounters {
     rows_scanned += o.rows_scanned;
     sort_rows += o.sort_rows;
     columns_decoded += o.columns_decoded;
+    hash_inserts += o.hash_inserts;
+    hash_probes += o.hash_probes;
     return *this;
   }
 };

@@ -365,15 +365,14 @@ void AggState::AppendPartial(Row* out) const {
   }
 }
 
-Status AggState::MergePartial(const Row& row, size_t pos) {
+Status AggState::MergePartial(const Value& v, const Value& avg_count) {
   switch (fn_) {
     case AggFunc::kCountStar:
     case AggFunc::kCount:
-      count_ += row[pos].AsInt64();
+      count_ += v.AsInt64();
       break;
     case AggFunc::kSum:
     case AggFunc::kAvg: {
-      const Value& v = row[pos];
       if (!v.is_null()) {
         if (!has_value_) {
           acc_ = v;
@@ -382,11 +381,10 @@ Status AggState::MergePartial(const Row& row, size_t pos) {
         }
         has_value_ = true;
       }
-      if (fn_ == AggFunc::kAvg) count_ += row[pos + 1].AsInt64();
+      if (fn_ == AggFunc::kAvg) count_ += avg_count.AsInt64();
       break;
     }
     case AggFunc::kMin: {
-      const Value& v = row[pos];
       if (!v.is_null() && (!has_value_ || v.Compare(acc_) < 0)) {
         acc_ = v;
         has_value_ = true;
@@ -394,7 +392,6 @@ Status AggState::MergePartial(const Row& row, size_t pos) {
       break;
     }
     case AggFunc::kMax: {
-      const Value& v = row[pos];
       if (!v.is_null() && (!has_value_ || v.Compare(acc_) > 0)) {
         acc_ = v;
         has_value_ = true;

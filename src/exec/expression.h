@@ -381,8 +381,13 @@ class AggState {
   /// Appends this state's partial representation to `out`.
   void AppendPartial(Row* out) const;
 
-  /// Folds a partial representation starting at `row[pos]` into this state.
-  Status MergePartial(const Row& row, size_t pos);
+  /// Folds a partial representation into this state: `v` is its first
+  /// column and `avg_count` the second (read only for AVG; PartialWidth).
+  Status MergePartial(const Value& v, const Value& avg_count);
+  /// Folds the partial representation starting at `row[pos]`.
+  Status MergePartial(const Row& row, size_t pos) {
+    return MergePartial(row[pos], row[pos + PartialWidth(fn_) - 1]);
+  }
 
  private:
   AggFunc fn_;

@@ -33,18 +33,6 @@ Status EvalColumns(const std::vector<ExprPtr>& exprs, const Batch& in,
   return Status::OK();
 }
 
-/// Encodes the join key of physical row `r` into `*key`; false when any key
-/// value is NULL (NULL keys never join).
-bool EncodeJoinKey(const std::vector<std::vector<Value>>& cols, uint32_t r,
-                   std::string* key) {
-  key->clear();
-  for (const std::vector<Value>& col : cols) {
-    if (col[r].is_null()) return false;
-    keycodec::Encode(col[r], key);
-  }
-  return true;
-}
-
 /// Applies a join residual to a finished output batch.
 Status ApplyResidual(const ExprPtr& residual, Batch* out) {
   if (residual == nullptr || out->num_rows() == 0) return Status::OK();
@@ -66,6 +54,16 @@ IndexNestedLoopJoinExecutor::IndexNestedLoopJoinExecutor(
       inner_(ctx, inner_table, inner_index, AccessIntent::kPointLookup,
              std::move(inner_cols)) {
   schema_ = Schema::Concat(outer_->OutputSchema(), inner_.schema());
+  // Index key columns lead a covering index's rows; clustered keys are
+  // the table's cluster columns.
+  for (size_t i = 0; i < bounds_.eq_exprs.size(); ++i) {
+    eq_types_.push_back(
+        inner_index != nullptr
+            ? inner_index->out_schema.ColumnAt(i).type
+            : inner_table->schema()
+                  .ColumnAt(inner_table->cluster_cols()[i])
+                  .type);
+  }
 }
 
 Status IndexNestedLoopJoinExecutor::Init() {
@@ -93,16 +91,22 @@ Result<bool> IndexNestedLoopJoinExecutor::NextOuterBatch() {
   return true;
 }
 
-Status IndexNestedLoopJoinExecutor::Probe(uint32_t r) {
+Result<bool> IndexNestedLoopJoinExecutor::Probe(uint32_t r) {
   eq_row_.clear();
-  for (const std::vector<Value>& col : eq_vals_) eq_row_.push_back(col[r]);
+  Value cast;
+  for (size_t i = 0; i < eq_vals_.size(); ++i) {
+    const Value* k = CastKey(eq_vals_[i][r], eq_types_[i], &cast);
+    if (k == nullptr) return false;
+    eq_row_.push_back(*k);
+  }
   std::optional<Value> lo, hi;
   if (bounds_.lo != nullptr) lo = lo_vals_[r];
   if (bounds_.hi != nullptr) hi = hi_vals_[r];
   MakeKeyRange(eq_row_, lo, bounds_.lo_inclusive, hi, bounds_.hi_inclusive,
                &range_);
   ctx_->counters().index_seeks++;
-  return inner_.Seek(range_);
+  ELE_RETURN_NOT_OK(inner_.Seek(range_));
+  return true;
 }
 
 Result<bool> IndexNestedLoopJoinExecutor::NextBatch(Batch* out) {
@@ -126,8 +130,7 @@ Result<bool> IndexNestedLoopJoinExecutor::NextBatch(Batch* out) {
       }
     }
     outer_row_ = outer_batch_.ActiveIndex(outer_pos_++);
-    ELE_RETURN_NOT_OK(Probe(outer_row_));
-    inner_open_ = true;
+    ELE_ASSIGN_OR_RETURN(inner_open_, Probe(outer_row_));
   }
   ELE_RETURN_NOT_OK(ApplyResidual(residual_, out));
   return out->num_rows() > 0;
@@ -147,41 +150,77 @@ HashJoinExecutor::HashJoinExecutor(ExecContext* ctx, BatchExecutorPtr left,
       right_keys_(std::move(right_keys)),
       residual_(std::move(residual)) {
   schema_ = Schema::Concat(left_->OutputSchema(), right_->OutputSchema());
+  for (size_t i = 0; i < left_keys_.size(); ++i) {
+    key_types_.push_back(CommonKeyType(left_keys_[i]->output_type(),
+                                       right_keys_[i]->output_type()));
+  }
+}
+
+bool HashJoinExecutor::EncodeKey(uint32_t r) {
+  key_.clear();
+  Value cast;
+  for (size_t i = 0; i < key_cols_.size(); ++i) {
+    const Value* k = CastKey(key_cols_[i][r], key_types_[i], &cast);
+    if (k == nullptr) return false;
+    keycodec::Encode(*k, &key_);
+  }
+  return true;
+}
+
+Status HashJoinExecutor::AddBuildBatch(Batch* in) {
+  ELE_RETURN_NOT_OK(EvalColumns(right_keys_, *in, &key_cols_));
+  const size_t width = in->num_cols();
+  const uint32_t n = in->ActiveCount();
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint32_t r = in->ActiveIndex(i);
+    if (!EncodeKey(r)) continue;
+    if (table_.size() % kBatchCapacity == 0) {
+      build_.emplace_back().Reset(width);
+      for (size_t c = 0; c < width; ++c) {
+        build_.back().col(c).reserve(kBatchCapacity);
+      }
+    }
+    table_.Insert(key_);
+    Batch& chunk = build_.back();
+    for (size_t c = 0; c < width; ++c) {
+      chunk.col(c).push_back(std::move(in->col(c)[r]));
+    }
+    chunk.SetRowCount(chunk.num_rows() + 1);
+  }
+  return Status::OK();
 }
 
 Status HashJoinExecutor::Init() {
   ELE_RETURN_NOT_OK(left_->Init());
   ELE_RETURN_NOT_OK(right_->Init());
+  table_.Clear();
   build_.clear();
   probe_.Reset(0);
   probe_pos_ = 0;
   probe_done_ = false;
+  match_ = KeyTable::kNone;
   Batch in;
-  std::string key;
   while (true) {
     ELE_ASSIGN_OR_RETURN(bool has, right_->NextBatch(&in));
     if (!has) break;
-    ELE_RETURN_NOT_OK(EvalColumns(right_keys_, in, &key_cols_));
-    const uint32_t n = in.ActiveCount();
-    for (uint32_t i = 0; i < n; ++i) {
-      const uint32_t r = in.ActiveIndex(i);
-      if (!EncodeJoinKey(key_cols_, r, &key)) continue;
-      Row row;
-      in.GatherRow(r, &row);
-      build_.emplace(key, std::move(row));
-    }
+    ELE_RETURN_NOT_OK(AddBuildBatch(&in));
   }
-  matches_ = {build_.end(), build_.end()};
+  ctx_->counters().hash_inserts += table_.size();
   return Status::OK();
 }
 
 Result<bool> HashJoinExecutor::NextBatch(Batch* out) {
   out->Reset(schema_.NumColumns());
-  std::string key;
   while (!out->full()) {
-    if (matches_.first != matches_.second) {
-      AppendJoined(probe_, probe_row_, matches_.first->second, out);
-      ++matches_.first;
+    if (match_ != KeyTable::kNone) {
+      const Batch& chunk = build_[match_ / kBatchCapacity];
+      const uint32_t row = match_ % kBatchCapacity;
+      AppendOuter(probe_, probe_row_, out);
+      for (size_t c = 0; c < chunk.num_cols(); ++c) {
+        out->col(probe_.num_cols() + c).push_back(chunk.col(c)[row]);
+      }
+      out->SetRowCount(out->num_rows() + 1);
+      match_ = table_.NextMatch(match_);
       continue;
     }
     if (probe_done_) break;
@@ -196,8 +235,9 @@ Result<bool> HashJoinExecutor::NextBatch(Batch* out) {
       continue;
     }
     probe_row_ = probe_.ActiveIndex(probe_pos_++);
-    if (EncodeJoinKey(key_cols_, probe_row_, &key)) {
-      matches_ = build_.equal_range(key);
+    if (EncodeKey(probe_row_)) {
+      ctx_->counters().hash_probes++;
+      match_ = table_.Find(key_);
     }
   }
   ELE_RETURN_NOT_OK(ApplyResidual(residual_, out));

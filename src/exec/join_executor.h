@@ -2,11 +2,11 @@
 
 #include <deque>
 #include <optional>
-#include <unordered_map>
 
 #include "exec/batch.h"
 #include "exec/executor.h"
 #include "exec/expression.h"
+#include "exec/key_table.h"
 #include "exec/scan_executor.h"
 
 namespace elephant {
@@ -32,6 +32,8 @@ struct InljBounds {
 /// the outer row, emitting outer ++ inner rows that pass the residual
 /// predicate. Bounds are evaluated vectorized per outer batch; one inner
 /// cursor serves the whole run and re-descends the tree once per outer row.
+/// Equality bounds are cast to the inner key column's type (CastKey); an
+/// outer row whose bound is NULL or out of that type's range is not probed.
 /// Every inner probe increments ExecCounters::index_seeks — the "context
 /// switches" the paper's Figure 4(b) optimization minimizes.
 class IndexNestedLoopJoinExecutor final : public BatchExecutor {
@@ -52,12 +54,15 @@ class IndexNestedLoopJoinExecutor final : public BatchExecutor {
   /// Pulls the next outer batch and evaluates the probe bounds over it.
   /// False at the end of the outer input.
   Result<bool> NextOuterBatch();
-  /// Seeks the inner cursor to the bounds of outer row `r`.
-  Status Probe(uint32_t r);
+  /// Seeks the inner cursor to the bounds of outer row `r`; false, without
+  /// a seek, when its equality bounds can match no inner key (a NULL, or a
+  /// value outside the key column's type).
+  Result<bool> Probe(uint32_t r);
 
   ExecContext* ctx_;
   BatchExecutorPtr outer_;
   InljBounds bounds_;
+  std::vector<TypeId> eq_types_;  ///< inner key type under each eq bound
   ExprPtr residual_;
   Schema schema_;
   IndexCursor inner_;
@@ -74,9 +79,17 @@ class IndexNestedLoopJoinExecutor final : public BatchExecutor {
   KeyRange range_;
 };
 
-/// Hash join on equality keys: builds a hash table on the right child, then
+/// Hash join on equality keys: builds a KeyTable on the right child, then
 /// probes with left batches. Output = left ++ right. With no keys it is the
 /// nested product: every left row pairs with every right row.
+///
+/// Each key pair is encoded as its CommonKeyType, so an INT key joins a
+/// BIGINT one exactly as Value::Compare says; a NULL key never joins. The
+/// build rows live in dense batches of kBatchCapacity rows, one row per
+/// table entry (row id = entry id), moved out of the build input without a
+/// copy. A probe row meets its matches newest build row first (KeyTable's
+/// chain order), and output batches follow probe order, so a join's rows
+/// come out in one fixed order.
 class HashJoinExecutor final : public BatchExecutor {
  public:
   HashJoinExecutor(ExecContext* ctx, BatchExecutorPtr left,
@@ -88,22 +101,31 @@ class HashJoinExecutor final : public BatchExecutor {
   const Schema& OutputSchema() const override { return schema_; }
 
  private:
-  using BuildTable = std::unordered_multimap<std::string, Row>;
+  /// Keys the live rows of one build batch and moves those with a non-NULL
+  /// key into build_.
+  Status AddBuildBatch(Batch* in);
+  /// Encodes the join key of physical row `r` of the batch last keyed into
+  /// key_cols_; false when the row can match nothing.
+  bool EncodeKey(uint32_t r);
 
   ExecContext* ctx_;
   BatchExecutorPtr left_, right_;
   std::vector<ExprPtr> left_keys_, right_keys_;
+  std::vector<TypeId> key_types_;  ///< CommonKeyType of each key pair
   ExprPtr residual_;
   Schema schema_;
 
-  BuildTable build_;
+  KeyTable table_;
+  /// Build row `id` is row id % kBatchCapacity of build_[id / kBatchCapacity].
+  std::vector<Batch> build_;
   Batch probe_;
   /// Join-key columns of the batch being keyed (build or probe side).
   std::vector<std::vector<Value>> key_cols_;
+  std::string key_;
   uint32_t probe_pos_ = 0;  ///< next live probe row
   uint32_t probe_row_ = 0;  ///< physical index of the row being joined
   bool probe_done_ = false;
-  std::pair<BuildTable::iterator, BuildTable::iterator> matches_;
+  uint32_t match_ = KeyTable::kNone;  ///< next build row for probe_row_
 };
 
 /// Merge-style band join over two sorted inputs: the outer rows carry ranges

@@ -251,7 +251,7 @@ MorselPlanFactory MakeMorselFactory(std::shared_ptr<const ParallelSpec> spec) {
       aggs.reserve(spec->aggs.size());
       for (const AggSpec& a : spec->aggs) aggs.push_back(a.Clone());
       mp.exec = std::make_unique<BatchHashAggregateExecutor>(
-          std::move(mp.exec), std::move(groups), std::move(aggs),
+          wctx, std::move(mp.exec), std::move(groups), std::move(aggs),
           /*partial=*/true);
       attach(spec->agg_slot);
     }
@@ -820,10 +820,18 @@ Status PlanBuilder::JoinNext(size_t r, SubPlan* plan) {
     for (auto& p : localized) local_pred_storage.push_back(std::move(p));
   }
   // Merge: express everything as Sargs over R-local columns. The `other`
-  // expr of a JoinCand is over the input schema (joined rels only).
+  // expr of a JoinCand is over the input schema (joined rels only). A bound
+  // is compared to inner keys by encoding: an equality needs KeyComparable
+  // types (the INLJ casts it per probe), a range the same encoding; any
+  // other pair stays a residual predicate.
   std::vector<Sarg> all_sargs = local_sargs;
   for (const JoinCand& c : cands) {
-    all_sargs.push_back(Sarg{c.local_col, c.op, c.outer, c.conjunct_id});
+    const TypeId col_type = rel.schema.ColumnAt(c.local_col).type;
+    const TypeId outer_type = c.outer->output_type();
+    if (c.op == CompareOp::kEq ? KeyComparable(col_type, outer_type)
+                               : SameKeyEncoding(col_type, outer_type)) {
+      all_sargs.push_back(Sarg{c.local_col, c.op, c.outer, c.conjunct_id});
+    }
   }
 
   // Pick the best inner index for an INLJ (base tables only).
@@ -1101,6 +1109,10 @@ Status PlanBuilder::JoinNext(size_t r, SubPlan* plan) {
   for (const JoinCand& c : cands) {
     if (c.op != CompareOp::kEq || consumed_[c.conjunct_id]) continue;
     if (inner_map[c.local_col] < 0) continue;
+    if (!KeyComparable(c.outer->output_type(),
+                       rel.schema.ColumnAt(c.local_col).type)) {
+      continue;  // e.g. DECIMAL = INT: no exact key, stays a residual
+    }
     ExprPtr outer = c.outer->Clone();
     outer->RemapColumns(mapping_);
     lkeys.push_back(std::move(outer));
@@ -1265,7 +1277,7 @@ Result<bool> PlanBuilder::TryBuildParallel(SubPlan* out, bool* agg_done) {
         num_groups == 0 ? 1.0 : std::max(1.0, scan_est / 10.0);
     plan.width = final_schema.NumColumns();
     plan.exec = std::make_unique<BatchFinalAggregateExecutor>(
-        std::move(plan.exec), num_groups, std::move(final_aggs),
+        ctx_, std::move(plan.exec), num_groups, std::move(final_aggs),
         std::move(final_schema));
     plan.note = Note("FinalAggregate", std::move(plan.note));
     Decorate(&plan, agg_est);
@@ -1334,7 +1346,7 @@ Result<PlannedQuery> PlanBuilder::Build() {
       plan.note = Note("StreamAggregate", std::move(plan.note));
     } else {
       plan.exec = std::make_unique<BatchHashAggregateExecutor>(
-          std::move(plan.exec), std::move(groups), std::move(aggs));
+          ctx_, std::move(plan.exec), std::move(groups), std::move(aggs));
       plan.note = Note("HashAggregate", std::move(plan.note));
     }
     Decorate(&plan, agg_est);
@@ -1366,7 +1378,7 @@ Result<PlannedQuery> PlanBuilder::Build() {
                             out_schema.ColumnAt(c).length));
     }
     plan.exec = std::make_unique<BatchHashAggregateExecutor>(
-        std::move(plan.exec), std::move(dgroups), std::vector<AggSpec>{});
+        ctx_, std::move(plan.exec), std::move(dgroups), std::vector<AggSpec>{});
     plan.note = Note("Distinct", std::move(plan.note));
     Decorate(&plan);
   }

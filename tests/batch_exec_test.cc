@@ -354,7 +354,7 @@ TEST_F(BatchExecFixture, BatchHashAggregateMatchesRowTwin) {
     return a;
   };
   auto batch_rows = DrainBatch(std::make_unique<BatchHashAggregateExecutor>(
-      std::make_unique<IndexScanExecutor>(&ctx, t), groups(), aggs()));
+      &ctx, std::make_unique<IndexScanExecutor>(&ctx, t), groups(), aggs()));
   ASSERT_TRUE(batch_rows.ok());
   ExpectRowsEqual(RowAggregate(RowScan(t), groups(), aggs()),
                   batch_rows.value());
@@ -367,8 +367,8 @@ TEST_F(BatchExecFixture, BatchScalarAggregateOverEmptyInputEmitsOneRow) {
   aggs.emplace_back(AggFunc::kCountStar, nullptr, "n");
   aggs.emplace_back(AggFunc::kSum, Col(0, TypeId::kInt32), "s");
   auto batch_rows = DrainBatch(std::make_unique<BatchHashAggregateExecutor>(
-      std::make_unique<IndexScanExecutor>(&ctx, t), std::vector<ExprPtr>{},
-      std::move(aggs)));
+      &ctx, std::make_unique<IndexScanExecutor>(&ctx, t),
+      std::vector<ExprPtr>{}, std::move(aggs)));
   ASSERT_TRUE(batch_rows.ok());
   ASSERT_EQ(batch_rows.value().size(), 1u);
   EXPECT_EQ(batch_rows.value()[0][0].AsInt64(), 0);
@@ -430,13 +430,14 @@ TEST_F(BatchExecFixture, BatchPartialFinalAggregateMatchesRowPipeline) {
   // The serial plan the parallel split must reproduce: one hash aggregate
   // over the whole scan.
   auto rows = DrainBatch(std::make_unique<BatchHashAggregateExecutor>(
-      std::make_unique<IndexScanExecutor>(&ctx, t), groups(), aggs()));
+      &ctx, std::make_unique<IndexScanExecutor>(&ctx, t), groups(), aggs()));
   ASSERT_TRUE(rows.ok());
   ExpectRowsEqual(RowAggregate(RowScan(t), groups(), aggs()), rows.value());
 
   auto batch_rows = DrainBatch(std::make_unique<BatchFinalAggregateExecutor>(
+      &ctx,
       std::make_unique<BatchHashAggregateExecutor>(
-          std::make_unique<IndexScanExecutor>(&ctx, t), groups(), aggs(),
+          &ctx, std::make_unique<IndexScanExecutor>(&ctx, t), groups(), aggs(),
           /*partial=*/true),
       1, aggs(), out_schema));
   ASSERT_TRUE(batch_rows.ok());

@@ -79,16 +79,23 @@ class BatchIdentityTest : public ::testing::Test {
 
     // Third clustered table for three-way joins: w.uk references u.k, and
     // w.note is a VARCHAR, so narrowed scans skip or decode a string column.
+    // w.ub is a BIGINT copy of w.uk, so INT = BIGINT join keys meet both
+    // join kinds (covering index w_ub); every 23rd row moves it 2^32 up,
+    // out of INT's range, where it must match no u.k.
     ASSERT_TRUE(db_->Execute("CREATE TABLE w (k INT, uk INT, tag INT, "
-                             "note VARCHAR) CLUSTER BY (k)")
+                             "note VARCHAR, ub BIGINT) CLUSTER BY (k)")
                     .ok());
     multi.clear();
     for (int i = 0; i < 300; i++) {
+      const int64_t uk = rng.Uniform(0, 499) - 250;
+      const int64_t ub = i % 23 == 0 ? uk + (int64_t{1} << 32) : uk;
       multi += (i == 0 ? "(" : ", (") + std::to_string(i) + ", " +
-               std::to_string(rng.Uniform(0, 499) - 250) + ", " +
-               std::to_string(i % 17) + ", 'n" + std::to_string(i % 40) + "')";
+               std::to_string(uk) + ", " + std::to_string(i % 17) + ", 'n" +
+               std::to_string(i % 40) + "', " + std::to_string(ub) + ")";
     }
     ASSERT_TRUE(db_->Execute("INSERT INTO w VALUES " + multi).ok());
+    ASSERT_TRUE(
+        db_->Execute("CREATE INDEX w_ub ON w (ub) INCLUDE (note)").ok());
 
     auto oracle = SqliteOracle::Open();
     if (!oracle.ok()) {
@@ -464,8 +471,8 @@ TEST_F(BatchIdentityTest, RandomizedJoinSweep) {
 
 TEST_F(BatchIdentityTest, RandomizedMultiJoinProjectionSweep) {
   Rng rng(20261019);
-  // Two- and three-table equi-joins, each projecting a random subset of its
-  // tables' columns: the scans decode only what the statement references,
+  // Two- and three-table equi-joins, some on INT = BIGINT keys, each
+  // projecting a random subset of its tables' columns: the scans decode only what the statement references,
   // and the planner's (or FORCE_ORDER's) join order decides which narrowed
   // input each join builds on, so narrowed rows meet every join and every
   // column position.
@@ -490,6 +497,13 @@ TEST_F(BatchIdentityTest, RandomizedMultiJoinProjectionSweep) {
       {"w, u, t", "w.uk = u.k AND t.k = u.tk",
        {"w.k", "w.uk", "w.note", "u.tk", "u.price", "t.grp", "t.a", "t.b"},
        {"w.tag", "u.c", "t.grp"}},
+      // INT = BIGINT keys, either side outer or inner.
+      {"w, u", "w.ub = u.k",
+       {"w.k", "w.ub", "w.note", "u.k", "u.c", "u.price"},
+       {"w.tag", "u.c", "w.k"}},
+      {"u, w, t", "u.k = w.ub AND t.k = u.tk",
+       {"u.k", "u.c", "w.ub", "w.note", "t.k", "t.grp", "t.b"},
+       {"u.c", "w.tag", "t.grp"}},
   };
   const char* hints[] = {"", "HASH_JOIN", "LOOP_JOIN", "FORCE_ORDER",
                          "FORCE_ORDER HASH_JOIN"};
@@ -497,7 +511,7 @@ TEST_F(BatchIdentityTest, RandomizedMultiJoinProjectionSweep) {
   std::map<std::string, int> ops_seen;
   const char* ops[] = {"HashJoin", "IndexNestedLoopJoin"};
   for (int q = 0; q < 40; q++) {
-    const JoinSet& set = sets[rng.Uniform(0, 3)];
+    const JoinSet& set = sets[rng.Uniform(0, 5)];
     const std::string hint = hints[rng.Uniform(0, 4)];
     // A random subset of 1-4 distinct columns, in random order.
     std::vector<const char*> cols = set.cols;

@@ -141,7 +141,7 @@ TEST_F(ExecFixture, HashAggregateGroupsAndAggregates) {
   aggs.emplace_back(AggFunc::kMin, Col(0, TypeId::kInt32), "min_k");
   aggs.emplace_back(AggFunc::kMax, Col(0, TypeId::kInt32), "max_k");
   aggs.emplace_back(AggFunc::kAvg, Col(0, TypeId::kInt32), "avg_k");
-  BatchHashAggregateExecutor agg(std::move(scan), std::move(groups),
+  BatchHashAggregateExecutor agg(&ctx, std::move(scan), std::move(groups),
                                  std::move(aggs));
   auto rows = DrainBatches(&agg);
   ASSERT_TRUE(rows.ok());
@@ -162,12 +162,14 @@ TEST_F(ExecFixture, ScalarAggregateOverEmptyInput) {
   std::vector<AggSpec> aggs;
   aggs.emplace_back(AggFunc::kCountStar, nullptr, "cnt");
   aggs.emplace_back(AggFunc::kSum, Col(0, TypeId::kInt32), "s");
-  BatchHashAggregateExecutor agg(std::move(values), {}, std::move(aggs));
+  BatchHashAggregateExecutor agg(&ctx, std::move(values), {}, std::move(aggs));
   auto rows = DrainBatches(&agg);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 1u);
   EXPECT_EQ(rows.value()[0][0].AsInt64(), 0);
   EXPECT_TRUE(rows.value()[0][1].is_null());
+  // The one empty group is still a key-table entry.
+  EXPECT_EQ(ctx.counters().hash_inserts, 1u);
 }
 
 TEST_F(ExecFixture, StreamAggregateMatchesHashAggregate) {
@@ -193,7 +195,7 @@ TEST_F(ExecFixture, StreamAggregateMatchesHashAggregate) {
   std::vector<AggSpec> aggs2;
   aggs2.emplace_back(AggFunc::kCountStar, nullptr, "cnt");
   aggs2.emplace_back(AggFunc::kSum, Col(2, TypeId::kDecimal), "total");
-  BatchHashAggregateExecutor hash(std::move(scan2), std::move(groups2),
+  BatchHashAggregateExecutor hash(&ctx, std::move(scan2), std::move(groups2),
                                   std::move(aggs2));
   auto hrows = DrainBatches(&hash);
   ASSERT_TRUE(hrows.ok());

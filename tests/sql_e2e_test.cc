@@ -218,6 +218,62 @@ TEST_F(SqlE2eTest, NonEquiJoinFallsBackToProduct) {
   EXPECT_EQ(r.rows[0][0].AsInt64(), 66);  // 12*11/2 distinct ordered pairs
 }
 
+TEST_F(SqlE2eTest, JoinsIntAgainstBigintKeys) {
+  // Equal keys of different integer widths must join, as Value::Compare
+  // says they are equal: through the hash join and through the index
+  // nested-loop join's clustered seek, with either width on the inner side.
+  // A BIGINT outside INT's range equals no INT key, and NULLs join nothing.
+  Exec("CREATE TABLE ia (x INT, y INT) CLUSTER BY (x)");
+  Exec("CREATE TABLE ib (x BIGINT, z INT) CLUSTER BY (x)");
+  Exec("INSERT INTO ia VALUES (1, 10), (2, 20), (2, 21), (3, 30), (NULL, 99)");
+  Exec("INSERT INTO ib VALUES (2, 200), (3, 300), (4, 400), (NULL, 999), "
+       "(4294967298, 5)");
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"/*+ HASH_JOIN */", ""},
+      {"/*+ FORCE_ORDER LOOP_JOIN */", ""},
+      {"/*+ FORCE_ORDER LOOP_JOIN */", " AND ia.x = 2"},
+  };
+  for (const auto& [hint, extra] : cases) {
+    for (const char* from : {"ia, ib", "ib, ia"}) {
+      const std::string sql = hint + " SELECT ia.y, ib.z FROM " + from +
+                              " WHERE ia.x = ib.x" + extra +
+                              " ORDER BY ia.y";
+      QueryResult r = Exec(sql);
+      std::vector<std::pair<int64_t, int64_t>> got;
+      for (const Row& row : r.rows) {
+        got.emplace_back(row[0].AsInt64(), row[1].AsInt64());
+      }
+      std::vector<std::pair<int64_t, int64_t>> want = {{20, 200}, {21, 200}};
+      if (extra.empty()) want.emplace_back(30, 300);
+      EXPECT_EQ(got, want) << sql;
+    }
+  }
+  // A join range bound must share the inner key's encoding, so an INT bound
+  // on the BIGINT cluster key stays a residual: 4 + 2 * 3 + 2 pairs.
+  QueryResult range = Exec(
+      "/*+ FORCE_ORDER LOOP_JOIN */ SELECT COUNT(*) FROM ia, ib "
+      "WHERE ib.x > ia.x");
+  ASSERT_EQ(range.rows.size(), 1u);
+  EXPECT_EQ(range.rows[0][0].AsInt64(), 12);
+  auto loop = db_->Explain(
+      "/*+ FORCE_ORDER LOOP_JOIN */ SELECT ia.y FROM ia, ib WHERE ia.x = ib.x");
+  ASSERT_TRUE(loop.ok());
+  EXPECT_NE(loop.value().find("IndexNestedLoopJoin inner=IB"),
+            std::string::npos)
+      << loop.value();
+  // DECIMAL against INT has no exact common key: the pair stays a residual
+  // predicate over a product instead of a hash key.
+  Exec("CREATE TABLE ic (x DECIMAL)");
+  Exec("INSERT INTO ic VALUES (2.00), (2.50)");
+  QueryResult dec = Exec("SELECT ia.y FROM ia, ic WHERE ia.x = ic.x");
+  ASSERT_EQ(dec.rows.size(), 2u);
+  auto dec_plan =
+      db_->Explain("SELECT ia.y FROM ia, ic WHERE ia.x = ic.x");
+  ASSERT_TRUE(dec_plan.ok());
+  EXPECT_NE(dec_plan.value().find("NestedProduct"), std::string::npos)
+      << dec_plan.value();
+}
+
 TEST_F(SqlE2eTest, BindErrors) {
   EXPECT_FALSE(db_->Execute("SELECT nosuch FROM emp").ok());
   EXPECT_FALSE(db_->Execute("SELECT id FROM nosuch").ok());
