@@ -472,10 +472,10 @@ TEST_F(BatchIdentityTest, RandomizedJoinSweep) {
 TEST_F(BatchIdentityTest, RandomizedMultiJoinProjectionSweep) {
   Rng rng(20261019);
   // Two- and three-table equi-joins, some on INT = BIGINT keys, each
-  // projecting a random subset of its tables' columns: the scans decode only what the statement references,
-  // and the planner's (or FORCE_ORDER's) join order decides which narrowed
-  // input each join builds on, so narrowed rows meet every join and every
-  // column position.
+  // projecting a random subset of its tables' columns: the scans decode only
+  // what the statement references, and the planner's (or FORCE_ORDER's)
+  // join order decides which narrowed input each join builds on, so
+  // narrowed rows meet every join and every column position.
   struct JoinSet {
     const char* from;
     const char* where;
