@@ -49,6 +49,15 @@ arguments depend on:
                     wal:: tree helpers (InsertCell / RemoveCell / SetValue /
                     LogSplit), which Table's Insert / Delete / Update
                     reach through BPlusTree.
+  value-in-batch-kernel
+                    std::vector<Value>, Value::Compare or a `.Compare(` call
+                    in src/exec/. Batch columns are typed lanes and every
+                    batch kernel (filter, projection, join keys, aggregates,
+                    sort) runs on them; a per-row Value path must not come
+                    back beside them. The boundary adapters where rows enter
+                    or leave the engine as Values (root conversion, VALUES
+                    and virtual scans, scalar Expr::Eval, the planner's
+                    static key ranges) carry a lint:allow.
 
 Suppress a finding with a trailing or preceding-line comment:
 
@@ -101,6 +110,14 @@ NARROWING_SCOPED = {
 }
 
 NARROWING_RE = re.compile(r"\bstatic_cast\s*<\s*(?:std\s*::\s*)?int32_t\s*>")
+
+# The batch engine's directory: its kernels run on typed lanes, not Values.
+VALUE_KERNEL_DIR = "exec"
+
+VALUE_KERNEL_RE = re.compile(
+    r"\bstd\s*::\s*vector\s*<\s*Value\s*>"
+    r"|\bValue\s*::\s*Compare\b"
+    r"|\.\s*Compare\s*\(")
 
 RAW_PAGE_API_RE = re.compile(
     r"\b(?:FetchPage|NewPage)\s*\((?!\s*\))"  # call with args (decl-ish ok too)
@@ -337,6 +354,16 @@ def lint_file(path, rel, text):
                        "through the wal:: tree helpers (InsertCell/RemoveCell/"
                        "SetValue/LogSplit) so every page change is logged "
                        "before its frame LSN is recorded")
+
+    # --- value-in-batch-kernel (src/exec; fixtures lint as bare names) ---
+    if top_dir == VALUE_KERNEL_DIR or top_dir is None:
+        for lineno, ln in enumerate(lines, 1):
+            if VALUE_KERNEL_RE.search(ln):
+                report(lineno, "value-in-batch-kernel",
+                       "per-row Value (std::vector<Value> / Value::Compare) "
+                       "in the batch engine; run the kernel on the typed "
+                       "lanes (ColumnVector, CompareCells, EncodeCell), or "
+                       "lint:allow a boundary adapter with its reason")
 
     # --- unguarded-mutex ---
     mutex_names = []

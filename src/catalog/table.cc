@@ -399,7 +399,9 @@ Status Table::CountRows() {
 }
 
 Status Table::Analyze() {
-  std::vector<std::set<uint64_t>> distinct(schema_.NumColumns());
+  // Distinct counts come from each column's value hashes, collected and
+  // then sorted and deduplicated once (cheaper than a tree insert per row).
+  std::vector<std::vector<uint64_t>> distinct(schema_.NumColumns());
   std::vector<bool> seen(schema_.NumColumns(), false);
   stats_.assign(schema_.NumColumns(), ColumnStats{});
   ELE_ASSIGN_OR_RETURN(RowIterator it, ScanAll());
@@ -411,7 +413,7 @@ Status Table::Analyze() {
         stats_[c].null_count++;
         continue;
       }
-      distinct[c].insert(row[c].Hash());
+      distinct[c].push_back(row[c].Hash());
       if (!seen[c] || row[c].Compare(stats_[c].min) < 0) stats_[c].min = row[c];
       if (!seen[c] || row[c].Compare(stats_[c].max) > 0) stats_[c].max = row[c];
       seen[c] = true;
@@ -419,7 +421,10 @@ Status Table::Analyze() {
     ELE_RETURN_NOT_OK(it.Next());
   }
   for (size_t c = 0; c < schema_.NumColumns(); c++) {
-    stats_[c].distinct = distinct[c].size();
+    std::vector<uint64_t>& hashes = distinct[c];
+    std::sort(hashes.begin(), hashes.end());
+    stats_[c].distinct = static_cast<uint64_t>(
+        std::unique(hashes.begin(), hashes.end()) - hashes.begin());
   }
   return Status::OK();
 }

@@ -195,37 +195,47 @@ Status Serialize(const Schema& schema, const Row& row, std::string* out) {
   return Status::OK();
 }
 
-Value GetValue(const Schema& schema, const char* data, size_t size, size_t col) {
-  const Column& c = schema.ColumnAt(col);
-  const uint32_t nbm = schema.NullBitmapBytes();
-  const char* bitmap = data + kHeaderSize;
-  if (bitmap[col / 8] & (1 << (col % 8))) return Value::Null(c.type);
-  const uint32_t fixed_start = kHeaderSize + nbm;
-  const char* slot = data + fixed_start + schema.SlotOffset(col);
-  switch (c.type) {
-    case TypeId::kBoolean: return Value::Boolean(*slot != 0);
+int64_t GetInt(const Schema& schema, const char* data, size_t col) {
+  const char* slot =
+      data + kHeaderSize + schema.NullBitmapBytes() + schema.SlotOffset(col);
+  switch (schema.ColumnAt(col).type) {
+    case TypeId::kBoolean: return *slot != 0 ? 1 : 0;
     case TypeId::kInt32:
-      return Value::Int32(static_cast<int32_t>(SignExtend(GetFixed(slot, 4), 4)));
-    case TypeId::kDate:
-      return Value::Date(static_cast<int32_t>(SignExtend(GetFixed(slot, 4), 4)));
-    case TypeId::kInt64: return Value::Int64(static_cast<int64_t>(GetFixed(slot, 8)));
-    case TypeId::kDecimal: return Value::Decimal(static_cast<int64_t>(GetFixed(slot, 8)));
-    case TypeId::kDouble: {
-      uint64_t bits = GetFixed(slot, 8);
-      double d;
-      std::memcpy(&d, &bits, 8);
-      return Value::Double(d);
-    }
-    case TypeId::kChar: return Value::Char(std::string(slot, c.length));
-    case TypeId::kVarchar: {
-      const uint16_t var_start = GetU16(data + 7);
-      const uint16_t off = GetU16(slot);
-      const uint16_t len = GetU16(slot + 2);
-      return Value::Varchar(std::string(data + var_start + off, len));
-    }
-    case TypeId::kInvalid: break;
+    case TypeId::kDate: return SignExtend(GetFixed(slot, 4), 4);
+    default: return static_cast<int64_t>(GetFixed(slot, 8));
   }
-  return Value();
+}
+
+double GetDouble(const Schema& schema, const char* data, size_t col) {
+  const uint64_t bits = GetFixed(
+      data + kHeaderSize + schema.NullBitmapBytes() + schema.SlotOffset(col), 8);
+  double d;
+  std::memcpy(&d, &bits, 8);
+  return d;
+}
+
+std::string_view GetString(const Schema& schema, const char* data, size_t col) {
+  const Column& c = schema.ColumnAt(col);
+  const char* slot =
+      data + kHeaderSize + schema.NullBitmapBytes() + schema.SlotOffset(col);
+  if (c.type == TypeId::kChar) return std::string_view(slot, c.length);
+  const uint16_t var_start = GetU16(data + 7);
+  return std::string_view(data + var_start + GetU16(slot), GetU16(slot + 2));
+}
+
+Value GetValue(const Schema& schema, const char* data, size_t /*size*/,
+               size_t col) {
+  const TypeId type = schema.ColumnAt(col).type;
+  if (IsNull(data, col)) return Value::Null(type);
+  switch (type) {
+    case TypeId::kDouble: return Value::Double(GetDouble(schema, data, col));
+    case TypeId::kChar:
+      return Value::Char(std::string(GetString(schema, data, col)));
+    case TypeId::kVarchar:
+      return Value::Varchar(std::string(GetString(schema, data, col)));
+    case TypeId::kInvalid: return Value();
+    default: return Value::FromInt(type, GetInt(schema, data, col));
+  }
 }
 
 Status CheckTuple(const char* data, size_t size) {
@@ -270,59 +280,60 @@ uint64_t ReadBigEndian(std::string_view s, size_t pos, uint32_t n) {
 
 }  // namespace
 
-void Encode(const Value& v, std::string* out) {
-  if (v.is_null()) {
-    out->push_back(kNullMarker);
-    return;
-  }
+void EncodeNull(std::string* out) { out->push_back(kNullMarker); }
+
+void EncodeInt(TypeId type, int64_t v, std::string* out) {
   out->push_back(kValueMarker);
-  switch (v.type()) {
+  switch (type) {
     case TypeId::kBoolean:
-      out->push_back(v.AsBool() ? 1 : 0);
+      out->push_back(v != 0 ? 1 : 0);
       break;
     case TypeId::kInt32:
-    case TypeId::kDate: {
-      uint32_t u = static_cast<uint32_t>(v.AsInt32()) ^ 0x80000000u;
-      AppendBigEndian(out, u, 4);
+    case TypeId::kDate:
+      AppendBigEndian(out, static_cast<uint32_t>(v) ^ 0x80000000u, 4);
       break;
-    }
-    case TypeId::kInt64:
-    case TypeId::kDecimal: {
-      uint64_t u = static_cast<uint64_t>(v.AsInt64()) ^ 0x8000000000000000ull;
-      AppendBigEndian(out, u, 8);
+    default:
+      AppendBigEndian(out, static_cast<uint64_t>(v) ^ 0x8000000000000000ull, 8);
       break;
-    }
-    case TypeId::kDouble: {
-      double d = v.AsDouble();
-      uint64_t bits;
-      std::memcpy(&bits, &d, 8);
-      // IEEE754 total-order trick: flip all bits for negatives, sign bit
-      // for non-negatives.
-      if (bits & 0x8000000000000000ull) {
-        bits = ~bits;
-      } else {
-        bits |= 0x8000000000000000ull;
-      }
-      AppendBigEndian(out, bits, 8);
-      break;
-    }
+  }
+}
+
+void EncodeDouble(double d, std::string* out) {
+  out->push_back(kValueMarker);
+  uint64_t bits;
+  std::memcpy(&bits, &d, 8);
+  // IEEE754 total-order trick: flip all bits for negatives, sign bit
+  // for non-negatives.
+  if (bits & 0x8000000000000000ull) {
+    bits = ~bits;
+  } else {
+    bits |= 0x8000000000000000ull;
+  }
+  AppendBigEndian(out, bits, 8);
+}
+
+void EncodeString(std::string_view s, std::string* out) {
+  // Strip trailing spaces so CHAR padding compares like ComparePadded,
+  // escape 0x00, terminate with 0x00 0x00.
+  out->push_back(kValueMarker);
+  size_t len = s.size();
+  while (len > 0 && s[len - 1] == ' ') len--;
+  for (size_t i = 0; i < len; i++) {
+    out->push_back(s[i]);
+    if (s[i] == '\x00') out->push_back('\xff');
+  }
+  out->push_back('\x00');
+  out->push_back('\x00');
+}
+
+void Encode(const Value& v, std::string* out) {
+  if (v.is_null()) return EncodeNull(out);
+  switch (v.type()) {
+    case TypeId::kDouble: return EncodeDouble(v.AsDouble(), out);
     case TypeId::kChar:
-    case TypeId::kVarchar: {
-      // Strip trailing spaces so CHAR padding compares like ComparePadded,
-      // escape 0x00, terminate with 0x00 0x00.
-      const std::string& s = v.AsString();
-      size_t len = s.size();
-      while (len > 0 && s[len - 1] == ' ') len--;
-      for (size_t i = 0; i < len; i++) {
-        out->push_back(s[i]);
-        if (s[i] == '\x00') out->push_back('\xff');
-      }
-      out->push_back('\x00');
-      out->push_back('\x00');
-      break;
-    }
-    case TypeId::kInvalid:
-      assert(false && "cannot encode invalid value");
+    case TypeId::kVarchar: return EncodeString(v.AsString(), out);
+    case TypeId::kInvalid: assert(false && "cannot encode invalid value"); return;
+    default: return EncodeInt(v.type(), v.AsInt64(), out);
   }
 }
 
@@ -338,29 +349,29 @@ std::string EncodeValues(const std::vector<Value>& values) {
   return out;
 }
 
-Result<Value> Decode(TypeId type, std::string_view data, size_t* pos) {
+Status DecodeCell(TypeId type, std::string_view data, size_t* pos,
+                  KeyCell* out) {
   if (*pos >= data.size()) return Status::OutOfRange("key exhausted");
-  char marker = data[(*pos)++];
-  if (marker == kNullMarker) return Value::Null(type);
+  out->is_null = data[(*pos)++] == kNullMarker;
+  if (out->is_null) return Status::OK();
   switch (type) {
-    case TypeId::kBoolean: {
-      bool b = data[(*pos)++] != 0;
-      return Value::Boolean(b);
-    }
+    case TypeId::kBoolean:
+      out->i = data[(*pos)++] != 0 ? 1 : 0;
+      return Status::OK();
     case TypeId::kInt32:
     case TypeId::kDate: {
-      uint32_t u = static_cast<uint32_t>(ReadBigEndian(data, *pos, 4)) ^ 0x80000000u;
+      const uint32_t u =
+          static_cast<uint32_t>(ReadBigEndian(data, *pos, 4)) ^ 0x80000000u;
       *pos += 4;
-      return type == TypeId::kDate ? Value::Date(static_cast<int32_t>(u))
-                                   : Value::Int32(static_cast<int32_t>(u));
+      out->i = static_cast<int32_t>(u);
+      return Status::OK();
     }
     case TypeId::kInt64:
-    case TypeId::kDecimal: {
-      uint64_t u = ReadBigEndian(data, *pos, 8) ^ 0x8000000000000000ull;
+    case TypeId::kDecimal:
+      out->i = static_cast<int64_t>(ReadBigEndian(data, *pos, 8) ^
+                                    0x8000000000000000ull);
       *pos += 8;
-      return type == TypeId::kDecimal ? Value::Decimal(static_cast<int64_t>(u))
-                                      : Value::Int64(static_cast<int64_t>(u));
-    }
+      return Status::OK();
     case TypeId::kDouble: {
       uint64_t bits = ReadBigEndian(data, *pos, 8);
       *pos += 8;
@@ -369,29 +380,39 @@ Result<Value> Decode(TypeId type, std::string_view data, size_t* pos) {
       } else {
         bits = ~bits;
       }
-      double d;
-      std::memcpy(&d, &bits, 8);
-      return Value::Double(d);
+      std::memcpy(&out->d, &bits, 8);
+      return Status::OK();
     }
     case TypeId::kChar:
     case TypeId::kVarchar: {
-      std::string s;
+      out->s.clear();
       while (*pos < data.size()) {
         char c = data[(*pos)++];
         if (c == '\x00') {
           if (*pos >= data.size()) return Status::Corruption("truncated string key");
           char next = data[(*pos)++];
           if (next == '\x00') break;  // terminator
-          s.push_back('\x00');        // escaped zero
+          out->s.push_back('\x00');   // escaped zero
         } else {
-          s.push_back(c);
+          out->s.push_back(c);
         }
       }
-      return type == TypeId::kChar ? Value::Char(std::move(s))
-                                   : Value::Varchar(std::move(s));
+      return Status::OK();
     }
     default:
       return Status::NotSupported("decode of this type");
+  }
+}
+
+Result<Value> Decode(TypeId type, std::string_view data, size_t* pos) {
+  KeyCell cell;
+  ELE_RETURN_NOT_OK(DecodeCell(type, data, pos, &cell));
+  if (cell.is_null) return Value::Null(type);
+  switch (type) {
+    case TypeId::kDouble: return Value::Double(cell.d);
+    case TypeId::kChar: return Value::Char(std::move(cell.s));
+    case TypeId::kVarchar: return Value::Varchar(std::move(cell.s));
+    default: return Value::FromInt(type, cell.i);
   }
 }
 

@@ -105,6 +105,17 @@ Status Deserialize(const Schema& schema, const char* data, size_t size, Row* out
 /// read of its null bit and fixed slot (plus the var section for VARCHAR).
 Value GetValue(const Schema& schema, const char* data, size_t size, size_t col);
 
+/// Typed single-column reads, the unboxed halves of GetValue that the batch
+/// scans decode with. IsNull reads the column's null bit; the getters read a
+/// non-NULL column's payload as the integer (BOOLEAN, INT32, INT64, DATE,
+/// DECIMAL scaled), DOUBLE or string (CHAR with its padding, VARCHAR) it is.
+inline bool IsNull(const char* data, size_t col) {
+  return (data[kHeaderSize + col / 8] >> (col % 8)) & 1;
+}
+int64_t GetInt(const Schema& schema, const char* data, size_t col);
+double GetDouble(const Schema& schema, const char* data, size_t col);
+std::string_view GetString(const Schema& schema, const char* data, size_t col);
+
 /// Serialized size the row will occupy (header + bitmap + slots + var data).
 uint32_t SerializedSize(const Schema& schema, const Row& row);
 
@@ -119,6 +130,14 @@ namespace keycodec {
 /// Appends the encoding of `v` to `out`.
 void Encode(const Value& v, std::string* out);
 
+/// Typed halves of Encode: a NULL of any type, a non-NULL integer-payload
+/// value of `type` (BOOLEAN, INT32, DATE, INT64, DECIMAL scaled), a DOUBLE,
+/// and a CHAR or VARCHAR (trailing spaces dropped).
+void EncodeNull(std::string* out);
+void EncodeInt(TypeId type, int64_t v, std::string* out);
+void EncodeDouble(double d, std::string* out);
+void EncodeString(std::string_view s, std::string* out);
+
 /// Encodes a composite key from `row` columns `cols` (in order).
 std::string EncodeKey(const Row& row, const std::vector<size_t>& cols);
 
@@ -128,6 +147,18 @@ std::string EncodeValues(const std::vector<Value>& values);
 /// Decodes one value of the given type from `data` starting at `*pos`;
 /// advances `*pos`.
 Result<Value> Decode(TypeId type, std::string_view data, size_t* pos);
+
+/// One decoded key column, unboxed: NULL, or the payload in the member its
+/// type uses (integer types in `i`, DOUBLE in `d`, strings in `s`).
+struct KeyCell {
+  bool is_null = true;
+  int64_t i = 0;
+  double d = 0;
+  std::string s;
+};
+
+/// Decode without building a Value; `*out`'s string buffer is reused.
+Status DecodeCell(TypeId type, std::string_view data, size_t* pos, KeyCell* out);
 
 /// The smallest key that is strictly greater than every key having `prefix`
 /// as a prefix (appends 0xFF sentinel). Used for prefix range scans.

@@ -15,9 +15,9 @@ bool BothIntegral(TypeId a, TypeId b) {
 
 bool IsStringType(TypeId t) { return t == TypeId::kChar || t == TypeId::kVarchar; }
 
-/// Compares strings with trailing-space-insensitive semantics (ANSI CHAR
-/// padding): "ab" == "ab  ".
-int ComparePadded(const std::string& a, const std::string& b) {
+}  // namespace
+
+int ComparePadded(std::string_view a, std::string_view b) {
   size_t la = a.size(), lb = b.size();
   while (la > 0 && a[la - 1] == ' ') la--;
   while (lb > 0 && b[lb - 1] == ' ') lb--;
@@ -26,8 +26,6 @@ int ComparePadded(const std::string& a, const std::string& b) {
   if (la == lb) return 0;
   return la < lb ? -1 : 1;
 }
-
-}  // namespace
 
 int Value::Compare(const Value& other) const {
   if (is_null_ || other.is_null_) {
@@ -93,12 +91,9 @@ uint64_t Value::Hash() const {
 
 namespace {
 
-Result<Value> ArithCheck(const Value& a, const Value& b) {
-  if (!IsNumeric(a.type()) || !IsNumeric(b.type())) {
-    return Status::InvalidArgument(std::string("arithmetic on non-numeric types ") +
-                                   TypeName(a.type()) + "/" + TypeName(b.type()));
-  }
-  return Value();  // placeholder OK marker
+Status NonNumeric(TypeId a, TypeId b) {
+  return Status::InvalidArgument(std::string("arithmetic on non-numeric types ") +
+                                 TypeName(a) + "/" + TypeName(b));
 }
 
 TypeId WiderOf(TypeId a, TypeId b) {
@@ -137,14 +132,14 @@ Result<int64_t> CheckedMul64(int64_t a, int64_t b, const char* what) {
   return r;
 }
 
-/// Scaled integer payload of `v` interpreted in the `target` integer domain.
+/// Integer payload `v` of type `from` in the `target` integer domain.
 /// Fails when scaling an integer into the DECIMAL domain overflows (the
 /// decimal payload is the value x100, so values near INT64_MAX don't fit).
-Result<int64_t> ToIntegralDomain(const Value& v, TypeId target) {
-  if (target == TypeId::kDecimal && v.type() != TypeId::kDecimal) {
-    return CheckedMul64(v.AsInt64(), decimal::kScale, "DECIMAL scaling");
+Result<int64_t> ToIntegralDomain(TypeId from, int64_t v, TypeId target) {
+  if (target == TypeId::kDecimal && from != TypeId::kDecimal) {
+    return CheckedMul64(v, decimal::kScale, "DECIMAL scaling");
   }
-  return v.AsInt64();
+  return v;
 }
 
 /// Narrows an arithmetic result to the INT32 domain, failing instead of
@@ -163,96 +158,87 @@ Result<int32_t> NarrowToInt32(int64_t v, const char* what) {
 
 }  // namespace
 
-Result<Value> Value::Add(const Value& o) const {
-  // DATE + integer -> DATE (days).
-  if (type_ == TypeId::kDate || o.type_ == TypeId::kDate) {
-    const Value& d = type_ == TypeId::kDate ? *this : o;
-    const Value& n = type_ == TypeId::kDate ? o : *this;
-    if (d.type_ == TypeId::kDate && n.type_ != TypeId::kDate &&
-        (n.type_ == TypeId::kInt32 || n.type_ == TypeId::kInt64)) {
-      if (is_null_ || o.is_null_) return Value::Null(TypeId::kDate);
-      ELE_ASSIGN_OR_RETURN(int64_t sum,
-                           CheckedAdd64(d.ival_, n.ival_, "DATE + integer"));
-      ELE_ASSIGN_OR_RETURN(int32_t days, NarrowToInt32(sum, "DATE + integer"));
-      return Value::Date(days);
+namespace arith {
+
+Result<TypeId> ResultType(char op, TypeId l, TypeId r) {
+  const bool int_l = l == TypeId::kInt32 || l == TypeId::kInt64;
+  const bool int_r = r == TypeId::kInt32 || r == TypeId::kInt64;
+  if (op == '+' && (l == TypeId::kDate || r == TypeId::kDate)) {
+    // DATE + integer -> DATE (days).
+    if ((l == TypeId::kDate && int_r) || (r == TypeId::kDate && int_l)) {
+      return TypeId::kDate;
     }
     return Status::InvalidArgument("unsupported DATE addition");
   }
-  ELE_RETURN_NOT_OK(ArithCheck(*this, o).status());
-  TypeId t = WiderOf(type_, o.type_);
-  if (is_null_ || o.is_null_) return Value::Null(t);
-  if (t == TypeId::kDouble) return Value::Double(AsDouble() + o.AsDouble());
-  ELE_ASSIGN_OR_RETURN(int64_t a, ToIntegralDomain(*this, t));
-  ELE_ASSIGN_OR_RETURN(int64_t b, ToIntegralDomain(o, t));
-  const char* what = t == TypeId::kDecimal ? "DECIMAL addition" : "addition";
-  ELE_ASSIGN_OR_RETURN(int64_t r, CheckedAdd64(a, b, what));
-  if (t == TypeId::kDecimal) return Value::Decimal(r);
-  if (t == TypeId::kInt64) return Value::Int64(r);
-  ELE_ASSIGN_OR_RETURN(int32_t narrow, NarrowToInt32(r, "INT32 addition"));
-  return Value::Int32(narrow);
-}
-
-Result<Value> Value::Subtract(const Value& o) const {
-  // DATE - integer -> DATE; DATE - DATE -> day count.
-  if (type_ == TypeId::kDate) {
-    if (o.type_ == TypeId::kDate) {
-      if (is_null_ || o.is_null_) return Value::Null(TypeId::kInt32);
-      ELE_ASSIGN_OR_RETURN(int64_t diff,
-                           CheckedSub64(ival_, o.ival_, "DATE - DATE"));
-      ELE_ASSIGN_OR_RETURN(int32_t days, NarrowToInt32(diff, "DATE - DATE"));
-      return Value::Int32(days);
-    }
-    if (o.type_ == TypeId::kInt32 || o.type_ == TypeId::kInt64) {
-      if (is_null_ || o.is_null_) return Value::Null(TypeId::kDate);
-      ELE_ASSIGN_OR_RETURN(int64_t diff,
-                           CheckedSub64(ival_, o.ival_, "DATE - integer"));
-      ELE_ASSIGN_OR_RETURN(int32_t days, NarrowToInt32(diff, "DATE - integer"));
-      return Value::Date(days);
-    }
+  if (op == '-' && l == TypeId::kDate) {
+    // DATE - integer -> DATE; DATE - DATE -> day count.
+    if (r == TypeId::kDate) return TypeId::kInt32;
+    if (int_r) return TypeId::kDate;
     return Status::InvalidArgument("unsupported DATE subtraction");
   }
-  if (o.type_ == TypeId::kDate) {
+  if (op == '-' && r == TypeId::kDate) {
     return Status::InvalidArgument("cannot subtract DATE from a number");
   }
-  ELE_RETURN_NOT_OK(ArithCheck(*this, o).status());
-  TypeId t = WiderOf(type_, o.type_);
-  if (is_null_ || o.is_null_) return Value::Null(t);
-  if (t == TypeId::kDouble) return Value::Double(AsDouble() - o.AsDouble());
-  ELE_ASSIGN_OR_RETURN(int64_t a, ToIntegralDomain(*this, t));
-  ELE_ASSIGN_OR_RETURN(int64_t b, ToIntegralDomain(o, t));
-  const char* what =
-      t == TypeId::kDecimal ? "DECIMAL subtraction" : "subtraction";
-  ELE_ASSIGN_OR_RETURN(int64_t r, CheckedSub64(a, b, what));
-  if (t == TypeId::kDecimal) return Value::Decimal(r);
-  if (t == TypeId::kInt64) return Value::Int64(r);
-  ELE_ASSIGN_OR_RETURN(int32_t narrow, NarrowToInt32(r, "INT32 subtraction"));
-  return Value::Int32(narrow);
+  if (!IsNumeric(l) || !IsNumeric(r)) return NonNumeric(l, r);
+  return WiderOf(l, r);
 }
 
-Result<Value> Value::Multiply(const Value& o) const {
-  ELE_RETURN_NOT_OK(ArithCheck(*this, o).status());
-  TypeId t = WiderOf(type_, o.type_);
-  if (is_null_ || o.is_null_) return Value::Null(t);
-  if (t == TypeId::kDouble) return Value::Double(AsDouble() * o.AsDouble());
-  if (t == TypeId::kDecimal) {
+Result<int64_t> IntOp(char op, TypeId result, TypeId l, int64_t a, TypeId r,
+                      int64_t b) {
+  if (l == TypeId::kDate || r == TypeId::kDate) {
+    const char* what = op == '+' ? "DATE + integer"
+                       : r == TypeId::kDate ? "DATE - DATE"
+                                            : "DATE - integer";
+    ELE_ASSIGN_OR_RETURN(int64_t v, op == '+' ? CheckedAdd64(a, b, what)
+                                              : CheckedSub64(a, b, what));
+    ELE_ASSIGN_OR_RETURN(int32_t days, NarrowToInt32(v, what));
+    return days;
+  }
+  const bool dec = result == TypeId::kDecimal;
+  ELE_ASSIGN_OR_RETURN(a, ToIntegralDomain(l, a, result));
+  ELE_ASSIGN_OR_RETURN(b, ToIntegralDomain(r, b, result));
+  int64_t v;
+  if (op == '+') {
+    ELE_ASSIGN_OR_RETURN(v, CheckedAdd64(a, b, dec ? "DECIMAL addition" : "addition"));
+  } else if (op == '-') {
+    ELE_ASSIGN_OR_RETURN(
+        v, CheckedSub64(a, b, dec ? "DECIMAL subtraction" : "subtraction"));
+  } else if (dec) {
     // Keep scale 2: (a*100)*(b*100)/100. The intermediate product carries
     // both scale factors, so it can overflow even when the final quotient
     // would fit; erring there is deliberate (no silent wrap, ever).
-    ELE_ASSIGN_OR_RETURN(int64_t a, ToIntegralDomain(*this, t));
-    ELE_ASSIGN_OR_RETURN(int64_t b, ToIntegralDomain(o, t));
-    ELE_ASSIGN_OR_RETURN(int64_t p, CheckedMul64(a, b, "DECIMAL multiplication"));
-    return Value::Decimal(p / decimal::kScale);
+    ELE_ASSIGN_OR_RETURN(v, CheckedMul64(a, b, "DECIMAL multiplication"));
+    return v / decimal::kScale;
+  } else {
+    ELE_ASSIGN_OR_RETURN(v, CheckedMul64(a, b, "multiplication"));
   }
-  ELE_ASSIGN_OR_RETURN(int64_t r,
-                       CheckedMul64(AsInt64(), o.AsInt64(), "multiplication"));
-  if (t == TypeId::kInt64) return Value::Int64(r);
+  if (result != TypeId::kInt32) return v;
   ELE_ASSIGN_OR_RETURN(int32_t narrow,
-                       NarrowToInt32(r, "INT32 multiplication"));
-  return Value::Int32(narrow);
+                       NarrowToInt32(v, op == '+'   ? "INT32 addition"
+                                        : op == '-' ? "INT32 subtraction"
+                                                    : "INT32 multiplication"));
+  return narrow;
 }
 
+}  // namespace arith
+
+Result<Value> Value::Arith(char op, const Value& o) const {
+  ELE_ASSIGN_OR_RETURN(TypeId t, arith::ResultType(op, type_, o.type_));
+  if (is_null_ || o.is_null_) return Value::Null(t);
+  if (t == TypeId::kDouble) {
+    return Value::Double(arith::DoubleOp(op, AsDouble(), o.AsDouble()));
+  }
+  ELE_ASSIGN_OR_RETURN(int64_t r,
+                       arith::IntOp(op, t, type_, ival_, o.type_, o.ival_));
+  return Value::FromInt(t, r);
+}
+
+Result<Value> Value::Add(const Value& o) const { return Arith('+', o); }
+Result<Value> Value::Subtract(const Value& o) const { return Arith('-', o); }
+Result<Value> Value::Multiply(const Value& o) const { return Arith('*', o); }
+
 Result<Value> Value::Divide(const Value& o) const {
-  ELE_RETURN_NOT_OK(ArithCheck(*this, o).status());
+  if (!IsNumeric(type_) || !IsNumeric(o.type_)) return NonNumeric(type_, o.type_);
   TypeId t = WiderOf(type_, o.type_);
   if (is_null_ || o.is_null_) return Value::Null(t);
   if (t == TypeId::kDouble) {
@@ -260,10 +246,10 @@ Result<Value> Value::Divide(const Value& o) const {
     if (d == 0) return Status::InvalidArgument("division by zero");
     return Value::Double(AsDouble() / d);
   }
-  ELE_ASSIGN_OR_RETURN(int64_t b, ToIntegralDomain(o, t));
+  ELE_ASSIGN_OR_RETURN(int64_t b, ToIntegralDomain(o.type_, o.ival_, t));
   if (b == 0) return Status::InvalidArgument("division by zero");
   if (t == TypeId::kDecimal) {
-    ELE_ASSIGN_OR_RETURN(int64_t a, ToIntegralDomain(*this, t));
+    ELE_ASSIGN_OR_RETURN(int64_t a, ToIntegralDomain(type_, ival_, t));
     ELE_ASSIGN_OR_RETURN(int64_t p,
                          CheckedMul64(a, decimal::kScale, "DECIMAL division"));
     return Value::Decimal(p / b);

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -30,6 +31,11 @@ class Value {
   static Value Date(int32_t days) { return Value(TypeId::kDate, days); }
   /// `scaled` is the fixed-point representation (x100).
   static Value Decimal(int64_t scaled) { return Value(TypeId::kDecimal, scaled); }
+  /// A non-NULL value of an integer-payload type (BOOLEAN, INT32, INT64,
+  /// DATE, DECIMAL scaled) from its payload.
+  static Value FromInt(TypeId t, int64_t payload) {
+    return t == TypeId::kBoolean ? Boolean(payload != 0) : Value(t, payload);
+  }
   static Value Double(double d) {
     Value v;
     v.type_ = TypeId::kDouble;
@@ -98,6 +104,8 @@ class Value {
 
  private:
   Value(TypeId t, int64_t i) : type_(t), is_null_(false), ival_(i) {}
+  /// Add, Subtract and Multiply: `op` is '+', '-' or '*' (see arith).
+  Result<Value> Arith(char op, const Value& o) const;
 
   TypeId type_;
   bool is_null_;
@@ -105,5 +113,34 @@ class Value {
   double real_ = 0;
   std::string str_;
 };
+
+/// Compares strings with trailing-space-insensitive semantics (ANSI CHAR
+/// padding): "ab" == "ab  ". Value::Compare's rule for two strings.
+int ComparePadded(std::string_view a, std::string_view b);
+
+/// The typed core of Value's +, - and *, shared with the batch kernels so
+/// both agree bit for bit. `op` is '+', '-' or '*'.
+namespace arith {
+
+/// The type of `l op r` for operands of types `l` and `r`, or the
+/// InvalidArgument the Value operator returns for that pair whatever the
+/// operands' values: DATE +/- integer is DATE, DATE - DATE is INT32, other
+/// DATE arithmetic and non-numeric operands fail, and numeric types widen
+/// (INT32 < INT64 < DECIMAL < DOUBLE).
+Result<TypeId> ResultType(char op, TypeId l, TypeId r);
+
+/// `a op b` where `a` and `b` are the integer payloads of types `l` and `r`
+/// and `result` = ResultType(op, l, r) is not DOUBLE. Integers scale into
+/// DECIMAL, DECIMAL products keep scale 2, and a result that overflows
+/// INT64 or leaves INT32/DATE range fails instead of wrapping.
+Result<int64_t> IntOp(char op, TypeId result, TypeId l, int64_t a, TypeId r,
+                      int64_t b);
+
+/// `a op b` in the DOUBLE domain.
+inline double DoubleOp(char op, double a, double b) {
+  return op == '+' ? a + b : (op == '-' ? a - b : a * b);
+}
+
+}  // namespace arith
 
 }  // namespace elephant

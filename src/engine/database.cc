@@ -784,7 +784,9 @@ Result<QueryResult> Database::ExecuteSelect(const std::string& sql,
     IoSink query_sink;
     IoScope io_scope(&query_sink);
     auto span = obs::TraceSpan::Phase("execute");
-    ELE_ASSIGN_OR_RETURN(result.rows, DrainBatches(plan.executor.get()));
+    ELE_ASSIGN_OR_RETURN(
+        result.rows, DrainBatches(plan.executor.get(),
+                                  &ctx.counters().values_materialized));
     plan.executor.reset();  // release pinned pages before measuring
     result.io = query_sink.ToStats();
   }
@@ -992,7 +994,7 @@ Result<QueryResult> Database::ExecuteStatement(const std::string& sql,
       std::snprintf(buf, sizeof(buf),
                     "Execution: rows=%zu io_seq=%llu io_rand=%llu "
                     "prefetch_hits=%llu cols_decoded=%llu hash_ins=%llu "
-                    "hash_probes=%llu | measured "
+                    "hash_probes=%llu values=%llu | measured "
                     "cpu=%.3fms | modeled io=%.3fms | modeled total=%.3fms\n",
                     inner.rows.size(),
                     static_cast<unsigned long long>(inner.io.sequential_reads),
@@ -1004,6 +1006,8 @@ Result<QueryResult> Database::ExecuteStatement(const std::string& sql,
                     static_cast<unsigned long long>(
                         inner.counters.hash_inserts),
                     static_cast<unsigned long long>(inner.counters.hash_probes),
+                    static_cast<unsigned long long>(
+                        inner.counters.values_materialized),
                     inner.cpu_seconds * 1e3, inner.io_seconds * 1e3,
                     inner.TotalSeconds() * 1e3);
       text += buf;

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/schema.h"
@@ -14,28 +16,155 @@ namespace elephant {
 /// enough that a batch of hot columns stays cache-resident.
 inline constexpr uint32_t kBatchCapacity = 1024;
 
+/// The physical lane a column of a type lives in: one int64 lane for every
+/// integer-payload type (BOOLEAN, INT32, INT64, DATE, DECIMAL scaled x100,
+/// and the untyped NULL), a double lane, and a string lane for CHAR (kept
+/// with its padding) and VARCHAR.
+enum class Lane : uint8_t { kInt, kDouble, kString };
+
+inline Lane LaneOf(TypeId t) {
+  if (t == TypeId::kDouble) return Lane::kDouble;
+  if (t == TypeId::kChar || t == TypeId::kVarchar) return Lane::kString;
+  return Lane::kInt;
+}
+
+/// One typed column of a batch: a null mask plus the one lane its type
+/// lives in. String cells sit back to back in one arena, `ends_[r]` marking
+/// where row r's bytes end. A NULL cell holds 0 (or the empty string) in
+/// its lane, so a loop over a lane never branches on the mask to read it.
+///
+/// Cells are appended in row order. Numeric columns can also be sized up
+/// front (Resize) and written at any row, which is how expression kernels
+/// fill the rows a selection vector lists. Value appears only at the
+/// boundary helpers (AppendValue, GetValue) that rows enter and leave the
+/// engine through.
+class ColumnVector {
+ public:
+  ColumnVector() = default;
+  explicit ColumnVector(TypeId type) { Reset(type); }
+
+  /// Drops every cell and retypes the column (keeping lane capacity).
+  void Reset(TypeId type) {
+    type_ = type;
+    lane_ = LaneOf(type);
+    nulls_.clear();
+    ints_.clear();
+    doubles_.clear();
+    chars_.clear();
+    ends_.clear();
+  }
+
+  TypeId type() const { return type_; }
+  Lane lane() const { return lane_; }
+  uint32_t size() const { return static_cast<uint32_t>(nulls_.size()); }
+
+  bool IsNull(uint32_t r) const { return nulls_[r] != 0; }
+  int64_t Int(uint32_t r) const { return ints_[r]; }
+  double Double(uint32_t r) const { return doubles_[r]; }
+  std::string_view String(uint32_t r) const {
+    const uint32_t begin = r == 0 ? 0 : ends_[r - 1];
+    return std::string_view(chars_.data() + begin, ends_[r] - begin);
+  }
+
+  void AppendNull() {
+    nulls_.push_back(1);
+    switch (lane_) {
+      case Lane::kInt: ints_.push_back(0); break;
+      case Lane::kDouble: doubles_.push_back(0); break;
+      case Lane::kString: ends_.push_back(static_cast<uint32_t>(chars_.size())); break;
+    }
+  }
+  void AppendInt(int64_t v) {
+    nulls_.push_back(0);
+    ints_.push_back(v);
+  }
+  void AppendDouble(double v) {
+    nulls_.push_back(0);
+    doubles_.push_back(v);
+  }
+  void AppendString(std::string_view s) {
+    nulls_.push_back(0);
+    chars_.append(s);
+    ends_.push_back(static_cast<uint32_t>(chars_.size()));
+  }
+
+  /// Appends cell `r` of `src`, a column of the same lane.
+  void Append(const ColumnVector& src, uint32_t r);
+  /// Appends cells rows[0..n) of `src` (same lane), in that order.
+  void Gather(const ColumnVector& src, const uint32_t* rows, size_t n);
+  void Gather(const ColumnVector& src, const std::vector<uint32_t>& rows) {
+    Gather(src, rows.data(), rows.size());
+  }
+
+  /// Sizes an int or double column to `n` cells, each non-NULL 0, for
+  /// positional writes through the raw lanes below.
+  void Resize(uint32_t n) {
+    nulls_.assign(n, 0);
+    if (lane_ == Lane::kDouble) {
+      doubles_.assign(n, 0);
+    } else {
+      ints_.assign(n, 0);
+    }
+  }
+  uint8_t* nulls() { return nulls_.data(); }
+  int64_t* ints() { return ints_.data(); }
+  double* doubles() { return doubles_.data(); }
+
+  /// Boundary: appends a Value of this column's type (NULL of any type).
+  void AppendValue(const Value& v);
+  /// Boundary: cell `r` as a Value of this column's type.
+  Value GetValue(uint32_t r) const;
+
+ private:
+  TypeId type_ = TypeId::kInvalid;
+  Lane lane_ = Lane::kInt;
+  std::vector<uint8_t> nulls_;
+  std::vector<int64_t> ints_;
+  std::vector<double> doubles_;
+  std::string chars_;
+  std::vector<uint32_t> ends_;
+};
+
+/// Value::Compare between two non-NULL cells, on their lanes: strings by
+/// ComparePadded, DECIMAL against a non-DECIMAL number in the double
+/// domain, two other integer types as integers, anything with a DOUBLE as
+/// doubles. A string against a number is an error, reported as 0.
+int CompareCells(const ColumnVector& a, uint32_t i, const ColumnVector& b,
+                 uint32_t j);
+
+/// Appends the keycodec encoding of cell `r` (as keycodec::Encode would
+/// encode its Value) to `*out`.
+void EncodeCell(const ColumnVector& col, uint32_t r, std::string* out);
+
 /// A batch of up to kBatchCapacity rows in columnar layout, plus an optional
 /// selection vector.
 ///
-/// Layout: `cols_[c][r]` is column c of physical row r; every column vector
-/// has exactly `num_rows()` entries. When the selection vector is active,
-/// only the physical row indices it lists (strictly ascending) are live —
-/// the other rows still hold values but are logically deleted. Producers
-/// that filter (BatchFilterExecutor) set a selection vector instead of
-/// compacting; consumers iterate live rows via ActiveCount()/ActiveIndex().
+/// Layout: `col(c)` is column c, typed by the schema the batch was Reset
+/// to; every column has exactly `num_rows()` cells. When the selection
+/// vector is active, only the physical row indices it lists (strictly
+/// ascending) are live — the other rows still hold cells but are logically
+/// deleted. Producers that filter (BatchFilterExecutor) set a selection
+/// vector instead of compacting; consumers iterate live rows via
+/// ActiveCount()/ActiveIndex().
 ///
-/// Values at non-selected positions must never influence results: vectorized
+/// Cells at non-selected positions must never influence results: vectorized
 /// expression evaluation takes an explicit position list for exactly this
 /// reason (see Expr::EvalBatch), so e.g. `10 / x` is never evaluated at a
 /// row where a preceding filter already rejected `x = 0`.
+///
+/// Operators that hold many rows (the hash join's build side, Sort, the band
+/// merge join's window) keep them in a Batch past kBatchCapacity, as typed
+/// storage they gather from.
 class Batch {
  public:
   Batch() = default;
 
-  /// Drops all rows and re-shapes to `num_cols` empty columns.
-  void Reset(size_t num_cols) {
-    cols_.resize(num_cols);
-    for (auto& c : cols_) c.clear();
+  /// Drops all rows and re-shapes to one empty column per `schema` column.
+  void Reset(const Schema& schema) {
+    cols_.resize(schema.NumColumns());
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      cols_[c].Reset(schema.ColumnAt(c).type);
+    }
     num_rows_ = 0;
     sel_.clear();
     sel_active_ = false;
@@ -45,47 +174,24 @@ class Batch {
   uint32_t num_rows() const { return num_rows_; }
   bool empty() const { return ActiveCount() == 0; }
 
-  const std::vector<Value>& col(size_t c) const { return cols_[c]; }
-  std::vector<Value>& col(size_t c) { return cols_[c]; }
+  const ColumnVector& col(size_t c) const { return cols_[c]; }
+  ColumnVector& col(size_t c) { return cols_[c]; }
 
-  /// Appends one row (copying); the batch must not be full.
+  /// Boundary: appends one row of Values; the batch must not be full.
   void AppendRow(const Row& row) {
-    for (size_t c = 0; c < cols_.size(); ++c) cols_[c].push_back(row[c]);
-    ++num_rows_;
-  }
-
-  /// Moves one row's values in; the batch must not be full.
-  void AppendRowMove(Row&& row) {
-    for (size_t c = 0; c < cols_.size(); ++c) {
-      cols_[c].push_back(std::move(row[c]));
-    }
+    for (size_t c = 0; c < cols_.size(); ++c) cols_[c].AppendValue(row[c]);
     ++num_rows_;
   }
 
   bool full() const { return num_rows_ >= kBatchCapacity; }
 
   /// Declares the row count after filling columns directly (bypassing
-  /// AppendRow); every column must hold exactly `n` entries.
+  /// AppendRow); every column must hold exactly `n` cells.
   void SetRowCount(uint32_t n) { num_rows_ = n; }
 
-  /// Copies physical row r into `*row` (resized to num_cols()).
-  void GatherRow(uint32_t r, Row* row) const {
-    row->resize(cols_.size());
-    for (size_t c = 0; c < cols_.size(); ++c) (*row)[c] = cols_[c][r];
-  }
-
-  /// Moves the live rows, in order, onto the end of `*rows`; the batch's
-  /// values are left moved-from.
-  void MoveActiveRowsTo(std::vector<Row>* rows) {
-    const uint32_t n = ActiveCount();
-    for (uint32_t i = 0; i < n; ++i) {
-      const uint32_t r = ActiveIndex(i);
-      Row row;
-      row.reserve(cols_.size());
-      for (auto& c : cols_) row.push_back(std::move(c[r]));
-      rows->push_back(std::move(row));
-    }
-  }
+  /// Boundary: appends the live rows, in order, to `*rows` as Values.
+  /// Returns the number of Values built.
+  uint64_t AppendActiveRowsTo(std::vector<Row>* rows) const;
 
   /// Installs a selection vector (physical indices, strictly ascending).
   void SetSelection(std::vector<uint32_t> sel) {
@@ -112,15 +218,20 @@ class Batch {
   }
 
  private:
-  std::vector<std::vector<Value>> cols_;
+  std::vector<ColumnVector> cols_;
   uint32_t num_rows_ = 0;
   std::vector<uint32_t> sel_;
   bool sel_active_ = false;
 };
 
+/// Appends rows `rows` of every column of `src` to columns [first, first +
+/// src.num_cols()) of `*out`. The caller sets the row count.
+void GatherColumns(const Batch& src, const std::vector<uint32_t>& rows,
+                   size_t first, Batch* out);
+
 /// The operator interface: every physical operator, from the scans to the
 /// joins, Sort and Gather, is a BatchExecutor. Init() once, then NextBatch
-/// fills `*out` (after resetting it to the operator's output width) and
+/// fills `*out` (after resetting it to the operator's output schema) and
 /// returns true while rows remain; a true return with zero active rows is
 /// legal (e.g. a fully-filtered batch) and consumers must simply ask again.
 /// After the first false return, behavior of further calls is unspecified.
@@ -136,7 +247,10 @@ class BatchExecutor {
 using BatchExecutorPtr = std::unique_ptr<BatchExecutor>;
 
 /// Runs `exec` to completion (Init + every NextBatch) and returns its live
-/// rows in output order: the client drain loop, in one place.
-Result<std::vector<Row>> DrainBatches(BatchExecutor* exec);
+/// rows in output order: the client drain loop, in one place, and the one
+/// place rows leave the engine as Values. When `values` is given, it is
+/// advanced by the number of Values built.
+Result<std::vector<Row>> DrainBatches(BatchExecutor* exec,
+                                      uint64_t* values = nullptr);
 
 }  // namespace elephant

@@ -4,68 +4,30 @@ namespace elephant {
 
 namespace {
 
-Status EvalAggInputs(const Batch& in, const std::vector<uint32_t>& positions,
-                     const std::vector<ExprPtr>& group_exprs,
-                     const std::vector<AggSpec>& aggs, AggInputVectors* v) {
-  v->group_cols.resize(group_exprs.size());
-  for (size_t g = 0; g < group_exprs.size(); ++g) {
-    ELE_RETURN_NOT_OK(
-        group_exprs[g]->EvalBatch(in, positions, &v->group_cols[g]));
-  }
-  v->agg_cols.resize(aggs.size());
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    if (aggs[a].fn == AggFunc::kCountStar) continue;
-    ELE_RETURN_NOT_OK(aggs[a].arg->EvalBatch(in, positions, &v->agg_cols[a]));
-  }
-  return Status::OK();
-}
-
-/// Encodes the group key of row `pos` into `*key`.
-void EncodeGroupKeyAt(const AggInputVectors& v, uint32_t pos,
-                      std::string* key) {
-  key->clear();
-  for (const auto& col : v.group_cols) keycodec::Encode(col[pos], key);
-}
-
-/// Moves the group values of row `pos` into `*values` (a group's first row;
-/// the vectors are per batch and the key is already encoded).
-void TakeGroupValuesAt(AggInputVectors* v, uint32_t pos, Row* values) {
-  values->clear();
-  for (auto& col : v->group_cols) values->push_back(std::move(col[pos]));
-}
-
-Status AccumulateAt(const std::vector<AggSpec>& aggs, const AggInputVectors& v,
-                    uint32_t pos, std::vector<AggState>* states) {
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    if (aggs[i].fn == AggFunc::kCountStar) {
-      ELE_RETURN_NOT_OK((*states)[i].Accumulate(Value()));
-    } else {
-      ELE_RETURN_NOT_OK((*states)[i].Accumulate(v.agg_cols[i][pos]));
-    }
-  }
-  return Status::OK();
-}
-
-std::vector<AggState> FreshAggStates(const std::vector<AggSpec>& aggs) {
-  std::vector<AggState> states;
+std::vector<AggStates> FreshAggStates(const std::vector<AggSpec>& aggs) {
+  std::vector<AggStates> states;
   states.reserve(aggs.size());
-  for (const AggSpec& a : aggs) states.emplace_back(a.fn);
+  for (const AggSpec& a : aggs) states.emplace_back(a);
   return states;
 }
 
-}  // namespace
-
-Result<std::vector<Row>> DrainBatches(BatchExecutor* exec) {
-  ELE_RETURN_NOT_OK(exec->Init());
-  std::vector<Row> rows;
-  Batch batch;
-  while (true) {
-    ELE_ASSIGN_OR_RETURN(bool has, exec->NextBatch(&batch));
-    if (!has) break;
-    batch.MoveActiveRowsTo(&rows);
+/// Evaluates the aggregate arguments at `positions` of `in` into `*args`
+/// (nullptr for COUNT(*)).
+Status EvalAggArgs(const std::vector<AggSpec>& aggs, const Batch& in,
+                   const std::vector<uint32_t>& positions,
+                   std::vector<const ColumnVector*>* args,
+                   std::vector<ColumnVector>* scratch) {
+  args->assign(aggs.size(), nullptr);
+  scratch->resize(aggs.size());
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    if (aggs[a].fn == AggFunc::kCountStar) continue;
+    ELE_ASSIGN_OR_RETURN((*args)[a],
+                         aggs[a].arg->EvalBatch(in, positions, &(*scratch)[a]));
   }
-  return rows;
+  return Status::OK();
 }
+
+}  // namespace
 
 Schema MakeAggOutputSchema(const std::vector<ExprPtr>& groups,
                            const std::vector<AggSpec>& aggs) {
@@ -89,7 +51,7 @@ Schema MakePartialAggSchema(const std::vector<ExprPtr>& groups,
   for (const ExprPtr& g : groups) {
     cols.emplace_back(g->ToString(), g->output_type(), g->output_length());
   }
-  for (const AggSpec& a : aggs) AggState::AppendPartialColumns(a, &cols);
+  for (const AggSpec& a : aggs) AggStates::AppendPartialColumns(a, &cols);
   return Schema(std::move(cols));
 }
 
@@ -128,13 +90,12 @@ Result<bool> BatchProjectExecutor::NextBatch(Batch* out) {
     if (!in.empty()) break;
   }
   const std::vector<uint32_t> positions = in.ActiveIndices();
-  out->Reset(exprs_.size());
-  std::vector<Value> result;
+  out->Reset(schema_);
+  ColumnVector scratch;
   for (size_t e = 0; e < exprs_.size(); ++e) {
-    ELE_RETURN_NOT_OK(exprs_[e]->EvalBatch(in, positions, &result));
-    auto& col = out->col(e);
-    col.reserve(positions.size());
-    for (uint32_t pos : positions) col.push_back(std::move(result[pos]));
+    ELE_ASSIGN_OR_RETURN(const ColumnVector* result,
+                         exprs_[e]->EvalBatch(in, positions, &scratch));
+    out->col(e).Gather(*result, positions);
   }
   out->SetRowCount(static_cast<uint32_t>(positions.size()));
   return true;
@@ -142,20 +103,34 @@ Result<bool> BatchProjectExecutor::NextBatch(Batch* out) {
 
 // ---- Grouped (blocking) aggregation ----
 
+GroupedAggregateExecutor::GroupedAggregateExecutor(ExecContext* ctx,
+                                                   BatchExecutorPtr child,
+                                                   std::vector<AggSpec>&& aggs,
+                                                   size_t num_groups,
+                                                   Schema schema)
+    : ctx_(ctx),
+      child_(std::move(child)),
+      aggs_(std::move(aggs)),
+      num_groups_(num_groups),
+      schema_(std::move(schema)) {}
+
 Status GroupedAggregateExecutor::Init() {
   ELE_RETURN_NOT_OK(child_->Init());
   table_.Clear();
-  groups_.clear();
+  states_ = FreshAggStates(aggs_);
+  group_cols_.resize(num_groups_);
+  for (size_t c = 0; c < num_groups_; ++c) {
+    group_cols_[c].Reset(schema_.ColumnAt(c).type);
+  }
   Batch in;
   while (true) {
     ELE_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&in));
     if (!has) break;
-    ELE_RETURN_NOT_OK(Fold(in));
+    if (!in.empty()) ELE_RETURN_NOT_OK(Fold(in));
   }
-  if (scalar_ && groups_.empty()) {
-    bool created;
-    key_.clear();
-    GroupForKey(&created);
+  if (num_groups_ == 0 && table_.size() == 0) {
+    // A scalar aggregate over empty input: one group of empty states.
+    AssignGroups({}, {0});
   }
   emit_order_ = table_.SortedIds();
   emit_pos_ = 0;
@@ -163,36 +138,48 @@ Status GroupedAggregateExecutor::Init() {
   return Status::OK();
 }
 
-GroupedAggregateExecutor::Group& GroupedAggregateExecutor::GroupForKey(
-    bool* created) {
+void GroupedAggregateExecutor::AssignGroups(
+    const std::vector<const ColumnVector*>& keys,
+    const std::vector<uint32_t>& positions) {
   ExecCounters& counters = ctx_->counters();
-  counters.hash_probes++;
-  const uint32_t id = table_.FindOrInsert(key_, created);
-  if (*created) {
-    counters.hash_inserts++;
-    groups_.push_back(Group{Row{}, FreshAggStates(aggs_)});
+  group_ids_.resize(positions.size());
+  for (size_t i = 0; i < positions.size(); ++i) {
+    const uint32_t pos = positions[i];
+    key_.clear();
+    for (const ColumnVector* k : keys) EncodeCell(*k, pos, &key_);
+    bool created;
+    const uint32_t id = table_.FindOrInsert(key_, &created);
+    if (created) {
+      counters.hash_inserts++;
+      for (size_t c = 0; c < keys.size(); ++c) {
+        group_cols_[c].Append(*keys[c], pos);
+      }
+      for (AggStates& s : states_) s.AddGroup();
+    }
+    group_ids_[i] = id;
   }
-  return groups_[id];
+  counters.hash_probes += positions.size();
 }
 
 Result<bool> GroupedAggregateExecutor::NextBatch(Batch* out) {
-  out->Reset(schema_.NumColumns());
-  if (!inited_) return false;
-  Row row;
-  while (!out->full() && emit_pos_ < emit_order_.size()) {
-    Group& group = groups_[emit_order_[emit_pos_++]];
-    row = std::move(group.group_values);  // each group is emitted once
-    Emit(group, &row);
-    out->AppendRowMove(std::move(row));
+  out->Reset(schema_);
+  if (!inited_ || emit_pos_ == emit_order_.size()) return false;
+  const size_t n = std::min<size_t>(kBatchCapacity, emit_order_.size() - emit_pos_);
+  const uint32_t* ids = emit_order_.data() + emit_pos_;
+  for (size_t c = 0; c < num_groups_; ++c) {
+    out->col(c).Gather(group_cols_[c], ids, n);
   }
-  return out->num_rows() > 0;
+  for (size_t i = 0; i < n; ++i) Emit(ids[i], out, num_groups_);
+  emit_pos_ += n;
+  out->SetRowCount(static_cast<uint32_t>(n));
+  return true;
 }
 
 BatchHashAggregateExecutor::BatchHashAggregateExecutor(
     ExecContext* ctx, BatchExecutorPtr child, std::vector<ExprPtr> group_exprs,
     std::vector<AggSpec> aggs, bool partial)
     : GroupedAggregateExecutor(
-          ctx, std::move(child), std::move(aggs), group_exprs.empty(),
+          ctx, std::move(child), std::move(aggs), group_exprs.size(),
           partial ? MakePartialAggSchema(group_exprs, aggs)
                   : MakeAggOutputSchema(group_exprs, aggs)),
       group_exprs_(std::move(group_exprs)),
@@ -201,55 +188,43 @@ BatchHashAggregateExecutor::BatchHashAggregateExecutor(
 Status BatchHashAggregateExecutor::Fold(const Batch& in) {
   const std::vector<uint32_t> positions = in.ActiveIndices();
   ELE_RETURN_NOT_OK(
-      EvalAggInputs(in, positions, group_exprs_, aggs_, &inputs_));
-  bool created;
-  for (uint32_t pos : positions) {
-    EncodeGroupKeyAt(inputs_, pos, &key_);
-    Group& g = GroupForKey(&created);
-    if (created) TakeGroupValuesAt(&inputs_, pos, &g.group_values);
-    ELE_RETURN_NOT_OK(AccumulateAt(aggs_, inputs_, pos, &g.states));
+      EvalColumns(group_exprs_, in, positions, &keys_, &key_scratch_));
+  ELE_RETURN_NOT_OK(EvalAggArgs(aggs_, in, positions, &args_, &arg_scratch_));
+  AssignGroups(keys_, positions);
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    ELE_RETURN_NOT_OK(states_[a].Fold(args_[a], positions, group_ids_));
   }
   return Status::OK();
 }
 
-void BatchHashAggregateExecutor::Emit(const Group& group, Row* out) const {
-  for (const AggState& s : group.states) {
+void BatchHashAggregateExecutor::Emit(uint32_t g, Batch* out, size_t col) const {
+  for (size_t a = 0; a < states_.size(); ++a) {
     if (partial_) {
-      s.AppendPartial(out);
+      states_[a].AppendPartial(g, out, col);
+      col += AggStates::PartialWidth(aggs_[a].fn);
     } else {
-      out->push_back(s.Finalize());
+      states_[a].AppendFinal(g, &out->col(col++));
     }
   }
 }
 
 Status BatchFinalAggregateExecutor::Fold(const Batch& in) {
-  const uint32_t n = in.ActiveCount();
-  bool created;
-  for (uint32_t i = 0; i < n; ++i) {
-    const uint32_t r = in.ActiveIndex(i);
-    key_.clear();
-    for (size_t g = 0; g < num_groups_; g++) {
-      keycodec::Encode(in.col(g)[r], &key_);
-    }
-    Group& group = GroupForKey(&created);
-    if (created) {
-      for (size_t g = 0; g < num_groups_; g++) {
-        group.group_values.push_back(in.col(g)[r]);
-      }
-    }
-    size_t col = num_groups_;
-    for (size_t a = 0; a < aggs_.size(); a++) {
-      const size_t width = AggState::PartialWidth(aggs_[a].fn);
-      ELE_RETURN_NOT_OK(group.states[a].MergePartial(
-          in.col(col)[r], in.col(col + width - 1)[r]));
-      col += width;
-    }
+  const std::vector<uint32_t> positions = in.ActiveIndices();
+  keys_.resize(num_groups_);
+  for (size_t g = 0; g < num_groups_; ++g) keys_[g] = &in.col(g);
+  AssignGroups(keys_, positions);
+  size_t col = num_groups_;
+  for (size_t a = 0; a < aggs_.size(); a++) {
+    const size_t width = AggStates::PartialWidth(aggs_[a].fn);
+    ELE_RETURN_NOT_OK(states_[a].Merge(in.col(col), in.col(col + width - 1),
+                                       positions, group_ids_));
+    col += width;
   }
   return Status::OK();
 }
 
-void BatchFinalAggregateExecutor::Emit(const Group& group, Row* out) const {
-  for (const AggState& s : group.states) out->push_back(s.Finalize());
+void BatchFinalAggregateExecutor::Emit(uint32_t g, Batch* out, size_t col) const {
+  for (const AggStates& s : states_) s.AppendFinal(g, &out->col(col++));
 }
 
 // ---- Stream aggregation ----
@@ -265,73 +240,93 @@ BatchStreamAggregateExecutor::BatchStreamAggregateExecutor(
 
 Status BatchStreamAggregateExecutor::Init() {
   ELE_RETURN_NOT_OK(child_->Init());
+  states_ = FreshAggStates(aggs_);
+  group_values_.resize(group_exprs_.size());
   has_group_ = false;
   child_done_ = false;
   final_emitted_ = false;
-  pending_.clear();
+  positions_.clear();
+  next_ = 0;
   return Status::OK();
 }
 
-Row BatchStreamAggregateExecutor::FinishCurrent() {
-  Row out;
-  out.reserve(current_values_.size() + states_.size());
-  for (Value& v : current_values_) out.push_back(std::move(v));
-  for (const AggState& s : states_) out.push_back(s.Finalize());
-  has_group_ = false;
-  return out;
-}
-
-Status BatchStreamAggregateExecutor::ConsumeBatch(const Batch& in) {
-  const std::vector<uint32_t> positions = in.ActiveIndices();
+Result<bool> BatchStreamAggregateExecutor::NextInput() {
+  ELE_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&in_));
+  if (!has) return false;
+  positions_ = in_.ActiveIndices();
+  next_ = 0;
+  ELE_RETURN_NOT_OK(EvalColumns(group_exprs_, in_, positions_, &group_cols_,
+                                &group_scratch_));
   ELE_RETURN_NOT_OK(
-      EvalAggInputs(in, positions, group_exprs_, aggs_, &inputs_));
-  for (uint32_t pos : positions) {
-    EncodeGroupKeyAt(inputs_, pos, &key_);
-    if (has_group_ && key_ != current_key_) {
-      // Group boundary (possibly mid-batch, possibly the carry-over from a
-      // previous batch): finish the old group before starting the new one.
-      pending_.push_back(FinishCurrent());
+      EvalAggArgs(aggs_, in_, positions_, &args_, &arg_scratch_));
+  keys_.resize(positions_.size());
+  for (size_t i = 0; i < positions_.size(); ++i) {
+    keys_[i].clear();
+    for (const ColumnVector* g : group_cols_) {
+      EncodeCell(*g, positions_[i], &keys_[i]);
     }
-    if (!has_group_) {
-      has_group_ = true;
-      current_key_.swap(key_);
-      TakeGroupValuesAt(&inputs_, pos, &current_values_);
-      states_ = FreshAggStates(aggs_);
-    }
-    ELE_RETURN_NOT_OK(AccumulateAt(aggs_, inputs_, pos, &states_));
   }
-  return Status::OK();
+  return true;
+}
+
+void BatchStreamAggregateExecutor::StartGroup(uint32_t pos) {
+  for (size_t c = 0; c < group_values_.size(); ++c) {
+    group_values_[c].Reset(schema_.ColumnAt(c).type);
+    group_values_[c].Append(*group_cols_[c], pos);
+  }
+  for (AggStates& s : states_) {
+    s.Clear();
+    s.AddGroup();
+  }
+  has_group_ = true;
+}
+
+void BatchStreamAggregateExecutor::FinishGroup(Batch* out) {
+  size_t col = 0;
+  for (const ColumnVector& v : group_values_) out->col(col++).Append(v, 0);
+  for (const AggStates& s : states_) s.AppendFinal(0, &out->col(col++));
+  out->SetRowCount(out->num_rows() + 1);
+  has_group_ = false;
 }
 
 Result<bool> BatchStreamAggregateExecutor::NextBatch(Batch* out) {
-  out->Reset(schema_.NumColumns());
+  out->Reset(schema_);
   while (!out->full()) {
-    if (!pending_.empty()) {
-      out->AppendRowMove(std::move(pending_.front()));
-      pending_.pop_front();
-      continue;
-    }
-    if (child_done_) {
+    if (next_ == positions_.size()) {
+      if (!child_done_) {
+        ELE_ASSIGN_OR_RETURN(bool has, NextInput());
+        child_done_ = !has;
+        continue;
+      }
       if (final_emitted_) break;
       final_emitted_ = true;
-      if (has_group_) {
-        pending_.push_back(FinishCurrent());
-      } else if (group_exprs_.empty()) {
+      if (!has_group_ && group_exprs_.empty()) {
         // Scalar aggregate over empty input: one row of empty-group states.
-        states_ = FreshAggStates(aggs_);
-        current_values_.clear();
-        has_group_ = true;
-        pending_.push_back(FinishCurrent());
+        StartGroup(0);
       }
+      if (has_group_) FinishGroup(out);
       continue;
     }
-    ELE_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&in_));
-    if (!has) {
-      child_done_ = true;
+    if (has_group_ && keys_[next_] != current_key_) {
+      // Group boundary (possibly mid-batch, possibly the carry-over from a
+      // previous batch): finish the old group before starting the new one.
+      FinishGroup(out);
       continue;
     }
-    ELE_RETURN_NOT_OK(ConsumeBatch(in_));
+    if (!has_group_) {
+      current_key_ = keys_[next_];
+      StartGroup(positions_[next_]);
+    }
+    size_t end = next_;
+    while (end < positions_.size() && keys_[end] == current_key_) ++end;
+    run_.assign(positions_.begin() + next_, positions_.begin() + end);
+    zeros_.assign(end - next_, 0);
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      ELE_RETURN_NOT_OK(states_[a].Fold(args_[a], run_, zeros_));
+    }
+    next_ = end;
   }
   return out->num_rows() > 0;
 }
+
 }  // namespace elephant

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -46,21 +45,15 @@ class BatchProjectExecutor final : public BatchExecutor {
   Schema schema_;
 };
 
-/// Group-key and aggregate-argument vectors for one input batch: the
-/// vectorized front half of aggregation. The fold itself then walks live
-/// rows in input order through the AggState accumulators.
-struct AggInputVectors {
-  std::vector<std::vector<Value>> group_cols;
-  std::vector<std::vector<Value>> agg_cols;  ///< unused entry for COUNT(*)
-};
-
 /// The grouping shared by every blocking aggregate: Init() consumes the whole
 /// child, folding each batch into groups keyed by their encoded group values
 /// in one KeyTable (group id = entry id); NextBatch() then drains the groups
 /// in encoded-key order, kBatchCapacity rows at a time, so output is
-/// deterministic. Subclasses differ only in how a batch is folded and how a
-/// group is emitted. A scalar aggregate (no group columns) over empty input
-/// still yields one row.
+/// deterministic. A group's key cells live in typed columns by group id and
+/// its aggregates in one AggStates per aggregate, so emitting gathers lanes
+/// by id. Subclasses differ only in how a batch is folded and how a group's
+/// aggregates are emitted. A scalar aggregate (no group columns) over empty
+/// input still yields one row.
 class GroupedAggregateExecutor : public BatchExecutor {
  public:
   Status Init() final;
@@ -68,54 +61,47 @@ class GroupedAggregateExecutor : public BatchExecutor {
   const Schema& OutputSchema() const final { return schema_; }
 
  protected:
-  struct Group {
-    Row group_values;
-    std::vector<AggState> states;
-  };
-
   /// `aggs` binds by reference so a subclass can derive `schema` from it in
-  /// the same constructor call before it is moved in.
+  /// the same constructor call before it is moved in. The first
+  /// `num_groups` columns of `schema` are the group columns.
   GroupedAggregateExecutor(ExecContext* ctx, BatchExecutorPtr child,
-                           std::vector<AggSpec>&& aggs, bool scalar,
-                           Schema schema)
-      : ctx_(ctx),
-        child_(std::move(child)),
-        aggs_(std::move(aggs)),
-        scalar_(scalar),
-        schema_(std::move(schema)) {}
+                           std::vector<AggSpec>&& aggs, size_t num_groups,
+                           Schema schema);
 
   /// Folds the live rows of one child batch into the groups.
   virtual Status Fold(const Batch& in) = 0;
-  /// Appends a group's aggregate columns after its group values.
-  virtual void Emit(const Group& group, Row* out) const = 0;
+  /// Appends group `g`'s aggregate columns, from column `col` of `out` on.
+  virtual void Emit(uint32_t g, Batch* out, size_t col) const = 0;
 
-  /// The group whose encoded key is in key_. A new group gets fresh states
-  /// and empty group_values, which the caller fills (`*created` is true).
-  Group& GroupForKey(bool* created);
+  /// Sets group_ids_[i] to the group of row positions[i], keyed by the
+  /// cells of `keys` at that row; a new group takes its key cells and a
+  /// fresh state in every AggStates.
+  void AssignGroups(const std::vector<const ColumnVector*>& keys,
+                    const std::vector<uint32_t>& positions);
 
   ExecContext* ctx_;
   BatchExecutorPtr child_;
   std::vector<AggSpec> aggs_;
-  /// Encoded group key of the row being folded (reused across rows).
-  std::string key_;
+  std::vector<AggStates> states_;    ///< one per aggregate
+  std::vector<uint32_t> group_ids_;  ///< group of each position last assigned
 
  private:
-  bool scalar_;
+  size_t num_groups_;
   Schema schema_;
   KeyTable table_;
-  /// Indexed by group id; a deque grows in chunks, never relocating groups.
-  std::deque<Group> groups_;
-  std::vector<uint32_t> emit_order_;  ///< group ids by encoded key
+  std::vector<ColumnVector> group_cols_;  ///< key cells, by group id
+  std::string key_;                       ///< encoded key being looked up
+  std::vector<uint32_t> emit_order_;      ///< group ids by encoded key
   size_t emit_pos_ = 0;
   bool inited_ = false;
 };
 
 /// Hash-based GROUP BY aggregation; group keys and aggregate arguments are
-/// evaluated vectorized per batch and folded in row order through AggState.
-/// Output = group columns ++ aggregate columns. With `partial`, it is the
-/// worker half of a parallel aggregation (one instance per morsel): each
-/// group emits partial transfer columns instead of finalized values (COUNT
-/// -> count, SUM -> running sum, AVG -> (sum, count), ...; see
+/// evaluated vectorized per batch and folded column by column through
+/// AggStates. Output = group columns ++ aggregate columns. With `partial`,
+/// it is the worker half of a parallel aggregation (one instance per
+/// morsel): each group emits partial transfer columns instead of finalized
+/// values (COUNT -> count, SUM -> running sum, AVG -> (sum, count), ...; see
 /// MakePartialAggSchema) for a BatchFinalAggregateExecutor above the
 /// exchange to merge exactly.
 class BatchHashAggregateExecutor final : public GroupedAggregateExecutor {
@@ -126,33 +112,35 @@ class BatchHashAggregateExecutor final : public GroupedAggregateExecutor {
 
  private:
   Status Fold(const Batch& in) override;
-  void Emit(const Group& group, Row* out) const override;
+  void Emit(uint32_t g, Batch* out, size_t col) const override;
 
   std::vector<ExprPtr> group_exprs_;
   bool partial_;
-  AggInputVectors inputs_;
+  std::vector<const ColumnVector*> keys_, args_;
+  std::vector<ColumnVector> key_scratch_, arg_scratch_;
 };
 
 /// Session-side half of a parallel aggregation: merges partial transfer rows
 /// (group values ++ partial states) read straight from the Gather exchange
-/// through AggState::MergePartial, emitting in encoded-group-key order
-/// exactly like the serial hash aggregate. Merging is exact for integer and
-/// decimal aggregates; the input arrives in deterministic morsel order, so
-/// even floating-point sums are reproducible run to run.
+/// through AggStates::Merge, emitting in encoded-group-key order exactly
+/// like the serial hash aggregate. Merging is exact for integer and decimal
+/// aggregates; the input arrives in deterministic morsel order, so even
+/// floating-point sums are reproducible run to run.
 class BatchFinalAggregateExecutor final : public GroupedAggregateExecutor {
  public:
   BatchFinalAggregateExecutor(ExecContext* ctx, BatchExecutorPtr child,
                               size_t num_groups, std::vector<AggSpec> aggs,
                               Schema output_schema)
       : GroupedAggregateExecutor(ctx, std::move(child), std::move(aggs),
-                                 num_groups == 0, std::move(output_schema)),
+                                 num_groups, std::move(output_schema)),
         num_groups_(num_groups) {}
 
  private:
   Status Fold(const Batch& in) override;
-  void Emit(const Group& group, Row* out) const override;
+  void Emit(uint32_t g, Batch* out, size_t col) const override;
 
   size_t num_groups_;
+  std::vector<const ColumnVector*> keys_;
 };
 
 /// Stream aggregation over input already sorted (or at least clustered) by
@@ -160,7 +148,8 @@ class BatchFinalAggregateExecutor final : public GroupedAggregateExecutor {
 /// This is the "stream-based operator" of the paper's Figure 4(c) plan —
 /// after an intermediate sort, grouping needs no hash table. The current
 /// group's state is carried across batch boundaries, so a group split over
-/// several batches folds exactly like one that fits in a single batch.
+/// several batches folds exactly like one that fits in a single batch. Each
+/// run of equal keys within a batch folds as one slice of positions.
 class BatchStreamAggregateExecutor final : public BatchExecutor {
  public:
   BatchStreamAggregateExecutor(BatchExecutorPtr child,
@@ -172,26 +161,33 @@ class BatchStreamAggregateExecutor final : public BatchExecutor {
   const Schema& OutputSchema() const override { return schema_; }
 
  private:
-  /// Folds one child batch into group states, appending each finished
-  /// group's output row to `pending_`.
-  Status ConsumeBatch(const Batch& in);
-  Row FinishCurrent();
+  /// Pulls the next child batch and evaluates its group keys and aggregate
+  /// arguments; false at the end of the input.
+  Result<bool> NextInput();
+  /// Starts a group with fresh states (and the key cells of input row
+  /// `pos`, unless the aggregate is scalar).
+  void StartGroup(uint32_t pos);
+  /// Appends the current group's output row to `out`.
+  void FinishGroup(Batch* out);
 
   BatchExecutorPtr child_;
   std::vector<ExprPtr> group_exprs_;
   std::vector<AggSpec> aggs_;
   Schema schema_;
+  std::vector<AggStates> states_;  ///< the current group's, as group 0
 
   bool has_group_ = false;
   bool child_done_ = false;
   bool final_emitted_ = false;
   std::string current_key_;
-  std::string key_;  ///< encoded group key of the row being folded
-  Row current_values_;
-  std::vector<AggState> states_;
-  std::deque<Row> pending_;
+  std::vector<ColumnVector> group_values_;  ///< current group's key cells
   Batch in_;
-  AggInputVectors inputs_;
+  std::vector<uint32_t> positions_;  ///< live rows of in_
+  size_t next_ = 0;                  ///< next index into positions_
+  std::vector<std::string> keys_;    ///< encoded group key per position
+  std::vector<const ColumnVector*> group_cols_, args_;
+  std::vector<ColumnVector> group_scratch_, arg_scratch_;
+  std::vector<uint32_t> run_, zeros_;
 };
 
 /// Output schema of an aggregate: group columns ++ aggregate columns.
@@ -199,7 +195,7 @@ Schema MakeAggOutputSchema(const std::vector<ExprPtr>& groups,
                            const std::vector<AggSpec>& aggs);
 
 /// Output schema of a partial aggregate: group columns followed by each
-/// aggregate's partial (transfer) columns — see AggState::AppendPartial.
+/// aggregate's partial (transfer) columns — see AggStates::AppendPartial.
 Schema MakePartialAggSchema(const std::vector<ExprPtr>& groups,
                             const std::vector<AggSpec>& aggs);
 

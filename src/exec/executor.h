@@ -31,6 +31,10 @@ struct ExecCounters {
   /// (build rows, groups) and keyed lookups (probe rows, folded rows).
   uint64_t hash_inserts = 0;
   uint64_t hash_probes = 0;
+  /// Values built inside the executor. Batches hold typed lanes, so the
+  /// only Values built are the rows leaving the plan root (DrainBatches):
+  /// rows_output times the output width.
+  uint64_t values_materialized = 0;
 
   ExecCounters& operator+=(const ExecCounters& o) {
     rows_output += o.rows_output;
@@ -40,6 +44,7 @@ struct ExecCounters {
     columns_decoded += o.columns_decoded;
     hash_inserts += o.hash_inserts;
     hash_probes += o.hash_probes;
+    values_materialized += o.values_materialized;
     return *this;
   }
 };

@@ -1,7 +1,5 @@
 #include "exec/expression.h"
 
-#include "exec/batch.h"
-
 namespace elephant {
 
 const char* CompareOpName(CompareOp op) {
@@ -40,7 +38,8 @@ const char* AggFuncName(AggFunc fn) {
 
 Result<Value> EvalCompareOp(CompareOp op, const Value& l, const Value& r) {
   if (l.is_null() || r.is_null()) return Value::Boolean(false);
-  const int c = l.Compare(r);
+  // Scalar Eval only; the batch kernel is CompareExpr::EvalBatch.
+  const int c = l.Compare(r);  // lint:allow(value-in-batch-kernel)
   switch (op) {
     case CompareOp::kEq: return Value::Boolean(c == 0);
     case CompareOp::kNe: return Value::Boolean(c != 0);
@@ -74,50 +73,137 @@ Result<Value> EvalArithOp(ArithOp op, const Value& l, const Value& r) {
   return Status::Internal("bad arith op");
 }
 
-Status Expr::EvalBatch(const Batch& batch,
-                       const std::vector<uint32_t>& positions,
-                       std::vector<Value>* out) const {
-  out->resize(batch.num_rows());
-  Row scratch;
-  for (uint32_t pos : positions) {
-    batch.GatherRow(pos, &scratch);
-    ELE_ASSIGN_OR_RETURN((*out)[pos], Eval(scratch));
-  }
-  return Status::OK();
+namespace {
+
+/// One operand of a kernel: a result column, or a constant's one-row column
+/// read at row 0 for every row (`mask` 0 turns any row into 0).
+struct Operand {
+  const ColumnVector* col;
+  uint32_t mask;
+  uint32_t Row(uint32_t p) const { return p & mask; }
+};
+
+Result<Operand> EvalOperand(const Expr& e, const Batch& batch,
+                            const std::vector<uint32_t>& positions,
+                            ColumnVector* scratch) {
+  if (const ColumnVector* k = e.constant()) return Operand{k, 0};
+  ELE_ASSIGN_OR_RETURN(const ColumnVector* c,
+                       e.EvalBatch(batch, positions, scratch));
+  return Operand{c, ~0u};
 }
 
-Status ColumnExpr::EvalBatch(const Batch& batch,
-                             const std::vector<uint32_t>& /*positions*/,
-                             std::vector<Value>* out) const {
+template <typename T>
+int ThreeWay(T a, T b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+/// Calls `k` with a reader of `o`'s cells in the double domain
+/// (Value::AsDouble: a DECIMAL unscaled, an integer converted).
+template <typename K>
+void WithDoubles(const Operand& o, K&& k) {
+  const ColumnVector& c = *o.col;
+  if (c.lane() == Lane::kDouble) {
+    k([&c](uint32_t r) { return c.Double(r); });
+    return;
+  }
+  const double scale =
+      c.type() == TypeId::kDecimal ? static_cast<double>(decimal::kScale) : 1.0;
+  k([&c, scale](uint32_t r) { return static_cast<double>(c.Int(r)) / scale; });
+}
+
+/// out[p] = op(cmp(l, r)) at every listed position, false where either side
+/// is NULL. `cmp` is the three-way comparison of two operand rows.
+template <typename Cmp>
+void CompareRows(CompareOp op, const std::vector<uint32_t>& positions,
+                 const Operand& l, const Operand& r, Cmp cmp, int64_t* out) {
+  auto run = [&](auto test) {
+    for (uint32_t p : positions) {
+      const uint32_t a = l.Row(p), b = r.Row(p);
+      out[p] = !l.col->IsNull(a) && !r.col->IsNull(b) && test(cmp(a, b));
+    }
+  };
+  switch (op) {
+    case CompareOp::kEq: return run([](int c) { return c == 0; });
+    case CompareOp::kNe: return run([](int c) { return c != 0; });
+    case CompareOp::kLt: return run([](int c) { return c < 0; });
+    case CompareOp::kLe: return run([](int c) { return c <= 0; });
+    case CompareOp::kGt: return run([](int c) { return c > 0; });
+    case CompareOp::kGe: return run([](int c) { return c >= 0; });
+  }
+}
+
+/// A cell's truth value as Value::AsBool reads it: nonzero integer payload.
+bool Truthy(const ColumnVector& c, uint32_t r) {
+  return !c.IsNull(r) && c.lane() == Lane::kInt && c.Int(r) != 0;
+}
+
+char ArithChar(ArithOp op) {
+  return op == ArithOp::kAdd ? '+' : (op == ArithOp::kSub ? '-' : '*');
+}
+
+}  // namespace
+
+Result<const ColumnVector*> ColumnExpr::EvalBatch(
+    const Batch& batch, const std::vector<uint32_t>& /*positions*/,
+    ColumnVector* /*scratch*/) const {
   if (index_ >= batch.num_cols()) {
     return Status::ExecError("column index " + std::to_string(index_) +
                              " out of range (batch arity " +
                              std::to_string(batch.num_cols()) + ")");
   }
-  // Copying the full column (not just the listed positions) is safe —
-  // column reads have no side effects — and keeps the loop branch-free.
-  *out = batch.col(index_);
-  return Status::OK();
+  return &batch.col(index_);
 }
 
-Status LiteralExpr::EvalBatch(const Batch& batch,
-                              const std::vector<uint32_t>& /*positions*/,
-                              std::vector<Value>* out) const {
-  out->assign(batch.num_rows(), value_);
-  return Status::OK();
+Result<const ColumnVector*> LiteralExpr::EvalBatch(
+    const Batch& batch, const std::vector<uint32_t>& /*positions*/,
+    ColumnVector* scratch) const {
+  scratch->Reset(constant_.type());
+  for (uint32_t r = 0; r < batch.num_rows(); ++r) scratch->Append(constant_, 0);
+  return scratch;
 }
 
-Status CompareExpr::EvalBatch(const Batch& batch,
-                              const std::vector<uint32_t>& positions,
-                              std::vector<Value>* out) const {
-  std::vector<Value> l, r;
-  ELE_RETURN_NOT_OK(lhs_->EvalBatch(batch, positions, &l));
-  ELE_RETURN_NOT_OK(rhs_->EvalBatch(batch, positions, &r));
-  out->resize(batch.num_rows());
-  for (uint32_t pos : positions) {
-    ELE_ASSIGN_OR_RETURN((*out)[pos], EvalCompareOp(op_, l[pos], r[pos]));
+Result<const ColumnVector*> CompareExpr::EvalBatch(
+    const Batch& batch, const std::vector<uint32_t>& positions,
+    ColumnVector* scratch) const {
+  ColumnVector ls, rs;
+  ELE_ASSIGN_OR_RETURN(Operand l, EvalOperand(*lhs_, batch, positions, &ls));
+  ELE_ASSIGN_OR_RETURN(Operand r, EvalOperand(*rhs_, batch, positions, &rs));
+  scratch->Reset(TypeId::kBoolean);
+  scratch->Resize(batch.num_rows());
+  int64_t* out = scratch->ints();
+  const ColumnVector& lc = *l.col;
+  const ColumnVector& rc = *r.col;
+  // Value::Compare's domains, chosen once per batch from the static types.
+  if (lc.type() == TypeId::kInvalid || rc.type() == TypeId::kInvalid) {
+    return scratch;  // an untyped NULL: every comparison is false
   }
-  return Status::OK();
+  const bool str_l = lc.lane() == Lane::kString;
+  const bool str_r = rc.lane() == Lane::kString;
+  if (str_l != str_r) {
+    if (positions.empty()) return scratch;
+    return Status::ExecError(std::string("cannot compare ") +
+                             TypeName(lc.type()) + " with " +
+                             TypeName(rc.type()));
+  }
+  if (str_l) {
+    CompareRows(op_, positions, l, r, [&](uint32_t a, uint32_t b) {
+      return ComparePadded(lc.String(a), rc.String(b));
+    }, out);
+  } else if (lc.lane() == Lane::kInt && rc.lane() == Lane::kInt &&
+             (lc.type() == TypeId::kDecimal) == (rc.type() == TypeId::kDecimal)) {
+    CompareRows(op_, positions, l, r, [&](uint32_t a, uint32_t b) {
+      return ThreeWay(lc.Int(a), rc.Int(b));
+    }, out);
+  } else {
+    WithDoubles(l, [&](auto get_l) {
+      WithDoubles(r, [&](auto get_r) {
+        CompareRows(op_, positions, l, r, [&](uint32_t a, uint32_t b) {
+          return ThreeWay(get_l(a), get_r(b));
+        }, out);
+      });
+    });
+  }
+  return scratch;
 }
 
 Result<Value> CompareExpr::Eval(const Row& row) const {
@@ -135,36 +221,33 @@ Result<Value> LogicalExpr::Eval(const Row& row) const {
   return Value::Boolean(!r.is_null() && r.AsBool());
 }
 
-Status LogicalExpr::EvalBatch(const Batch& batch,
-                              const std::vector<uint32_t>& positions,
-                              std::vector<Value>* out) const {
-  std::vector<Value> l;
-  ELE_RETURN_NOT_OK(lhs_->EvalBatch(batch, positions, &l));
-  out->resize(batch.num_rows());
-  // Positional short-circuit, mirroring the row path exactly: the rhs is
-  // evaluated only where the lhs does not already decide the result (AND
-  // with false-ish lhs, OR with true lhs). This matters for errors, not
-  // just speed — `x <> 0 AND 10 / x > 1` must never divide at x = 0.
+Result<const ColumnVector*> LogicalExpr::EvalBatch(
+    const Batch& batch, const std::vector<uint32_t>& positions,
+    ColumnVector* scratch) const {
+  ColumnVector ls;
+  ELE_ASSIGN_OR_RETURN(const ColumnVector* l,
+                       lhs_->EvalBatch(batch, positions, &ls));
+  // Positional short-circuit, mirroring Eval exactly: the rhs is evaluated
+  // only where the lhs does not already decide the result (AND with
+  // false-ish lhs, OR with true lhs). This matters for errors, not just
+  // speed — `x <> 0 AND 10 / x > 1` must never divide at x = 0.
+  const bool decided_value = op_ == LogicalOp::kOr;
   std::vector<uint32_t> undecided;
   undecided.reserve(positions.size());
   for (uint32_t pos : positions) {
-    const bool lb = !l[pos].is_null() && l[pos].AsBool();
-    if (op_ == LogicalOp::kAnd && !lb) {
-      (*out)[pos] = Value::Boolean(false);
-    } else if (op_ == LogicalOp::kOr && lb) {
-      (*out)[pos] = Value::Boolean(true);
-    } else {
-      undecided.push_back(pos);
-    }
+    if (Truthy(*l, pos) != decided_value) undecided.push_back(pos);
   }
+  scratch->Reset(TypeId::kBoolean);
+  scratch->Resize(batch.num_rows());
+  int64_t* out = scratch->ints();
+  for (uint32_t pos : positions) out[pos] = decided_value;
   if (!undecided.empty()) {
-    std::vector<Value> r;
-    ELE_RETURN_NOT_OK(rhs_->EvalBatch(batch, undecided, &r));
-    for (uint32_t pos : undecided) {
-      (*out)[pos] = Value::Boolean(!r[pos].is_null() && r[pos].AsBool());
-    }
+    ColumnVector rs;
+    ELE_ASSIGN_OR_RETURN(const ColumnVector* r,
+                         rhs_->EvalBatch(batch, undecided, &rs));
+    for (uint32_t pos : undecided) out[pos] = Truthy(*r, pos);
   }
-  return Status::OK();
+  return scratch;
 }
 
 Result<Value> ArithExpr::Eval(const Row& row) const {
@@ -173,28 +256,83 @@ Result<Value> ArithExpr::Eval(const Row& row) const {
   return EvalArithOp(op_, l, r);
 }
 
-Status ArithExpr::EvalBatch(const Batch& batch,
-                            const std::vector<uint32_t>& positions,
-                            std::vector<Value>* out) const {
-  std::vector<Value> l, r;
-  ELE_RETURN_NOT_OK(lhs_->EvalBatch(batch, positions, &l));
-  ELE_RETURN_NOT_OK(rhs_->EvalBatch(batch, positions, &r));
-  out->resize(batch.num_rows());
-  for (uint32_t pos : positions) {
-    ELE_ASSIGN_OR_RETURN((*out)[pos], EvalArithOp(op_, l[pos], r[pos]));
+Result<const ColumnVector*> ArithExpr::EvalBatch(
+    const Batch& batch, const std::vector<uint32_t>& positions,
+    ColumnVector* scratch) const {
+  ColumnVector ls, rs;
+  ELE_ASSIGN_OR_RETURN(Operand l, EvalOperand(*lhs_, batch, positions, &ls));
+  ELE_ASSIGN_OR_RETURN(Operand r, EvalOperand(*rhs_, batch, positions, &rs));
+  const TypeId lt = l.col->type(), rt = r.col->type();
+  TypeId t = TypeId::kDouble;
+  if (op_ == ArithOp::kDiv) {
+    if ((!IsNumeric(lt) || !IsNumeric(rt)) && !positions.empty()) {
+      return Status::InvalidArgument("division of non-numeric types");
+    }
+  } else {
+    Result<TypeId> type = arith::ResultType(ArithChar(op_), lt, rt);
+    if (!type.ok()) {
+      if (positions.empty()) type = TypeId::kInvalid;
+      else return type.status();
+    }
+    t = *type;
   }
-  return Status::OK();
+  scratch->Reset(t);
+  scratch->Resize(batch.num_rows());
+  uint8_t* nulls = scratch->nulls();
+  auto null_at = [&](uint32_t p) {
+    return l.col->IsNull(l.Row(p)) || r.col->IsNull(r.Row(p));
+  };
+  if (t == TypeId::kDouble) {
+    double* out = scratch->doubles();
+    Status status;
+    WithDoubles(l, [&](auto get_l) {
+      WithDoubles(r, [&](auto get_r) {
+        if (op_ == ArithOp::kDiv) {
+          for (uint32_t p : positions) {
+            if (null_at(p)) {
+              nulls[p] = 1;
+              continue;
+            }
+            const double denom = get_r(r.Row(p));
+            if (denom == 0) {
+              status = Status::InvalidArgument("division by zero");
+              return;
+            }
+            out[p] = get_l(l.Row(p)) / denom;
+          }
+          return;
+        }
+        const char op = ArithChar(op_);
+        for (uint32_t p : positions) {
+          if (null_at(p)) {
+            nulls[p] = 1;
+          } else {
+            out[p] = arith::DoubleOp(op, get_l(l.Row(p)), get_r(r.Row(p)));
+          }
+        }
+      });
+    });
+    ELE_RETURN_NOT_OK(status);
+    return scratch;
+  }
+  int64_t* out = scratch->ints();
+  const char op = ArithChar(op_);
+  for (uint32_t p : positions) {
+    if (null_at(p)) {
+      nulls[p] = 1;
+      continue;
+    }
+    ELE_ASSIGN_OR_RETURN(out[p], arith::IntOp(op, t, lt, l.col->Int(l.Row(p)),
+                                              rt, r.col->Int(r.Row(p))));
+  }
+  return scratch;
 }
 
 TypeId ArithExpr::output_type() const {
   if (op_ == ArithOp::kDiv) return TypeId::kDouble;
-  const TypeId a = lhs_->output_type();
-  const TypeId b = rhs_->output_type();
-  if (a == TypeId::kDouble || b == TypeId::kDouble) return TypeId::kDouble;
-  if (a == TypeId::kDecimal || b == TypeId::kDecimal) return TypeId::kDecimal;
-  if (a == TypeId::kInt64 || b == TypeId::kInt64) return TypeId::kInt64;
-  if (a == TypeId::kDate || b == TypeId::kDate) return TypeId::kDate;
-  return TypeId::kInt32;
+  Result<TypeId> t = arith::ResultType(ArithChar(op_), lhs_->output_type(),
+                                       rhs_->output_type());
+  return t.ok() ? *t : TypeId::kInvalid;
 }
 
 Result<Value> NotExpr::Eval(const Row& row) const {
@@ -203,17 +341,21 @@ Result<Value> NotExpr::Eval(const Row& row) const {
   return Value::Boolean(!v.AsBool());
 }
 
-Status NotExpr::EvalBatch(const Batch& batch,
-                          const std::vector<uint32_t>& positions,
-                          std::vector<Value>* out) const {
-  std::vector<Value> c;
-  ELE_RETURN_NOT_OK(child_->EvalBatch(batch, positions, &c));
-  out->resize(batch.num_rows());
+Result<const ColumnVector*> NotExpr::EvalBatch(
+    const Batch& batch, const std::vector<uint32_t>& positions,
+    ColumnVector* scratch) const {
+  ColumnVector cs;
+  ELE_ASSIGN_OR_RETURN(const ColumnVector* c,
+                       child_->EvalBatch(batch, positions, &cs));
+  scratch->Reset(TypeId::kBoolean);
+  scratch->Resize(batch.num_rows());
+  uint8_t* nulls = scratch->nulls();
+  int64_t* out = scratch->ints();
   for (uint32_t pos : positions) {
-    (*out)[pos] = c[pos].is_null() ? Value::Null(TypeId::kBoolean)
-                                   : Value::Boolean(!c[pos].AsBool());
+    nulls[pos] = c->IsNull(pos);
+    out[pos] = !c->IsNull(pos) && !Truthy(*c, pos);
   }
-  return Status::OK();
+  return scratch;
 }
 
 ExprPtr ConjoinAll(std::vector<ExprPtr> preds) {
@@ -243,14 +385,28 @@ Result<bool> EvalPredicate(const Expr& pred, const Row& row) {
 
 Status ApplyFilterToBatch(const Expr& pred, Batch* batch) {
   const std::vector<uint32_t> positions = batch->ActiveIndices();
-  std::vector<Value> verdicts;
-  ELE_RETURN_NOT_OK(pred.EvalBatch(*batch, positions, &verdicts));
+  ColumnVector scratch;
+  ELE_ASSIGN_OR_RETURN(const ColumnVector* verdicts,
+                       pred.EvalBatch(*batch, positions, &scratch));
   std::vector<uint32_t> keep;
   keep.reserve(positions.size());
   for (uint32_t pos : positions) {
-    if (!verdicts[pos].is_null() && verdicts[pos].AsBool()) keep.push_back(pos);
+    if (Truthy(*verdicts, pos)) keep.push_back(pos);
   }
   batch->SetSelection(std::move(keep));
+  return Status::OK();
+}
+
+Status EvalColumns(const std::vector<ExprPtr>& exprs, const Batch& in,
+                   const std::vector<uint32_t>& positions,
+                   std::vector<const ColumnVector*>* cols,
+                   std::vector<ColumnVector>* scratch) {
+  cols->resize(exprs.size());
+  scratch->resize(exprs.size());
+  for (size_t i = 0; i < exprs.size(); ++i) {
+    ELE_ASSIGN_OR_RETURN((*cols)[i],
+                         exprs[i]->EvalBatch(in, positions, &(*scratch)[i]));
+  }
   return Status::OK();
 }
 
@@ -274,49 +430,11 @@ TypeId AggSpec::OutputType() const {
   return TypeId::kInvalid;
 }
 
-Status AggState::Accumulate(const Value& v) {
-  if (fn_ == AggFunc::kCountStar) {
-    count_++;
-    return Status::OK();
-  }
-  if (v.is_null()) return Status::OK();
-  count_++;
-  switch (fn_) {
-    case AggFunc::kCount:
-      break;
-    case AggFunc::kSum:
-    case AggFunc::kAvg:
-      if (!has_value_) {
-        // Widen to the SUM domain so int32 sums don't overflow.
-        if (v.type() == TypeId::kInt32) {
-          acc_ = Value::Int64(v.AsInt64());
-        } else {
-          acc_ = v;
-        }
-      } else {
-        ELE_ASSIGN_OR_RETURN(acc_, acc_.Add(v));
-      }
-      has_value_ = true;
-      break;
-    case AggFunc::kMin:
-      if (!has_value_ || v.Compare(acc_) < 0) acc_ = v;
-      has_value_ = true;
-      break;
-    case AggFunc::kMax:
-      if (!has_value_ || v.Compare(acc_) > 0) acc_ = v;
-      has_value_ = true;
-      break;
-    case AggFunc::kCountStar:
-      break;
-  }
-  return Status::OK();
-}
-
 namespace {
 
-/// Column type of the sum slot in an AVG partial state: the accumulation
-/// domain of the argument (matches AggState::Accumulate's widening).
-TypeId AvgSumType(const AggSpec& spec) {
+/// The accumulation domain of SUM and AVG over `spec`'s argument: integers
+/// widen to INT64 so INT32 sums don't overflow.
+TypeId SumType(const AggSpec& spec) {
   const TypeId t = spec.arg->output_type();
   if (t == TypeId::kDouble) return TypeId::kDouble;
   if (t == TypeId::kDecimal) return TypeId::kDecimal;
@@ -325,7 +443,175 @@ TypeId AvgSumType(const AggSpec& spec) {
 
 }  // namespace
 
-void AggState::AppendPartialColumns(const AggSpec& spec, std::vector<Column>* cols) {
+AggStates::AggStates(const AggSpec& spec) : fn_(spec.fn) {
+  switch (fn_) {
+    case AggFunc::kCountStar:
+    case AggFunc::kCount:
+      type_ = TypeId::kInt64;
+      summable_ = false;
+      break;
+    case AggFunc::kSum:
+    case AggFunc::kAvg: {
+      type_ = SumType(spec);
+      const TypeId arg = spec.arg->output_type();
+      summable_ = IsNumeric(arg) || arg == TypeId::kInvalid;
+      break;
+    }
+    case AggFunc::kMin:
+    case AggFunc::kMax:
+      type_ = spec.arg->output_type();
+      summable_ = false;
+      break;
+  }
+}
+
+void AggStates::AddGroup() {
+  counts_.push_back(0);
+  has_.push_back(0);
+  if (fn_ == AggFunc::kCountStar || fn_ == AggFunc::kCount) return;
+  switch (LaneOf(type_)) {
+    case Lane::kInt: ints_.push_back(0); break;
+    case Lane::kDouble: doubles_.push_back(0); break;
+    case Lane::kString: strings_.emplace_back(); break;
+  }
+}
+
+void AggStates::Clear() {
+  counts_.clear();
+  has_.clear();
+  ints_.clear();
+  doubles_.clear();
+  strings_.clear();
+}
+
+Status AggStates::Add(uint32_t g, const ColumnVector& v, uint32_t r) {
+  const bool first = has_[g] == 0;
+  has_[g] = 1;
+  if (fn_ == AggFunc::kSum || fn_ == AggFunc::kAvg) {
+    if (!summable_) {
+      return Status::InvalidArgument(
+          std::string("arithmetic on non-numeric types ") +
+          TypeName(v.type()) + "/" + TypeName(v.type()));
+    }
+    if (type_ == TypeId::kDouble) {
+      const double d = v.lane() == Lane::kDouble ? v.Double(r)
+                                                 : static_cast<double>(v.Int(r));
+      doubles_[g] = first ? d : doubles_[g] + d;
+      return Status::OK();
+    }
+    if (first) {
+      ints_[g] = v.Int(r);
+    } else if (__builtin_add_overflow(ints_[g], v.Int(r), &ints_[g])) {
+      return Status::InvalidArgument(
+          std::string(type_ == TypeId::kDecimal ? "DECIMAL addition"
+                                                : "addition") +
+          " overflows INT64");
+    }
+    return Status::OK();
+  }
+  // MIN / MAX: replace on a strictly smaller (larger) value, so the first
+  // of equal values stays.
+  const int want = fn_ == AggFunc::kMin ? -1 : 1;
+  switch (LaneOf(type_)) {
+    case Lane::kInt:
+      if (first || ThreeWay(v.Int(r), ints_[g]) == want) ints_[g] = v.Int(r);
+      break;
+    case Lane::kDouble:
+      if (first || ThreeWay(v.Double(r), doubles_[g]) == want) {
+        doubles_[g] = v.Double(r);
+      }
+      break;
+    case Lane::kString:
+      if (first || ComparePadded(v.String(r), strings_[g]) == want) {
+        strings_[g].assign(v.String(r));
+      }
+      break;
+  }
+  return Status::OK();
+}
+
+Status AggStates::Fold(const ColumnVector* arg,
+                       const std::vector<uint32_t>& positions,
+                       const std::vector<uint32_t>& groups) {
+  const size_t n = positions.size();
+  if (fn_ == AggFunc::kCountStar) {
+    for (size_t i = 0; i < n; ++i) counts_[groups[i]]++;
+    return Status::OK();
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t r = positions[i];
+    if (arg->IsNull(r)) continue;
+    const uint32_t g = groups[i];
+    counts_[g]++;
+    if (fn_ != AggFunc::kCount) ELE_RETURN_NOT_OK(Add(g, *arg, r));
+  }
+  return Status::OK();
+}
+
+Status AggStates::Merge(const ColumnVector& v, const ColumnVector& avg_count,
+                        const std::vector<uint32_t>& positions,
+                        const std::vector<uint32_t>& groups) {
+  for (size_t i = 0; i < positions.size(); ++i) {
+    const uint32_t r = positions[i];
+    const uint32_t g = groups[i];
+    if (fn_ == AggFunc::kCountStar || fn_ == AggFunc::kCount) {
+      counts_[g] += v.Int(r);
+      continue;
+    }
+    if (!v.IsNull(r)) ELE_RETURN_NOT_OK(Add(g, v, r));
+    if (fn_ == AggFunc::kAvg) counts_[g] += avg_count.Int(r);
+  }
+  return Status::OK();
+}
+
+void AggStates::AppendFinal(uint32_t g, ColumnVector* out) const {
+  switch (fn_) {
+    case AggFunc::kCountStar:
+    case AggFunc::kCount:
+      return out->AppendInt(counts_[g]);
+    case AggFunc::kAvg: {
+      if (counts_[g] == 0) return out->AppendNull();
+      const double sum =
+          type_ == TypeId::kDouble
+              ? doubles_[g]
+              : static_cast<double>(ints_[g]) /
+                    (type_ == TypeId::kDecimal
+                         ? static_cast<double>(decimal::kScale)
+                         : 1.0);
+      return out->AppendDouble(sum / static_cast<double>(counts_[g]));
+    }
+    default:
+      if (!has_[g]) return out->AppendNull();
+      switch (LaneOf(type_)) {
+        case Lane::kInt: return out->AppendInt(ints_[g]);
+        case Lane::kDouble: return out->AppendDouble(doubles_[g]);
+        case Lane::kString: return out->AppendString(strings_[g]);
+      }
+  }
+}
+
+void AggStates::AppendPartial(uint32_t g, Batch* out, size_t col) const {
+  switch (fn_) {
+    case AggFunc::kCountStar:
+    case AggFunc::kCount:
+      return out->col(col).AppendInt(counts_[g]);
+    case AggFunc::kAvg: {
+      ColumnVector& sum = out->col(col);
+      if (!has_[g]) {
+        sum.AppendNull();
+      } else if (type_ == TypeId::kDouble) {
+        sum.AppendDouble(doubles_[g]);
+      } else {
+        sum.AppendInt(ints_[g]);
+      }
+      return out->col(col + 1).AppendInt(counts_[g]);
+    }
+    default:
+      return AppendFinal(g, &out->col(col));
+  }
+}
+
+void AggStates::AppendPartialColumns(const AggSpec& spec, std::vector<Column>* cols) {
   const std::string base = !spec.name.empty() ? spec.name : AggFuncName(spec.fn);
   switch (spec.fn) {
     case AggFunc::kCountStar:
@@ -341,85 +627,10 @@ void AggState::AppendPartialColumns(const AggSpec& spec, std::vector<Column>* co
                          spec.arg->output_length());
       break;
     case AggFunc::kAvg:
-      cols->emplace_back(base + "$sum", AvgSumType(spec));
+      cols->emplace_back(base + "$sum", SumType(spec));
       cols->emplace_back(base + "$count", TypeId::kInt64);
       break;
   }
-}
-
-void AggState::AppendPartial(Row* out) const {
-  switch (fn_) {
-    case AggFunc::kCountStar:
-    case AggFunc::kCount:
-      out->push_back(Value::Int64(count_));
-      break;
-    case AggFunc::kSum:
-    case AggFunc::kMin:
-    case AggFunc::kMax:
-      out->push_back(has_value_ ? acc_ : Value::Null(acc_.type()));
-      break;
-    case AggFunc::kAvg:
-      out->push_back(has_value_ ? acc_ : Value::Null(acc_.type()));
-      out->push_back(Value::Int64(count_));
-      break;
-  }
-}
-
-Status AggState::MergePartial(const Value& v, const Value& avg_count) {
-  switch (fn_) {
-    case AggFunc::kCountStar:
-    case AggFunc::kCount:
-      count_ += v.AsInt64();
-      break;
-    case AggFunc::kSum:
-    case AggFunc::kAvg: {
-      if (!v.is_null()) {
-        if (!has_value_) {
-          acc_ = v;
-        } else {
-          ELE_ASSIGN_OR_RETURN(acc_, acc_.Add(v));
-        }
-        has_value_ = true;
-      }
-      if (fn_ == AggFunc::kAvg) count_ += avg_count.AsInt64();
-      break;
-    }
-    case AggFunc::kMin: {
-      if (!v.is_null() && (!has_value_ || v.Compare(acc_) < 0)) {
-        acc_ = v;
-        has_value_ = true;
-      }
-      break;
-    }
-    case AggFunc::kMax: {
-      if (!v.is_null() && (!has_value_ || v.Compare(acc_) > 0)) {
-        acc_ = v;
-        has_value_ = true;
-      }
-      break;
-    }
-  }
-  return Status::OK();
-}
-
-Value AggState::Finalize() const {
-  switch (fn_) {
-    case AggFunc::kCountStar:
-    case AggFunc::kCount:
-      return Value::Int64(count_);
-    case AggFunc::kSum:
-    case AggFunc::kMin:
-    case AggFunc::kMax:
-      return has_value_ ? acc_ : Value::Null(acc_.type());
-    case AggFunc::kAvg: {
-      if (count_ == 0) return Value::Null(TypeId::kDouble);
-      double sum = acc_.type() == TypeId::kDecimal
-                       ? static_cast<double>(acc_.AsInt64()) / decimal::kScale
-                       : acc_.AsDouble();
-      return Value::Double(sum / static_cast<double>(count_));
-    }
-  }
-  return Value();
 }
 
 }  // namespace elephant

@@ -8,10 +8,10 @@
 #include "common/schema.h"
 #include "common/status.h"
 #include "common/value.h"
+#include "exec/batch.h"
 
 namespace elephant {
 
-class Batch;
 class Expr;
 using ExprPtr = std::unique_ptr<Expr>;
 
@@ -22,12 +22,11 @@ enum class ArithOp { kAdd, kSub, kMul, kDiv };
 const char* CompareOpName(CompareOp op);
 const char* ArithOpName(ArithOp op);
 
-/// Scalar comparison kernel shared by the row and batch evaluation paths so
-/// both engines agree bit-for-bit: NULL operands yield false.
+/// Scalar comparison (Expr::Eval): NULL operands yield false.
 Result<Value> EvalCompareOp(CompareOp op, const Value& l, const Value& r);
 
-/// Scalar arithmetic kernel shared by the row and batch evaluation paths.
-/// `/` always yields DOUBLE; division by zero is an error.
+/// Scalar arithmetic (Expr::Eval). `/` always yields DOUBLE; division by
+/// zero is an error.
 Result<Value> EvalArithOp(ArithOp op, const Value& l, const Value& r);
 
 /// A scalar expression evaluated against a single input row. Column
@@ -42,20 +41,23 @@ class Expr {
   virtual Result<Value> Eval(const Row& row) const = 0;
 
   /// Vectorized evaluation: computes this expression at each physical row
-  /// index listed in `positions`, writing results into `(*out)[pos]`.
-  /// `out` is resized to batch.num_rows(); entries at positions NOT listed
-  /// are unspecified and must never be read. Taking an explicit position
-  /// list (rather than evaluating the whole batch) is what keeps batch
-  /// semantics identical to per-row Eval: side-effecting expressions such as
-  /// `10 / x` are never evaluated at rows a preceding filter rejected, and
-  /// AND/OR short-circuit positionally exactly like the row path.
-  ///
-  /// The base implementation gathers scratch rows and calls Eval; leaf and
-  /// arithmetic/comparison nodes override it with columnar loops built on
-  /// the same scalar kernels as the row path.
-  virtual Status EvalBatch(const Batch& batch,
-                           const std::vector<uint32_t>& positions,
-                           std::vector<Value>* out) const;
+  /// index listed in `positions` and returns the result column. A column
+  /// reference returns the batch's own column (no copy); every other node
+  /// fills `*scratch` with batch.num_rows() cells, of which the ones at
+  /// positions NOT listed are unspecified and must never be read. Taking an
+  /// explicit position list (rather than evaluating the whole batch) keeps
+  /// batch semantics identical to per-row Eval: side-effecting expressions
+  /// such as `10 / x` are never evaluated at rows a preceding filter
+  /// rejected, and AND/OR short-circuit positionally exactly like Eval.
+  /// The kernels are loops over the operands' typed lanes.
+  virtual Result<const ColumnVector*> EvalBatch(
+      const Batch& batch, const std::vector<uint32_t>& positions,
+      ColumnVector* scratch) const = 0;
+
+  /// A one-row column holding this expression's value when it is a
+  /// constant (a literal), which kernels read at row 0 for every row;
+  /// nullptr otherwise.
+  virtual const ColumnVector* constant() const { return nullptr; }
 
   /// Static result type.
   virtual TypeId output_type() const = 0;
@@ -94,8 +96,9 @@ class ColumnExpr final : public Expr {
     }
     return row[index_];
   }
-  Status EvalBatch(const Batch& batch, const std::vector<uint32_t>& positions,
-                   std::vector<Value>* out) const override;
+  Result<const ColumnVector*> EvalBatch(const Batch& batch,
+                                        const std::vector<uint32_t>& positions,
+                                        ColumnVector* scratch) const override;
   TypeId output_type() const override { return type_; }
   uint32_t output_length() const override { return length_; }
   std::string ToString() const override {
@@ -128,11 +131,15 @@ class ColumnExpr final : public Expr {
 /// Constant.
 class LiteralExpr final : public Expr {
  public:
-  explicit LiteralExpr(Value v) : value_(std::move(v)) {}
+  explicit LiteralExpr(Value v) : value_(std::move(v)), constant_(value_.type()) {
+    constant_.AppendValue(value_);
+  }
 
   Result<Value> Eval(const Row&) const override { return value_; }
-  Status EvalBatch(const Batch& batch, const std::vector<uint32_t>& positions,
-                   std::vector<Value>* out) const override;
+  Result<const ColumnVector*> EvalBatch(const Batch& batch,
+                                        const std::vector<uint32_t>& positions,
+                                        ColumnVector* scratch) const override;
+  const ColumnVector* constant() const override { return &constant_; }
   TypeId output_type() const override { return value_.type(); }
   uint32_t output_length() const override {
     return value_.type() == TypeId::kChar
@@ -149,6 +156,7 @@ class LiteralExpr final : public Expr {
 
  private:
   Value value_;
+  ColumnVector constant_;  ///< value_ as a one-row column
 };
 
 /// Binary comparison; returns BOOLEAN (false when either side is NULL).
@@ -158,8 +166,9 @@ class CompareExpr final : public Expr {
       : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
 
   Result<Value> Eval(const Row& row) const override;
-  Status EvalBatch(const Batch& batch, const std::vector<uint32_t>& positions,
-                   std::vector<Value>* out) const override;
+  Result<const ColumnVector*> EvalBatch(const Batch& batch,
+                                        const std::vector<uint32_t>& positions,
+                                        ColumnVector* scratch) const override;
   TypeId output_type() const override { return TypeId::kBoolean; }
   std::string ToString() const override {
     return "(" + lhs_->ToString() + " " + CompareOpName(op_) + " " +
@@ -199,8 +208,9 @@ class LogicalExpr final : public Expr {
       : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
 
   Result<Value> Eval(const Row& row) const override;
-  Status EvalBatch(const Batch& batch, const std::vector<uint32_t>& positions,
-                   std::vector<Value>* out) const override;
+  Result<const ColumnVector*> EvalBatch(const Batch& batch,
+                                        const std::vector<uint32_t>& positions,
+                                        ColumnVector* scratch) const override;
   TypeId output_type() const override { return TypeId::kBoolean; }
   std::string ToString() const override {
     return "(" + lhs_->ToString() + (op_ == LogicalOp::kAnd ? " AND " : " OR ") +
@@ -240,8 +250,9 @@ class ArithExpr final : public Expr {
       : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
 
   Result<Value> Eval(const Row& row) const override;
-  Status EvalBatch(const Batch& batch, const std::vector<uint32_t>& positions,
-                   std::vector<Value>* out) const override;
+  Result<const ColumnVector*> EvalBatch(const Batch& batch,
+                                        const std::vector<uint32_t>& positions,
+                                        ColumnVector* scratch) const override;
   TypeId output_type() const override;
   std::string ToString() const override {
     return "(" + lhs_->ToString() + " " + ArithOpName(op_) + " " +
@@ -274,8 +285,9 @@ class NotExpr final : public Expr {
   explicit NotExpr(ExprPtr child) : child_(std::move(child)) {}
 
   Result<Value> Eval(const Row& row) const override;
-  Status EvalBatch(const Batch& batch, const std::vector<uint32_t>& positions,
-                   std::vector<Value>* out) const override;
+  Result<const ColumnVector*> EvalBatch(const Batch& batch,
+                                        const std::vector<uint32_t>& positions,
+                                        ColumnVector* scratch) const override;
   TypeId output_type() const override { return TypeId::kBoolean; }
   std::string ToString() const override { return "NOT " + child_->ToString(); }
   ExprPtr Clone() const override {
@@ -326,6 +338,13 @@ Result<bool> EvalPredicate(const Expr& pred, const Row& row);
 /// row-for-row the same acceptance test as EvalPredicate.
 Status ApplyFilterToBatch(const Expr& pred, Batch* batch);
 
+/// Evaluates `exprs` at `positions` of `in`: (*cols)[i] is expression i's
+/// result column, either a column of `in` or (*scratch)[i].
+Status EvalColumns(const std::vector<ExprPtr>& exprs, const Batch& in,
+                   const std::vector<uint32_t>& positions,
+                   std::vector<const ColumnVector*>* cols,
+                   std::vector<ColumnVector>* scratch);
+
 // ---- Aggregates ----
 
 enum class AggFunc { kCountStar, kCount, kSum, kMin, kMax, kAvg };
@@ -356,21 +375,47 @@ struct AggSpec {
   }
 };
 
-/// Incremental aggregate accumulator.
+/// The running states of one aggregate for every group of an aggregation,
+/// by dense group id, folded straight from typed argument columns: a count
+/// per group, and for SUM/AVG/MIN/MAX a has-value flag and the running
+/// value in the lane of the accumulator's type. SUM and AVG accumulate in
+/// the SUM domain (INT64 for integers, DECIMAL scaled, DOUBLE) with the
+/// overflow checks of Value::Add; MIN and MAX keep the first of equal
+/// values (Value::Compare order). A group folds its rows in input order, so
+/// floating-point sums come out the same every run.
 ///
 /// For parallel execution the state also has a *partial* (transfer)
 /// representation — the columns a worker emits so a final aggregate can
 /// merge per-morsel states exactly: COUNT carries its count, SUM/MIN/MAX
 /// carry the running value, and AVG carries its (sum, count) pair so the
 /// final division happens once, identically to serial execution.
-class AggState {
+class AggStates {
  public:
-  explicit AggState(AggFunc fn) : fn_(fn) {}
+  explicit AggStates(const AggSpec& spec);
 
-  /// Folds one input value (ignored for COUNT(*); NULLs skipped per SQL).
-  Status Accumulate(const Value& v);
-  /// Number of accumulated inputs so far (for COUNT/AVG).
-  Value Finalize() const;
+  size_t size() const { return counts_.size(); }
+  /// Adds a group with an empty state; its id is the previous size().
+  void AddGroup();
+  /// Drops every group.
+  void Clear();
+
+  /// Folds row positions[i] of `arg` (null for COUNT(*)) into group
+  /// groups[i], for each i in order; NULLs are skipped per SQL.
+  Status Fold(const ColumnVector* arg, const std::vector<uint32_t>& positions,
+              const std::vector<uint32_t>& groups);
+
+  /// Folds partial representations: row positions[i] of `v` (the first
+  /// partial column) and `avg_count` (the second; read only for AVG) into
+  /// group groups[i].
+  Status Merge(const ColumnVector& v, const ColumnVector& avg_count,
+               const std::vector<uint32_t>& positions,
+               const std::vector<uint32_t>& groups);
+
+  /// Appends group `g`'s final value to `out`.
+  void AppendFinal(uint32_t g, ColumnVector* out) const;
+  /// Appends group `g`'s partial representation to columns [col, col +
+  /// PartialWidth) of `out`.
+  void AppendPartial(uint32_t g, Batch* out, size_t col) const;
 
   /// Number of columns the partial representation of `fn` occupies.
   static size_t PartialWidth(AggFunc fn) { return fn == AggFunc::kAvg ? 2 : 1; }
@@ -378,22 +423,19 @@ class AggState {
   /// Appends the partial-representation column(s) for `spec` to `cols`.
   static void AppendPartialColumns(const AggSpec& spec, std::vector<Column>* cols);
 
-  /// Appends this state's partial representation to `out`.
-  void AppendPartial(Row* out) const;
-
-  /// Folds a partial representation into this state: `v` is its first
-  /// column and `avg_count` the second (read only for AVG; PartialWidth).
-  Status MergePartial(const Value& v, const Value& avg_count);
-  /// Folds the partial representation starting at `row[pos]`.
-  Status MergePartial(const Row& row, size_t pos) {
-    return MergePartial(row[pos], row[pos + PartialWidth(fn_) - 1]);
-  }
-
  private:
+  /// Folds one non-NULL cell into group g's running value.
+  Status Add(uint32_t g, const ColumnVector& v, uint32_t r);
+
   AggFunc fn_;
-  int64_t count_ = 0;
-  Value acc_;  ///< running SUM / MIN / MAX
-  bool has_value_ = false;
+  TypeId type_;  ///< the running value's type (SUM domain, or MIN/MAX arg)
+  bool summable_;  ///< SUM/AVG: the argument type has arithmetic
+  std::vector<int64_t> counts_;
+  std::vector<uint8_t> has_;
+  /// Running values, by group, in the lane of type_.
+  std::vector<int64_t> ints_;
+  std::vector<double> doubles_;
+  std::vector<std::string> strings_;
 };
 
 }  // namespace elephant

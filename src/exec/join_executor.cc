@@ -4,35 +4,6 @@ namespace elephant {
 
 namespace {
 
-/// Appends physical row `r` of `outer` to the leading columns of `out`.
-void AppendOuter(const Batch& outer, uint32_t r, Batch* out) {
-  for (size_t c = 0; c < outer.num_cols(); ++c) {
-    out->col(c).push_back(outer.col(c)[r]);
-  }
-}
-
-/// Appends one output row: physical row `r` of `outer`, then `inner`.
-void AppendJoined(const Batch& outer, uint32_t r, const Row& inner,
-                  Batch* out) {
-  AppendOuter(outer, r, out);
-  const size_t width = outer.num_cols();
-  for (size_t c = 0; c < inner.size(); ++c) {
-    out->col(width + c).push_back(inner[c]);
-  }
-  out->SetRowCount(out->num_rows() + 1);
-}
-
-/// Evaluates `exprs` over the live rows of `in`, one vector per expression.
-Status EvalColumns(const std::vector<ExprPtr>& exprs, const Batch& in,
-                   std::vector<std::vector<Value>>* cols) {
-  const std::vector<uint32_t> positions = in.ActiveIndices();
-  cols->resize(exprs.size());
-  for (size_t i = 0; i < exprs.size(); ++i) {
-    ELE_RETURN_NOT_OK(exprs[i]->EvalBatch(in, positions, &(*cols)[i]));
-  }
-  return Status::OK();
-}
-
 /// Applies a join residual to a finished output batch.
 Status ApplyResidual(const ExprPtr& residual, Batch* out) {
   if (residual == nullptr || out->num_rows() == 0) return Status::OK();
@@ -67,10 +38,11 @@ IndexNestedLoopJoinExecutor::IndexNestedLoopJoinExecutor(
 }
 
 Status IndexNestedLoopJoinExecutor::Init() {
-  outer_batch_.Reset(0);
+  outer_batch_.Reset(outer_->OutputSchema());
   outer_pos_ = 0;
   inner_open_ = false;
   outer_done_ = false;
+  outer_rows_.clear();
   return outer_->Init();
 }
 
@@ -79,50 +51,64 @@ Result<bool> IndexNestedLoopJoinExecutor::NextOuterBatch() {
     ELE_ASSIGN_OR_RETURN(bool has, outer_->NextBatch(&outer_batch_));
     if (!has) return false;
   } while (outer_batch_.empty());
-  ELE_RETURN_NOT_OK(EvalColumns(bounds_.eq_exprs, outer_batch_, &eq_vals_));
   const std::vector<uint32_t> rows = outer_batch_.ActiveIndices();
+  ELE_RETURN_NOT_OK(
+      EvalColumns(bounds_.eq_exprs, outer_batch_, rows, &eq_cols_, &eq_scratch_));
   if (bounds_.lo != nullptr) {
-    ELE_RETURN_NOT_OK(bounds_.lo->EvalBatch(outer_batch_, rows, &lo_vals_));
+    ELE_ASSIGN_OR_RETURN(lo_col_,
+                         bounds_.lo->EvalBatch(outer_batch_, rows, &lo_scratch_));
   }
   if (bounds_.hi != nullptr) {
-    ELE_RETURN_NOT_OK(bounds_.hi->EvalBatch(outer_batch_, rows, &hi_vals_));
+    ELE_ASSIGN_OR_RETURN(hi_col_,
+                         bounds_.hi->EvalBatch(outer_batch_, rows, &hi_scratch_));
   }
   outer_pos_ = 0;
   return true;
 }
 
 Result<bool> IndexNestedLoopJoinExecutor::Probe(uint32_t r) {
-  eq_row_.clear();
-  Value cast;
-  for (size_t i = 0; i < eq_vals_.size(); ++i) {
-    const Value* k = CastKey(eq_vals_[i][r], eq_types_[i], &cast);
-    if (k == nullptr) return false;
-    eq_row_.push_back(*k);
+  range_.lo.clear();
+  for (size_t i = 0; i < eq_cols_.size(); ++i) {
+    if (!EncodeKeyCell(*eq_cols_[i], r, eq_types_[i], &range_.lo)) return false;
   }
-  std::optional<Value> lo, hi;
-  if (bounds_.lo != nullptr) lo = lo_vals_[r];
-  if (bounds_.hi != nullptr) hi = hi_vals_[r];
-  MakeKeyRange(eq_row_, lo, bounds_.lo_inclusive, hi, bounds_.hi_inclusive,
-               &range_);
+  if (lo_col_ != nullptr) {
+    lo_key_.clear();
+    EncodeCell(*lo_col_, r, &lo_key_);
+  }
+  if (hi_col_ != nullptr) {
+    hi_key_.clear();
+    EncodeCell(*hi_col_, r, &hi_key_);
+  }
+  BoundKeyRange(lo_col_ != nullptr ? &lo_key_ : nullptr, bounds_.lo_inclusive,
+                hi_col_ != nullptr ? &hi_key_ : nullptr, bounds_.hi_inclusive,
+                &range_);
   ctx_->counters().index_seeks++;
   ELE_RETURN_NOT_OK(inner_.Seek(range_));
   return true;
 }
 
+void IndexNestedLoopJoinExecutor::FlushOuter(Batch* out) {
+  GatherColumns(outer_batch_, outer_rows_, 0, out);
+  outer_rows_.clear();
+}
+
 Result<bool> IndexNestedLoopJoinExecutor::NextBatch(Batch* out) {
-  out->Reset(schema_.NumColumns());
-  while (!out->full()) {
+  out->Reset(schema_);
+  const size_t width = outer_batch_.num_cols();
+  uint32_t n = 0;
+  while (n < kBatchCapacity) {
     if (inner_open_) {
-      while (!out->full() && inner_.Valid()) {
-        AppendOuter(outer_batch_, outer_row_, out);
-        ELE_RETURN_NOT_OK(inner_.ReadInto(out, outer_batch_.num_cols()));
-        out->SetRowCount(out->num_rows() + 1);
+      while (n < kBatchCapacity && inner_.Valid()) {
+        outer_rows_.push_back(outer_row_);
+        ELE_RETURN_NOT_OK(inner_.ReadInto(out, width));
+        n++;
       }
-      if (out->full()) break;
+      if (n == kBatchCapacity) break;
       inner_open_ = false;
     }
     if (outer_done_) break;
     if (outer_pos_ == outer_batch_.ActiveCount()) {
+      FlushOuter(out);  // the outer cells before the outer batch changes
       ELE_ASSIGN_OR_RETURN(bool has, NextOuterBatch());
       if (!has) {
         outer_done_ = true;
@@ -132,8 +118,10 @@ Result<bool> IndexNestedLoopJoinExecutor::NextBatch(Batch* out) {
     outer_row_ = outer_batch_.ActiveIndex(outer_pos_++);
     ELE_ASSIGN_OR_RETURN(inner_open_, Probe(outer_row_));
   }
+  FlushOuter(out);
+  out->SetRowCount(n);
   ELE_RETURN_NOT_OK(ApplyResidual(residual_, out));
-  return out->num_rows() > 0;
+  return n > 0;
 }
 
 // ---- Hash join ----
@@ -158,35 +146,24 @@ HashJoinExecutor::HashJoinExecutor(ExecContext* ctx, BatchExecutorPtr left,
 
 bool HashJoinExecutor::EncodeKey(uint32_t r) {
   key_.clear();
-  Value cast;
   for (size_t i = 0; i < key_cols_.size(); ++i) {
-    const Value* k = CastKey(key_cols_[i][r], key_types_[i], &cast);
-    if (k == nullptr) return false;
-    keycodec::Encode(*k, &key_);
+    if (!EncodeKeyCell(*key_cols_[i], r, key_types_[i], &key_)) return false;
   }
   return true;
 }
 
-Status HashJoinExecutor::AddBuildBatch(Batch* in) {
-  ELE_RETURN_NOT_OK(EvalColumns(right_keys_, *in, &key_cols_));
-  const size_t width = in->num_cols();
-  const uint32_t n = in->ActiveCount();
-  for (uint32_t i = 0; i < n; ++i) {
-    const uint32_t r = in->ActiveIndex(i);
+Status HashJoinExecutor::AddBuildBatch(const Batch& in) {
+  const std::vector<uint32_t> positions = in.ActiveIndices();
+  ELE_RETURN_NOT_OK(
+      EvalColumns(right_keys_, in, positions, &key_cols_, &key_scratch_));
+  std::vector<uint32_t> keyed;
+  keyed.reserve(positions.size());
+  for (uint32_t r : positions) {
     if (!EncodeKey(r)) continue;
-    if (table_.size() % kBatchCapacity == 0) {
-      build_.emplace_back().Reset(width);
-      for (size_t c = 0; c < width; ++c) {
-        build_.back().col(c).reserve(kBatchCapacity);
-      }
-    }
     table_.Insert(key_);
-    Batch& chunk = build_.back();
-    for (size_t c = 0; c < width; ++c) {
-      chunk.col(c).push_back(std::move(in->col(c)[r]));
-    }
-    chunk.SetRowCount(chunk.num_rows() + 1);
+    keyed.push_back(r);
   }
+  GatherColumns(in, keyed, 0, &build_);
   return Status::OK();
 }
 
@@ -194,43 +171,51 @@ Status HashJoinExecutor::Init() {
   ELE_RETURN_NOT_OK(left_->Init());
   ELE_RETURN_NOT_OK(right_->Init());
   table_.Clear();
-  build_.clear();
-  probe_.Reset(0);
+  build_.Reset(right_->OutputSchema());
+  probe_.Reset(left_->OutputSchema());
   probe_pos_ = 0;
   probe_done_ = false;
   match_ = KeyTable::kNone;
+  probe_rows_.clear();
+  build_rows_.clear();
   Batch in;
   while (true) {
     ELE_ASSIGN_OR_RETURN(bool has, right_->NextBatch(&in));
     if (!has) break;
-    ELE_RETURN_NOT_OK(AddBuildBatch(&in));
+    ELE_RETURN_NOT_OK(AddBuildBatch(in));
   }
   ctx_->counters().hash_inserts += table_.size();
   return Status::OK();
 }
 
+void HashJoinExecutor::FlushPairs(Batch* out) {
+  GatherColumns(probe_, probe_rows_, 0, out);
+  GatherColumns(build_, build_rows_, probe_.num_cols(), out);
+  probe_rows_.clear();
+  build_rows_.clear();
+}
+
 Result<bool> HashJoinExecutor::NextBatch(Batch* out) {
-  out->Reset(schema_.NumColumns());
-  while (!out->full()) {
+  out->Reset(schema_);
+  uint32_t n = 0;
+  while (n < kBatchCapacity) {
     if (match_ != KeyTable::kNone) {
-      const Batch& chunk = build_[match_ / kBatchCapacity];
-      const uint32_t row = match_ % kBatchCapacity;
-      AppendOuter(probe_, probe_row_, out);
-      for (size_t c = 0; c < chunk.num_cols(); ++c) {
-        out->col(probe_.num_cols() + c).push_back(chunk.col(c)[row]);
-      }
-      out->SetRowCount(out->num_rows() + 1);
+      probe_rows_.push_back(probe_row_);
+      build_rows_.push_back(match_);
+      n++;
       match_ = table_.NextMatch(match_);
       continue;
     }
     if (probe_done_) break;
     if (probe_pos_ == probe_.ActiveCount()) {
+      FlushPairs(out);  // the probe cells before the probe batch changes
       ELE_ASSIGN_OR_RETURN(bool has, left_->NextBatch(&probe_));
       if (!has) {
         probe_done_ = true;
         break;
       }
-      ELE_RETURN_NOT_OK(EvalColumns(left_keys_, probe_, &key_cols_));
+      ELE_RETURN_NOT_OK(EvalColumns(left_keys_, probe_, probe_.ActiveIndices(),
+                                    &key_cols_, &key_scratch_));
       probe_pos_ = 0;
       continue;
     }
@@ -240,8 +225,10 @@ Result<bool> HashJoinExecutor::NextBatch(Batch* out) {
       match_ = table_.Find(key_);
     }
   }
+  FlushPairs(out);
+  out->SetRowCount(n);
   ELE_RETURN_NOT_OK(ApplyResidual(residual_, out));
-  return out->num_rows() > 0;
+  return n > 0;
 }
 
 // ---- Band merge join ----
@@ -257,6 +244,9 @@ BandMergeJoinExecutor::BandMergeJoinExecutor(
       inner_point_(std::move(inner_point)),
       residual_(std::move(residual)) {
   schema_ = Schema::Concat(outer_->OutputSchema(), inner_->OutputSchema());
+  window_schema_ = Schema::Concat(
+      inner_->OutputSchema(),
+      Schema({Column("point", inner_point_->output_type())}));
 }
 
 Status BandMergeJoinExecutor::AdvanceOuter() {
@@ -267,18 +257,20 @@ Status BandMergeJoinExecutor::AdvanceOuter() {
       ELE_ASSIGN_OR_RETURN(bool has, outer_->NextBatch(&outer_batch_));
       if (!has) return Status::OK();
       const std::vector<uint32_t> positions = outer_batch_.ActiveIndices();
-      ELE_RETURN_NOT_OK(outer_lo_->EvalBatch(outer_batch_, positions, &los_));
-      ELE_RETURN_NOT_OK(outer_hi_->EvalBatch(outer_batch_, positions, &his_));
+      ELE_ASSIGN_OR_RETURN(
+          los_, outer_lo_->EvalBatch(outer_batch_, positions, &lo_scratch_));
+      ELE_ASSIGN_OR_RETURN(
+          his_, outer_hi_->EvalBatch(outer_batch_, positions, &hi_scratch_));
       outer_pos_ = 0;
       continue;
     }
     outer_row_ = outer_batch_.ActiveIndex(outer_pos_++);
-    lo_ = los_[outer_row_];
-    hi_ = his_[outer_row_];
-    outer_valid_ = !lo_.is_null() && !hi_.is_null();
+    outer_valid_ = !los_->IsNull(outer_row_) && !his_->IsNull(outer_row_);
   }
-  while (!window_.empty() && window_.front().first.Compare(lo_) < 0) {
-    window_.pop_front();
+  const ColumnVector& points = window_.col(window_.num_cols() - 1);
+  while (window_front_ < window_.num_rows() &&
+         CompareCells(points, WindowRow(0), *los_, outer_row_) < 0) {
+    window_front_++;
   }
   return Status::OK();
 }
@@ -288,17 +280,38 @@ Result<bool> BandMergeJoinExecutor::PullInner() {
     if (inner_pos_ == inner_batch_.ActiveCount()) {
       ELE_ASSIGN_OR_RETURN(bool has, inner_->NextBatch(&inner_batch_));
       if (!has) return false;
-      ELE_RETURN_NOT_OK(inner_point_->EvalBatch(
-          inner_batch_, inner_batch_.ActiveIndices(), &points_));
+      ELE_ASSIGN_OR_RETURN(
+          points_, inner_point_->EvalBatch(
+                       inner_batch_, inner_batch_.ActiveIndices(), &point_scratch_));
       inner_pos_ = 0;
       continue;
     }
     const uint32_t r = inner_batch_.ActiveIndex(inner_pos_++);
     // Points below lo are below every later range too.
-    if (points_[r].is_null() || points_[r].Compare(lo_) < 0) continue;
-    Row row;
-    inner_batch_.GatherRow(r, &row);
-    window_.emplace_back(std::move(points_[r]), std::move(row));
+    if (points_->IsNull(r) || CompareCells(*points_, r, *los_, outer_row_) < 0) {
+      continue;
+    }
+    if (window_front_ >= kBatchCapacity &&
+        2 * window_front_ >= window_.num_rows()) {
+      // Compact: drop the rows no later outer row can reach.
+      std::vector<uint32_t> live;
+      for (uint32_t w = static_cast<uint32_t>(window_front_);
+           w < window_.num_rows(); ++w) {
+        live.push_back(w);
+      }
+      Batch compacted;
+      compacted.Reset(window_schema_);
+      GatherColumns(window_, live, 0, &compacted);
+      compacted.SetRowCount(static_cast<uint32_t>(live.size()));
+      window_ = std::move(compacted);
+      window_front_ = 0;
+    }
+    const size_t width = inner_batch_.num_cols();
+    for (size_t c = 0; c < width; ++c) {
+      window_.col(c).Append(inner_batch_.col(c), r);
+    }
+    window_.col(width).Append(*points_, r);
+    window_.SetRowCount(window_.num_rows() + 1);
     return true;
   }
 }
@@ -306,19 +319,22 @@ Result<bool> BandMergeJoinExecutor::PullInner() {
 Status BandMergeJoinExecutor::Init() {
   ELE_RETURN_NOT_OK(outer_->Init());
   ELE_RETURN_NOT_OK(inner_->Init());
-  outer_batch_.Reset(0);
-  inner_batch_.Reset(0);
+  outer_batch_.Reset(outer_->OutputSchema());
+  inner_batch_.Reset(inner_->OutputSchema());
   outer_pos_ = 0;
   inner_pos_ = 0;
-  window_.clear();
+  window_.Reset(window_schema_);
+  window_front_ = 0;
   inner_done_ = false;
   return AdvanceOuter();
 }
 
 Result<bool> BandMergeJoinExecutor::NextBatch(Batch* out) {
-  out->Reset(schema_.NumColumns());
+  out->Reset(schema_);
+  const size_t outer_width = outer_batch_.num_cols();
+  const size_t inner_width = window_.num_cols() - 1;
   while (outer_valid_ && !out->full()) {
-    if (emit_pos_ == window_.size()) {
+    if (window_front_ + emit_pos_ == window_.num_rows()) {
       // The window is exhausted for this range: read the next inner point.
       if (inner_done_) {
         ELE_RETURN_NOT_OK(AdvanceOuter());
@@ -330,13 +346,19 @@ Result<bool> BandMergeJoinExecutor::NextBatch(Batch* out) {
         continue;
       }
     }
-    const auto& [point, inner_row] = window_[emit_pos_];
-    if (point.Compare(hi_) > 0) {
+    const uint32_t w = WindowRow(emit_pos_);
+    if (CompareCells(window_.col(inner_width), w, *his_, outer_row_) > 0) {
       ELE_RETURN_NOT_OK(AdvanceOuter());
       continue;
     }
     emit_pos_++;
-    AppendJoined(outer_batch_, outer_row_, inner_row, out);
+    for (size_t c = 0; c < outer_width; ++c) {
+      out->col(c).Append(outer_batch_.col(c), outer_row_);
+    }
+    for (size_t c = 0; c < inner_width; ++c) {
+      out->col(outer_width + c).Append(window_.col(c), w);
+    }
+    out->SetRowCount(out->num_rows() + 1);
   }
   ELE_RETURN_NOT_OK(ApplyResidual(residual_, out));
   return out->num_rows() > 0;

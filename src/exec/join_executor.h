@@ -1,6 +1,5 @@
 #pragma once
 
-#include <deque>
 #include <optional>
 
 #include "exec/batch.h"
@@ -31,9 +30,12 @@ struct InljBounds {
 /// clustered index (or a secondary covering index) with bounds computed from
 /// the outer row, emitting outer ++ inner rows that pass the residual
 /// predicate. Bounds are evaluated vectorized per outer batch; one inner
-/// cursor serves the whole run and re-descends the tree once per outer row.
-/// Equality bounds are cast to the inner key column's type (CastKey); an
+/// cursor serves the whole run and re-seeks once per outer row, inside its
+/// pinned leaf when the probe key lands there (IndexCursor::Seek). Equality
+/// bounds are encoded as the inner key column's type (EncodeKeyCell); an
 /// outer row whose bound is NULL or out of that type's range is not probed.
+/// Inner cells are decoded straight into the output lanes; the outer cells
+/// of an output batch are gathered by row index.
 /// Every inner probe increments ExecCounters::index_seeks — the "context
 /// switches" the paper's Figure 4(b) optimization minimizes.
 class IndexNestedLoopJoinExecutor final : public BatchExecutor {
@@ -54,6 +56,9 @@ class IndexNestedLoopJoinExecutor final : public BatchExecutor {
   /// Pulls the next outer batch and evaluates the probe bounds over it.
   /// False at the end of the outer input.
   Result<bool> NextOuterBatch();
+  /// Gathers the outer cells of the output rows appended since the last
+  /// flush (outer_rows_) into `out`.
+  void FlushOuter(Batch* out);
   /// Seeks the inner cursor to the bounds of outer row `r`; false, without
   /// a seek, when its equality bounds can match no inner key (a NULL, or a
   /// value outside the key column's type).
@@ -73,10 +78,15 @@ class IndexNestedLoopJoinExecutor final : public BatchExecutor {
   bool inner_open_ = false;
   bool outer_done_ = false;
   /// Probe bounds over the outer batch, indexed by physical row.
-  std::vector<std::vector<Value>> eq_vals_;
-  std::vector<Value> lo_vals_, hi_vals_;
-  std::vector<Value> eq_row_;
+  std::vector<const ColumnVector*> eq_cols_;
+  std::vector<ColumnVector> eq_scratch_;
+  const ColumnVector* lo_col_ = nullptr;
+  const ColumnVector* hi_col_ = nullptr;
+  ColumnVector lo_scratch_, hi_scratch_;
+  std::string lo_key_, hi_key_;
   KeyRange range_;
+  /// Outer row of each output row not yet gathered into the output.
+  std::vector<uint32_t> outer_rows_;
 };
 
 /// Hash join on equality keys: builds a KeyTable on the right child, then
@@ -85,11 +95,11 @@ class IndexNestedLoopJoinExecutor final : public BatchExecutor {
 ///
 /// Each key pair is encoded as its CommonKeyType, so an INT key joins a
 /// BIGINT one exactly as Value::Compare says; a NULL key never joins. The
-/// build rows live in dense batches of kBatchCapacity rows, one row per
-/// table entry (row id = entry id), moved out of the build input without a
-/// copy. A probe row meets its matches newest build row first (KeyTable's
-/// chain order), and output batches follow probe order, so a join's rows
-/// come out in one fixed order.
+/// build rows live in typed build columns, one row per table entry (row id
+/// = entry id), gathered out of the build input's lanes. A probe row meets
+/// its matches newest build row first (KeyTable's chain order), and output
+/// batches follow probe order, so a join's rows come out in one fixed
+/// order. Output batches are gathered by (probe row, build row) index pairs.
 class HashJoinExecutor final : public BatchExecutor {
  public:
   HashJoinExecutor(ExecContext* ctx, BatchExecutorPtr left,
@@ -101,12 +111,14 @@ class HashJoinExecutor final : public BatchExecutor {
   const Schema& OutputSchema() const override { return schema_; }
 
  private:
-  /// Keys the live rows of one build batch and moves those with a non-NULL
-  /// key into build_.
-  Status AddBuildBatch(Batch* in);
+  /// Keys the live rows of one build batch and gathers those with a
+  /// non-NULL key into build_.
+  Status AddBuildBatch(const Batch& in);
   /// Encodes the join key of physical row `r` of the batch last keyed into
   /// key_cols_; false when the row can match nothing.
   bool EncodeKey(uint32_t r);
+  /// Gathers the output rows listed in probe_rows_/build_rows_ into `out`.
+  void FlushPairs(Batch* out);
 
   ExecContext* ctx_;
   BatchExecutorPtr left_, right_;
@@ -116,12 +128,15 @@ class HashJoinExecutor final : public BatchExecutor {
   Schema schema_;
 
   KeyTable table_;
-  /// Build row `id` is row id % kBatchCapacity of build_[id / kBatchCapacity].
-  std::vector<Batch> build_;
+  /// Build row `id` is cell id of every build column.
+  Batch build_;
   Batch probe_;
   /// Join-key columns of the batch being keyed (build or probe side).
-  std::vector<std::vector<Value>> key_cols_;
+  std::vector<const ColumnVector*> key_cols_;
+  std::vector<ColumnVector> key_scratch_;
   std::string key_;
+  /// Output rows not yet gathered: probe row and build row of each.
+  std::vector<uint32_t> probe_rows_, build_rows_;
   uint32_t probe_pos_ = 0;  ///< next live probe row
   uint32_t probe_row_ = 0;  ///< physical index of the row being joined
   bool probe_done_ = false;
@@ -156,6 +171,10 @@ class BandMergeJoinExecutor final : public BatchExecutor {
   /// Appends the next inner row with a non-NULL point >= lo to the window.
   /// False at the end of the inner input.
   Result<bool> PullInner();
+  /// Window row `w` (counted from the window's front).
+  uint32_t WindowRow(size_t w) const {
+    return static_cast<uint32_t>(window_front_ + w);
+  }
 
   ExecContext* ctx_;
   BatchExecutorPtr outer_, inner_;
@@ -164,14 +183,21 @@ class BandMergeJoinExecutor final : public BatchExecutor {
   Schema schema_;
 
   Batch outer_batch_, inner_batch_;
-  std::vector<Value> los_, his_, points_;  ///< per physical batch row
+  /// Bounds and points over the current batches, by physical row.
+  const ColumnVector* los_ = nullptr;
+  const ColumnVector* his_ = nullptr;
+  const ColumnVector* points_ = nullptr;
+  ColumnVector lo_scratch_, hi_scratch_, point_scratch_;
   uint32_t outer_pos_ = 0, inner_pos_ = 0;  ///< next live row of each batch
   uint32_t outer_row_ = 0;  ///< physical index of the current outer row
   bool outer_valid_ = false, inner_done_ = false;
-  Value lo_, hi_;
-  /// Inner rows read so far with point >= lo_, in ascending point order.
-  std::deque<std::pair<Value, Row>> window_;
-  /// Next window entry to pair with the current outer row.
+  /// Inner rows read so far with point >= lo, in ascending point order:
+  /// rows [window_front_, window_.num_rows()) of window_ (inner columns,
+  /// then the point), compacted when the dropped front grows large.
+  Schema window_schema_;
+  Batch window_;
+  size_t window_front_ = 0;
+  /// Next window entry (from the front) to pair with the current outer row.
   size_t emit_pos_ = 0;
 };
 

@@ -101,13 +101,18 @@ TypeId CommonKeyType(TypeId a, TypeId b) {
   return SameKeyEncoding(a, b) ? a : TypeId::kInt64;
 }
 
-const Value* CastKey(const Value& v, TypeId type, Value* scratch) {
-  if (v.is_null()) return nullptr;
-  if (SameKeyEncoding(v.type(), type)) return &v;
-  Result<Value> cast = v.CastTo(type);
-  if (!cast.ok()) return nullptr;
-  *scratch = std::move(*cast);
-  return scratch;
+bool EncodeKeyCell(const ColumnVector& col, uint32_t r, TypeId type,
+                   std::string* out) {
+  if (col.IsNull(r)) return false;
+  if (SameKeyEncoding(col.type(), type)) {
+    EncodeCell(col, r, out);
+    return true;
+  }
+  // Two integer types of different widths: the value must fit `type`.
+  const int64_t v = col.Int(r);
+  if (type != TypeId::kInt64 && (v < INT32_MIN || v > INT32_MAX)) return false;
+  keycodec::EncodeInt(type, v, out);
+  return true;
 }
 
 }  // namespace elephant

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/schema.h"
+#include "exec/batch.h"
 
 namespace elephant {
 
@@ -85,10 +86,13 @@ bool KeyComparable(TypeId a, TypeId b);
 /// `a` when the encodings already agree, else BIGINT.
 TypeId CommonKeyType(TypeId a, TypeId b);
 
-/// `v` as a key of `type` (KeyComparable with v's type): `v` itself when the
-/// encodings agree, else v.CastTo(type) in `*scratch`. Equal encodings of
-/// two keys of one type then mean Value::Compare equality. nullptr when `v`
-/// is NULL or outside `type`'s range: such a value equals no key of `type`.
-const Value* CastKey(const Value& v, TypeId type, Value* scratch);
+/// Appends cell `r` of `col` encoded as a key of `type` (KeyComparable
+/// with the column's type): its own encoding when the encodings agree, else
+/// its integer cast to `type`'s width (Value::CastTo). Equal encodings of
+/// two keys of one type then mean Value::Compare equality. False, leaving
+/// `*out` unspecified, when the cell is NULL or outside `type`'s range:
+/// such a cell equals no key of `type`.
+bool EncodeKeyCell(const ColumnVector& col, uint32_t r, TypeId type,
+                   std::string* out);
 
 }  // namespace elephant

@@ -107,7 +107,7 @@ Result<bool> GatherExecutor::NextBatch(Batch* out) {
     chunk_++;
     pos_ = 0;
   }
-  out->Reset(schema_.NumColumns());
+  out->Reset(schema_);
   return false;
 }
 

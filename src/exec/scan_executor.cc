@@ -4,38 +4,40 @@
 
 namespace elephant {
 
-void MakeKeyRange(const std::vector<Value>& eq_values,
-                  const std::optional<Value>& lo, bool lo_inclusive,
-                  const std::optional<Value>& hi, bool hi_inclusive,
-                  KeyRange* out) {
-  std::string& prefix = out->lo;
-  prefix.clear();
-  for (const Value& v : eq_values) keycodec::Encode(v, &prefix);
+void BoundKeyRange(const std::string* lo, bool lo_inclusive,
+                   const std::string* hi, bool hi_inclusive, KeyRange* out) {
+  const std::string& prefix = out->lo;
   out->hi.clear();
-  if (hi.has_value()) {
+  if (hi != nullptr) {
     out->hi = prefix;
-    keycodec::Encode(*hi, &out->hi);
+    out->hi += *hi;
     if (hi_inclusive) {
       // Inclusive upper bound: include every key extending this exact value.
-      out->hi = keycodec::PrefixUpperBound(out->hi);
+      out->hi.push_back('\xff');
     }
   } else if (!prefix.empty()) {
     out->hi = keycodec::PrefixUpperBound(prefix);
   }
-  if (lo.has_value()) {
-    keycodec::Encode(*lo, &out->lo);
+  if (lo != nullptr) {
+    out->lo += *lo;
     if (!lo_inclusive) {
       // Exclusive lower bound: skip every key extending this exact value.
-      out->lo = keycodec::PrefixUpperBound(out->lo);
+      out->lo.push_back('\xff');
     }
   }
 }
 
-KeyRange MakeKeyRange(const std::vector<Value>& eq_values,
-                      const std::optional<Value>& lo, bool lo_inclusive,
-                      const std::optional<Value>& hi, bool hi_inclusive) {
+KeyRange MakeKeyRange(
+    const std::vector<Value>& eq_values,  // lint:allow(value-in-batch-kernel)
+    const std::optional<Value>& lo, bool lo_inclusive,
+    const std::optional<Value>& hi, bool hi_inclusive) {
   KeyRange range;
-  MakeKeyRange(eq_values, lo, lo_inclusive, hi, hi_inclusive, &range);
+  for (const Value& v : eq_values) keycodec::Encode(v, &range.lo);
+  std::string lo_enc, hi_enc;
+  if (lo.has_value()) keycodec::Encode(*lo, &lo_enc);
+  if (hi.has_value()) keycodec::Encode(*hi, &hi_enc);
+  BoundKeyRange(lo.has_value() ? &lo_enc : nullptr, lo_inclusive,
+                hi.has_value() ? &hi_enc : nullptr, hi_inclusive, &range);
   return range;
 }
 
@@ -55,10 +57,12 @@ IndexCursor::IndexCursor(ExecContext* ctx, const Table* table,
       key_prefix_ = std::max(key_prefix_, c + 1);
     }
   }
-  key_vals_.resize(key_prefix_);
+  key_cells_.resize(key_prefix_);
 }
 
 Status IndexCursor::Seek(const KeyRange& range) {
+  hi_ = range.hi;
+  if (!range.lo.empty() && it_.SeekInLeaf(range.lo)) return Status::OK();
   it_ = BPlusTree::Iterator();  // unpin the old leaf before descending
   const BPlusTree& tree =
       index_ != nullptr ? *index_->tree : table_->clustered();
@@ -67,9 +71,34 @@ Status IndexCursor::Seek(const KeyRange& range) {
   } else {
     ELE_ASSIGN_OR_RETURN(it_, tree.Seek(range.lo, intent_));
   }
-  hi_ = range.hi;
   return Status::OK();
 }
+
+namespace {
+
+/// Appends tuple column `col` (of `schema`) to `out`, a column of its type.
+void AppendTupleCell(const Schema& schema, const char* data, size_t col,
+                     ColumnVector* out) {
+  if (tuple::IsNull(data, col)) return out->AppendNull();
+  switch (out->lane()) {
+    case Lane::kInt: return out->AppendInt(tuple::GetInt(schema, data, col));
+    case Lane::kDouble:
+      return out->AppendDouble(tuple::GetDouble(schema, data, col));
+    case Lane::kString:
+      return out->AppendString(tuple::GetString(schema, data, col));
+  }
+}
+
+void AppendKeyCell(const keycodec::KeyCell& cell, ColumnVector* out) {
+  if (cell.is_null) return out->AppendNull();
+  switch (out->lane()) {
+    case Lane::kInt: return out->AppendInt(cell.i);
+    case Lane::kDouble: return out->AppendDouble(cell.d);
+    case Lane::kString: return out->AppendString(cell.s);
+  }
+}
+
+}  // namespace
 
 Status IndexCursor::ReadInto(Batch* out, size_t first) {
   std::string_view tuple = it_.value();
@@ -81,9 +110,8 @@ Status IndexCursor::ReadInto(Batch* out, size_t first) {
     num_keys = index_->key_cols.size();
     size_t pos = 0;
     for (size_t k = 0; k < key_prefix_; k++) {
-      ELE_ASSIGN_OR_RETURN(
-          key_vals_[k],
-          keycodec::Decode(index_->out_schema.ColumnAt(k).type, it_.key(), &pos));
+      ELE_RETURN_NOT_OK(keycodec::DecodeCell(
+          index_->out_schema.ColumnAt(k).type, it_.key(), &pos, &key_cells_[k]));
     }
     tuple = DecodeSecondaryValue(tuple).include_bytes;
     tuple_schema = &index_->include_schema;
@@ -91,10 +119,12 @@ Status IndexCursor::ReadInto(Batch* out, size_t first) {
   ELE_RETURN_NOT_OK(tuple::CheckTuple(tuple.data(), tuple.size()));
   for (size_t i = 0; i < cols_.size(); i++) {
     const size_t c = cols_[i];
-    out->col(first + i).push_back(
-        c < num_keys ? std::move(key_vals_[c])
-                     : tuple::GetValue(*tuple_schema, tuple.data(),
-                                       tuple.size(), c - num_keys));
+    ColumnVector* dst = &out->col(first + i);
+    if (c < num_keys) {
+      AppendKeyCell(key_cells_[c], dst);
+    } else {
+      AppendTupleCell(*tuple_schema, tuple.data(), c - num_keys, dst);
+    }
   }
   ExecCounters& counters = ctx_->counters();
   counters.rows_scanned++;
@@ -103,7 +133,7 @@ Status IndexCursor::ReadInto(Batch* out, size_t first) {
 }
 
 Result<bool> IndexScanExecutor::NextBatch(Batch* out) {
-  out->Reset(cursor_.schema().NumColumns());
+  out->Reset(cursor_.schema());
   uint32_t n = 0;
   for (; n < kBatchCapacity && cursor_.Valid(); n++) {
     ELE_RETURN_NOT_OK(cursor_.ReadInto(out, 0));

@@ -18,15 +18,18 @@ struct KeyRange {
 
 /// Builds an encoded KeyRange from per-column bounds on the leading index
 /// columns: `eq_values` constrain a prefix by equality; then an optional
-/// range [lo, hi] (inclusive flags) on the next column. Re-encodes into
-/// `*out`, reusing its buffers.
-void MakeKeyRange(const std::vector<Value>& eq_values,
-                  const std::optional<Value>& lo, bool lo_inclusive,
-                  const std::optional<Value>& hi, bool hi_inclusive,
-                  KeyRange* out);
-KeyRange MakeKeyRange(const std::vector<Value>& eq_values,
-                      const std::optional<Value>& lo, bool lo_inclusive,
-                      const std::optional<Value>& hi, bool hi_inclusive);
+/// range [lo, hi] (inclusive flags) on the next column. The planner's
+/// static ranges, built once per plan from constants.
+KeyRange MakeKeyRange(
+    const std::vector<Value>& eq_values,  // lint:allow(value-in-batch-kernel)
+    const std::optional<Value>& lo, bool lo_inclusive,
+    const std::optional<Value>& hi, bool hi_inclusive);
+
+/// The bound half of MakeKeyRange, over encodings: `out->lo` holds the
+/// encoded equality prefix; `lo` and `hi` are the encoded bounds on the
+/// next column (null when absent).
+void BoundKeyRange(const std::string* lo, bool lo_inclusive,
+                   const std::string* hi, bool hi_inclusive, KeyRange* out);
 
 /// A range cursor over a table's clustered index (`index` null) or one of
 /// its covering secondary indexes. Seek() descends the tree once; ReadInto()
@@ -51,17 +54,25 @@ class IndexCursor {
   /// The decoded columns: the source schema projected onto `cols`.
   const Schema& schema() const { return schema_; }
 
-  /// Positions the cursor at the first entry of `range`, releasing the
-  /// previous position first.
+  /// Positions the cursor at the first entry of `range`. When the cursor's
+  /// pinned leaf already holds that entry (the range's lower bound sorts
+  /// after the leaf's first key and not after its last), it re-seeks inside
+  /// the leaf; otherwise it releases the leaf and descends from the root.
+  /// Sorted probes of an index nested-loop join thus mostly stay in one
+  /// leaf. A re-seek skips only the descent's pool hits on the root and
+  /// inner pages; it never reads a page ahead of need (no sibling), so the
+  /// leaves are read in the same order as by descents.
   Status Seek(const KeyRange& range);
   bool Valid() const {
     return it_.Valid() &&
            (hi_.empty() || std::string_view(it_.key()) < std::string_view(hi_));
   }
   /// Appends the current entry's decoded columns to columns [first, first +
-  /// schema().NumColumns()) of `*out`, counts the row in
-  /// ExecCounters::rows_scanned and its columns in columns_decoded, and
-  /// advances. The caller sets the batch's row count.
+  /// schema().NumColumns()) of `*out`, straight from the tuple's fixed
+  /// slots (and the key, for a secondary index's key columns) into the
+  /// typed lanes; counts the row in ExecCounters::rows_scanned and its
+  /// columns in columns_decoded, and advances. The caller sets the batch's
+  /// row count.
   Status ReadInto(Batch* out, size_t first);
 
  private:
@@ -72,9 +83,9 @@ class IndexCursor {
   std::vector<size_t> cols_;
   Schema schema_;
   /// Secondary index: how many leading key columns the listed positions
-  /// need decoded (keys decode front to back), and their scratch values.
+  /// need decoded (keys decode front to back), and their scratch cells.
   size_t key_prefix_ = 0;
-  std::vector<Value> key_vals_;
+  std::vector<keycodec::KeyCell> key_cells_;
   BPlusTree::Iterator it_;
   std::string hi_;
 };
@@ -114,7 +125,7 @@ class ValuesExecutor final : public BatchExecutor {
     return Status::OK();
   }
   Result<bool> NextBatch(Batch* out) override {
-    out->Reset(schema_.NumColumns());
+    out->Reset(schema_);
     while (!out->full() && pos_ < rows_.size()) out->AppendRow(rows_[pos_++]);
     return out->num_rows() > 0;
   }

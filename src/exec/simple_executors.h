@@ -14,7 +14,9 @@ struct SortKey {
 
 /// Materializes the child and emits rows in sort-key order (in-memory sort;
 /// the engine's working sets fit the paper's read-mostly workloads). Sort
-/// keys are evaluated vectorized per input batch; ties keep input order.
+/// keys are evaluated vectorized per input batch and encoded per row; the
+/// input's live rows are gathered into typed columns, and output batches
+/// gather them back in key order. Ties keep input order.
 class SortExecutor final : public BatchExecutor {
  public:
   SortExecutor(ExecContext* ctx, BatchExecutorPtr child,
@@ -29,7 +31,8 @@ class SortExecutor final : public BatchExecutor {
   ExecContext* ctx_;
   BatchExecutorPtr child_;
   std::vector<SortKey> keys_;
-  std::vector<Row> rows_;
+  Batch rows_;                  ///< every input row, in input order
+  std::vector<uint32_t> order_;  ///< rows_ indices in sort-key order
   size_t pos_ = 0;
 };
 

@@ -26,10 +26,10 @@ class VirtualTableScanExecutor final : public BatchExecutor {
   }
 
   Result<bool> NextBatch(Batch* out) override {
-    out->Reset(vtable_->schema.NumColumns());
+    out->Reset(vtable_->schema);
     while (!out->full() && pos_ < rows_.size()) {
       ctx_->counters().rows_scanned++;
-      out->AppendRowMove(std::move(rows_[pos_++]));
+      out->AppendRow(rows_[pos_++]);
     }
     return out->num_rows() > 0;
   }

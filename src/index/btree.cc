@@ -275,6 +275,19 @@ Status BPlusTree::Iterator::AdvanceLeaf() {
   }
 }
 
+bool BPlusTree::Iterator::SeekInLeaf(std::string_view key) {
+  if (!valid_) return false;
+  BTreeNode node(guard_.data());
+  const int count = node.Count();
+  if (count == 0 || !(node.KeyAt(0) < key) || node.KeyAt(count - 1) < key) {
+    return false;
+  }
+  pos_ = node.LowerBound(key);
+  key_ = node.KeyAt(pos_);
+  value_ = node.ValueAt(pos_);
+  return true;
+}
+
 Status BPlusTree::Iterator::Next() {
   obs::AccessScope access(access_label_);
   pos_++;

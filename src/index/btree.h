@@ -71,6 +71,12 @@ class BPlusTree {
 
     bool Valid() const { return valid_; }
     Status Next();
+    /// Re-positions at the first entry >= `key` without leaving the pinned
+    /// leaf, when that entry is in it: the iterator is valid and the leaf's
+    /// first key < `key` <= its last key (every earlier leaf then holds only
+    /// smaller keys). Returns false, the iterator unchanged, otherwise; the
+    /// caller then seeks from the root. Reads no page.
+    bool SeekInLeaf(std::string_view key);
     std::string_view key() const { return key_; }
     std::string_view value() const { return value_; }
 

@@ -48,6 +48,65 @@ std::string Join(const std::vector<std::string>& parts, const char* sep) {
   return out;
 }
 
+/// One aggregate of a view over Values: the rows a delta join produces, and
+/// the stored and delta states MergeDelta folds. Its state is the view's
+/// stored column — COUNT's count, or the running SUM, MIN or MAX (NULL
+/// until a non-NULL value arrives) — the one-column partial form of the
+/// batch engine's AggStates (views carry no AVG), with the same rules: NULLs
+/// are skipped, integer SUMs accumulate in INT64 with Value::Add's overflow
+/// checks, and MIN/MAX keep the first of equal values. The delta refresh
+/// walks one row at a time, so it folds Values; AggStates folds whole
+/// columns.
+class ViewAgg {
+ public:
+  explicit ViewAgg(AggFunc fn) : fn_(fn) {}
+
+  /// Folds one input value (ignored for COUNT(*)).
+  Status Accumulate(const Value& v) {
+    if (fn_ == AggFunc::kCountStar || (fn_ == AggFunc::kCount && !v.is_null())) {
+      count_++;
+      return Status::OK();
+    }
+    if (fn_ == AggFunc::kSum && !v.is_null() && !has_value_ &&
+        v.type() == TypeId::kInt32) {
+      return Merge(Value::Int64(v.AsInt64()));  // widen to the SUM domain
+    }
+    return fn_ == AggFunc::kCount ? Status::OK() : Merge(v);
+  }
+
+  /// Folds a stored state (the view column's value).
+  Status Merge(const Value& v) {
+    if (fn_ == AggFunc::kCountStar || fn_ == AggFunc::kCount) {
+      count_ += v.AsInt64();
+      return Status::OK();
+    }
+    if (v.is_null()) return Status::OK();
+    if (!has_value_) {
+      acc_ = v;
+    } else if (fn_ == AggFunc::kSum) {
+      ELE_ASSIGN_OR_RETURN(acc_, acc_.Add(v));
+    } else if (v.Compare(acc_) == (fn_ == AggFunc::kMin ? -1 : 1)) {
+      acc_ = v;
+    }
+    has_value_ = true;
+    return Status::OK();
+  }
+
+  /// The state as the view stores it.
+  Value State() const {
+    if (fn_ == AggFunc::kCountStar || fn_ == AggFunc::kCount) {
+      return Value::Int64(count_);
+    }
+    return has_value_ ? acc_ : Value::Null(acc_.type());
+  }
+
+ private:
+  AggFunc fn_;
+  int64_t count_ = 0;
+  Value acc_;
+  bool has_value_ = false;
+};
+
 /// A column of a view's join: the base (index into ViewDef::tables) and the
 /// column's position in that base's schema.
 struct ColRef {
@@ -74,7 +133,7 @@ struct DeltaJoin {
   size_t term = 0;
   std::vector<bool> reached;
   std::vector<Row> tuple;  ///< the current row of each base
-  std::map<std::string, std::pair<Row, std::vector<AggState>>> out;
+  std::map<std::string, std::pair<Row, std::vector<ViewAgg>>> out;
 
   Result<ColRef> Resolve(const std::string& column) const {
     for (size_t t = 0; t < tables.size(); t++) {
@@ -148,9 +207,9 @@ struct DeltaJoin {
   }
 };
 
-/// The view's groups over just the inserted rows, aggregates in AggState's
-/// partial form. NotSupported when the walk cannot reach every base by
-/// clustered-key seeks (the caller then re-materializes).
+/// The view's groups over just the inserted rows, aggregates in their
+/// stored form (ViewAgg::State). NotSupported when the walk cannot reach
+/// every base by clustered-key seeks (the caller then re-materializes).
 Result<std::vector<Row>> DeltaGroups(const Catalog& catalog,
                                      const ViewInfo& info,
                                      const DerivedChange& change) {
@@ -193,14 +252,14 @@ Result<std::vector<Row>> DeltaGroups(const Catalog& catalog,
   std::vector<Row> delta;
   for (auto& [encoded, group] : j.out) {
     delta.push_back(std::move(group.first));
-    for (const AggState& s : group.second) s.AppendPartial(&delta.back());
+    for (const ViewAgg& s : group.second) delta.back().push_back(s.State());
   }
   return delta;
 }
 
 /// Merges delta groups into the view's backing table: a stored group is
 /// updated in place, a new one inserted. NULL is "no value" on both sides,
-/// as in AggState::MergePartial: an all-NULL delta leaves a stored SUM, MIN
+/// as in ViewAgg::Merge: an all-NULL delta leaves a stored SUM, MIN
 /// or MAX alone, and a stored NULL takes the delta's value. The backing
 /// table is derived, so it is written with no log.
 Status MergeDelta(const ViewInfo& info, Table* table,
@@ -227,10 +286,10 @@ Status MergeDelta(const ViewInfo& info, Table* table,
     }
     Row merged(drow.begin(), drow.begin() + ngroups);
     for (size_t a = 0; a < info.agg_cols.size(); a++) {
-      AggState s(info.agg_cols[a].fn);
-      ELE_RETURN_NOT_OK(s.MergePartial(stored, ngroups + a));
-      ELE_RETURN_NOT_OK(s.MergePartial(drow, ngroups + a));
-      s.AppendPartial(&merged);
+      ViewAgg s(info.agg_cols[a].fn);
+      ELE_RETURN_NOT_OK(s.Merge(stored[ngroups + a]));
+      ELE_RETURN_NOT_OK(s.Merge(drow[ngroups + a]));
+      merged.push_back(s.State());
     }
     ELE_RETURN_NOT_OK(table->Update(ckey, stored, merged, TxnWriteContext{}));
   }

@@ -16,8 +16,8 @@ namespace {
 
 /// Unit coverage of the batch operators: container semantics, and each
 /// operator against a row-at-a-time reference computed in the test itself
-/// (storage iterators, Expr::Eval, EvalPredicate, AggState), compared exactly
-/// row for row.
+/// (storage iterators, Expr::Eval, EvalPredicate, and a Value fold of the
+/// aggregates written here), compared exactly row for row.
 struct BatchExecFixture : public ::testing::Test {
   DiskManager disk;
   BufferPool pool{&disk, 4096};
@@ -69,12 +69,50 @@ struct BatchExecFixture : public ::testing::Test {
     return out;
   }
 
+  /// Row reference for one aggregate: a fold over Values, written here
+  /// from the SQL rules rather than taken from the engine.
+  struct RefAgg {
+    AggFunc fn;
+    int64_t count = 0;
+    Value acc;
+    bool has = false;
+
+    void Accumulate(const Value& v) {
+      if (fn == AggFunc::kCountStar) {
+        count++;
+        return;
+      }
+      if (v.is_null()) return;
+      count++;
+      if (fn == AggFunc::kCount) return;
+      if (fn == AggFunc::kSum || fn == AggFunc::kAvg) {
+        const Value w = v.type() == TypeId::kInt32 ? Value::Int64(v.AsInt64()) : v;
+        acc = has ? acc.Add(w).value() : w;
+      } else if (!has || v.Compare(acc) == (fn == AggFunc::kMin ? -1 : 1)) {
+        acc = v;
+      }
+      has = true;
+    }
+    Value Finalize() const {
+      switch (fn) {
+        case AggFunc::kCountStar:
+        case AggFunc::kCount:
+          return Value::Int64(count);
+        case AggFunc::kAvg:
+          if (count == 0) return Value::Null(TypeId::kDouble);
+          return Value::Double(acc.AsDouble() / static_cast<double>(count));
+        default:
+          return has ? acc : Value();
+      }
+    }
+  };
+
   /// Row reference for a hash aggregate: Expr::Eval per row, groups in
-  /// encoded-key order, folded through AggState.
+  /// encoded-key order, folded through RefAgg.
   static std::vector<Row> RowAggregate(const std::vector<Row>& rows,
                                        const std::vector<ExprPtr>& groups,
                                        const std::vector<AggSpec>& aggs) {
-    std::map<std::string, std::pair<Row, std::vector<AggState>>> table;
+    std::map<std::string, std::pair<Row, std::vector<RefAgg>>> table;
     for (const Row& row : rows) {
       std::string key;
       Row values;
@@ -85,21 +123,21 @@ struct BatchExecFixture : public ::testing::Test {
       }
       auto it = table.find(key);
       if (it == table.end()) {
-        std::vector<AggState> states;
-        for (const AggSpec& a : aggs) states.emplace_back(a.fn);
+        std::vector<RefAgg> states;
+        for (const AggSpec& a : aggs) states.push_back(RefAgg{a.fn, 0, Value(), false});
         it = table.emplace(key, std::make_pair(values, states)).first;
       }
       for (size_t i = 0; i < aggs.size(); i++) {
         const Value v = aggs[i].fn == AggFunc::kCountStar
                             ? Value()
                             : aggs[i].arg->Eval(row).value();
-        EXPECT_TRUE(it->second.second[i].Accumulate(v).ok());
+        it->second.second[i].Accumulate(v);
       }
     }
     std::vector<Row> out;
     for (const auto& [key, group] : table) {
       Row row = group.first;
-      for (const AggState& s : group.second) row.push_back(s.Finalize());
+      for (const RefAgg& s : group.second) row.push_back(s.Finalize());
       out.push_back(std::move(row));
     }
     return out;
@@ -122,8 +160,9 @@ struct BatchExecFixture : public ::testing::Test {
 // ---------- Batch container ----------
 
 TEST_F(BatchExecFixture, BatchAppendSelectGather) {
+  const Schema two({Column("a", TypeId::kInt32), Column("b", TypeId::kInt32)});
   Batch b;
-  b.Reset(2);
+  b.Reset(two);
   EXPECT_EQ(b.num_cols(), 2u);
   EXPECT_EQ(b.num_rows(), 0u);
   EXPECT_TRUE(b.empty());
@@ -142,20 +181,23 @@ TEST_F(BatchExecFixture, BatchAppendSelectGather) {
   EXPECT_EQ(b.num_rows(), 5u);  // physical rows unchanged
   EXPECT_EQ(b.ActiveIndex(0), 1u);
   EXPECT_EQ(b.ActiveIndex(1), 4u);
-  Row r;
-  b.GatherRow(b.ActiveIndex(1), &r);
-  EXPECT_EQ(r[0].AsInt32(), 4);
-  EXPECT_EQ(r[1].AsInt32(), 40);
+  EXPECT_EQ(b.col(0).Int(b.ActiveIndex(1)), 4);
+  EXPECT_EQ(b.col(1).Int(b.ActiveIndex(1)), 40);
+  std::vector<Row> live;
+  EXPECT_EQ(b.AppendActiveRowsTo(&live), 4u);  // 2 live rows x 2 columns
+  ASSERT_EQ(live.size(), 2u);
+  EXPECT_EQ(live[1][0].type(), TypeId::kInt32);
+  EXPECT_EQ(live[1][1].AsInt32(), 40);
 
   b.SetSelection({});
   EXPECT_TRUE(b.empty());  // all rows deselected
-  b.Reset(2);
+  b.Reset(two);
   EXPECT_FALSE(b.selection_active());  // Reset clears the selection
 }
 
 TEST_F(BatchExecFixture, BatchFullAtCapacity) {
   Batch b;
-  b.Reset(1);
+  b.Reset(Schema({Column("a", TypeId::kInt32)}));
   for (uint32_t i = 0; i < kBatchCapacity; i++) {
     EXPECT_FALSE(b.full());
     b.AppendRow({Value::Int32(static_cast<int32_t>(i))});
@@ -267,9 +309,7 @@ TEST_F(BatchExecFixture, BatchFilterSkipsFullyFilteredBatches) {
   ASSERT_TRUE(has.ok());
   ASSERT_TRUE(has.value());
   ASSERT_EQ(b.ActiveCount(), 1u);
-  Row r;
-  b.GatherRow(b.ActiveIndex(0), &r);
-  EXPECT_EQ(r[0].AsInt32(), 2400);
+  EXPECT_EQ(b.col(0).Int(b.ActiveIndex(0)), 2400);
   has = filter.NextBatch(&b);
   ASSERT_TRUE(has.ok());
   EXPECT_FALSE(has.value());
@@ -446,36 +486,46 @@ TEST_F(BatchExecFixture, BatchPartialFinalAggregateMatchesRowPipeline) {
 }
 
 TEST_F(BatchExecFixture, AggregateSumOverflowSurfacesAsError) {
-  // SUM's accumulator arithmetic goes through the shared range-checked
-  // Value helpers, so an overflowing sum is an InvalidArgument — never a
-  // silently wrapped answer.
+  // SUM's accumulator arithmetic is range-checked like Value::Add, so an
+  // overflowing sum is an InvalidArgument — never a silently wrapped answer.
   const int64_t kBig = std::numeric_limits<int64_t>::max() - 10;
-  AggState sum(AggFunc::kSum);
-  ASSERT_TRUE(sum.Accumulate(Value::Int64(kBig)).ok());
-  Status overflowed = sum.Accumulate(Value::Int64(100));
+  ColumnVector big(TypeId::kInt64);
+  big.AppendInt(kBig);
+  big.AppendInt(100);
+  AggStates sum(AggSpec(AggFunc::kSum, Col(0, TypeId::kInt64)));
+  sum.AddGroup();
+  Status overflowed = sum.Fold(&big, {0, 1}, {0, 0});
   ASSERT_FALSE(overflowed.ok());
   EXPECT_EQ(overflowed.code(), StatusCode::kInvalidArgument);
 
   // INT32 inputs widen into the INT64 domain first, so a sum of many
   // INT32_MAX values is fine.
-  AggState widened(AggFunc::kAvg);
-  for (int i = 0; i < 1000; i++) {
-    ASSERT_TRUE(
-        widened
-            .Accumulate(Value::Int32(std::numeric_limits<int32_t>::max()))
-            .ok());
+  ColumnVector maxes(TypeId::kInt32);
+  std::vector<uint32_t> rows, zeros(1000, 0);
+  for (uint32_t i = 0; i < 1000; i++) {
+    maxes.AppendInt(std::numeric_limits<int32_t>::max());
+    rows.push_back(i);
   }
-  EXPECT_DOUBLE_EQ(
-      widened.Finalize().AsDouble(),
-      static_cast<double>(std::numeric_limits<int32_t>::max()));
+  AggStates widened(AggSpec(AggFunc::kAvg, Col(0, TypeId::kInt32)));
+  widened.AddGroup();
+  ASSERT_TRUE(widened.Fold(&maxes, rows, zeros).ok());
+  ColumnVector avg(TypeId::kDouble);
+  widened.AppendFinal(0, &avg);
+  EXPECT_DOUBLE_EQ(avg.Double(0),
+                   static_cast<double>(std::numeric_limits<int32_t>::max()));
 
-  // MergePartial (the parallel final-aggregate path) is checked the same way.
-  AggState partial_a(AggFunc::kSum), partial_b(AggFunc::kSum);
-  ASSERT_TRUE(partial_a.Accumulate(Value::Int64(kBig)).ok());
-  ASSERT_TRUE(partial_b.Accumulate(Value::Int64(kBig)).ok());
-  Row transfer;
-  partial_b.AppendPartial(&transfer);
-  Status merged = partial_a.MergePartial(transfer, 0);
+  // Merge (the parallel final-aggregate path) is checked the same way.
+  const AggSpec spec(AggFunc::kSum, Col(0, TypeId::kInt64));
+  AggStates partial_a(spec), partial_b(spec);
+  partial_a.AddGroup();
+  partial_b.AddGroup();
+  ASSERT_TRUE(partial_a.Fold(&big, {0}, {0}).ok());
+  ASSERT_TRUE(partial_b.Fold(&big, {0}, {0}).ok());
+  Batch transfer;
+  transfer.Reset(Schema({Column("s", TypeId::kInt64)}));
+  partial_b.AppendPartial(0, &transfer, 0);
+  Status merged =
+      partial_a.Merge(transfer.col(0), transfer.col(0), {0}, {0});
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.code(), StatusCode::kInvalidArgument);
 }

@@ -336,12 +336,28 @@ TEST_F(BatchIdentityTest, RandomizedDifferentialSweep) {
   // legitimately fire in one plan and not the other. Overflow-prone
   // arithmetic is excluded the same way (parity for guarded/unguarded
   // errors is pinned by the fixed shapes above).
+  // A term is a comparison, a BETWEEN, or IS [NOT] NULL over a NULL-bearing
+  // column (a, amount). NOT is left out: the engine's NULL comparison is
+  // FALSE, which differs from SQL's UNKNOWN only under NOT.
+  const char* null_cols[] = {"a", "amount"};
+  auto term = [&]() -> std::string {
+    const int kind = static_cast<int>(rng.Uniform(0, 5));
+    if (kind == 0) {
+      const int64_t lo = rng.Uniform(-140, 2500);
+      return std::string(col()) + " BETWEEN " + std::to_string(lo) + " AND " +
+             std::to_string(lo + rng.Uniform(-10, 400));
+    }
+    if (kind == 1) {
+      return std::string(null_cols[rng.Uniform(0, 1)]) +
+             (rng.Uniform(0, 1) == 0 ? " IS NULL" : " IS NOT NULL");
+    }
+    return std::string(col()) + " " + cmp() + " " +
+           std::to_string(rng.Uniform(-140, 2500));
+  };
   auto predicate = [&]() -> std::string {
-    std::string p = std::string(col()) + " " + cmp() + " " +
-                    std::to_string(rng.Uniform(-140, 2500));
+    std::string p = term();
     if (rng.Uniform(0, 2) == 0) {
-      p += (rng.Uniform(0, 1) == 0 ? " AND " : " OR ") + std::string(col()) +
-           " " + cmp() + " " + std::to_string(rng.Uniform(-140, 2500));
+      p += (rng.Uniform(0, 1) == 0 ? " AND " : " OR ") + term();
     }
     return p;
   };

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "catalog/catalog.h"
 #include "common/rng.h"
 #include "wal/log_manager.h"
@@ -270,6 +272,51 @@ TEST_F(CatalogFixture, AnalyzeComputesStats) {
   EXPECT_EQ(stats[1].distinct, 10u);
   EXPECT_EQ(stats[1].null_count, 1u);
   EXPECT_EQ(stats[2].distinct, 1u);
+}
+
+TEST_F(CatalogFixture, AnalyzeStatsMatchAPerValueSetOverNullsAndDuplicates) {
+  // Every column's stats against a reference that inserts each non-NULL
+  // value's hash into a set and tracks min/max by Value::Compare: the
+  // definition of the distinct count Analyze computes with a sort instead.
+  auto t = catalog.CreateTable("t", PointSchema(), {0});
+  ASSERT_TRUE(t.ok());
+  std::vector<Row> rows;
+  Rng rng(11);
+  for (int i = 0; i < 3000; i++) {
+    const int32_t k = static_cast<int32_t>(rng.Uniform(0, 700));
+    Value grp = rng.Uniform(0, 9) == 0
+                    ? Value::Null(TypeId::kInt32)
+                    : Value::Int32(static_cast<int32_t>(rng.Uniform(-40, 40)));
+    Value label = rng.Uniform(0, 4) == 0
+                      ? Value::Null(TypeId::kVarchar)
+                      : Value::Varchar("v" + std::to_string(rng.Uniform(0, 60)));
+    rows.push_back({Value::Int32(k), std::move(grp), std::move(label)});
+  }
+  const std::vector<Row> copy = rows;
+  ASSERT_TRUE(t.value()->BulkLoadRows(std::move(rows)).ok());
+  ASSERT_TRUE(t.value()->Analyze().ok());
+  const auto& stats = t.value()->stats();
+  ASSERT_EQ(stats.size(), 3u);
+  for (size_t c = 0; c < 3; c++) {
+    std::set<uint64_t> hashes;
+    uint64_t nulls = 0;
+    Value min, max;
+    for (const Row& r : copy) {
+      if (r[c].is_null()) {
+        nulls++;
+        continue;
+      }
+      if (hashes.empty() || r[c].Compare(min) < 0) min = r[c];
+      if (hashes.empty() || r[c].Compare(max) > 0) max = r[c];
+      hashes.insert(r[c].Hash());
+    }
+    EXPECT_EQ(stats[c].distinct, hashes.size()) << "column " << c;
+    EXPECT_EQ(stats[c].null_count, nulls) << "column " << c;
+    EXPECT_EQ(stats[c].min.Compare(min), 0) << "column " << c;
+    EXPECT_EQ(stats[c].max.Compare(max), 0) << "column " << c;
+  }
+  EXPECT_GT(stats[1].null_count, 0u);
+  EXPECT_LT(stats[2].distinct, 62u);  // duplicates collapse
 }
 
 }  // namespace

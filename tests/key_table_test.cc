@@ -74,11 +74,10 @@ TEST(KeyTableTest, IntegerKeysMeetAtOneWidth) {
   EXPECT_EQ(CommonKeyType(TypeId::kInt32, TypeId::kDate), TypeId::kInt32);
 
   auto encode = [](const Value& v, TypeId type) {
-    Value scratch;
-    const Value* k = CastKey(v, type, &scratch);
+    ColumnVector col(v.type());
+    col.AppendValue(v);
     std::string out;
-    if (k != nullptr) keycodec::Encode(*k, &out);
-    return k == nullptr ? std::string("none") : out;
+    return EncodeKeyCell(col, 0, type, &out) ? out : std::string("none");
   };
   EXPECT_EQ(encode(Value::Int32(7), TypeId::kInt64),
             encode(Value::Int64(7), TypeId::kInt64));
