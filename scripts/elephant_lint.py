@@ -51,13 +51,18 @@ arguments depend on:
                     reach through BPlusTree.
   value-in-batch-kernel
                     std::vector<Value>, Value::Compare or a `.Compare(` call
-                    in src/exec/. Batch columns are typed lanes and every
-                    batch kernel (filter, projection, join keys, aggregates,
-                    sort) runs on them; a per-row Value path must not come
-                    back beside them. The boundary adapters where rows enter
-                    or leave the engine as Values (root conversion, VALUES
-                    and virtual scans, scalar Expr::Eval, the planner's
-                    static key ranges) carry a lint:allow.
+                    in src/exec/, or a conversion between a Value and a
+                    batch cell (ColumnVector::GetValue / AppendValue,
+                    Batch::AppendRow). Batch columns are typed lanes and
+                    every batch kernel (filter, projection, join keys,
+                    aggregates, sort) runs on them; a per-row Value path
+                    must not come back beside them. The boundary adapters
+                    where rows enter or leave the engine as Values (root
+                    conversion, literals, VALUES and virtual scans, scalar
+                    Expr::Eval, the planner's static key ranges) carry a
+                    lint:allow, so ExecCounters::values_materialized, counted
+                    at the root conversion, counts every Value built from a
+                    lane.
 
 Suppress a finding with a trailing or preceding-line comment:
 
@@ -117,7 +122,8 @@ VALUE_KERNEL_DIR = "exec"
 VALUE_KERNEL_RE = re.compile(
     r"\bstd\s*::\s*vector\s*<\s*Value\s*>"
     r"|\bValue\s*::\s*Compare\b"
-    r"|\.\s*Compare\s*\(")
+    r"|\.\s*Compare\s*\("
+    r"|\b(?:GetValue|AppendValue|AppendRow)\s*\(")
 
 RAW_PAGE_API_RE = re.compile(
     r"\b(?:FetchPage|NewPage)\s*\((?!\s*\))"  # call with args (decl-ish ok too)
@@ -360,9 +366,10 @@ def lint_file(path, rel, text):
         for lineno, ln in enumerate(lines, 1):
             if VALUE_KERNEL_RE.search(ln):
                 report(lineno, "value-in-batch-kernel",
-                       "per-row Value (std::vector<Value> / Value::Compare) "
-                       "in the batch engine; run the kernel on the typed "
-                       "lanes (ColumnVector, CompareCells, EncodeCell), or "
+                       "per-row Value (std::vector<Value> / Value::Compare "
+                       "/ a Value<->cell conversion) in the batch engine; "
+                       "run the kernel on the typed lanes (ColumnVector, "
+                       "CompareCells, EncodeCell), or "
                        "lint:allow a boundary adapter with its reason")
 
     # --- unguarded-mutex ---

@@ -399,9 +399,18 @@ Status Table::CountRows() {
 }
 
 Status Table::Analyze() {
-  // Distinct counts come from each column's value hashes, collected and
-  // then sorted and deduplicated once (cheaper than a tree insert per row).
+  // Distinct counts come from each column's value hashes, collected in a
+  // vector and sorted and deduplicated (cheaper than a tree insert per row).
+  // A column's vector is compacted whenever it doubles past its size after
+  // the last compaction, so it stays within about twice the column's
+  // distinct count (plus one initial chunk), not one hash per row.
+  constexpr size_t kMinCompact = 4096;
   std::vector<std::vector<uint64_t>> distinct(schema_.NumColumns());
+  std::vector<size_t> compact_at(schema_.NumColumns(), kMinCompact);
+  auto compact = [](std::vector<uint64_t>* hashes) {
+    std::sort(hashes->begin(), hashes->end());
+    hashes->erase(std::unique(hashes->begin(), hashes->end()), hashes->end());
+  };
   std::vector<bool> seen(schema_.NumColumns(), false);
   stats_.assign(schema_.NumColumns(), ColumnStats{});
   ELE_ASSIGN_OR_RETURN(RowIterator it, ScanAll());
@@ -414,6 +423,10 @@ Status Table::Analyze() {
         continue;
       }
       distinct[c].push_back(row[c].Hash());
+      if (distinct[c].size() >= compact_at[c]) {
+        compact(&distinct[c]);
+        compact_at[c] = std::max(kMinCompact, 2 * distinct[c].size());
+      }
       if (!seen[c] || row[c].Compare(stats_[c].min) < 0) stats_[c].min = row[c];
       if (!seen[c] || row[c].Compare(stats_[c].max) > 0) stats_[c].max = row[c];
       seen[c] = true;
@@ -421,10 +434,8 @@ Status Table::Analyze() {
     ELE_RETURN_NOT_OK(it.Next());
   }
   for (size_t c = 0; c < schema_.NumColumns(); c++) {
-    std::vector<uint64_t>& hashes = distinct[c];
-    std::sort(hashes.begin(), hashes.end());
-    stats_[c].distinct = static_cast<uint64_t>(
-        std::unique(hashes.begin(), hashes.end()) - hashes.begin());
+    compact(&distinct[c]);
+    stats_[c].distinct = distinct[c].size();
   }
   return Status::OK();
 }

@@ -111,9 +111,9 @@ class ColumnVector {
   double* doubles() { return doubles_.data(); }
 
   /// Boundary: appends a Value of this column's type (NULL of any type).
-  void AppendValue(const Value& v);
+  void AppendValue(const Value& v);  // lint:allow(value-in-batch-kernel)
   /// Boundary: cell `r` as a Value of this column's type.
-  Value GetValue(uint32_t r) const;
+  Value GetValue(uint32_t r) const;  // lint:allow(value-in-batch-kernel)
 
  private:
   TypeId type_ = TypeId::kInvalid;
@@ -125,10 +125,50 @@ class ColumnVector {
   std::vector<uint32_t> ends_;
 };
 
-/// Value::Compare between two non-NULL cells, on their lanes: strings by
-/// ComparePadded, DECIMAL against a non-DECIMAL number in the double
-/// domain, two other integer types as integers, anything with a DOUBLE as
-/// doubles. A string against a number is an error, reported as 0.
+/// Three-way comparison of two values of one C++ type: -1, 0 or 1.
+template <typename T>
+int ThreeWay(T a, T b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+/// The domain Value::Compare compares two non-NULL values of types `a` and
+/// `b` in, chosen once from the types: strings by ComparePadded (kString);
+/// two integer-lane types as int64 unless exactly one is DECIMAL (kInt);
+/// every other pair of numbers as doubles, a DECIMAL unscaled (kDouble).
+/// kNull: either type is the untyped NULL, so no comparison is true;
+/// kMismatch: a string against a number, an error.
+enum class CompareDomain : uint8_t { kString, kInt, kDouble, kNull, kMismatch };
+
+inline CompareDomain CompareDomainOf(TypeId a, TypeId b) {
+  if (a == TypeId::kInvalid || b == TypeId::kInvalid) return CompareDomain::kNull;
+  const Lane la = LaneOf(a), lb = LaneOf(b);
+  if ((la == Lane::kString) != (lb == Lane::kString)) {
+    return CompareDomain::kMismatch;
+  }
+  if (la == Lane::kString) return CompareDomain::kString;
+  if (la == Lane::kInt && lb == Lane::kInt &&
+      (a == TypeId::kDecimal) == (b == TypeId::kDecimal)) {
+    return CompareDomain::kInt;
+  }
+  return CompareDomain::kDouble;
+}
+
+/// Calls `k` with a reader of numeric column `c`'s cells in the double
+/// domain (Value::AsDouble: a DECIMAL unscaled, an integer converted); the
+/// lane test is made once, not per cell.
+template <typename K>
+void WithDoubles(const ColumnVector& c, K&& k) {
+  if (c.lane() == Lane::kDouble) {
+    k([&c](uint32_t r) { return c.Double(r); });
+    return;
+  }
+  const double scale =
+      c.type() == TypeId::kDecimal ? static_cast<double>(decimal::kScale) : 1.0;
+  k([&c, scale](uint32_t r) { return static_cast<double>(c.Int(r)) / scale; });
+}
+
+/// Value::Compare between two non-NULL cells, in their CompareDomainOf
+/// domain. A string against a number is an error, reported as 0.
 int CompareCells(const ColumnVector& a, uint32_t i, const ColumnVector& b,
                  uint32_t j);
 
@@ -178,7 +218,7 @@ class Batch {
   ColumnVector& col(size_t c) { return cols_[c]; }
 
   /// Boundary: appends one row of Values; the batch must not be full.
-  void AppendRow(const Row& row) {
+  void AppendRow(const Row& row) {  // lint:allow(value-in-batch-kernel)
     for (size_t c = 0; c < cols_.size(); ++c) cols_[c].AppendValue(row[c]);
     ++num_rows_;
   }

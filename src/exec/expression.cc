@@ -92,25 +92,6 @@ Result<Operand> EvalOperand(const Expr& e, const Batch& batch,
   return Operand{c, ~0u};
 }
 
-template <typename T>
-int ThreeWay(T a, T b) {
-  return a < b ? -1 : (a > b ? 1 : 0);
-}
-
-/// Calls `k` with a reader of `o`'s cells in the double domain
-/// (Value::AsDouble: a DECIMAL unscaled, an integer converted).
-template <typename K>
-void WithDoubles(const Operand& o, K&& k) {
-  const ColumnVector& c = *o.col;
-  if (c.lane() == Lane::kDouble) {
-    k([&c](uint32_t r) { return c.Double(r); });
-    return;
-  }
-  const double scale =
-      c.type() == TypeId::kDecimal ? static_cast<double>(decimal::kScale) : 1.0;
-  k([&c, scale](uint32_t r) { return static_cast<double>(c.Int(r)) / scale; });
-}
-
 /// out[p] = op(cmp(l, r)) at every listed position, false where either side
 /// is NULL. `cmp` is the three-way comparison of two operand rows.
 template <typename Cmp>
@@ -173,35 +154,33 @@ Result<const ColumnVector*> CompareExpr::EvalBatch(
   int64_t* out = scratch->ints();
   const ColumnVector& lc = *l.col;
   const ColumnVector& rc = *r.col;
-  // Value::Compare's domains, chosen once per batch from the static types.
-  if (lc.type() == TypeId::kInvalid || rc.type() == TypeId::kInvalid) {
-    return scratch;  // an untyped NULL: every comparison is false
-  }
-  const bool str_l = lc.lane() == Lane::kString;
-  const bool str_r = rc.lane() == Lane::kString;
-  if (str_l != str_r) {
-    if (positions.empty()) return scratch;
-    return Status::ExecError(std::string("cannot compare ") +
-                             TypeName(lc.type()) + " with " +
-                             TypeName(rc.type()));
-  }
-  if (str_l) {
-    CompareRows(op_, positions, l, r, [&](uint32_t a, uint32_t b) {
-      return ComparePadded(lc.String(a), rc.String(b));
-    }, out);
-  } else if (lc.lane() == Lane::kInt && rc.lane() == Lane::kInt &&
-             (lc.type() == TypeId::kDecimal) == (rc.type() == TypeId::kDecimal)) {
-    CompareRows(op_, positions, l, r, [&](uint32_t a, uint32_t b) {
-      return ThreeWay(lc.Int(a), rc.Int(b));
-    }, out);
-  } else {
-    WithDoubles(l, [&](auto get_l) {
-      WithDoubles(r, [&](auto get_r) {
-        CompareRows(op_, positions, l, r, [&](uint32_t a, uint32_t b) {
-          return ThreeWay(get_l(a), get_r(b));
-        }, out);
+  switch (CompareDomainOf(lc.type(), rc.type())) {
+    case CompareDomain::kNull:
+      break;  // an untyped NULL: every comparison is false
+    case CompareDomain::kMismatch:
+      if (positions.empty()) break;
+      return Status::ExecError(std::string("cannot compare ") +
+                               TypeName(lc.type()) + " with " +
+                               TypeName(rc.type()));
+    case CompareDomain::kString:
+      CompareRows(op_, positions, l, r, [&](uint32_t a, uint32_t b) {
+        return ComparePadded(lc.String(a), rc.String(b));
+      }, out);
+      break;
+    case CompareDomain::kInt:
+      CompareRows(op_, positions, l, r, [&](uint32_t a, uint32_t b) {
+        return ThreeWay(lc.Int(a), rc.Int(b));
+      }, out);
+      break;
+    case CompareDomain::kDouble:
+      WithDoubles(lc, [&](auto get_l) {
+        WithDoubles(rc, [&](auto get_r) {
+          CompareRows(op_, positions, l, r, [&](uint32_t a, uint32_t b) {
+            return ThreeWay(get_l(a), get_r(b));
+          }, out);
+        });
       });
-    });
+      break;
   }
   return scratch;
 }
@@ -285,8 +264,8 @@ Result<const ColumnVector*> ArithExpr::EvalBatch(
   if (t == TypeId::kDouble) {
     double* out = scratch->doubles();
     Status status;
-    WithDoubles(l, [&](auto get_l) {
-      WithDoubles(r, [&](auto get_r) {
+    WithDoubles(*l.col, [&](auto get_l) {
+      WithDoubles(*r.col, [&](auto get_r) {
         if (op_ == ArithOp::kDiv) {
           for (uint32_t p : positions) {
             if (null_at(p)) {
@@ -463,6 +442,7 @@ AggStates::AggStates(const AggSpec& spec) : fn_(spec.fn) {
       summable_ = false;
       break;
   }
+  compare_ = CompareDomainOf(type_, type_);
 }
 
 void AggStates::AddGroup() {
@@ -509,22 +489,25 @@ Status AggStates::Add(uint32_t g, const ColumnVector& v, uint32_t r) {
     }
     return Status::OK();
   }
-  // MIN / MAX: replace on a strictly smaller (larger) value, so the first
-  // of equal values stays.
+  // MIN / MAX: replace on a strictly smaller (larger) value in
+  // Value::Compare order, so the first of equal values stays.
   const int want = fn_ == AggFunc::kMin ? -1 : 1;
-  switch (LaneOf(type_)) {
-    case Lane::kInt:
+  switch (compare_) {
+    case CompareDomain::kInt:
       if (first || ThreeWay(v.Int(r), ints_[g]) == want) ints_[g] = v.Int(r);
       break;
-    case Lane::kDouble:
+    case CompareDomain::kDouble:
       if (first || ThreeWay(v.Double(r), doubles_[g]) == want) {
         doubles_[g] = v.Double(r);
       }
       break;
-    case Lane::kString:
+    case CompareDomain::kString:
       if (first || ComparePadded(v.String(r), strings_[g]) == want) {
         strings_[g].assign(v.String(r));
       }
+      break;
+    case CompareDomain::kNull:
+    case CompareDomain::kMismatch:
       break;
   }
   return Status::OK();

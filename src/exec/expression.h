@@ -132,6 +132,7 @@ class ColumnExpr final : public Expr {
 class LiteralExpr final : public Expr {
  public:
   explicit LiteralExpr(Value v) : value_(std::move(v)), constant_(value_.type()) {
+    // lint:allow(value-in-batch-kernel): a literal enters as a Value.
     constant_.AppendValue(value_);
   }
 
@@ -430,6 +431,9 @@ class AggStates {
   AggFunc fn_;
   TypeId type_;  ///< the running value's type (SUM domain, or MIN/MAX arg)
   bool summable_;  ///< SUM/AVG: the argument type has arithmetic
+  /// MIN/MAX: the domain a value compares with the running value in (both
+  /// have type_, so it is type_'s own lane).
+  CompareDomain compare_;
   std::vector<int64_t> counts_;
   std::vector<uint8_t> has_;
   /// Running values, by group, in the lane of type_.

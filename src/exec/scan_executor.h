@@ -126,6 +126,7 @@ class ValuesExecutor final : public BatchExecutor {
   }
   Result<bool> NextBatch(Batch* out) override {
     out->Reset(schema_);
+    // lint:allow(value-in-batch-kernel): VALUES rows enter as Values.
     while (!out->full() && pos_ < rows_.size()) out->AppendRow(rows_[pos_++]);
     return out->num_rows() > 0;
   }

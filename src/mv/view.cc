@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <unordered_set>
@@ -48,64 +49,32 @@ std::string Join(const std::vector<std::string>& parts, const char* sep) {
   return out;
 }
 
-/// One aggregate of a view over Values: the rows a delta join produces, and
-/// the stored and delta states MergeDelta folds. Its state is the view's
-/// stored column — COUNT's count, or the running SUM, MIN or MAX (NULL
-/// until a non-NULL value arrives) — the one-column partial form of the
-/// batch engine's AggStates (views carry no AVG), with the same rules: NULLs
-/// are skipped, integer SUMs accumulate in INT64 with Value::Add's overflow
-/// checks, and MIN/MAX keep the first of equal values. The delta refresh
-/// walks one row at a time, so it folds Values; AggStates folds whole
-/// columns.
-class ViewAgg {
- public:
-  explicit ViewAgg(AggFunc fn) : fn_(fn) {}
+/// The aggregate a view column's state folds through: the column's
+/// function over an argument of type `arg` (none for COUNT(*)). Folding the
+/// join rows and merging stored with delta states both run on the batch
+/// engine's AggStates, so a view's column follows the GROUP BY it
+/// materializes rule for rule.
+AggSpec ViewAggSpec(AggFunc fn, TypeId arg) {
+  return AggSpec(fn, fn == AggFunc::kCountStar
+                         ? nullptr
+                         : std::make_unique<ColumnExpr>(0, arg));
+}
 
-  /// Folds one input value (ignored for COUNT(*)).
-  Status Accumulate(const Value& v) {
-    if (fn_ == AggFunc::kCountStar || (fn_ == AggFunc::kCount && !v.is_null())) {
-      count_++;
-      return Status::OK();
-    }
-    if (fn_ == AggFunc::kSum && !v.is_null() && !has_value_ &&
-        v.type() == TypeId::kInt32) {
-      return Merge(Value::Int64(v.AsInt64()));  // widen to the SUM domain
-    }
-    return fn_ == AggFunc::kCount ? Status::OK() : Merge(v);
+/// Row `r` of `batch` as Values, for the table writes.
+Row RowAt(const Batch& batch, uint32_t r) {
+  Row row;
+  row.reserve(batch.num_cols());
+  for (size_t c = 0; c < batch.num_cols(); c++) {
+    row.push_back(batch.col(c).GetValue(r));
   }
+  return row;
+}
 
-  /// Folds a stored state (the view column's value).
-  Status Merge(const Value& v) {
-    if (fn_ == AggFunc::kCountStar || fn_ == AggFunc::kCount) {
-      count_ += v.AsInt64();
-      return Status::OK();
-    }
-    if (v.is_null()) return Status::OK();
-    if (!has_value_) {
-      acc_ = v;
-    } else if (fn_ == AggFunc::kSum) {
-      ELE_ASSIGN_OR_RETURN(acc_, acc_.Add(v));
-    } else if (v.Compare(acc_) == (fn_ == AggFunc::kMin ? -1 : 1)) {
-      acc_ = v;
-    }
-    has_value_ = true;
-    return Status::OK();
-  }
-
-  /// The state as the view stores it.
-  Value State() const {
-    if (fn_ == AggFunc::kCountStar || fn_ == AggFunc::kCount) {
-      return Value::Int64(count_);
-    }
-    return has_value_ ? acc_ : Value::Null(acc_.type());
-  }
-
- private:
-  AggFunc fn_;
-  int64_t count_ = 0;
-  Value acc_;
-  bool has_value_ = false;
-};
+std::vector<uint32_t> Iota(size_t n) {
+  std::vector<uint32_t> ids(n);
+  std::iota(ids.begin(), ids.end(), 0u);
+  return ids;
+}
 
 /// A column of a view's join: the base (index into ViewDef::tables) and the
 /// column's position in that base's schema.
@@ -133,7 +102,14 @@ struct DeltaJoin {
   size_t term = 0;
   std::vector<bool> reached;
   std::vector<Row> tuple;  ///< the current row of each base
-  std::map<std::string, std::pair<Row, std::vector<ViewAgg>>> out;
+  /// Encoded group key -> group id (ids in first-seen order); iterates in
+  /// the view's key order.
+  std::map<std::string, uint32_t> group_ids;
+  std::vector<Row> keys;  ///< per group id: the group columns' values
+  /// Per join row, in emit order: its group id, and per aggregate column
+  /// its argument (a column stays empty for COUNT(*)).
+  std::vector<uint32_t> row_groups;
+  std::vector<ColumnVector> arg_cols;
 
   Result<ColRef> Resolve(const std::string& column) const {
     for (size_t t = 0; t < tables.size(); t++) {
@@ -186,33 +162,33 @@ struct DeltaJoin {
       const Value& y = tuple[b.table][b.col];
       if (x.is_null() || y.is_null() || x.Compare(y) != 0) return Status::OK();
     }
-    Row key;
     std::string encoded;
     for (const ColRef& g : groups) {
-      key.push_back(tuple[g.table][g.col]);
-      keycodec::Encode(key.back(), &encoded);
+      keycodec::Encode(tuple[g.table][g.col], &encoded);
     }
-    auto [it, added] = out.try_emplace(std::move(encoded));
+    auto [it, added] = group_ids.try_emplace(
+        std::move(encoded), static_cast<uint32_t>(keys.size()));
     if (added) {
-      it->second.first = std::move(key);
-      for (const ViewInfo::AggColumn& a : info.agg_cols) {
-        it->second.second.emplace_back(a.fn);
-      }
+      Row& key = keys.emplace_back();
+      for (const ColRef& g : groups) key.push_back(tuple[g.table][g.col]);
     }
+    row_groups.push_back(it->second);
     for (size_t a = 0; a < args.size(); a++) {
-      ELE_RETURN_NOT_OK(it->second.second[a].Accumulate(
-          args[a] ? tuple[args[a]->table][args[a]->col] : Value()));
+      if (args[a]) arg_cols[a].AppendValue(tuple[args[a]->table][args[a]->col]);
     }
     return Status::OK();
   }
 };
 
-/// The view's groups over just the inserted rows, aggregates in their
-/// stored form (ViewAgg::State). NotSupported when the walk cannot reach
-/// every base by clustered-key seeks (the caller then re-materializes).
-Result<std::vector<Row>> DeltaGroups(const Catalog& catalog,
-                                     const ViewInfo& info,
-                                     const DerivedChange& change) {
+/// The view's groups over just the inserted rows, as rows of the view's
+/// backing table (`view_schema`) in its key order, aggregates in their
+/// stored (AggStates partial) form. The join rows are gathered first and
+/// folded with one AggStates::Fold per aggregate. NotSupported when the
+/// walk cannot reach every base by clustered-key seeks (the caller then
+/// re-materializes).
+Result<Batch> DeltaGroups(const Catalog& catalog, const ViewInfo& info,
+                          const DerivedChange& change,
+                          const Schema& view_schema) {
   DeltaJoin j(info);
   for (const std::string& name : info.def.tables) {
     ELE_ASSIGN_OR_RETURN(Table * t, catalog.GetTable(name));
@@ -232,8 +208,12 @@ Result<std::vector<Row>> DeltaGroups(const Catalog& catalog,
   }
   for (const ViewInfo::AggColumn& a : info.agg_cols) {
     j.args.emplace_back();
+    j.arg_cols.emplace_back();
     if (a.fn != AggFunc::kCountStar) {
       ELE_ASSIGN_OR_RETURN(j.args.back(), j.Resolve(a.column));
+      const ColRef ref = *j.args.back();
+      j.arg_cols.back().Reset(
+          j.tables[ref.table]->schema().ColumnAt(ref.col).type);
     }
   }
   for (const std::vector<const InsertedRow*>& rows : change.inserted) {
@@ -249,49 +229,79 @@ Result<std::vector<Row>> DeltaGroups(const Catalog& catalog,
       ELE_RETURN_NOT_OK(j.Walk(1));
     }
   }
-  std::vector<Row> delta;
-  for (auto& [encoded, group] : j.out) {
-    delta.push_back(std::move(group.first));
-    for (const ViewAgg& s : group.second) delta.back().push_back(s.State());
+  const size_t ngroups = j.groups.size();
+  const std::vector<uint32_t> positions = Iota(j.row_groups.size());
+  std::vector<AggStates> states;
+  for (size_t a = 0; a < info.agg_cols.size(); a++) {
+    AggStates& s = states.emplace_back(
+        ViewAggSpec(info.agg_cols[a].fn, j.arg_cols[a].type()));
+    for (size_t g = 0; g < j.keys.size(); g++) s.AddGroup();
+    ELE_RETURN_NOT_OK(s.Fold(j.args[a] ? &j.arg_cols[a] : nullptr, positions,
+                             j.row_groups));
   }
+  Batch delta;
+  delta.Reset(view_schema);
+  for (const auto& [encoded, g] : j.group_ids) {
+    for (size_t c = 0; c < ngroups; c++) delta.col(c).AppendValue(j.keys[g][c]);
+    for (size_t a = 0; a < states.size(); a++) {
+      states[a].AppendPartial(g, &delta, ngroups + a);
+    }
+  }
+  delta.SetRowCount(static_cast<uint32_t>(j.group_ids.size()));
   return delta;
 }
 
 /// Merges delta groups into the view's backing table: a stored group is
-/// updated in place, a new one inserted. NULL is "no value" on both sides,
-/// as in ViewAgg::Merge: an all-NULL delta leaves a stored SUM, MIN
-/// or MAX alone, and a stored NULL takes the delta's value. The backing
-/// table is derived, so it is written with no log.
-Status MergeDelta(const ViewInfo& info, Table* table,
-                  const std::vector<Row>& delta) {
+/// updated in place, a new one inserted. The stored rows of all delta
+/// groups are read first (the groups are distinct keys, so no write changes
+/// what another read sees), then each aggregate merges every stored state
+/// and then its delta state with AggStates::Merge. NULL is "no value" on
+/// both sides: an all-NULL delta leaves a stored SUM, MIN or MAX alone, and
+/// a stored NULL takes the delta's value. The backing table is derived, so
+/// it is written with no log.
+Status MergeDelta(const ViewInfo& info, Table* table, const Batch& delta) {
   const size_t ngroups = info.def.group_cols.size();
-  for (const Row& drow : delta) {
-    const std::vector<Value> key(drow.begin(), drow.begin() + ngroups);
+  const Schema& schema = table->schema();
+  std::vector<uint32_t> matched;  ///< delta rows with a stored group
+  std::vector<std::string> ckeys;
+  std::vector<Row> stored_rows;
+  Batch stored;
+  stored.Reset(schema);
+  for (uint32_t i = 0; i < delta.num_rows(); i++) {
+    std::vector<Value> key;
+    for (size_t c = 0; c < ngroups; c++) key.push_back(delta.col(c).GetValue(i));
     const std::string lo = table->EncodeClusterPrefix(key);
-    bool stored_group = false;
-    std::string ckey;
-    Row stored;
-    {
-      ELE_ASSIGN_OR_RETURN(Table::RowIterator it,
-                           table->ScanRange(lo, keycodec::PrefixUpperBound(lo)));
-      stored_group = it.Valid();
-      if (stored_group) {
-        ckey = it.EncodedKey();
-        ELE_RETURN_NOT_OK(it.Current(&stored));
-      }
+    ELE_ASSIGN_OR_RETURN(Table::RowIterator it,
+                         table->ScanRange(lo, keycodec::PrefixUpperBound(lo)));
+    if (!it.Valid()) continue;
+    matched.push_back(i);
+    ckeys.emplace_back(it.EncodedKey());
+    ELE_RETURN_NOT_OK(it.Current(&stored_rows.emplace_back()));
+    stored.AppendRow(stored_rows.back());
+  }
+  Batch merged;
+  merged.Reset(schema);
+  for (size_t c = 0; c < ngroups; c++) merged.col(c).Gather(delta.col(c), matched);
+  const std::vector<uint32_t> ids = Iota(matched.size());
+  for (size_t a = 0; a < info.agg_cols.size(); a++) {
+    const size_t c = ngroups + a;
+    AggStates s(ViewAggSpec(info.agg_cols[a].fn, schema.ColumnAt(c).type));
+    for (size_t g = 0; g < matched.size(); g++) s.AddGroup();
+    ELE_RETURN_NOT_OK(s.Merge(stored.col(c), stored.col(c), ids, ids));
+    ELE_RETURN_NOT_OK(s.Merge(delta.col(c), delta.col(c), matched, ids));
+    for (uint32_t g : ids) s.AppendPartial(g, &merged, c);
+  }
+  merged.SetRowCount(static_cast<uint32_t>(matched.size()));
+  size_t k = 0;
+  for (uint32_t i = 0; i < delta.num_rows(); i++) {
+    if (k < matched.size() && matched[k] == i) {
+      ELE_RETURN_NOT_OK(table->Update(ckeys[k], stored_rows[k],
+                                      RowAt(merged, static_cast<uint32_t>(k)),
+                                      TxnWriteContext{}));
+      k++;
+    } else {
+      ELE_RETURN_NOT_OK(table->Insert(RowAt(delta, i), TxnWriteContext{}));
     }
-    if (!stored_group) {
-      ELE_RETURN_NOT_OK(table->Insert(drow, TxnWriteContext{}));
-      continue;
-    }
-    Row merged(drow.begin(), drow.begin() + ngroups);
-    for (size_t a = 0; a < info.agg_cols.size(); a++) {
-      ViewAgg s(info.agg_cols[a].fn);
-      ELE_RETURN_NOT_OK(s.Merge(stored[ngroups + a]));
-      ELE_RETURN_NOT_OK(s.Merge(drow[ngroups + a]));
-      merged.push_back(s.State());
-    }
-    ELE_RETURN_NOT_OK(table->Update(ckey, stored, merged, TxnWriteContext{}));
   }
   return Status::OK();
 }
@@ -357,7 +367,8 @@ Status ViewManager::Refresh(const ViewInfo& info, const DerivedChange& change) {
   ELE_ASSIGN_OR_RETURN(Table * table, db_->catalog().GetTable(info.table_name));
   obs::MetricsRegistry& metrics = db_->metrics();
   if (!change.unknown) {
-    Result<std::vector<Row>> delta = DeltaGroups(db_->catalog(), info, change);
+    Result<Batch> delta =
+        DeltaGroups(db_->catalog(), info, change, table->schema());
     if (delta.ok()) {
       ELE_RETURN_NOT_OK(MergeDelta(info, table, delta.value()));
       uint64_t rows = 0;

@@ -278,12 +278,14 @@ TEST_F(CatalogFixture, AnalyzeStatsMatchAPerValueSetOverNullsAndDuplicates) {
   // Every column's stats against a reference that inserts each non-NULL
   // value's hash into a set and tracks min/max by Value::Compare: the
   // definition of the distinct count Analyze computes with a sort instead.
+  // 10,000 rows compact the hash vectors mid-scan several times, and the
+  // key column's distinct count outgrows the first compaction threshold.
   auto t = catalog.CreateTable("t", PointSchema(), {0});
   ASSERT_TRUE(t.ok());
   std::vector<Row> rows;
   Rng rng(11);
-  for (int i = 0; i < 3000; i++) {
-    const int32_t k = static_cast<int32_t>(rng.Uniform(0, 700));
+  for (int i = 0; i < 10000; i++) {
+    const int32_t k = static_cast<int32_t>(rng.Uniform(0, 9000));
     Value grp = rng.Uniform(0, 9) == 0
                     ? Value::Null(TypeId::kInt32)
                     : Value::Int32(static_cast<int32_t>(rng.Uniform(-40, 40)));
@@ -316,6 +318,7 @@ TEST_F(CatalogFixture, AnalyzeStatsMatchAPerValueSetOverNullsAndDuplicates) {
     EXPECT_EQ(stats[c].max.Compare(max), 0) << "column " << c;
   }
   EXPECT_GT(stats[1].null_count, 0u);
+  EXPECT_GT(stats[0].distinct, 4096u);
   EXPECT_LT(stats[2].distinct, 62u);  // duplicates collapse
 }
 

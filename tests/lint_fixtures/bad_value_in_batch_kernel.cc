@@ -11,4 +11,13 @@ int CountBelow(const std::vector<Value>& column, const Value& bound) {  // findi
   return n;
 }
 
+// A kernel that reads a typed column back as Values, one per row.
+int CountNonNull(const ColumnVector& column) {
+  int n = 0;
+  for (uint32_t r = 0; r < column.size(); ++r) {
+    if (!column.GetValue(r).is_null()) n++;  // finding
+  }
+  return n;
+}
+
 }  // namespace elephant
