@@ -90,9 +90,6 @@ struct ColRef {
 /// old states. Every other base is reached by a seek on its leading
 /// clustering column, as an index nested-loop join reaches its inner side.
 struct DeltaJoin {
-  explicit DeltaJoin(const ViewInfo& view) : info(view) {}
-
-  const ViewInfo& info;
   std::vector<const Table*> tables;
   std::vector<std::pair<ColRef, ColRef>> conds;
   std::vector<ColRef> groups;
@@ -189,7 +186,7 @@ struct DeltaJoin {
 Result<Batch> DeltaGroups(const Catalog& catalog, const ViewInfo& info,
                           const DerivedChange& change,
                           const Schema& view_schema) {
-  DeltaJoin j(info);
+  DeltaJoin j;
   for (const std::string& name : info.def.tables) {
     ELE_ASSIGN_OR_RETURN(Table * t, catalog.GetTable(name));
     j.tables.push_back(t);
