@@ -1,4 +1,4 @@
-#include "exec/batch.h"
+#include "common/batch.h"
 
 #include <cassert>
 

@@ -3,7 +3,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/batch.h"
+#include "common/batch.h"
 #include "exec/executor.h"
 #include "exec/expression.h"
 #include "exec/key_table.h"

@@ -8,7 +8,7 @@
 #include "common/schema.h"
 #include "common/status.h"
 #include "common/value.h"
-#include "exec/batch.h"
+#include "common/batch.h"
 
 namespace elephant {
 

@@ -2,7 +2,7 @@
 
 #include <optional>
 
-#include "exec/batch.h"
+#include "common/batch.h"
 #include "exec/executor.h"
 #include "exec/expression.h"
 #include "exec/key_table.h"

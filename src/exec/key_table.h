@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/schema.h"
-#include "exec/batch.h"
+#include "common/batch.h"
 
 namespace elephant {
 

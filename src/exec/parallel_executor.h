@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "exec/batch.h"
+#include "common/batch.h"
 #include "exec/executor.h"
 #include "exec/scan_executor.h"
 #include "obs/plan_stats.h"

@@ -3,7 +3,7 @@
 #include <optional>
 
 #include "catalog/table.h"
-#include "exec/batch.h"
+#include "common/batch.h"
 #include "exec/executor.h"
 #include "exec/expression.h"
 

@@ -1,6 +1,6 @@
 #pragma once
 
-#include "exec/batch.h"
+#include "common/batch.h"
 #include "exec/executor.h"
 #include "exec/expression.h"
 

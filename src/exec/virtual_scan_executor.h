@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "catalog/catalog.h"
-#include "exec/batch.h"
+#include "common/batch.h"
 #include "exec/executor.h"
 
 namespace elephant {

@@ -2,7 +2,7 @@
 
 #include <memory>
 
-#include "exec/batch.h"
+#include "common/batch.h"
 #include "exec/executor.h"
 #include "obs/plan_stats.h"
 

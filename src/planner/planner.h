@@ -4,7 +4,7 @@
 #include <string>
 
 #include "catalog/catalog.h"
-#include "exec/batch.h"
+#include "common/batch.h"
 #include "exec/executor.h"
 #include "obs/plan_stats.h"
 #include "planner/bound_query.h"

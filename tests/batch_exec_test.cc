@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "catalog/catalog.h"
-#include "exec/batch.h"
+#include "common/batch.h"
 #include "exec/batch_executors.h"
 #include "exec/scan_executor.h"
 
