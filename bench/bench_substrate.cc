@@ -154,14 +154,17 @@ BENCHMARK(BM_KeyEncode);
 
 void BM_RleRuns(benchmark::State& state) {
   Rng rng(3);
-  std::vector<Row> rows;
+  Batch rows;
+  rows.Reset(Schema({Column("p", TypeId::kInt32), Column("v", TypeId::kInt32)}));
   const int64_t n = state.range(0);
   for (int64_t i = 0; i < n; i++) {
-    rows.push_back({Value::Int32(static_cast<int32_t>(i / 100)),
-                    Value::Int32(static_cast<int32_t>(rng.Uniform(0, 9)))});
+    rows.col(0).AppendInt(i / 100);
+    rows.col(1).AppendInt(rng.Uniform(0, 9));
   }
+  rows.SetRowCount(static_cast<uint32_t>(n));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(compression::RleRuns(rows, 1, {0}));
+    const std::vector<uint32_t> first = compression::FirstDifferences(rows, {0, 1});
+    benchmark::DoNotOptimize(compression::RunCounts(first, 2));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

@@ -50,13 +50,17 @@ arguments depend on:
                     LogSplit), which Table's Insert / Delete / Update
                     reach through BPlusTree.
   value-in-batch-kernel
-                    std::vector<Value>, Value::Compare or a `.Compare(` call
-                    in src/exec/, or a conversion between a Value and a
-                    batch cell (ColumnVector::GetValue / AppendValue,
-                    Batch::AppendRow). Batch columns are typed lanes and
+                    std::vector<Value>, Value::Compare or a `.Compare(` call,
+                    a conversion between a Value and a batch cell
+                    (ColumnVector::GetValue / AppendValue, Batch::AppendRow)
+                    or a Table::BulkLoadRows call, in src/exec/, in the
+                    batch container (common/batch.{h,cc}) and in the
+                    derived-table build (cstore/ctable_builder.cc, the run
+                    kernel in cstore/compression.cc, Table's typed load in
+                    catalog/table.cc). Batch columns are typed lanes and
                     every batch kernel (filter, projection, join keys,
-                    aggregates, sort) runs on them; a per-row Value path
-                    must not come back beside them. The boundary adapters
+                    aggregates, sort, c-table runs, bulk load) runs on them;
+                    a per-row Value path must not come back beside them. The boundary adapters
                     where rows enter or leave the engine as Values (root
                     conversion, literals, VALUES and virtual scans, scalar
                     Expr::Eval, the planner's static key ranges) carry a
@@ -116,14 +120,23 @@ NARROWING_SCOPED = {
 
 NARROWING_RE = re.compile(r"\bstatic_cast\s*<\s*(?:std\s*::\s*)?int32_t\s*>")
 
-# The batch engine's directory: its kernels run on typed lanes, not Values.
-VALUE_KERNEL_DIR = "exec"
+# The batch engine's directory, and the files that hold typed columns or
+# build derived tables from them: their kernels run on typed lanes, not
+# Values.
+VALUE_KERNEL_DIRS = {"exec"}
+VALUE_KERNEL_FILES = {
+    os.path.join("common", "batch.h"),
+    os.path.join("common", "batch.cc"),
+    os.path.join("cstore", "ctable_builder.cc"),
+    os.path.join("cstore", "compression.cc"),
+    os.path.join("catalog", "table.cc"),
+}
 
 VALUE_KERNEL_RE = re.compile(
     r"\bstd\s*::\s*vector\s*<\s*Value\s*>"
     r"|\bValue\s*::\s*Compare\b"
     r"|\.\s*Compare\s*\("
-    r"|\b(?:GetValue|AppendValue|AppendRow)\s*\(")
+    r"|\b(?:GetValue|AppendValue|AppendRow|BulkLoadRows)\s*\(")
 
 RAW_PAGE_API_RE = re.compile(
     r"\b(?:FetchPage|NewPage)\s*\((?!\s*\))"  # call with args (decl-ish ok too)
@@ -361,13 +374,15 @@ def lint_file(path, rel, text):
                        "SetValue/LogSplit) so every page change is logged "
                        "before its frame LSN is recorded")
 
-    # --- value-in-batch-kernel (src/exec; fixtures lint as bare names) ---
-    if top_dir == VALUE_KERNEL_DIR or top_dir is None:
+    # --- value-in-batch-kernel (fixtures lint as bare names) ---
+    if (top_dir in VALUE_KERNEL_DIRS or rel in VALUE_KERNEL_FILES
+            or top_dir is None):
         for lineno, ln in enumerate(lines, 1):
             if VALUE_KERNEL_RE.search(ln):
                 report(lineno, "value-in-batch-kernel",
                        "per-row Value (std::vector<Value> / Value::Compare "
-                       "/ a Value<->cell conversion) in the batch engine; "
+                       "/ a Value<->cell conversion / a Row bulk load) in "
+                       "the batch engine; "
                        "run the kernel on the typed lanes (ColumnVector, "
                        "CompareCells, EncodeCell), or "
                        "lint:allow a boundary adapter with its reason")

@@ -69,9 +69,6 @@ class PaperBench {
   const ProjectionMeta& projection(const std::string& name) const {
     return projections_.at(name);
   }
-  bool has_projection(const std::string& name) const {
-    return projections_.count(name) != 0;
-  }
 
   /// Date D such that `l_shipdate > D` selects ~`fraction` of lineitem.
   Result<Value> ShipdateForSelectivity(double fraction);

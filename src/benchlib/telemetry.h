@@ -55,11 +55,6 @@ class BenchTelemetry {
 
   bool enabled() const { return !path_.empty(); }
   const std::string& path() const { return path_; }
-  const std::string& trace_path() const { return trace_path_; }
-  const std::string& metrics_path() const { return metrics_path_; }
-  const std::string& stat_statements_path() const {
-    return stat_statements_path_;
-  }
 
   /// One strategy execution, with free-form dimension labels
   /// ("query": "Q3", "selectivity": "0.1", ...).

@@ -458,11 +458,4 @@ const VirtualTable* Catalog::GetVirtualTable(const std::string& name) const {
   return it == virtual_tables_.end() ? nullptr : it->second.get();
 }
 
-std::vector<std::string> Catalog::VirtualTableNames() const {
-  std::vector<std::string> names;
-  names.reserve(virtual_tables_.size());
-  for (const auto& [key, vt] : virtual_tables_) names.push_back(vt->name);
-  return names;
-}
-
 }  // namespace elephant

@@ -76,7 +76,6 @@ class Catalog {
   /// WAL mode: every base table created from here on is logged, under a
   /// stable numeric id its log records carry.
   void EnableWalStorage() { wal_storage_ = true; }
-  bool wal_storage() const { return wal_storage_; }
 
   /// Creates a table clustered on `cluster_cols` (empty = clustered on the
   /// internal sequence only, i.e. insertion order). `derived` suppresses
@@ -157,8 +156,6 @@ class Catalog {
 
   /// The virtual table with the given (case-insensitive) name, or nullptr.
   const VirtualTable* GetVirtualTable(const std::string& name) const;
-
-  std::vector<std::string> VirtualTableNames() const;
 
   BufferPool* pool() const { return pool_; }
 

@@ -67,12 +67,7 @@ std::unique_ptr<Table> Table::Open(BufferPool* pool, std::string name,
   return table;
 }
 
-std::string Table::EncodeClusteredKey(const Row& row, uint64_t seq) const {
-  std::string key = keycodec::EncodeKey(row, cluster_cols_);
-  if (!unique_cluster_) AppendSeq(&key, seq);
-  return key;
-}
-
+// lint:allow(value-in-batch-kernel): probe keys built from planner/view Values.
 std::string Table::EncodeClusterPrefix(const std::vector<Value>& values) const {
   std::string key;
   for (const Value& v : values) keycodec::Encode(v, &key);
@@ -94,61 +89,86 @@ Status Table::MakeSecondaryEntry(const SecondaryIndex& idx, const Row& row,
   return tuple::Serialize(idx.include_schema, include_row, value);
 }
 
-Status Table::BulkLoadRows(std::vector<Row>&& rows) {
-  obs::AccessScope access(&access_label_);
-  if (row_count_ != 0) {
-    return Status::InvalidArgument("bulk load into non-empty table " + name_);
-  }
-  // Pre-encode (key, payload) pairs, then sort by key. Sorting encoded keys
-  // is equivalent to sorting by the cluster columns.
-  std::vector<std::pair<std::string, std::string>> entries;
-  entries.reserve(rows.size());
-  for (Row& row : rows) {
-    std::string key = EncodeClusteredKey(row, next_seq_++);
-    std::string payload;
-    ELE_RETURN_NOT_OK(tuple::Serialize(schema_, row, &payload));
-    entries.emplace_back(std::move(key), std::move(payload));
-    Row().swap(row);  // free as we go
-  }
-  rows.clear();
-  rows.shrink_to_fit();
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  // A logged table's bulk load is unlogged too, like COPY into a fresh
-  // table: the loader checkpoints afterwards, which flushes the pages and
-  // names the new root in the catalog before any logged DML depends on it.
-  size_t i = 0;
-  auto stream = [&](std::string* k, std::string* v) {
-    if (i >= entries.size()) return false;
-    *k = std::move(entries[i].first);
-    *v = std::move(entries[i].second);
-    i++;
-    return true;
-  };
-  ELE_ASSIGN_OR_RETURN(BPlusTree tree, BPlusTree::BulkLoad(pool_, stream));
-  *clustered_ = tree;
-  clustered_->SetAccessLabel(&access_label_);
-  row_count_ = entries.size();
-  return Status::OK();
-}
-
-Status Table::ReloadRows(std::vector<Row>&& rows) {
-  if (logged()) {
+Status Table::BulkLoad(const Batch& rows) {
+  if (logged() && row_count_ != 0) {
     return Status::FailedPrecondition(
         "table " + name_ + " is logged; its contents are owned by the log "
         "and cannot be reloaded");
   }
-  ELE_ASSIGN_OR_RETURN(BPlusTree tree, BPlusTree::Create(pool_));
-  clustered_ = std::make_unique<BPlusTree>(tree);
+  bool typed = rows.num_cols() == schema_.NumColumns();
+  for (size_t c = 0; typed && c < rows.num_cols(); c++) {
+    typed = rows.col(c).type() == schema_.ColumnAt(c).type;
+  }
+  if (!typed) {
+    return Status::InvalidArgument("bulk load columns are not typed as table " +
+                                   name_ + "'s: " + schema_.ToString());
+  }
+  // Entries are made as the leaves are packed. A logged table's bulk load
+  // is unlogged too, like COPY into a fresh table: the loader checkpoints
+  // afterwards, which flushes the pages and names the new root in the
+  // catalog before any logged DML depends on it.
+  obs::AccessScope access(&access_label_);
+  const uint32_t n = rows.ActiveCount();
+  uint32_t i = 0;
+  std::string prev;
+  Status status;
+  auto stream = [&](std::string* k, std::string* v) {
+    if (i == n) return false;
+    const uint32_t r = rows.ActiveIndex(i);
+    k->clear();
+    for (size_t c : cluster_cols_) EncodeCell(rows.col(c), r, k);
+    if (i > 0 && *k < prev) {
+      status = Status::InvalidArgument("bulk load of table " + name_ +
+                                       ": row " + std::to_string(i) +
+                                       " is out of clustered-key order");
+      return false;
+    }
+    prev = *k;
+    if (!unique_cluster_) AppendSeq(k, i);
+    v->clear();
+    status = tuple::Serialize(schema_, rows, r, v);
+    i++;
+    return status.ok();
+  };
+  ELE_ASSIGN_OR_RETURN(BPlusTree tree, BPlusTree::BulkLoad(pool_, stream));
+  ELE_RETURN_NOT_OK(status);
+  *clustered_ = tree;
   clustered_->SetAccessLabel(&access_label_);
-  row_count_ = 0;
-  next_seq_ = 0;
+  next_seq_ = n;
+  row_count_ = n;
   stats_.clear();
-  ELE_RETURN_NOT_OK(BulkLoadRows(std::move(rows)));
   for (const auto& idx : secondary_) {
     ELE_RETURN_NOT_OK(BuildSecondaryFromScan(idx.get()));
   }
   return Status::OK();
+}
+
+// lint:allow(value-in-batch-kernel): the Row adapter of BulkLoad.
+Status Table::BulkLoadRows(std::vector<Row>&& rows) {
+  if (row_count_ != 0) {
+    return Status::InvalidArgument("bulk load into non-empty table " + name_);
+  }
+  std::vector<std::pair<std::string, uint32_t>> keyed;
+  keyed.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); i++) {
+    if (rows[i].size() != schema_.NumColumns()) {
+      return Status::InvalidArgument("bulk load arity mismatch on table " +
+                                     name_);
+    }
+    keyed.emplace_back(keycodec::EncodeKey(rows[i], cluster_cols_),
+                       static_cast<uint32_t>(i));
+  }
+  std::sort(keyed.begin(), keyed.end());
+  Batch batch;
+  batch.Reset(schema_);
+  for (const auto& entry : keyed) {
+    // lint:allow(value-in-batch-kernel): the Row adapter's one conversion.
+    batch.AppendRow(rows[entry.second]);
+    Row().swap(rows[entry.second]);  // free as we go
+  }
+  rows.clear();
+  rows.shrink_to_fit();
+  return BulkLoad(batch);
 }
 
 Status Table::CreateSecondaryIndex(const std::string& index_name,
@@ -261,11 +281,6 @@ Status Table::RowIterator::Current(Row* out) const {
   return tuple::Deserialize(*schema_, v.data(), v.size(), out);
 }
 
-Value Table::RowIterator::CurrentColumn(size_t col) const {
-  std::string_view v = it_.value();
-  return tuple::GetValue(*schema_, v.data(), v.size(), col);
-}
-
 Result<Table::RowIterator> Table::ScanAll(AccessIntent intent) const {
   ELE_ASSIGN_OR_RETURN(BPlusTree::Iterator it, clustered_->SeekToFirst(intent));
   return RowIterator(&schema_, std::move(it), "");
@@ -310,7 +325,8 @@ Status Table::Insert(const Row& row, const TxnWriteContext& ctx,
     return Status::InvalidArgument("insert arity mismatch on table " + name_);
   }
   obs::AccessScope access(&access_label_);
-  const std::string ckey = EncodeClusteredKey(row, next_seq_++);
+  std::string ckey = keycodec::EncodeKey(row, cluster_cols_);
+  if (!unique_cluster_) AppendSeq(&ckey, next_seq_++);
   std::string payload;
   ELE_RETURN_NOT_OK(tuple::Serialize(schema_, row, &payload));
   wal::TreeWriter slot;
@@ -427,7 +443,9 @@ Status Table::Analyze() {
         compact(&distinct[c]);
         compact_at[c] = std::max(kMinCompact, 2 * distinct[c].size());
       }
+      // lint:allow(value-in-batch-kernel): statistics are Values.
       if (!seen[c] || row[c].Compare(stats_[c].min) < 0) stats_[c].min = row[c];
+      // lint:allow(value-in-batch-kernel): statistics are Values.
       if (!seen[c] || row[c].Compare(stats_[c].max) > 0) stats_[c].max = row[c];
       seen[c] = true;
     }

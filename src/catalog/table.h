@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/batch.h"
 #include "common/schema.h"
 #include "common/status.h"
 #include "index/btree.h"
@@ -82,16 +83,18 @@ class Table {
   BufferPool* pool() const { return pool_; }
   const BPlusTree& clustered() const { return *clustered_; }
 
-  /// Bulk-loads rows into an empty table (sorts by clustering key first).
-  /// Far faster than repeated Insert and produces sequentially laid-out
-  /// leaves. Consumes `rows`.
-  Status BulkLoadRows(std::vector<Row>&& rows);
+  /// Replaces the table's contents with `rows`: typed columns, one per
+  /// schema column, whose live rows are in clustered-key order. Keys are
+  /// encoded and tuples written from the lanes into a fresh clustered tree,
+  /// leaf by leaf, and the secondary indexes are rebuilt. A key below its
+  /// predecessor is InvalidArgument and keeps the old contents. A logged
+  /// table with rows is FailedPrecondition: the log owns its contents.
+  Status BulkLoad(const Batch& rows);
 
-  /// Replaces the table's entire contents: fresh clustered tree, bulk-load
-  /// of `rows`, secondary indexes rebuilt. The rebuild path for stale
-  /// derived tables (MVs, c-tables); not valid for logged tables, whose
-  /// contents are owned by the log.
-  Status ReloadRows(std::vector<Row>&& rows);
+  /// The Row adapter of BulkLoad into an empty table, for loaders that hold
+  /// Values (the TPC-H generator, tests, benches): sorts `rows` by
+  /// clustering key (ties keep their order). Consumes `rows`.
+  Status BulkLoadRows(std::vector<Row>&& rows);
 
   // --- Row writes ----------------------------------------------------------
   //
@@ -180,8 +183,6 @@ class Table {
     Status Next() { return it_.Next(); }
     /// Deserializes the current row.
     Status Current(Row* out) const;
-    /// Reads one column of the current row without full deserialization.
-    Value CurrentColumn(size_t col) const;
     /// The encoded clustering key at the current position (what Delete and
     /// Update take to address a row).
     std::string_view EncodedKey() const { return it_.key(); }
@@ -219,7 +220,6 @@ class Table {
         cluster_cols_(std::move(cluster_cols)),
         unique_cluster_(unique_cluster) {}
 
-  std::string EncodeClusteredKey(const Row& row, uint64_t seq) const;
   /// FailedPrecondition unless `ctx` has a log exactly when this table is
   /// logged.
   Status CheckContext(const TxnWriteContext& ctx) const;

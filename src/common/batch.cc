@@ -115,15 +115,22 @@ void GatherColumns(const Batch& src, const std::vector<uint32_t>& rows,
   }
 }
 
-Result<std::vector<Row>> DrainBatches(BatchExecutor* exec, uint64_t* values) {
+Result<std::vector<Row>> DrainBatches(BatchExecutor* exec, uint64_t* values,
+                                      Batch* into) {
   ELE_RETURN_NOT_OK(exec->Init());
   std::vector<Row> rows;
+  if (into != nullptr) into->Reset(exec->OutputSchema());
   Batch batch;
   uint64_t built = 0;
   while (true) {
     ELE_ASSIGN_OR_RETURN(bool has, exec->NextBatch(&batch));
     if (!has) break;
-    built += batch.AppendActiveRowsTo(&rows);
+    if (into == nullptr) {
+      built += batch.AppendActiveRowsTo(&rows);
+      continue;
+    }
+    GatherColumns(batch, batch.ActiveIndices(), 0, into);
+    into->SetRowCount(into->num_rows() + batch.ActiveCount());
   }
   if (values != nullptr) *values += built;
   return rows;

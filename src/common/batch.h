@@ -217,7 +217,7 @@ class Batch {
   const ColumnVector& col(size_t c) const { return cols_[c]; }
   ColumnVector& col(size_t c) { return cols_[c]; }
 
-  /// Boundary: appends one row of Values; the batch must not be full.
+  /// Boundary: appends one row of Values.
   void AppendRow(const Row& row) {  // lint:allow(value-in-batch-kernel)
     for (size_t c = 0; c < cols_.size(); ++c) cols_[c].AppendValue(row[c]);
     ++num_rows_;
@@ -289,8 +289,10 @@ using BatchExecutorPtr = std::unique_ptr<BatchExecutor>;
 /// Runs `exec` to completion (Init + every NextBatch) and returns its live
 /// rows in output order: the client drain loop, in one place, and the one
 /// place rows leave the engine as Values. When `values` is given, it is
-/// advanced by the number of Values built.
+/// advanced by the number of Values built. With `into`, the rows are
+/// gathered into it as typed columns instead, and none is returned.
 Result<std::vector<Row>> DrainBatches(BatchExecutor* exec,
-                                      uint64_t* values = nullptr);
+                                      uint64_t* values = nullptr,
+                                      Batch* into = nullptr);
 
 }  // namespace elephant

@@ -4,6 +4,8 @@
 #include <cctype>
 #include <cstring>
 
+#include "common/batch.h"
+
 namespace elephant {
 
 namespace {
@@ -117,22 +119,12 @@ int64_t SignExtend(uint64_t v, uint32_t n) {
 
 }  // namespace
 
-uint32_t SerializedSize(const Schema& schema, const Row& row) {
-  uint32_t var = 0;
-  for (size_t i = 0; i < schema.NumColumns(); i++) {
-    if (schema.ColumnAt(i).type == TypeId::kVarchar && !row[i].is_null()) {
-      var += static_cast<uint32_t>(row[i].AsString().size());
-    }
-  }
-  return kHeaderSize + schema.NullBitmapBytes() + schema.FixedSectionSize() + var;
-}
+namespace {
 
-Status Serialize(const Schema& schema, const Row& row, std::string* out) {
-  if (row.size() != schema.NumColumns()) {
-    return Status::InvalidArgument("row arity " + std::to_string(row.size()) +
-                                   " does not match schema arity " +
-                                   std::to_string(schema.NumColumns()));
-  }
+/// The one writer of the tuple format. `cells` reads column i of the row:
+/// IsNull(i), else its payload by lane (Int, Double or String).
+template <typename Cells>
+Status WriteTuple(const Schema& schema, const Cells& cells, std::string* out) {
   const size_t base = out->size();
   const uint32_t nbm = schema.NullBitmapBytes();
   const uint32_t fixed_start = kHeaderSize + nbm;
@@ -142,40 +134,39 @@ Status Serialize(const Schema& schema, const Row& row, std::string* out) {
   uint32_t var_off = 0;  // relative to var_start
   for (size_t i = 0; i < schema.NumColumns(); i++) {
     const Column& c = schema.ColumnAt(i);
-    const Value& v = row[i];
-    if (v.is_null()) {
+    if (cells.IsNull(i)) {
       (*out)[base + kHeaderSize + i / 8] |= static_cast<char>(1 << (i % 8));
       continue;
     }
     const size_t slot = base + fixed_start + schema.SlotOffset(i);
     switch (c.type) {
       case TypeId::kBoolean:
-        (*out)[slot] = v.AsBool() ? 1 : 0;
+        (*out)[slot] = cells.Int(i) != 0 ? 1 : 0;
         break;
       case TypeId::kInt32:
       case TypeId::kDate:
-        PutFixed(out, slot, static_cast<uint32_t>(v.AsInt32()), 4);
+        PutFixed(out, slot, static_cast<uint32_t>(cells.Int(i)), 4);
         break;
       case TypeId::kInt64:
       case TypeId::kDecimal:
-        PutFixed(out, slot, static_cast<uint64_t>(v.AsInt64()), 8);
+        PutFixed(out, slot, static_cast<uint64_t>(cells.Int(i)), 8);
         break;
       case TypeId::kDouble: {
-        double d = v.AsDouble();
+        double d = cells.Double(i);
         uint64_t bits;
         std::memcpy(&bits, &d, 8);
         PutFixed(out, slot, bits, 8);
         break;
       }
       case TypeId::kChar: {
-        const std::string& s = v.AsString();
+        const std::string_view s = cells.String(i);
         size_t n = std::min<size_t>(s.size(), c.length);
         std::memcpy(out->data() + slot, s.data(), n);
         std::memset(out->data() + slot + n, ' ', c.length - n);
         break;
       }
       case TypeId::kVarchar: {
-        const std::string& s = v.AsString();
+        const std::string_view s = cells.String(i);
         if (s.size() > 0xffff) return Status::InvalidArgument("varchar too long");
         PutU16(out, slot, static_cast<uint16_t>(var_off));
         PutU16(out, slot + 2, static_cast<uint16_t>(s.size()));
@@ -193,6 +184,41 @@ Status Serialize(const Schema& schema, const Row& row, std::string* out) {
   PutU16(out, base + 5, static_cast<uint16_t>(schema.NumColumns()));
   PutU16(out, base + 7, static_cast<uint16_t>(var_start));
   return Status::OK();
+}
+
+/// A row of Values as WriteTuple cells.
+struct ValueCells {
+  const Row& row;
+  bool IsNull(size_t i) const { return row[i].is_null(); }
+  int64_t Int(size_t i) const { return row[i].AsInt64(); }
+  double Double(size_t i) const { return row[i].AsDouble(); }
+  std::string_view String(size_t i) const { return row[i].AsString(); }
+};
+
+/// Row `r` of a batch's typed columns as WriteTuple cells.
+struct LaneCells {
+  const Batch& batch;
+  uint32_t r;
+  bool IsNull(size_t i) const { return batch.col(i).IsNull(r); }
+  int64_t Int(size_t i) const { return batch.col(i).Int(r); }
+  double Double(size_t i) const { return batch.col(i).Double(r); }
+  std::string_view String(size_t i) const { return batch.col(i).String(r); }
+};
+
+}  // namespace
+
+Status Serialize(const Schema& schema, const Row& row, std::string* out) {
+  if (row.size() != schema.NumColumns()) {
+    return Status::InvalidArgument("row arity " + std::to_string(row.size()) +
+                                   " does not match schema arity " +
+                                   std::to_string(schema.NumColumns()));
+  }
+  return WriteTuple(schema, ValueCells{row}, out);
+}
+
+Status Serialize(const Schema& schema, const Batch& batch, uint32_t r,
+                 std::string* out) {
+  return WriteTuple(schema, LaneCells{batch, r}, out);
 }
 
 int64_t GetInt(const Schema& schema, const char* data, size_t col) {
@@ -340,12 +366,6 @@ void Encode(const Value& v, std::string* out) {
 std::string EncodeKey(const Row& row, const std::vector<size_t>& cols) {
   std::string out;
   for (size_t c : cols) Encode(row[c], &out);
-  return out;
-}
-
-std::string EncodeValues(const std::vector<Value>& values) {
-  std::string out;
-  for (const Value& v : values) Encode(v, &out);
   return out;
 }
 

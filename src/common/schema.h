@@ -11,6 +11,8 @@
 
 namespace elephant {
 
+class Batch;  // common/batch.h
+
 /// A column definition: name, physical type and (for CHAR) its width.
 struct Column {
   std::string name;
@@ -35,11 +37,6 @@ class Schema {
  public:
   Schema() = default;
   explicit Schema(std::vector<Column> cols) : cols_(std::move(cols)) { Rebuild(); }
-
-  void AddColumn(Column c) {
-    cols_.push_back(std::move(c));
-    Rebuild();
-  }
 
   size_t NumColumns() const { return cols_.size(); }
   const Column& ColumnAt(size_t i) const { return cols_[i]; }
@@ -95,6 +92,11 @@ constexpr uint32_t kHeaderSize = 9;
 /// Serializes `row` (which must match `schema`) into `out` (appended).
 Status Serialize(const Schema& schema, const Row& row, std::string* out);
 
+/// Serializes row `r` of `batch` (columns typed as `schema`'s) into `out`,
+/// through the one writer the Row overload also runs.
+Status Serialize(const Schema& schema, const Batch& batch, uint32_t r,
+                 std::string* out);
+
 /// Checks that `size` bytes hold a whole tuple (header and its length).
 Status CheckTuple(const char* data, size_t size);
 
@@ -115,9 +117,6 @@ inline bool IsNull(const char* data, size_t col) {
 int64_t GetInt(const Schema& schema, const char* data, size_t col);
 double GetDouble(const Schema& schema, const char* data, size_t col);
 std::string_view GetString(const Schema& schema, const char* data, size_t col);
-
-/// Serialized size the row will occupy (header + bitmap + slots + var data).
-uint32_t SerializedSize(const Schema& schema, const Row& row);
 
 }  // namespace tuple
 
@@ -140,9 +139,6 @@ void EncodeString(std::string_view s, std::string* out);
 
 /// Encodes a composite key from `row` columns `cols` (in order).
 std::string EncodeKey(const Row& row, const std::vector<size_t>& cols);
-
-/// Encodes all values in order (convenience for full-row keys).
-std::string EncodeValues(const std::vector<Value>& values);
 
 /// Decodes one value of the given type from `data` starting at `*pos`;
 /// advances `*pos`.

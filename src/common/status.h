@@ -88,9 +88,6 @@ class [[nodiscard]] Status {
   static Status BindError(std::string msg) {
     return Status(StatusCode::kBindError, std::move(msg));
   }
-  static Status PlanError(std::string msg) {
-    return Status(StatusCode::kPlanError, std::move(msg));
-  }
   static Status ExecError(std::string msg) {
     return Status(StatusCode::kExecError, std::move(msg));
   }
@@ -115,7 +112,6 @@ class [[nodiscard]] Status {
   }
   bool IsInvalidArgument() const { return code_ == StatusCode::kInvalidArgument; }
   bool IsNotSupported() const { return code_ == StatusCode::kNotSupported; }
-  bool IsIoError() const { return code_ == StatusCode::kIoError; }
   bool IsAborted() const { return code_ == StatusCode::kAborted; }
 
  private:

@@ -28,9 +28,6 @@ enum class TypeId : uint8_t {
 /// Returns a human-readable type name ("INT32", "DATE", ...).
 const char* TypeName(TypeId t);
 
-/// True for types whose serialized width is independent of the value.
-inline bool IsFixedWidth(TypeId t) { return t != TypeId::kVarchar; }
-
 /// True for types on which arithmetic is defined.
 inline bool IsNumeric(TypeId t) {
   return t == TypeId::kInt32 || t == TypeId::kInt64 || t == TypeId::kDecimal ||

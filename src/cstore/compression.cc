@@ -7,30 +7,32 @@
 namespace elephant {
 namespace compression {
 
-std::vector<Run> RleRuns(const std::vector<Row>& rows, size_t col,
-                         const std::vector<size_t>& prefix_cols) {
-  std::vector<Run> runs;
-  for (size_t i = 0; i < rows.size(); i++) {
-    bool new_run = i == 0;
-    if (!new_run) {
-      if (rows[i][col].Compare(rows[i - 1][col]) != 0) {
-        new_run = true;
-      } else {
-        for (size_t p : prefix_cols) {
-          if (rows[i][p].Compare(rows[i - 1][p]) != 0) {
-            new_run = true;
-            break;
-          }
-        }
+std::vector<uint32_t> FirstDifferences(const Batch& rows,
+                                       const std::vector<size_t>& sort_idx) {
+  const uint32_t positions = static_cast<uint32_t>(sort_idx.size());
+  std::vector<uint32_t> first_diff(rows.num_rows(), positions);
+  if (!first_diff.empty()) first_diff[0] = 0;
+  // Deepest position first, so a row keeps the shallowest one it differs at.
+  for (uint32_t p = positions; p-- > 0;) {
+    const ColumnVector& col = rows.col(sort_idx[p]);
+    for (uint32_t r = 1; r < col.size(); r++) {
+      const bool is_null = col.IsNull(r);
+      if (is_null != col.IsNull(r - 1) ||
+          (!is_null && CompareCells(col, r, col, r - 1) != 0)) {
+        first_diff[r] = p;
       }
     }
-    if (new_run) {
-      runs.push_back(Run{rows[i][col], 1});
-    } else {
-      runs.back().count++;
-    }
   }
-  return runs;
+  return first_diff;
+}
+
+std::vector<uint64_t> RunCounts(const std::vector<uint32_t>& first_diff,
+                                size_t positions) {
+  std::vector<uint64_t> counts(positions + 1, 0);
+  for (uint32_t d : first_diff) counts[d]++;
+  for (size_t p = 1; p < positions; p++) counts[p] += counts[p - 1];
+  counts.resize(positions);
+  return counts;
 }
 
 uint64_t NativeValueBytes(TypeId t, uint32_t char_length) {
@@ -52,10 +54,6 @@ uint64_t DictionaryBytes(uint64_t rows, uint64_t distinct, uint64_t value_bytes)
   while ((1ull << bits) < distinct) bits++;
   const uint64_t code_bytes = (bits + 7) / 8;
   return distinct * value_bytes + rows * code_bytes;
-}
-
-uint64_t DeltaBytes(uint64_t rows, uint64_t avg_delta_bytes) {
-  return rows * avg_delta_bytes;
 }
 
 uint64_t CTableRowStoreBytes(uint64_t runs, uint64_t value_bytes, bool has_count) {

@@ -3,24 +3,23 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/schema.h"
-#include "common/value.h"
+#include "common/batch.h"
 
 namespace elephant {
 namespace compression {
 
-/// One RLE run: `count` consecutive occurrences of `value`.
-struct Run {
-  Value value;
-  uint64_t count;
-};
+/// The run structure of a projection sorted by its columns at `sort_idx`
+/// (§2.2.1), one pass per column over the lanes: per row, the first sort
+/// position where it differs from the previous row under Value equality,
+/// or sort_idx.size() (row 0 gets 0). A row starts a run at position p
+/// exactly when its entry is <= p, so runs respect shallower columns.
+std::vector<uint32_t> FirstDifferences(const Batch& rows,
+                                       const std::vector<size_t>& sort_idx);
 
-/// Computes prefix-respecting RLE runs for column `col` of `rows` (already
-/// sorted): a new run starts whenever the column value changes OR any of the
-/// columns in `prefix_cols` differs from the previous row — the grouping rule
-/// of §2.2.1 that keeps c-table ranges aligned with shallower columns.
-std::vector<Run> RleRuns(const std::vector<Row>& rows, size_t col,
-                         const std::vector<size_t>& prefix_cols);
+/// Runs per sort position from FirstDifferences' entries: element p counts
+/// the rows whose entry is <= p.
+std::vector<uint64_t> RunCounts(const std::vector<uint32_t>& first_diff,
+                                size_t positions);
 
 /// Size estimators used by the ColOpt lower bound and the storage study
 /// (§3, "Storage layer"). All sizes in bytes.
@@ -39,12 +38,6 @@ uint64_t NativePlainBytes(uint64_t rows, uint64_t value_bytes);
 /// Dictionary-encoded size: distinct values stored once plus ceil(log2 d)
 /// bits per row (byte-aligned per row for simplicity).
 uint64_t DictionaryBytes(uint64_t rows, uint64_t distinct, uint64_t value_bytes);
-
-/// Delta-encoded size for a sorted, dense integer column (the c-table `f`
-/// column, §3: "clustered by increasing and dense f values, which can be
-/// effectively delta-compressed"): varint-style, assumes most deltas fit in
-/// `avg_delta_bytes`.
-uint64_t DeltaBytes(uint64_t rows, uint64_t avg_delta_bytes = 2);
 
 /// Row-store size of a c-table in (f, v, c) form: per-tuple header +
 /// f (8) + v + c (8), matching the engine's tuple layout.

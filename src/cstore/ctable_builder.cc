@@ -1,6 +1,5 @@
 #include "cstore/ctable_builder.h"
 
-#include <algorithm>
 #include <cctype>
 
 #include "cstore/compression.h"
@@ -11,87 +10,80 @@ namespace cstore {
 
 namespace {
 
-/// Runs the projection query and sorts its rows by the named sort columns;
-/// fills `sort_idx` with their positions in the output schema. Shared by the
-/// initial build and the stale-rebuild callback so both produce the same
-/// virtual-id assignment.
-Result<QueryResult> MaterializeSorted(Database* db, const std::string& query,
-                                      const std::string& projection,
-                                      const std::vector<std::string>& sort_cols,
-                                      std::vector<size_t>* sort_idx) {
-  ELE_ASSIGN_OR_RETURN(QueryResult result, db->Execute(query));
-  const Schema& schema = result.schema;
-  sort_idx->clear();
-  for (const std::string& name : sort_cols) {
-    const int idx = schema.FindColumn(name);
+/// A projection's rows sorted by its sort columns, as typed columns.
+struct SortedProjection {
+  Schema schema;
+  Batch rows;
+  std::vector<size_t> sort_idx;  ///< sort columns' positions in `schema`
+  std::vector<uint32_t> first_diff;  ///< compression::FirstDifferences
+};
+
+/// Runs the projection query ordered by its sort columns and resolves
+/// their positions. The engine's Sort orders by the key encoding, which
+/// agrees with Value::Compare (NULLs first, trailing spaces ignored). Shared
+/// by the initial build and the rebuild hook so both produce the same
+/// virtual-id assignment (a row's id is its position).
+Result<SortedProjection> RunSorted(Database* db, const ProjectionDef& def) {
+  std::string sql = def.query + " ORDER BY ";
+  for (size_t i = 0; i < def.sort_cols.size(); i++) {
+    sql += (i == 0 ? "" : ", ") + def.sort_cols[i];
+  }
+  SortedProjection out;
+  ELE_ASSIGN_OR_RETURN(QueryResult result, db->ExecuteInto(sql, &out.rows));
+  out.schema = std::move(result.schema);
+  for (const std::string& name : def.sort_cols) {
+    const int idx = out.schema.FindColumn(name);
     if (idx < 0) {
       return Status::InvalidArgument("sort column " + name +
                                      " not produced by projection query");
     }
-    sort_idx->push_back(static_cast<size_t>(idx));
+    out.sort_idx.push_back(static_cast<size_t>(idx));
   }
-  if (sort_idx->size() != schema.NumColumns()) {
+  if (out.sort_idx.size() != out.schema.NumColumns()) {
     return Status::InvalidArgument(
-        "projection " + projection +
+        "projection " + def.name +
         " must list every projected column in its sort order (footnote 4)");
   }
-  std::sort(result.rows.begin(), result.rows.end(),
-            [sort_idx](const Row& a, const Row& b) {
-              for (size_t c : *sort_idx) {
-                const int cmp = a[c].Compare(b[c]);
-                if (cmp != 0) return cmp < 0;
-              }
-              return false;
-            });
-  return result;
+  out.first_diff = compression::FirstDifferences(out.rows, out.sort_idx);
+  return out;
 }
 
-/// Recomputes one c-table's (f, v[, c]) rows from the sorted projection.
-/// The representation (with or without the count column) is fixed by the
-/// c-table's schema at build time, so rebuilds keep it.
-std::vector<Row> CTableRows(const std::vector<Row>& rows, size_t col,
-                            const std::vector<size_t>& prefix,
-                            bool has_count) {
-  std::vector<Row> out;
-  if (has_count) {
-    std::vector<compression::Run> runs =
-        compression::RleRuns(rows, col, prefix);
-    out.reserve(runs.size());
-    int32_t f = 0;
-    for (const compression::Run& run : runs) {
-      out.push_back({Value::Int32(f), run.value,
-                     Value::Int32(static_cast<int32_t>(run.count))});
-      f += static_cast<int32_t>(run.count);
-    }
-  } else {
-    out.reserve(rows.size());
-    for (size_t i = 0; i < rows.size(); i++) {
-      out.push_back({Value::Int32(static_cast<int32_t>(i)), rows[i][col]});
-    }
+/// The rows of the c-table at sort position `pos`, typed as its `schema`:
+/// one (f, v, c) per run when the schema has the count column, else one
+/// (f, v) per row. f is the first virtual id, v the run's (first) value.
+Batch CTableBatch(const SortedProjection& proj, size_t pos,
+                  const Schema& schema) {
+  const ColumnVector& src = proj.rows.col(proj.sort_idx[pos]);
+  const uint32_t n = proj.rows.num_rows();
+  const bool has_count = schema.NumColumns() == 3;
+  Batch out;
+  out.Reset(schema);
+  ColumnVector& f = out.col(0);
+  ColumnVector& v = out.col(1);
+  for (uint32_t r = 0; r < n; r++) {
+    if (has_count && proj.first_diff[r] > pos) continue;
+    if (has_count && r > 0) out.col(2).AppendInt(r - f.Int(f.size() - 1));
+    f.AppendInt(r);
+    v.Append(src, r);
   }
+  if (has_count && n > 0) out.col(2).AppendInt(n - f.Int(f.size() - 1));
+  out.SetRowCount(f.size());
   return out;
 }
 
 /// The refresh hook for one c-table: whatever changed, it re-materializes
 /// the projection (c-tables have no incremental path). Self-contained on
 /// purpose: the builder is often a temporary, so the hook captures the
-/// database and the projection definition, not the builder.
+/// database and the projection definition, not the builder. The
+/// representation (with or without the count column) is the one the
+/// c-table's schema fixed at build time.
 std::function<Status(const DerivedChange&)> MakeRebuildHook(
-    Database* db, std::string query, std::string projection,
-    std::vector<std::string> sort_cols, size_t pos, bool has_count,
-    std::string table_name) {
-  return [db, query = std::move(query), projection = std::move(projection),
-          sort_cols = std::move(sort_cols), pos, has_count,
+    Database* db, ProjectionDef def, size_t pos, std::string table_name) {
+  return [db, def = std::move(def), pos,
           name = std::move(table_name)](const DerivedChange&) -> Status {
-    std::vector<size_t> idx;
-    ELE_ASSIGN_OR_RETURN(
-        QueryResult fresh,
-        MaterializeSorted(db, query, projection, sort_cols, &idx));
-    const size_t col = idx[pos];
-    std::vector<size_t> prefix(idx.begin(), idx.begin() + pos);
+    ELE_ASSIGN_OR_RETURN(SortedProjection proj, RunSorted(db, def));
     ELE_ASSIGN_OR_RETURN(Table * t, db->catalog().GetTable(name));
-    ELE_RETURN_NOT_OK(
-        t->ReloadRows(CTableRows(fresh.rows, col, prefix, has_count)));
+    ELE_RETURN_NOT_OK(t->BulkLoad(CTableBatch(proj, pos, t->schema())));
     return t->Analyze();
   };
 }
@@ -106,15 +98,13 @@ std::string CTableBuilder::CTableName(const std::string& projection,
 }
 
 Result<ProjectionMeta> CTableBuilder::Build(const ProjectionDef& def) {
-  // 1./2. Materialize the projection's rows, resolve sort columns (footnote
-  // 4: they must cover every projected column), sort, and assign virtual ids
-  // implicitly (row position after sorting).
-  std::vector<size_t> sort_idx;
-  ELE_ASSIGN_OR_RETURN(
-      QueryResult result,
-      MaterializeSorted(db_, def.query, def.name, def.sort_cols, &sort_idx));
-  const Schema& schema = result.schema;
-  std::vector<Row>& rows = result.rows;
+  // 1./2. Materialize the projection's rows sorted (footnote 4: the sort
+  // columns cover every projected column); a row's virtual id is its
+  // position.
+  ELE_ASSIGN_OR_RETURN(SortedProjection proj, RunSorted(db_, def));
+  const uint32_t rows = proj.rows.num_rows();
+  const std::vector<uint64_t> runs =
+      compression::RunCounts(proj.first_diff, proj.sort_idx.size());
 
   // The projection's base tables, for staleness tracking: a write to any of
   // them invalidates every c-table built here.
@@ -124,22 +114,19 @@ Result<ProjectionMeta> CTableBuilder::Build(const ProjectionDef& def) {
 
   ProjectionMeta meta;
   meta.name = def.name;
-  meta.rows = rows.size();
+  meta.rows = rows;
 
   // 3./4./5. One c-table per column, in sort order.
-  std::vector<size_t> prefix;
-  for (size_t pos = 0; pos < sort_idx.size(); pos++) {
-    const size_t col = sort_idx[pos];
-    const Column& src = schema.ColumnAt(col);
-    std::vector<compression::Run> runs = compression::RleRuns(rows, col, prefix);
+  for (size_t pos = 0; pos < proj.sort_idx.size(); pos++) {
+    const Column& src = proj.schema.ColumnAt(proj.sort_idx[pos]);
 
     // Representation choice: (f, v, c) only when it is smaller than the
     // plain (f, v) projection of all rows.
     const uint64_t value_bytes = compression::NativeValueBytes(src.type, src.length);
     const uint64_t with_count =
-        compression::CTableRowStoreBytes(runs.size(), value_bytes, true);
+        compression::CTableRowStoreBytes(runs[pos], value_bytes, true);
     const uint64_t without_count =
-        compression::CTableRowStoreBytes(rows.size(), value_bytes, false);
+        compression::CTableRowStoreBytes(rows, value_bytes, false);
     const bool has_count = with_count < without_count;
 
     CTableMeta ct;
@@ -149,9 +136,9 @@ Result<ProjectionMeta> CTableBuilder::Build(const ProjectionDef& def) {
     ct.char_length = src.length;
     ct.has_count = has_count;
     ct.sort_position = static_cast<int>(pos);
-    ct.runs = has_count ? runs.size() : rows.size();
-    ct.rle_runs = runs.size();
-    ct.source_rows = rows.size();
+    ct.runs = has_count ? runs[pos] : rows;
+    ct.rle_runs = runs[pos];
+    ct.source_rows = rows;
 
     // f and c are 32-bit: virtual ids fit (the paper's SF-10 lineitem has
     // 60M rows), and slimmer tuples keep the row-store overhead close to the
@@ -165,9 +152,7 @@ Result<ProjectionMeta> CTableBuilder::Build(const ProjectionDef& def) {
                          db_->catalog().CreateTable(ct.table_name, Schema(cols),
                                                     {0}, /*unique_cluster=*/true,
                                                     /*derived=*/true));
-
-    ELE_RETURN_NOT_OK(
-        table->BulkLoadRows(CTableRows(rows, col, prefix, has_count)));
+    ELE_RETURN_NOT_OK(table->BulkLoad(CTableBatch(proj, pos, table->schema())));
 
     // Secondary covering index with leading column v (includes f and c), as
     // in §2.2.1: "a secondary covering index with leading column v".
@@ -180,16 +165,12 @@ Result<ProjectionMeta> CTableBuilder::Build(const ProjectionDef& def) {
 
     // A base-table write marks this c-table stale; the next query touching
     // it re-materializes the projection and reloads through this callback.
-    // Self-contained on purpose: the builder is often a temporary, so the
-    // callback captures the database, not `this`.
     ELE_RETURN_NOT_OK(
         db_->catalog().RegisterDerivedTable(ct.table_name, bases));
     db_->catalog().SetDerivedRefresh(
-        ct.table_name, MakeRebuildHook(db_, def.query, def.name, def.sort_cols,
-                                       pos, has_count, ct.table_name));
+        ct.table_name, MakeRebuildHook(db_, def, pos, ct.table_name));
 
     meta.ctables.push_back(std::move(ct));
-    prefix.push_back(col);
   }
   return meta;
 }
@@ -200,12 +181,9 @@ Status CTableBuilder::AttachRebuild(const ProjectionDef& def) {
   CollectTableNames(*sel, &bases);
   for (size_t pos = 0; pos < def.sort_cols.size(); pos++) {
     const std::string name = CTableName(def.name, def.sort_cols[pos]);
-    ELE_ASSIGN_OR_RETURN(Table * table, db_->catalog().GetTable(name));
-    const bool has_count = table->schema().NumColumns() == 3;
     ELE_RETURN_NOT_OK(db_->catalog().RegisterDerivedTable(name, bases));
-    db_->catalog().SetDerivedRefresh(
-        name, MakeRebuildHook(db_, def.query, def.name, def.sort_cols, pos,
-                              has_count, name));
+    db_->catalog().SetDerivedRefresh(name,
+                                     MakeRebuildHook(db_, def, pos, name));
   }
   return Status::OK();
 }

@@ -704,7 +704,7 @@ Result<std::string> Database::Explain(const std::string& sql,
 
 Result<QueryResult> Database::ExecuteSelectWithLocks(
     const std::string& sql, std::unique_ptr<SelectStmt> stmt,
-    PlanHints extra_hints, bool instrument, SessionTxnState* ts) {
+    PlanHints extra_hints, bool instrument, SessionTxnState* ts, Batch* into) {
   // A SELECT first refreshes the stale derived tables it reads, then takes
   // statement-scoped shared locks on its tables. Inside a transaction the
   // locks are taken under the transaction's id, so they compose with its
@@ -723,7 +723,7 @@ Result<QueryResult> Database::ExecuteSelectWithLocks(
     return prep;
   }
   Result<QueryResult> r =
-      ExecuteSelect(sql, std::move(stmt), extra_hints, instrument);
+      ExecuteSelect(sql, std::move(stmt), extra_hints, instrument, into);
   if (ts->txn == nullptr) {
     lock_mgr_->ReleaseAll(locker);
   } else {
@@ -746,7 +746,7 @@ Result<QueryResult> Database::ExecuteSelectWithLocks(
 Result<QueryResult> Database::ExecuteSelect(const std::string& sql,
                                             std::unique_ptr<SelectStmt> stmt,
                                             PlanHints extra_hints,
-                                            bool instrument) {
+                                            bool instrument, Batch* into) {
   std::unique_ptr<BoundQuery> bound;
   {
     auto span = obs::TraceSpan::Phase("bind");
@@ -786,7 +786,7 @@ Result<QueryResult> Database::ExecuteSelect(const std::string& sql,
     auto span = obs::TraceSpan::Phase("execute");
     ELE_ASSIGN_OR_RETURN(
         result.rows, DrainBatches(plan.executor.get(),
-                                  &ctx.counters().values_materialized));
+                                  &ctx.counters().values_materialized, into));
     plan.executor.reset();  // release pinned pages before measuring
     result.io = query_sink.ToStats();
   }
@@ -800,13 +800,15 @@ Result<QueryResult> Database::ExecuteSelect(const std::string& sql,
   result.cpu_seconds = std::chrono::duration<double>(t1 - t0).count();
   result.io_seconds = options_.disk_model.Seconds(result.io);
   result.counters = ctx.counters();
+  const uint64_t rows_out =
+      into != nullptr ? into->num_rows() : result.rows.size();
   // rows_output is defined as "rows the root emitted" (see ExecCounters);
   // assigning it here keeps it exact for every engine/plan shape, including
   // LIMIT over Gather where per-operator increments over-counted.
-  result.counters.rows_output = result.rows.size();
+  result.counters.rows_output = rows_out;
   result.plan = std::shared_ptr<const obs::PlanNode>(std::move(plan.plan));
 
-  metrics_.GetCounter("db.rows_returned_total")->Increment(result.rows.size());
+  metrics_.GetCounter("db.rows_returned_total")->Increment(rows_out);
   metrics_.GetCounter("db.pages_read_total")->Increment(result.io.TotalReads());
   metrics_.GetHistogram("db.query_seconds")->Observe(result.cpu_seconds);
   metrics_.GetHistogram("db.query_modeled_seconds")->Observe(result.TotalSeconds());
@@ -814,7 +816,7 @@ Result<QueryResult> Database::ExecuteSelect(const std::string& sql,
   obs::StatementRecord record;
   record.SetSql(sql);
   record.plan_hash = obs::PlanShapeHash(plan.explain);
-  record.rows = result.rows.size();
+  record.rows = rows_out;
   record.latency_seconds = result.cpu_seconds;
   record.io_seconds = result.io_seconds;
   record.io = result.io;
@@ -922,6 +924,21 @@ Result<QueryResult> Database::Execute(const std::string& sql,
                         std::chrono::steady_clock::now() - wall_start)
                         .count();
   return qr;
+}
+
+Result<QueryResult> Database::ExecuteInto(const std::string& sql, Batch* out) {
+  // Its own wait sink and phase trace, as Execute() installs, so a load run
+  // by another statement's refresh does not count in that statement's.
+  obs::WaitSink sink;
+  obs::WaitSinkScope sink_scope(&sink);
+  obs::QueryTrace trace;
+  obs::QueryTraceScope trace_scope(&trace);
+  ELE_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> stmt, ParseSelect(sql));
+  metrics_.GetCounter("db.statements_total")->Increment();
+  metrics_.GetCounter("db.statements.select")->Increment();
+  ELE_RETURN_NOT_OK(CheckNotInAbortedTxn(default_txn_state_, sql));
+  return ExecuteSelectWithLocks(sql, std::move(stmt), {}, /*instrument=*/false,
+                                &default_txn_state_, out);
 }
 
 Result<QueryResult> Database::ExecuteStatement(const std::string& sql,

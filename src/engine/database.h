@@ -142,6 +142,12 @@ class Database {
   Result<QueryResult> Execute(const std::string& sql, PlanHints extra_hints = {},
                               SessionTxnState* session = nullptr);
 
+  /// Runs a SELECT through Execute()'s select path (bind, plan, locks,
+  /// cold-cache eviction, I/O sink, stat-statements record) but gathers the
+  /// root's batches into `*out`, typed as the result schema, instead of
+  /// building Values: what derived tables load from. The result has no rows.
+  Result<QueryResult> ExecuteInto(const std::string& sql, Batch* out);
+
   /// Returns the physical plan for a SELECT without running it, annotated
   /// with the planner's per-node cardinality and cost estimates.
   Result<std::string> Explain(const std::string& sql, PlanHints extra_hints = {});
@@ -243,7 +249,8 @@ class Database {
 
   Result<QueryResult> ExecuteSelect(const std::string& sql,
                                     std::unique_ptr<SelectStmt> stmt,
-                                    PlanHints extra_hints, bool instrument);
+                                    PlanHints extra_hints, bool instrument,
+                                    Batch* into = nullptr);
 
   /// ExecuteSelect wrapped in the statement-scoped shared-lock protocol (acquire via PrepareSelectTables, release at statement end,
   /// abort the enclosing transaction on failure). Shared by plain SELECT,
@@ -253,7 +260,8 @@ class Database {
                                              std::unique_ptr<SelectStmt> stmt,
                                              PlanHints extra_hints,
                                              bool instrument,
-                                             SessionTxnState* ts);
+                                             SessionTxnState* ts,
+                                             Batch* into = nullptr);
 
   /// Registers the `elephant_stat_*` virtual system tables in the catalog
   /// (providers capture `this`; the catalog dies before the engine state).

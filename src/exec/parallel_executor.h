@@ -60,8 +60,6 @@ class GatherExecutor final : public BatchExecutor {
   Result<bool> NextBatch(Batch* out) override;
   const Schema& OutputSchema() const override { return schema_; }
 
-  size_t num_morsels() const { return morsels_.size(); }
-
  private:
   ExecContext* ctx_;
   sched::ThreadPool* pool_;

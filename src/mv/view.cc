@@ -314,7 +314,8 @@ std::string ViewManager::MaterializationSql(const ViewInfo& info) {
   for (const auto& [l, r] : def.join_conds) conds.push_back(l + " = " + r);
   return "SELECT " + Join(cols, ", ") + " FROM " + Join(def.tables, ", ") +
          (conds.empty() ? "" : " WHERE " + Join(conds, " AND ")) +
-         " GROUP BY " + Join(def.group_cols, ", ");
+         " GROUP BY " + Join(def.group_cols, ", ") + " ORDER BY " +
+         Join(def.group_cols, ", ");
 }
 
 Result<ViewInfo> ViewManager::MakeInfo(const ViewDef& def) {
@@ -376,8 +377,9 @@ Status ViewManager::Refresh(const ViewInfo& info, const DerivedChange& change) {
     }
     if (!delta.status().IsNotSupported()) return delta.status();
   }
-  ELE_ASSIGN_OR_RETURN(QueryResult fresh, db_->Execute(MaterializationSql(info)));
-  ELE_RETURN_NOT_OK(table->ReloadRows(std::move(fresh.rows)));
+  Batch fresh;
+  ELE_RETURN_NOT_OK(db_->ExecuteInto(MaterializationSql(info), &fresh).status());
+  ELE_RETURN_NOT_OK(table->BulkLoad(fresh));
   metrics.GetCounter("mv.refresh.full_total")->Increment();
   return table->Analyze();
 }
@@ -395,9 +397,10 @@ Status ViewManager::AttachView(const ViewDef& def) {
 Status ViewManager::CreateView(const ViewDef& def) {
   ELE_ASSIGN_OR_RETURN(ViewInfo info, MakeInfo(def));
 
-  // Materialize.
+  // Materialize, in the backing table's key order.
+  Batch rows;
   ELE_ASSIGN_OR_RETURN(QueryResult result,
-                       db_->Execute(MaterializationSql(info)));
+                       db_->ExecuteInto(MaterializationSql(info), &rows));
   // Backing table: group columns (their original names/types) followed by
   // aggregate columns, clustered on the group columns.
   std::vector<Column> cols;
@@ -417,8 +420,8 @@ Status ViewManager::CreateView(const ViewDef& def) {
                        db_->catalog().CreateTable(info.table_name, Schema(cols),
                                                   cluster, /*unique_cluster=*/true,
                                                   /*derived=*/true));
-  info.rows = result.rows.size();
-  ELE_RETURN_NOT_OK(table->BulkLoadRows(std::move(result.rows)));
+  info.rows = rows.num_rows();
+  ELE_RETURN_NOT_OK(table->BulkLoad(rows));
   ELE_RETURN_NOT_OK(table->Analyze());
   ELE_RETURN_NOT_OK(RegisterRefresh(info));
   views_.push_back(std::move(info));

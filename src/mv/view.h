@@ -75,8 +75,9 @@ class ViewManager {
   /// strategy, mirroring §2.1's discussion of the approach's narrow scope.
   Result<std::string> TryRewrite(const AnalyticQuery& query) const;
 
-  /// The view's defining query: the SQL that computes its contents from its
-  /// bases (a full refresh runs it; tests and benches check views against it).
+  /// The view's defining query, ordered by the group columns (the backing
+  /// table's key order): creation and a full refresh load its rows as they
+  /// come, and tests and benches check views against it.
   static std::string MaterializationSql(const ViewInfo& info);
 
  private:

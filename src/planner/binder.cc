@@ -4,6 +4,8 @@
 #include <functional>
 #include <sstream>
 
+#include "common/batch.h"
+
 namespace elephant {
 
 namespace {
@@ -58,13 +60,20 @@ ExprPtr CoerceLiteral(ExprPtr e, TypeId target) {
   return e;
 }
 
-/// Applies literal coercion on either side of a comparison.
-void CoerceComparison(ExprPtr* l, ExprPtr* r) {
+/// Applies literal coercion on either side of a comparison. A string
+/// against a number, which CompareDomainOf makes an error on every row, is
+/// a BindError.
+Status CoerceComparison(ExprPtr* l, ExprPtr* r) {
   const TypeId lt = (*l)->output_type();
   const TypeId rt = (*r)->output_type();
-  if (lt == rt) return;
-  *r = CoerceLiteral(std::move(*r), lt);
-  *l = CoerceLiteral(std::move(*l), rt);
+  if (lt != rt) {
+    *r = CoerceLiteral(std::move(*r), lt);
+    *l = CoerceLiteral(std::move(*l), rt);
+  }
+  const TypeId a = (*l)->output_type(), b = (*r)->output_type();
+  if (CompareDomainOf(a, b) != CompareDomain::kMismatch) return Status::OK();
+  return Status::BindError(std::string("cannot compare ") + TypeName(a) +
+                           " with " + TypeName(b));
 }
 
 }  // namespace
@@ -173,7 +182,7 @@ Result<ExprPtr> Binder::BindScalar(const SqlExpr& expr, const BoundQuery& q) {
         return Arith(op, std::move(l), std::move(r));
       }
       ELE_ASSIGN_OR_RETURN(CompareOp op, ToCompareOp(expr.op));
-      CoerceComparison(&l, &r);
+      ELE_RETURN_NOT_OK(CoerceComparison(&l, &r));
       return Cmp(op, std::move(l), std::move(r));
     }
     case SqlExprKind::kBetween: {
@@ -181,8 +190,8 @@ Result<ExprPtr> Binder::BindScalar(const SqlExpr& expr, const BoundQuery& q) {
       ELE_ASSIGN_OR_RETURN(ExprPtr v2, BindScalar(*expr.child, q));
       ELE_ASSIGN_OR_RETURN(ExprPtr lo, BindScalar(*expr.between_lo, q));
       ELE_ASSIGN_OR_RETURN(ExprPtr hi, BindScalar(*expr.between_hi, q));
-      CoerceComparison(&v1, &lo);
-      CoerceComparison(&v2, &hi);
+      ELE_RETURN_NOT_OK(CoerceComparison(&v1, &lo));
+      ELE_RETURN_NOT_OK(CoerceComparison(&v2, &hi));
       return And(Cmp(CompareOp::kGe, std::move(v1), std::move(lo)),
                  Cmp(CompareOp::kLe, std::move(v2), std::move(hi)));
     }
@@ -220,6 +229,15 @@ Result<ExprPtr> Binder::BindProjection(const SqlExpr& expr, BoundQuery* q,
     ExprPtr arg;
     if (!expr.star_arg) {
       ELE_ASSIGN_OR_RETURN(arg, BindScalar(*expr.child, *q));
+      // SUM and AVG add the argument to itself (arith::ResultType): a DATE
+      // or a string cannot be. An untyped NULL sums to NULL.
+      const TypeId t = arg->output_type();
+      if ((fn == AggFunc::kSum || fn == AggFunc::kAvg) && t != TypeId::kInvalid) {
+        Result<TypeId> sum = arith::ResultType('+', t, t);
+        if (!sum.ok()) {
+          return Status::BindError(expr.ToString() + ": " + sum.status().message());
+        }
+      }
     }
     AggSpec spec(fn, std::move(arg), expr.ToString());
     const TypeId out_type = spec.OutputType();
@@ -256,6 +274,7 @@ Result<ExprPtr> Binder::BindProjection(const SqlExpr& expr, BoundQuery* q,
         return Arith(op, std::move(l), std::move(r));
       }
       ELE_ASSIGN_OR_RETURN(CompareOp op, ToCompareOp(expr.op));
+      ELE_RETURN_NOT_OK(CoerceComparison(&l, &r));
       return Cmp(op, std::move(l), std::move(r));
     }
     default:

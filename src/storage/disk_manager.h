@@ -310,11 +310,6 @@ class DiskManager {
     readahead_pages_ = window_pages;
   }
 
-  bool readahead_enabled() const {
-    MutexLock lock(mu_);
-    return readahead_enabled_;
-  }
-
   /// Number of allocated pages.
   uint32_t NumPages() const {
     MutexLock lock(mu_);

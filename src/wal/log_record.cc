@@ -41,22 +41,6 @@ uint64_t GetU64(const char* p) {
 
 }  // namespace
 
-const char* LogRecordTypeName(LogRecordType t) {
-  switch (t) {
-    case LogRecordType::kBegin: return "BEGIN";
-    case LogRecordType::kCommit: return "COMMIT";
-    case LogRecordType::kAbort: return "ABORT";
-    case LogRecordType::kInsert: return "INSERT";
-    case LogRecordType::kDelete: return "DELETE";
-    case LogRecordType::kUpdate: return "UPDATE";
-    case LogRecordType::kClr: return "CLR";
-    case LogRecordType::kCheckpoint: return "CHECKPOINT";
-    case LogRecordType::kPageImage: return "PAGE_IMAGE";
-    case LogRecordType::kSplit: return "SPLIT";
-  }
-  return "UNKNOWN";
-}
-
 uint32_t Fnv1a32(std::string_view bytes) {
   uint32_t h = 2166136261u;
   for (unsigned char c : bytes) {

@@ -44,8 +44,6 @@ enum class ClrAction : uint8_t {
   kUpdate = 3,  ///< restored the value an update overwrote
 };
 
-const char* LogRecordTypeName(LogRecordType t);
-
 /// One WAL record. Construction is part of the WAL protocol: outside
 /// src/wal/ and src/txn/ the elephant_lint rule `wal-protocol` rejects any
 /// mention of this type, so every byte that enters the log is written by

@@ -123,7 +123,9 @@ TEST_F(CatalogFixture, BulkLoadSortsUnsortedInput) {
   ASSERT_TRUE(it.ok());
   int prev = -1;
   while (it.value().Valid()) {
-    int v = it.value().CurrentColumn(0).AsInt32();
+    Row row;
+    ASSERT_TRUE(it.value().Current(&row).ok());
+    const int v = row[0].AsInt32();
     EXPECT_GE(v, prev);
     prev = v;
     ASSERT_TRUE(it.value().Next().ok());
@@ -140,6 +142,66 @@ TEST_F(CatalogFixture, BulkLoadIntoNonEmptyTableRejected) {
           .ok());
   std::vector<Row> rows{{Value::Int32(2), Value::Int32(2), Value::Varchar("b")}};
   EXPECT_FALSE(t.value()->BulkLoadRows(std::move(rows)).ok());
+}
+
+TEST_F(CatalogFixture, TypedBulkLoadTakesRowsInKeyOrder) {
+  auto t = catalog.CreateTable("t", PointSchema(), {1});
+  ASSERT_TRUE(t.ok());
+  Batch rows;
+  rows.Reset(PointSchema());
+  // Cluster column grp ascends, with ties (the uniquifier keeps them apart)
+  // and a NULL first.
+  const int grp[5] = {-1, 2, 2, 2, 9};
+  for (int i = 0; i < 5; i++) {
+    rows.col(0).AppendInt(i);
+    if (i == 0) {
+      rows.col(1).AppendNull();
+    } else {
+      rows.col(1).AppendInt(grp[i]);
+    }
+    rows.col(2).AppendString("row" + std::to_string(i));
+  }
+  rows.SetRowCount(5);
+  ASSERT_TRUE(t.value()->BulkLoad(rows).ok());
+  EXPECT_EQ(t.value()->row_count(), 5u);
+  auto it = t.value()->ScanAll();
+  ASSERT_TRUE(it.ok());
+  for (int i = 0; i < 5; i++) {
+    ASSERT_TRUE(it.value().Valid());
+    Row row;
+    ASSERT_TRUE(it.value().Current(&row).ok());
+    EXPECT_EQ(row[0].AsInt32(), i);
+    EXPECT_EQ(row[1].is_null(), i == 0);
+    EXPECT_EQ(row[2].AsString(), "row" + std::to_string(i));
+    ASSERT_TRUE(it.value().Next().ok());
+  }
+  EXPECT_FALSE(it.value().Valid());
+}
+
+TEST_F(CatalogFixture, TypedBulkLoadRejectsOutOfOrderKeys) {
+  auto t = catalog.CreateTable("t", PointSchema(), {0}, /*unique_cluster=*/true);
+  ASSERT_TRUE(t.ok());
+  Batch rows;
+  rows.Reset(PointSchema());
+  for (int k : {1, 3, 2}) {
+    rows.col(0).AppendInt(k);
+    rows.col(1).AppendInt(0);
+    rows.col(2).AppendString("x");
+  }
+  rows.SetRowCount(3);
+  EXPECT_TRUE(t.value()->BulkLoad(rows).IsInvalidArgument());
+  // The table is left empty and can still be loaded.
+  EXPECT_EQ(t.value()->row_count(), 0u);
+  auto it = t.value()->ScanAll();
+  ASSERT_TRUE(it.ok());
+  EXPECT_FALSE(it.value().Valid());
+  Batch wrong_type;
+  wrong_type.Reset(Schema({Column("k", TypeId::kInt64), Column("grp", TypeId::kInt32),
+                           Column("label", TypeId::kVarchar)}));
+  EXPECT_TRUE(t.value()->BulkLoad(wrong_type).IsInvalidArgument());
+  rows.SetSelection({0, 2});  // keys 1, 2
+  ASSERT_TRUE(t.value()->BulkLoad(rows).ok());
+  EXPECT_EQ(t.value()->row_count(), 2u);
 }
 
 TEST_F(CatalogFixture, SecondaryIndexCoversAndFinds) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
 #include "cstore/colopt.h"
 #include "cstore/compression.h"
 #include "cstore/concat.h"
@@ -222,15 +225,22 @@ TEST(CTableBuilderTest, RejectsPartialSortOrder) {
 }
 
 TEST(CompressionTest, RleRunsRespectPrefix) {
-  std::vector<Row> rows = {
-      {Value::Int32(1), Value::Int32(9)}, {Value::Int32(1), Value::Int32(9)},
-      {Value::Int32(2), Value::Int32(9)},  // same v, new prefix -> new run
-      {Value::Int32(2), Value::Int32(7)},
-  };
-  auto runs_no_prefix = compression::RleRuns(rows, 1, {});
-  EXPECT_EQ(runs_no_prefix.size(), 2u);  // 9x3, 7x1
-  auto runs_prefix = compression::RleRuns(rows, 1, {0});
-  EXPECT_EQ(runs_prefix.size(), 3u);  // 9x2 | 9x1, 7x1
+  // (p, v) rows sorted by p then v: v is 9, 9, 9, 7 and p changes at row 2.
+  Batch rows;
+  rows.Reset(Schema({Column("p", TypeId::kInt32), Column("v", TypeId::kInt32)}));
+  const int p[4] = {1, 1, 2, 2}, v[4] = {9, 9, 9, 7};
+  for (int i = 0; i < 4; i++) {
+    rows.col(0).AppendInt(p[i]);
+    rows.col(1).AppendInt(v[i]);
+  }
+  rows.SetRowCount(4);
+  // v on its own: 9x3, 7x1.
+  EXPECT_EQ(compression::RunCounts(compression::FirstDifferences(rows, {1}), 1),
+            std::vector<uint64_t>{2});
+  // v under the prefix p: 9x2 | 9x1, 7x1 (same v, new prefix -> new run).
+  const std::vector<uint32_t> first = compression::FirstDifferences(rows, {0, 1});
+  EXPECT_EQ(first, (std::vector<uint32_t>{0, 2, 0, 1}));
+  EXPECT_EQ(compression::RunCounts(first, 2), (std::vector<uint64_t>{2, 3}));
 }
 
 TEST(CompressionTest, SizeEstimators) {
@@ -354,6 +364,153 @@ TEST_F(ConcatTest, UnknownColumnRejected) {
   cstore::ColumnConcatenator concat(db_.get(), *meta_, {"NOPE"},
                                     cstore::ConcatMode::kNative);
   EXPECT_FALSE(concat.Open(0, 9).ok());
+}
+
+}  // namespace
+}  // namespace elephant
+
+namespace elephant {
+namespace {
+
+/// The c-table at sort position `pos` of a projection, computed from its
+/// rows with Values alone, independently of the typed build: a stable sort
+/// by Value::Compare over the sort columns (the rows' columns, in sort
+/// order), then one (f, v, c) per run, a run ending where the column or any
+/// shallower one changes, or one (f, v) per row.
+std::vector<Row> RefCTable(std::vector<Row> rows, size_t pos, bool has_count) {
+  std::stable_sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    for (size_t c = 0; c < a.size(); c++) {
+      const int cmp = a[c].Compare(b[c]);
+      if (cmp != 0) return cmp < 0;
+    }
+    return false;
+  });
+  std::vector<Row> out;
+  for (size_t r = 0; r < rows.size(); r++) {
+    bool starts = r == 0 || !has_count;
+    for (size_t p = 0; p <= pos && !starts; p++) {
+      starts = rows[r][p].Compare(rows[r - 1][p]) != 0;
+    }
+    if (!starts) {
+      out.back()[2] = Value::Int32(out.back()[2].AsInt32() + 1);
+      continue;
+    }
+    Row row{Value::Int32(static_cast<int32_t>(r)), rows[r][pos]};
+    if (has_count) row.push_back(Value::Int32(1));
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+/// Every c-table of `meta` equals its reference over `base` under Value
+/// equality (NULL only equals NULL); the first read after a base write runs
+/// the rebuild hook.
+void ExpectCTablesMatch(Database* db, const ProjectionMeta& meta,
+                        const std::vector<Row>& base) {
+  for (const CTableMeta& ct : meta.ctables) {
+    const std::vector<Row> want = RefCTable(base, ct.sort_position, ct.has_count);
+    auto got = db->Execute("SELECT * FROM " + ct.table_name + " ORDER BY f");
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const std::vector<Row>& rows = got.value().rows;
+    ASSERT_EQ(rows.size(), want.size()) << ct.table_name;
+    for (size_t r = 0; r < want.size(); r++) {
+      ASSERT_EQ(rows[r].size(), want[r].size()) << ct.table_name;
+      for (size_t c = 0; c < want[r].size(); c++) {
+        EXPECT_EQ(rows[r][c].is_null(), want[r][c].is_null())
+            << ct.table_name << " row " << r << " col " << c;
+        EXPECT_EQ(rows[r][c].Compare(want[r][c]), 0)
+            << ct.table_name << " row " << r << " col " << c << ": "
+            << rows[r][c].ToString() << " vs " << want[r][c].ToString();
+      }
+    }
+  }
+}
+
+constexpr const char* kTypedTable =
+    "CREATE TABLE t (k INT, s VARCHAR(12), c CHAR(4), a INT, b BIGINT, "
+    "d DECIMAL, x DOUBLE)";
+const ProjectionDef kTypedProjection{
+    "p", "SELECT k, s, c, a, b, d, x FROM t",
+    {"k", "s", "c", "a", "b", "d", "x"}};
+
+TEST(CTableBuildTest, TypedBuildMatchesValueReferenceOnEveryLane) {
+  // k is one run over every row; s and c carry trailing spaces and padding
+  // (equal under Value::Compare); a, b and d hold negatives and NULLs; x,
+  // last so its -0.0 and 0.0 (equal Values, distinct key encodings) never
+  // order a deeper column, mixes both zeros. Small domains give runs of
+  // every length, single rows included.
+  Database db;
+  ASSERT_TRUE(db.Execute(kTypedTable).ok());
+  const char* strs[] = {"ab", "ab  ", "b", "", "zz z"};
+  const char* chars[] = {"x", "x  ", "xy", "wxyz"};
+  const double doubles[] = {-0.0, 0.0, 1.5, -2.25};
+  Rng rng(11);
+  std::vector<Row> base;
+  for (int i = 0; i < 300; i++) {
+    auto pick = [&rng](int n) { return static_cast<int>(rng.Uniform(0, n - 1)); };
+    Row row{Value::Int32(7),
+            pick(6) == 0 ? Value::Null(TypeId::kVarchar) : Value::Varchar(strs[pick(5)]),
+            pick(6) == 0 ? Value::Null(TypeId::kChar) : Value::Char(chars[pick(4)]),
+            pick(5) == 0 ? Value::Null(TypeId::kInt32) : Value::Int32(pick(5) - 3),
+            pick(5) == 0 ? Value::Null(TypeId::kInt64)
+                         : Value::Int64((pick(3) - 1) * 5'000'000'000LL),
+            pick(5) == 0 ? Value::Null(TypeId::kDecimal) : Value::Decimal(pick(7) * 125 - 400),
+            pick(5) == 0 ? Value::Null(TypeId::kDouble) : Value::Double(doubles[pick(4)])};
+    base.push_back(std::move(row));
+  }
+  {
+    auto t = db.catalog().GetTable("t");
+    ASSERT_TRUE(t.ok());
+    std::vector<Row> load = base;
+    ASSERT_TRUE(t.value()->BulkLoadRows(std::move(load)).ok());
+  }
+  CTableBuilder builder(&db);
+  auto meta = builder.Build(kTypedProjection);
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  ASSERT_EQ(meta.value().ctables.size(), 7u);
+  EXPECT_EQ(meta.value().rows, 300u);
+  EXPECT_EQ(meta.value().ctables[0].rle_runs, 1u);
+  bool plain = false, counted = false;
+  for (const CTableMeta& ct : meta.value().ctables) {
+    EXPECT_EQ(ct.rle_runs, RefCTable(base, ct.sort_position, true).size())
+        << ct.table_name;
+    (ct.has_count ? counted : plain) = true;
+  }
+  EXPECT_TRUE(plain && counted);  // both representations are checked
+  ExpectCTablesMatch(&db, meta.value(), base);
+
+  // An INSERT makes every c-table stale; the next read rebuilds it.
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (7, 'ab ', 'xy', -3, NULL, "
+                         "-2.75, 1.5), (7, NULL, NULL, NULL, 5000000000, "
+                         "NULL, NULL)")
+                  .ok());
+  base.push_back({Value::Int32(7), Value::Varchar("ab "), Value::Char("xy"),
+                  Value::Int32(-3), Value::Null(TypeId::kInt64),
+                  Value::Decimal(-275), Value::Double(1.5)});
+  base.push_back({Value::Int32(7), Value::Null(TypeId::kVarchar),
+                  Value::Null(TypeId::kChar), Value::Null(TypeId::kInt32),
+                  Value::Int64(5'000'000'000LL), Value::Null(TypeId::kDecimal),
+                  Value::Null(TypeId::kDouble)});
+  ExpectCTablesMatch(&db, meta.value(), base);
+}
+
+TEST(CTableBuildTest, EmptyBaseTableBuildsEmptyCTablesThatRebuild) {
+  Database db;
+  ASSERT_TRUE(db.Execute(kTypedTable).ok());
+  CTableBuilder builder(&db);
+  auto meta = builder.Build(kTypedProjection);
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  EXPECT_EQ(meta.value().rows, 0u);
+  for (const CTableMeta& ct : meta.value().ctables) {
+    EXPECT_EQ(ct.rle_runs, 0u) << ct.table_name;
+  }
+  ExpectCTablesMatch(&db, meta.value(), {});
+  ASSERT_TRUE(
+      db.Execute("INSERT INTO t VALUES (1, 'a', 'b', -1, -2, 0.50, -0.5)").ok());
+  ExpectCTablesMatch(&db, meta.value(),
+                     {{Value::Int32(1), Value::Varchar("a"), Value::Char("b"),
+                       Value::Int32(-1), Value::Int64(-2), Value::Decimal(50),
+                       Value::Double(-0.5)}});
 }
 
 }  // namespace

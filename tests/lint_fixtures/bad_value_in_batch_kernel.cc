@@ -20,4 +20,12 @@ int CountNonNull(const ColumnVector& column) {
   return n;
 }
 
+// A derived-table build that drains Value rows, sorts them and loads them.
+Status LoadDerived(Table* table, std::vector<Row> rows) {
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    return a[0].Compare(b[0]) < 0;  // finding
+  });
+  return table->BulkLoadRows(std::move(rows));  // finding
+}
+
 }  // namespace elephant

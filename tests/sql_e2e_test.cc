@@ -282,6 +282,56 @@ TEST_F(SqlE2eTest, BindErrors) {
   EXPECT_FALSE(db_->Execute("SELECT salary FROM emp, dept WHERE id = 1").ok());
 }
 
+TEST_F(SqlE2eTest, TypeErrorsAreBindErrorsBeforeAnyPageIsRead) {
+  // A string against a number, and SUM/AVG over a type that cannot be
+  // added: every row would fail, so binding fails and nothing is read.
+  ASSERT_TRUE(db_->EvictCaches().ok());
+  const uint64_t reads = db_->disk().stats().TotalReads();
+  for (const char* sql :
+       {"SELECT id FROM emp WHERE name = 5",
+        "SELECT id FROM emp WHERE 5 < name",
+        "SELECT id FROM emp WHERE name BETWEEN 1 AND 2",
+        "SELECT dept FROM emp GROUP BY dept HAVING MIN(name) > 3",
+        "SELECT SUM(hired) FROM emp", "SELECT AVG(name) FROM emp",
+        "SELECT dept, SUM(hired) FROM emp GROUP BY dept"}) {
+    auto r = db_->Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kBindError)
+        << sql << ": " << r.status().ToString();
+  }
+  EXPECT_EQ(db_->disk().stats().TotalReads(), reads);
+  // Comparable and summable pairs still bind.
+  EXPECT_TRUE(db_->Execute("SELECT id FROM emp WHERE salary > 5").ok());
+  EXPECT_TRUE(db_->Execute("SELECT MIN(hired), MAX(name) FROM emp").ok());
+  EXPECT_TRUE(db_->Execute("SELECT SUM(salary), AVG(id) FROM emp").ok());
+}
+
+TEST_F(SqlE2eTest, ExecuteIntoReturnsTypedColumnsWithoutValues) {
+  const std::string sql =
+      "SELECT id, name, salary FROM emp WHERE dept = 1 ORDER BY id";
+  Batch rows;
+  auto into = db_->ExecuteInto(sql, &rows);
+  ASSERT_TRUE(into.ok()) << into.status().ToString();
+  QueryResult want = Exec(sql);
+  EXPECT_TRUE(into.value().rows.empty());
+  EXPECT_EQ(into.value().counters.values_materialized, 0u);
+  EXPECT_EQ(into.value().counters.rows_output, want.rows.size());
+  ASSERT_EQ(rows.num_rows(), want.rows.size());
+  ASSERT_EQ(rows.num_cols(), 3u);
+  for (uint32_t r = 0; r < rows.num_rows(); r++) {
+    EXPECT_EQ(rows.col(0).Int(r), want.rows[r][0].AsInt64());
+    EXPECT_EQ(rows.col(1).String(r), want.rows[r][1].AsString());
+    EXPECT_EQ(rows.col(2).Int(r), want.rows[r][2].AsInt64());
+  }
+  // Only a SELECT hands out typed columns; nothing else runs.
+  EXPECT_FALSE(db_->ExecuteInto("INSERT INTO emp VALUES (99, 1, 1.00, 'x', "
+                                "DATE '2000-01-01')",
+                                &rows)
+                   .ok());
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM emp WHERE id = 99").rows[0][0].AsInt64(),
+            0);
+}
+
 TEST_F(SqlE2eTest, InsertThenQueryConsistent) {
   Exec("INSERT INTO emp VALUES (13, 1, 500.00, 'emp13', DATE '2000-02-02')");
   QueryResult r = Exec("SELECT COUNT(*) FROM emp WHERE dept = 1");
