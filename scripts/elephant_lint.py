@@ -59,7 +59,7 @@ arguments depend on:
                     kernel in cstore/compression.cc, Table's typed load in
                     catalog/table.cc). Batch columns are typed lanes and
                     every batch kernel (filter, projection, join keys,
-                    aggregates, sort, c-table runs, bulk load) runs on them;
+                    aggregates, sort, c-table runs, bulk loads) runs on them;
                     a per-row Value path must not come back beside them. The boundary adapters
                     where rows enter or leave the engine as Values (root
                     conversion, literals, VALUES and virtual scans, scalar
@@ -67,6 +67,13 @@ arguments depend on:
                     lint:allow, so ExecCounters::values_materialized, counted
                     at the root conversion, counts every Value built from a
                     lane.
+  cell-decoder      a read of the stored cell formats — tuple::IsNull /
+                    GetInt / GetDouble / GetString, DecodeSecondaryValue or
+                    keycodec::DecodeCell — outside src/catalog/ and
+                    src/common/. Table writes the tuple and index-entry
+                    formats and IndexCursor (catalog/table.h) is their one
+                    reader; every other module reads table cells through
+                    it, so a change to a cell format lands in one module.
 
 Suppress a finding with a trailing or preceding-line comment:
 
@@ -120,10 +127,10 @@ NARROWING_SCOPED = {
 
 NARROWING_RE = re.compile(r"\bstatic_cast\s*<\s*(?:std\s*::\s*)?int32_t\s*>")
 
-# The batch engine's directory, and the files that hold typed columns or
-# build derived tables from them: their kernels run on typed lanes, not
-# Values.
-VALUE_KERNEL_DIRS = {"exec"}
+# The batch engine's directory, the TPC-H loader, and the files that hold
+# typed columns or build derived tables from them: their kernels run on
+# typed lanes, not Values.
+VALUE_KERNEL_DIRS = {"exec", "tpch"}
 VALUE_KERNEL_FILES = {
     os.path.join("common", "batch.h"),
     os.path.join("common", "batch.cc"),
@@ -137,6 +144,15 @@ VALUE_KERNEL_RE = re.compile(
     r"|\bValue\s*::\s*Compare\b"
     r"|\.\s*Compare\s*\("
     r"|\b(?:GetValue|AppendValue|AppendRow|BulkLoadRows)\s*\(")
+
+# The modules that write and read the stored cell formats: Table and its
+# IndexCursor (catalog/), the tuple and key codecs (common/).
+CELL_DECODER_ALLOWED_DIRS = {"catalog", "common"}
+
+CELL_DECODER_RE = re.compile(
+    r"\btuple\s*::\s*(?:IsNull|GetInt|GetDouble|GetString)\b"
+    r"|\bDecodeSecondaryValue\b"
+    r"|\bkeycodec\s*::\s*DecodeCell\b")
 
 RAW_PAGE_API_RE = re.compile(
     r"\b(?:FetchPage|NewPage)\s*\((?!\s*\))"  # call with args (decl-ish ok too)
@@ -386,6 +402,16 @@ def lint_file(path, rel, text):
                        "run the kernel on the typed lanes (ColumnVector, "
                        "CompareCells, EncodeCell), or "
                        "lint:allow a boundary adapter with its reason")
+
+    # --- cell-decoder (fixtures lint as bare names) ---
+    if top_dir not in CELL_DECODER_ALLOWED_DIRS:
+        for lineno, ln in enumerate(lines, 1):
+            if CELL_DECODER_RE.search(ln):
+                report(lineno, "cell-decoder",
+                       "stored cells decoded outside src/catalog/ and "
+                       "src/common/; read table cells through IndexCursor "
+                       "(catalog/table.h), the one reader of the formats "
+                       "Table writes")
 
     # --- unguarded-mutex ---
     mutex_names = []

@@ -343,7 +343,8 @@ void Catalog::SerializeTo(std::string* out) const {
       for (size_t c : idx->key_cols) PutU32(out, static_cast<uint32_t>(c));
       PutU32(out, static_cast<uint32_t>(idx->include_cols.size()));
       for (size_t c : idx->include_cols) PutU32(out, static_cast<uint32_t>(c));
-      PutU32(out, static_cast<uint32_t>(idx->tree->root()));
+      PutU32(out, static_cast<uint32_t>(idx->tree != nullptr ? idx->tree->root()
+                                                             : kInvalidPageId));
     }
   }
   MutexLock lock(derived_mu_);

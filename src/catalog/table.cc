@@ -1,6 +1,7 @@
 #include "catalog/table.h"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
 namespace elephant {
@@ -22,6 +23,163 @@ uint64_t TrailingSeq(std::string_view ckey) {
     v = (v << 8) | static_cast<unsigned char>(p[i]);
   }
   return v;
+}
+
+// A secondary entry's key is the encoded key columns ++ the base row's
+// clustered key; its value is the clustered key's u16 length, the clustered
+// key, and the include columns as a tuple. Row writes (a Row's cells) and
+// index builds (a batch row's cells) encode entries through the same two
+// templates.
+
+/// A Row's cells, by schema position.
+struct RowCells {
+  const Row& row;
+  void EncodeKey(size_t c, std::string* out) const {
+    keycodec::Encode(row[c], out);
+  }
+  Status Serialize(const Schema& schema, const std::vector<size_t>& cols,
+                   std::string* out) const {
+    return tuple::Serialize(schema, row, out, &cols);
+  }
+};
+
+/// Row `r` of a batch's typed columns, by column.
+struct LaneCells {
+  const Batch& batch;
+  uint32_t r;
+  void EncodeKey(size_t c, std::string* out) const {
+    EncodeCell(batch.col(c), r, out);
+  }
+  Status Serialize(const Schema& schema, const std::vector<size_t>& cols,
+                   std::string* out) const {
+    return tuple::Serialize(schema, batch, r, out, &cols);
+  }
+};
+
+/// Where an index's key and include columns sit in the cells an entry is
+/// made from (schema positions for a Row, batch columns for a build).
+struct EntryLayout {
+  const std::vector<size_t>& key_cols;
+  const std::vector<size_t>& include_cols;
+  const Schema& include_schema;
+};
+
+EntryLayout LayoutOf(const SecondaryIndex& idx) {
+  return EntryLayout{idx.key_cols, idx.include_cols, idx.include_schema};
+}
+
+template <typename Cells>
+void EntryKey(const EntryLayout& layout, const Cells& cells,
+              std::string_view ckey, std::string* key) {
+  key->clear();
+  for (size_t c : layout.key_cols) cells.EncodeKey(c, key);
+  key->append(ckey);
+}
+
+template <typename Cells>
+Status EntryValue(const EntryLayout& layout, const Cells& cells,
+                  std::string_view ckey, std::string* value) {
+  value->clear();
+  value->push_back(static_cast<char>(ckey.size() & 0xff));
+  value->push_back(static_cast<char>((ckey.size() >> 8) & 0xff));
+  value->append(ckey);
+  return cells.Serialize(layout.include_schema, layout.include_cols, value);
+}
+
+/// Bulk-builds `idx`'s tree from rows `rows` of `batch` (the index's
+/// columns at `layout`), row i stored under clustered key ckeys[i]: the
+/// keys are encoded and sorted, and each value encoded as the tree takes
+/// its entry.
+Status BuildIndexTree(BufferPool* pool, SecondaryIndex* idx,
+                      const EntryLayout& layout, const Batch& batch,
+                      const std::vector<uint32_t>& rows,
+                      const std::vector<std::string>& ckeys) {
+  std::vector<std::pair<std::string, uint32_t>> keys(rows.size());  // key, i
+  for (uint32_t i = 0; i < rows.size(); i++) {
+    EntryKey(layout, LaneCells{batch, rows[i]}, ckeys[i], &keys[i].first);
+    keys[i].second = i;
+  }
+  std::sort(keys.begin(), keys.end());
+  size_t e = 0;
+  Status status;
+  auto stream = [&](std::string* k, std::string* v) {
+    if (e == keys.size()) return false;
+    const uint32_t i = keys[e].second;
+    k->swap(keys[e++].first);
+    status = EntryValue(layout, LaneCells{batch, rows[i]}, ckeys[i], v);
+    return status.ok();
+  };
+  obs::AccessScope access(&idx->access_label);
+  ELE_ASSIGN_OR_RETURN(BPlusTree tree, BPlusTree::BulkLoad(pool, stream));
+  ELE_RETURN_NOT_OK(status);
+  idx->tree = std::make_unique<BPlusTree>(tree);
+  idx->tree->SetAccessLabel(&idx->access_label);
+  return Status::OK();
+}
+
+/// The statistics of rows `rows` of `batch`, columns typed as `schema`'s:
+/// per column the NULL count, the number of distinct Value::Hash values of
+/// the other cells (through its typed halves), and their min and max as
+/// Value::Compare orders them (CompareCells), the first of equals kept. A
+/// CHAR min or max is padded to the column's width, as it is stored.
+std::vector<ColumnStats> FoldStats(const Schema& schema, const Batch& batch,
+                                   const std::vector<uint32_t>& rows) {
+  std::vector<ColumnStats> stats(schema.NumColumns());
+  std::vector<uint64_t> hashes;
+  for (size_t c = 0; c < stats.size(); c++) {
+    const ColumnVector& col = batch.col(c);
+    hashes.clear();
+    bool seen = false;
+    uint32_t lo = 0, hi = 0;  // the rows of the min and the max
+    for (uint32_t r : rows) {
+      if (col.IsNull(r)) {
+        stats[c].null_count++;
+        continue;
+      }
+      switch (col.lane()) {
+        case Lane::kInt: hashes.push_back(HashInt(col.Int(r))); break;
+        case Lane::kDouble: hashes.push_back(HashDouble(col.Double(r))); break;
+        case Lane::kString: hashes.push_back(HashString(col.String(r))); break;
+      }
+      if (!seen || CompareCells(col, r, col, lo) < 0) lo = r;
+      if (!seen || CompareCells(col, r, col, hi) > 0) hi = r;
+      seen = true;
+    }
+    std::sort(hashes.begin(), hashes.end());
+    stats[c].distinct = static_cast<uint64_t>(
+        std::unique(hashes.begin(), hashes.end()) - hashes.begin());
+    if (!seen) continue;
+    const Column& column = schema.ColumnAt(c);
+    auto stored = [&](uint32_t r) {
+      if (column.type != TypeId::kChar) {
+        return col.GetValue(r);  // lint:allow(value-in-batch-kernel): stats
+      }
+      std::string s(col.String(r));
+      s.resize(column.length, ' ');
+      return Value::Char(std::move(s));
+    };
+    stats[c].min = stored(lo);
+    stats[c].max = stored(hi);
+  }
+  return stats;
+}
+
+/// Reads every row of `table`'s clustered tree through an IndexCursor into
+/// `*out`, narrowed to `cols` (every column without it), and each row's
+/// clustered key into `*keys` when it is given.
+Status ReadClustered(const Table& table, std::optional<std::vector<size_t>> cols,
+                     Batch* out, std::vector<std::string>* keys) {
+  IndexCursor cursor(&table, nullptr, AccessIntent::kSequentialScan,
+                     std::move(cols));
+  ELE_RETURN_NOT_OK(cursor.Seek(KeyRange{}));
+  out->Reset(cursor.schema());
+  uint32_t n = 0;
+  for (; cursor.Valid(); n++) {
+    if (keys != nullptr) keys->emplace_back(cursor.key());
+    ELE_RETURN_NOT_OK(cursor.ReadInto(out, 0));
+  }
+  out->SetRowCount(n);
+  return Status::OK();
 }
 
 }  // namespace
@@ -74,21 +232,6 @@ std::string Table::EncodeClusterPrefix(const std::vector<Value>& values) const {
   return key;
 }
 
-Status Table::MakeSecondaryEntry(const SecondaryIndex& idx, const Row& row,
-                                 const std::string& ckey, std::string* key,
-                                 std::string* value) const {
-  *key = keycodec::EncodeKey(row, idx.key_cols);
-  key->append(ckey);
-  value->clear();
-  value->push_back(static_cast<char>(ckey.size() & 0xff));
-  value->push_back(static_cast<char>((ckey.size() >> 8) & 0xff));
-  value->append(ckey);
-  Row include_row;
-  include_row.reserve(idx.include_cols.size());
-  for (size_t c : idx.include_cols) include_row.push_back(row[c]);
-  return tuple::Serialize(idx.include_schema, include_row, value);
-}
-
 Status Table::BulkLoad(const Batch& rows) {
   if (logged() && row_count_ != 0) {
     return Status::FailedPrecondition(
@@ -108,13 +251,15 @@ Status Table::BulkLoad(const Batch& rows) {
   // afterwards, which flushes the pages and names the new root in the
   // catalog before any logged DML depends on it.
   obs::AccessScope access(&access_label_);
-  const uint32_t n = rows.ActiveCount();
+  const std::vector<uint32_t> live = rows.ActiveIndices();
+  const uint32_t n = static_cast<uint32_t>(live.size());
+  std::vector<std::string> ckeys;  // the secondary entries' bookmarks
   uint32_t i = 0;
   std::string prev;
   Status status;
   auto stream = [&](std::string* k, std::string* v) {
     if (i == n) return false;
-    const uint32_t r = rows.ActiveIndex(i);
+    const uint32_t r = live[i];
     k->clear();
     for (size_t c : cluster_cols_) EncodeCell(rows.col(c), r, k);
     if (i > 0 && *k < prev) {
@@ -125,6 +270,7 @@ Status Table::BulkLoad(const Batch& rows) {
     }
     prev = *k;
     if (!unique_cluster_) AppendSeq(k, i);
+    if (!secondary_.empty()) ckeys.push_back(*k);
     v->clear();
     status = tuple::Serialize(schema_, rows, r, v);
     i++;
@@ -136,10 +282,11 @@ Status Table::BulkLoad(const Batch& rows) {
   clustered_->SetAccessLabel(&access_label_);
   next_seq_ = n;
   row_count_ = n;
-  stats_.clear();
   for (const auto& idx : secondary_) {
-    ELE_RETURN_NOT_OK(BuildSecondaryFromScan(idx.get()));
+    ELE_RETURN_NOT_OK(
+        BuildIndexTree(pool_, idx.get(), LayoutOf(*idx), rows, live, ckeys));
   }
+  stats_ = FoldStats(schema_, rows, live);
   return Status::OK();
 }
 
@@ -183,7 +330,29 @@ Status Table::CreateSecondaryIndex(const std::string& index_name,
   }
   std::unique_ptr<SecondaryIndex> idx =
       DefineIndex(index_name, std::move(key_cols), std::move(include_cols));
-  ELE_RETURN_NOT_OK(BuildSecondaryFromScan(idx.get()));
+  if (row_count_ == 0 && !logged()) {
+    // Nothing to index or read: the tree, and its first page, come from the
+    // next load or insert. A table declared with its indexes and then
+    // loaded thus allocates its pages in the order the load writes them:
+    // the clustered tree, then each index. (A logged tree's root must
+    // exist for the checkpoint to name it.)
+    secondary_.push_back(std::move(idx));
+    return Status::OK();
+  }
+  // Decode the index's columns only, in its row's order: key columns, then
+  // include columns.
+  std::vector<size_t> cols = idx->key_cols;
+  cols.insert(cols.end(), idx->include_cols.begin(), idx->include_cols.end());
+  std::vector<size_t> key_pos(idx->key_cols.size());
+  std::vector<size_t> include_pos(idx->include_cols.size());
+  std::iota(key_pos.begin(), key_pos.end(), 0);
+  std::iota(include_pos.begin(), include_pos.end(), key_pos.size());
+  Batch rows;
+  std::vector<std::string> ckeys;
+  ELE_RETURN_NOT_OK(ReadClustered(*this, std::move(cols), &rows, &ckeys));
+  ELE_RETURN_NOT_OK(BuildIndexTree(
+      pool_, idx.get(), EntryLayout{key_pos, include_pos, idx->include_schema},
+      rows, rows.ActiveIndices(), ckeys));
   secondary_.push_back(std::move(idx));
   return Status::OK();
 }
@@ -218,39 +387,6 @@ std::unique_ptr<SecondaryIndex> Table::DefineIndex(
   return idx;
 }
 
-Status Table::BuildSecondaryFromScan(SecondaryIndex* idx) {
-  // Build entries from a full scan, sort, bulk-load.
-  std::vector<std::pair<std::string, std::string>> entries;
-  entries.reserve(row_count_);
-  {
-    ELE_ASSIGN_OR_RETURN(RowIterator it, ScanAll());
-    while (it.Valid()) {
-      Row row;
-      ELE_RETURN_NOT_OK(it.Current(&row));
-      std::string key, value;
-      ELE_RETURN_NOT_OK(
-          MakeSecondaryEntry(*idx, row, std::string(it.it_.key()), &key, &value));
-      entries.emplace_back(std::move(key), std::move(value));
-      ELE_RETURN_NOT_OK(it.Next());
-    }
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  size_t i = 0;
-  auto stream = [&](std::string* k, std::string* v) {
-    if (i >= entries.size()) return false;
-    *k = std::move(entries[i].first);
-    *v = std::move(entries[i].second);
-    i++;
-    return true;
-  };
-  obs::AccessScope access(&idx->access_label);
-  ELE_ASSIGN_OR_RETURN(BPlusTree tree, BPlusTree::BulkLoad(pool_, stream));
-  idx->tree = std::make_unique<BPlusTree>(tree);
-  idx->tree->SetAccessLabel(&idx->access_label);
-  return Status::OK();
-}
-
 SecondaryIndex* Table::FindIndex(const std::string& index_name) {
   for (const auto& idx : secondary_) {
     if (idx->name == index_name) return idx.get();
@@ -276,26 +412,93 @@ SecondaryIndex* Table::FindCoveringIndex(size_t leading_col,
   return nullptr;
 }
 
-Status Table::RowIterator::Current(Row* out) const {
-  std::string_view v = it_.value();
-  return tuple::Deserialize(*schema_, v.data(), v.size(), out);
-}
-
-Result<Table::RowIterator> Table::ScanAll(AccessIntent intent) const {
-  ELE_ASSIGN_OR_RETURN(BPlusTree::Iterator it, clustered_->SeekToFirst(intent));
-  return RowIterator(&schema_, std::move(it), "");
-}
-
-Result<Table::RowIterator> Table::ScanRange(const std::string& lo,
-                                            const std::string& hi,
-                                            AccessIntent intent) const {
-  BPlusTree::Iterator it;
-  if (lo.empty()) {
-    ELE_ASSIGN_OR_RETURN(it, clustered_->SeekToFirst(intent));
+IndexCursor::IndexCursor(const Table* table, const SecondaryIndex* index,
+                         AccessIntent intent,
+                         std::optional<std::vector<size_t>> cols)
+    : table_(table), index_(index), intent_(intent) {
+  const Schema& source = index_ != nullptr ? index_->out_schema : table_->schema();
+  if (cols.has_value()) {
+    cols_ = std::move(*cols);
   } else {
-    ELE_ASSIGN_OR_RETURN(it, clustered_->Seek(lo, intent));
+    for (size_t c = 0; c < source.NumColumns(); c++) cols_.push_back(c);
   }
-  return RowIterator(&schema_, std::move(it), hi);
+  schema_ = source.Project(cols_);
+  for (size_t c : cols_) {
+    if (index_ != nullptr && c < index_->key_cols.size()) {
+      key_prefix_ = std::max(key_prefix_, c + 1);
+    }
+  }
+  key_cells_.resize(key_prefix_);
+}
+
+Status IndexCursor::Seek(const KeyRange& range) {
+  hi_ = range.hi;
+  if (!range.lo.empty() && it_.SeekInLeaf(range.lo)) return Status::OK();
+  it_ = BPlusTree::Iterator();  // unpin the old leaf before descending
+  if (index_ != nullptr && index_->tree == nullptr) return Status::OK();
+  const BPlusTree& tree =
+      index_ != nullptr ? *index_->tree : table_->clustered();
+  if (range.lo.empty()) {
+    ELE_ASSIGN_OR_RETURN(it_, tree.SeekToFirst(intent_));
+  } else {
+    ELE_ASSIGN_OR_RETURN(it_, tree.Seek(range.lo, intent_));
+  }
+  return Status::OK();
+}
+
+namespace {
+
+/// Appends tuple column `col` (of `schema`) to `out`, a column of its type.
+void AppendTupleCell(const Schema& schema, const char* data, size_t col,
+                     ColumnVector* out) {
+  if (tuple::IsNull(data, col)) return out->AppendNull();
+  switch (out->lane()) {
+    case Lane::kInt: return out->AppendInt(tuple::GetInt(schema, data, col));
+    case Lane::kDouble:
+      return out->AppendDouble(tuple::GetDouble(schema, data, col));
+    case Lane::kString:
+      return out->AppendString(tuple::GetString(schema, data, col));
+  }
+}
+
+void AppendKeyCell(const keycodec::KeyCell& cell, ColumnVector* out) {
+  if (cell.is_null) return out->AppendNull();
+  switch (out->lane()) {
+    case Lane::kInt: return out->AppendInt(cell.i);
+    case Lane::kDouble: return out->AppendDouble(cell.d);
+    case Lane::kString: return out->AppendString(cell.s);
+  }
+}
+
+}  // namespace
+
+Status IndexCursor::ReadInto(Batch* out, size_t first) {
+  std::string_view tuple = it_.value();
+  const Schema* tuple_schema = &table_->schema();
+  size_t num_keys = 0;  // source positions below this come from the key
+  if (index_ != nullptr) {
+    // Key columns from the encoded key, then include columns from the
+    // serialized payload.
+    num_keys = index_->key_cols.size();
+    size_t pos = 0;
+    for (size_t k = 0; k < key_prefix_; k++) {
+      ELE_RETURN_NOT_OK(keycodec::DecodeCell(
+          index_->out_schema.ColumnAt(k).type, it_.key(), &pos, &key_cells_[k]));
+    }
+    tuple = DecodeSecondaryValue(tuple).include_bytes;
+    tuple_schema = &index_->include_schema;
+  }
+  ELE_RETURN_NOT_OK(tuple::CheckTuple(tuple.data(), tuple.size()));
+  for (size_t i = 0; i < cols_.size(); i++) {
+    const size_t c = cols_[i];
+    ColumnVector* dst = &out->col(first + i);
+    if (c < num_keys) {
+      AppendKeyCell(key_cells_[c], dst);
+    } else {
+      AppendTupleCell(*tuple_schema, tuple.data(), c - num_keys, dst);
+    }
+  }
+  return it_.Next();
 }
 
 Status Table::CheckContext(const TxnWriteContext& ctx) const {
@@ -332,11 +535,18 @@ Status Table::Insert(const Row& row, const TxnWriteContext& ctx,
   wal::TreeWriter slot;
   ELE_RETURN_NOT_OK(clustered_->Insert(ckey, payload, Writer(ctx, 0, &slot)));
   row_count_++;
+  std::string key, value;
   for (size_t i = 0; i < secondary_.size(); i++) {
-    std::string key, value;
-    ELE_RETURN_NOT_OK(MakeSecondaryEntry(*secondary_[i], row, ckey, &key, &value));
-    ELE_RETURN_NOT_OK(
-        secondary_[i]->tree->Insert(key, value, Writer(ctx, i + 1, &slot)));
+    SecondaryIndex& idx = *secondary_[i];
+    if (idx.tree == nullptr) {  // declared on an empty unlogged table
+      ELE_ASSIGN_OR_RETURN(BPlusTree tree, BPlusTree::Create(pool_));
+      idx.tree = std::make_unique<BPlusTree>(tree);
+      idx.tree->SetAccessLabel(&idx.access_label);
+    }
+    const EntryLayout layout = LayoutOf(idx);
+    EntryKey(layout, RowCells{row}, ckey, &key);
+    ELE_RETURN_NOT_OK(EntryValue(layout, RowCells{row}, ckey, &value));
+    ELE_RETURN_NOT_OK(idx.tree->Insert(key, value, Writer(ctx, i + 1, &slot)));
   }
   if (ckey_out != nullptr) *ckey_out = ckey;
   return Status::OK();
@@ -349,9 +559,9 @@ Status Table::Delete(const std::string& ckey, const Row& row,
   wal::TreeWriter slot;
   ELE_RETURN_NOT_OK(clustered_->Delete(ckey, Writer(ctx, 0, &slot)));
   row_count_--;
+  std::string key;
   for (size_t i = 0; i < secondary_.size(); i++) {
-    std::string key, value;
-    ELE_RETURN_NOT_OK(MakeSecondaryEntry(*secondary_[i], row, ckey, &key, &value));
+    EntryKey(LayoutOf(*secondary_[i]), RowCells{row}, ckey, &key);
     ELE_RETURN_NOT_OK(secondary_[i]->tree->Delete(key, Writer(ctx, i + 1, &slot)));
   }
   return Status::OK();
@@ -368,11 +578,13 @@ Status Table::Update(const std::string& ckey, const Row& before,
   ELE_RETURN_NOT_OK(tuple::Serialize(schema_, after, &payload));
   wal::TreeWriter slot;
   ELE_RETURN_NOT_OK(clustered_->Update(ckey, payload, Writer(ctx, 0, &slot)));
+  std::string old_key, old_value, key, value;
   for (size_t i = 0; i < secondary_.size(); i++) {
-    std::string old_key, old_value, key, value;
-    ELE_RETURN_NOT_OK(
-        MakeSecondaryEntry(*secondary_[i], before, ckey, &old_key, &old_value));
-    ELE_RETURN_NOT_OK(MakeSecondaryEntry(*secondary_[i], after, ckey, &key, &value));
+    const EntryLayout layout = LayoutOf(*secondary_[i]);
+    EntryKey(layout, RowCells{before}, ckey, &old_key);
+    ELE_RETURN_NOT_OK(EntryValue(layout, RowCells{before}, ckey, &old_value));
+    EntryKey(layout, RowCells{after}, ckey, &key);
+    ELE_RETURN_NOT_OK(EntryValue(layout, RowCells{after}, ckey, &value));
     if (key == old_key && value == old_value) continue;
     const wal::TreeWriter* w = Writer(ctx, i + 1, &slot);
     ELE_RETURN_NOT_OK(secondary_[i]->tree->Delete(old_key, w));
@@ -415,46 +627,9 @@ Status Table::CountRows() {
 }
 
 Status Table::Analyze() {
-  // Distinct counts come from each column's value hashes, collected in a
-  // vector and sorted and deduplicated (cheaper than a tree insert per row).
-  // A column's vector is compacted whenever it doubles past its size after
-  // the last compaction, so it stays within about twice the column's
-  // distinct count (plus one initial chunk), not one hash per row.
-  constexpr size_t kMinCompact = 4096;
-  std::vector<std::vector<uint64_t>> distinct(schema_.NumColumns());
-  std::vector<size_t> compact_at(schema_.NumColumns(), kMinCompact);
-  auto compact = [](std::vector<uint64_t>* hashes) {
-    std::sort(hashes->begin(), hashes->end());
-    hashes->erase(std::unique(hashes->begin(), hashes->end()), hashes->end());
-  };
-  std::vector<bool> seen(schema_.NumColumns(), false);
-  stats_.assign(schema_.NumColumns(), ColumnStats{});
-  ELE_ASSIGN_OR_RETURN(RowIterator it, ScanAll());
-  while (it.Valid()) {
-    Row row;
-    ELE_RETURN_NOT_OK(it.Current(&row));
-    for (size_t c = 0; c < row.size(); c++) {
-      if (row[c].is_null()) {
-        stats_[c].null_count++;
-        continue;
-      }
-      distinct[c].push_back(row[c].Hash());
-      if (distinct[c].size() >= compact_at[c]) {
-        compact(&distinct[c]);
-        compact_at[c] = std::max(kMinCompact, 2 * distinct[c].size());
-      }
-      // lint:allow(value-in-batch-kernel): statistics are Values.
-      if (!seen[c] || row[c].Compare(stats_[c].min) < 0) stats_[c].min = row[c];
-      // lint:allow(value-in-batch-kernel): statistics are Values.
-      if (!seen[c] || row[c].Compare(stats_[c].max) > 0) stats_[c].max = row[c];
-      seen[c] = true;
-    }
-    ELE_RETURN_NOT_OK(it.Next());
-  }
-  for (size_t c = 0; c < schema_.NumColumns(); c++) {
-    compact(&distinct[c]);
-    stats_[c].distinct = distinct[c].size();
-  }
+  Batch rows;
+  ELE_RETURN_NOT_OK(ReadClustered(*this, std::nullopt, &rows, nullptr));
+  stats_ = FoldStats(schema_, rows, rows.ActiveIndices());
   return Status::OK();
 }
 

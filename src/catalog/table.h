@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,10 @@ struct TxnWriteContext {
 /// What a logged tree change did, as undo reverses it.
 enum class TreeChange { kInserted, kDeleted, kUpdated };
 
-/// Per-column statistics gathered by Table::Analyze, consumed by the planner.
+/// Per-column statistics, set by Table::BulkLoad and Table::Analyze and
+/// consumed by the planner. `distinct` counts the distinct Value::Hash
+/// values of the non-NULL cells; `min` and `max` are Values of the
+/// column's type (untyped NULLs when every cell is NULL).
 struct ColumnStats {
   uint64_t distinct = 0;
   uint64_t null_count = 0;
@@ -48,6 +52,8 @@ struct SecondaryIndex {
   std::vector<size_t> include_cols;  ///< base-schema positions of included columns
   Schema out_schema;                 ///< key cols then include cols
   Schema include_schema;             ///< include cols only (value payload layout)
+  /// Null while an index declared on an empty unlogged table has not yet
+  /// been loaded or inserted into.
   std::unique_ptr<BPlusTree> tree;
 };
 
@@ -86,14 +92,15 @@ class Table {
   /// Replaces the table's contents with `rows`: typed columns, one per
   /// schema column, whose live rows are in clustered-key order. Keys are
   /// encoded and tuples written from the lanes into a fresh clustered tree,
-  /// leaf by leaf, and the secondary indexes are rebuilt. A key below its
-  /// predecessor is InvalidArgument and keeps the old contents. A logged
-  /// table with rows is FailedPrecondition: the log owns its contents.
+  /// leaf by leaf; every secondary index is then built, and the column
+  /// statistics folded, from the same lanes. A key below its predecessor
+  /// is InvalidArgument and keeps the old contents. A logged table with
+  /// rows is FailedPrecondition: the log owns its contents.
   Status BulkLoad(const Batch& rows);
 
-  /// The Row adapter of BulkLoad into an empty table, for loaders that hold
-  /// Values (the TPC-H generator, tests, benches): sorts `rows` by
-  /// clustering key (ties keep their order). Consumes `rows`.
+  /// The Row adapter of BulkLoad into an empty table, for tests and benches
+  /// that hold Values: sorts `rows` by clustering key (ties keep their
+  /// order). Consumes `rows`.
   Status BulkLoadRows(std::vector<Row>&& rows);
 
   // --- Row writes ----------------------------------------------------------
@@ -143,8 +150,12 @@ class Table {
   Status Undo(TreeChange change, uint8_t tree, std::string_view key,
               std::string_view before, const wal::TreeWriter& w);
 
-  /// Creates a covering secondary index over the current contents
-  /// (bulk-built). Maintained by subsequent row writes.
+  /// Creates a covering secondary index over the current contents,
+  /// bulk-built from the index's columns read through an IndexCursor.
+  /// Maintained by row writes and rebuilt by BulkLoad. On an empty unlogged
+  /// table it takes no page until then: a load after it builds it once,
+  /// from the load's lanes, and allocates pages as a load followed by
+  /// CreateSecondaryIndex would.
   Status CreateSecondaryIndex(const std::string& index_name,
                               std::vector<size_t> key_cols,
                               std::vector<size_t> include_cols);
@@ -168,47 +179,14 @@ class Table {
   /// (fewer values than cluster columns = shorter prefix).
   std::string EncodeClusterPrefix(const std::vector<Value>& values) const;
 
-  /// Computes per-column statistics (full scan) and caches them.
+  /// Recomputes the per-column statistics from the clustered tree, read
+  /// through an IndexCursor into one batch, with BulkLoad's fold.
   Status Analyze();
   const std::vector<ColumnStats>& stats() const { return stats_; }
   bool analyzed() const { return !stats_.empty(); }
 
   /// Pages in the clustered tree (on-disk footprint).
   Result<uint64_t> ClusteredPages() const { return clustered_->CountPages(); }
-
-  /// Row iterator over the clustered index (full table, cluster-key order).
-  class RowIterator {
-   public:
-    bool Valid() const { return it_.Valid() && InRange(); }
-    Status Next() { return it_.Next(); }
-    /// Deserializes the current row.
-    Status Current(Row* out) const;
-    /// The encoded clustering key at the current position (what Delete and
-    /// Update take to address a row).
-    std::string_view EncodedKey() const { return it_.key(); }
-
-   private:
-    friend class Table;
-    RowIterator(const Schema* schema, BPlusTree::Iterator it, std::string hi)
-        : schema_(schema), it_(std::move(it)), hi_(std::move(hi)) {}
-    bool InRange() const {
-      return hi_.empty() || std::string_view(it_.key()) < std::string_view(hi_);
-    }
-    const Schema* schema_;
-    BPlusTree::Iterator it_;
-    std::string hi_;  ///< exclusive upper bound on encoded keys ("" = none)
-  };
-
-  /// Full-table scans walk every leaf in order, so they default to
-  /// kSequentialScan: ring residency plus disk read-ahead.
-  Result<RowIterator> ScanAll(
-      AccessIntent intent = AccessIntent::kSequentialScan) const;
-  /// Rows whose encoded clustering key is in [lo, hi) — "" bounds are open.
-  /// Range width is the caller's knowledge, so `intent` defaults to point
-  /// access; the planner passes kSequentialScan for unselective ranges.
-  Result<RowIterator> ScanRange(
-      const std::string& lo, const std::string& hi,
-      AccessIntent intent = AccessIntent::kPointLookup) const;
 
  private:
   Table(BufferPool* pool, std::string name, Schema schema,
@@ -231,12 +209,6 @@ class Table {
   std::unique_ptr<SecondaryIndex> DefineIndex(const std::string& index_name,
                                               std::vector<size_t> key_cols,
                                               std::vector<size_t> include_cols) const;
-  /// Builds the entry for `idx` from a row and its full clustered key.
-  Status MakeSecondaryEntry(const SecondaryIndex& idx, const Row& row,
-                            const std::string& ckey, std::string* key,
-                            std::string* value) const;
-  /// (Re)builds `idx->tree` from a full clustered scan (bulk load).
-  Status BuildSecondaryFromScan(SecondaryIndex* idx);
 
   BufferPool* pool_;
   std::string name_;
@@ -261,5 +233,75 @@ struct SecondaryEntry {
   std::string_view include_bytes;  ///< serialized include-columns row
 };
 SecondaryEntry DecodeSecondaryValue(std::string_view value);
+
+/// A static key range over an index: an encoded lower bound (inclusive) and
+/// upper bound (exclusive). Empty strings mean unbounded.
+struct KeyRange {
+  std::string lo;
+  std::string hi;
+};
+
+/// The one reader of the cells a Table writes: a range cursor over a
+/// table's clustered index (`index` null) or one of its covering secondary
+/// indexes. Seek() descends the tree once; ReadInto() then streams entries
+/// along the leaf chain until the range's exclusive upper bound. The source
+/// row is the table schema (clustered) or the index's `out_schema` (key
+/// columns, then include columns); the cursor decodes only the source
+/// positions in `cols`, each through an O(1) fixed-slot read, straight into
+/// batch columns. Without `cols` it decodes every source column, through
+/// the same code. The scans and the index nested-loop join of src/exec,
+/// DML's victim scan, the view maintenance reads, the column concatenator
+/// and the table's own index builds and Analyze all read through it.
+class IndexCursor {
+ public:
+  /// `intent` is the access-pattern hint for the leaf chain: full scans
+  /// (and wide ranges) pass AccessIntent::kSequentialScan so the leaves they
+  /// drag in recycle through the buffer pool's scan ring and prime the disk
+  /// read-ahead window; selective ranges and probes keep point intent.
+  /// `cols` lists source positions in output order.
+  IndexCursor(const Table* table, const SecondaryIndex* index,
+              AccessIntent intent,
+              std::optional<std::vector<size_t>> cols = std::nullopt);
+
+  /// The decoded columns: the source schema projected onto `cols`.
+  const Schema& schema() const { return schema_; }
+
+  /// Positions the cursor at the first entry of `range`. When the cursor's
+  /// pinned leaf already holds that entry (the range's lower bound sorts
+  /// after the leaf's first key and not after its last), it re-seeks inside
+  /// the leaf; otherwise it releases the leaf and descends from the root.
+  /// Sorted probes of an index nested-loop join thus mostly stay in one
+  /// leaf. A re-seek skips only the descent's pool hits on the root and
+  /// inner pages; it never reads a page ahead of need (no sibling), so the
+  /// leaves are read in the same order as by descents.
+  Status Seek(const KeyRange& range);
+  bool Valid() const {
+    return it_.Valid() &&
+           (hi_.empty() || std::string_view(it_.key()) < std::string_view(hi_));
+  }
+  /// The current entry's encoded key: for the clustered index, the
+  /// clustering key that Delete and Update address the row by.
+  std::string_view key() const { return it_.key(); }
+  /// Advances past the current entry without decoding it.
+  Status Next() { return it_.Next(); }
+  /// Appends the current entry's decoded columns to columns [first, first +
+  /// schema().NumColumns()) of `*out`, straight from the tuple's fixed
+  /// slots (and the key, for a secondary index's key columns) into the
+  /// typed lanes, and advances. The caller sets the batch's row count.
+  Status ReadInto(Batch* out, size_t first);
+
+ private:
+  const Table* table_;
+  const SecondaryIndex* index_;
+  AccessIntent intent_;
+  std::vector<size_t> cols_;
+  Schema schema_;
+  /// Secondary index: how many leading key columns the listed positions
+  /// need decoded (keys decode front to back), and their scratch cells.
+  size_t key_prefix_ = 0;
+  std::vector<keycodec::KeyCell> key_cells_;
+  BPlusTree::Iterator it_;
+  std::string hi_;
+};
 
 }  // namespace elephant

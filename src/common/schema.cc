@@ -186,39 +186,48 @@ Status WriteTuple(const Schema& schema, const Cells& cells, std::string* out) {
   return Status::OK();
 }
 
-/// A row of Values as WriteTuple cells.
+/// A row of Values as WriteTuple cells: column i is row[cols[i]], or
+/// row[i] without `cols`.
 struct ValueCells {
   const Row& row;
-  bool IsNull(size_t i) const { return row[i].is_null(); }
-  int64_t Int(size_t i) const { return row[i].AsInt64(); }
-  double Double(size_t i) const { return row[i].AsDouble(); }
-  std::string_view String(size_t i) const { return row[i].AsString(); }
+  const std::vector<size_t>* cols;
+  const Value& At(size_t i) const { return row[cols != nullptr ? (*cols)[i] : i]; }
+  bool IsNull(size_t i) const { return At(i).is_null(); }
+  int64_t Int(size_t i) const { return At(i).AsInt64(); }
+  double Double(size_t i) const { return At(i).AsDouble(); }
+  std::string_view String(size_t i) const { return At(i).AsString(); }
 };
 
-/// Row `r` of a batch's typed columns as WriteTuple cells.
+/// Row `r` of a batch's typed columns as WriteTuple cells: column i is
+/// batch column cols[i], or column i without `cols`.
 struct LaneCells {
   const Batch& batch;
   uint32_t r;
-  bool IsNull(size_t i) const { return batch.col(i).IsNull(r); }
-  int64_t Int(size_t i) const { return batch.col(i).Int(r); }
-  double Double(size_t i) const { return batch.col(i).Double(r); }
-  std::string_view String(size_t i) const { return batch.col(i).String(r); }
+  const std::vector<size_t>* cols;
+  const ColumnVector& At(size_t i) const {
+    return batch.col(cols != nullptr ? (*cols)[i] : i);
+  }
+  bool IsNull(size_t i) const { return At(i).IsNull(r); }
+  int64_t Int(size_t i) const { return At(i).Int(r); }
+  double Double(size_t i) const { return At(i).Double(r); }
+  std::string_view String(size_t i) const { return At(i).String(r); }
 };
 
 }  // namespace
 
-Status Serialize(const Schema& schema, const Row& row, std::string* out) {
-  if (row.size() != schema.NumColumns()) {
+Status Serialize(const Schema& schema, const Row& row, std::string* out,
+                 const std::vector<size_t>* cols) {
+  if (cols == nullptr && row.size() != schema.NumColumns()) {
     return Status::InvalidArgument("row arity " + std::to_string(row.size()) +
                                    " does not match schema arity " +
                                    std::to_string(schema.NumColumns()));
   }
-  return WriteTuple(schema, ValueCells{row}, out);
+  return WriteTuple(schema, ValueCells{row, cols}, out);
 }
 
 Status Serialize(const Schema& schema, const Batch& batch, uint32_t r,
-                 std::string* out) {
-  return WriteTuple(schema, LaneCells{batch, r}, out);
+                 std::string* out, const std::vector<size_t>* cols) {
+  return WriteTuple(schema, LaneCells{batch, r, cols}, out);
 }
 
 int64_t GetInt(const Schema& schema, const char* data, size_t col) {
@@ -249,35 +258,10 @@ std::string_view GetString(const Schema& schema, const char* data, size_t col) {
   return std::string_view(data + var_start + GetU16(slot), GetU16(slot + 2));
 }
 
-Value GetValue(const Schema& schema, const char* data, size_t /*size*/,
-               size_t col) {
-  const TypeId type = schema.ColumnAt(col).type;
-  if (IsNull(data, col)) return Value::Null(type);
-  switch (type) {
-    case TypeId::kDouble: return Value::Double(GetDouble(schema, data, col));
-    case TypeId::kChar:
-      return Value::Char(std::string(GetString(schema, data, col)));
-    case TypeId::kVarchar:
-      return Value::Varchar(std::string(GetString(schema, data, col)));
-    case TypeId::kInvalid: return Value();
-    default: return Value::FromInt(type, GetInt(schema, data, col));
-  }
-}
-
 Status CheckTuple(const char* data, size_t size) {
   if (size < kHeaderSize) return Status::Corruption("tuple shorter than header");
   const uint32_t total = GetU32(data + 1);
   if (total > size) return Status::Corruption("tuple length exceeds buffer");
-  return Status::OK();
-}
-
-Status Deserialize(const Schema& schema, const char* data, size_t size, Row* out) {
-  ELE_RETURN_NOT_OK(CheckTuple(data, size));
-  out->clear();
-  out->reserve(schema.NumColumns());
-  for (size_t i = 0; i < schema.NumColumns(); i++) {
-    out->push_back(GetValue(schema, data, size, i));
-  }
   return Status::OK();
 }
 
@@ -421,18 +405,6 @@ Status DecodeCell(TypeId type, std::string_view data, size_t* pos,
     }
     default:
       return Status::NotSupported("decode of this type");
-  }
-}
-
-Result<Value> Decode(TypeId type, std::string_view data, size_t* pos) {
-  KeyCell cell;
-  ELE_RETURN_NOT_OK(DecodeCell(type, data, pos, &cell));
-  if (cell.is_null) return Value::Null(type);
-  switch (type) {
-    case TypeId::kDouble: return Value::Double(cell.d);
-    case TypeId::kChar: return Value::Char(std::move(cell.s));
-    case TypeId::kVarchar: return Value::Varchar(std::move(cell.s));
-    default: return Value::FromInt(type, cell.i);
   }
 }
 

@@ -90,27 +90,24 @@ namespace tuple {
 constexpr uint32_t kHeaderSize = 9;
 
 /// Serializes `row` (which must match `schema`) into `out` (appended).
-Status Serialize(const Schema& schema, const Row& row, std::string* out);
+/// With `cols`, cell cols[i] of `row` is column i of `schema`.
+Status Serialize(const Schema& schema, const Row& row, std::string* out,
+                 const std::vector<size_t>* cols = nullptr);
 
-/// Serializes row `r` of `batch` (columns typed as `schema`'s) into `out`,
-/// through the one writer the Row overload also runs.
+/// Serializes row `r` of `batch` (columns typed as `schema`'s, or with
+/// `cols`, batch column cols[i] as column i) into `out`, through the one
+/// writer the Row overload also runs.
 Status Serialize(const Schema& schema, const Batch& batch, uint32_t r,
-                 std::string* out);
+                 std::string* out, const std::vector<size_t>* cols = nullptr);
 
 /// Checks that `size` bytes hold a whole tuple (header and its length).
 Status CheckTuple(const char* data, size_t size);
 
-/// Deserializes all columns of a tuple.
-Status Deserialize(const Schema& schema, const char* data, size_t size, Row* out);
-
-/// Reads a single column without materializing the rest of the row: an O(1)
-/// read of its null bit and fixed slot (plus the var section for VARCHAR).
-Value GetValue(const Schema& schema, const char* data, size_t size, size_t col);
-
-/// Typed single-column reads, the unboxed halves of GetValue that the batch
-/// scans decode with. IsNull reads the column's null bit; the getters read a
-/// non-NULL column's payload as the integer (BOOLEAN, INT32, INT64, DATE,
-/// DECIMAL scaled), DOUBLE or string (CHAR with its padding, VARCHAR) it is.
+/// Typed single-column reads: an O(1) read of a column's null bit or of a
+/// non-NULL column's fixed slot (plus the var section for VARCHAR), as the
+/// integer (BOOLEAN, INT32, INT64, DATE, DECIMAL scaled), DOUBLE or string
+/// (CHAR with its padding, VARCHAR) it is. IndexCursor (catalog/table.h)
+/// is the one reader of stored tuples.
 inline bool IsNull(const char* data, size_t col) {
   return (data[kHeaderSize + col / 8] >> (col % 8)) & 1;
 }
@@ -140,10 +137,6 @@ void EncodeString(std::string_view s, std::string* out);
 /// Encodes a composite key from `row` columns `cols` (in order).
 std::string EncodeKey(const Row& row, const std::vector<size_t>& cols);
 
-/// Decodes one value of the given type from `data` starting at `*pos`;
-/// advances `*pos`.
-Result<Value> Decode(TypeId type, std::string_view data, size_t* pos);
-
 /// One decoded key column, unboxed: NULL, or the payload in the member its
 /// type uses (integer types in `i`, DOUBLE in `d`, strings in `s`).
 struct KeyCell {
@@ -153,7 +146,9 @@ struct KeyCell {
   std::string s;
 };
 
-/// Decode without building a Value; `*out`'s string buffer is reused.
+/// Decodes one key column of type `type` from `data` at `*pos` into `*out`
+/// (its string buffer is reused) and advances `*pos`. IndexCursor is its
+/// one reader of stored keys.
 Status DecodeCell(TypeId type, std::string_view data, size_t* pos, KeyCell* out);
 
 /// The smallest key that is strictly greater than every key having `prefix`

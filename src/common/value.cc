@@ -59,34 +59,46 @@ int Value::Compare(const Value& other) const {
   return a < b ? -1 : (a > b ? 1 : 0);
 }
 
+namespace {
+
+uint64_t Mix(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdull;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ull;
+  x ^= x >> 33;
+  return x;
+}
+
+}  // namespace
+
+uint64_t HashNull() { return 0x9e3779b97f4a7c15ull; }
+
+uint64_t HashInt(int64_t v) { return Mix(static_cast<uint64_t>(v)); }
+
+uint64_t HashDouble(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return Mix(bits);
+}
+
+uint64_t HashString(std::string_view s) {
+  // FNV-1a over the unpadded bytes.
+  size_t len = s.size();
+  while (len > 0 && s[len - 1] == ' ') len--;
+  uint64_t h = 1469598103934665603ull;
+  for (size_t i = 0; i < len; i++) {
+    h ^= static_cast<unsigned char>(s[i]);
+    h *= 1099511628211ull;
+  }
+  return Mix(h);
+}
+
 uint64_t Value::Hash() const {
-  if (is_null_) return 0x9e3779b97f4a7c15ull;
-  auto mix = [](uint64_t x) {
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdull;
-    x ^= x >> 33;
-    x *= 0xc4ceb9fe1a85ec53ull;
-    x ^= x >> 33;
-    return x;
-  };
-  if (IsStringType(type_)) {
-    // FNV-1a over the unpadded bytes so CHAR/VARCHAR hash consistently
-    // with ComparePadded equality.
-    size_t len = str_.size();
-    while (len > 0 && str_[len - 1] == ' ') len--;
-    uint64_t h = 1469598103934665603ull;
-    for (size_t i = 0; i < len; i++) {
-      h ^= static_cast<unsigned char>(str_[i]);
-      h *= 1099511628211ull;
-    }
-    return mix(h);
-  }
-  if (type_ == TypeId::kDouble) {
-    uint64_t bits;
-    std::memcpy(&bits, &real_, sizeof(bits));
-    return mix(bits);
-  }
-  return mix(static_cast<uint64_t>(ival_));
+  if (is_null_) return HashNull();
+  if (IsStringType(type_)) return HashString(str_);
+  if (type_ == TypeId::kDouble) return HashDouble(real_);
+  return HashInt(ival_);
 }
 
 namespace {
@@ -161,6 +173,8 @@ Result<int32_t> NarrowToInt32(int64_t v, const char* what) {
 namespace arith {
 
 Result<TypeId> ResultType(char op, TypeId l, TypeId r) {
+  // The untyped NULL: arithmetic with it is NULL, whatever the other side.
+  if (l == TypeId::kInvalid || r == TypeId::kInvalid) return TypeId::kInvalid;
   const bool int_l = l == TypeId::kInt32 || l == TypeId::kInt64;
   const bool int_r = r == TypeId::kInt32 || r == TypeId::kInt64;
   if (op == '+' && (l == TypeId::kDate || r == TypeId::kDate)) {

@@ -114,6 +114,15 @@ class Value {
   std::string str_;
 };
 
+/// Typed halves of Value::Hash: a NULL of any type, a non-NULL integer
+/// payload (BOOLEAN, INT32, INT64, DATE, DECIMAL scaled), a DOUBLE (by its
+/// bits, so -0.0 and 0.0 differ) and a CHAR or VARCHAR (trailing spaces
+/// dropped, so it agrees with ComparePadded equality).
+uint64_t HashNull();
+uint64_t HashInt(int64_t v);
+uint64_t HashDouble(double d);
+uint64_t HashString(std::string_view s);
+
 /// Compares strings with trailing-space-insensitive semantics (ANSI CHAR
 /// padding): "ab" == "ab  ". Value::Compare's rule for two strings.
 int ComparePadded(std::string_view a, std::string_view b);
@@ -126,7 +135,8 @@ namespace arith {
 /// InvalidArgument the Value operator returns for that pair whatever the
 /// operands' values: DATE +/- integer is DATE, DATE - DATE is INT32, other
 /// DATE arithmetic and non-numeric operands fail, and numeric types widen
-/// (INT32 < INT64 < DECIMAL < DOUBLE).
+/// (INT32 < INT64 < DECIMAL < DOUBLE). An untyped NULL (kInvalid) operand
+/// makes the untyped NULL.
 Result<TypeId> ResultType(char op, TypeId l, TypeId r);
 
 /// `a op b` where `a` and `b` are the integer payloads of types `l` and `r`

@@ -51,19 +51,13 @@ Status ColumnConcatenator::Open(int64_t first_id, int64_t last_id) {
         est_pages * 4.0 >= static_cast<double>(db_->pool().capacity())
             ? AccessIntent::kSequentialScan
             : AccessIntent::kPointLookup;
-    ELE_ASSIGN_OR_RETURN(Table::RowIterator it,
-                         cursor.table->ScanRange(lo, "", intent));
-    cursor.it = std::make_unique<Table::RowIterator>(std::move(it));
+    cursor.it = std::make_unique<IndexCursor>(cursor.table, nullptr, intent);
+    ELE_RETURN_NOT_OK(cursor.it->Seek(KeyRange{lo, ""}));
     if (!cursor.it->Valid()) {
       return Status::OutOfRange("first_id past the end of c-table " +
                                 meta->table_name);
     }
-    Row row;
-    ELE_RETURN_NOT_OK(cursor.it->Current(&row));
-    cursor.run_first = row[0].AsInt64();
-    cursor.run_last = cursor.run_first +
-                      (meta->has_count ? row[2].AsInt64() - 1 : 0);
-    cursor.value = row[1];
+    ELE_RETURN_NOT_OK(ReadRun(&cursor));
     if (cursor.run_first > first_id) {
       return Status::InvalidArgument(
           "first_id does not align with a run boundary of " + meta->table_name);
@@ -73,19 +67,25 @@ Status ColumnConcatenator::Open(int64_t first_id, int64_t last_id) {
   return Status::OK();
 }
 
+Status ColumnConcatenator::ReadRun(ColumnCursor* cursor) {
+  Batch& run = cursor->run;
+  run.Reset(cursor->it->schema());
+  ELE_RETURN_NOT_OK(cursor->it->ReadInto(&run, 0));
+  run.SetRowCount(1);
+  cursor->run_first = run.col(0).Int(0);
+  cursor->run_last =
+      cursor->run_first + (cursor->meta->has_count ? run.col(2).Int(0) - 1 : 0);
+  cursor->value = run.col(1).GetValue(0);
+  return Status::OK();
+}
+
 Status ColumnConcatenator::AdvanceTo(ColumnCursor* cursor, int64_t id) {
   while (cursor->run_last < id) {
-    ELE_RETURN_NOT_OK(cursor->it->Next());
     if (!cursor->it->Valid()) {
       return Status::OutOfRange("c-table " + cursor->meta->table_name +
                                 " exhausted at id " + std::to_string(id));
     }
-    Row row;
-    ELE_RETURN_NOT_OK(cursor->it->Current(&row));
-    cursor->run_first = row[0].AsInt64();
-    cursor->run_last =
-        cursor->run_first + (cursor->meta->has_count ? row[2].AsInt64() - 1 : 0);
-    cursor->value = row[1];
+    ELE_RETURN_NOT_OK(ReadRun(cursor));
   }
   return Status::OK();
 }

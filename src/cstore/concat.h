@@ -47,12 +47,15 @@ class ColumnConcatenator {
   struct ColumnCursor {
     const CTableMeta* meta = nullptr;
     Table* table = nullptr;
-    std::unique_ptr<Table::RowIterator> it;
+    std::unique_ptr<IndexCursor> it;
+    Batch run;              ///< the current run's (f, v[, c]) row
     int64_t run_first = 0;  ///< f of the current run
     int64_t run_last = -1;  ///< f + c - 1 of the current run
     Value value;
   };
 
+  /// Reads the run at `cursor`'s position and advances past it.
+  static Status ReadRun(ColumnCursor* cursor);
   /// Advances `cursor` until its run covers `id`.
   Status AdvanceTo(ColumnCursor* cursor, int64_t id);
 

@@ -83,8 +83,7 @@ std::function<Status(const DerivedChange&)> MakeRebuildHook(
           name = std::move(table_name)](const DerivedChange&) -> Status {
     ELE_ASSIGN_OR_RETURN(SortedProjection proj, RunSorted(db, def));
     ELE_ASSIGN_OR_RETURN(Table * t, db->catalog().GetTable(name));
-    ELE_RETURN_NOT_OK(t->BulkLoad(CTableBatch(proj, pos, t->schema())));
-    return t->Analyze();
+    return t->BulkLoad(CTableBatch(proj, pos, t->schema()));
   };
 }
 
@@ -152,15 +151,15 @@ Result<ProjectionMeta> CTableBuilder::Build(const ProjectionDef& def) {
                          db_->catalog().CreateTable(ct.table_name, Schema(cols),
                                                     {0}, /*unique_cluster=*/true,
                                                     /*derived=*/true));
-    ELE_RETURN_NOT_OK(table->BulkLoad(CTableBatch(proj, pos, table->schema())));
-
     // Secondary covering index with leading column v (includes f and c), as
-    // in §2.2.1: "a secondary covering index with leading column v".
+    // in §2.2.1: "a secondary covering index with leading column v". It is
+    // declared on the empty table, so the load builds it, and the column
+    // statistics, from the same lanes as the clustered tree.
     std::vector<size_t> includes{0};
     if (has_count) includes.push_back(2);
     ELE_RETURN_NOT_OK(
         table->CreateSecondaryIndex(ct.table_name + "_v", {1}, includes));
-    ELE_RETURN_NOT_OK(table->Analyze());
+    ELE_RETURN_NOT_OK(table->BulkLoad(CTableBatch(proj, pos, table->schema())));
     ELE_ASSIGN_OR_RETURN(ct.on_disk_pages, table->ClusteredPages());
 
     // A base-table write marks this c-table stale; the next query touching

@@ -64,6 +64,40 @@ Result<Row> LiteralRow(const std::vector<SqlExprPtr>& exprs,
   return row;
 }
 
+/// The rows of `table` that `pred` accepts (every row when it is null),
+/// each with the clustering key it is stored under: DELETE's and UPDATE's
+/// victims. They are collected before the first write, because the cursor
+/// holds a pinned leaf and a tree position that a write would invalidate.
+/// Rows are read a batch at a time and filtered by ApplyFilterToBatch, the
+/// test a SELECT's WHERE runs.
+Result<std::vector<std::pair<std::string, Row>>> CollectVictims(
+    const Table& table, const Expr* pred) {
+  std::vector<std::pair<std::string, Row>> victims;
+  IndexCursor cursor(&table, nullptr, AccessIntent::kSequentialScan);
+  ELE_RETURN_NOT_OK(cursor.Seek(KeyRange{}));
+  Batch batch;
+  std::vector<std::string> keys;
+  std::vector<Row> rows;
+  while (cursor.Valid()) {
+    batch.Reset(table.schema());
+    keys.clear();
+    uint32_t n = 0;
+    for (; n < kBatchCapacity && cursor.Valid(); n++) {
+      keys.emplace_back(cursor.key());
+      ELE_RETURN_NOT_OK(cursor.ReadInto(&batch, 0));
+    }
+    batch.SetRowCount(n);
+    if (pred != nullptr) ELE_RETURN_NOT_OK(ApplyFilterToBatch(*pred, &batch));
+    rows.clear();
+    batch.AppendActiveRowsTo(&rows);
+    for (uint32_t i = 0; i < rows.size(); i++) {
+      victims.emplace_back(std::move(keys[batch.ActiveIndex(i)]),
+                           std::move(rows[i]));
+    }
+  }
+  return victims;
+}
+
 }  // namespace
 
 std::string QueryResult::ToString(size_t max_rows) const {
@@ -1357,24 +1391,7 @@ Result<uint64_t> Database::RunDelete(const DeleteStmt& del, Table* table,
     Binder binder(catalog_.get());
     ELE_ASSIGN_OR_RETURN(pred, binder.BindOverTable(*del.where, *table));
   }
-  // Victims are collected before the first mutation: the scan holds pinned
-  // pages and a tree position that deletes would invalidate.
-  std::vector<std::pair<std::string, Row>> victims;
-  {
-    ELE_ASSIGN_OR_RETURN(Table::RowIterator it, table->ScanAll());
-    while (it.Valid()) {
-      Row row;
-      ELE_RETURN_NOT_OK(it.Current(&row));
-      bool match = true;
-      if (pred != nullptr) {
-        ELE_ASSIGN_OR_RETURN(match, EvalPredicate(*pred, row));
-      }
-      if (match) {
-        victims.emplace_back(std::string(it.EncodedKey()), std::move(row));
-      }
-      ELE_RETURN_NOT_OK(it.Next());
-    }
-  }
+  ELE_ASSIGN_OR_RETURN(auto victims, CollectVictims(*table, pred.get()));
   t->changed.insert(table->name());
   const TxnWriteContext ctx{log_.get(), t->id(), &t->last_lsn};
   for (auto& [ckey, row] : victims) {
@@ -1409,22 +1426,7 @@ Result<uint64_t> Database::RunUpdate(const UpdateStmt& upd, Table* table,
   if (upd.where != nullptr) {
     ELE_ASSIGN_OR_RETURN(pred, binder.BindOverTable(*upd.where, *table));
   }
-  std::vector<std::pair<std::string, Row>> victims;
-  {
-    ELE_ASSIGN_OR_RETURN(Table::RowIterator it, table->ScanAll());
-    while (it.Valid()) {
-      Row row;
-      ELE_RETURN_NOT_OK(it.Current(&row));
-      bool match = true;
-      if (pred != nullptr) {
-        ELE_ASSIGN_OR_RETURN(match, EvalPredicate(*pred, row));
-      }
-      if (match) {
-        victims.emplace_back(std::string(it.EncodedKey()), std::move(row));
-      }
-      ELE_RETURN_NOT_OK(it.Next());
-    }
-  }
+  ELE_ASSIGN_OR_RETURN(auto victims, CollectVictims(*table, pred.get()));
   t->changed.insert(table->name());
   const TxnWriteContext ctx{log_.get(), t->id(), &t->last_lsn};
   for (auto& [ckey, before] : victims) {

@@ -21,8 +21,9 @@ namespace elephant {
 /// and CREATE INDEX takes table locks, with or without the WAL, and the
 /// storage layer latches, the per-query IoSink accounting, and the
 /// thread-safe metrics registry keep shared state consistent. CREATE TABLE
-/// and bulk loads through the C++ API (BulkLoadRows, CreateView) are not
-/// synchronized — run them from one session before fanning out.
+/// and bulk loads through the C++ API (Table::BulkLoad, the TPC-H loader,
+/// CTableBuilder::Build, ViewManager::CreateView) are not synchronized —
+/// run them from one session before fanning out.
 class Session {
  public:
   Session(Database* db, int id) : db_(db), id_(id) {}

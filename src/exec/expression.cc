@@ -51,6 +51,13 @@ Result<Value> EvalCompareOp(CompareOp op, const Value& l, const Value& r) {
   return Status::Internal("bad compare op");
 }
 
+namespace {
+
+/// A `/` operand: a number, or the untyped NULL (which makes a NULL).
+bool Divisible(TypeId t) { return IsNumeric(t) || t == TypeId::kInvalid; }
+
+}  // namespace
+
 Result<Value> EvalArithOp(ArithOp op, const Value& l, const Value& r) {
   switch (op) {
     case ArithOp::kAdd: return l.Add(r);
@@ -61,7 +68,7 @@ Result<Value> EvalArithOp(ArithOp op, const Value& l, const Value& r) {
       // divergence from integer division) so derived averages such as
       // SUM(x)/COUNT(*) — used by view matching and the c-table rewriter —
       // are lossless.
-      if (!IsNumeric(l.type()) || !IsNumeric(r.type())) {
+      if (!Divisible(l.type()) || !Divisible(r.type())) {
         return Status::InvalidArgument("division of non-numeric types");
       }
       if (l.is_null() || r.is_null()) return Value::Null(TypeId::kDouble);
@@ -244,7 +251,7 @@ Result<const ColumnVector*> ArithExpr::EvalBatch(
   const TypeId lt = l.col->type(), rt = r.col->type();
   TypeId t = TypeId::kDouble;
   if (op_ == ArithOp::kDiv) {
-    if ((!IsNumeric(lt) || !IsNumeric(rt)) && !positions.empty()) {
+    if ((!Divisible(lt) || !Divisible(rt)) && !positions.empty()) {
       return Status::InvalidArgument("division of non-numeric types");
     }
   } else {
@@ -355,11 +362,6 @@ void SplitConjuncts(ExprPtr pred, std::vector<ExprPtr>* out) {
     return;
   }
   out->push_back(std::move(pred));
-}
-
-Result<bool> EvalPredicate(const Expr& pred, const Row& row) {
-  ELE_ASSIGN_OR_RETURN(Value v, pred.Eval(row));
-  return !v.is_null() && v.AsBool();
 }
 
 Status ApplyFilterToBatch(const Expr& pred, Batch* batch) {

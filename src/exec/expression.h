@@ -331,12 +331,9 @@ ExprPtr ConjoinAll(std::vector<ExprPtr> preds);
 /// Splits a predicate tree into its top-level AND conjuncts.
 void SplitConjuncts(ExprPtr pred, std::vector<ExprPtr>* out);
 
-/// Evaluates `pred` as a filter: true iff it evaluates to non-NULL true.
-Result<bool> EvalPredicate(const Expr& pred, const Row& row);
-
 /// Vectorized filter: evaluates `pred` at the live rows of `*batch` and
-/// narrows the selection vector to those where it is non-NULL true —
-/// row-for-row the same acceptance test as EvalPredicate.
+/// narrows the selection vector to those where it is non-NULL true: the
+/// test of a WHERE, for SELECT and for DELETE's and UPDATE's victims.
 Status ApplyFilterToBatch(const Expr& pred, Batch* batch);
 
 /// Evaluates `exprs` at `positions` of `in`: (*cols)[i] is expression i's

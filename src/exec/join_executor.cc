@@ -22,7 +22,7 @@ IndexNestedLoopJoinExecutor::IndexNestedLoopJoinExecutor(
       outer_(std::move(outer)),
       bounds_(std::move(bounds)),
       residual_(std::move(residual)),
-      inner_(ctx, inner_table, inner_index, AccessIntent::kPointLookup,
+      inner_(inner_table, inner_index, AccessIntent::kPointLookup,
              std::move(inner_cols)) {
   schema_ = Schema::Concat(outer_->OutputSchema(), inner_.schema());
   // Index key columns lead a covering index's rows; clustered keys are
@@ -120,6 +120,9 @@ Result<bool> IndexNestedLoopJoinExecutor::NextBatch(Batch* out) {
   }
   FlushOuter(out);
   out->SetRowCount(n);
+  ExecCounters& counters = ctx_->counters();
+  counters.rows_scanned += n;
+  counters.columns_decoded += uint64_t{n} * inner_.schema().NumColumns();
   ELE_RETURN_NOT_OK(ApplyResidual(residual_, out));
   return n > 0;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -99,6 +100,10 @@ struct DeltaJoin {
   size_t term = 0;
   std::vector<bool> reached;
   std::vector<Row> tuple;  ///< the current row of each base
+  /// Per base: the cursor its seeks re-seek (a base is reached at most once
+  /// per join row, so no two seeks on it overlap), and its row scratch.
+  std::vector<std::unique_ptr<IndexCursor>> cursors;
+  std::vector<Batch> reads;
   /// Encoded group key -> group id (ids in first-seen order); iterates in
   /// the view's key order.
   std::map<std::string, uint32_t> group_ids;
@@ -138,16 +143,21 @@ struct DeltaJoin {
     ELE_ASSIGN_OR_RETURN(Value key,
                          probe.CastTo(t.schema().ColumnAt(to.col).type));
     const std::string lo = t.EncodeClusterPrefix({key});
-    ELE_ASSIGN_OR_RETURN(Table::RowIterator it,
-                         t.ScanRange(lo, keycodec::PrefixUpperBound(lo)));
+    IndexCursor& it = *cursors[to.table];
+    ELE_RETURN_NOT_OK(it.Seek(KeyRange{lo, keycodec::PrefixUpperBound(lo)}));
     reached[to.table] = true;
+    Batch& row = reads[to.table];
     while (it.Valid()) {
       // A base after the term's is read as it was: its inserted rows skipped.
-      if (to.table < term || inserted[to.table].count(it.EncodedKey()) == 0) {
-        ELE_RETURN_NOT_OK(it.Current(&tuple[to.table]));
-        ELE_RETURN_NOT_OK(Walk(n_reached + 1));
+      if (to.table >= term && inserted[to.table].count(it.key()) != 0) {
+        ELE_RETURN_NOT_OK(it.Next());
+        continue;
       }
-      ELE_RETURN_NOT_OK(it.Next());
+      row.Reset(t.schema());
+      ELE_RETURN_NOT_OK(it.ReadInto(&row, 0));
+      row.SetRowCount(1);
+      tuple[to.table] = RowAt(row, 0);
+      ELE_RETURN_NOT_OK(Walk(n_reached + 1));
     }
     reached[to.table] = false;
     return Status::OK();
@@ -190,7 +200,10 @@ Result<Batch> DeltaGroups(const Catalog& catalog, const ViewInfo& info,
   for (const std::string& name : info.def.tables) {
     ELE_ASSIGN_OR_RETURN(Table * t, catalog.GetTable(name));
     j.tables.push_back(t);
+    j.cursors.push_back(
+        std::make_unique<IndexCursor>(t, nullptr, AccessIntent::kPointLookup));
   }
+  j.reads.resize(j.tables.size());
   if (change.inserted.size() != j.tables.size()) {
     return Status::NotSupported("the view's bases changed");
   }
@@ -261,21 +274,21 @@ Status MergeDelta(const ViewInfo& info, Table* table, const Batch& delta) {
   const Schema& schema = table->schema();
   std::vector<uint32_t> matched;  ///< delta rows with a stored group
   std::vector<std::string> ckeys;
-  std::vector<Row> stored_rows;
   Batch stored;
   stored.Reset(schema);
-  for (uint32_t i = 0; i < delta.num_rows(); i++) {
-    std::vector<Value> key;
-    for (size_t c = 0; c < ngroups; c++) key.push_back(delta.col(c).GetValue(i));
-    const std::string lo = table->EncodeClusterPrefix(key);
-    ELE_ASSIGN_OR_RETURN(Table::RowIterator it,
-                         table->ScanRange(lo, keycodec::PrefixUpperBound(lo)));
-    if (!it.Valid()) continue;
-    matched.push_back(i);
-    ckeys.emplace_back(it.EncodedKey());
-    ELE_RETURN_NOT_OK(it.Current(&stored_rows.emplace_back()));
-    stored.AppendRow(stored_rows.back());
+  {
+    IndexCursor it(table, nullptr, AccessIntent::kPointLookup);
+    for (uint32_t i = 0; i < delta.num_rows(); i++) {
+      std::string lo;  // the group's clustered-key prefix
+      for (size_t c = 0; c < ngroups; c++) EncodeCell(delta.col(c), i, &lo);
+      ELE_RETURN_NOT_OK(it.Seek(KeyRange{lo, keycodec::PrefixUpperBound(lo)}));
+      if (!it.Valid()) continue;
+      matched.push_back(i);
+      ckeys.emplace_back(it.key());
+      ELE_RETURN_NOT_OK(it.ReadInto(&stored, 0));
+    }
   }
+  stored.SetRowCount(static_cast<uint32_t>(matched.size()));
   Batch merged;
   merged.Reset(schema);
   for (size_t c = 0; c < ngroups; c++) merged.col(c).Gather(delta.col(c), matched);
@@ -292,9 +305,9 @@ Status MergeDelta(const ViewInfo& info, Table* table, const Batch& delta) {
   size_t k = 0;
   for (uint32_t i = 0; i < delta.num_rows(); i++) {
     if (k < matched.size() && matched[k] == i) {
-      ELE_RETURN_NOT_OK(table->Update(ckeys[k], stored_rows[k],
-                                      RowAt(merged, static_cast<uint32_t>(k)),
-                                      TxnWriteContext{}));
+      const uint32_t g = static_cast<uint32_t>(k);
+      ELE_RETURN_NOT_OK(table->Update(ckeys[k], RowAt(stored, g),
+                                      RowAt(merged, g), TxnWriteContext{}));
       k++;
     } else {
       ELE_RETURN_NOT_OK(table->Insert(RowAt(delta, i), TxnWriteContext{}));
@@ -381,7 +394,7 @@ Status ViewManager::Refresh(const ViewInfo& info, const DerivedChange& change) {
   ELE_RETURN_NOT_OK(db_->ExecuteInto(MaterializationSql(info), &fresh).status());
   ELE_RETURN_NOT_OK(table->BulkLoad(fresh));
   metrics.GetCounter("mv.refresh.full_total")->Increment();
-  return table->Analyze();
+  return Status::OK();
 }
 
 Status ViewManager::AttachView(const ViewDef& def) {
@@ -422,7 +435,6 @@ Status ViewManager::CreateView(const ViewDef& def) {
                                                   /*derived=*/true));
   info.rows = rows.num_rows();
   ELE_RETURN_NOT_OK(table->BulkLoad(rows));
-  ELE_RETURN_NOT_OK(table->Analyze());
   ELE_RETURN_NOT_OK(RegisterRefresh(info));
   views_.push_back(std::move(info));
   return Status::OK();

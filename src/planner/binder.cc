@@ -76,6 +76,27 @@ Status CoerceComparison(ExprPtr* l, ExprPtr* r) {
                            " with " + TypeName(b));
 }
 
+/// Binds `l op r` for an arithmetic `op`. Operand types no row could
+/// combine (arith::ResultType's rejections; `/` over a non-number) are a
+/// BindError. An untyped NULL operand binds, and makes a NULL.
+Result<ExprPtr> BindArith(const std::string& op, ExprPtr l, ExprPtr r) {
+  ELE_ASSIGN_OR_RETURN(ArithOp aop, ToArithOp(op));
+  const TypeId lt = l->output_type(), rt = r->output_type();
+  if (lt != TypeId::kInvalid && rt != TypeId::kInvalid) {
+    Status s;
+    if (aop != ArithOp::kDiv) {
+      s = arith::ResultType(op[0], lt, rt).status();
+    } else if (!IsNumeric(lt) || !IsNumeric(rt)) {
+      s = Status::InvalidArgument("division of non-numeric types");
+    }
+    if (!s.ok()) {
+      return Status::BindError("(" + l->ToString() + " " + op + " " +
+                               r->ToString() + "): " + s.message());
+    }
+  }
+  return Arith(aop, std::move(l), std::move(r));
+}
+
 }  // namespace
 
 PlanHints PlanHints::Parse(const std::string& text) {
@@ -178,8 +199,7 @@ Result<ExprPtr> Binder::BindScalar(const SqlExpr& expr, const BoundQuery& q) {
       if (expr.op == "AND") return And(std::move(l), std::move(r));
       if (expr.op == "OR") return Or(std::move(l), std::move(r));
       if (expr.op == "+" || expr.op == "-" || expr.op == "*" || expr.op == "/") {
-        ELE_ASSIGN_OR_RETURN(ArithOp op, ToArithOp(expr.op));
-        return Arith(op, std::move(l), std::move(r));
+        return BindArith(expr.op, std::move(l), std::move(r));
       }
       ELE_ASSIGN_OR_RETURN(CompareOp op, ToCompareOp(expr.op));
       ELE_RETURN_NOT_OK(CoerceComparison(&l, &r));
@@ -270,8 +290,7 @@ Result<ExprPtr> Binder::BindProjection(const SqlExpr& expr, BoundQuery* q,
       if (expr.op == "AND") return And(std::move(l), std::move(r));
       if (expr.op == "OR") return Or(std::move(l), std::move(r));
       if (expr.op == "+" || expr.op == "-" || expr.op == "*" || expr.op == "/") {
-        ELE_ASSIGN_OR_RETURN(ArithOp op, ToArithOp(expr.op));
-        return Arith(op, std::move(l), std::move(r));
+        return BindArith(expr.op, std::move(l), std::move(r));
       }
       ELE_ASSIGN_OR_RETURN(CompareOp op, ToCompareOp(expr.op));
       ELE_RETURN_NOT_OK(CoerceComparison(&l, &r));

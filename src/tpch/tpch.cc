@@ -98,46 +98,57 @@ Schema TpchGenerator::LineitemSchema() {
 Status TpchGenerator::LoadInto(Database* db) const {
   Catalog& catalog = db->catalog();
   Rng rng(config_.seed);
+  // Each table's rows are appended to a typed batch in clustered-key order
+  // (keys ascend as they are generated), which the table then loads.
+  auto load = [](Table* table, Batch* rows, uint64_t n) {
+    rows->SetRowCount(static_cast<uint32_t>(n));
+    return table->BulkLoad(*rows);
+  };
 
   // --- nation / region (fixed size) ---
   {
     ELE_ASSIGN_OR_RETURN(Table * region,
                          catalog.CreateTable("region", RegionSchema(), {0}, true));
-    std::vector<Row> rows;
+    Batch rows;
+    rows.Reset(region->schema());
     for (int r = 0; r < 5; r++) {
-      rows.push_back({Value::Int32(r), Value::Varchar(kRegions[r]),
-                      Value::Varchar("region comment")});
+      rows.col(0).AppendInt(r);
+      rows.col(1).AppendString(kRegions[r]);
+      rows.col(2).AppendString("region comment");
     }
-    ELE_RETURN_NOT_OK(region->BulkLoadRows(std::move(rows)));
+    ELE_RETURN_NOT_OK(load(region, &rows, 5));
   }
   {
     ELE_ASSIGN_OR_RETURN(Table * nation,
                          catalog.CreateTable("nation", NationSchema(), {0}, true));
-    std::vector<Row> rows;
+    Batch rows;
+    rows.Reset(nation->schema());
     for (int n = 0; n < 25; n++) {
-      rows.push_back({Value::Int32(n), Value::Varchar(kNations[n]),
-                      Value::Int32(kNationRegion[n]),
-                      Value::Varchar("nation comment")});
+      rows.col(0).AppendInt(n);
+      rows.col(1).AppendString(kNations[n]);
+      rows.col(2).AppendInt(kNationRegion[n]);
+      rows.col(3).AppendString("nation comment");
     }
-    ELE_RETURN_NOT_OK(nation->BulkLoadRows(std::move(rows)));
+    ELE_RETURN_NOT_OK(load(nation, &rows, 25));
   }
 
   // --- supplier ---
   {
     ELE_ASSIGN_OR_RETURN(Table * supplier,
                          catalog.CreateTable("supplier", SupplierSchema(), {0}, true));
-    std::vector<Row> rows;
+    Batch rows;
+    rows.Reset(supplier->schema());
     const uint64_t n = NumSuppliers();
-    rows.reserve(n);
     for (uint64_t i = 1; i <= n; i++) {
-      rows.push_back({Value::Int32(static_cast<int32_t>(i)),
-                      Value::Varchar(PaddedNumber("Supplier#", i, 9)),
-                      Value::Varchar(PaddedNumber("addr", rng.Uniform(0, 99999), 5)),
-                      Value::Int32(static_cast<int32_t>(rng.Uniform(0, 24))),
-                      Value::Varchar(PaddedNumber("27-", rng.Uniform(1000000, 9999999), 7)),
-                      Value::Decimal(rng.Uniform(-99999, 999999))});
+      rows.col(0).AppendInt(static_cast<int32_t>(i));
+      rows.col(1).AppendString(PaddedNumber("Supplier#", i, 9));
+      rows.col(2).AppendString(PaddedNumber("addr", rng.Uniform(0, 99999), 5));
+      rows.col(3).AppendInt(rng.Uniform(0, 24));
+      rows.col(4).AppendString(
+          PaddedNumber("27-", rng.Uniform(1000000, 9999999), 7));
+      rows.col(5).AppendInt(rng.Uniform(-99999, 999999));
     }
-    ELE_RETURN_NOT_OK(supplier->BulkLoadRows(std::move(rows)));
+    ELE_RETURN_NOT_OK(load(supplier, &rows, n));
   }
 
   // --- customer ---
@@ -145,18 +156,19 @@ Status TpchGenerator::LoadInto(Database* db) const {
   {
     ELE_ASSIGN_OR_RETURN(Table * customer,
                          catalog.CreateTable("customer", CustomerSchema(), {0}, true));
-    std::vector<Row> rows;
-    rows.reserve(num_customers);
+    Batch rows;
+    rows.Reset(customer->schema());
     for (uint64_t i = 1; i <= num_customers; i++) {
-      rows.push_back({Value::Int32(static_cast<int32_t>(i)),
-                      Value::Varchar(PaddedNumber("Customer#", i, 9)),
-                      Value::Varchar(PaddedNumber("addr", rng.Uniform(0, 999999), 6)),
-                      Value::Int32(static_cast<int32_t>(rng.Uniform(0, 24))),
-                      Value::Varchar(PaddedNumber("13-", rng.Uniform(1000000, 9999999), 7)),
-                      Value::Decimal(rng.Uniform(-99999, 999999)),
-                      Value::Varchar(kSegments[rng.Uniform(0, 4)])});
+      rows.col(0).AppendInt(static_cast<int32_t>(i));
+      rows.col(1).AppendString(PaddedNumber("Customer#", i, 9));
+      rows.col(2).AppendString(PaddedNumber("addr", rng.Uniform(0, 999999), 6));
+      rows.col(3).AppendInt(rng.Uniform(0, 24));
+      rows.col(4).AppendString(
+          PaddedNumber("13-", rng.Uniform(1000000, 9999999), 7));
+      rows.col(5).AppendInt(rng.Uniform(-99999, 999999));
+      rows.col(6).AppendString(kSegments[rng.Uniform(0, 4)]);
     }
-    ELE_RETURN_NOT_OK(customer->BulkLoadRows(std::move(rows)));
+    ELE_RETURN_NOT_OK(load(customer, &rows, num_customers));
   }
 
   // --- orders + lineitem (lineitem derives from its order) ---
@@ -170,10 +182,10 @@ Status TpchGenerator::LoadInto(Database* db) const {
     ELE_ASSIGN_OR_RETURN(
         Table * lineitem,
         catalog.CreateTable("lineitem", LineitemSchema(), {0, 1}, true));
-    std::vector<Row> order_rows;
-    std::vector<Row> line_rows;
-    order_rows.reserve(num_orders);
-    line_rows.reserve(num_orders * 4);
+    Batch order_rows, line_rows;
+    order_rows.Reset(orders->schema());
+    line_rows.Reset(lineitem->schema());
+    uint64_t num_lines = 0;
     const int64_t num_suppliers = static_cast<int64_t>(NumSuppliers());
     for (uint64_t o = 1; o <= num_orders; o++) {
       const int32_t orderdate =
@@ -189,37 +201,39 @@ Status TpchGenerator::LoadInto(Database* db) const {
         const int32_t qty = static_cast<int32_t>(rng.Uniform(1, 50));
         const int64_t price = rng.Uniform(90000, 10500000) / 100 * qty;  // cents
         total += price;
-        std::string returnflag = "N";
+        const char* returnflag = "N";
         if (receiptdate <= flag_cutoff) {
           returnflag = rng.Uniform(0, 1) == 0 ? "R" : "A";
         }
-        const std::string linestatus = shipdate > date::FromYMD(1995, 6, 17) ? "O" : "F";
-        line_rows.push_back(
-            {Value::Int32(static_cast<int32_t>(o)), Value::Int32(ln),
-             Value::Int32(static_cast<int32_t>(rng.Uniform(1, num_suppliers))),
-             Value::Int32(qty), Value::Decimal(price),
-             Value::Decimal(rng.Uniform(0, 10)), Value::Decimal(rng.Uniform(0, 8)),
-             Value::Char(returnflag), Value::Char(linestatus),
-             Value::Date(shipdate), Value::Date(commitdate),
-             Value::Date(receiptdate),
-             Value::Varchar(kInstructs[rng.Uniform(0, 3)]),
-             Value::Varchar(kModes[rng.Uniform(0, 6)])});
+        const char* linestatus = shipdate > date::FromYMD(1995, 6, 17) ? "O" : "F";
+        line_rows.col(0).AppendInt(static_cast<int32_t>(o));
+        line_rows.col(1).AppendInt(ln);
+        line_rows.col(2).AppendInt(rng.Uniform(1, num_suppliers));
+        line_rows.col(3).AppendInt(qty);
+        line_rows.col(4).AppendInt(price);
+        line_rows.col(5).AppendInt(rng.Uniform(0, 10));
+        line_rows.col(6).AppendInt(rng.Uniform(0, 8));
+        line_rows.col(7).AppendString(returnflag);
+        line_rows.col(8).AppendString(linestatus);
+        line_rows.col(9).AppendInt(shipdate);
+        line_rows.col(10).AppendInt(commitdate);
+        line_rows.col(11).AppendInt(receiptdate);
+        line_rows.col(12).AppendString(kInstructs[rng.Uniform(0, 3)]);
+        line_rows.col(13).AppendString(kModes[rng.Uniform(0, 6)]);
+        num_lines++;
       }
-      order_rows.push_back(
-          {Value::Int32(static_cast<int32_t>(o)),
-           Value::Int32(static_cast<int32_t>(rng.Uniform(1, static_cast<int64_t>(num_customers)))),
-           Value::Char(orderdate > date::FromYMD(1995, 6, 17) ? "O" : "F"),
-           Value::Decimal(total), Value::Date(orderdate),
-           Value::Varchar(kPriorities[rng.Uniform(0, 4)]), Value::Int32(0)});
+      order_rows.col(0).AppendInt(static_cast<int32_t>(o));
+      order_rows.col(1).AppendInt(
+          rng.Uniform(1, static_cast<int64_t>(num_customers)));
+      order_rows.col(2).AppendString(orderdate > date::FromYMD(1995, 6, 17) ? "O"
+                                                                            : "F");
+      order_rows.col(3).AppendInt(total);
+      order_rows.col(4).AppendInt(orderdate);
+      order_rows.col(5).AppendString(kPriorities[rng.Uniform(0, 4)]);
+      order_rows.col(6).AppendInt(0);
     }
-    ELE_RETURN_NOT_OK(orders->BulkLoadRows(std::move(order_rows)));
-    ELE_RETURN_NOT_OK(lineitem->BulkLoadRows(std::move(line_rows)));
-  }
-
-  // Refresh statistics for the planner.
-  for (const char* t :
-       {"region", "nation", "supplier", "customer", "orders", "lineitem"}) {
-    ELE_RETURN_NOT_OK(db->Analyze(t));
+    ELE_RETURN_NOT_OK(load(orders, &order_rows, num_orders));
+    ELE_RETURN_NOT_OK(load(lineitem, &line_rows, num_lines));
   }
   return Status::OK();
 }

@@ -36,7 +36,8 @@ class TpchGenerator {
 
   /// Creates and bulk-loads nation, region, supplier, customer, orders and
   /// lineitem into `db` (clustered on their primary keys — the paper's `Row`
-  /// baseline materializes only primary indexes), then runs ANALYZE on each.
+  /// baseline materializes only primary indexes); each load sets its
+  /// table's statistics.
   Status LoadInto(Database* db) const;
 
   uint64_t NumCustomers() const { return Scaled(150000); }

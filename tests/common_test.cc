@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/batch.h"
@@ -228,6 +229,35 @@ TEST(SchemaTest, ConcatPreservesOrder) {
   EXPECT_EQ(c.ColumnAt(1).name, "y");
 }
 
+/// Expects column `c` of the tuple in `buf` to read back through the typed
+/// readers as `want`: NULL exactly when it is, else its payload in the lane
+/// its type lives in (a DOUBLE bit for bit, a string padding-insensitive).
+void ExpectCell(const Schema& s, const std::string& buf, size_t c,
+                const Value& want) {
+  ASSERT_TRUE(tuple::CheckTuple(buf.data(), buf.size()).ok());
+  ASSERT_EQ(tuple::IsNull(buf.data(), c), want.is_null()) << "column " << c;
+  if (want.is_null()) return;
+  switch (LaneOf(s.ColumnAt(c).type)) {
+    case Lane::kInt:
+      EXPECT_EQ(tuple::GetInt(s, buf.data(), c), want.AsInt64()) << "column " << c;
+      break;
+    case Lane::kDouble: {
+      const double got = tuple::GetDouble(s, buf.data(), c);
+      const double expected = want.AsDouble();
+      uint64_t got_bits, expected_bits;
+      std::memcpy(&got_bits, &got, sizeof(got));
+      std::memcpy(&expected_bits, &expected, sizeof(expected));
+      EXPECT_EQ(got_bits, expected_bits) << "column " << c;
+      break;
+    }
+    case Lane::kString:
+      EXPECT_EQ(ComparePadded(tuple::GetString(s, buf.data(), c), want.AsString()),
+                0)
+          << "column " << c;
+      break;
+  }
+}
+
 TEST(TupleTest, HeaderOverheadIsNineBytes) {
   // The paper (§3) cites 9 bytes/tuple of row-store overhead; our layout
   // reproduces it.
@@ -244,12 +274,7 @@ TEST(TupleTest, SerializeDeserializeRoundTrip) {
   // Header, null bitmap, fixed slots, then the VARCHAR's 11 bytes.
   EXPECT_EQ(buf.size(), tuple::kHeaderSize + s.NullBitmapBytes() +
                             s.FixedSectionSize() + 11);
-  Row back;
-  ASSERT_TRUE(tuple::Deserialize(s, buf.data(), buf.size(), &back).ok());
-  ASSERT_EQ(back.size(), row.size());
-  for (size_t i = 0; i < row.size(); i++) {
-    EXPECT_EQ(back[i].Compare(row[i]), 0) << "column " << i;
-  }
+  for (size_t i = 0; i < row.size(); i++) ExpectCell(s, buf, i, row[i]);
 }
 
 TEST(TupleTest, NullsRoundTrip) {
@@ -259,12 +284,11 @@ TEST(TupleTest, NullsRoundTrip) {
           Value::Null(TypeId::kVarchar), Value::Date(0)};
   std::string buf;
   ASSERT_TRUE(tuple::Serialize(s, row, &buf).ok());
-  Row back;
-  ASSERT_TRUE(tuple::Deserialize(s, buf.data(), buf.size(), &back).ok());
-  EXPECT_TRUE(back[0].is_null());
-  EXPECT_FALSE(back[1].is_null());
-  EXPECT_TRUE(back[2].is_null());
-  EXPECT_TRUE(back[4].is_null());
+  for (size_t i = 0; i < row.size(); i++) ExpectCell(s, buf, i, row[i]);
+  EXPECT_TRUE(tuple::IsNull(buf.data(), 0));
+  EXPECT_FALSE(tuple::IsNull(buf.data(), 1));
+  EXPECT_TRUE(tuple::IsNull(buf.data(), 2));
+  EXPECT_TRUE(tuple::IsNull(buf.data(), 4));
 }
 
 TEST(TupleTest, SingleColumnAccessWithoutFullDeserialize) {
@@ -273,8 +297,9 @@ TEST(TupleTest, SingleColumnAccessWithoutFullDeserialize) {
           Value::Varchar("xyz"), Value::Date(100)};
   std::string buf;
   ASSERT_TRUE(tuple::Serialize(s, row, &buf).ok());
-  EXPECT_EQ(tuple::GetValue(s, buf.data(), buf.size(), 4).AsString(), "xyz");
-  EXPECT_EQ(tuple::GetValue(s, buf.data(), buf.size(), 0).AsInt64(), 1);
+  EXPECT_EQ(tuple::GetString(s, buf.data(), 4), "xyz");
+  EXPECT_EQ(tuple::GetInt(s, buf.data(), 0), 1);
+  EXPECT_EQ(tuple::GetInt(s, buf.data(), 5), 100);
 }
 
 TEST(TupleTest, ArityMismatchRejected) {
@@ -289,9 +314,8 @@ TEST(TupleTest, CharIsSpacePadded) {
   Row row{Value::Char("ab")};
   std::string buf;
   ASSERT_TRUE(tuple::Serialize(s, row, &buf).ok());
-  Value v = tuple::GetValue(s, buf.data(), buf.size(), 0);
-  EXPECT_EQ(v.AsString(), "ab  ");
-  EXPECT_EQ(v.Compare(Value::Char("ab")), 0);
+  EXPECT_EQ(tuple::GetString(s, buf.data(), 0), "ab  ");
+  ExpectCell(s, buf, 0, Value::Char("ab"));
 }
 
 TEST(TupleTest, LaneWrittenTuplesOfEveryTypeRoundTrip) {
@@ -321,11 +345,8 @@ TEST(TupleTest, LaneWrittenTuplesOfEveryTypeRoundTrip) {
     ASSERT_TRUE(tuple::Serialize(s, batch, r, &lanes).ok());
     ASSERT_TRUE(tuple::Serialize(s, rows[r], &values).ok());
     EXPECT_EQ(lanes, values) << "row " << r;
-    Row back;
-    ASSERT_TRUE(tuple::Deserialize(s, lanes.data(), lanes.size(), &back).ok());
     for (size_t c = 0; c < s.NumColumns(); c++) {
-      EXPECT_EQ(back[c].is_null(), rows[r][c].is_null()) << r << "," << c;
-      EXPECT_EQ(back[c].Compare(rows[r][c]), 0) << r << "," << c;
+      ExpectCell(s, lanes, c, rows[r][c]);
     }
   }
   std::string neg_zero;
@@ -394,9 +415,14 @@ TEST_P(KeyCodecOrderTest, DecodeRoundTrips) {
     std::string k;
     keycodec::Encode(a, &k);
     size_t pos = 0;
-    auto back = keycodec::Decode(t, k, &pos);
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(back.value().Compare(a), 0);
+    keycodec::KeyCell back;
+    ASSERT_TRUE(keycodec::DecodeCell(t, k, &pos, &back).ok());
+    ASSERT_FALSE(back.is_null);
+    switch (LaneOf(t)) {
+      case Lane::kInt: EXPECT_EQ(back.i, a.AsInt64()); break;
+      case Lane::kDouble: EXPECT_EQ(back.d, a.AsDouble()); break;
+      case Lane::kString: EXPECT_EQ(back.s, a.AsString()); break;
+    }
     EXPECT_EQ(pos, k.size());
   }
 }
@@ -428,9 +454,9 @@ TEST(KeyCodecTest, EmbeddedZeroBytesRoundTrip) {
   std::string k;
   keycodec::Encode(Value::Varchar(raw), &k);
   size_t pos = 0;
-  auto v = keycodec::Decode(TypeId::kVarchar, k, &pos);
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(v.value().AsString(), raw);
+  keycodec::KeyCell v;
+  ASSERT_TRUE(keycodec::DecodeCell(TypeId::kVarchar, k, &pos, &v).ok());
+  EXPECT_EQ(v.s, raw);
 }
 
 TEST(KeyCodecTest, PrefixUpperBoundCoversAllExtensions) {

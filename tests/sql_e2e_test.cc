@@ -293,7 +293,13 @@ TEST_F(SqlE2eTest, TypeErrorsAreBindErrorsBeforeAnyPageIsRead) {
         "SELECT id FROM emp WHERE name BETWEEN 1 AND 2",
         "SELECT dept FROM emp GROUP BY dept HAVING MIN(name) > 3",
         "SELECT SUM(hired) FROM emp", "SELECT AVG(name) FROM emp",
-        "SELECT dept, SUM(hired) FROM emp GROUP BY dept"}) {
+        "SELECT dept, SUM(hired) FROM emp GROUP BY dept",
+        // Arithmetic that no operands of these types admit.
+        "SELECT name + 1 FROM emp", "SELECT hired * 2 FROM emp",
+        "SELECT id / name FROM emp", "SELECT hired / 2 FROM emp",
+        "SELECT 5 - hired FROM emp", "SELECT id FROM emp WHERE name * 2 > 1",
+        "SELECT dept FROM emp GROUP BY dept HAVING MIN(hired) + 1.5 > 3",
+        "SELECT dept, SUM(salary) * name FROM emp GROUP BY dept"}) {
     auto r = db_->Execute(sql);
     ASSERT_FALSE(r.ok()) << sql;
     EXPECT_EQ(r.status().code(), StatusCode::kBindError)
@@ -304,6 +310,74 @@ TEST_F(SqlE2eTest, TypeErrorsAreBindErrorsBeforeAnyPageIsRead) {
   EXPECT_TRUE(db_->Execute("SELECT id FROM emp WHERE salary > 5").ok());
   EXPECT_TRUE(db_->Execute("SELECT MIN(hired), MAX(name) FROM emp").ok());
   EXPECT_TRUE(db_->Execute("SELECT SUM(salary), AVG(id) FROM emp").ok());
+  EXPECT_TRUE(db_->Execute("SELECT hired + 1, hired - hired FROM emp").ok());
+  // Arithmetic with an untyped NULL binds, and is NULL.
+  for (const char* sql :
+       {"SELECT id + NULL FROM emp", "SELECT NULL * salary FROM emp",
+        "SELECT id / NULL FROM emp", "SELECT hired - NULL FROM emp",
+        "SELECT dept, SUM(id) - NULL FROM emp GROUP BY dept"}) {
+    QueryResult r = Exec(sql);
+    ASSERT_FALSE(r.rows.empty()) << sql;
+    for (const Row& row : r.rows) EXPECT_TRUE(row.back().is_null()) << sql;
+  }
+  EXPECT_TRUE(Exec("SELECT id FROM emp WHERE id + NULL > 1").rows.empty());
+}
+
+TEST_F(SqlE2eTest, DmlWhereMatchesSelectWhere) {
+  // DELETE and UPDATE find their rows with the batch filter a SELECT's
+  // WHERE runs: each touches exactly the rows SELECT COUNT(*) counts under
+  // the same WHERE, over NULL-bearing string, DATE and DECIMAL columns.
+  DatabaseOptions options;
+  options.wal_enabled = true;
+  Database db(options);
+  auto run = [&db](const std::string& sql) {
+    auto r = db.Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << "\n" << r.status().ToString();
+    return r.ok() ? std::move(r).value() : QueryResult{};
+  };
+  auto count = [&run](const std::string& where) {
+    QueryResult r = run("SELECT COUNT(*) FROM t WHERE " + where);
+    return r.rows.empty() ? uint64_t{0} : static_cast<uint64_t>(r.rows[0][0].AsInt64());
+  };
+  run("CREATE TABLE t (k INT, name VARCHAR, d DATE, amount DECIMAL, "
+      "note VARCHAR) CLUSTER BY (k)");
+  std::string values;
+  for (int k = 0; k < 1500; k++) {  // more rows than one batch
+    const std::string name =
+        k % 7 == 0 ? "NULL" : "'n" + std::to_string(k % 10) + "'";
+    const std::string d = k % 5 == 0 ? "NULL"
+                                     : "DATE '199" + std::to_string(k % 9) +
+                                           "-0" + std::to_string(k % 9 + 1) +
+                                           "-15'";
+    const std::string amount =
+        k % 11 == 0 ? "NULL" : std::to_string(k % 97) + "." + std::to_string(k % 10) + "5";
+    values += (values.empty() ? "" : ", ") + std::string("(") +
+              std::to_string(k) + ", " + name + ", " + d + ", " + amount +
+              ", 'x')";
+  }
+  run("INSERT INTO t VALUES " + values);
+  for (const char* where :
+       {"k BETWEEN 100 AND 1200", "name IS NULL", "name IS NOT NULL",
+        "NOT (k < 700)", "NOT (amount > 50.00)", "name = 'n3'", "name > 'n5'",
+        "d >= DATE '1995-01-01'", "d BETWEEN DATE '1992-01-01' AND DATE '1994-12-31'",
+        "amount BETWEEN 10.50 AND 40.25", "amount = 12.25",
+        "name IS NULL OR amount < 5.00", "NOT (d IS NULL) AND name <> 'n1'",
+        "k > 5000"}) {
+    const uint64_t want = count(where);
+    run("BEGIN");
+    QueryResult upd = run(std::string("UPDATE t SET note = 'hit' WHERE ") + where);
+    EXPECT_EQ(upd.counters.rows_output, want) << where;
+    EXPECT_EQ(count("note = 'hit'"), want) << where;
+    EXPECT_EQ(count(std::string("note = 'hit' AND (") + where + ")"), want) << where;
+    run("ROLLBACK");
+    run("BEGIN");
+    QueryResult del = run(std::string("DELETE FROM t WHERE ") + where);
+    EXPECT_EQ(del.counters.rows_output, want) << where;
+    EXPECT_EQ(count(where), 0u) << where;
+    EXPECT_EQ(count("k >= 0"), 1500u - want) << where;
+    run("ROLLBACK");
+    EXPECT_EQ(count("k >= 0"), 1500u) << where;
+  }
 }
 
 TEST_F(SqlE2eTest, ExecuteIntoReturnsTypedColumnsWithoutValues) {

@@ -257,7 +257,8 @@ TEST(TypedKernelTest, SelectionFlowsThroughFilterProjectAggregate) {
   // Reference: per row Eval, groups keyed by the padded-insensitive CHAR.
   std::map<std::string, std::vector<Row>> by_group;
   for (const Row& r : rows) {
-    if (!EvalPredicate(*pred(), r).value()) continue;
+    const Value pass = pred()->Eval(r).value();
+    if (pass.is_null() || !pass.AsBool()) continue;
     Row projected;
     for (const ExprPtr& e : exprs()) projected.push_back(e->Eval(r).value());
     std::string key;
@@ -331,7 +332,7 @@ class CursorReseekTest : public ::testing::Test {
       b.AppendActiveRowsTo(&rows);
       return rows;
     };
-    IndexCursor fresh(&ctx_, table_, nullptr, AccessIntent::kPointLookup);
+    IndexCursor fresh(table_, nullptr, AccessIntent::kPointLookup);
     const std::vector<Row> want = read(&fresh);
     const std::vector<Row> got = read(cursor);
     ASSERT_EQ(got.size(), want.size()) << "[" << lo << ", " << hi << "]";
@@ -346,12 +347,11 @@ class CursorReseekTest : public ::testing::Test {
   DiskManager disk_;
   BufferPool pool_{&disk_, 4096};
   Catalog catalog_{&pool_};
-  ExecContext ctx_{&pool_};
   Table* table_ = nullptr;
 };
 
 TEST_F(CursorReseekTest, ProbeSequencesMatchPlainSeeks) {
-  IndexCursor cursor(&ctx_, table_, nullptr, AccessIntent::kPointLookup);
+  IndexCursor cursor(table_, nullptr, AccessIntent::kPointLookup);
   // Ascending single-key probes (a key and a gap between keys), a repeated
   // probe, descending probes, and ranges that cross into the next leaves.
   for (int k = 0; k < 600; k += 3) ExpectSameRows(&cursor, k, k);
@@ -367,7 +367,7 @@ TEST_F(CursorReseekTest, AscendingProbesStayInTheLeaf) {
   // 300 ascending probes over the first leaves: a plain seek descends the
   // whole tree each time; the cursor reuses its pinned leaf and descends
   // only when a probe leaves it, so it fetches far fewer pages.
-  IndexCursor reused(&ctx_, table_, nullptr, AccessIntent::kPointLookup);
+  IndexCursor reused(table_, nullptr, AccessIntent::kPointLookup);
   const uint64_t before = Fetches();
   for (int k = 0; k < 600; k += 2) {
     ASSERT_TRUE(reused
@@ -379,7 +379,7 @@ TEST_F(CursorReseekTest, AscendingProbesStayInTheLeaf) {
   const uint64_t reused_fetches = Fetches() - before;
   uint64_t plain_fetches = 0;
   for (int k = 0; k < 600; k += 2) {
-    IndexCursor fresh(&ctx_, table_, nullptr, AccessIntent::kPointLookup);
+    IndexCursor fresh(table_, nullptr, AccessIntent::kPointLookup);
     const uint64_t start = Fetches();
     ASSERT_TRUE(fresh
                     .Seek(MakeKeyRange({}, Value::Int32(k), true,
