@@ -56,7 +56,7 @@ int Run() {
       static_cast<int32_t>(orders.value()->row_count()) + 1;
   const int64_t num_customers =
       static_cast<int64_t>(customer.value()->row_count());
-  obs::MetricsRegistry& metrics = db.metrics();
+  const DatabaseStats& stats = db.stats();
 
   Rng rng(777);
   ReportTable t({"batch_orders", "batch_lineitems", "append", "refresh_on_read",
@@ -100,15 +100,13 @@ int Run() {
     const double append_s = Since(t0);
 
     // Reading each view refreshes it first.
-    const uint64_t deltas_before =
-        metrics.GetCounter("mv.refresh.delta_total")->value();
+    const uint64_t deltas_before = stats.view_delta_refreshes.load();
     const auto t1 = std::chrono::steady_clock::now();
     for (const mv::ViewInfo& info : bench.views().views()) {
       if (!db.Execute("SELECT COUNT(*) FROM " + info.table_name).ok()) return 1;
     }
     const double refresh_s = Since(t1);
-    const uint64_t deltas =
-        metrics.GetCounter("mv.refresh.delta_total")->value() - deltas_before;
+    const uint64_t deltas = stats.view_delta_refreshes.load() - deltas_before;
 
     // Recompute every view from scratch and check the maintained contents
     // against it.

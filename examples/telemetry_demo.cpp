@@ -2,7 +2,8 @@
 //
 //   - Chrome-trace/Perfetto export: spans from session statements, worker
 //     tasks, page faults and disk seeks (open the file at ui.perfetto.dev)
-//   - Prometheus text exposition: Database::ExportMetrics()
+//   - Prometheus text exposition: Database::ExportMetrics(), the
+//     elephant_stat_* tables rendered as gauges
 //   - per-object page-access heatmap: which tables/indexes paid the I/O
 //   - elephant_stat_statements: per-statement-family time, modeled I/O and
 //     wait time, queried through SQL

@@ -74,6 +74,12 @@ arguments depend on:
                     formats and IndexCursor (catalog/table.h) is their one
                     reader; every other module reads table cells through
                     it, so a change to a cell format lands in one module.
+  prometheus-renderer
+                    a string literal holding a Prometheus `# TYPE ` line
+                    outside obs/prometheus.cc. ExportMetrics() renders the
+                    elephant_stat_* tables through that file's one renderer;
+                    a second hand-written exposition would let the export and
+                    the tables disagree again.
 
 Suppress a finding with a trailing or preceding-line comment:
 
@@ -153,6 +159,13 @@ CELL_DECODER_RE = re.compile(
     r"\btuple\s*::\s*(?:IsNull|GetInt|GetDouble|GetString)\b"
     r"|\bDecodeSecondaryValue\b"
     r"|\bkeycodec\s*::\s*DecodeCell\b")
+
+# The one Prometheus text renderer.
+PROMETHEUS_RENDERER_ALLOWED = {os.path.join("obs", "prometheus.cc")}
+
+# Matched against the raw line: the family name sits inside a string
+# literal, which the comment/string stripper blanks.
+PROMETHEUS_TYPE_RE = re.compile(r'"[^"\n]*#\s*TYPE\s')
 
 RAW_PAGE_API_RE = re.compile(
     r"\b(?:FetchPage|NewPage)\s*\((?!\s*\))"  # call with args (decl-ish ok too)
@@ -412,6 +425,16 @@ def lint_file(path, rel, text):
                        "src/common/; read table cells through IndexCursor "
                        "(catalog/table.h), the one reader of the formats "
                        "Table writes")
+
+    # --- prometheus-renderer (fixtures lint as bare names) ---
+    if rel not in PROMETHEUS_RENDERER_ALLOWED:
+        for lineno, ln in enumerate(text.split("\n"), 1):
+            if PROMETHEUS_TYPE_RE.search(ln):
+                report(lineno, "prometheus-renderer",
+                       "Prometheus `# TYPE` line written outside "
+                       "obs/prometheus.cc; export through an elephant_stat_* "
+                       "table, which ExportMetrics() renders with "
+                       "AppendPrometheusTable")
 
     # --- unguarded-mutex ---
     mutex_names = []

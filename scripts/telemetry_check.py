@@ -12,9 +12,12 @@ running a traced workload, and handy standalone:
     python3 scripts/telemetry_check.py --metrics metrics.prom --wait-events
 
 ``--wait-events`` cross-checks the Prometheus dump against the wait-event
-taxonomy parsed out of ``src/obs/wait_events.h``: both labeled counter
-families must cover exactly the taxonomy (zeros included), so an event added
-in C++ without reaching the export — or a stale exported label — fails here.
+taxonomy parsed out of ``src/obs/wait_events.h``: the
+``elephant_stat_wait_events_count`` and ``_wait_seconds`` families (one
+sample per ``elephant_stat_wait_events`` row, labeled ``wait_class`` and
+``wait_event``) must cover exactly the taxonomy (zeros included), so an event
+added in C++ without reaching the export — or a stale exported label — fails
+here.
 
 ``--stat-statements`` also recomputes every entry's ``p95_seconds`` from its
 ``latency_buckets`` and the document's ``latency_bounds`` with an independent
@@ -33,9 +36,14 @@ import re
 import sys
 
 METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
+# A label value is a quoted string in which only \\, \" and \n are escaped;
+# it may hold spaces and braces (elephant_stat_statements' query label).
+LABEL_VALUE = r'"(?:[^"\\\n]|\\[\\"n])*"'
+LABELS = r"\{(?:[a-zA-Z_][a-zA-Z0-9_]*=%s(?:,[a-zA-Z_][a-zA-Z0-9_]*=%s)*)?\}" % (
+    LABEL_VALUE, LABEL_VALUE)
 SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)(?P<labels>\{[^}]*\})? "
-    r"(?P<value>[^ ]+)$"
+    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)(?P<labels>%s)? "
+    r"(?P<value>[^ ]+)$" % LABELS
 )
 
 
@@ -193,7 +201,9 @@ WAIT_CLASSES = {"LWLock", "Lock", "IO", "WAL", "CondVar", "Scheduler"}
 #   {WaitClass::kX, "Class", "Event"},
 WAIT_INFO_RE = re.compile(
     r'^\s*\{WaitClass::k\w+,\s*"(\w+)",\s*"(\w+)"\},$', re.MULTILINE)
-WAIT_FAMILIES = ("elephant_wait_events_total", "elephant_wait_seconds_total")
+WAIT_COUNT = "elephant_stat_wait_events_count"
+WAIT_SECONDS = "elephant_stat_wait_events_wait_seconds"
+WAIT_FAMILIES = (WAIT_COUNT, WAIT_SECONDS)
 
 
 def parse_wait_taxonomy(root):
@@ -230,8 +240,9 @@ def check_wait_events(metrics_path, root):
         return errors + ["wait_events: %s" % e]
 
     label_re = re.compile(
-        r'^(?P<family>elephant_wait_(?:events|seconds)_total)'
-        r'\{class="(?P<cls>\w+)",event="(?P<event>\w+)"\} (?P<value>\S+)$')
+        r'^(?P<family>%s|%s)'
+        r'\{wait_class="(?P<cls>\w+)",wait_event="(?P<event>\w+)"\} '
+        r'(?P<value>\S+)$' % WAIT_FAMILIES)
     seen = {family: {} for family in WAIT_FAMILIES}
     for lineno, line in enumerate(text.splitlines(), 1):
         if line.startswith("#"):
@@ -252,15 +263,14 @@ def check_wait_events(metrics_path, root):
         seen[family][key] = value
         if value < 0:
             errors.append("%s: %s%s is negative" % (where, family, key))
-        if family == "elephant_wait_events_total" \
-                and value != int(value):
+        if family == WAIT_COUNT and value != int(value):
             errors.append("%s: %s%s count is not integral" %
                           (where, family, key))
 
     expected = set(taxonomy)
     for family in WAIT_FAMILIES:
-        if "# TYPE %s counter" % family not in text:
-            errors.append("wait_events: missing TYPE counter line for %s" %
+        if "# TYPE %s gauge" % family not in text:
+            errors.append("wait_events: missing TYPE gauge line for %s" %
                           family)
         missing = expected - set(seen[family])
         extra = set(seen[family]) - expected
@@ -273,9 +283,9 @@ def check_wait_events(metrics_path, root):
                           (family, sorted(extra)))
     # A wait that was counted must have accumulated time's worth of a
     # nonnegative seconds sample (and vice versa the series must exist).
-    for key, count in seen["elephant_wait_events_total"].items():
-        if key in seen["elephant_wait_seconds_total"]:
-            secs = seen["elephant_wait_seconds_total"][key]
+    for key, count in seen[WAIT_COUNT].items():
+        if key in seen[WAIT_SECONDS]:
+            secs = seen[WAIT_SECONDS][key]
             if count == 0 and secs != 0:
                 errors.append("wait_events: %s has seconds %g with zero "
                               "count" % (key, secs))

@@ -22,7 +22,6 @@ const char* LockRankName(LockRank rank) {
     case LockRank::kStatStatements: return "kStatStatements";
     case LockRank::kTraceLog: return "kTraceLog";
     case LockRank::kHeatmap: return "kHeatmap";
-    case LockRank::kMetricsRegistry: return "kMetricsRegistry";
   }
   return "kUnranked";
 }

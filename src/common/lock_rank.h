@@ -63,7 +63,6 @@ enum class LockRank : int {
   kStatStatements = 700,
   kTraceLog = 740,
   kHeatmap = 760,
-  kMetricsRegistry = 780,
 };
 
 /// Enumerator name for diagnostics ("kBufferPool"); "kUnranked" if unknown.

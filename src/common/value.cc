@@ -251,34 +251,6 @@ Result<Value> Value::Add(const Value& o) const { return Arith('+', o); }
 Result<Value> Value::Subtract(const Value& o) const { return Arith('-', o); }
 Result<Value> Value::Multiply(const Value& o) const { return Arith('*', o); }
 
-Result<Value> Value::Divide(const Value& o) const {
-  if (!IsNumeric(type_) || !IsNumeric(o.type_)) return NonNumeric(type_, o.type_);
-  TypeId t = WiderOf(type_, o.type_);
-  if (is_null_ || o.is_null_) return Value::Null(t);
-  if (t == TypeId::kDouble) {
-    double d = o.AsDouble();
-    if (d == 0) return Status::InvalidArgument("division by zero");
-    return Value::Double(AsDouble() / d);
-  }
-  ELE_ASSIGN_OR_RETURN(int64_t b, ToIntegralDomain(o.type_, o.ival_, t));
-  if (b == 0) return Status::InvalidArgument("division by zero");
-  if (t == TypeId::kDecimal) {
-    ELE_ASSIGN_OR_RETURN(int64_t a, ToIntegralDomain(type_, ival_, t));
-    ELE_ASSIGN_OR_RETURN(int64_t p,
-                         CheckedMul64(a, decimal::kScale, "DECIMAL division"));
-    return Value::Decimal(p / b);
-  }
-  // INT64_MIN / -1 is the one quotient that overflows the INT64 domain.
-  if (AsInt64() == std::numeric_limits<int64_t>::min() && o.AsInt64() == -1) {
-    return Status::InvalidArgument("division overflows INT64");
-  }
-  int64_t r = AsInt64() / o.AsInt64();
-  if (t == TypeId::kInt64) return Value::Int64(r);
-  // INT32_MIN / -1 is the one narrowing division: |result| > INT32_MAX.
-  ELE_ASSIGN_OR_RETURN(int32_t narrow, NarrowToInt32(r, "INT32 division"));
-  return Value::Int32(narrow);
-}
-
 Result<Value> Value::CastTo(TypeId target) const {
   if (type_ == target) return *this;
   if (is_null_) return Value::Null(target);

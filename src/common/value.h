@@ -93,7 +93,6 @@ class Value {
   Result<Value> Add(const Value& o) const;
   Result<Value> Subtract(const Value& o) const;
   Result<Value> Multiply(const Value& o) const;
-  Result<Value> Divide(const Value& o) const;
 
   /// Coerces this value to `target` if a lossless conversion exists
   /// (int widths, int->decimal/double, char<->varchar).

@@ -26,6 +26,26 @@ namespace {
 constexpr page_id_t kMetaPageId = 0;
 constexpr uint32_t kMetaMagic = 0x454C4D31;  // "ELM1"
 
+/// Column-name suffixes of the per-kind statement counters, indexed by
+/// StatementKind.
+constexpr const char* kStatementKindNames[] = {
+    "select", "create_table", "create_index", "insert", "delete", "update",
+    "begin",  "commit",       "rollback",     "checkpoint", "explain",
+};
+static_assert(std::size(kStatementKindNames) ==
+              DatabaseStats::kNumStatementKinds);
+
+/// The tables ExportMetrics() renders: every `elephant_stat_*` table except
+/// `elephant_stat_lock_waits`, whose rows are wait-graph edges that exist
+/// only while a session is parked.
+constexpr const char* kExportedTables[] = {
+    "elephant_stat_database",   "elephant_stat_statements",
+    "elephant_stat_buffer_pool", "elephant_stat_io",
+    "elephant_stat_heatmap",    "elephant_stat_scheduler",
+    "elephant_stat_wal",        "elephant_stat_transactions",
+    "elephant_stat_wait_events",
+};
+
 /// Packages a rendered plan as a result set: one VARCHAR "QUERY PLAN" column,
 /// one row per text line (how EXPLAIN output reaches SQL clients).
 QueryResult PlanTextResult(const std::string& text) {
@@ -276,6 +296,55 @@ Status Database::RegisterSystemTables() {
   const auto i64 = [](uint64_t v) {
     return Value::Int64(static_cast<int64_t>(v));
   };
+
+  // elephant_stat_database: one row of the engine's own counters
+  // (DatabaseStats) plus the trace log's and the statement registry's
+  // losses. The SELECT latency histograms show as count and p50/p95.
+  {
+    std::vector<Column> cols;
+    for (const char* kind : kStatementKindNames) {
+      cols.emplace_back(std::string("statements_") + kind, TypeId::kInt64);
+    }
+    for (const char* name :
+         {"rows_returned", "view_delta_refreshes", "view_delta_rows",
+          "view_full_refreshes", "rollback_failures", "trace_dropped_spans",
+          "stat_statements_evictions", "select_count"}) {
+      cols.emplace_back(name, TypeId::kInt64);
+    }
+    for (const char* name :
+         {"select_p50_seconds", "select_p95_seconds",
+          "select_modeled_p50_seconds", "select_modeled_p95_seconds"}) {
+      cols.emplace_back(name, TypeId::kDouble);
+    }
+    ELE_RETURN_NOT_OK(catalog_->RegisterVirtualTable(
+            "elephant_stat_database", Schema(std::move(cols)),
+            [this, i64]() -> Result<std::vector<Row>> {
+              Row row;
+              for (const std::atomic<uint64_t>& n : stats_.statements) {
+                row.push_back(i64(n.load()));
+              }
+              const obs::HistogramSnapshot measured =
+                  stats_.select_seconds.Snapshot();
+              const obs::HistogramSnapshot modeled =
+                  stats_.select_modeled_seconds.Snapshot();
+              for (uint64_t v :
+                   {stats_.rows_returned.load(),
+                    stats_.view_delta_refreshes.load(),
+                    stats_.view_delta_rows.load(),
+                    stats_.view_full_refreshes.load(),
+                    stats_.rollback_failures.load(),
+                    static_cast<uint64_t>(
+                        obs::TraceLog::Global().DroppedCount()),
+                    stat_statements_.evicted_entries(), measured.count}) {
+                row.push_back(i64(v));
+              }
+              for (double v : {measured.Quantile(0.50), measured.Quantile(0.95),
+                               modeled.Quantile(0.50), modeled.Quantile(0.95)}) {
+                row.push_back(Value::Double(v));
+              }
+              return std::vector<Row>{std::move(row)};
+            }));
+  }
 
   // elephant_stat_statements: one row per fingerprint × plan-hash family.
   {
@@ -596,111 +665,15 @@ Status Database::RegisterSystemTables() {
 }
 
 std::string Database::ExportMetrics() {
-  // Point-in-time gauges are sampled at export (scrape) time; counters and
-  // histograms accumulate continuously as statements run.
-  metrics_.GetGauge("db.pool.capacity_pages")
-      ->Set(static_cast<double>(pool_->capacity()));
-  metrics_.GetGauge("db.pool.resident_pages")
-      ->Set(static_cast<double>(pool_->ResidentPages()));
-  metrics_.GetGauge("db.pool.pinned_frames")
-      ->Set(static_cast<double>(pool_->PinnedFrames()));
-  const BufferPoolStats pool_stats = pool_->stats();
-  metrics_.GetCounter("db.pool.hits_total")
-      ->Increment(pool_stats.hits -
-                  metrics_.GetCounter("db.pool.hits_total")->value());
-  metrics_.GetCounter("db.pool.misses_total")
-      ->Increment(pool_stats.misses -
-                  metrics_.GetCounter("db.pool.misses_total")->value());
-  const IoStats io = disk_->stats();
-  metrics_.GetCounter("db.disk.sequential_reads_total")
-      ->Increment(io.sequential_reads -
-                  metrics_.GetCounter("db.disk.sequential_reads_total")->value());
-  metrics_.GetCounter("db.disk.random_reads_total")
-      ->Increment(io.random_reads -
-                  metrics_.GetCounter("db.disk.random_reads_total")->value());
-  metrics_.GetCounter("db.disk.page_writes_total")
-      ->Increment(io.page_writes -
-                  metrics_.GetCounter("db.disk.page_writes_total")->value());
-  metrics_.GetCounter("db.disk.readahead_windows_total")
-      ->Increment(
-          io.readahead.windows_issued -
-          metrics_.GetCounter("db.disk.readahead_windows_total")->value());
-  metrics_.GetCounter("db.disk.pages_prefetched_total")
-      ->Increment(
-          io.readahead.pages_prefetched -
-          metrics_.GetCounter("db.disk.pages_prefetched_total")->value());
-  metrics_.GetCounter("db.disk.prefetch_hits_total")
-      ->Increment(io.readahead.prefetch_hits -
-                  metrics_.GetCounter("db.disk.prefetch_hits_total")->value());
-  metrics_.GetCounter("db.disk.prefetch_wasted_total")
-      ->Increment(io.readahead.prefetch_wasted -
-                  metrics_.GetCounter("db.disk.prefetch_wasted_total")->value());
-  metrics_.GetCounter("db.pool.scan_ring_inserts_total")
-      ->Increment(
-          pool_stats.scan_ring_inserts -
-          metrics_.GetCounter("db.pool.scan_ring_inserts_total")->value());
-  metrics_.GetCounter("db.pool.scan_ring_promotions_total")
-      ->Increment(
-          pool_stats.scan_ring_promotions -
-          metrics_.GetCounter("db.pool.scan_ring_promotions_total")->value());
-  // Spans the bounded trace buffer had to drop (balanced-drop policy):
-  // silent loss would make a truncated trace look complete.
-  metrics_.GetCounter("trace.dropped_spans_total")
-      ->Increment(obs::TraceLog::Global().DroppedCount() -
-                  metrics_.GetCounter("trace.dropped_spans_total")->value());
-  metrics_.GetGauge("db.stat_statements.entries")
-      ->Set(static_cast<double>(stat_statements_.size()));
-  metrics_.GetCounter("db.stat_statements.evicted_total")
-      ->Increment(
-          stat_statements_.evicted_entries() -
-          metrics_.GetCounter("db.stat_statements.evicted_total")->value());
-  {
-    MutexLock lock(workers_mu_);
-    if (workers_ != nullptr) {
-      metrics_.GetGauge("db.workers.queue_depth")
-          ->Set(static_cast<double>(workers_->QueueDepth()));
-      metrics_.GetGauge("db.workers.active_tasks")
-          ->Set(static_cast<double>(workers_->ActiveTasks()));
-      metrics_.GetGauge("db.workers.busy_seconds")->Set(workers_->BusySeconds());
-      const double uptime = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - created_at_)
-                                .count();
-      const double capacity =
-          uptime * static_cast<double>(workers_->num_threads());
-      metrics_.GetGauge("db.workers.utilization")
-          ->Set(capacity > 0 ? workers_->BusySeconds() / capacity : 0);
+  std::string out;
+  for (const char* name : kExportedTables) {
+    const VirtualTable* table = catalog_->GetVirtualTable(name);
+    Result<std::vector<Row>> rows = table->provider();
+    if (rows.ok()) {
+      obs::AppendPrometheusTable(table->name, table->schema, rows.value(), &out);
     }
   }
-  if (log_ != nullptr) {
-    const wal::WalStats ws = log_->stats();
-    metrics_.GetCounter("wal.flushes_total")
-        ->Increment(ws.flushes -
-                    metrics_.GetCounter("wal.flushes_total")->value());
-    metrics_.GetCounter("wal.bytes_total")
-        ->Increment(ws.bytes_flushed -
-                    metrics_.GetCounter("wal.bytes_total")->value());
-    metrics_.GetCounter("db.disk.fsyncs_total")
-        ->Increment(io.fsyncs -
-                    metrics_.GetCounter("db.disk.fsyncs_total")->value());
-    const txn::TxnStats txn_stats = txn_mgr_->stats();
-    metrics_.GetCounter("txn.commits_total")
-        ->Increment(txn_stats.committed -
-                    metrics_.GetCounter("txn.commits_total")->value());
-    metrics_.GetCounter("txn.aborts_total")
-        ->Increment(txn_stats.aborted -
-                    metrics_.GetCounter("txn.aborts_total")->value());
-    metrics_.GetGauge("txn.active")
-        ->Set(static_cast<double>(txn_stats.active));
-  }
-  metrics_.GetCounter("txn.lock_timeouts_total")
-      ->Increment(lock_mgr_->timeouts() -
-                  metrics_.GetCounter("txn.lock_timeouts_total")->value());
-  // Registry families first, then the top statement families by modeled I/O
-  // and the wait-event counters (labeled series the plain registry cannot
-  // express).
-  return obs::ToPrometheusText(metrics_) +
-         stat_statements_.ToPrometheusTopN(5) +
-         obs::WaitEventRegistry::Global().ToPrometheus();
+  return out;
 }
 
 Status Database::EvictCaches() { return pool_->EvictAll(); }
@@ -724,8 +697,14 @@ Status Database::Analyze(const std::string& table) {
 Result<std::string> Database::Explain(const std::string& sql,
                                       PlanHints extra_hints) {
   ELE_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> stmt, ParseSelect(sql));
+  ELE_ASSIGN_OR_RETURN(PlannedQuery plan, PlanSelect(*stmt, extra_hints));
+  return plan.explain;
+}
+
+Result<PlannedQuery> Database::PlanSelect(const SelectStmt& stmt,
+                                          PlanHints extra_hints) {
   Binder binder(catalog_.get());
-  ELE_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bound, binder.Bind(*stmt));
+  ELE_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bound, binder.Bind(stmt));
   bound->hints = bound->hints.Merge(extra_hints);
   ExecContext ctx(pool_.get());
   // EXPLAIN must show the same plan Execute() would run, so a PARALLEL hint
@@ -733,7 +712,8 @@ Result<std::string> Database::Explain(const std::string& sql,
   if (bound->hints.parallel_workers >= 2) ctx.set_scheduler(workers());
   Planner planner(&ctx);
   ELE_ASSIGN_OR_RETURN(PlannedQuery plan, planner.Plan(std::move(bound)));
-  return plan.explain;
+  plan.executor.reset();  // built against `ctx`, which dies here
+  return plan;
 }
 
 Result<QueryResult> Database::ExecuteSelectWithLocks(
@@ -842,10 +822,9 @@ Result<QueryResult> Database::ExecuteSelect(const std::string& sql,
   result.counters.rows_output = rows_out;
   result.plan = std::shared_ptr<const obs::PlanNode>(std::move(plan.plan));
 
-  metrics_.GetCounter("db.rows_returned_total")->Increment(rows_out);
-  metrics_.GetCounter("db.pages_read_total")->Increment(result.io.TotalReads());
-  metrics_.GetHistogram("db.query_seconds")->Observe(result.cpu_seconds);
-  metrics_.GetHistogram("db.query_modeled_seconds")->Observe(result.TotalSeconds());
+  stats_.rows_returned += rows_out;
+  stats_.select_seconds.Observe(result.cpu_seconds);
+  stats_.select_modeled_seconds.Observe(result.TotalSeconds());
   if (reads_virtual) return result;  // no self-instrumentation
   obs::StatementRecord record;
   record.SetSql(sql);
@@ -877,6 +856,25 @@ Result<QueryResult> Database::ExecuteSelect(const std::string& sql,
   return result;
 }
 
+Result<QueryResult> Database::RunInstrumented(const std::string& sql,
+                                              std::unique_ptr<SelectStmt> stmt,
+                                              PlanHints extra_hints,
+                                              SessionTxnState* ts,
+                                              obs::QueryTrace* trace) {
+  ELE_RETURN_NOT_OK(CheckNotInAbortedTxn(*ts, sql));
+  ELE_ASSIGN_OR_RETURN(
+      QueryResult result,
+      ExecuteSelectWithLocks(sql, std::move(stmt), extra_hints,
+                             /*instrument=*/true, ts));
+  result.trace = std::make_shared<obs::QueryTrace>(std::move(*trace));
+  // The statement's waits so far: lock acquisition, I/O and WAL waits of
+  // this very statement (its caller installed the sink before parsing).
+  if (obs::WaitSink* waits = obs::CurrentWaitSink()) {
+    result.wait_profile = waits->ToProfile();
+  }
+  return result;
+}
+
 Result<ExplainAnalyzeResult> Database::ExplainAnalyze(const std::string& sql,
                                                       PlanHints extra_hints) {
   std::optional<obs::TraceSpan> statement_span;
@@ -899,14 +897,10 @@ Result<ExplainAnalyzeResult> Database::ExplainAnalyze(const std::string& sql,
     }
     stmt = std::move(parsed.select);
   }
-  metrics_.GetCounter("db.statements_total")->Increment();
-  metrics_.GetCounter("db.statements.explain")->Increment();
-  ELE_ASSIGN_OR_RETURN(
-      QueryResult result,
-      ExecuteSelectWithLocks(sql, std::move(stmt), extra_hints,
-                             /*instrument=*/true, &default_txn_state_));
-  result.trace = std::make_shared<obs::QueryTrace>(std::move(trace));
-  result.wait_profile = sink.ToProfile();
+  ++stats_.statements[static_cast<size_t>(StatementKind::kExplain)];
+  ELE_ASSIGN_OR_RETURN(QueryResult result,
+                       RunInstrumented(sql, std::move(stmt), extra_hints,
+                                       &default_txn_state_, &trace));
   result.wall_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - wall_start)
                             .count();
@@ -968,8 +962,7 @@ Result<QueryResult> Database::ExecuteInto(const std::string& sql, Batch* out) {
   obs::QueryTrace trace;
   obs::QueryTraceScope trace_scope(&trace);
   ELE_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> stmt, ParseSelect(sql));
-  metrics_.GetCounter("db.statements_total")->Increment();
-  metrics_.GetCounter("db.statements.select")->Increment();
+  ++stats_.statements[static_cast<size_t>(StatementKind::kSelect)];
   ELE_RETURN_NOT_OK(CheckNotInAbortedTxn(default_txn_state_, sql));
   return ExecuteSelectWithLocks(sql, std::move(stmt), {}, /*instrument=*/false,
                                 &default_txn_state_, out);
@@ -992,10 +985,9 @@ Result<QueryResult> Database::ExecuteStatement(const std::string& sql,
     auto span = obs::TraceSpan::Phase("parse");
     ELE_ASSIGN_OR_RETURN(stmt, ParseStatement(sql));
   }
-  metrics_.GetCounter("db.statements_total")->Increment();
+  ++stats_.statements[static_cast<size_t>(stmt.kind)];
   switch (stmt.kind) {
     case StatementKind::kSelect: {
-      metrics_.GetCounter("db.statements.select")->Increment();
       ELE_RETURN_NOT_OK(CheckNotInAbortedTxn(*ts, sql));
       Result<QueryResult> r =
           ExecuteSelectWithLocks(sql, std::move(stmt.select), extra_hints,
@@ -1015,31 +1007,22 @@ Result<QueryResult> Database::ExecuteStatement(const std::string& sql,
     case StatementKind::kUpdate:
       return ExecuteDml(stmt, sql, ts);
     case StatementKind::kExplain: {
-      metrics_.GetCounter("db.statements.explain")->Increment();
-      ELE_RETURN_NOT_OK(CheckNotInAbortedTxn(*ts, sql));
       // Plain EXPLAIN takes no locks: it reads only the catalog and
       // statistics. EXPLAIN ANALYZE executes, so below it goes through the
       // same shared-lock protocol as a SELECT — which is exactly what lets
       // it *observe* a lock conflict instead of racing past it.
       if (!stmt.explain_analyze) {
-        Binder binder(catalog_.get());
-        ELE_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bound,
-                             binder.Bind(*stmt.select));
-        bound->hints = bound->hints.Merge(extra_hints);
-        ExecContext ctx(pool_.get());
-        if (bound->hints.parallel_workers >= 2) ctx.set_scheduler(workers());
-        Planner planner(&ctx);
-        ELE_ASSIGN_OR_RETURN(PlannedQuery plan, planner.Plan(std::move(bound)));
+        ELE_RETURN_NOT_OK(CheckNotInAbortedTxn(*ts, sql));
+        ELE_ASSIGN_OR_RETURN(PlannedQuery plan,
+                             PlanSelect(*stmt.select, extra_hints));
         QueryResult qr = PlanTextResult(plan.explain);
         qr.plan = std::shared_ptr<const obs::PlanNode>(std::move(plan.plan));
         qr.trace = std::make_shared<obs::QueryTrace>(std::move(trace));
         return qr;
       }
-      ELE_ASSIGN_OR_RETURN(
-          QueryResult inner,
-          ExecuteSelectWithLocks(sql, std::move(stmt.select), extra_hints,
-                                 /*instrument=*/true, ts));
-      inner.trace = std::make_shared<obs::QueryTrace>(std::move(trace));
+      ELE_ASSIGN_OR_RETURN(QueryResult inner,
+                           RunInstrumented(sql, std::move(stmt.select),
+                                           extra_hints, ts, &trace));
       std::string text = obs::RenderPlanTree(*inner.plan, /*with_actuals=*/true);
       char buf[384];
       std::snprintf(buf, sizeof(buf),
@@ -1063,11 +1046,8 @@ Result<QueryResult> Database::ExecuteStatement(const std::string& sql,
                     inner.TotalSeconds() * 1e3);
       text += buf;
       text += "Phases: " + inner.trace->ToString() + "\n";
-      // The statement's wait profile so far: lock acquisition, I/O and WAL
-      // waits of this very statement (the sink was installed by Execute()
-      // before parsing; rendering happens while it is still attached).
-      if (obs::WaitSink* waits = obs::CurrentWaitSink()) {
-        text += "Waits: " + waits->ToProfile().ToString() + "\n";
+      if (obs::CurrentWaitSink() != nullptr) {
+        text += "Waits: " + inner.wait_profile.ToString() + "\n";
       }
       QueryResult qr = PlanTextResult(text);
       qr.counters = inner.counters;
@@ -1079,7 +1059,6 @@ Result<QueryResult> Database::ExecuteStatement(const std::string& sql,
       return qr;
     }
     case StatementKind::kCreateTable: {
-      metrics_.GetCounter("db.statements.create_table")->Increment();
       ELE_RETURN_NOT_OK(CheckNotInAbortedTxn(*ts, sql));
       if (ts->txn != nullptr) {
         return Status::FailedPrecondition(
@@ -1108,7 +1087,6 @@ Result<QueryResult> Database::ExecuteStatement(const std::string& sql,
       return QueryResult{};
     }
     case StatementKind::kCreateIndex: {
-      metrics_.GetCounter("db.statements.create_index")->Increment();
       ELE_RETURN_NOT_OK(CheckNotInAbortedTxn(*ts, sql));
       if (ts->txn != nullptr) {
         return Status::FailedPrecondition(
@@ -1177,7 +1155,7 @@ Status Database::AbortTxn(txn::Transaction* t, const std::string& sql,
     // An incomplete rollback means uncommitted changes may still be visible
     // until recovery replays the WAL. This must never be silent: count it
     // and hand the status to the caller to fold into the client's error.
-    metrics_.GetCounter("txn.rollback_failures_total")->Increment();
+    ++stats_.rollback_failures;
   }
   if (!t->implicit()) {
     t->state = txn::TxnState::kAborted;
@@ -1216,7 +1194,6 @@ Result<QueryResult> Database::ExecuteTxnControl(StatementKind kind,
   }
   switch (kind) {
     case StatementKind::kBegin: {
-      metrics_.GetCounter("db.statements.begin")->Increment();
       if (state->txn != nullptr) {
         ELE_RETURN_NOT_OK(CheckNotInAbortedTxn(*state, sql));
         return Status::FailedPrecondition(
@@ -1226,7 +1203,6 @@ Result<QueryResult> Database::ExecuteTxnControl(StatementKind kind,
       return QueryResult{};
     }
     case StatementKind::kCommit: {
-      metrics_.GetCounter("db.statements.commit")->Increment();
       if (state->txn == nullptr) {
         return Status::FailedPrecondition("COMMIT: no transaction in progress");
       }
@@ -1240,7 +1216,6 @@ Result<QueryResult> Database::ExecuteTxnControl(StatementKind kind,
       return QueryResult{};
     }
     case StatementKind::kRollback: {
-      metrics_.GetCounter("db.statements.rollback")->Increment();
       if (state->txn == nullptr) {
         return Status::FailedPrecondition(
             "ROLLBACK: no transaction in progress");
@@ -1251,7 +1226,6 @@ Result<QueryResult> Database::ExecuteTxnControl(StatementKind kind,
       return QueryResult{};
     }
     case StatementKind::kCheckpoint: {
-      metrics_.GetCounter("db.statements.checkpoint")->Increment();
       ELE_RETURN_NOT_OK(Checkpoint());
       return QueryResult{};
     }
@@ -1266,15 +1240,12 @@ Result<QueryResult> Database::ExecuteDml(const Statement& stmt,
   const std::string* table_name = nullptr;
   switch (stmt.kind) {
     case StatementKind::kInsert:
-      metrics_.GetCounter("db.statements.insert")->Increment();
       table_name = &stmt.insert->table_name;
       break;
     case StatementKind::kDelete:
-      metrics_.GetCounter("db.statements.delete")->Increment();
       table_name = &stmt.delete_stmt->table_name;
       break;
     case StatementKind::kUpdate:
-      metrics_.GetCounter("db.statements.update")->Increment();
       table_name = &stmt.update_stmt->table_name;
       break;
     default:
@@ -1341,9 +1312,7 @@ Result<QueryResult> Database::ExecuteDml(const Statement& stmt,
   } else if (!changed.ok()) {
     if (autocommit) {
       Status rb = RollbackTxn(t);
-      if (!rb.ok()) {
-        metrics_.GetCounter("txn.rollback_failures_total")->Increment();
-      }
+      if (!rb.ok()) ++stats_.rollback_failures;
       return CombineWithRollbackFailure(changed.status(), rb);
     }
     return CombineWithRollbackFailure(changed.status(),

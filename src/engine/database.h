@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -10,7 +11,7 @@
 #include "common/thread_annotations.h"
 #include "exec/executor.h"
 #include "obs/heatmap.h"
-#include "obs/metrics.h"
+#include "obs/histogram.h"
 #include "obs/plan_stats.h"
 #include "obs/stat_statements.h"
 #include "obs/trace_log.h"
@@ -100,6 +101,27 @@ struct DatabaseOptions {
   double lock_timeout_seconds = 1.0;
 };
 
+/// Engine-lifetime counters that no subsystem owns, published as the one
+/// row of `elephant_stat_database`. Any session bumps them: each is an
+/// atomic or a lock-free histogram.
+struct DatabaseStats {
+  static constexpr size_t kNumStatementKinds =
+      static_cast<size_t>(StatementKind::kExplain) + 1;
+  /// Parsed statements, indexed by StatementKind (EXPLAIN ANALYZE counts as
+  /// kExplain, a derived-table load as kSelect).
+  std::array<std::atomic<uint64_t>, kNumStatementKinds> statements{};
+  std::atomic<uint64_t> rows_returned{0};  ///< rows SELECTs emitted
+  std::atomic<uint64_t> view_delta_refreshes{0};
+  std::atomic<uint64_t> view_delta_rows{0};  ///< base rows delta refreshes folded
+  std::atomic<uint64_t> view_full_refreshes{0};
+  /// Rollbacks that left undo incomplete (each also fails its statement).
+  std::atomic<uint64_t> rollback_failures{0};
+  /// Every SELECT execution (EXPLAIN ANALYZE and derived-table loads
+  /// included): its measured execute seconds and its modeled total.
+  obs::Histogram select_seconds{obs::DefaultLatencyBuckets()};
+  obs::Histogram select_modeled_seconds{obs::DefaultLatencyBuckets()};
+};
+
 /// A session's open-transaction slot, passed to Database::Execute. A null
 /// slot (the default) shares the Database's built-in state, which is what
 /// single-session callers want; each Session owns its own so concurrent
@@ -158,8 +180,9 @@ class Database {
   Result<ExplainAnalyzeResult> ExplainAnalyze(const std::string& sql,
                                               PlanHints extra_hints = {});
 
-  /// Engine-lifetime metrics (statement counts, row counts, latencies).
-  obs::MetricsRegistry& metrics() { return metrics_; }
+  /// Engine-lifetime statement, row and view-refresh counters (the
+  /// `elephant_stat_database` row).
+  DatabaseStats& stats() { return stats_; }
 
   /// Cumulative per-statement statistics (the engine's pg_stat_statements),
   /// keyed by SQL fingerprint × plan hash. Also queryable through SQL as the
@@ -184,9 +207,11 @@ class Database {
     return heatmap_.ToString(options_.disk_model);
   }
 
-  /// Refreshes the point-in-time gauges (pool occupancy, pinned frames,
-  /// worker queue depth/utilization) and serializes every metric in the
-  /// Prometheus text exposition format.
+  /// The `elephant_stat_*` tables (all but the `elephant_stat_lock_waits`
+  /// wait-graph snapshot) in the Prometheus text exposition format: each
+  /// numeric cell is a sample of the gauge family `<table>_<column>`,
+  /// labeled by its row's VARCHAR cells. Reads the tables' providers
+  /// directly, so exporting runs no statement.
   std::string ExportMetrics();
 
   /// The shared intra-query worker pool (created on first use). Distinct
@@ -251,6 +276,20 @@ class Database {
                                     std::unique_ptr<SelectStmt> stmt,
                                     PlanHints extra_hints, bool instrument,
                                     Batch* into = nullptr);
+
+  /// Binds and plans a SELECT without running it: the plan Execute() would
+  /// run, as EXPLAIN text and annotated tree. The executor is dropped.
+  Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
+                                  PlanHints extra_hints);
+
+  /// The one instrumented run behind ExplainAnalyze() and SQL EXPLAIN
+  /// ANALYZE: ExecuteSelectWithLocks with every plan node wrapped, carrying
+  /// the statement's phase `trace` (moved out) and its waits so far.
+  Result<QueryResult> RunInstrumented(const std::string& sql,
+                                      std::unique_ptr<SelectStmt> stmt,
+                                      PlanHints extra_hints,
+                                      SessionTxnState* ts,
+                                      obs::QueryTrace* trace);
 
   /// ExecuteSelect wrapped in the statement-scoped shared-lock protocol (acquire via PrepareSelectTables, release at statement end,
   /// abort the enclosing transaction on failure). Shared by plain SELECT,
@@ -359,7 +398,7 @@ class Database {
   /// without a log each INSERT; disjoint from transaction ids.
   std::atomic<uint64_t> next_read_locker_{1ull << 62};
   wal::RecoveryStats recovery_stats_;
-  obs::MetricsRegistry metrics_;
+  DatabaseStats stats_;
   obs::StatStatements stat_statements_;
   const std::chrono::steady_clock::time_point created_at_ =
       std::chrono::steady_clock::now();

@@ -93,17 +93,9 @@ class SessionManager {
   /// should not overlap (a session is single-threaded by contract).
   std::future<Result<QueryResult>> Submit(Session* session, std::string sql,
                                           PlanHints hints = {}) {
-    auto fut = pool_.Async([this, session, sql = std::move(sql), hints] {
-      auto result = session->Execute(sql, hints);
-      db_->metrics()
-          .GetGauge("db.scheduler.queue_depth")
-          ->Set(static_cast<double>(pool_.QueueDepth()));
-      return result;
+    return pool_.Async([session, sql = std::move(sql), hints] {
+      return session->Execute(sql, hints);
     });
-    db_->metrics()
-        .GetGauge("db.scheduler.queue_depth")
-        ->Set(static_cast<double>(pool_.QueueDepth()));
-    return fut;
   }
 
   /// Runs one statement per entry concurrently — each on its own session —

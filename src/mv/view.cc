@@ -376,7 +376,6 @@ Status ViewManager::RegisterRefresh(const ViewInfo& info) {
 
 Status ViewManager::Refresh(const ViewInfo& info, const DerivedChange& change) {
   ELE_ASSIGN_OR_RETURN(Table * table, db_->catalog().GetTable(info.table_name));
-  obs::MetricsRegistry& metrics = db_->metrics();
   if (!change.unknown) {
     Result<Batch> delta =
         DeltaGroups(db_->catalog(), info, change, table->schema());
@@ -384,8 +383,8 @@ Status ViewManager::Refresh(const ViewInfo& info, const DerivedChange& change) {
       ELE_RETURN_NOT_OK(MergeDelta(info, table, delta.value()));
       uint64_t rows = 0;
       for (const auto& inserted : change.inserted) rows += inserted.size();
-      metrics.GetCounter("mv.refresh.delta_total")->Increment();
-      metrics.GetCounter("mv.refresh.delta_rows_total")->Increment(rows);
+      ++db_->stats().view_delta_refreshes;
+      db_->stats().view_delta_rows += rows;
       return Status::OK();
     }
     if (!delta.status().IsNotSupported()) return delta.status();
@@ -393,7 +392,7 @@ Status ViewManager::Refresh(const ViewInfo& info, const DerivedChange& change) {
   Batch fresh;
   ELE_RETURN_NOT_OK(db_->ExecuteInto(MaterializationSql(info), &fresh).status());
   ELE_RETURN_NOT_OK(table->BulkLoad(fresh));
-  metrics.GetCounter("mv.refresh.full_total")->Increment();
+  ++db_->stats().view_full_refreshes;
   return Status::OK();
 }
 

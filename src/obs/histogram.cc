@@ -5,6 +5,16 @@
 namespace elephant {
 namespace obs {
 
+std::vector<double> DefaultLatencyBuckets() {
+  std::vector<double> b;
+  for (double v = 1e-5; v < 200.0; v *= 10) {
+    b.push_back(v);
+    b.push_back(2.5 * v);
+    b.push_back(5 * v);
+  }
+  return b;
+}
+
 HistogramSnapshot::HistogramSnapshot(std::vector<double> upper_bounds)
     : bounds(std::move(upper_bounds)), buckets(bounds.size() + 1, 0) {}
 

@@ -1,7 +1,8 @@
 #pragma once
 
-// The engine's one bucketed-latency histogram, shared by the metrics
-// registry, the wait-event registry and the stat-statements entries.
+// The engine's one bucketed-latency histogram, shared by the engine's
+// statement counters, the wait-event registry and the stat-statements
+// entries.
 //
 // wait_events.h includes this header and is itself included by
 // common/thread_annotations.h, so it must not include that back: standard
@@ -14,6 +15,9 @@
 
 namespace elephant {
 namespace obs {
+
+/// Exponential latency buckets from 10us to ~100s.
+std::vector<double> DefaultLatencyBuckets();
 
 /// Fixed-bucket histogram state as a plain value. Bucket i counts
 /// observations with `v <= bounds[i]`; one overflow bucket (last) catches

@@ -9,8 +9,9 @@ namespace elephant {
 namespace obs {
 
 /// Minimal streaming JSON writer. Produces compact, valid JSON with correct
-/// string escaping; used for EXPLAIN ANALYZE ToJson(), metrics snapshots, and
-/// the bench telemetry sink. Commas are inserted automatically.
+/// string escaping; used for EXPLAIN ANALYZE ToJson(), the stat-statements
+/// and heatmap exports, and the bench telemetry sink. Commas are inserted
+/// automatically.
 ///
 ///   JsonWriter w;
 ///   w.BeginObject().Key("rows").UInt(12).Key("op").String("Scan").EndObject();

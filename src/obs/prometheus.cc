@@ -1,78 +1,66 @@
 #include "obs/prometheus.h"
 
-#include <cstdio>
-#include <set>
+#include <charconv>
 
 namespace elephant {
 namespace obs {
 
 namespace {
 
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+/// A label value with `\`, `"` and newline escaped, as the text format
+/// requires.
+void AppendEscaped(const std::string& s, std::string* out) {
+  for (char c : s) {
+    if (c == '\\' || c == '"') {
+      *out += '\\';
+      *out += c;
+    } else if (c == '\n') {
+      *out += "\\n";
+    } else {
+      *out += c;
+    }
+  }
 }
 
-/// True when the family name has not been emitted before (sanitization can
-/// collide — "a.b" and "a_b" — and Prometheus rejects duplicate families, so
-/// the second one is dropped rather than producing invalid output).
-bool ClaimFamily(const std::string& name, std::set<std::string>* emitted) {
-  return emitted->insert(name).second;
+/// Integers exactly; doubles in their shortest round-trip form.
+void AppendNumber(const Value& v, std::string* out) {
+  if (v.type() != TypeId::kDouble && v.type() != TypeId::kDecimal) {
+    *out += std::to_string(v.AsInt64());
+    return;
+  }
+  char buf[32];
+  char* end = std::to_chars(buf, buf + sizeof(buf), v.AsDouble()).ptr;
+  out->append(buf, end - buf);
 }
 
 }  // namespace
 
-std::string PrometheusName(const std::string& name) {
-  std::string out = "elephant_";
-  out.reserve(out.size() + name.size());
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-std::string ToPrometheusText(const MetricsRegistry& registry) {
-  std::string out;
-  std::set<std::string> emitted;
-
-  constexpr const char* kTotal = "_total";
-  for (const auto& [name, value] : registry.CounterValues()) {
-    // Counters are conventionally suffixed `_total`; don't double it up for
-    // registry names that already follow the convention.
-    std::string fam = PrometheusName(name);
-    const size_t n = fam.size();
-    if (n < 6 || fam.compare(n - 6, 6, kTotal) != 0) fam += kTotal;
-    if (!ClaimFamily(fam, &emitted)) continue;
-    out += "# TYPE " + fam + " counter\n";
-    out += fam + " " + std::to_string(value) + "\n";
-  }
-
-  for (const auto& [name, value] : registry.GaugeValues()) {
-    const std::string fam = PrometheusName(name);
-    if (!ClaimFamily(fam, &emitted)) continue;
-    out += "# TYPE " + fam + " gauge\n";
-    out += fam + " " + FormatDouble(value) + "\n";
-  }
-
-  for (const auto& [name, snap] : registry.HistogramValues()) {
-    const std::string fam = PrometheusName(name);
-    if (!ClaimFamily(fam, &emitted)) continue;
-    out += "# TYPE " + fam + " histogram\n";
-    uint64_t cumulative = 0;
-    for (size_t i = 0; i < snap.bounds.size(); i++) {
-      cumulative += snap.buckets[i];
-      out += fam + "_bucket{le=\"" + FormatDouble(snap.bounds[i]) + "\"} " +
-             std::to_string(cumulative) + "\n";
+void AppendPrometheusTable(std::string_view table, const Schema& schema,
+                           const std::vector<Row>& rows, std::string* out) {
+  if (rows.empty()) return;
+  // Each row's label set, rendered once and shared by its samples.
+  std::vector<std::string> labels(rows.size());
+  for (size_t r = 0; r < rows.size(); r++) {
+    for (size_t c = 0; c < schema.NumColumns(); c++) {
+      if (schema.ColumnAt(c).type != TypeId::kVarchar) continue;
+      labels[r] += labels[r].empty() ? "{" : ",";
+      labels[r] += schema.ColumnAt(c).name + "=\"";
+      AppendEscaped(rows[r][c].AsString(), &labels[r]);
+      labels[r] += '"';
     }
-    out += fam + "_bucket{le=\"+Inf\"} " + std::to_string(snap.count) + "\n";
-    out += fam + "_sum " + FormatDouble(snap.sum) + "\n";
-    out += fam + "_count " + std::to_string(snap.count) + "\n";
+    if (!labels[r].empty()) labels[r] += '}';
   }
-
-  return out;
+  for (size_t c = 0; c < schema.NumColumns(); c++) {
+    if (!IsNumeric(schema.ColumnAt(c).type)) continue;
+    const std::string family =
+        std::string(table) + "_" + schema.ColumnAt(c).name;
+    *out += "# TYPE " + family + " gauge\n";
+    for (size_t r = 0; r < rows.size(); r++) {
+      *out += family + labels[r] + " ";
+      AppendNumber(rows[r][c], out);
+      *out += '\n';
+    }
+  }
 }
 
 }  // namespace obs

@@ -1,23 +1,23 @@
 #pragma once
 
 #include <string>
+#include <string_view>
+#include <vector>
 
-#include "obs/metrics.h"
+#include "common/schema.h"
 
 namespace elephant {
 namespace obs {
 
-/// Rewrites an internal metric name ("db.pool.hits") into a legal Prometheus
-/// metric name ("elephant_db_pool_hits"): the "elephant_" prefix is added
-/// and every character outside [a-zA-Z0-9_:] becomes '_'.
-std::string PrometheusName(const std::string& name);
-
-/// Serializes a registry snapshot in the Prometheus text exposition format
-/// (version 0.0.4): one `# TYPE` line per metric family, counters as
-/// `_total`, histograms as cumulative `_bucket{le="..."}` series ending in
-/// le="+Inf" plus `_sum`/`_count`. Families are emitted in sorted order with
-/// no duplicate series, so the output passes a conformance check.
-std::string ToPrometheusText(const MetricsRegistry& registry);
+/// Appends one introspection table to a Prometheus text exposition (version
+/// 0.0.4): every numeric column becomes the gauge family `<table>_<column>`
+/// with one sample per row, labeled by the row's VARCHAR cells (column name
+/// = label name, values escaped per the text format); a table with no rows
+/// contributes nothing. Cells must be non-NULL. This is the engine's
+/// one Prometheus renderer: Database::ExportMetrics() calls it once per
+/// exported `elephant_stat_*` table.
+void AppendPrometheusTable(std::string_view table, const Schema& schema,
+                           const std::vector<Row>& rows, std::string* out);
 
 }  // namespace obs
 }  // namespace elephant

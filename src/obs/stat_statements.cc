@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "obs/json.h"
-#include "obs/metrics.h"
 
 namespace elephant {
 namespace obs {
@@ -282,41 +281,6 @@ std::string StatStatements::ToJson() const {
   w.EndArray();
   w.EndObject();
   return std::move(w).str();
-}
-
-std::string StatStatements::ToPrometheusTopN(size_t n) const {
-  std::vector<StatementStats> entries = Snapshot();
-  if (entries.empty() || n == 0) return "";
-  std::sort(entries.begin(), entries.end(),
-            [](const StatementStats& a, const StatementStats& b) {
-              return a.total_io_seconds > b.total_io_seconds;
-            });
-  if (entries.size() > n) entries.resize(n);
-
-  auto labels = [](const StatementStats& e) {
-    return "{fingerprint=\"" + HexHash(e.fingerprint) + "\",plan_hash=\"" +
-           HexHash(e.plan_hash) + "\"}";
-  };
-  std::string out;
-  out += "# TYPE elephant_stat_statements_calls_total counter\n";
-  for (const StatementStats& e : entries) {
-    out += "elephant_stat_statements_calls_total" + labels(e) + " " +
-           std::to_string(e.calls) + "\n";
-  }
-  char buf[64];
-  out += "# TYPE elephant_stat_statements_seconds_total counter\n";
-  for (const StatementStats& e : entries) {
-    std::snprintf(buf, sizeof(buf), "%.17g", e.total_seconds);
-    out += "elephant_stat_statements_seconds_total" + labels(e) + " " + buf +
-           "\n";
-  }
-  out += "# TYPE elephant_stat_statements_io_seconds_total counter\n";
-  for (const StatementStats& e : entries) {
-    std::snprintf(buf, sizeof(buf), "%.17g", e.total_io_seconds);
-    out += "elephant_stat_statements_io_seconds_total" + labels(e) + " " +
-           buf + "\n";
-  }
-  return out;
 }
 
 }  // namespace obs

@@ -135,8 +135,7 @@ struct StatementStats {
 /// counted, never silent), so a workload with unbounded distinct statement
 /// shapes cannot grow the registry without bound.
 ///
-/// Writes are one mutex acquisition per finished statement (same cadence as
-/// the metrics histograms); snapshots copy entries out so exporters never
+/// Writes are one mutex acquisition per finished statement; snapshots copy entries out so exporters never
 /// hold the lock while formatting.
 class StatStatements {
  public:
@@ -172,12 +171,6 @@ class StatStatements {
   /// `totals` sums the surviving entries (reconciliation hook for
   /// scripts/telemetry_check.py).
   std::string ToJson() const;
-
-  /// The top `n` entries by total_io_seconds as Prometheus text-exposition
-  /// families (`elephant_stat_statements_{calls,seconds,io_seconds}_total`),
-  /// labeled by fingerprint and plan hash. Appended to ExportMetrics()
-  /// output; empty string when the registry is empty.
-  std::string ToPrometheusTopN(size_t n) const;
 
  private:
   using Key = std::pair<uint64_t, uint64_t>;  ///< fingerprint, plan_hash

@@ -218,30 +218,6 @@ WaitProfile WaitEventRegistry::ToProfile() const {
   return p;
 }
 
-std::string WaitEventRegistry::ToPrometheus() const {
-  std::string out = "# TYPE elephant_wait_events_total counter\n";
-  for (int i = 0; i < kNumWaitEvents; i++) {
-    const WaitEventInfo& info = kWaitEventInfos[i];
-    out += std::string("elephant_wait_events_total{class=\"") +
-           info.class_name + "\",event=\"" + info.event_name + "\"} " +
-           std::to_string(events_[i].count.load(std::memory_order_relaxed)) +
-           "\n";
-  }
-  out += "# TYPE elephant_wait_seconds_total counter\n";
-  for (int i = 0; i < kNumWaitEvents; i++) {
-    const WaitEventInfo& info = kWaitEventInfos[i];
-    char buf[64];
-    std::snprintf(
-        buf, sizeof(buf), "%.9f",
-        static_cast<double>(events_[i].nanos.load(std::memory_order_relaxed)) /
-            1e9);
-    out += std::string("elephant_wait_seconds_total{class=\"") +
-           info.class_name + "\",event=\"" + info.event_name + "\"} " + buf +
-           "\n";
-  }
-  return out;
-}
-
 void WaitEventRegistry::Reset() {
   for (int i = 0; i < kNumWaitEvents; i++) {
     events_[i].count.store(0, std::memory_order_relaxed);

@@ -235,14 +235,6 @@ class WaitEventRegistry {
   /// Everything as a WaitProfile (the stat table's data source).
   WaitProfile ToProfile() const;
 
-  /// Prometheus exposition: two labeled counter families,
-  /// elephant_wait_events_total{class,event} and
-  /// elephant_wait_seconds_total{class,event}, every taxonomy entry emitted
-  /// (zeros included) so dashboards see the full event space. Histograms are
-  /// deliberately not exported as labeled series — they surface as
-  /// p50/p95 columns in elephant_stat_wait_events instead.
-  std::string ToPrometheus() const;
-
   /// Zeroes all counters (tests; racing recorders simply land in the fresh
   /// epoch).
   void Reset();

@@ -95,6 +95,14 @@ struct BoundsMatch {
   int matched_cols = 0;
 };
 
+/// The static key range a literal BoundsMatch selects, with its EXPLAIN
+/// description and the access intent the storage layer scans it under.
+struct StaticRange {
+  KeyRange range;
+  std::string desc;
+  AccessIntent intent = AccessIntent::kPointLookup;
+};
+
 /// Matches sargs against key columns (in key order): equalities on the
 /// prefix, then one range on the following column.
 BoundsMatch MatchBounds(const std::vector<size_t>& key_cols,
@@ -345,9 +353,12 @@ class PlanBuilder {
   static void ExtractLiteralSargs(const std::vector<ExprPtr>& preds,
                                   std::vector<Sarg>* out);
 
-  /// Evaluates a bound-side expression list into Values (literals only).
-  static Result<std::vector<Value>> EvalConstExprs(
-      const std::vector<const Expr*>& exprs);
+  /// The key range `match` selects on `table` (its bound sides are
+  /// literals). Keyed ranges are assumed selective and keep point intent,
+  /// preserving classic LRU behaviour for index workloads; an unbounded
+  /// scan takes ScanIntent(table).
+  Result<StaticRange> BuildStaticRange(const BoundsMatch& match,
+                                       const Table* table) const;
 
   ExecContext* ctx_;
   std::unique_ptr<BoundQuery> q_;
@@ -536,14 +547,31 @@ void PlanBuilder::ExtractLiteralSargs(const std::vector<ExprPtr>& preds,
   }
 }
 
-Result<std::vector<Value>> PlanBuilder::EvalConstExprs(
-    const std::vector<const Expr*>& exprs) {
-  std::vector<Value> out;
-  Row empty;
-  for (const Expr* e : exprs) {
-    ELE_ASSIGN_OR_RETURN(Value v, e->Eval(empty));
-    out.push_back(std::move(v));
+Result<StaticRange> PlanBuilder::BuildStaticRange(const BoundsMatch& match,
+                                                  const Table* table) const {
+  StaticRange out;
+  if (match.matched_cols == 0) {
+    out.desc = " (full scan)";
+    out.intent = ScanIntent(table);
+    return out;
   }
+  std::vector<Value> eq_values;
+  for (const Expr* e : match.eq) {
+    ELE_ASSIGN_OR_RETURN(Value v, e->Eval(Row{}));
+    eq_values.push_back(std::move(v));
+  }
+  std::optional<Value> lo, hi;
+  if (match.lo != nullptr) {
+    ELE_ASSIGN_OR_RETURN(Value v, match.lo->Eval(Row{}));
+    lo = std::move(v);
+  }
+  if (match.hi != nullptr) {
+    ELE_ASSIGN_OR_RETURN(Value v, match.hi->Eval(Row{}));
+    hi = std::move(v);
+  }
+  out.range =
+      MakeKeyRange(eq_values, lo, match.lo_inclusive, hi, match.hi_inclusive);
+  out.desc = " range on " + std::to_string(match.matched_cols) + " key col(s)";
   return out;
 }
 
@@ -656,50 +684,25 @@ Result<SubPlan> PlanBuilder::AccessPath(size_t r, std::vector<int>* local_to_pla
   const bool use_clustered = clustered_match.matched_cols >= idx_match.matched_cols;
   const BoundsMatch& match = use_clustered ? clustered_match : idx_match;
 
-  // Build the static key range (bound sides are literals here).
-  KeyRange range;
-  if (match.matched_cols > 0) {
-    ELE_ASSIGN_OR_RETURN(std::vector<Value> eq_values, EvalConstExprs(match.eq));
-    std::optional<Value> lo, hi;
-    if (match.lo != nullptr) {
-      ELE_ASSIGN_OR_RETURN(Value v, match.lo->Eval(Row{}));
-      lo = std::move(v);
-    }
-    if (match.hi != nullptr) {
-      ELE_ASSIGN_OR_RETURN(Value v, match.hi->Eval(Row{}));
-      hi = std::move(v);
-    }
-    range = MakeKeyRange(eq_values, lo, match.lo_inclusive, hi, match.hi_inclusive);
-  }
+  ELE_ASSIGN_OR_RETURN(StaticRange bounds, BuildStaticRange(match, rel.table));
 
-  std::string range_desc =
-      match.matched_cols > 0
-          ? " range on " + std::to_string(match.matched_cols) + " key col(s)"
-          : " (full scan)";
-  // Access-pattern hint for the storage layer: an unbounded scan of a table
-  // large relative to the pool runs under sequential intent (scan-ring
-  // replacement + disk read-ahead). Keyed ranges are assumed selective and
-  // keep point intent, preserving classic LRU behaviour for index workloads.
-  const AccessIntent intent = match.matched_cols > 0
-                                  ? AccessIntent::kPointLookup
-                                  : ScanIntent(rel.table);
   // Interesting orders, in source positions (table or index row).
   std::set<size_t> source_order;
   std::vector<size_t> cols;
   if (use_clustered) {
     cols = PruneColumns(r, RowPositions(rel.schema.NumColumns()), local_to_plan);
-    plan.exec = std::make_unique<IndexScanExecutor>(ctx_, rel.table, nullptr,
-                                                    range, intent, cols);
+    plan.exec = std::make_unique<IndexScanExecutor>(
+        ctx_, rel.table, nullptr, bounds.range, bounds.intent, cols);
     plan.note = Note("ClusteredIndexScan " + rel.table->name() + " as " +
-                     rel.alias + range_desc);
+                     rel.alias + bounds.desc);
     source_order = ClusteredOrder(*rel.table, match.eq.size());
   } else {
     cols = PruneColumns(
         r, IndexPositions(*best_idx, rel.schema.NumColumns()), local_to_plan);
-    plan.exec = std::make_unique<IndexScanExecutor>(ctx_, rel.table, best_idx,
-                                                    range, intent, cols);
+    plan.exec = std::make_unique<IndexScanExecutor>(
+        ctx_, rel.table, best_idx, bounds.range, bounds.intent, cols);
     plan.note = Note("CoveringIndexSeek " + best_idx->name + " on " +
-                     rel.table->name() + " as " + rel.alias + range_desc);
+                     rel.table->name() + " as " + rel.alias + bounds.desc);
     source_order.insert(0);  // index emits in leading-key order
     // With an equality prefix pinned, the next key column ascends. When the
     // whole key is pinned, entries order by the appended clustering key, so
@@ -1174,26 +1177,12 @@ Result<bool> PlanBuilder::TryBuildParallel(SubPlan* out, bool* agg_done) {
   std::vector<Sarg> sargs;
   ExtractLiteralSargs(local_preds, &sargs);
   BoundsMatch match = MatchBounds(rel.table->cluster_cols(), sargs);
-  KeyRange range;
-  if (match.matched_cols > 0) {
-    ELE_ASSIGN_OR_RETURN(std::vector<Value> eq_values, EvalConstExprs(match.eq));
-    std::optional<Value> lo, hi;
-    if (match.lo != nullptr) {
-      ELE_ASSIGN_OR_RETURN(Value v, match.lo->Eval(Row{}));
-      lo = std::move(v);
-    }
-    if (match.hi != nullptr) {
-      ELE_ASSIGN_OR_RETURN(Value v, match.hi->Eval(Row{}));
-      hi = std::move(v);
-    }
-    range = MakeKeyRange(eq_values, lo, match.lo_inclusive, hi, match.hi_inclusive);
-  }
+  ELE_ASSIGN_OR_RETURN(StaticRange bounds, BuildStaticRange(match, rel.table));
 
   auto spec = std::make_shared<ParallelSpec>();
   spec->table = rel.table;
   spec->cols = cols;
-  spec->scan_intent =
-      match.matched_cols > 0 ? AccessIntent::kPointLookup : ScanIntent(rel.table);
+  spec->scan_intent = bounds.intent;
   std::vector<ExprPtr> residual;
   for (size_t i = 0; i < local_preds.size(); i++) {
     if (match.used_conjuncts.count(i) == 0) {
@@ -1207,21 +1196,18 @@ Result<bool> PlanBuilder::TryBuildParallel(SubPlan* out, bool* agg_done) {
   // oversplit ~4x the worker count so the morsel queue load-balances.
   ELE_ASSIGN_OR_RETURN(
       std::vector<std::string> separators,
-      rel.table->clustered().PartitionKeys(workers * 4, range.lo, range.hi));
+      rel.table->clustered().PartitionKeys(workers * 4, bounds.range.lo,
+                                           bounds.range.hi));
   std::vector<KeyRange> morsels;
   morsels.reserve(separators.size() + 1);
-  std::string lo_key = range.lo;
+  std::string lo_key = bounds.range.lo;
   for (std::string& sep : separators) {
     morsels.push_back(KeyRange{lo_key, sep});
     lo_key = std::move(sep);
   }
-  morsels.push_back(KeyRange{std::move(lo_key), range.hi});
+  morsels.push_back(KeyRange{std::move(lo_key), bounds.range.hi});
 
   const double scan_est = EstimateRows(0);
-  std::string range_desc =
-      match.matched_cols > 0
-          ? " range on " + std::to_string(match.matched_cols) + " key col(s)"
-          : " (full scan)";
 
   // Worker-side plan nodes. Their stats slots are merge targets only: the
   // per-morsel InstrumentedExecutors built by the factory write fresh slots,
@@ -1232,7 +1218,7 @@ Result<bool> PlanBuilder::TryBuildParallel(SubPlan* out, bool* agg_done) {
     return n->stats;
   };
   ExplainPtr tip = Note("ParallelMorselScan " + rel.table->name() + " as " +
-                        rel.alias + range_desc + " (morsels=" +
+                        rel.alias + bounds.desc + " (morsels=" +
                         std::to_string(morsels.size()) + ")");
   tip->est_rows = scan_est;
   spec->scan_slot = slot_for(tip.get());

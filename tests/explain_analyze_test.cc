@@ -203,17 +203,17 @@ TEST_F(ExplainAnalyzeTest, QueryTraceRecordsAllPhases) {
 }
 
 TEST_F(ExplainAnalyzeTest, DatabaseMetricsCountStatements) {
-  const uint64_t before =
-      db_->metrics().GetCounter("db.statements.select")->value();
+  const DatabaseStats& stats = db_->stats();
+  const auto count = [&stats](StatementKind kind) {
+    return stats.statements[static_cast<size_t>(kind)].load();
+  };
+  const uint64_t before = count(StatementKind::kSelect);
   ASSERT_TRUE(db_->Execute("SELECT COUNT(*) FROM small").ok());
   ASSERT_TRUE(db_->Execute("SELECT COUNT(*) FROM small").ok());
-  EXPECT_EQ(db_->metrics().GetCounter("db.statements.select")->value(),
-            before + 2);
+  EXPECT_EQ(count(StatementKind::kSelect), before + 2);
   ASSERT_TRUE(db_->Execute("EXPLAIN SELECT id FROM small").ok());
-  EXPECT_GE(db_->metrics().GetCounter("db.statements.explain")->value(), 1u);
-  const obs::Histogram* lat = db_->metrics().FindHistogram("db.query_seconds");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_GE(lat->Snapshot().count, 2u);
+  EXPECT_GE(count(StatementKind::kExplain), 1u);
+  EXPECT_GE(stats.select_seconds.Snapshot().count, 2u);
 }
 
 TEST_F(ExplainAnalyzeTest, ToStringReportsModeledVsMeasured) {

@@ -42,10 +42,6 @@ class MvTest : public ::testing::Test {
     return q;
   }
 
-  uint64_t Counter(const std::string& name) {
-    return db_->metrics().GetCounter(name)->value();
-  }
-
   static void ExpectSameRows(const QueryResult& got, const QueryResult& want) {
     ASSERT_EQ(got.rows.size(), want.rows.size());
     for (size_t i = 0; i < want.rows.size(); i++) {
@@ -183,9 +179,9 @@ TEST_F(MvTest, IncrementalMaintenanceMatchesRecompute) {
       "SELECT day, store, cnt, sum_amount, max_amount FROM mv_day_store "
       "ORDER BY day, store");
   ASSERT_FALSE(db_->catalog().IsStale("mv_day_store"));
-  EXPECT_EQ(Counter("mv.refresh.delta_total"), 1u);
-  EXPECT_EQ(Counter("mv.refresh.delta_rows_total"), 6u);
-  EXPECT_EQ(Counter("mv.refresh.full_total"), 0u);
+  EXPECT_EQ(db_->stats().view_delta_refreshes.load(), 1u);
+  EXPECT_EQ(db_->stats().view_delta_rows.load(), 6u);
+  EXPECT_EQ(db_->stats().view_full_refreshes.load(), 0u);
   auto recomputed = db_->Execute(
       "SELECT day, store, COUNT(*), SUM(amount), MAX(amount) FROM sales "
       "GROUP BY day, store ORDER BY day, store");
@@ -211,7 +207,7 @@ TEST_F(MvTest, DeltaMergeTreatsNullAsNoValue) {
       db_->Execute("INSERT INTO n VALUES (1, NULL), (2, 7), (3, NULL)").ok());
   auto maintained =
       db_->Execute("SELECT g, min_v, sum_v, cnt_star FROM mv_n ORDER BY g");
-  EXPECT_EQ(Counter("mv.refresh.delta_total"), 1u);
+  EXPECT_EQ(db_->stats().view_delta_refreshes.load(), 1u);
   auto recomputed = db_->Execute(
       "SELECT g, MIN(v), SUM(v), COUNT(*) FROM n GROUP BY g ORDER BY g");
   ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
@@ -253,7 +249,7 @@ TEST_F(MvTest, DeltaFoldMatchesGroupByOnEveryLane) {
     auto maintained = db_->Execute(
         "SELECT g, sum_d, max_d, cnt_d, min_c, max_s, sum_x, min_x, cnt_star "
         "FROM mv_m ORDER BY g");
-    EXPECT_EQ(Counter("mv.refresh.delta_total"), round + 1);
+    EXPECT_EQ(db_->stats().view_delta_refreshes.load(), round + 1);
     auto recomputed = db_->Execute(
         "SELECT g, SUM(d), MAX(d), COUNT(d), MIN(c), MAX(s), SUM(x), MIN(x), "
         "COUNT(*) FROM m GROUP BY g ORDER BY g");
@@ -271,7 +267,7 @@ TEST_F(MvTest, DeltaFoldMatchesGroupByOnEveryLane) {
       }
     }
   }
-  EXPECT_EQ(Counter("mv.refresh.full_total"), 0u);
+  EXPECT_EQ(db_->stats().view_full_refreshes.load(), 0u);
 }
 
 TEST_F(MvTest, SqlInsertRefreshesViewOnNextRead) {
@@ -323,8 +319,8 @@ TEST_F(MvTest, MaintenanceOnUnrelatedTableIsNoop) {
   ASSERT_TRUE(db_->Execute("INSERT INTO other VALUES (1)").ok());
   EXPECT_FALSE(db_->catalog().IsStale("mv_day_store"));
   ASSERT_TRUE(db_->Execute("SELECT * FROM mv_day_store").ok());
-  EXPECT_EQ(Counter("mv.refresh.delta_total"), 0u);
-  EXPECT_EQ(Counter("mv.refresh.full_total"), 0u);
+  EXPECT_EQ(db_->stats().view_delta_refreshes.load(), 0u);
+  EXPECT_EQ(db_->stats().view_full_refreshes.load(), 0u);
 }
 
 }  // namespace

@@ -1,45 +1,45 @@
 #include <gtest/gtest.h>
 
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/plan_stats.h"
+#include "obs/prometheus.h"
 #include "obs/trace_log.h"
 
 namespace elephant {
 namespace obs {
 namespace {
 
-TEST(MetricsRegistryTest, SameNameReturnsSameInstrument) {
-  MetricsRegistry reg;
-  Counter* c1 = reg.GetCounter("statements");
-  Counter* c2 = reg.GetCounter("statements");
-  EXPECT_EQ(c1, c2);
-  c1->Increment();
-  c2->Increment(4);
-  EXPECT_EQ(reg.GetCounter("statements")->value(), 5u);
+TEST(PrometheusTest, RendersTableCellsAsLabeledGauges) {
+  const Schema schema({Column("object", TypeId::kVarchar),
+                       Column("hits", TypeId::kInt64),
+                       Column("note", TypeId::kVarchar),
+                       Column("seconds", TypeId::kDouble)});
+  const std::vector<Row> rows = {
+      {Value::Varchar("t"), Value::Int64(7), Value::Varchar("a\"b\\c\nd"),
+       Value::Double(0.25)},
+      {Value::Varchar("u"), Value::Int64(-1), Value::Varchar(""),
+       Value::Double(1e-05)},
+  };
+  std::string out;
+  AppendPrometheusTable("elephant_stat_x", schema, rows, &out);
+  EXPECT_EQ(out,
+            "# TYPE elephant_stat_x_hits gauge\n"
+            "elephant_stat_x_hits{object=\"t\",note=\"a\\\"b\\\\c\\nd\"} 7\n"
+            "elephant_stat_x_hits{object=\"u\",note=\"\"} -1\n"
+            "# TYPE elephant_stat_x_seconds gauge\n"
+            "elephant_stat_x_seconds{object=\"t\",note=\"a\\\"b\\\\c\\nd\"} "
+            "0.25\n"
+            "elephant_stat_x_seconds{object=\"u\",note=\"\"} 1e-05\n");
 
-  Gauge* g = reg.GetGauge("pool_pages");
-  g->Set(3.5);
-  g->Add(1.5);
-  EXPECT_DOUBLE_EQ(reg.GetGauge("pool_pages")->value(), 5.0);
-
-  Histogram* h1 = reg.GetHistogram("latency", {0.1, 1.0});
-  // Second registration must keep the first bounds, not replace them.
-  Histogram* h2 = reg.GetHistogram("latency", {99.0});
-  EXPECT_EQ(h1, h2);
-  ASSERT_EQ(h1->bounds().size(), 2u);
-}
-
-TEST(MetricsRegistryTest, FindDoesNotCreate) {
-  MetricsRegistry reg;
-  EXPECT_EQ(reg.FindCounter("missing"), nullptr);
-  EXPECT_EQ(reg.FindGauge("missing"), nullptr);
-  EXPECT_EQ(reg.FindHistogram("missing"), nullptr);
-  reg.GetCounter("present")->Increment();
-  ASSERT_NE(reg.FindCounter("present"), nullptr);
-  EXPECT_EQ(reg.FindCounter("present")->value(), 1u);
-  // Names are namespaced per kind: a counter is not a gauge.
-  EXPECT_EQ(reg.FindGauge("present"), nullptr);
+  // A table without VARCHAR columns has unlabeled samples; one without
+  // rows contributes nothing.
+  const Schema one({Column("n", TypeId::kInt64)});
+  out.clear();
+  AppendPrometheusTable("elephant_stat_y", one, {{Value::Int64(3)}}, &out);
+  EXPECT_EQ(out, "# TYPE elephant_stat_y_n gauge\nelephant_stat_y_n 3\n");
+  out.clear();
+  AppendPrometheusTable("elephant_stat_y", one, {}, &out);
+  EXPECT_EQ(out, "");
 }
 
 TEST(HistogramTest, BucketAssignment) {

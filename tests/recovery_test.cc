@@ -444,8 +444,8 @@ TEST_F(RecoveryTest, UnreadInsertsRebuildTheViewAfterReopen) {
       EXPECT_EQ(stored.rows[r][c].Compare(expected.rows[r][c]), 0);
     }
   }
-  EXPECT_EQ(recovered->metrics().GetCounter("mv.refresh.full_total")->value(), 1u);
-  EXPECT_EQ(recovered->metrics().GetCounter("mv.refresh.delta_total")->value(), 0u);
+  EXPECT_EQ(recovered->stats().view_full_refreshes.load(), 1u);
+  EXPECT_EQ(recovered->stats().view_delta_refreshes.load(), 0u);
 }
 
 // WAL order at the pool/log boundary: write-back makes the log durable past

@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -383,13 +385,18 @@ TEST_F(StatTablesTest, ExportsValidateAndSurfaceRegistryFamilies) {
   EXPECT_NE(json.find("\"statements\""), std::string::npos);
 
   const std::string prom = db_->ExportMetrics();
-  EXPECT_NE(prom.find("elephant_db_stat_statements_entries"),
+  // One calls sample per registry entry, labeled by its statement shape.
+  size_t calls_samples = 0;
+  for (size_t pos = prom.find("\nelephant_stat_statements_calls{query=\"");
+       pos != std::string::npos;
+       pos = prom.find("\nelephant_stat_statements_calls{query=\"", pos + 1)) {
+    calls_samples++;
+    EXPECT_LT(prom.find(",fingerprint=\"", pos), prom.find('\n', pos + 1));
+  }
+  EXPECT_EQ(calls_samples, db_->stat_statements().size());
+  EXPECT_NE(prom.find("elephant_stat_database_stat_statements_evictions "),
             std::string::npos);
-  EXPECT_NE(prom.find("elephant_db_stat_statements_evicted_total"),
-            std::string::npos);
-  EXPECT_NE(prom.find("elephant_stat_statements_calls_total{fingerprint=\""),
-            std::string::npos);
-  EXPECT_NE(prom.find("elephant_trace_dropped_spans_total"),
+  EXPECT_NE(prom.find("elephant_stat_database_trace_dropped_spans "),
             std::string::npos);
 }
 
@@ -441,7 +448,7 @@ TEST_F(StatTablesTest, TraceDropCounterObservableAfterOverflow) {
   EXPECT_GT(log.DroppedCount(), 0u);
 
   const std::string prom = db_->ExportMetrics();
-  const std::string name = "elephant_trace_dropped_spans_total ";
+  const std::string name = "elephant_stat_database_trace_dropped_spans ";
   const size_t pos = prom.find(name);
   ASSERT_NE(pos, std::string::npos) << prom;
   EXPECT_NE(prom[pos + name.size()], '0');
@@ -456,6 +463,128 @@ TEST_F(StatTablesTest, TraceDropCounterObservableAfterOverflow) {
   EXPECT_EQ(begins, log.Snapshot().size() - ends);
   log.SetCapacity(obs::TraceLog::kMaxEvents);
   log.Clear();
+}
+
+// Every numeric cell of every exported table is one sample of
+// `<table>_<column>`, labeled by its row's VARCHAR cells, with the cell's
+// value. The tables are read through their providers (as the export reads
+// them) just before and just after the export, and each exported value must
+// lie between the two readings: cells that cannot move without a statement
+// must match exactly, and time-derived ones (scheduler utilization) may only
+// drift the way the tables themselves drift.
+TEST_F(StatTablesTest, PrometheusExportMatchesStatTables) {
+  RunMixedWorkload("");
+  RunMixedWorkload("/*+ PARALLEL 4 */ ");
+  ASSERT_TRUE(db_->ExplainAnalyze("SELECT COUNT(*) FROM orders").ok());
+  ASSERT_TRUE(db_->Execute("EXPLAIN SELECT COUNT(*) FROM orders").ok());
+  ASSERT_TRUE(db_->Execute("SELECT * FROM elephant_stat_io").ok());
+
+  // Sample id: family name plus its label set, labels sorted by name.
+  using Samples = std::map<std::string, double>;
+  const auto sample_id = [](const std::string& family,
+                            const std::map<std::string, std::string>& labels) {
+    std::string id = family;
+    for (const auto& [name, value] : labels) id += "|" + name + "=" + value;
+    return id;
+  };
+  const std::vector<std::string> exported = {
+      "elephant_stat_database",   "elephant_stat_statements",
+      "elephant_stat_buffer_pool", "elephant_stat_io",
+      "elephant_stat_heatmap",    "elephant_stat_scheduler",
+      "elephant_stat_wal",        "elephant_stat_transactions",
+      "elephant_stat_wait_events",
+  };
+  const auto read_tables = [&]() {
+    Samples out;
+    for (const std::string& name : exported) {
+      const VirtualTable* table = db_->catalog().GetVirtualTable(name);
+      EXPECT_NE(table, nullptr) << name;
+      if (table == nullptr) continue;
+      Result<std::vector<Row>> rows = table->provider();
+      EXPECT_TRUE(rows.ok()) << name;
+      if (!rows.ok()) continue;
+      const Schema& schema = table->schema;
+      for (const Row& row : rows.value()) {
+        std::map<std::string, std::string> labels;
+        for (size_t c = 0; c < schema.NumColumns(); c++) {
+          if (schema.ColumnAt(c).type == TypeId::kVarchar) {
+            labels[schema.ColumnAt(c).name] = row[c].AsString();
+          }
+        }
+        for (size_t c = 0; c < schema.NumColumns(); c++) {
+          if (!IsNumeric(schema.ColumnAt(c).type)) continue;
+          const std::string id =
+              sample_id(name + "_" + schema.ColumnAt(c).name, labels);
+          EXPECT_EQ(out.count(id), 0u) << "two cells share sample " << id;
+          out[id] = row[c].AsDouble();
+        }
+      }
+    }
+    return out;
+  };
+
+  const Samples before = read_tables();
+  const std::string text = db_->ExportMetrics();
+  const Samples after = read_tables();
+
+  // Parse the exposition: `name{label="value",...} number`, with label
+  // values unescaped (\\, \" and \n).
+  Samples got;
+  size_t start = 0;
+  while (start < text.size()) {
+    size_t end = text.find('\n', start);
+    if (end == std::string::npos) end = text.size();
+    const std::string line = text.substr(start, end - start);
+    start = end + 1;
+    if (line.empty() || line[0] == '#') continue;
+    size_t i = line.find_first_of("{ ");
+    ASSERT_NE(i, std::string::npos) << line;
+    const std::string family = line.substr(0, i);
+    std::map<std::string, std::string> labels;
+    if (line[i] == '{') {
+      i++;
+      while (line[i] != '}') {
+        const size_t eq = line.find("=\"", i);
+        ASSERT_NE(eq, std::string::npos) << line;
+        const std::string label = line.substr(i, eq - i);
+        std::string value;
+        for (i = eq + 2; line[i] != '"'; i++) {
+          ASSERT_LT(i + 1, line.size()) << line;
+          if (line[i] == '\\') {
+            i++;
+            value += line[i] == 'n' ? '\n' : line[i];
+          } else {
+            value += line[i];
+          }
+        }
+        labels[label] = value;
+        i++;  // closing quote
+        if (line[i] == ',') i++;
+      }
+      i++;  // closing brace
+    }
+    ASSERT_EQ(line[i], ' ') << line;
+    const std::string id = sample_id(family, labels);
+    EXPECT_EQ(got.count(id), 0u) << "duplicate series " << id;
+    got[id] = std::stod(line.substr(i + 1));
+  }
+
+  ASSERT_EQ(before.size(), after.size());
+  EXPECT_EQ(got.size(), before.size());
+  for (const auto& [id, value] : before) {
+    const auto it = got.find(id);
+    if (it == got.end()) {
+      ADD_FAILURE() << "not exported: " << id;
+      continue;
+    }
+    ASSERT_EQ(after.count(id), 1u) << id;
+    EXPECT_GE(it->second, std::min(value, after.at(id))) << id;
+    EXPECT_LE(it->second, std::max(value, after.at(id))) << id;
+  }
+  // The workload reached the new families, not just their zeros.
+  EXPECT_GT(got.at("elephant_stat_database_statements_select"), 0);
+  EXPECT_GT(got.at("elephant_stat_database_select_count"), 0);
+  EXPECT_GT(got.at("elephant_stat_scheduler_worker_threads"), 0);
 }
 
 }  // namespace

@@ -296,8 +296,9 @@ TEST_F(TelemetryTest, PrometheusExportConforms) {
     }
     // Sample line: <name>[{labels}] <value>
     samples++;
+    // Label values may hold spaces; the value is after the last one.
     const size_t brace = line.find('{');
-    const size_t space = line.find(' ');
+    const size_t space = line.rfind(' ');
     ASSERT_NE(space, std::string::npos) << line;
     const size_t name_end = brace == std::string::npos
                                 ? space
@@ -328,10 +329,11 @@ TEST_F(TelemetryTest, PrometheusExportConforms) {
     series.insert(id);
   }
   EXPECT_GT(samples, 0u);
-  // The new engine gauges must be present.
-  for (const char* gauge :
-       {"elephant_db_pool_resident_pages", "elephant_db_pool_pinned_frames",
-        "elephant_db_workers_queue_depth", "elephant_db_workers_utilization"}) {
+  // The point-in-time gauges must be present.
+  for (const char* gauge : {"elephant_stat_buffer_pool_resident_pages",
+                            "elephant_stat_buffer_pool_pinned_frames",
+                            "elephant_stat_scheduler_queue_depth",
+                            "elephant_stat_scheduler_utilization"}) {
     EXPECT_NE(text.find(gauge), std::string::npos) << gauge;
   }
 }

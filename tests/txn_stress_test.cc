@@ -268,7 +268,7 @@ TEST(TxnStressTest, RollbacksRaceInsertsAndViewReads) {
   ASSERT_TRUE(ok);
   ASSERT_FALSE(failed.load());
   ExpectViewMatchesGroupBy(db.get());
-  EXPECT_GT(db->metrics().GetCounter("mv.refresh.delta_total")->value(), 0u);
+  EXPECT_GT(db->stats().view_delta_refreshes.load(), 0u);
   auto n = db->Execute("SELECT COUNT(*) FROM t");
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(n.value().rows[0][0].Compare(Value::Int64(kBaseRows + 40)), 0);

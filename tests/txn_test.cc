@@ -219,7 +219,7 @@ TEST_F(TxnTest, RollbackFailureSurfacedNotSwallowed) {
   EXPECT_NE(r.status().message().find("rollback also failed"),
             std::string::npos)
       << r.status().ToString();
-  EXPECT_EQ(db_->metrics().GetCounter("txn.rollback_failures_total")->value(),
+  EXPECT_EQ(db_->stats().rollback_failures.load(),
             1u);
   injector.FailReads(false);
   db_->SetFaultInjector(nullptr);
@@ -383,10 +383,12 @@ TEST_F(TxnTest, StatWalTableTracksFlushes) {
 TEST_F(TxnTest, WalMetricsExported) {
   Exec("INSERT INTO t VALUES (1, 'a')");
   const std::string prom = db_->ExportMetrics();
-  EXPECT_NE(prom.find("elephant_wal_flushes_total"), std::string::npos);
-  EXPECT_NE(prom.find("elephant_wal_bytes_total"), std::string::npos);
-  EXPECT_NE(prom.find("elephant_txn_commits_total"), std::string::npos);
-  EXPECT_NE(prom.find("elephant_txn_aborts_total"), std::string::npos);
+  EXPECT_NE(prom.find("elephant_stat_wal_flushes "), std::string::npos);
+  EXPECT_NE(prom.find("elephant_stat_wal_bytes_flushed "), std::string::npos);
+  EXPECT_NE(prom.find("elephant_stat_transactions_committed "),
+            std::string::npos);
+  EXPECT_NE(prom.find("elephant_stat_transactions_aborted "),
+            std::string::npos);
 }
 
 TEST_F(TxnTest, CheckpointStatement) {
@@ -458,25 +460,25 @@ TEST_F(TxnTest, RefreshPathIsObservable) {
   def.group_cols = {"v"};
   def.aggs = {{AggFunc::kCountStar, "", "n"}};
   ASSERT_TRUE(views.CreateView(def).ok());
-  auto counter = [this](const char* name) {
-    return db_->metrics().GetCounter(name)->value();
-  };
+  const DatabaseStats& stats = db_->stats();
 
   // A committed INSERT is merged as a delta by the next read.
   Exec("INSERT INTO t VALUES (4, 'c'), (5, 'a')");
   EXPECT_EQ(Exec("SELECT * FROM t_by_v").rows.size(), 3u);
-  EXPECT_EQ(counter("mv.refresh.delta_total"), 1u);
-  EXPECT_EQ(counter("mv.refresh.delta_rows_total"), 2u);
-  EXPECT_EQ(counter("mv.refresh.full_total"), 0u);
+  EXPECT_EQ(stats.view_delta_refreshes.load(), 1u);
+  EXPECT_EQ(stats.view_delta_rows.load(), 2u);
+  EXPECT_EQ(stats.view_full_refreshes.load(), 0u);
 
   // A DELETE (and likewise an UPDATE) is an unknown change: full rebuild.
   Exec("DELETE FROM t WHERE id = 4");
   EXPECT_EQ(Exec("SELECT * FROM t_by_v").rows.size(), 2u);
   Exec("UPDATE t SET v = 'b' WHERE id = 1");
   EXPECT_EQ(Exec("SELECT v, n FROM t_by_v WHERE v = 'b'").rows[0][1].AsInt64(), 2);
-  EXPECT_EQ(counter("mv.refresh.delta_total"), 1u);
-  EXPECT_EQ(counter("mv.refresh.full_total"), 2u);
-  EXPECT_NE(db_->ExportMetrics().find("mv_refresh_delta_total"), std::string::npos);
+  EXPECT_EQ(stats.view_delta_refreshes.load(), 1u);
+  EXPECT_EQ(stats.view_full_refreshes.load(), 2u);
+  EXPECT_NE(db_->ExportMetrics().find(
+                "\nelephant_stat_database_view_delta_refreshes 1\n"),
+            std::string::npos);
 
   // A backlog over half the base (5 rows into a base that then has 9) is
   // not kept in the insert log: the next read rebuilds in full.
@@ -486,8 +488,8 @@ TEST_F(TxnTest, RefreshPathIsObservable) {
   EXPECT_EQ(r.rows[0][1].AsInt64(), 4);  // a
   EXPECT_EQ(r.rows[1][1].AsInt64(), 3);  // b
   EXPECT_EQ(r.rows[2][1].AsInt64(), 2);  // d
-  EXPECT_EQ(counter("mv.refresh.delta_total"), 1u);
-  EXPECT_EQ(counter("mv.refresh.full_total"), 3u);
+  EXPECT_EQ(stats.view_delta_refreshes.load(), 1u);
+  EXPECT_EQ(stats.view_full_refreshes.load(), 3u);
 }
 
 TEST_F(TxnTest, ReadNeverMergesAnotherTransactionsUncommittedInserts) {
@@ -509,7 +511,7 @@ TEST_F(TxnTest, ReadNeverMergesAnotherTransactionsUncommittedInserts) {
   auto blocked = reader.Execute("SELECT * FROM t_by_v");
   ASSERT_FALSE(blocked.ok());
   EXPECT_TRUE(blocked.status().IsAborted()) << blocked.status().ToString();
-  EXPECT_EQ(db_->metrics().GetCounter("mv.refresh.delta_total")->value(), 0u);
+  EXPECT_EQ(db_->stats().view_delta_refreshes.load(), 0u);
   ASSERT_TRUE(writer.Execute("ROLLBACK").ok());
   // The rolled-back row left the insert log: nothing is pending.
   EXPECT_FALSE(db_->catalog().IsStale("t_by_v"));
@@ -520,7 +522,7 @@ TEST_F(TxnTest, ReadNeverMergesAnotherTransactionsUncommittedInserts) {
   EXPECT_FALSE(reader.Execute("SELECT * FROM t_by_v").ok());
   ASSERT_TRUE(writer.Execute("COMMIT").ok());
   EXPECT_EQ(reader.Execute("SELECT * FROM t_by_v").value().rows.size(), 3u);
-  EXPECT_EQ(db_->metrics().GetCounter("mv.refresh.delta_total")->value(), 1u);
+  EXPECT_EQ(db_->stats().view_delta_refreshes.load(), 1u);
 }
 
 TEST_F(TxnTest, WritingDerivedTableRejected) {

@@ -78,7 +78,7 @@ TEST(WaitTaxonomy, RankMappingClassifiesMutexFamilies) {
   // Observability leaves (rank 700+) fold into one event; the rest is Other.
   EXPECT_EQ(obs::WaitEventForRank(LockRank::kStatStatements),
             WaitEventId::kLWLockObservability);
-  EXPECT_EQ(obs::WaitEventForRank(LockRank::kMetricsRegistry),
+  EXPECT_EQ(obs::WaitEventForRank(LockRank::kHeatmap),
             WaitEventId::kLWLockObservability);
   EXPECT_EQ(obs::WaitEventForRank(LockRank::kUnranked),
             WaitEventId::kLWLockOther);
@@ -201,32 +201,36 @@ TEST(WaitRegistry, ConcurrentHistogramObserversLoseNoCounts) {
 }
 
 TEST(WaitRegistry, PrometheusEmitsFullTaxonomyWithZeros) {
-  obs::WaitEventRegistry reg;
+  Database db;
+  obs::WaitEventRegistry& reg = obs::WaitEventRegistry::Global();
+  reg.Reset();
   reg.Record(WaitEventId::kWalFlush, 2000000);
-  const std::string text = reg.ToPrometheus();
-  EXPECT_NE(text.find("# TYPE elephant_wait_events_total counter"),
+  const std::string text = db.ExportMetrics();
+  EXPECT_NE(text.find("# TYPE elephant_stat_wait_events_count gauge"),
             std::string::npos);
-  EXPECT_NE(text.find("# TYPE elephant_wait_seconds_total counter"),
+  EXPECT_NE(text.find("# TYPE elephant_stat_wait_events_wait_seconds gauge"),
             std::string::npos);
   // Every taxonomy entry appears in both families, zeros included.
   for (const obs::WaitEventInfo& info : obs::kWaitEventInfos) {
-    const std::string labels = std::string("{class=\"") + info.class_name +
-                               "\",event=\"" + info.event_name + "\"}";
-    EXPECT_NE(text.find("elephant_wait_events_total" + labels),
+    const std::string labels = std::string("{wait_class=\"") +
+                               info.class_name + "\",wait_event=\"" +
+                               info.event_name + "\"}";
+    EXPECT_NE(text.find("elephant_stat_wait_events_count" + labels),
               std::string::npos)
         << labels;
-    EXPECT_NE(text.find("elephant_wait_seconds_total" + labels),
+    EXPECT_NE(text.find("elephant_stat_wait_events_wait_seconds" + labels),
               std::string::npos)
         << labels;
   }
-  EXPECT_NE(
-      text.find("elephant_wait_events_total{class=\"WAL\",event=\"Flush\"} 1"),
-      std::string::npos)
-      << text;
-  EXPECT_NE(text.find("elephant_wait_seconds_total{class=\"WAL\","
-                      "event=\"Flush\"} 0.002000000"),
+  EXPECT_NE(text.find("elephant_stat_wait_events_count{wait_class=\"WAL\","
+                      "wait_event=\"Flush\"} 1\n"),
             std::string::npos)
       << text;
+  EXPECT_NE(text.find("elephant_stat_wait_events_wait_seconds{wait_class="
+                      "\"WAL\",wait_event=\"Flush\"} 0.002\n"),
+            std::string::npos)
+      << text;
+  reg.Reset();
 }
 
 // ---------------------------------------------------------------------------
@@ -372,10 +376,10 @@ TEST_F(WaitEventsEngineTest, ExplainAnalyzeCarriesWaitFooterAndJson) {
 
 TEST_F(WaitEventsEngineTest, PrometheusExportIncludesWaitFamilies) {
   const std::string text = db_->ExportMetrics();
-  EXPECT_NE(text.find("# TYPE elephant_wait_events_total counter"),
+  EXPECT_NE(text.find("# TYPE elephant_stat_wait_events_count gauge"),
             std::string::npos);
-  EXPECT_NE(text.find("elephant_wait_seconds_total{class=\"Scheduler\","
-                      "event=\"Gather\"}"),
+  EXPECT_NE(text.find("elephant_stat_wait_events_wait_seconds{wait_class="
+                      "\"Scheduler\",wait_event=\"Gather\"}"),
             std::string::npos);
 }
 
